@@ -462,10 +462,9 @@ let ablation () =
               let count prefix =
                 List.length
                   (List.filter
-                     (fun line ->
-                       String.length line > String.length prefix
-                       && String.sub line 0 (String.length prefix) = prefix)
-                     r.S.stats.Pass.log)
+                     (fun (m : Pass.committed_move) ->
+                       String.starts_with ~prefix m.Pass.cm_family)
+                     r.S.stats.Pass.committed)
               in
               Table.add_row t
                 [
@@ -473,8 +472,8 @@ let ablation () =
                   tag;
                   Table.cell_f ~digits:2 r.S.eval.Cost.power;
                   Table.cell_f ~digits:0 r.S.eval.Cost.area;
-                  Printf.sprintf "%d/%d/%d/%d" (count "[A:") (count "[B:") (count "[C:")
-                    (count "[D:");
+                  Printf.sprintf "%d/%d/%d/%d" (count "A:") (count "B:") (count "C:")
+                    (count "D:");
                   Table.cell_f ~digits:1 r.S.elapsed_s;
                 ]
           | exception Failure _ -> Table.add_row t [ case; tag; "infeasible"; "-"; "-"; "-" ])
@@ -795,18 +794,15 @@ let rewrite_section () =
      \"ok\" means at least one benchmark ends strictly better with family E enabled.\n"
 
 (* ------------------------------------------------------------------ *)
-(* Persistent cache tier + portfolio search: each workload runs three
-   ways — cold (populating and saving the cache), warm (a fresh session
-   reloading the persisted cache, simulating a process restart), and as
-   an N-strategy portfolio race. The warm run must be bit-identical to
-   the cold one with a nonzero disk hit rate; the portfolio result must
-   be no worse than the single-strategy run under the same budget. CI
-   greps BENCH_cache.json for "ok":true. *)
+(* Persistent cache tier: each workload runs twice — cold (populating
+   and saving the cache) and warm (a fresh session reloading the
+   persisted cache, simulating a process restart). The warm run must be
+   bit-identical to the cold one with a nonzero disk hit rate. CI greps
+   BENCH_cache.json for "ok":true. *)
 
 let cache_section () =
-  header "cache" "Persistent cost cache (cold vs disk-warm) and portfolio search";
+  header "cache" "Persistent cost cache (cold vs disk-warm)";
   let module Gen = Hsyn_fuzz.Gen in
-  let portfolio_n = 3 in
   (* suite workloads plus fuzz-generated near-duplicates: consecutive
      seeds draw structurally similar programs, the cross-workload
      sharing a persistent cache is meant to exploit *)
@@ -839,14 +835,13 @@ let cache_section () =
   let t =
     Table.create
       ~header:
-        [ "case"; "cold (s)"; "warm (s)"; "speedup"; "disk hits"; "portfolio (s)"; "ok" ]
+        [ "case"; "cold (s)"; "warm (s)"; "speedup"; "disk hits"; "ok" ]
   in
   let case_objs = ref [] in
   let all_ok = ref true in
   List.iter
     (fun (case, registry, dfg, objective) ->
-      Printf.printf "  running %s (cold + save, warm reload, portfolio %d) ...\n%!" case
-        portfolio_n;
+      Printf.printf "  running %s (cold + save, warm reload) ...\n%!" case;
       let sampling_ns = 2.2 *. Float.max 1.0 (S.min_sampling_ns lib registry dfg) in
       let dir = fresh_dir () in
       Fun.protect ~finally:(fun () -> remove_dir dir) @@ fun () ->
@@ -867,14 +862,6 @@ let cache_section () =
       let warm = run ~cache_dir:dir warm_session in
       let disk_hits = (Session.totals warm_session).Engine.disk_hits in
       let cache_hits = (Session.totals warm_session).Engine.cache_hits in
-      (* portfolio: race N sweep orders on one fresh shared session *)
-      let p0 = Unix.gettimeofday () in
-      let portfolio =
-        match S.portfolio ~n:portfolio_n (request (Session.create ())) with
-        | Ok r -> r
-        | Error msg -> failwith msg
-      in
-      let portfolio_s = Unix.gettimeofday () -. p0 in
       let identical =
         Int64.bits_of_float cold.S.eval.Cost.area = Int64.bits_of_float warm.S.eval.Cost.area
         && Int64.bits_of_float cold.S.eval.Cost.power
@@ -882,11 +869,7 @@ let cache_section () =
         && Design.fingerprint cold.S.design = Design.fingerprint warm.S.design
       in
       let cold_v = Cost.objective_value objective cold.S.eval in
-      let portfolio_v = Cost.objective_value objective portfolio.S.eval in
-      (* every strategy sweeps the same context set, so a completed
-         portfolio finds the same optimal value as the canonical order *)
-      let portfolio_ok = portfolio.S.completed && portfolio_v <= cold_v in
-      let ok = identical && disk_hits > 0 && portfolio_ok in
+      let ok = identical && disk_hits > 0 in
       let speedup = cold.S.elapsed_s /. Float.max 1e-9 warm.S.elapsed_s in
       all_ok := !all_ok && ok;
       Table.add_row t
@@ -896,7 +879,6 @@ let cache_section () =
           Printf.sprintf "%.2f" warm.S.elapsed_s;
           Printf.sprintf "%.2fx" speedup;
           Printf.sprintf "%d/%d" disk_hits cache_hits;
-          Printf.sprintf "%.2f" portfolio_s;
           (if ok then "yes" else "NO");
         ];
       case_objs :=
@@ -912,9 +894,6 @@ let cache_section () =
              Json.Float
                (if cache_hits = 0 then 0.
                 else Float.of_int disk_hits /. Float.of_int cache_hits));
-            ("portfolio_n", Json.Int portfolio_n);
-            ("portfolio_s", Json.Float portfolio_s);
-            ("portfolio_value", Json.Float portfolio_v);
             ("cold_value", Json.Float cold_v);
             ("identical", Json.Bool identical);
             ("ok", Json.Bool ok);
@@ -940,8 +919,7 @@ let cache_section () =
   Printf.printf
     "Reading: the warm run starts from a fresh session plus the cache file the cold run\n\
      persisted — its disk hits are work a restarted process did not redo, and \"ok\"\n\
-     additionally confirms warm ≡ cold bit-for-bit and that the portfolio race is no\n\
-     worse than the canonical single-strategy sweep.\n"
+     additionally confirms warm ≡ cold bit-for-bit.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler-kernel microbenchmark: event-driven vs legacy time-stepped
@@ -1024,8 +1002,8 @@ let sched_section () =
 
 (* ------------------------------------------------------------------ *)
 (* Observability overhead: the same synthesis run with the flight
-   recorder fully off (the default), and fully armed (trace + metrics
-   + profile). The disabled path must be indistinguishable from the
+   recorder fully off (the default), and fully armed (trace +
+   metrics). The disabled path must be indistinguishable from the
    pre-observability code: each probe costs one atomic load, and the
    section both measures that cost directly (Bechamel on a disabled
    span) and scales it by the run's actual probe count to bound the
@@ -1049,8 +1027,7 @@ let obs_section () =
   let timed () = List.init repeats (fun _ -> let r = run () in (r, r.S.elapsed_s)) in
   let off () =
     Obs.Trace.set_enabled false;
-    Obs.Metrics.set_enabled false;
-    Obs.Gate.set_profile false
+    Obs.Metrics.set_enabled false
   in
   off ();
   Printf.printf "  running disabled (%d repeat%s) ...\n%!" repeats (if repeats = 1 then "" else "s");
@@ -1058,7 +1035,6 @@ let obs_section () =
   Obs.Trace.set_capacity 262_144;
   Obs.Trace.set_enabled true;
   Obs.Metrics.set_enabled true;
-  Obs.Gate.set_profile true;
   Printf.printf "  running instrumented (%d repeat%s) ...\n%!" repeats
     (if repeats = 1 then "" else "s");
   let en_runs = timed () in
@@ -1088,7 +1064,6 @@ let obs_section () =
   off ();
   Obs.Trace.reset ();
   Obs.Metrics.reset ();
-  Hsyn_util.Timing.reset ();
   (* cost of one disabled probe, measured on the disabled path *)
   let tests =
     [
@@ -1137,7 +1112,7 @@ let obs_section () =
     ];
   Table.add_row t
     [
-      "trace+metrics+profile";
+      "trace+metrics";
       Printf.sprintf "%.3f" en_med;
       string_of_int probes_per_run;
       "-";

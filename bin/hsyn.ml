@@ -193,12 +193,7 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
                 | None -> ());
                 Sys.set_signal Sys.sigint previous)
               (fun () ->
-                if doc.Wire.portfolio > 1 then
-                  S.portfolio ~events ~token ?cache_dir:doc.Wire.cache
-                    ~n:doc.Wire.portfolio req
-                else
-                  S.synthesize ~events ~token ?checkpoint ~resume
-                    ?cache_dir:doc.Wire.cache req)
+                S.synthesize ~events ~token ?checkpoint ~resume ?cache_dir:doc.Wire.cache req)
           in
           match outcome with
           | Error msg ->
@@ -239,20 +234,20 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
                     print_newline ())
               end;
               if profile then begin
-                let module St = Hsyn_util.Stats in
-                let module Timing = Hsyn_util.Timing in
                 Printf.printf "\nstage wall time (per call):\n";
-                (* calls/total come from the exact aggregates; the
-                   percentiles from the bounded reservoir of recent
-                   samples *)
-                List.iter
-                  (fun (name, (st : Timing.stat)) ->
-                    let ms = List.map (fun s -> s *. 1000.) (Timing.samples name) in
-                    Printf.printf
-                      "  %-10s %7d calls  total %8.1f ms  median %7.4f ms  p90 %7.4f ms\n" name
-                      st.Timing.count (st.Timing.sum *. 1000.) (St.median ms)
-                      (St.percentile 90. ms))
-                  (Timing.stats ())
+                (* calls/total are the stage histograms' exact count and
+                   sum; median and p90 are bucket estimates *)
+                Metrics.fold
+                  (fun ~base ~labels:_ view () ->
+                    match view with
+                    | Metrics.Histogram_view v when String.starts_with ~prefix:"stage." base ->
+                        Printf.printf
+                          "  %-10s %7d calls  total %8.1f ms  median %7.4f ms  p90 %7.4f ms\n"
+                          (String.sub base 6 (String.length base - 6))
+                          v.Metrics.count v.Metrics.sum (Metrics.hist_quantile 50. v)
+                          (Metrics.hist_quantile 90. v)
+                    | _ -> ())
+                  ()
               end;
               if show_rtl then Format.printf "@.%a@." Design.pp r.S.design;
               let cs = Sched.relaxed ~deadline:r.S.deadline_cycles r.S.design.Design.dfg in
@@ -266,7 +261,7 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
    documents a [serve] client sends, then resolves them through the
    same [Wire.to_request]. [--dump-request] prints them instead. *)
 let make_docs bench file dfg_name objective lf sampling mode seed jobs budget_s max_contexts
-    portfolio cache no_rewrite =
+    cache no_rewrite =
   Result.bind (load_sources bench file dfg_name) (fun sources ->
       let objective =
         match Cost.objective_of_string objective with Some o -> o | None -> Cost.Area
@@ -288,22 +283,18 @@ let make_docs bench file dfg_name objective lf sampling mode seed jobs budget_s 
           clib_effort = { Clib.default_effort with Clib.engine = policy };
         }
       in
-      if portfolio < 1 then Error (Printf.sprintf "--portfolio must be >= 1 (got %d)" portfolio)
-      else
-        Result.bind (Budget.make ?deadline_s:budget_s ?max_contexts ()) (fun budget ->
-            Ok
-              (List.map
-                 (Wire.make_doc ~objective ~timing ~flatten:(mode = "flat") ~config ~budget
-                    ~portfolio ?cache)
-                 sources)))
+      Result.bind (Budget.make ?deadline_s:budget_s ?max_contexts ()) (fun budget ->
+          Ok
+            (List.map
+               (Wire.make_doc ~objective ~timing ~flatten:(mode = "flat") ~config ~budget ?cache)
+               sources)))
 
 let do_synth bench file dfg_name objective lf sampling mode seed jobs budget_s max_contexts
-    portfolio cache no_rewrite share_session dump_request progress events_json trace_out
-    metrics_out checkpoint resume json show_stats profile show_rtl show_fsm show_sched
-    show_verilog =
+    cache no_rewrite share_session dump_request progress events_json trace_out metrics_out
+    checkpoint resume json show_stats profile show_rtl show_fsm show_sched show_verilog =
   match
     make_docs bench file dfg_name objective lf sampling mode seed jobs budget_s max_contexts
-      portfolio cache no_rewrite
+      cache no_rewrite
   with
   | Error msg ->
       prerr_endline ("hsyn: " ^ msg);
@@ -312,9 +303,8 @@ let do_synth bench file dfg_name objective lf sampling mode seed jobs budget_s m
       List.iter (fun d -> print_endline (Json.to_string (Wire.doc_to_json d))) docs;
       0
   | Ok docs ->
-      if profile then Trace.set_profile true;
       if trace_out <> None then Trace.set_enabled true;
-      if metrics_out <> None || trace_out <> None then Metrics.set_enabled true;
+      if metrics_out <> None || trace_out <> None || profile then Metrics.set_enabled true;
       (* one session reused across every design with --share-session;
          otherwise each design gets its own (results are identical
          either way — sharing only skips repeated work) *)
@@ -382,16 +372,6 @@ let max_contexts_arg =
     & opt (some int) None
     & info [ "max-contexts" ] ~docv:"N"
         ~doc:"Stop after N (V_dd, clock) contexts of the sweep.")
-
-let portfolio_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "portfolio" ] ~docv:"N"
-        ~doc:
-          "Race N deterministic sweep strategies on a shared memoization session; the first to \
-           complete its full sweep wins and cancels the rest. The winner's result is bit-identical \
-           to running that strategy alone, so this trades CPU for wall clock without changing any \
-           answer. N=1 (the default) is a plain run.")
 
 let cache_arg =
   Arg.(
@@ -486,7 +466,9 @@ let profile_flag =
     & info [ "profile" ]
         ~doc:
           "Record per-stage wall time (prepare/schedule/power) during synthesis and print a \
-           breakdown with the statistics (implies $(b,--stats)).")
+           breakdown with the statistics: calls and total are exact, median and p90 are \
+           estimated from the stage histogram's buckets (implies $(b,--stats) and metrics \
+           collection).")
 let rtl_flag = Arg.(value & flag & info [ "rtl" ] ~doc:"Dump the RTL structure of the result.")
 let fsm_flag = Arg.(value & flag & info [ "fsm" ] ~doc:"Dump the controller FSM of the result.")
 let sched_flag = Arg.(value & flag & info [ "sched" ] ~doc:"Dump the schedule of the result.")
@@ -507,7 +489,7 @@ let synth_cmd =
   Cmd.v (Cmd.info "synth" ~doc)
     Term.(
       const do_synth $ bench_arg $ file_arg $ dfg_arg $ objective_arg $ lf_arg $ sampling_arg
-      $ mode_arg $ seed_arg $ jobs_arg $ budget_arg $ max_contexts_arg $ portfolio_arg
+      $ mode_arg $ seed_arg $ jobs_arg $ budget_arg $ max_contexts_arg
       $ cache_arg $ no_rewrite_flag $ share_session_flag $ dump_request_flag $ progress_flag $ events_json_arg
       $ trace_arg $ metrics_arg $ checkpoint_arg $ resume_flag $ json_flag $ stats_flag
       $ profile_flag $ rtl_flag $ fsm_flag $ sched_flag $ verilog_flag)

@@ -29,9 +29,10 @@ let magic = "HSYN-CKPT"
    v4: Engine.counters (embedded in Pass.stats) gained [disk_hits]
    (persistent-cache PR).
    v5: Pass.stats gained per-rewrite-kind committed counts
-   [rewrite_kinds] (move family E PR). All change the Marshal layout
-   of the incumbent record. *)
-let schema_version = 5
+   [rewrite_kinds] (move family E PR).
+   v6: Pass.stats lost [log], which duplicated [committed]. All change
+   the Marshal layout of the incumbent record. *)
+let schema_version = 6
 
 let compatible t ~dfg_name ~objective ~sampling_ns ~flattened =
   if t.dfg_name <> dfg_name then

@@ -52,10 +52,6 @@ type payload =
   | Cache_saved of { dir : string; entries : int; warning : string option }
       (** the session cost cache was snapshotted to [dir] after the
           run, or the write failed with a warning *)
-  | Strategy_finished of { strategy : int; completed : bool; winner : bool }
-      (** one racer of a {!Synthesize.portfolio} run finished;
-          [completed] means it ran its full deterministic sweep (losers
-          are cancelled and report [completed = false]) *)
   | Budget_exhausted of { reason : string }
   | Run_finished of {
       completed : bool;

@@ -16,7 +16,6 @@ type stats = {
   moves_committed : int;
   moves_tried : int;
   interrupted : bool;
-  log : string list;
   committed : committed_move list;
   reverted : (string * int) list;
   rewrite_kinds : (string * int) list;
@@ -24,9 +23,6 @@ type stats = {
   engine_families : (string * Engine.counters) list;
   sched : Sched.stats;
 }
-
-let log_line (m : committed_move) =
-  Printf.sprintf "[%s] %s (gain %.3f)" m.cm_family m.cm_description m.cm_gain
 
 let bump_reverted reverted fam n =
   if n = 0 then reverted
@@ -48,7 +44,6 @@ let improve ?token ?(in_quota = false) ?on_pass ?on_commit (env : Moves.env) ~ma
         moves_committed = 0;
         moves_tried = 0;
         interrupted = false;
-        log = [];
         committed = [];
         reverted = [];
         rewrite_kinds = [];
@@ -220,7 +215,6 @@ let improve ?token ?(in_quota = false) ?on_pass ?on_commit (env : Moves.env) ~ma
               {
                 !stats with
                 moves_committed = !stats.moves_committed + List.length committed_now;
-                log = !stats.log @ List.map log_line committed_now;
                 committed = !stats.committed @ committed_now;
               };
             List.iter

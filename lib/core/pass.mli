@@ -29,10 +29,9 @@ type stats = {
   moves_committed : int;
   moves_tried : int;
   interrupted : bool;  (** the run was cut short by its budget *)
-  log : string list;  (** committed move descriptions, oldest first *)
   committed : committed_move list;
-      (** the committed moves behind [log], oldest first — the raw
-          material of the flight recorder's gain attribution *)
+      (** the committed moves, oldest first — the raw material of the
+          flight recorder's gain attribution *)
   reverted : (string * int) list;
       (** per family, tentative moves tried but rolled back (beyond
           the committed prefix of their pass); sorted by family *)

@@ -26,9 +26,9 @@
     ignore power; power-mode bound skipping is exact), and final
     results are always fully evaluated, so results stay bit-identical.
 
-    The session is the unit ROADMAP item 1 ([hsyn serve]) shares
-    between concurrent requests and item 2's portfolio strategies race
-    over. *)
+    The session is the unit [hsyn serve] shares between concurrent
+    requests, and [hsyn synth --share-session] across the designs of
+    one invocation. *)
 
 module Design = Hsyn_rtl.Design
 module Sched = Hsyn_sched.Sched

@@ -226,7 +226,6 @@ let config_to_json (c : Synthesize.Config.t) =
       ("enable_rewrite", Json.Bool c.Synthesize.enable_rewrite);
       ("clib", effort_to_json c.Synthesize.clib_effort);
       ("engine", policy_to_json c.Synthesize.engine);
-      ("strategy", Json.Int c.Synthesize.strategy);
     ]
 
 let config_of_json v =
@@ -284,9 +283,6 @@ let config_of_json v =
         | "engine" ->
             let* p = policy_of_json c.Synthesize.engine v in
             Ok { c with Synthesize.engine = p }
-        | "strategy" ->
-            let* n = as_int v in
-            Ok { c with Synthesize.strategy = n }
         | _ -> Error "unknown field")
   in
   Synthesize.Config.validate c
@@ -339,15 +335,13 @@ type doc = {
   flatten : bool;
   config : Synthesize.Config.t;
   budget : Budget.t;
-  portfolio : int;
   cache : string option;
   tenant : string option;
 }
 
 let make_doc ?(objective = Cost.Area) ?(timing = Laxity 2.2) ?(flatten = false)
-    ?(config = Synthesize.Config.default) ?(budget = Budget.unlimited) ?(portfolio = 1) ?cache
-    ?tenant source =
-  { source; objective; timing; flatten; config; budget; portfolio; cache; tenant }
+    ?(config = Synthesize.Config.default) ?(budget = Budget.unlimited) ?cache ?tenant source =
+  { source; objective; timing; flatten; config; budget; cache; tenant }
 
 let source_to_json = function
   | Bench name -> Json.Obj [ ("bench", Json.String name) ]
@@ -412,7 +406,6 @@ let doc_to_json d =
        ("config", config_to_json d.config);
        ("budget", budget_to_json d.budget);
      ]
-    @ (if d.portfolio > 1 then [ ("portfolio", Json.Int d.portfolio) ] else [])
     @ (match d.cache with None -> [] | Some dir -> [ ("cache", Json.String dir) ])
     @ match d.tenant with None -> [] | Some t -> [ ("tenant", Json.String t) ])
 
@@ -451,10 +444,6 @@ let doc_of_json v =
         | "budget" ->
             let* b = budget_of_json v in
             Ok (kind, version, { doc with budget = b })
-        | "portfolio" ->
-            let* n = as_int v in
-            if n >= 1 then Ok (kind, version, { doc with portfolio = n })
-            else err "portfolio must be >= 1 (got %d)" n
         | "cache" -> (
             match v with
             | Json.Null -> Ok (kind, version, { doc with cache = None })

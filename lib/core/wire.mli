@@ -89,10 +89,6 @@ type doc = {
   flatten : bool;  (** the flattened baseline mode *)
   config : Synthesize.Config.t;
   budget : Budget.t;
-  portfolio : int;
-      (** race this many strategies via {!Synthesize.portfolio};
-          1 (default) is a plain single-strategy run. Serialized only
-          when [> 1], so existing documents are unchanged *)
   cache : string option;
       (** persistent cost-cache directory for warm starts. Honored by
           the CLI; the daemon ignores a client-supplied value (its
@@ -111,14 +107,12 @@ val make_doc :
   ?flatten:bool ->
   ?config:Synthesize.Config.t ->
   ?budget:Budget.t ->
-  ?portfolio:int ->
   ?cache:string ->
   ?tenant:string ->
   source ->
   doc
 (** Defaults: area objective, laxity 2.2, hierarchical mode, default
-    config, unlimited budget, portfolio 1, no cache directory, no
-    tenant. *)
+    config, unlimited budget, no cache directory, no tenant. *)
 
 val doc_to_json : doc -> Json.t
 (** One [{"kind":"hsyn.request","schema_version":…}] object — the

@@ -1,14 +1,13 @@
 (* The single hot-path switch of the observability layer.
 
    Every permanently-embedded probe (Trace.span, Metrics counters via
-   their own flag, Timing) must cost one atomic load when everything is
-   off. [armed] is that load: it is the disjunction of the three
-   feature flags, recomputed on every set_* call (cold path), so probes
-   never have to consult more than one atomic on the disabled path. *)
+   their own flag) must cost one atomic load when everything is off.
+   [armed] is that load: it is the disjunction of the two feature
+   flags, recomputed on every set_* call (cold path), so probes never
+   have to consult more than one atomic on the disabled path. *)
 
 let trace_flag = Atomic.make false
 let metrics_flag = Atomic.make false
-let profile_flag = Atomic.make false
 let armed = Atomic.make false
 
 (* Threshold of the structured logger (see Log.level): a record is
@@ -19,9 +18,7 @@ let armed = Atomic.make false
    the serve CLI lowers it to info. *)
 let log_level = Atomic.make 2
 
-let refresh () =
-  Atomic.set armed
-    (Atomic.get trace_flag || Atomic.get metrics_flag || Atomic.get profile_flag)
+let refresh () = Atomic.set armed (Atomic.get trace_flag || Atomic.get metrics_flag)
 
 let set_trace b =
   Atomic.set trace_flag b;
@@ -31,13 +28,5 @@ let set_metrics b =
   Atomic.set metrics_flag b;
   refresh ()
 
-(* Profiling is stored both here (for the combined [armed] load) and in
-   [Hsyn_util.Timing] (whose own recording sites remain live). *)
-let set_profile b =
-  Atomic.set profile_flag b;
-  Hsyn_util.Timing.set_enabled b;
-  refresh ()
-
 let trace_enabled () = Atomic.get trace_flag
 let metrics_enabled () = Atomic.get metrics_flag
-let profile_enabled () = Atomic.get profile_flag

@@ -4,10 +4,10 @@
    paths (scheduler prepare/schedule, power simulation, candidate
    batches, passes, contexts, embedding, checkpoints). Disabled — the
    default — it costs exactly one atomic load ({!Gate.armed}). Armed,
-   it feeds up to three consumers from one clock read pair:
+   it feeds up to two consumers from one clock read pair:
 
-     - the legacy Timing profile (--profile), unchanged output shape;
-     - a per-stage duration histogram in the metrics registry;
+     - a per-stage duration histogram in the metrics registry (read by
+       --profile, --metrics and hsyn report);
      - a trace event in this domain's ring buffer.
 
    Ring buffers are per-domain (pool workers record their own spans
@@ -17,7 +17,6 @@
    uses it (export after synthesis returns). *)
 
 module Json = Hsyn_util.Json
-module Timing = Hsyn_util.Timing
 
 type category = Pass | Move | Schedule | Power | Embed | Checkpoint
 
@@ -43,7 +42,6 @@ type event = {
 
 let set_enabled = Gate.set_trace
 let is_enabled = Gate.trace_enabled
-let set_profile = Gate.set_profile
 
 let epoch = Unix.gettimeofday ()
 let now_us () = (Unix.gettimeofday () -. epoch) *. 1e6
@@ -119,7 +117,6 @@ let span_armed cat name f =
   Fun.protect
     ~finally:(fun () ->
       let dt = Unix.gettimeofday () -. t0 in
-      if Gate.profile_enabled () then Timing.record name dt;
       if Gate.metrics_enabled () then Metrics.observe (stage_hist name) (dt *. 1000.);
       if Gate.trace_enabled () then
         push

@@ -4,10 +4,10 @@
 
     {!span} is the permanent probe of the synthesis pipeline. With
     everything off it costs one atomic load. Armed, one pair of clock
-    reads feeds the [--profile] sample store (same series names as the
-    old [Timing.time] call sites), a [stage.<name>] duration histogram
-    in the metrics registry, and — when tracing proper is on — a
-    trace event under the recording domain's tid.
+    reads feeds a [stage.<name>] duration histogram in the metrics
+    registry (what [--profile], [--metrics] and [hsyn report] read)
+    when metrics are on, and — when tracing proper is on — a trace
+    event under the recording domain's tid.
 
     Rings are bounded ({!set_capacity}, default 65536 events per
     domain); overflow overwrites the oldest events and is reported in
@@ -40,10 +40,6 @@ type event = {
 
 val set_enabled : bool -> unit
 val is_enabled : unit -> bool
-
-val set_profile : bool -> unit
-(** Alias of {!Gate.set_profile}: the [--profile] switch, routed
-    through the gate so the disabled-path cost stays one load. *)
 
 val span : category -> string -> (unit -> 'a) -> 'a
 (** [span cat name f] runs [f], recording its wall-clock duration to

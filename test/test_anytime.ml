@@ -53,11 +53,10 @@ let test_config_validation () =
   checkb "empty vdds" true (Result.is_error (S.Config.make ~vdd_candidates:[] ()));
   checkb "negative vdd" true (Result.is_error (S.Config.make ~vdd_candidates:[ -3.3 ] ()));
   checkb "empty clk list" true (Result.is_error (S.Config.make ~clk_candidates:(Some []) ()));
-  checkb "setters compose" true
-    (Result.is_ok
-       S.Config.(default |> with_max_passes 2 |> with_seed 7 |> validate));
-  checkb "setters then validate catches" true
-    (Result.is_error S.Config.(default |> with_max_moves 0 |> validate))
+  checkb "record update validates" true
+    (Result.is_ok (S.Config.validate { S.Config.default with S.max_passes = 2; seed = 7 }));
+  checkb "record update then validate catches" true
+    (Result.is_error (S.Config.validate { S.Config.default with S.max_moves = 0 }))
 
 let test_request_validation () =
   let b = Suite.test1 () in

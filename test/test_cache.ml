@@ -202,22 +202,6 @@ let test_synthesize_warm_identical () =
   checkb "warm run hit the disk tier" true
     ((Session.totals warm_session).Session.disk_hits > 0)
 
-let test_portfolio_matches_solo () =
-  (* a completed portfolio winner equals that strategy run solo — and
-     with deterministic sweeps, any completed race equals the cold run's
-     objective value *)
-  let cold = S.synthesize (mk_request ()) in
-  match S.portfolio ~n:2 (mk_request ()) with
-  | Error e -> Alcotest.fail ("portfolio failed: " ^ e)
-  | Ok r -> (
-      checkb "portfolio completed" true r.S.completed;
-      match cold with
-      | Error e -> Alcotest.fail ("cold run failed: " ^ e)
-      | Ok c ->
-          checkb "portfolio value matches the solo sweep" true
-            (Cost.objective_value c.S.objective r.S.eval
-            = Cost.objective_value c.S.objective c.S.eval))
-
 (* ------------------------------------------------------------------ *)
 (* Robustness: malformed cache files degrade to recomputation *)
 
@@ -309,7 +293,6 @@ let () =
       ( "synthesize",
         [
           tc "warm run identical to cold" test_synthesize_warm_identical;
-          tc "portfolio matches solo sweep" test_portfolio_matches_solo;
         ] );
       ( "robustness",
         [

@@ -5,8 +5,6 @@
 
 module Json = Hsyn_util.Json
 module Pool = Hsyn_util.Pool
-module Timing = Hsyn_util.Timing
-module Gate = Hsyn_obs.Gate
 module Metrics = Hsyn_obs.Metrics
 module Trace = Hsyn_obs.Trace
 module Report = Hsyn_obs.Report
@@ -45,10 +43,8 @@ let replace_once s needle repl =
 let fresh () =
   Trace.set_enabled false;
   Metrics.set_enabled false;
-  Gate.set_profile false;
   Trace.reset ();
-  Metrics.reset ();
-  Timing.reset ()
+  Metrics.reset ()
 
 (* ------------------------------------------------------------------ *)
 (* Json parser *)
@@ -230,36 +226,17 @@ let test_trace_ring_bounded () =
 
 let test_trace_feeds_profile_and_metrics () =
   fresh ();
-  Gate.set_profile true;
   Metrics.set_enabled true;
-  Trace.span Trace.Schedule "t.feeds" (fun () -> ());
-  checkb "timing series recorded" true
-    (match Timing.stat "t.feeds" with Some st -> st.Timing.count = 1 | None -> false);
-  checki "stage histogram recorded" 1
-    (Metrics.histogram_view (Metrics.histogram "stage.t.feeds")).Metrics.count;
+  let count () = (Metrics.histogram_view (Metrics.histogram "stage.t.feeds")).Metrics.count in
+  checki "span returns its body's value" 42 (Trace.span Trace.Schedule "t.feeds" (fun () -> 42));
+  checki "stage histogram recorded" 1 (count ());
+  (* a body that raises is still timed, and the exception escapes *)
+  checkb "exception propagates" true
+    (match Trace.span Trace.Schedule "t.feeds" (fun () -> failwith "boom") with
+    | () -> false
+    | exception Failure _ -> true);
+  checki "raising span recorded" 2 (count ());
   checki "but no trace events without --trace" 0 (List.length (Trace.events ()));
-  fresh ()
-
-(* ------------------------------------------------------------------ *)
-(* Timing boundedness (satellite: the profiler must not grow without
-   bound over long anytime runs) *)
-
-let test_timing_bounded () =
-  fresh ();
-  Timing.set_enabled true;
-  let n = Timing.reservoir_capacity + 500 in
-  for i = 1 to n do
-    Timing.record "t.bound" (float_of_int i)
-  done;
-  Timing.set_enabled false;
-  let st = Option.get (Timing.stat "t.bound") in
-  checki "aggregate count exact" n st.Timing.count;
-  checkf "aggregate sum exact" (float_of_int (n * (n + 1) / 2)) st.Timing.sum;
-  checkf "min exact" 1. st.Timing.min;
-  checkf "max exact" (float_of_int n) st.Timing.max;
-  let samples = Timing.samples "t.bound" in
-  checki "reservoir bounded" Timing.reservoir_capacity (List.length samples);
-  checkf "most recent first" (float_of_int n) (List.hd samples);
   fresh ()
 
 (* ------------------------------------------------------------------ *)
@@ -697,7 +674,6 @@ let () =
           tc "feeds profile and metrics" `Quick test_trace_feeds_profile_and_metrics;
           tc "scoped events and tree" `Quick test_trace_scoped_events;
         ] );
-      ("timing", [ tc "bounded memory" `Quick test_timing_bounded ]);
       ( "report",
         [
           tc "aggregates fixture" `Quick test_report_aggregates;

@@ -81,11 +81,22 @@ let test_wire_doc_roundtrip () =
     (contains (Json.to_string (Wire.doc_to_json (Wire.make_doc ~tenant:"acme" (Wire.Bench "t")))) {|"tenant":"acme"|})
 
 let test_wire_rejects_unknown_field () =
-  let json = Wire.doc_to_json (test1_doc ()) in
-  let with_bogus = match json with Json.Obj f -> Json.Obj (f @ [ ("bogus", Json.Int 1) ]) | _ -> json in
-  (match Wire.doc_of_json with_bogus with
-  | Ok _ -> Alcotest.fail "unknown field accepted"
-  | Error msg -> checkb "error names the field" true (contains msg "bogus"));
+  let fields = match Wire.doc_to_json (test1_doc ()) with Json.Obj f -> f | _ -> [] in
+  let in_config extra =
+    List.map (function "config", Json.Obj c -> ("config", Json.Obj (c @ extra)) | kv -> kv) fields
+  in
+  (* fields that older writers emitted (the last two inputs) are
+     rejected like any unknown field, never silently ignored *)
+  List.iter
+    (fun (field, doc) ->
+      match Wire.doc_of_json (Json.Obj doc) with
+      | Ok _ -> Alcotest.failf "unknown field %s accepted" field
+      | Error msg -> checkb ("error names " ^ field) true (contains msg field))
+    [
+      ("bogus", fields @ [ ("bogus", Json.Int 1) ]);
+      ("portfolio", fields @ [ ("portfolio", Json.Int 2) ]);
+      ("strategy", in_config [ ("strategy", Json.Int 0) ]);
+    ];
   match Wire.doc_of_string "{\"kind\":\"nope\"}" with
   | Ok _ -> Alcotest.fail "wrong kind accepted"
   | Error _ -> ()

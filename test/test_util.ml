@@ -259,30 +259,6 @@ let prop_vec_roundtrip =
     QCheck.(array small_int)
     (fun a -> Vec.to_array (Vec.of_array a) = a)
 
-let test_timing_gating () =
-  let module Timing = Hsyn_util.Timing in
-  Timing.reset ();
-  Timing.set_enabled false;
-  Timing.record "t" 1.0;
-  ignore (Timing.time "t" (fun () -> 42));
-  checkb "off records nothing" true (Timing.samples "t" = []);
-  Timing.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Timing.set_enabled false;
-      Timing.reset ())
-    (fun () ->
-      checki "time returns" 42 (Timing.time "t" (fun () -> 42));
-      Timing.record "t" 0.5;
-      checki "two samples" 2 (List.length (Timing.samples "t"));
-      checkb "recent first" true (List.hd (Timing.samples "t") = 0.5);
-      (* recorded on exceptions too *)
-      (try Timing.time "t" (fun () -> failwith "boom") with Failure _ -> ());
-      checki "exn recorded" 3 (List.length (Timing.samples "t"));
-      checkb "all lists series" true (List.mem_assoc "t" (Timing.all ()));
-      Timing.reset ();
-      checkb "reset drops" true (Timing.all () = []))
-
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "util"
@@ -336,5 +312,4 @@ let () =
           tc "conversions" test_vec_conversions;
           QCheck_alcotest.to_alcotest prop_vec_roundtrip;
         ] );
-      ("timing", [ tc "gating and recording" test_timing_gating ]);
     ]
