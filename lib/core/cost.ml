@@ -24,29 +24,32 @@ type eval = {
 (* Evaluation is split into two stages so the engine can memoize and
    skip independently: [schedule_stage] (scheduling feasibility and
    area) always runs; [power_stage] (the trace simulation) is the
-   expensive part and composes on top. [evaluate] is exactly their
+   expensive part and composes on top, replaying the schedule stage 1
+   computed when it is at hand. [evaluate] is exactly their
    composition, which is what makes staged engine results bit-identical
    to direct evaluation. *)
 
 let schedule_stage ?sched_cache ?prepared ctx cs design =
   let sch = Sched.schedule ?cache:sched_cache ?prepared ctx cs design in
   let area =
-    Area.grand_total (Area.total ?sched_cache ctx design ~n_states:(max 1 sch.Sched.makespan))
+    Hsyn_obs.Trace.(span Schedule) "area" (fun () ->
+        Area.grand_total (Area.total ?sched_cache ctx design ~n_states:(max 1 sch.Sched.makespan)))
   in
-  {
-    area;
-    power = Float.nan;
-    energy_sample = Float.nan;
-    makespan = sch.Sched.makespan;
-    feasible = sch.Sched.feasible;
-  }
+  ( {
+      area;
+      power = Float.nan;
+      energy_sample = Float.nan;
+      makespan = sch.Sched.makespan;
+      feasible = sch.Sched.feasible;
+    },
+    sch )
 
-let power_stage ?sched_cache ctx cs ~sampling_ns ~trace design partial =
+let power_stage ?sched_cache ?sched ctx cs ~sampling_ns ~trace design partial =
   if not partial.feasible then partial
   else begin
     let e =
       Hsyn_obs.Trace.(span Power) "power" (fun () ->
-          Power.energy_per_sample ?sched_cache ctx cs design trace)
+          Power.energy_per_sample ?sched_cache ?sched ctx cs design trace)
     in
     {
       partial with
@@ -56,8 +59,8 @@ let power_stage ?sched_cache ctx cs ~sampling_ns ~trace design partial =
   end
 
 let evaluate ?(with_power = true) ?sched_cache ctx cs ~sampling_ns ~trace design =
-  let partial = schedule_stage ?sched_cache ctx cs design in
-  if with_power then power_stage ?sched_cache ctx cs ~sampling_ns ~trace design partial
+  let partial, sched = schedule_stage ?sched_cache ctx cs design in
+  if with_power then power_stage ?sched_cache ~sched ctx cs ~sampling_ns ~trace design partial
   else partial
 
 (* In power mode a small area term breaks ties among equal-power

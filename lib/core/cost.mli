@@ -41,14 +41,17 @@ val schedule_stage :
   Design.ctx ->
   Sched.constraints ->
   Design.t ->
-  eval
+  eval * Sched.schedule
 (** The cheap stage: list scheduling plus the area model. [power] and
-    [energy_sample] are [nan]. Equals [evaluate ~with_power:false].
-    [?prepared] and [?sched_cache] are forwarded to {!Sched.schedule}
-    (and the cache to the area model's module profiles). *)
+    [energy_sample] are [nan]; the eval equals [evaluate
+    ~with_power:false]. The schedule is returned alongside so that
+    {!power_stage} need not compute it again. [?prepared] and
+    [?sched_cache] are forwarded to {!Sched.schedule} (and the cache to
+    the area model's module profiles). *)
 
 val power_stage :
   ?sched_cache:Sched.Cache.t ->
+  ?sched:Sched.schedule ->
   Design.ctx ->
   Sched.constraints ->
   sampling_ns:float ->
@@ -58,7 +61,9 @@ val power_stage :
   eval
 (** The expensive stage: run the switched-capacitance trace simulation
     and fill [power]/[energy_sample] into a {!schedule_stage} result
-    (identity on infeasible designs). *)
+    (identity on infeasible designs). [?sched] is the schedule
+    {!schedule_stage} returned for the same design and constraints;
+    without it the design is scheduled again. *)
 
 val objective_lower_bound :
   objective ->

@@ -176,29 +176,32 @@ let stage1 t (design : Design.t) =
   in
   Cost.schedule_stage ~sched_cache:t.sched_cache ?prepared t.ctx t.cs design
 
-let stage2 t design partial =
-  Cost.power_stage ~sched_cache:t.sched_cache t.ctx t.cs ~sampling_ns:t.sampling_ns
+(* [?sched] is the design's stage-1 schedule when the caller still
+   holds it; cache entries do not keep schedules (memory stays flat),
+   so completing a cached entry schedules it again. *)
+let stage2 t ?sched design partial =
+  Cost.power_stage ~sched_cache:t.sched_cache ?sched t.ctx t.cs ~sampling_ns:t.sampling_ns
     ~trace:t.trace design partial
 
 (* Fill the power stage into an entry; a no-op when already done.
    Returns true when a simulation actually ran. Safe under sharing: a
    concurrent engine upgrading the same entry computes the same bits,
    so the losing writer's [Atomic.set] is idempotent. *)
-let complete_power t (e : entry) =
+let complete_power t ?sched (e : entry) =
   match Atomic.get e.e_state with
   | Session.Full _ -> false
   | Session.Partial ev ->
-      Atomic.set e.e_state (Session.Full (stage2 t e.e_design ev));
+      Atomic.set e.e_state (Session.Full (stage2 t ?sched e.e_design ev));
       true
 
 let fresh_entry t ?(need_power = false) design =
-  let partial = stage1 t design in
+  let partial, sched = stage1 t design in
   let state =
     (* infeasible designs never need a simulation — born complete *)
     if partial.Cost.feasible then Session.Partial partial else Session.Full partial
   in
   let e = { e_design = design; e_state = Atomic.make state; e_from_disk = false } in
-  if need_power then ignore (complete_power t e : bool);
+  if need_power then ignore (complete_power t ~sched e : bool);
   e
 
 let eval_internal t ~need_power design =
@@ -229,7 +232,7 @@ type 'a cand = {
   c_fam : string option;
   c_fp : int64;
   c_entry : entry;
-  c_cached : bool;
+  c_sched : Sched.schedule option;  (* stage-1 schedule of a miss the power stage will simulate *)
 }
 
 let take_n n seq =
@@ -305,7 +308,15 @@ let best_of t ?family ~limit seq =
     try
       Pool.map_array ~cancel pool
         (fun (_, _, design, _, hit) ->
-          match hit with None -> Some (stage1 t design) | Some _ -> None)
+          match hit with
+          | None ->
+              (* keep the schedule only for a candidate the power stage
+                 will simulate: held across the batch, the others would
+                 survive minor collections for nothing *)
+              let partial, sched = stage1 t design in
+              let keep = t.obj = Cost.Power && partial.Cost.feasible in
+              Some (partial, if keep then Some sched else None)
+          | Some _ -> None)
         probed
     with Pool.Cancelled -> raise_interrupted t
   in
@@ -316,8 +327,8 @@ let best_of t ?family ~limit seq =
         | Some e, _ ->
             bump t ?fam:(fam tag)
               { zero with cache_hits = 1; disk_hits = (if e.e_from_disk then 1 else 0) };
-            { c_idx = i; c_tag = tag; c_fam = fam tag; c_fp = fp; c_entry = e; c_cached = true }
-        | None, Some partial ->
+            { c_idx = i; c_tag = tag; c_fam = fam tag; c_fp = fp; c_entry = e; c_sched = None }
+        | None, Some (partial, sched) ->
             bump t ?fam:(fam tag) { zero with cache_misses = 1; evaluated = 1 };
             let e =
               match Hashtbl.find_opt batch_seen fp with
@@ -332,7 +343,7 @@ let best_of t ?family ~limit seq =
             Atomic.set e.e_state
               (if partial.Cost.feasible then Session.Partial partial else Session.Full partial);
             cache_insert t fp e;
-            { c_idx = i; c_tag = tag; c_fam = fam tag; c_fp = fp; c_entry = e; c_cached = false }
+            { c_idx = i; c_tag = tag; c_fam = fam tag; c_fp = fp; c_entry = e; c_sched = sched }
         | None, None -> assert false)
       probed stage1_results
   in
@@ -407,7 +418,7 @@ let best_of t ?family ~limit seq =
                   try
                     Pool.map_array ~cancel pool
                       (fun (_, c) ->
-                        stage2 t c.c_entry.e_design (Session.entry_eval c.c_entry))
+                        stage2 t ?sched:c.c_sched c.c_entry.e_design (Session.entry_eval c.c_entry))
                       (Array.of_list wave)
                   with Pool.Cancelled -> raise_interrupted t
                 in

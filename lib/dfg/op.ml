@@ -23,21 +23,31 @@ let of_name s = List.find_opt (fun op -> name op = s) all
 let signed = Hsyn_util.Bits.to_signed
 let wrap = Hsyn_util.Bits.truncate
 
+let bad_arity op = invalid_arg ("Op.eval: arity mismatch for " ^ name op)
+
+let eval1 op a =
+  match op with
+  | Neg -> wrap (-signed a)
+  | Abs -> wrap (abs (signed a))
+  | Add | Sub | Mult | Lsh | Rsh | Min | Max | Lt -> bad_arity op
+
+let eval2 op a b =
+  match op with
+  | Add -> wrap (signed a + signed b)
+  | Sub -> wrap (signed a - signed b)
+  | Mult -> wrap (signed a * signed b)
+  | Lsh -> wrap (signed a lsl Hsyn_util.Bits.shift_amount b)
+  | Rsh -> wrap (signed a asr Hsyn_util.Bits.shift_amount b)
+  | Min -> wrap (min (signed a) (signed b))
+  | Max -> wrap (max (signed a) (signed b))
+  | Lt -> if signed a < signed b then 1 else 0
+  | Neg | Abs -> bad_arity op
+
 let eval op args =
-  let bad () = invalid_arg ("Op.eval: arity mismatch for " ^ name op) in
-  match op, args with
-  | Add, [ a; b ] -> wrap (signed a + signed b)
-  | Sub, [ a; b ] -> wrap (signed a - signed b)
-  | Mult, [ a; b ] -> wrap (signed a * signed b)
-  | Lsh, [ a; b ] -> wrap (signed a lsl Hsyn_util.Bits.shift_amount b)
-  | Rsh, [ a; b ] -> wrap (signed a asr Hsyn_util.Bits.shift_amount b)
-  | Neg, [ a ] -> wrap (-signed a)
-  | Abs, [ a ] -> wrap (abs (signed a))
-  | Min, [ a; b ] -> wrap (min (signed a) (signed b))
-  | Max, [ a; b ] -> wrap (max (signed a) (signed b))
-  | Lt, [ a; b ] -> if signed a < signed b then 1 else 0
-  | (Add | Sub | Mult | Lsh | Rsh | Min | Max | Lt), _ -> bad ()
-  | (Neg | Abs), _ -> bad ()
+  match args with
+  | [ a ] -> eval1 op a
+  | [ a; b ] -> eval2 op a b
+  | _ -> bad_arity op
 
 let commutative = function
   | Add | Mult | Min | Max -> true

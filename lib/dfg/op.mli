@@ -50,6 +50,15 @@ val eval : t -> int list -> int
 
     @raise Invalid_argument on arity mismatch. *)
 
+val eval1 : t -> int -> int
+(** [eval1 op a] is [eval op [ a ]] without building the list — the
+    form the simulator's compiled programs call.
+    @raise Invalid_argument if [op] is not unary. *)
+
+val eval2 : t -> int -> int -> int
+(** [eval2 op a b] is [eval op [ a; b ]] without building the list.
+    @raise Invalid_argument if [op] is not binary. *)
+
 val commutative : t -> bool
 (** Whether swapping the two operands preserves the result (used by
     binding to canonicalize operand order). *)

@@ -29,12 +29,12 @@ let source_of_value (d : Design.t) (p : Dfg.port) =
     | Dfg.Const c -> Const_wire c
     | _ -> Direct (d.Design.node_inst.(p.Dfg.node), p.Dfg.out)
 
-(* External input ports of an instance's bound nodes, with a stable
-   port key. Chain groups flatten their external inputs in member
-   order; plain units and modules use the node's own port index. *)
-let port_feeds (d : Design.t) i =
+(* External input ports of an instance's bound nodes (ascending ids),
+   with a stable port key. Chain groups flatten their external inputs
+   in member order; plain units and modules use the node's own port
+   index. *)
+let feeds_of_nodes (d : Design.t) i nodes =
   let dfg = d.Design.dfg in
-  let nodes = Design.nodes_on d i in
   match d.Design.insts.(i) with
   | Design.Simple fu when Fu.is_chain fu ->
       let members = nodes in
@@ -57,6 +57,9 @@ let port_feeds (d : Design.t) i =
           Array.to_list dfg.Dfg.nodes.(id).Dfg.ins |> List.mapi (fun port p -> (port, p)))
         nodes
 
+let port_feeds d i = feeds_of_nodes d i (Design.nodes_on d i)
+let port_feeds_all d = Array.mapi (feeds_of_nodes d) (Design.nodes_by_inst d)
+
 let reg_writers (d : Design.t) =
   let dfg = d.Design.dfg in
   let writers : (int, writer list) Hashtbl.t = Hashtbl.create 16 in
@@ -65,49 +68,44 @@ let reg_writers (d : Design.t) =
     if not (List.mem w cur) then Hashtbl.replace writers reg (w :: cur)
   in
   Array.iteri
-    (fun v reg ->
-      if reg >= 0 then begin
-        let ({ Dfg.node; out } : Dfg.port) = Design.value_of_index dfg v in
-        match dfg.Dfg.nodes.(node).Dfg.kind with
-        | Dfg.Input -> add reg (From_input node)
-        | Dfg.Delay _ -> add reg (From_delay node)
-        | Dfg.Op _ | Dfg.Call _ -> add reg (From_inst (d.Design.node_inst.(node), out))
-        | Dfg.Const _ | Dfg.Output -> ()
-      end)
-    d.Design.value_reg;
+    (fun node (n : Dfg.node) ->
+      for out = 0 to n.Dfg.n_out - 1 do
+        let reg = d.Design.value_reg.(Design.value_index dfg { Dfg.node; out }) in
+        if reg >= 0 then
+          match n.Dfg.kind with
+          | Dfg.Input -> add reg (From_input node)
+          | Dfg.Delay _ -> add reg (From_delay node)
+          | Dfg.Op _ | Dfg.Call _ -> add reg (From_inst (d.Design.node_inst.(node), out))
+          | Dfg.Const _ | Dfg.Output -> ()
+      done)
+    dfg.Dfg.nodes;
   writers
+
+(* A point-to-point net: a steering source into an instance input port,
+   or a register writer into a register. *)
+type net = To_port of source * int * int | To_reg of writer * int
 
 (* Steering cost over a list of designs sharing one resource set (a
    single design for the top level; all parts for a merged module). *)
 let steering (ctx : Design.ctx) (designs : Design.t list) =
   let lib = ctx.Design.lib in
-  let first = List.hd designs in
-  let n_insts = Array.length first.Design.insts in
   let port_sources : (int * int, source list) Hashtbl.t = Hashtbl.create 32 in
-  let nets : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let nets : (net, unit) Hashtbl.t = Hashtbl.create 64 in
   let add_port_source i key src =
     let cur = match Hashtbl.find_opt port_sources (i, key) with Some l -> l | None -> [] in
     if not (List.mem src cur) then Hashtbl.replace port_sources (i, key) (src :: cur)
   in
-  let net_name src (i, key) =
-    let s =
-      match src with
-      | Reg r -> Printf.sprintf "r%d" r
-      | Const_wire c -> Printf.sprintf "c%d" c
-      | Direct (j, o) -> Printf.sprintf "d%d.%d" j o
-    in
-    Printf.sprintf "%s->i%d.%d" s i key
-  in
   List.iter
     (fun d ->
-      for i = 0 to n_insts - 1 do
-        List.iter
-          (fun (key, p) ->
-            let src = source_of_value d p in
-            add_port_source i key src;
-            Hashtbl.replace nets (net_name src (i, key)) ())
-          (port_feeds d i)
-      done)
+      Array.iteri
+        (fun i feeds ->
+          List.iter
+            (fun (key, p) ->
+              let src = source_of_value d p in
+              add_port_source i key src;
+              Hashtbl.replace nets (To_port (src, i, key)) ())
+            feeds)
+        (port_feeds_all d))
     designs;
   let mux_inputs =
     Hashtbl.fold (fun _ sources acc -> acc + max 0 (List.length sources - 1)) port_sources 0
@@ -121,16 +119,7 @@ let steering (ctx : Design.ctx) (designs : Design.t list) =
           let cur = match Hashtbl.find_opt reg_sources reg with Some l -> l | None -> [] in
           let merged = List.fold_left (fun acc w -> if List.mem w acc then acc else w :: acc) cur ws in
           Hashtbl.replace reg_sources reg merged;
-          List.iter
-            (fun w ->
-              let s =
-                match w with
-                | From_inst (i, o) -> Printf.sprintf "i%d.%d" i o
-                | From_input k -> Printf.sprintf "in%d" k
-                | From_delay k -> Printf.sprintf "z%d" k
-              in
-              Hashtbl.replace nets (Printf.sprintf "%s->r%d" s reg) ())
-            ws)
+          List.iter (fun w -> Hashtbl.replace nets (To_reg (w, reg)) ()) ws)
         (reg_writers d))
     designs;
   let reg_mux_inputs =

@@ -23,6 +23,10 @@ val port_feeds : Design.t -> int -> (int * Hsyn_dfg.Dfg.port) list
     per-port activity streams in {!Power}. Chain groups flatten their
     external inputs in member order. *)
 
+val port_feeds_all : Design.t -> (int * Hsyn_dfg.Dfg.port) list array
+(** {!port_feeds} of every instance, from one sweep over the
+    bindings. *)
+
 type breakdown = {
   units : float;
   registers : float;

@@ -143,8 +143,7 @@ let emit ctx (d : Design.t) (sch : Sched.schedule) =
           emitted := rm :: !emitted;
           List.iter
             (fun (behavior, part) ->
-              let cs = Sched.relaxed ~deadline:1_000_000 part.Design.dfg in
-              let psch = Sched.schedule ctx cs part in
+              let psch = Sched.module_schedule ctx rm behavior in
               emit_design buf
                 ~name:(rm.Design.rm_name ^ "__" ^ behavior)
                 ~with_controller:true part psch nested)

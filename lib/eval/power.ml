@@ -4,19 +4,70 @@ module Dfg = Hsyn_dfg.Dfg
 module Fu = Hsyn_modlib.Fu
 module Bits = Hsyn_util.Bits
 module Library = Hsyn_modlib.Library
+module Span = Hsyn_obs.Trace
 
 let width_f = Float.of_int Bits.word_width
 
-(* Activity sum of a word stream: sum over transitions of normalized
-   Hamming distance, starting from an all-zero word. *)
-let activity_sum stream =
-  let prev = ref 0 and acc = ref 0. in
-  List.iter
-    (fun v ->
-      acc := !acc +. (Float.of_int (Bits.hamming !prev v) /. width_f);
-      prev := v)
-    stream;
+(* The activity model charges [cap × Σ hamming(prev, v) / word_width]
+   over a resource's word stream, starting from an all-zero word. The
+   distances are summed as integers and divided once: every partial sum
+   of the per-transition float sum is a multiple of 1/16 far below
+   2^53, so it is exact, and equal to [float toggles /. width_f] to the
+   last bit. *)
+let activity toggles = Float.of_int toggles /. width_f
+
+(* Toggled bits of the stream that visits, sample after sample, the
+   values [order] indexes (one resource port, operands in order). *)
+let port_toggles (streams : int array array) order =
+  let prev = ref 0 and acc = ref 0 in
+  Array.iter
+    (fun values ->
+      Array.iter
+        (fun v ->
+          let x = values.(v) in
+          acc := !acc + Bits.hamming !prev x;
+          prev := x)
+        order)
+    streams;
   !acc
+
+(* Toggled bits of a register's write stream. Writes follow the
+   schedule's [avail] order, and writes available in the same cycle go
+   in ascending data order: the model sorts (avail, value) pairs, so
+   the tie-break is part of its results. Only those tie groups need a
+   sort per sample. *)
+let reg_toggles (streams : int array array) (avail : int array) values =
+  let rec groups = function
+    | [] -> []
+    | v :: _ as l ->
+        let same, rest = List.partition (fun w -> avail.(w) = avail.(v)) l in
+        Array.of_list same :: groups rest
+  in
+  let groups = Array.of_list (groups (List.stable_sort (fun a b -> compare avail.(a) avail.(b)) values)) in
+  let prev = ref 0 and acc = ref 0 in
+  let write x =
+    acc := !acc + Bits.hamming !prev x;
+    prev := x
+  in
+  Array.iter
+    (fun values ->
+      Array.iter
+        (fun g ->
+          if Array.length g = 1 then write values.(g.(0))
+          else begin
+            let xs = Array.map (fun v -> values.(v)) g in
+            Array.sort Int.compare xs;
+            Array.iter write xs
+          end)
+        groups)
+    streams;
+  !acc
+
+(* An instance's feeds grouped by port key: ascending keys, each with
+   its feeding ports in feed order. *)
+let ports_by_key feeds =
+  List.sort_uniq compare (List.map fst feeds)
+  |> List.map (fun k -> (k, List.filter_map (fun (k', p) -> if k' = k then Some p else None) feeds))
 
 (* Registers clocked by the design, including the shared register
    files of nested RTL modules (counted once per module instance) and
@@ -62,140 +113,114 @@ let rec total_fu_cap (design : Design.t) =
           | (_, first) :: _ -> acc +. total_fu_cap first))
     0. design.Design.insts
 
-let rec energy_rec cache ~top ctx (cs : Sched.constraints) (design : Design.t) invocations =
+(* [sch] is the design's schedule: the caller's for the top level, the
+   module-profile schedule ({!Sched.module_schedule}) for module parts.
+   [invocations] is non-empty. The order in which [total] adds its
+   terms is part of the result's bits and must not change. *)
+let rec energy_rec cache ~top ctx (sch : Sched.schedule) (design : Design.t) invocations =
   let lib = ctx.Design.lib in
   let dfg = design.Design.dfg in
+  let vi p = Design.value_index dfg p in
   let n_samples = List.length invocations in
-  if n_samples = 0 then 0.
-  else begin
-    let sch = Sched.schedule ~cache ctx cs design in
-    let streams = Sim.run design invocations in
-    let value_at s (p : Dfg.port) = streams.(s).(Design.value_index dfg p) in
-    let total = ref 0. in
-    (* --- functional units and modules --- *)
-    Array.iteri
-      (fun i kind ->
-        let nodes = Design.nodes_on design i in
-        if nodes <> [] then
-          match kind with
-          | Design.Simple fu ->
-              (* per-port operand streams across all samples, in
-                 scheduled activation order *)
-              let feeds = Area.port_feeds design i in
-              let port_keys = List.sort_uniq compare (List.map fst feeds) in
-              let port_stream key =
-                List.concat_map
-                  (fun s ->
-                    List.filter (fun (k, _) -> k = key) feeds
-                    |> List.sort (fun (_, (p1 : Dfg.port)) (_, p2) ->
-                           compare sch.Sched.start.(p1.Dfg.node) sch.Sched.start.(p2.Dfg.node))
-                    |> List.map (fun (_, p) -> value_at s p))
-                  (List.init n_samples Fun.id)
-              in
-              (* The feed list pairs (port key, consuming-node input):
-                 for a plain shared unit the same key appears once per
-                 bound node, giving the interleaved operand stream the
-                 sharing power effect comes from. Activation order
-                 within a sample follows the schedule. *)
-              let per_port = List.map (fun k -> activity_sum (port_stream k)) port_keys in
-              let n_ports = max 1 (List.length port_keys) in
-              let mean_act = List.fold_left ( +. ) 0. per_port /. Float.of_int n_ports in
-              total := !total +. (fu.Fu.energy_cap *. mean_act);
-              (* wire and mux charges per port *)
-              List.iter
-                (fun k ->
-                  let sources =
-                    List.filter (fun (key, _) -> key = k) feeds
-                    |> List.map (fun (_, p) -> Area.source_of_value design p)
-                    |> List.sort_uniq compare
-                  in
-                  let act = activity_sum (port_stream k) in
-                  let mux = if List.length sources > 1 then lib.Library.mux_cap else 0. in
-                  total := !total +. ((lib.Library.wire_cap +. mux) *. act))
-                port_keys
-          | Design.Module rm ->
-              (* group calls by behavior; recurse over merged streams *)
-              let by_behavior = Hashtbl.create 4 in
-              List.iter
-                (fun id ->
-                  match dfg.Dfg.nodes.(id).Dfg.kind with
-                  | Dfg.Call b ->
-                      let cur = match Hashtbl.find_opt by_behavior b with Some l -> l | None -> [] in
-                      Hashtbl.replace by_behavior b (id :: cur)
-                  | _ -> ())
-                nodes;
-              Hashtbl.iter
-                (fun behavior calls ->
-                  let calls =
-                    List.sort (fun a b -> compare sch.Sched.start.(a) sch.Sched.start.(b)) calls
-                  in
-                  let part = Design.module_part rm behavior in
-                  let inner_invocations =
-                    List.concat_map
-                      (fun s ->
-                        List.map (fun id -> Array.map (value_at s) dfg.Dfg.nodes.(id).Dfg.ins) calls)
-                      (List.init n_samples Fun.id)
-                  in
-                  let inner_cs = Sched.relaxed ~deadline:1_000_000 part.Design.dfg in
-                  let e = energy_rec cache ~top:false ctx inner_cs part inner_invocations in
-                  total := !total +. (e *. Float.of_int (List.length inner_invocations) /. Float.of_int n_samples))
-                by_behavior;
-              (* module input port wiring *)
-              let feeds = Area.port_feeds design i in
-              let port_keys = List.sort_uniq compare (List.map fst feeds) in
-              List.iter
-                (fun k ->
-                  let entries = List.filter (fun (key, _) -> key = k) feeds in
-                  let stream =
-                    List.concat_map
-                      (fun s -> List.map (fun (_, p) -> value_at s p) entries)
-                      (List.init n_samples Fun.id)
-                  in
-                  let sources =
-                    List.map (fun (_, p) -> Area.source_of_value design p) entries
-                    |> List.sort_uniq compare
-                  in
-                  let mux = if List.length sources > 1 then lib.Library.mux_cap else 0. in
-                  total := !total +. ((lib.Library.wire_cap +. mux) *. activity_sum stream))
-                port_keys)
-      design.Design.insts;
-    (* --- registers --- *)
-    for r = 0 to design.Design.n_regs - 1 do
-      let values = Design.values_in_reg design r in
+  let streams = Span.span Span.Power "sim" (fun () -> Sim.run design invocations) in
+  let port_activity ports = activity (port_toggles streams (Array.of_list (List.map vi ports))) in
+  let steered ports =
+    List.length (List.sort_uniq compare (List.map (Area.source_of_value design) ports)) > 1
+  in
+  let wire_charge ports act =
+    let mux = if steered ports then lib.Library.mux_cap else 0. in
+    (lib.Library.wire_cap +. mux) *. act
+  in
+  let feeds = Area.port_feeds_all design in
+  let total = ref 0. in
+  (* --- functional units and modules --- *)
+  Array.iteri
+    (fun i nodes ->
+      if nodes <> [] then
+        match design.Design.insts.(i) with
+        | Design.Simple fu ->
+            (* The feed list pairs (port key, consuming-node input):
+               for a plain shared unit the same key appears once per
+               bound node, giving the interleaved operand stream the
+               sharing power effect comes from. Operands of a port go
+               in the order of their producers' start cycles (the
+               known defect documented in power.mli). *)
+            let ports = ports_by_key feeds.(i) in
+            let by_start (p1 : Dfg.port) (p2 : Dfg.port) =
+              compare sch.Sched.start.(p1.Dfg.node) sch.Sched.start.(p2.Dfg.node)
+            in
+            let acts = List.map (fun (_, ps) -> port_activity (List.stable_sort by_start ps)) ports in
+            let n_ports = max 1 (List.length ports) in
+            let mean_act = List.fold_left ( +. ) 0. acts /. Float.of_int n_ports in
+            total := !total +. (fu.Fu.energy_cap *. mean_act);
+            (* wire and mux charges per port *)
+            List.iter2 (fun (_, ps) act -> total := !total +. wire_charge ps act) ports acts
+        | Design.Module rm ->
+            (* group calls by behavior; recurse over merged streams *)
+            let by_behavior = Hashtbl.create 4 in
+            List.iter
+              (fun id ->
+                match dfg.Dfg.nodes.(id).Dfg.kind with
+                | Dfg.Call b ->
+                    let cur = match Hashtbl.find_opt by_behavior b with Some l -> l | None -> [] in
+                    Hashtbl.replace by_behavior b (id :: cur)
+                | _ -> ())
+              nodes;
+            Hashtbl.iter
+              (fun behavior calls ->
+                let calls =
+                  List.sort (fun a b -> compare sch.Sched.start.(a) sch.Sched.start.(b)) calls
+                in
+                let args = List.map (fun id -> Array.map vi dfg.Dfg.nodes.(id).Dfg.ins) calls in
+                let inner_invocations =
+                  Array.to_list streams
+                  |> List.concat_map (fun values ->
+                         List.map (Array.map (fun v -> values.(v))) args)
+                in
+                let part = Design.module_part rm behavior in
+                let part_sch = Sched.module_schedule ~cache ctx rm behavior in
+                let e = energy_rec cache ~top:false ctx part_sch part inner_invocations in
+                let n_inner = List.length inner_invocations in
+                total := !total +. (e *. Float.of_int n_inner /. Float.of_int n_samples))
+              by_behavior;
+            (* module input port wiring, in feed order *)
+            List.iter
+              (fun (_, ps) -> total := !total +. wire_charge ps (port_activity ps))
+              (ports_by_key feeds.(i)))
+    (Design.nodes_by_inst design);
+  (* --- registers --- *)
+  Array.iter
+    (fun values ->
       if values <> [] then begin
-        let writes =
-          List.concat_map
-            (fun s ->
-              List.map (fun v -> (sch.Sched.avail.(v), streams.(s).(v))) values
-              |> List.sort compare |> List.map snd)
-            (List.init n_samples Fun.id)
-        in
-        let act = activity_sum writes in
-        let n_writers = List.length values in
-        let mux = if n_writers > 1 then lib.Library.mux_cap else 0. in
+        let act = activity (reg_toggles streams sch.Sched.avail values) in
+        let mux = if List.length values > 1 then lib.Library.mux_cap else 0. in
         total := !total +. ((lib.Library.reg_cap +. lib.Library.wire_cap +. mux) *. act)
-      end
-    done;
-    (* --- controller --- *)
-    total := !total +. (lib.Library.ctrl_cap_per_cycle *. Float.of_int (max 1 sch.Sched.makespan));
-    (* --- idle switching: register clocking and functional-unit
-       input latching, over the whole design, every cycle --- *)
-    if top then begin
-      let cycles = Float.of_int (max 1 sch.Sched.makespan) in
-      total :=
-        !total
-        +. (lib.Library.reg_clock_cap *. Float.of_int (clocked_regs design) *. cycles)
-        +. (lib.Library.fu_idle_frac *. total_fu_cap design *. cycles)
-    end;
-    !total /. Float.of_int n_samples
-  end
+      end)
+    (Design.values_by_reg design);
+  (* --- controller --- *)
+  total := !total +. (lib.Library.ctrl_cap_per_cycle *. Float.of_int (max 1 sch.Sched.makespan));
+  (* --- idle switching: register clocking and functional-unit
+     input latching, over the whole design, every cycle --- *)
+  if top then begin
+    let cycles = Float.of_int (max 1 sch.Sched.makespan) in
+    total :=
+      !total
+      +. (lib.Library.reg_clock_cap *. Float.of_int (clocked_regs design) *. cycles)
+      +. (lib.Library.fu_idle_frac *. total_fu_cap design *. cycles)
+  end;
+  !total /. Float.of_int n_samples
 
 let or_transient = function
   | Some c -> c
   | None -> Sched.Cache.create ~shards:1 ~prepared_capacity:64 ~profile_capacity:256 ()
 
-let energy_per_sample ?sched_cache ctx cs design invocations =
-  energy_rec (or_transient sched_cache) ~top:true ctx cs design invocations
+let energy_per_sample ?sched_cache ?sched ctx cs design invocations =
+  match invocations with
+  | [] -> 0.
+  | _ ->
+      let cache = or_transient sched_cache in
+      let sch = match sched with Some sch -> sch | None -> Sched.schedule ~cache ctx cs design in
+      energy_rec cache ~top:true ctx sch design invocations
 
 let energy_floor ctx (design : Design.t) ~makespan ~n_samples =
   if n_samples <= 0 then 0.

@@ -14,23 +14,35 @@
     bound to them), register writes, multiplexer and wire transfers,
     and the controller's per-cycle overhead. Energies are in
     capacitance units; multiply by [Voltage.energy_factor] and divide
-    by the sampling period for power. *)
+    by the sampling period for power.
+
+    Known defect, kept for bit-identical results: a shared unit's
+    operand stream is ordered by the start cycle of each operand's
+    {e producer}, not of the operation consuming it, and every primary
+    input, constant and delay producer ties at start [-1]. See
+    DESIGN.md §5. *)
 
 module Design = Hsyn_rtl.Design
 module Sched = Hsyn_sched.Sched
 
 val energy_per_sample :
   ?sched_cache:Sched.Cache.t ->
+  ?sched:Sched.schedule ->
   Design.ctx ->
   Sched.constraints ->
   Design.t ->
   int array list ->
   float
 (** Average switched capacitance per design invocation over the given
-    trace (raw cap units, no voltage scaling). The simulation schedules
-    the design (and nested module parts, recursively); [?sched_cache]
-    memoizes that work across calls — without it a transient cache
-    scoped to this call is used. *)
+    trace (raw cap units, no voltage scaling). Operand and register
+    streams follow the design's schedule: [?sched] when given, which
+    must be [Sched.schedule ctx cs design] (the evaluation engine
+    passes the one its cheap stage already computed), else the design
+    is scheduled here. Nested module parts replay the schedule their
+    module profile was read from ({!Sched.module_schedule}).
+    [?sched_cache] memoizes scheduling and profiles across calls —
+    without it a transient cache scoped to this call is used. [0.] for
+    an empty trace. *)
 
 val energy_floor : Design.ctx -> Design.t -> makespan:int -> n_samples:int -> float
 (** Trace-independent lower bound on {!energy_per_sample} for a design

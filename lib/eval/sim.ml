@@ -2,82 +2,124 @@ module Design = Hsyn_rtl.Design
 module Dfg = Hsyn_dfg.Dfg
 module Op = Hsyn_dfg.Op
 
-(* Evaluate one invocation of [design] given current top-level delay
-   state; returns (per-value results, next delay state). Call nodes
-   evaluate through the module part they are bound to, recursively,
-   with fresh (initial) state — module behaviors are stateless. *)
-let rec eval_once (design : Design.t) (state : (int, int) Hashtbl.t) (inputs : int array) =
-  let dfg = design.Design.dfg in
-  if Array.length inputs <> Array.length dfg.Dfg.inputs then
-    invalid_arg "Sim: input vector width mismatch";
-  let nv = Design.n_values dfg in
-  let values = Array.make nv 0 in
-  let value_of (p : Dfg.port) = values.(Design.value_index dfg p) in
-  let set_value node out v = values.(Design.value_index dfg { Dfg.node; out }) <- v in
-  (* Delay outputs carry the previous sample's value, so they must be
-     seeded before the topological walk: their consumers are ordered
-     before the Delay node itself (the delay only *latches* within the
-     sample). *)
-  Array.iteri
-    (fun id (node : Dfg.node) ->
-      match node.Dfg.kind with
-      | Dfg.Delay init ->
-          let v = match Hashtbl.find_opt state id with Some v -> v | None -> init in
-          set_value id 0 v
-      | _ -> ())
-    dfg.Dfg.nodes;
-  let order = Dfg.topo_order dfg in
+(* A design compiled for evaluation: its nodes in topological order as
+   flat instructions over dense value indices ([Design.value_index]),
+   so that the per-sample loop walks no graph, scans no input list and
+   looks up no binding. Call nodes point at the compiled program of
+   the module part they are bound to. *)
+type instr =
+  | Load of int * int  (* dst, primary-input position *)
+  | Set of int * int  (* dst, constant *)
+  | Unary of Op.t * int * int  (* op, operand, dst *)
+  | Binary of Op.t * int * int * int  (* op, operands, dst *)
+  | Invoke of program * int array * int  (* part, argument values, first result value *)
+
+and program = {
+  n_inputs : int;
+  n_values : int;
+  code : instr array;
+  delay_out : int array;  (* per Delay node: the value it drives *)
+  delay_in : int array;  (* per Delay node: the value it latches *)
+  delay_init : int array;
+  results : int array;  (* per primary output: the value it reads *)
+}
+
+let width_mismatch () = invalid_arg "Sim: input vector width mismatch"
+
+(* [compiled] memoizes parts by physical identity within one [run], so
+   a part reached by several calls is compiled once. *)
+let rec compile compiled (design : Design.t) =
+  match List.assq_opt design !compiled with
+  | Some prog -> prog
+  | None ->
+      let dfg = design.Design.dfg in
+      let nodes = dfg.Dfg.nodes in
+      let vi p = Design.value_index dfg p in
+      let input_pos = Array.make (Array.length nodes) 0 in
+      Array.iteri (fun pos id -> input_pos.(id) <- pos) dfg.Dfg.inputs;
+      let code =
+        Dfg.topo_order dfg |> Array.to_list
+        |> List.filter_map (fun id ->
+               let node = nodes.(id) in
+               let dst = vi { Dfg.node = id; out = 0 } in
+               match node.Dfg.kind with
+               | Dfg.Input -> Some (Load (dst, input_pos.(id)))
+               | Dfg.Const v -> Some (Set (dst, v))
+               | Dfg.Delay _ | Dfg.Output -> None
+               | Dfg.Op op ->
+                   (* a built graph has validated arities: 1 or 2 operands *)
+                   let ins = Array.map vi node.Dfg.ins in
+                   Some
+                     (if Array.length ins = 1 then Unary (op, ins.(0), dst)
+                      else Binary (op, ins.(0), ins.(1), dst))
+               | Dfg.Call behavior ->
+                   let rm =
+                     match design.Design.insts.(design.Design.node_inst.(id)) with
+                     | Design.Module rm -> rm
+                     | Design.Simple _ -> invalid_arg "Sim: call bound to simple unit"
+                   in
+                   let part = compile compiled (Design.module_part rm behavior) in
+                   if Array.length node.Dfg.ins <> part.n_inputs then width_mismatch ();
+                   Some (Invoke (part, Array.map vi node.Dfg.ins, dst)))
+        |> Array.of_list
+      in
+      let delays =
+        List.filter_map
+          (fun id ->
+            match nodes.(id).Dfg.kind with
+            | Dfg.Delay init -> Some (vi { Dfg.node = id; out = 0 }, vi nodes.(id).Dfg.ins.(0), init)
+            | _ -> None)
+          (List.init (Array.length nodes) Fun.id)
+        |> Array.of_list
+      in
+      let prog =
+        {
+          n_inputs = Array.length dfg.Dfg.inputs;
+          n_values = Design.n_values dfg;
+          code;
+          delay_out = Array.map (fun (o, _, _) -> o) delays;
+          delay_in = Array.map (fun (_, i, _) -> i) delays;
+          delay_init = Array.map (fun (_, _, v) -> v) delays;
+          results = Array.map (fun out_id -> vi nodes.(out_id).Dfg.ins.(0)) dfg.Dfg.outputs;
+        }
+      in
+      compiled := (design, prog) :: !compiled;
+      prog
+
+(* One invocation: seed the delay outputs from [state] (their consumers
+   run before the Delay latches), then run the code. Module parts run
+   with fresh state: module behaviors are stateless. *)
+let rec exec prog state (inputs : int array) =
+  let values = Array.make prog.n_values 0 in
+  Array.iteri (fun k v -> values.(prog.delay_out.(k)) <- v) state;
   Array.iter
-    (fun id ->
-      let node = dfg.Dfg.nodes.(id) in
-      match node.Dfg.kind with
-      | Dfg.Input ->
-          let pos = ref 0 in
-          Array.iteri (fun i nid -> if nid = id then pos := i) dfg.Dfg.inputs;
-          set_value id 0 inputs.(!pos)
-      | Dfg.Const v -> set_value id 0 v
-      | Dfg.Delay _ -> ()
-      | Dfg.Op op -> set_value id 0 (Op.eval op (List.map value_of (Array.to_list node.Dfg.ins)))
-      | Dfg.Call behavior ->
-          let inst = design.Design.node_inst.(id) in
-          let rm =
-            match design.Design.insts.(inst) with
-            | Design.Module rm -> rm
-            | Design.Simple _ -> invalid_arg "Sim: call bound to simple unit"
-          in
-          let part = Design.module_part rm behavior in
-          let args = Array.map value_of node.Dfg.ins in
-          let inner_state = Hashtbl.create 4 in
-          let inner_values, _ = eval_once part inner_state args in
-          let inner_dfg = part.Design.dfg in
-          Array.iteri
-            (fun j out_id ->
-              let src = inner_dfg.Dfg.nodes.(out_id).Dfg.ins.(0) in
-              set_value id j inner_values.(Design.value_index inner_dfg src))
-            inner_dfg.Dfg.outputs
-      | Dfg.Output -> ())
-    order;
-  (* latch next delay state *)
-  let next_state = Hashtbl.copy state in
-  Array.iteri
-    (fun id (node : Dfg.node) ->
-      match node.Dfg.kind with
-      | Dfg.Delay _ -> Hashtbl.replace next_state id (value_of node.Dfg.ins.(0))
-      | _ -> ())
-    dfg.Dfg.nodes;
-  (values, next_state)
+    (function
+      | Load (dst, pos) -> values.(dst) <- inputs.(pos)
+      | Set (dst, v) -> values.(dst) <- v
+      | Unary (op, a, dst) -> values.(dst) <- Op.eval1 op values.(a)
+      | Binary (op, a, b, dst) -> values.(dst) <- Op.eval2 op values.(a) values.(b)
+      | Invoke (part, args, dst) ->
+          let inner = exec part part.delay_init (Array.map (fun a -> values.(a)) args) in
+          Array.iteri (fun j r -> values.(dst + j) <- inner.(r)) part.results)
+    prog.code;
+  values
 
 let run (design : Design.t) invocations =
-  let state = ref (Hashtbl.create 8) in
-  let streams =
-    List.map
-      (fun inputs ->
-        let values, next = eval_once design !state inputs in
-        state := next;
-        values)
-      invocations
-  in
-  Array.of_list streams
+  let n_inputs = Array.length design.Design.dfg.Dfg.inputs in
+  match invocations with
+  | [] -> [||]
+  | first :: _ ->
+      if Array.length first <> n_inputs then width_mismatch ();
+      let prog = compile (ref []) design in
+      let state = Array.copy prog.delay_init in
+      Array.of_list
+        (List.map
+           (fun inputs ->
+             if Array.length inputs <> n_inputs then width_mismatch ();
+             let values = exec prog state inputs in
+             Array.iteri (fun k src -> state.(k) <- values.(src)) prog.delay_in;
+             values)
+           invocations)
 
 let outputs (design : Design.t) streams =
   let dfg = design.Design.dfg in
@@ -89,8 +131,8 @@ let outputs (design : Design.t) streams =
              values.(Design.value_index dfg src))
            dfg.Dfg.outputs)
 
-(* A trivial design wrapper lets the flat reference path reuse
-   [eval_once]: bind nothing (flat graphs evaluated purely). *)
+(* A trivial design wrapper lets the flat reference path reuse [run]:
+   bind nothing (flat graphs evaluated purely). *)
 let run_flat (dfg : Dfg.t) invocations =
   if Dfg.n_calls dfg > 0 then invalid_arg "Sim.run_flat: graph must be flat";
   let design =

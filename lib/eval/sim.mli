@@ -11,7 +11,12 @@
     Top-level [Delay] nodes carry state across samples. Behaviors used
     inside RTL modules are expected to be stateless (delays at the top
     level — see DESIGN.md); a delay inside a module part restarts from
-    its initial value at every invocation. *)
+    its initial value at every invocation.
+
+    Each call compiles the design, and every module part it reaches,
+    once into a flat program (topological order, operand value
+    indices, input positions, delay seeds) and then runs every sample
+    over [int] arrays. Nothing is cached across calls. *)
 
 module Design = Hsyn_rtl.Design
 module Dfg = Hsyn_dfg.Dfg

@@ -168,6 +168,22 @@ let values_in_reg d reg =
   done;
   !acc
 
+let nodes_by_inst d =
+  let acc = Array.make (Array.length d.insts) [] in
+  for id = Array.length d.node_inst - 1 downto 0 do
+    let i = d.node_inst.(id) in
+    if i >= 0 && i < Array.length acc then acc.(i) <- id :: acc.(i)
+  done;
+  acc
+
+let values_by_reg d =
+  let acc = Array.make (max 0 d.n_regs) [] in
+  for v = Array.length d.value_reg - 1 downto 0 do
+    let r = d.value_reg.(v) in
+    if r >= 0 && r < Array.length acc then acc.(r) <- v :: acc.(r)
+  done;
+  acc
+
 let inst_used d inst = Array.exists (fun i -> i = inst) d.node_inst
 
 let reg_count_used d =

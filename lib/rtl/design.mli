@@ -90,6 +90,14 @@ val nodes_on : t -> int -> int list
 val values_in_reg : t -> int -> int list
 (** Ascending value ids stored in a register. *)
 
+val nodes_by_inst : t -> int list array
+(** {!nodes_on} for every instance at once, built in one sweep over
+    the bindings. *)
+
+val values_by_reg : t -> int list array
+(** {!values_in_reg} for every register [0 .. n_regs-1] at once, built
+    in one sweep. *)
+
 val inst_used : t -> int -> bool
 
 val reg_count_used : t -> int

@@ -217,7 +217,7 @@ module Prof_tbl = Shard_tbl.Make (Profile_key)
    makes each key build exactly once even under concurrent lookups. *)
 
 module Cache = struct
-  type t = { prepared : Prepared.t Prep_tbl.t; profiles : profile Prof_tbl.t }
+  type t = { prepared : Prepared.t Prep_tbl.t; profiles : (profile * schedule) Prof_tbl.t }
 
   type cache_stats = { prepared_tbl : Shard_tbl.stats; profile_tbl : Shard_tbl.stats }
 
@@ -260,10 +260,12 @@ let rec module_profile_impl cache use_legacy ctx rm behavior =
       pk_clk_ns = ctx.Design.clk_ns;
     }
   in
-  (* profiles are pure functions of the key; the builder recurses into
-     this same cache for nested modules (always under different keys,
-     the call graph is acyclic), which [find_or_build] permits because
-     builders run outside the shard lock *)
+  (* profiles are pure functions of the key, stored with the part
+     schedule they are read from (the power model replays it); the
+     builder recurses into this same cache for nested modules (always
+     under different keys, the call graph is acyclic), which
+     [find_or_build] permits because builders run outside the shard
+     lock *)
   Prof_tbl.find_or_build cache.Cache.profiles key (fun _ ->
       compute_module_profile cache use_legacy ctx rm behavior)
 
@@ -298,19 +300,14 @@ and compute_module_profile cache use_legacy ctx rm behavior =
         sch.avail.(Prepared.value_index prep src))
       dfg.Dfg.outputs
   in
-  { in_need; out_ready; busy = sch.makespan }
+  ({ in_need; out_ready; busy = sch.makespan }, sch)
 
 (* ------------------------------------------------------------------ *)
 (* Event kernel *)
 
 and build_jobs_event cache (p : Prepared.t) ctx (d : Design.t) =
   let dfg = d.Design.dfg in
-  (* bucket nodes by instance in one sweep (ascending per instance) *)
-  let inst_nodes = Array.make (Array.length d.Design.insts) [] in
-  for id = Array.length d.Design.node_inst - 1 downto 0 do
-    let i = d.Design.node_inst.(id) in
-    if i >= 0 then inst_nodes.(i) <- id :: inst_nodes.(i)
-  done;
+  let inst_nodes = Design.nodes_by_inst d in
   let jobs = ref [] in
   let add_job j = jobs := j :: !jobs in
   let external_needs members need_of =
@@ -366,7 +363,7 @@ and build_jobs_event cache (p : Prepared.t) ctx (d : Design.t) =
                 | Dfg.Call b -> b
                 | _ -> invalid_arg "Sched: non-call node on module instance"
               in
-              let prof = module_profile_impl cache false ctx rm behavior in
+              let prof, _ = module_profile_impl cache false ctx rm behavior in
               let members = [| id |] in
               add_job
                 {
@@ -730,7 +727,7 @@ and build_jobs_legacy cache ctx (d : Design.t) =
                 | Dfg.Call b -> b
                 | _ -> invalid_arg "Sched: non-call node on module instance"
               in
-              let p = module_profile_impl cache true ctx rm behavior in
+              let p, _ = module_profile_impl cache true ctx rm behavior in
               add_job
                 {
                   members = [ id ];
@@ -983,7 +980,10 @@ and schedule_legacy_rec cache ctx (cs : constraints) (d : Design.t) =
 (* Public entry points *)
 
 let module_profile ?cache ctx rm behavior =
-  module_profile_impl (or_transient cache) (Atomic.get impl_ref = Legacy) ctx rm behavior
+  fst (module_profile_impl (or_transient cache) (Atomic.get impl_ref = Legacy) ctx rm behavior)
+
+let module_schedule ?cache ctx rm behavior =
+  snd (module_profile_impl (or_transient cache) (Atomic.get impl_ref = Legacy) ctx rm behavior)
 
 let schedule_legacy ?cache ctx (cs : constraints) (d : Design.t) =
   schedule_legacy_rec (or_transient cache) ctx cs d

@@ -115,6 +115,15 @@ val module_profile : ?cache:Cache.t -> Design.ctx -> Design.rtl_module -> string
     nested modules). Memoized per (module, kernel, behavior, vdd,
     clock) in the given cache; domain-safe. *)
 
+val module_schedule : ?cache:Cache.t -> Design.ctx -> Design.rtl_module -> string -> schedule
+(** The schedule {!module_profile} reads its profile from: the part
+    for the behavior scheduled with all inputs at 0 and no deadline to
+    speak of ({!relaxed} at an effectively infinite deadline). It is
+    kept in the same cache entry as the profile, so a profile lookup
+    and this one schedule the part at most once. The power model
+    replays it for nested modules. The arrays are shared with the
+    cache: callers must not mutate them. *)
+
 val schedule :
   ?cache:Cache.t -> ?prepared:Prepared.t -> Design.ctx -> constraints -> Design.t -> schedule
 (** List-schedule the design. Always returns a schedule; check

@@ -8,7 +8,16 @@ let popcount n =
   let rec go n acc = if n = 0 then acc else go (n lsr 1) (acc + (n land 1)) in
   go n 0
 
-let hamming a b = popcount (truncate a lxor truncate b)
+(* Branch-free SWAR popcount of a 16-bit word: pairs, nibbles, bytes,
+   then the two byte counts. [hamming] is the inner loop of the power
+   model, so it must not loop over bits. *)
+let popcount16 x =
+  let x = x - ((x lsr 1) land 0x5555) in
+  let x = (x land 0x3333) + ((x lsr 2) land 0x3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f in
+  (x + (x lsr 8)) land 0x1f
+
+let hamming a b = popcount16 (truncate (a lxor b))
 
 let shift_amount v = truncate v land (word_width - 1)
 

@@ -1,0 +1,296 @@
+(* The evaluation kernels as they stood before simulation was compiled
+   and the power model became array passes: the simulator ([Sim.run])
+   and the switched-capacitance estimate ([Power.energy_per_sample]),
+   kept verbatim apart from their names as the reference the
+   differential test in test_eval_ref.ml holds the production kernels
+   to, bit for bit. [hamming] is the bit-loop form the SWAR popcount
+   replaced. Not for use outside the tests. *)
+
+module Design = Hsyn_rtl.Design
+module Dfg = Hsyn_dfg.Dfg
+module Op = Hsyn_dfg.Op
+module Sched = Hsyn_sched.Sched
+module Area = Hsyn_eval.Area
+module Fu = Hsyn_modlib.Fu
+module Library = Hsyn_modlib.Library
+
+module Bits = struct
+  include Hsyn_util.Bits
+
+  let hamming a b = popcount (truncate a lxor truncate b)
+end
+
+(* ------------------------------------------------------------------ *)
+(* Simulator *)
+
+(* Evaluate one invocation of [design] given current top-level delay
+   state; returns (per-value results, next delay state). Call nodes
+   evaluate through the module part they are bound to, recursively,
+   with fresh (initial) state — module behaviors are stateless. *)
+let rec ref_eval_once (design : Design.t) (state : (int, int) Hashtbl.t) (inputs : int array) =
+  let dfg = design.Design.dfg in
+  if Array.length inputs <> Array.length dfg.Dfg.inputs then
+    invalid_arg "Sim: input vector width mismatch";
+  let nv = Design.n_values dfg in
+  let values = Array.make nv 0 in
+  let value_of (p : Dfg.port) = values.(Design.value_index dfg p) in
+  let set_value node out v = values.(Design.value_index dfg { Dfg.node; out }) <- v in
+  (* Delay outputs carry the previous sample's value, so they must be
+     seeded before the topological walk: their consumers are ordered
+     before the Delay node itself (the delay only *latches* within the
+     sample). *)
+  Array.iteri
+    (fun id (node : Dfg.node) ->
+      match node.Dfg.kind with
+      | Dfg.Delay init ->
+          let v = match Hashtbl.find_opt state id with Some v -> v | None -> init in
+          set_value id 0 v
+      | _ -> ())
+    dfg.Dfg.nodes;
+  let order = Dfg.topo_order dfg in
+  Array.iter
+    (fun id ->
+      let node = dfg.Dfg.nodes.(id) in
+      match node.Dfg.kind with
+      | Dfg.Input ->
+          let pos = ref 0 in
+          Array.iteri (fun i nid -> if nid = id then pos := i) dfg.Dfg.inputs;
+          set_value id 0 inputs.(!pos)
+      | Dfg.Const v -> set_value id 0 v
+      | Dfg.Delay _ -> ()
+      | Dfg.Op op -> set_value id 0 (Op.eval op (List.map value_of (Array.to_list node.Dfg.ins)))
+      | Dfg.Call behavior ->
+          let inst = design.Design.node_inst.(id) in
+          let rm =
+            match design.Design.insts.(inst) with
+            | Design.Module rm -> rm
+            | Design.Simple _ -> invalid_arg "Sim: call bound to simple unit"
+          in
+          let part = Design.module_part rm behavior in
+          let args = Array.map value_of node.Dfg.ins in
+          let inner_state = Hashtbl.create 4 in
+          let inner_values, _ = ref_eval_once part inner_state args in
+          let inner_dfg = part.Design.dfg in
+          Array.iteri
+            (fun j out_id ->
+              let src = inner_dfg.Dfg.nodes.(out_id).Dfg.ins.(0) in
+              set_value id j inner_values.(Design.value_index inner_dfg src))
+            inner_dfg.Dfg.outputs
+      | Dfg.Output -> ())
+    order;
+  (* latch next delay state *)
+  let next_state = Hashtbl.copy state in
+  Array.iteri
+    (fun id (node : Dfg.node) ->
+      match node.Dfg.kind with
+      | Dfg.Delay _ -> Hashtbl.replace next_state id (value_of node.Dfg.ins.(0))
+      | _ -> ())
+    dfg.Dfg.nodes;
+  (values, next_state)
+
+let ref_sim_run (design : Design.t) invocations =
+  let state = ref (Hashtbl.create 8) in
+  let streams =
+    List.map
+      (fun inputs ->
+        let values, next = ref_eval_once design !state inputs in
+        state := next;
+        values)
+      invocations
+  in
+  Array.of_list streams
+
+(* ------------------------------------------------------------------ *)
+(* Power model *)
+
+let width_f = Float.of_int Bits.word_width
+
+(* Activity sum of a word stream: sum over transitions of normalized
+   Hamming distance, starting from an all-zero word. *)
+let activity_sum stream =
+  let prev = ref 0 and acc = ref 0. in
+  List.iter
+    (fun v ->
+      acc := !acc +. (Float.of_int (Bits.hamming !prev v) /. width_f);
+      prev := v)
+    stream;
+  !acc
+
+(* Registers clocked by the design, including the shared register
+   files of nested RTL modules (counted once per module instance) and
+   their own nested modules. *)
+let rec clocked_regs (design : Design.t) =
+  let used = Array.make (max 1 design.Design.n_regs) false in
+  Array.iter (fun r -> if r >= 0 then used.(r) <- true) design.Design.value_reg;
+  let own = Array.fold_left (fun acc u -> if u then acc + 1 else acc) 0 used in
+  Array.fold_left
+    (fun acc kind ->
+      match kind with
+      | Design.Simple _ -> acc
+      | Design.Module rm -> acc + clocked_regs_of_module rm)
+    own design.Design.insts
+
+and clocked_regs_of_module (rm : Design.rtl_module) =
+  match rm.Design.parts with
+  | [] -> 0
+  | (_, first) :: _ as parts ->
+      let used = Array.make (max 1 first.Design.n_regs) false in
+      List.iter
+        (fun (_, (p : Design.t)) ->
+          Array.iter (fun r -> if r >= 0 then used.(r) <- true) p.Design.value_reg)
+        parts;
+      let own = Array.fold_left (fun acc u -> if u then acc + 1 else acc) 0 used in
+      Array.fold_left
+        (fun acc kind ->
+          match kind with
+          | Design.Simple _ -> acc
+          | Design.Module nested -> acc + clocked_regs_of_module nested)
+        own first.Design.insts
+
+(* Total functional-unit capacitance of a design, including nested
+   modules — the basis of the per-cycle idle-switching charge. *)
+let rec total_fu_cap (design : Design.t) =
+  Array.fold_left
+    (fun acc kind ->
+      match kind with
+      | Design.Simple fu -> acc +. fu.Fu.energy_cap
+      | Design.Module rm -> (
+          match rm.Design.parts with
+          | [] -> acc
+          | (_, first) :: _ -> acc +. total_fu_cap first))
+    0. design.Design.insts
+
+let rec ref_energy_rec cache ~top ctx (cs : Sched.constraints) (design : Design.t) invocations =
+  let lib = ctx.Design.lib in
+  let dfg = design.Design.dfg in
+  let n_samples = List.length invocations in
+  if n_samples = 0 then 0.
+  else begin
+    let sch = Sched.schedule ~cache ctx cs design in
+    let streams = ref_sim_run design invocations in
+    let value_at s (p : Dfg.port) = streams.(s).(Design.value_index dfg p) in
+    let total = ref 0. in
+    (* --- functional units and modules --- *)
+    Array.iteri
+      (fun i kind ->
+        let nodes = Design.nodes_on design i in
+        if nodes <> [] then
+          match kind with
+          | Design.Simple fu ->
+              (* per-port operand streams across all samples, in
+                 scheduled activation order *)
+              let feeds = Area.port_feeds design i in
+              let port_keys = List.sort_uniq compare (List.map fst feeds) in
+              let port_stream key =
+                List.concat_map
+                  (fun s ->
+                    List.filter (fun (k, _) -> k = key) feeds
+                    |> List.sort (fun (_, (p1 : Dfg.port)) (_, p2) ->
+                           compare sch.Sched.start.(p1.Dfg.node) sch.Sched.start.(p2.Dfg.node))
+                    |> List.map (fun (_, p) -> value_at s p))
+                  (List.init n_samples Fun.id)
+              in
+              (* The feed list pairs (port key, consuming-node input):
+                 for a plain shared unit the same key appears once per
+                 bound node, giving the interleaved operand stream the
+                 sharing power effect comes from. Activation order
+                 within a sample follows the schedule. *)
+              let per_port = List.map (fun k -> activity_sum (port_stream k)) port_keys in
+              let n_ports = max 1 (List.length port_keys) in
+              let mean_act = List.fold_left ( +. ) 0. per_port /. Float.of_int n_ports in
+              total := !total +. (fu.Fu.energy_cap *. mean_act);
+              (* wire and mux charges per port *)
+              List.iter
+                (fun k ->
+                  let sources =
+                    List.filter (fun (key, _) -> key = k) feeds
+                    |> List.map (fun (_, p) -> Area.source_of_value design p)
+                    |> List.sort_uniq compare
+                  in
+                  let act = activity_sum (port_stream k) in
+                  let mux = if List.length sources > 1 then lib.Library.mux_cap else 0. in
+                  total := !total +. ((lib.Library.wire_cap +. mux) *. act))
+                port_keys
+          | Design.Module rm ->
+              (* group calls by behavior; recurse over merged streams *)
+              let by_behavior = Hashtbl.create 4 in
+              List.iter
+                (fun id ->
+                  match dfg.Dfg.nodes.(id).Dfg.kind with
+                  | Dfg.Call b ->
+                      let cur = match Hashtbl.find_opt by_behavior b with Some l -> l | None -> [] in
+                      Hashtbl.replace by_behavior b (id :: cur)
+                  | _ -> ())
+                nodes;
+              Hashtbl.iter
+                (fun behavior calls ->
+                  let calls =
+                    List.sort (fun a b -> compare sch.Sched.start.(a) sch.Sched.start.(b)) calls
+                  in
+                  let part = Design.module_part rm behavior in
+                  let inner_invocations =
+                    List.concat_map
+                      (fun s ->
+                        List.map (fun id -> Array.map (value_at s) dfg.Dfg.nodes.(id).Dfg.ins) calls)
+                      (List.init n_samples Fun.id)
+                  in
+                  let inner_cs = Sched.relaxed ~deadline:1_000_000 part.Design.dfg in
+                  let e = ref_energy_rec cache ~top:false ctx inner_cs part inner_invocations in
+                  total := !total +. (e *. Float.of_int (List.length inner_invocations) /. Float.of_int n_samples))
+                by_behavior;
+              (* module input port wiring *)
+              let feeds = Area.port_feeds design i in
+              let port_keys = List.sort_uniq compare (List.map fst feeds) in
+              List.iter
+                (fun k ->
+                  let entries = List.filter (fun (key, _) -> key = k) feeds in
+                  let stream =
+                    List.concat_map
+                      (fun s -> List.map (fun (_, p) -> value_at s p) entries)
+                      (List.init n_samples Fun.id)
+                  in
+                  let sources =
+                    List.map (fun (_, p) -> Area.source_of_value design p) entries
+                    |> List.sort_uniq compare
+                  in
+                  let mux = if List.length sources > 1 then lib.Library.mux_cap else 0. in
+                  total := !total +. ((lib.Library.wire_cap +. mux) *. activity_sum stream))
+                port_keys)
+      design.Design.insts;
+    (* --- registers --- *)
+    for r = 0 to design.Design.n_regs - 1 do
+      let values = Design.values_in_reg design r in
+      if values <> [] then begin
+        let writes =
+          List.concat_map
+            (fun s ->
+              List.map (fun v -> (sch.Sched.avail.(v), streams.(s).(v))) values
+              |> List.sort compare |> List.map snd)
+            (List.init n_samples Fun.id)
+        in
+        let act = activity_sum writes in
+        let n_writers = List.length values in
+        let mux = if n_writers > 1 then lib.Library.mux_cap else 0. in
+        total := !total +. ((lib.Library.reg_cap +. lib.Library.wire_cap +. mux) *. act)
+      end
+    done;
+    (* --- controller --- *)
+    total := !total +. (lib.Library.ctrl_cap_per_cycle *. Float.of_int (max 1 sch.Sched.makespan));
+    (* --- idle switching: register clocking and functional-unit
+       input latching, over the whole design, every cycle --- *)
+    if top then begin
+      let cycles = Float.of_int (max 1 sch.Sched.makespan) in
+      total :=
+        !total
+        +. (lib.Library.reg_clock_cap *. Float.of_int (clocked_regs design) *. cycles)
+        +. (lib.Library.fu_idle_frac *. total_fu_cap design *. cycles)
+    end;
+    !total /. Float.of_int n_samples
+  end
+
+let or_transient = function
+  | Some c -> c
+  | None -> Sched.Cache.create ~shards:1 ~prepared_capacity:64 ~profile_capacity:256 ()
+
+let ref_energy_per_sample ?sched_cache ctx cs design invocations =
+  ref_energy_rec (or_transient sched_cache) ~top:true ctx cs design invocations

@@ -32,7 +32,7 @@ let config =
     clib_effort = { Clib.default_effort with Clib.max_moves = 4; max_passes = 1 };
   }
 
-let request ?budget ?(objective = Cost.Power) (b : Suite.t) =
+let request ?(config = config) ?budget ?(objective = Cost.Power) (b : Suite.t) =
   let min_ns = S.min_sampling_ns lib b.Suite.registry b.Suite.dfg in
   match
     S.Request.make ~config ?budget ~lib ~registry:b.Suite.registry ~dfg:b.Suite.dfg ~objective
@@ -204,12 +204,16 @@ let test_cancel_from_sink () =
   checkb "few contexts ran" true (!finished <= 2)
 
 let test_deadline_terminates () =
-  let b = Suite.iir () in
+  (* a run the deadline must cut: unbudgeted, avenhaus_cascade at the
+     default effort takes about 2 s on a 2-core x86-64 host, ten times
+     the deadline (iir at the small effort above takes about 0.25 s
+     now, too close to it) *)
+  let b = Suite.avenhaus_cascade () in
   let budget =
     match Budget.make ~deadline_s:0.2 () with Ok x -> x | Error e -> Alcotest.fail e
   in
   let t0 = Unix.gettimeofday () in
-  (match S.synthesize (request ~budget b) with
+  (match S.synthesize (request ~config:S.default_config ~budget b) with
   | Ok r -> checkb "incomplete" true (not r.S.completed)
   | Error _ -> ());
   let elapsed = Unix.gettimeofday () -. t0 in

@@ -1,0 +1,275 @@
+(* Differential test of the evaluation kernels against the reference
+   copies in ref_eval.ml: the compiled simulator must produce the same
+   value streams, and the array-pass power model the same energy to
+   the last bit ([Int64.bits_of_float]), with the design's schedule
+   passed in and with it omitted. Raised exceptions must agree too.
+
+   Designs: every suite behavior's final design under both objectives
+   at the benchmark's reduced effort, fuzz-generated initial designs,
+   the unit-swap and register neighbourhood of all of those, and
+   hand-built corner cases. *)
+
+module Dfg = Hsyn_dfg.Dfg
+module Op = Hsyn_dfg.Op
+module B = Hsyn_dfg.Dfg.Builder
+module Registry = Hsyn_dfg.Registry
+module Design = Hsyn_rtl.Design
+module Library = Hsyn_modlib.Library
+module Sched = Hsyn_sched.Sched
+module Sim = Hsyn_eval.Sim
+module Power = Hsyn_eval.Power
+module Trace = Hsyn_eval.Trace
+module Rng = Hsyn_util.Rng
+module Initial = Hsyn_core.Initial
+module Clib = Hsyn_core.Clib
+module Cost = Hsyn_core.Cost
+module Engine = Hsyn_core.Engine
+module S = Hsyn_core.Synthesize
+module Suite = Hsyn_benchmarks.Suite
+module Gen = Hsyn_fuzz.Gen
+
+let ctx = Tu.ctx ()
+let lib = Library.default
+
+let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+(* Check one design on one trace; returns a description of the first
+   disagreement, if any. *)
+let disagreement ~cache ctx cs (d : Design.t) trace =
+  let sim_ref = outcome (fun () -> Ref_eval.ref_sim_run d trace) in
+  let sim_new = outcome (fun () -> Sim.run d trace) in
+  let bits f = outcome (fun () -> Int64.bits_of_float (f ())) in
+  let e_ref = bits (fun () -> Ref_eval.ref_energy_per_sample ctx cs d trace) in
+  let e_omitted = bits (fun () -> Power.energy_per_sample ~sched_cache:cache ctx cs d trace) in
+  let e_passed =
+    bits (fun () ->
+        let sched = Sched.schedule ~cache ctx cs d in
+        Power.energy_per_sample ~sched_cache:cache ~sched ctx cs d trace)
+  in
+  let show = function Ok b -> Printf.sprintf "%h" (Int64.float_of_bits b) | Error e -> e in
+  if sim_ref <> sim_new then Some "streams differ"
+  else if e_omitted <> e_ref then
+    Some (Printf.sprintf "energy (schedule omitted) %s, reference %s" (show e_omitted) (show e_ref))
+  else if e_passed <> e_ref then
+    Some (Printf.sprintf "energy (schedule passed) %s, reference %s" (show e_passed) (show e_ref))
+  else None
+
+(* Checks a list of (label, ctx, constraints, design, trace) cases and
+   returns how many ran. *)
+let check_all cases =
+  let cache = Sched.Cache.create () in
+  let failures =
+    List.filter_map
+      (fun (label, ctx, cs, d, trace) ->
+        Option.map (fun msg -> label ^ ": " ^ msg) (disagreement ~cache ctx cs d trace))
+      cases
+  in
+  (match failures with
+  | [] -> ()
+  | first :: _ -> Alcotest.failf "%d of %d cases disagree; first: %s" (List.length failures) (List.length cases) first);
+  List.length cases
+
+(* Unit swaps of every simple instance, and each value moved to the
+   next register. Neighbours may be unschedulable or infeasible; the
+   kernels must still agree on them. *)
+let neighbourhood ctx (d : Design.t) =
+  let swaps =
+    List.concat
+      (List.init (Array.length d.Design.insts) (fun i ->
+           match d.Design.insts.(i) with
+           | Design.Simple fu ->
+               List.map
+                 (fun alt -> Design.with_inst d i (Design.Simple alt))
+                 (Library.alternatives ctx.Design.lib fu)
+           | Design.Module _ -> []))
+  in
+  let moves =
+    if d.Design.n_regs < 2 then []
+    else
+      List.filter_map
+        (fun v ->
+          let r = d.Design.value_reg.(v) in
+          if r < 0 then None else Some (Design.with_value_reg d v ((r + 1) mod d.Design.n_regs)))
+        (List.init (Array.length d.Design.value_reg) Fun.id)
+  in
+  d :: (swaps @ moves)
+
+let with_neighbours label ctx cs d trace =
+  List.mapi (fun k n -> (Printf.sprintf "%s#%d" label k, ctx, cs, n, trace)) (neighbourhood ctx d)
+
+(* ------------------------------------------------------------------ *)
+(* Suite final designs *)
+
+(* The effort of the benchmark's requests (bench/perf/workload.ml). *)
+let policy = { Engine.default_policy with Engine.jobs = 1 }
+
+let config =
+  {
+    S.default_config with
+    S.max_moves = 6;
+    max_passes = 2;
+    max_candidates = 24;
+    trace_length = 8;
+    max_clocks = 2;
+    clib_effort = { Clib.default_effort with Clib.max_moves = 4; max_passes = 1; engine = policy };
+    engine = policy;
+  }
+
+let final_design objective (b : Suite.t) =
+  let sampling_ns = 2.2 *. S.min_sampling_ns lib b.Suite.registry b.Suite.dfg in
+  match
+    S.Request.make ~config ~lib ~registry:b.Suite.registry ~dfg:b.Suite.dfg ~objective ~sampling_ns ()
+  with
+  | Error msg -> Alcotest.fail msg
+  | Ok req -> (
+      match S.synthesize req with Ok r -> r | Error msg -> Alcotest.fail msg)
+
+let test_suite_finals () =
+  let cases =
+    List.concat_map
+      (fun (b : Suite.t) ->
+        List.concat_map
+          (fun objective ->
+            let r = final_design objective b in
+            let d = r.S.design in
+            let cs = Sched.relaxed ~deadline:r.S.deadline_cycles d.Design.dfg in
+            let trace = Tu.trace ~seed:11 ~length:8 d.Design.dfg in
+            let label = Printf.sprintf "%s/%s" b.Suite.name (Cost.objective_name objective) in
+            with_neighbours label r.S.ctx cs d trace)
+          [ Cost.Power; Cost.Area ])
+      (Suite.all () @ [ Suite.paulin () ])
+  in
+  let n = check_all cases in
+  Alcotest.(check bool) "hundreds of designs" true (n >= 300)
+
+(* ------------------------------------------------------------------ *)
+(* Fuzz-generated designs *)
+
+let test_fuzz_designs () =
+  let cases =
+    List.concat_map
+      (fun seed ->
+        let rng = Rng.create seed in
+        let prog = Gen.program rng in
+        let g = Gen.top_graph prog in
+        let d = Initial.build ctx ~complexes:Tu.no_complexes prog.Hsyn_dfg.Text.registry g in
+        let trace =
+          Trace.generate rng Trace.default_kind ~n_inputs:(Array.length g.Dfg.inputs)
+            ~length:(1 + (seed mod 9))
+        in
+        with_neighbours (Printf.sprintf "fuzz seed %d" seed) ctx (Tu.relaxed_cs g) d trace)
+      (List.init 320 Fun.id)
+  in
+  let n = check_all cases in
+  Alcotest.(check bool) "over a thousand designs" true (n >= 1000)
+
+(* ------------------------------------------------------------------ *)
+(* Hand-built corner cases *)
+
+let vi (g : Dfg.t) label = Design.value_index g { Dfg.node = Tu.node_id g label; out = 0 }
+
+(* Two inputs in one register are written in the same cycle: the
+   register stream orders them by value, sample by sample. *)
+let equal_avail_case () =
+  let b = B.create "tie" in
+  let a = B.input b "a" and x = B.input b "x" in
+  B.output b ~label:"y" (B.op b ~label:"s" Op.Add [ a; x ]);
+  let g = B.finish b in
+  let d = Tu.initial ctx g in
+  let va = vi g "a" and vx = vi g "x" in
+  let d = Design.with_value_reg d vx d.Design.value_reg.(va) in
+  let cs = Tu.relaxed_cs g in
+  let sch = Sched.schedule ctx cs d in
+  Alcotest.(check int) "same cycle" sch.Sched.avail.(va) sch.Sched.avail.(vx);
+  let trace = [ [| 5; 3 |]; [| 1; 9 |]; [| 7; 7 |]; [| 0xffff; 2 |]; [| 0; 0x8000 |] ] in
+  ("equal avail", ctx, cs, d, trace)
+
+let chain_case () =
+  let g = Tu.add_chain_graph () in
+  let d, inst = Design.add_inst (Tu.initial ctx g) (Design.Simple (Library.find_exn lib "chained_add3")) in
+  let d =
+    Design.compact
+      (List.fold_left (fun acc l -> Design.with_binding acc (Tu.node_id g l) inst) d [ "s1"; "s2"; "s3" ])
+  in
+  ("chain unit", ctx, Tu.relaxed_cs g, d, Tu.trace ~length:6 g)
+
+let multi_output_case () =
+  let registry = Registry.create () in
+  let bf =
+    let b = B.create "bfly" in
+    let p = B.input b "p" and q = B.input b "q" in
+    B.output b ~label:"sum" (B.op b ~label:"a" Op.Add [ p; q ]);
+    B.output b ~label:"diff" (B.op b ~label:"s" Op.Sub [ p; q ]);
+    B.finish b
+  in
+  Registry.register registry "bfly" bf;
+  let b = B.create "top" in
+  let x = B.input b "x" and y = B.input b "y" in
+  let o = B.call b ~label:"c" ~behavior:"bfly" ~n_out:2 [ x; y ] in
+  let o2 = B.call b ~label:"c2" ~behavior:"bfly" ~n_out:2 [ o.(1); o.(0) ] in
+  B.output b ~label:"u" (B.op b ~label:"m" Op.Mult [ o2.(0); o2.(1) ]);
+  let g = B.finish b in
+  ("multi-output call", ctx, Tu.relaxed_cs g, Tu.initial ~registry ctx g, Tu.trace ~length:7 g)
+
+let nested_module_case () =
+  (* Tu.hier_graph's registry provides "mac" *)
+  let registry, _ = Tu.hier_graph () in
+  let outer =
+    (* the delay restarts from its initial value at every invocation *)
+    let b = B.create "outer" in
+    let p = B.input b "p" and q = B.input b "q" in
+    let z = B.delay b ~label:"z" ~init:3 q in
+    let c1 = B.call b ~label:"i1" ~behavior:"mac" ~n_out:1 [ p; z; p ] in
+    let c2 = B.call b ~label:"i2" ~behavior:"mac" ~n_out:1 [ c1.(0); q; q ] in
+    B.output b ~label:"r" c2.(0);
+    B.finish b
+  in
+  Registry.register registry "outer" outer;
+  let b = B.create "top" in
+  let x = B.input b "x" and y = B.input b "y" in
+  let prev, feed = B.delay_feed b () in
+  let c = B.call b ~label:"o" ~behavior:"outer" ~n_out:1 [ x; y ] in
+  let c' = B.call b ~label:"o2" ~behavior:"outer" ~n_out:1 [ c.(0); prev ] in
+  feed c'.(0);
+  B.output b ~label:"z" c'.(0);
+  let g = B.finish b in
+  let d = Tu.initial ~registry ctx g in
+  let nested =
+    Array.exists
+      (function
+        | Design.Module rm ->
+            List.exists
+              (fun (_, (p : Design.t)) ->
+                Array.exists (function Design.Module _ -> true | Design.Simple _ -> false) p.Design.insts)
+              rm.Design.parts
+        | Design.Simple _ -> false)
+      d.Design.insts
+  in
+  Alcotest.(check bool) "a module inside a module part" true nested;
+  ("nested module", ctx, Tu.relaxed_cs g, d, Tu.trace ~length:9 g)
+
+let empty_trace_case () =
+  let registry, g = Tu.hier_graph () in
+  ("empty trace", ctx, Tu.relaxed_cs g, Tu.initial ~registry ctx g, [])
+
+let test_hand_built () =
+  let cases =
+    List.concat_map
+      (fun (label, ctx, cs, d, trace) -> with_neighbours label ctx cs d trace)
+      [ equal_avail_case (); chain_case (); multi_output_case (); nested_module_case (); empty_trace_case () ]
+  in
+  ignore (check_all cases : int);
+  let _, _, cs, d, _ = empty_trace_case () in
+  Alcotest.(check (float 0.)) "empty trace, no energy" 0. (Power.energy_per_sample ctx cs d [])
+
+let () =
+  let tc name f = Alcotest.test_case name `Quick f in
+  Alcotest.run "eval_ref"
+    [
+      ( "reference kernel",
+        [
+          tc "suite final designs" test_suite_finals;
+          tc "fuzz designs" test_fuzz_designs;
+          tc "hand-built cases" test_hand_built;
+        ] );
+    ]

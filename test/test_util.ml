@@ -146,7 +146,31 @@ let test_bits_hamming () =
   checki "equal" 0 (Bits.hamming 0x1234 0x1234);
   checki "one bit" 1 (Bits.hamming 0 1);
   checki "all 16 bits" 16 (Bits.hamming 0 0xffff);
-  checki "wraps to word" 0 (Bits.hamming 0x10000 0)
+  checki "wraps to word" 0 (Bits.hamming 0x10000 0);
+  (* the SWAR popcount must agree with the bit count of the truncated
+     difference on every kind of operand: full and top-bit words,
+     negative ints (two's complement), values wider than a word *)
+  List.iter
+    (fun (a, b) ->
+      checki
+        (Printf.sprintf "hamming %d %d" a b)
+        (Bits.popcount (Bits.truncate (a lxor b)))
+        (Bits.hamming a b))
+    [
+      (0, 0xffff);
+      (0xffff, 0);
+      (0, 0x8000);
+      (0x8000, 0x7fff);
+      (0, -1);
+      (-1, 0xffff);
+      (-32768, 0x8000);
+      (-2, 3);
+      (min_int, max_int);
+      (0x1_0000, 0x1_ffff);
+      (0x12_3456, 0xab_cdef);
+      (1 lsl 40, (1 lsl 40) lor 0x5555);
+      (max_int, 0);
+    ]
 
 let test_bits_signed () =
   checki "positive" 5 (Bits.to_signed 5);
