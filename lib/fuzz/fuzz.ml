@@ -85,10 +85,10 @@ let run ?(progress = fun _ -> ()) config =
     let prog = Gen.program ~params:config.params (Rng.split run_rng) in
     List.iter
       (fun (o : Oracle.t) ->
-        (* one split per registered oracle, whether selected or not, so
-           a repro run with --oracle sees identical RNG streams *)
-        let orng = Rng.split run_rng in
         if selected o then begin
+          (* keyed by the oracle's name, so a stream depends neither on
+             which oracles are selected nor on which are registered *)
+          let orng = Rng.derive run_rng o.Oracle.name in
           let saved = Rng.copy orng in
           match check_guarded o orng prog with
           | Ok () ->

@@ -4,9 +4,12 @@
     selected {!Oracle} on each, shrinks failing samples with {!Shrink}
     and writes them to the corpus directory as commented [.hsyn] repro
     files. Fully deterministic: seed [N] always produces the same
-    programs and the same per-oracle RNG streams, and the streams do
-    not depend on which oracles are selected — so a failure found by a
-    full run can be re-examined with [--oracle] alone.
+    programs and the same per-oracle RNG streams. Each oracle's stream
+    is derived from the run's generator and the oracle's name
+    ({!Hsyn_util.Rng.derive}), so it depends neither on which oracles
+    are selected nor on which are registered: a failure found by a
+    full run can be re-examined with [--oracle] alone, and adding or
+    deleting an oracle leaves every other oracle's stream as it was.
 
     Pass/fail counts are also published through {!Hsyn_obs.Metrics}
     (when metrics are enabled) as [fuzz.runs], [fuzz.pass.<oracle>]

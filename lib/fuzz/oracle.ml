@@ -558,10 +558,6 @@ let all =
       doc = "module merging preserves behavior (via simulation) and shared-resource invariants";
       check = check_embed;
     };
-    (* registered last: the fuzz runner splits one RNG stream per
-       registered oracle in [all] order, so appending keeps every
-       pre-existing oracle's stream — and its historical repro seeds —
-       unchanged *)
     {
       name = "rewrite";
       doc = "algebraic rewrite candidates ≡ original graph through simulation";

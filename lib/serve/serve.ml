@@ -296,11 +296,6 @@ let prometheus_text t =
   refresh_exports t;
   Prom.render ()
 
-let request_kind line =
-  match Json.of_string line with
-  | Ok v -> Option.bind (Json.member "kind" v) Json.to_string_opt
-  | Error _ -> None
-
 let peer_name fd =
   match Unix.getpeername fd with
   | Unix.ADDR_UNIX _ -> "unix"
@@ -381,12 +376,13 @@ let handle_conn (t : t) worker_id ~id ~queue_wait_ms fd =
     | _ -> ());
     run_ms
   in
-  (match read_request_line t fd with
+  let kind v = Option.bind (Json.member "kind" v) Json.to_string_opt in
+  (match Result.map Json.of_string (read_request_line t fd) with
   | Error msg -> send (error_line Wire.Bad_request msg)
-  | Ok line when request_kind line = Some "hsyn.metrics" -> send (metrics_line t)
-  | Ok line when request_kind line = Some "hsyn.prometheus" -> send_text (prometheus_text t)
-  | Ok line -> (
-      match Wire.doc_of_string line with
+  | Ok (Ok v) when kind v = Some "hsyn.metrics" -> send (metrics_line t)
+  | Ok (Ok v) when kind v = Some "hsyn.prometheus" -> send_text (prometheus_text t)
+  | Ok parsed -> (
+      match Result.bind (Result.map_error (( ^ ) "invalid JSON: ") parsed) Wire.doc_of_json with
       | Error msg ->
           Atomic.incr t.errors;
           Metrics.incr t.c_errors;

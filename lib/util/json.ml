@@ -61,6 +61,8 @@ let to_string v =
 
 exception Parse of string
 
+let max_depth = 256
+
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
@@ -164,7 +166,14 @@ let of_string s =
           | Some f -> Float f
           | None -> fail "invalid number %S" text)
   in
-  let rec parse_value () =
+  (* one recursion per nesting level: the limit bounds the stack, and
+     the time to reject a hostile line such as millions of '[' *)
+  let enter depth =
+    advance ();
+    if depth >= max_depth then fail "nesting deeper than %d" max_depth;
+    skip_ws ()
+  in
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -173,15 +182,14 @@ let of_string s =
     | Some 'f' -> literal "false" (Bool false)
     | Some 'n' -> literal "null" Null
     | Some '[' ->
-        advance ();
-        skip_ws ();
+        enter depth;
         if peek () = Some ']' then begin
           advance ();
           List []
         end
         else begin
           let rec elems acc =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -195,8 +203,7 @@ let of_string s =
           List (elems [])
         end
     | Some '{' ->
-        advance ();
-        skip_ws ();
+        enter depth;
         if peek () = Some '}' then begin
           advance ();
           Obj []
@@ -207,7 +214,7 @@ let of_string s =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -224,7 +231,7 @@ let of_string s =
     | Some c -> fail "unexpected character %C" c
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v

@@ -5,13 +5,15 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 let create seed = { state = Int64.of_int seed }
 let copy t = { state = t.state }
 
-(* splitmix64 step: advance state by the golden gamma, then mix. *)
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+(* splitmix64 step: advance state by the golden gamma, then mix. *)
+let int64 t =
+  t.state <- Int64.add t.state golden_gamma;
+  mix t.state
 
 let bits t n =
   assert (n >= 0 && n <= 62);
@@ -58,3 +60,12 @@ let pick t = function
   | l -> List.nth l (int t (List.length l))
 
 let split t = { state = int64 t }
+
+(* 64-bit FNV-1a: a fixed string hash, unlike [Hashtbl.hash], whose
+   value is not promised across OCaml releases. *)
+let fnv1a label =
+  String.fold_left
+    (fun h c -> Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001B3L)
+    0xCBF29CE484222325L label
+
+let derive t label = { state = mix (Int64.logxor t.state (fnv1a label)) }

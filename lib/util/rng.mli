@@ -44,3 +44,10 @@ val pick : t -> 'a list -> 'a
 val split : t -> t
 (** [split t] derives a new generator whose stream is independent of
     the parent's subsequent outputs. *)
+
+val derive : t -> string -> t
+(** [derive t label] is a generator keyed by [label]: the parent's
+    current state with a fixed 64-bit FNV-1a hash of [label] mixed in.
+    It does not advance [t], so the stream depends only on [t]'s state
+    and [label], not on which other labels were derived from [t]
+    before. Labels whose hashes differ give distinct streams. *)

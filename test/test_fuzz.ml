@@ -209,6 +209,36 @@ let test_campaign_filter () =
     (fun (s : Fuzz.oracle_summary) -> checki (s.Fuzz.o_name ^ " passes") 5 s.Fuzz.passed)
     report.Fuzz.summaries
 
+(* The runner gives each oracle [Rng.derive run_rng name] after drawing
+   the run's program. Keyed by the name, an oracle's draws are the same
+   whatever else is registered or selected (deleting an oracle moves no
+   other oracle's stream), and two names never share a stream. *)
+let test_oracle_streams_by_name () =
+  let streams registry =
+    let run_rng = Rng.split (Rng.create 7) in
+    ignore (Gen.program (Rng.split run_rng));
+    let draws =
+      List.map
+        (fun name ->
+          let r = Rng.derive run_rng name in
+          (name, List.init 4 (fun _ -> Rng.int64 r)))
+        registry
+    in
+    (draws, Rng.int64 run_rng)
+  in
+  let all, parent_next = streams Oracle.names in
+  List.iter
+    (fun registry ->
+      let draws, next = streams registry in
+      checkb "deriving does not advance the run's generator" true (next = parent_next);
+      List.iter
+        (fun (name, d) ->
+          checkb (name ^ " stream independent of the others") true (d = List.assoc name all))
+        draws)
+    [ List.filter (( <> ) "sched-diff") Oracle.names; List.rev Oracle.names; [ "rewrite" ] ];
+  let firsts = List.sort_uniq compare (List.map (fun (_, d) -> List.hd d) all) in
+  checki "every oracle has its own stream" (List.length Oracle.names) (List.length firsts)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -230,5 +260,6 @@ let () =
           Alcotest.test_case "validate oracles" `Quick test_validate_oracles;
           Alcotest.test_case "campaign smoke" `Quick test_campaign_smoke;
           Alcotest.test_case "campaign filter" `Quick test_campaign_filter;
+          Alcotest.test_case "oracle streams by name" `Quick test_oracle_streams_by_name;
         ] );
     ]

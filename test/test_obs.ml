@@ -1,7 +1,8 @@
 (* Tests for the hsyn_obs observability library: metrics registry
    (domain-safe shard merge under pool fan-out), span tracer
-   (Chrome-trace JSON validity), and the flight-recorder report
-   (deterministic aggregation of a fixed NDJSON stream). *)
+   (Chrome-trace JSON validity, disabled probes that allocate nothing,
+   armed runs identical to disarmed ones), and the flight-recorder
+   report (deterministic aggregation of a fixed NDJSON stream). *)
 
 module Json = Hsyn_util.Json
 module Pool = Hsyn_util.Pool
@@ -72,7 +73,16 @@ let test_json_roundtrip () =
 let test_json_rejects_garbage () =
   checkb "truncated" true (Result.is_error (Json.of_string "{\"a\": [1, 2"));
   checkb "trailing" true (Result.is_error (Json.of_string "{} x"));
-  checkb "empty" true (Result.is_error (Json.of_string "   "))
+  checkb "empty" true (Result.is_error (Json.of_string "   "));
+  (* nesting is bounded: the parser gives up one byte past the limit
+     instead of recursing through the whole line *)
+  (match Json.of_string (String.make 5_000_000 '[') with
+  | Ok _ -> Alcotest.fail "5 M nested arrays accepted"
+  | Error e ->
+      checks "error names the limit at its offset" "nesting deeper than 256 at offset 257" e);
+  let parses n = Result.is_ok (Json.of_string (String.make n '[' ^ String.make n ']')) in
+  checkb "max_depth nested arrays parse" true (parses Json.max_depth);
+  checkb "one more is rejected" false (parses (Json.max_depth + 1))
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry *)
@@ -238,6 +248,71 @@ let test_trace_feeds_profile_and_metrics () =
   checki "raising span recorded" 2 (count ());
   checki "but no trace events without --trace" 0 (List.length (Trace.events ()));
   fresh ()
+
+(* The disabled path of every probe is one atomic load: no event, no
+   closure, no boxed timestamp. Allocation is the deterministic witness
+   (a timing bound is not): the moment a disabled probe starts to
+   allocate, this fails. *)
+let test_disabled_probes_allocate_nothing () =
+  fresh ();
+  Log.set_level Log.Warn (* the default: debug records are filtered *);
+  let body () = () in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    Trace.span Trace.Schedule "t.disabled" body
+  done;
+  for _ = 1 to 100_000 do
+    Log.debug "t.disabled"
+  done;
+  let words = Gc.minor_words () -. before in
+  checkf "minor words allocated by 100 000 spans + 100 000 filtered logs" 0. words;
+  checki "and nothing recorded" 0 (List.length (Trace.events ()))
+
+(* Arming trace and metrics observes a synthesis without steering it:
+   the armed run returns the disarmed run's design, area and power, bit
+   for bit. *)
+let test_armed_run_identical () =
+  let module S = Hsyn_core.Synthesize in
+  let module Clib = Hsyn_core.Clib in
+  let module Cost = Hsyn_core.Cost in
+  let module Suite = Hsyn_benchmarks.Suite in
+  let b = Suite.test1 () in
+  let lib = Hsyn_modlib.Library.default in
+  let config =
+    {
+      S.default_config with
+      S.max_moves = 4;
+      max_passes = 1;
+      max_candidates = 12;
+      trace_length = 6;
+      max_clocks = 2;
+      clib_effort = { Clib.default_effort with Clib.max_moves = 2; max_passes = 1 };
+    }
+  in
+  let sampling_ns = 2.2 *. S.min_sampling_ns lib b.Suite.registry b.Suite.dfg in
+  let run () =
+    match
+      Result.bind
+        (S.Request.make ~config ~lib ~registry:b.Suite.registry ~dfg:b.Suite.dfg
+           ~objective:Cost.Power ~sampling_ns ())
+        S.synthesize
+    with
+    | Ok r ->
+        ( Hsyn_rtl.Design.fingerprint r.S.design,
+          Int64.bits_of_float r.S.eval.Cost.area,
+          Int64.bits_of_float r.S.eval.Cost.power )
+    | Error msg -> Alcotest.failf "synthesis failed: %s" msg
+  in
+  fresh ();
+  let fp0, area0, power0 = run () in
+  Trace.set_enabled true;
+  Metrics.set_enabled true;
+  let fp1, area1, power1 = run () in
+  checkb "the armed run recorded spans" true (Trace.events () <> []);
+  fresh ();
+  check Alcotest.int64 "design fingerprint" fp0 fp1;
+  check Alcotest.int64 "area bits" area0 area1;
+  check Alcotest.int64 "power bits" power0 power1
 
 (* ------------------------------------------------------------------ *)
 (* Report *)
@@ -673,6 +748,8 @@ let () =
           tc "ring bounded" `Quick test_trace_ring_bounded;
           tc "feeds profile and metrics" `Quick test_trace_feeds_profile_and_metrics;
           tc "scoped events and tree" `Quick test_trace_scoped_events;
+          tc "disabled probes allocate nothing" `Quick test_disabled_probes_allocate_nothing;
+          tc "armed run identical to disarmed" `Quick test_armed_run_identical;
         ] );
       ( "report",
         [

@@ -1,7 +1,8 @@
 (* Tests for the algebraic rewriting rules behind move family E: each
-   rule's structural effect on small graphs, and — the property the
-   move layer's soundness rests on — bitwise equivalence of every
-   candidate to its original graph through simulation. *)
+   rule's structural effect on small graphs; bitwise equivalence of
+   every candidate to its original graph through simulation (the
+   property the move layer's soundness rests on); and the family's
+   payoff in a full synthesis. *)
 
 module Dfg = Hsyn_dfg.Dfg
 module Op = Hsyn_dfg.Op
@@ -159,6 +160,43 @@ let test_kind_of_description () =
   checks "no separator" "other" (Rewrite.kind_of_description "sr");
   checkb "kinds table" true (Rewrite.kinds = [ "sr"; "rebal"; "cse" ])
 
+(* Family E earns its keep end to end: on avenhaus_cascade, whose
+   datapath has mult-by-power-of-two taps and long add chains, power
+   synthesis at L.F. 2.2 (the reduced effort of the bench harness's
+   --quick run) ends strictly better with rewriting than without. *)
+let test_family_e_improves_avenhaus () =
+  let module S = Hsyn_core.Synthesize in
+  let module Clib = Hsyn_core.Clib in
+  let module Cost = Hsyn_core.Cost in
+  let module Suite = Hsyn_benchmarks.Suite in
+  let b = Suite.avenhaus_cascade () in
+  let lib = Hsyn_modlib.Library.default in
+  let config =
+    {
+      S.default_config with
+      S.max_moves = 6;
+      max_passes = 2;
+      max_candidates = 24;
+      trace_length = 8;
+      max_clocks = 2;
+      clib_effort = { Clib.default_effort with Clib.max_moves = 4; max_passes = 1 };
+    }
+  in
+  let sampling_ns = 2.2 *. S.min_sampling_ns lib b.Suite.registry b.Suite.dfg in
+  let value enable_rewrite =
+    match
+      Result.bind
+        (S.Request.make
+           ~config:{ config with S.enable_rewrite }
+           ~lib ~registry:b.Suite.registry ~dfg:b.Suite.dfg ~objective:Cost.Power ~sampling_ns ())
+        S.synthesize
+    with
+    | Ok r -> Cost.objective_value Cost.Power r.S.eval
+    | Error msg -> Alcotest.failf "synthesis failed: %s" msg
+  in
+  let on = value true and off = value false in
+  if not (on < off) then Alcotest.failf "with E %.4f, without E %.4f: not strictly better" on off
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "rewrite"
@@ -183,4 +221,5 @@ let () =
           tc "all candidates valid + equivalent" test_all_candidates_sound;
           tc "kind attribution" test_kind_of_description;
         ] );
+      ("synthesis", [ tc "family E improves avenhaus_cascade" test_family_e_improves_avenhaus ]);
     ]

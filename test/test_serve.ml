@@ -154,18 +154,28 @@ let parse line = match Json.of_string line with Ok j -> j | Error m -> Alcotest.
 (* ------------------------------------------------------------------ *)
 (* served-vs-solo identity and event streaming *)
 
+(* concurrent tenants on the shared session: one client domain per
+   document, all in flight at once (the default 2 workers plus a queue
+   of 8 admit them all), and each served final equals a solo run *)
 let test_served_identical_to_solo () =
+  let inline =
+    let text = Hsyn_dfg.Text.to_string (Hsyn_fuzz.Gen.program (Hsyn_util.Rng.create 12)) in
+    Wire.make_doc ~objective:Cost.Power ~timing:(Wire.Laxity 2.2) ~config:test_config
+      (Wire.Program { text; graph = None })
+  in
   with_server (fun _ addr ->
-      List.iter
-        (fun doc ->
-          let lines = request_lines addr doc in
+      let docs = [ test1_doc (); test1_doc ~objective:Cost.Power (); inline ] in
+      let clients = List.map (fun doc -> Domain.spawn (fun () -> request_lines addr doc)) docs in
+      List.iter2
+        (fun doc client ->
+          let lines = Domain.join client in
           let final = last lines in
           checks "final line is a result" "hsyn.result" (gets "kind" (parse final));
           checkb "events streamed before the final line" true (List.length lines > 1);
           checks "served final = solo final (canonical)"
             (Serve.canonical_final (Serve.solo_final Serve.default_config doc))
             (Serve.canonical_final final))
-        [ test1_doc (); test1_doc ~objective:Cost.Power () ])
+        docs clients)
 
 let test_shared_session_keeps_identity () =
   (* the second, cache-warmed run of the same doc must serve the very
@@ -190,11 +200,19 @@ let test_malformed_request_survives () =
       (match Serve.Client.raw ~timeout_s:10. addr "{\"kind\":\"hsyn.request\",\"schema_version\":1,\"source\":{\"bench\":\"no-such-bench\"}}" with
       | Error msg -> Alcotest.failf "raw send failed: %s" msg
       | Ok lines -> checks "unknown bench is bad_request" "bad_request" (gets "code" (parse (last lines))));
-      (* the daemon still serves after both *)
+      (* 1 MB of nested arrays: rejected at the JSON depth limit *)
+      (match Serve.Client.raw ~timeout_s:10. addr (String.make 1_000_000 '[') with
+      | Error msg -> Alcotest.failf "raw send failed: %s" msg
+      | Ok lines ->
+          let j = parse (last lines) in
+          checks "deep nesting is bad_request" "bad_request" (gets "code" j);
+          checks "rejected at the limit" "invalid JSON: nesting deeper than 256 at offset 257"
+            (gets "message" j));
+      (* the daemon still serves after all three *)
       let final = last (request_lines addr (test1_doc ())) in
       checks "daemon survives" "hsyn.result" (gets "kind" (parse final));
       let stats = Serve.stats server in
-      checki "both protocol errors counted" 2 stats.Serve.errors)
+      checki "all three protocol errors counted" 3 stats.Serve.errors)
 
 (* ------------------------------------------------------------------ *)
 (* admission control *)
