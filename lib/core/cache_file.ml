@@ -32,10 +32,13 @@ type payload = saved_context list
 let magic = "HSYN-CACHE"
 
 (* v1: initial format — header is magic, schema version, library
-   digest (length-prefixed hex), then the marshaled [payload]. Bump on
-   any change to the Marshal layout of [payload] (so [Cost.eval],
-   [Design.t] and [Sched.constraints] changes all count). *)
-let schema_version = 1
+   digest (length-prefixed hex), then the marshaled [payload].
+   v2: the payload is sealed ([Hsyn_util.Sealed]) with a digest of its
+   bytes, checked before unmarshalling.
+   Bump on any change to the Marshal layout of [payload] (so
+   [Cost.eval], [Design.t] and [Sched.constraints] changes all
+   count). *)
+let schema_version = 2
 
 let lib_digest (lib : Hsyn_modlib.Library.t) =
   Digest.to_hex (Digest.string (Marshal.to_string lib []))
@@ -55,7 +58,7 @@ let save ~dir ~lib_digest (p : payload) =
       output_binary_int oc schema_version;
       output_binary_int oc (String.length lib_digest);
       output_string oc lib_digest;
-      Marshal.to_channel oc p []);
+      Hsyn_util.Sealed.output oc p);
   Sys.rename tmp file
 
 let save ~dir ~lib_digest p =
@@ -65,8 +68,8 @@ let save ~dir ~lib_digest p =
 
 (* [Ok None] means "no cache file for this library" — a cold start, not
    an error. Anything unreadable (bad magic, unsupported schema
-   version, truncation, digest mismatch, Marshal failure) is reported
-   as [Error], which callers treat as a warning and skip. *)
+   version, truncation, library or payload digest mismatch) is
+   reported as [Error], which callers treat as a warning and skip. *)
 let load ~dir ~lib_digest:dg =
   let file = file_path ~dir ~lib_digest:dg in
   if not (Sys.file_exists file) then Ok None
@@ -90,7 +93,11 @@ let load ~dir ~lib_digest:dg =
               let d = really_input_string ic n in
               if d <> dg then
                 Error (Printf.sprintf "cache file %s is for a different library" file)
-              else Ok (Some (Marshal.from_channel ic : payload)))
+              else
+                match (Hsyn_util.Sealed.input ic : payload option) with
+                | Some p -> Ok (Some p)
+                | None ->
+                    Error (Printf.sprintf "cache file %s is corrupt (payload digest mismatch)" file))
 
 let load ~dir ~lib_digest =
   try load ~dir ~lib_digest with

@@ -10,10 +10,12 @@
 
     This module only moves bytes; {!Session.save} and
     {!Session.load_into} translate between live cache tables and the
-    [payload] below. Every failure mode short of a clean read — missing
-    magic, unsupported schema version, truncation, digest mismatch,
-    Marshal corruption — is an [Error _] result, never an exception:
-    callers degrade to a cold start with a warning. *)
+    [payload] below. The payload is sealed with a digest of its bytes
+    ({!Hsyn_util.Sealed}), checked before it is unmarshalled. Every
+    failure mode short of a clean read — missing magic, unsupported
+    schema version, truncation, library or payload digest mismatch — is
+    an [Error _] result, never an exception: callers degrade to a cold
+    start with a warning. *)
 
 module Design = Hsyn_rtl.Design
 module Sched = Hsyn_sched.Sched

@@ -31,8 +31,10 @@ let magic = "HSYN-CKPT"
    v5: Pass.stats gained per-rewrite-kind committed counts
    [rewrite_kinds] (move family E PR).
    v6: Pass.stats lost [log], which duplicated [committed]. All change
-   the Marshal layout of the incumbent record. *)
-let schema_version = 6
+   the Marshal layout of the incumbent record.
+   v7: the snapshot is sealed ([Hsyn_util.Sealed]) with a digest of its
+   bytes, checked before unmarshalling. *)
+let schema_version = 7
 
 let compatible t ~dfg_name ~objective ~sampling_ns ~flattened =
   if t.dfg_name <> dfg_name then
@@ -56,7 +58,7 @@ let save path t =
     (fun () ->
       output_string oc magic;
       output_binary_int oc schema_version;
-      Marshal.to_channel oc t []);
+      Hsyn_util.Sealed.output oc t);
   Sys.rename tmp path
 
 let load path =
@@ -74,7 +76,11 @@ let load path =
             Error
               (Printf.sprintf "checkpoint schema version %d unsupported (expected %d)" v
                  schema_version)
-          else Ok (Marshal.from_channel ic : t))
+          else
+            match (Hsyn_util.Sealed.input ic : t option) with
+            | Some t -> Ok t
+            | None ->
+                Error (Printf.sprintf "checkpoint %s is corrupt (payload digest mismatch)" path))
 
 let load path =
   try load path with

@@ -10,8 +10,9 @@
     run converges to bit-identical results with an uninterrupted one.
 
     Snapshots are written with [Marshal] behind a magic string and an
-    explicit schema version; {!load} rejects foreign files and stale
-    versions instead of crashing. Writes go through a temporary file
+    explicit schema version, and sealed with a digest of their bytes
+    ({!Hsyn_util.Sealed}); {!load} rejects foreign files, stale
+    versions and damaged bytes instead of crashing. Writes go through a temporary file
     and [rename], so a checkpoint on disk is never torn. *)
 
 module Design = Hsyn_rtl.Design
@@ -48,5 +49,5 @@ val save : string -> t -> unit
     @raise Sys_error on I/O failure. *)
 
 val load : string -> (t, string) result
-(** Rejects missing files, bad magic, version mismatches and truncated
-    data with a descriptive error. *)
+(** Rejects missing files, bad magic, version mismatches, truncated
+    data and payload digest mismatches with a descriptive error. *)

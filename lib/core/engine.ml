@@ -278,7 +278,7 @@ let best_of t ?family ~limit seq =
           | Some e -> Some e
           | None -> (
               match Hashtbl.find_opt batch_seen fp with
-              | Some e when e.e_design = design -> Some e
+              | Some e when Design.equal e.e_design design -> Some e
               | _ ->
                   (* placeholder entry; its state is filled from the
                      stage-1 results below before anyone reads it *)

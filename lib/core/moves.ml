@@ -91,13 +91,17 @@ let single_behavior (rm : Design.rtl_module) =
 let consumers idx (dfg : Dfg.t) (p : Dfg.port) = idx.(Design.value_index dfg p)
 
 (* Rebind all nodes from instance [j] onto [i] with merged unit type,
-   then drop [j]. *)
-let merge_simple d i j merged_kind =
-  let d = Design.with_inst d i merged_kind in
-  let d =
-    List.fold_left (fun d node -> Design.with_binding d node i) d (Design.nodes_on d j)
-  in
-  Design.compact d
+   then drop [j]. [by_inst] is [Design.nodes_by_inst d]. *)
+let merge_simple d by_inst i j merged_kind =
+  Design.compact (Design.with_bindings (Design.with_inst d i merged_kind) by_inst.(j) i)
+
+(* Indices of the used module instances, ascending. *)
+let used_modules (d : Design.t) by_inst =
+  List.filter
+    (fun i ->
+      by_inst.(i) <> []
+      && match d.Design.insts.(i) with Design.Module _ -> true | Design.Simple _ -> false)
+    (List.init (Array.length d.Design.insts) Fun.id)
 
 (* ------------------------------------------------------------------ *)
 (* Move family A: module selection *)
@@ -112,14 +116,15 @@ let select_candidates env (d : Design.t) : candidate Seq.t =
     | Cost.Power -> Float.of_int uses *. (old_fu.Fu.energy_cap -. alt.Fu.energy_cap)
     | Cost.Area -> old_fu.Fu.area -. alt.Fu.area
   in
+  let by_inst = Design.nodes_by_inst d in
   let simple =
     List.concat
       (List.init (Array.length d.Design.insts) (fun i ->
-           if not (Design.inst_used d i) then []
+           if by_inst.(i) = [] then []
            else
              match d.Design.insts.(i) with
              | Design.Simple fu ->
-                 let uses = List.length (Design.nodes_on d i) in
+                 let uses = List.length by_inst.(i) in
                  List.map
                    (fun alt ->
                      ( swap_score uses fu alt,
@@ -133,7 +138,7 @@ let select_candidates env (d : Design.t) : candidate Seq.t =
   let complex =
     List.concat
       (List.init (Array.length d.Design.insts) (fun i ->
-           if not (Design.inst_used d i) then []
+           if by_inst.(i) = [] then []
            else
              match d.Design.insts.(i) with
              | Design.Module rm -> (
@@ -229,12 +234,12 @@ let resynth_candidates env (d : Design.t) : candidate Seq.t =
 (* ------------------------------------------------------------------ *)
 (* Move family C: merging / resource sharing *)
 
-let simple_pairs (d : Design.t) =
+let simple_pairs (d : Design.t) by_inst =
   let n = Array.length d.Design.insts in
   let pairs = ref [] in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      if Design.inst_used d i && Design.inst_used d j then
+      if by_inst.(i) <> [] && by_inst.(j) <> [] then
         match d.Design.insts.(i), d.Design.insts.(j) with
         | Design.Simple fi, Design.Simple fj when not (Fu.is_chain fi || Fu.is_chain fj) ->
             if Fu.compatible fi fj then pairs := (i, j, Design.Simple fi) :: !pairs
@@ -250,9 +255,10 @@ let simple_pairs (d : Design.t) =
   List.sort (fun a b -> compare (saved b) (saved a)) !pairs
 
 let merge_simple_candidates (d : Design.t) : candidate Seq.t =
-  List.to_seq (simple_pairs d)
+  let by_inst = Design.nodes_by_inst d in
+  List.to_seq (simple_pairs d by_inst)
   |> Seq.map (fun (i, j, merged) ->
-         ((Merge, Printf.sprintf "share I%d+I%d" i j), merge_simple d i j merged))
+         ((Merge, Printf.sprintf "share I%d+I%d" i j), merge_simple d by_inst i j merged))
 
 (* Chain fusion: nodes a -> b (both additions on separate plain units)
    fused onto a chained adder; extended to three for chained_add3. *)
@@ -272,7 +278,7 @@ let chain_candidates env (d : Design.t) : candidate Seq.t =
     (* allocate the chain instance, rebind members, unregister
        chain-internal values consumed nowhere else *)
     let d', inst = Design.add_inst d (Design.Simple chain_fu) in
-    let d' = List.fold_left (fun acc id -> Design.with_binding acc id inst) d' nodes in
+    let d' = Design.with_bindings d' nodes inst in
     let d' =
       List.fold_left
         (fun acc id ->
@@ -326,9 +332,9 @@ let chain_candidates env (d : Design.t) : candidate Seq.t =
   in
   Seq.append two three
 
-(* Behaviors actually invoked on an instance. *)
-let behaviors_used (d : Design.t) i =
-  Design.nodes_on d i
+(* Behaviors actually invoked by an instance's bound nodes. *)
+let behaviors_used (d : Design.t) nodes =
+  nodes
   |> List.filter_map (fun id ->
          match d.Design.dfg.Dfg.nodes.(id).Dfg.kind with Dfg.Call b -> Some b | _ -> None)
   |> List.sort_uniq compare
@@ -339,50 +345,50 @@ let behaviors_used (d : Design.t) i =
    area recovery on hierarchical inputs (seven butterflies on one
    butterfly module). No embedding needed. *)
 let module_share_candidates (d : Design.t) : candidate Seq.t =
-  let n = Array.length d.Design.insts in
-  let cands = ref [] in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if i <> j && Design.inst_used d i && Design.inst_used d j then
-        match d.Design.insts.(i), d.Design.insts.(j) with
-        | Design.Module rmi, Design.Module rmj ->
-            let needed = behaviors_used d j in
-            if
-              needed <> []
-              && List.for_all (fun b -> List.mem_assoc b rmi.Design.parts) needed
-              && (i < j || rmi.Design.rm_name <> rmj.Design.rm_name)
-            then begin
-              let d' =
-                List.fold_left
-                  (fun acc node -> Design.with_binding acc node i)
-                  d (Design.nodes_on d j)
-              in
-              cands :=
-                ( ( Merge,
-                    Printf.sprintf "multiplex I%d(%s) onto I%d(%s)" j rmj.Design.rm_name i
-                      rmi.Design.rm_name ),
-                  Design.compact d' )
-                :: !cands
-            end
-        | _ -> ()
-    done
-  done;
-  List.to_seq !cands
+  let by_inst = Design.nodes_by_inst d in
+  let mods = used_modules d by_inst in
+  let needed = Array.make (Array.length d.Design.insts) [] in
+  List.iter (fun j -> needed.(j) <- behaviors_used d by_inst.(j)) mods;
+  let pairs = ref [] in
+  List.iter
+    (fun i ->
+      List.iter
+        (fun j ->
+          if i <> j then
+            match d.Design.insts.(i), d.Design.insts.(j) with
+            | Design.Module rmi, Design.Module rmj ->
+                if
+                  needed.(j) <> []
+                  && List.for_all (fun b -> List.mem_assoc b rmi.Design.parts) needed.(j)
+                  && (i < j || rmi.Design.rm_name <> rmj.Design.rm_name)
+                then pairs := (i, j, rmi, rmj) :: !pairs
+            | _ -> ())
+        mods)
+    mods;
+  List.to_seq !pairs
+  |> Seq.map (fun (i, j, rmi, rmj) ->
+         ( ( Merge,
+             Printf.sprintf "multiplex I%d(%s) onto I%d(%s)" j rmj.Design.rm_name i
+               rmi.Design.rm_name ),
+           Design.compact (Design.with_bindings d by_inst.(j) i) ))
 
 (* Complex-module merging via RTL embedding. The embedding itself is
    deferred per pair, so candidates beyond the truncation limit cost
    nothing. *)
 let module_merge_candidates env (d : Design.t) : candidate Seq.t =
-  let n = Array.length d.Design.insts in
+  let by_inst = Design.nodes_by_inst d in
+  let mods = used_modules d by_inst in
   let pairs = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Design.inst_used d i && Design.inst_used d j then
-        match d.Design.insts.(i), d.Design.insts.(j) with
-        | Design.Module rmi, Design.Module rmj -> pairs := (i, j, rmi, rmj) :: !pairs
-        | _ -> ()
-    done
-  done;
+  List.iter
+    (fun i ->
+      List.iter
+        (fun j ->
+          if i < j then
+            match d.Design.insts.(i), d.Design.insts.(j) with
+            | Design.Module rmi, Design.Module rmj -> pairs := (i, j, rmi, rmj) :: !pairs
+            | _ -> ())
+        mods)
+    mods;
   List.to_seq !pairs
   |> Seq.filter_map (fun (i, j, rmi, rmj) ->
          match
@@ -392,11 +398,8 @@ let module_merge_candidates env (d : Design.t) : candidate Seq.t =
          with
          | None -> None
          | Some (merged, _) ->
-             let d' = Design.with_inst d i (Design.Module merged) in
              let d' =
-               List.fold_left
-                 (fun acc node -> Design.with_binding acc node i)
-                 d' (Design.nodes_on d' j)
+               Design.with_bindings (Design.with_inst d i (Design.Module merged)) by_inst.(j) i
              in
              Some
                ( ( Merge,
@@ -490,9 +493,10 @@ let merge_candidates env d : candidate Seq.t =
 
 let split_candidates env (d : Design.t) : candidate Seq.t =
   let sch = lazy (Sched.schedule ~cache:(sched_cache env) env.ctx env.cs d) in
+  let by_inst = lazy (Design.nodes_by_inst d) in
   Seq.init (Array.length d.Design.insts) Fun.id
   |> Seq.concat_map (fun i ->
-         let nodes = Design.nodes_on d i in
+         let nodes = (Lazy.force by_inst).(i) in
          if List.length nodes < 2 then Seq.empty
          else
            match d.Design.insts.(i) with
@@ -504,9 +508,7 @@ let split_candidates env (d : Design.t) : candidate Seq.t =
                  in
                  let odd = List.filteri (fun k _ -> k mod 2 = 1) ordered in
                  let d', inst = Design.add_inst d (Design.Simple fu) in
-                 let d' =
-                   List.fold_left (fun acc n -> Design.with_binding acc n inst) d' odd
-                 in
+                 let d' = Design.with_bindings d' odd inst in
                  Seq.Cons
                    (((Split, Printf.sprintf "split I%d (%s)" i fu.Fu.name), d'), Seq.empty)
            | Design.Simple _ -> Seq.empty
@@ -518,9 +520,7 @@ let split_candidates env (d : Design.t) : candidate Seq.t =
                  in
                  let odd = List.filteri (fun k _ -> k mod 2 = 1) ordered in
                  let d', inst = Design.add_inst d (Design.Module rm) in
-                 let d' =
-                   List.fold_left (fun acc n -> Design.with_binding acc n inst) d' odd
-                 in
+                 let d' = Design.with_bindings d' odd inst in
                  Seq.Cons
                    (((Split, Printf.sprintf "split I%d (%s)" i rm.Design.rm_name), d'), Seq.empty))
 
@@ -536,11 +536,12 @@ module Metrics = Hsyn_obs.Metrics
    kind — keep their instance binding and register; new nodes get the
    fastest supporting unit and fresh registers. Returns [None] when
    the result does not validate (e.g. a rewrite broke a chained-unit
-   binding, or the library has no unit for an introduced operation). *)
-let rebind_rewritten env (d : Design.t) (g' : Dfg.t) =
+   binding, or the library has no unit for an introduced operation).
+   [by_label] maps the current graph's labels to node ids and
+   [offsets] its node ids to first value indices; both are shared by
+   every rewrite of one design. *)
+let rebind_rewritten env (d : Design.t) ~by_label ~offsets (g' : Dfg.t) =
   let dfg = d.Design.dfg in
-  let by_label = Hashtbl.create (Array.length dfg.Dfg.nodes) in
-  Array.iteri (fun i (n : Dfg.node) -> Hashtbl.replace by_label n.Dfg.label i) dfg.Dfg.nodes;
   let extra = ref [] and n_extra = ref 0 in
   let base = Array.length d.Design.insts in
   let add_inst k =
@@ -570,28 +571,31 @@ let rebind_rewritten env (d : Design.t) (g' : Dfg.t) =
   | exception Exit -> None
   | exception Not_found -> None
   | node_inst ->
-      let nv' = Design.n_values g' in
-      let value_reg = Array.make nv' (-1) in
+      let value_reg = Array.make (Design.n_values g') (-1) in
       let next = ref d.Design.n_regs in
-      for v = 0 to nv' - 1 do
-        let (p : Dfg.port) = Design.value_of_index g' v in
-        let node = g'.Dfg.nodes.(p.Dfg.node) in
-        match node.Dfg.kind with
-        | Dfg.Const _ | Dfg.Output -> ()
-        | Dfg.Input | Dfg.Op _ | Dfg.Call _ | Dfg.Delay _ -> (
-            let preserved =
-              match Hashtbl.find_opt by_label node.Dfg.label with
-              | Some orig when dfg.Dfg.nodes.(orig).Dfg.n_out > p.Dfg.out ->
-                  let ov = Design.value_index dfg { Dfg.node = orig; out = p.Dfg.out } in
-                  if d.Design.value_reg.(ov) >= 0 then Some d.Design.value_reg.(ov) else None
-              | _ -> None
-            in
-            match preserved with
-            | Some r -> value_reg.(v) <- r
-            | None ->
-                value_reg.(v) <- !next;
-                incr next)
-      done;
+      (* the value index of [g'] is [!v + out], running in node order *)
+      let v = ref 0 in
+      Array.iter
+        (fun (node : Dfg.node) ->
+          for out = 0 to node.Dfg.n_out - 1 do
+            match node.Dfg.kind with
+            | Dfg.Const _ | Dfg.Output -> ()
+            | Dfg.Input | Dfg.Op _ | Dfg.Call _ | Dfg.Delay _ -> (
+                let preserved =
+                  match Hashtbl.find_opt by_label node.Dfg.label with
+                  | Some orig when dfg.Dfg.nodes.(orig).Dfg.n_out > out ->
+                      let r = d.Design.value_reg.(offsets.(orig) + out) in
+                      if r >= 0 then Some r else None
+                  | _ -> None
+                in
+                match preserved with
+                | Some r -> value_reg.(!v + out) <- r
+                | None ->
+                    value_reg.(!v + out) <- !next;
+                    incr next)
+          done;
+          v := !v + node.Dfg.n_out)
+        g'.Dfg.nodes;
       let insts = Array.append d.Design.insts (Array.of_list (List.rev !extra)) in
       let d' = { Design.dfg = g'; insts; node_inst; value_reg; n_regs = !next } in
       let d' = Design.compact d' in
@@ -605,10 +609,22 @@ let rebind_rewritten env (d : Design.t) (g' : Dfg.t) =
 let rewrite_candidates env (d : Design.t) : candidate Seq.t =
   let bump name = if Metrics.is_enabled () then Metrics.incr (Metrics.counter name) in
   let reference = lazy (Sim.outputs d (Sim.run d env.trace)) in
-  List.to_seq (Rewrite_dfg.candidates d.Design.dfg)
+  let dfg = d.Design.dfg in
+  let index =
+    lazy
+      (let by_label = Hashtbl.create (Array.length dfg.Dfg.nodes) in
+       Array.iteri (fun i (n : Dfg.node) -> Hashtbl.replace by_label n.Dfg.label i) dfg.Dfg.nodes;
+       let offsets = Array.make (Array.length dfg.Dfg.nodes) 0 in
+       for id = 1 to Array.length dfg.Dfg.nodes - 1 do
+         offsets.(id) <- offsets.(id - 1) + dfg.Dfg.nodes.(id - 1).Dfg.n_out
+       done;
+       (by_label, offsets))
+  in
+  List.to_seq (Rewrite_dfg.candidates dfg)
   |> Seq.filter_map (fun (description, g') ->
          bump "moves.rewrite.candidates";
-         match rebind_rewritten env d g' with
+         let by_label, offsets = Lazy.force index in
+         match rebind_rewritten env d ~by_label ~offsets g' with
          | None ->
              bump "moves.rewrite.rejected_bind";
              None

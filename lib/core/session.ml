@@ -201,7 +201,7 @@ let cost_cache t ~capacity ~ctx ~cs ~sampling_ns ~trace =
 
 let cost_find cache fp design =
   match Cost_tbl.find_opt cache fp with
-  | Some e when e.e_design = design -> Some e
+  | Some e when Design.equal e.e_design design -> Some e
   | _ -> None
 
 let cost_insert cache fp e = Cost_tbl.set cache fp e

@@ -29,104 +29,119 @@ let source_of_value (d : Design.t) (p : Dfg.port) =
     | Dfg.Const c -> Const_wire c
     | _ -> Direct (d.Design.node_inst.(p.Dfg.node), p.Dfg.out)
 
-(* External input ports of an instance's bound nodes (ascending ids),
-   with a stable port key. Chain groups flatten their external inputs
-   in member order; plain units and modules use the node's own port
-   index. *)
-let feeds_of_nodes (d : Design.t) i nodes =
+(* Every external input feed of the design's instances, one sweep over
+   the bindings in ascending node order: [f inst key port]. Plain units
+   and modules key a feed by the node's own port index. Chain groups
+   number their external inputs (sources not bound to the chain
+   itself) consecutively in member order. *)
+let iter_feeds (d : Design.t) f =
   let dfg = d.Design.dfg in
-  match d.Design.insts.(i) with
-  | Design.Simple fu when Fu.is_chain fu ->
-      let members = nodes in
-      let feeds = ref [] in
-      let key = ref 0 in
-      List.iter
-        (fun id ->
-          Array.iter
-            (fun ({ Dfg.node = src; _ } as p : Dfg.port) ->
-              if not (List.mem src members) then begin
-                feeds := (!key, p) :: !feeds;
-                incr key
-              end)
-            dfg.Dfg.nodes.(id).Dfg.ins)
-        members;
-      !feeds
-  | Design.Simple _ | Design.Module _ ->
-      List.concat_map
-        (fun id ->
-          Array.to_list dfg.Dfg.nodes.(id).Dfg.ins |> List.mapi (fun port p -> (port, p)))
-        nodes
-
-let port_feeds d i = feeds_of_nodes d i (Design.nodes_on d i)
-let port_feeds_all d = Array.mapi (feeds_of_nodes d) (Design.nodes_by_inst d)
-
-let reg_writers (d : Design.t) =
-  let dfg = d.Design.dfg in
-  let writers : (int, writer list) Hashtbl.t = Hashtbl.create 16 in
-  let add reg w =
-    let cur = match Hashtbl.find_opt writers reg with Some l -> l | None -> [] in
-    if not (List.mem w cur) then Hashtbl.replace writers reg (w :: cur)
+  let n_insts = Array.length d.Design.insts in
+  (* next key of each chain instance; -1 marks a plain unit or module *)
+  let chain_key =
+    Array.map
+      (function Design.Simple fu when Fu.is_chain fu -> 0 | Design.Simple _ | Design.Module _ -> -1)
+      d.Design.insts
   in
   Array.iteri
-    (fun node (n : Dfg.node) ->
-      for out = 0 to n.Dfg.n_out - 1 do
-        let reg = d.Design.value_reg.(Design.value_index dfg { Dfg.node; out }) in
-        if reg >= 0 then
-          match n.Dfg.kind with
-          | Dfg.Input -> add reg (From_input node)
-          | Dfg.Delay _ -> add reg (From_delay node)
-          | Dfg.Op _ | Dfg.Call _ -> add reg (From_inst (d.Design.node_inst.(node), out))
-          | Dfg.Const _ | Dfg.Output -> ()
-      done)
-    dfg.Dfg.nodes;
-  writers
+    (fun id i ->
+      if i >= 0 && i < n_insts then begin
+        let ins = dfg.Dfg.nodes.(id).Dfg.ins in
+        if chain_key.(i) < 0 then Array.iteri (fun port p -> f i port p) ins
+        else
+          Array.iter
+            (fun (p : Dfg.port) ->
+              if d.Design.node_inst.(p.Dfg.node) <> i then begin
+                f i chain_key.(i) p;
+                chain_key.(i) <- chain_key.(i) + 1
+              end)
+            ins
+      end)
+    d.Design.node_inst
 
-(* A point-to-point net: a steering source into an instance input port,
-   or a register writer into a register. *)
-type net = To_port of source * int * int | To_reg of writer * int
+let port_feeds_all d =
+  let acc = Array.make (Array.length d.Design.insts) [] in
+  iter_feeds d (fun i key p -> acc.(i) <- (key, p) :: acc.(i));
+  Array.map List.rev acc
+
+let port_feeds d i =
+  let acc = ref [] in
+  iter_feeds d (fun i' key p -> if i' = i then acc := (key, p) :: !acc);
+  List.rev !acc
+
+let source_equal a b =
+  match a, b with
+  | Reg r, Reg r' -> Int.equal r r'
+  | Const_wire c, Const_wire c' -> Int.equal c c'
+  | Direct (i, o), Direct (i', o') -> Int.equal i i' && Int.equal o o'
+  | (Reg _ | Const_wire _ | Direct _), _ -> false
+
+let writer_equal a b =
+  match a, b with
+  | From_inst (i, o), From_inst (i', o') -> Int.equal i i' && Int.equal o o'
+  | From_input n, From_input n' | From_delay n, From_delay n' -> Int.equal n n'
+  | (From_inst _ | From_input _ | From_delay _), _ -> false
 
 (* Steering cost over a list of designs sharing one resource set (a
-   single design for the top level; all parts for a merged module). *)
+   single design for the top level; all parts for a merged module),
+   in one pass over each design's feeds and register writers. A slot
+   is an (instance, port key) pair or a register; parts union their
+   sources into the same slots. Each distinct source of a slot is one
+   net, and each beyond the first one mux input, so the nets are
+   Σ k and the mux inputs Σ (k - 1) over the slots' distinct-source
+   counts k. Both are integer counts, scaled once. *)
 let steering (ctx : Design.ctx) (designs : Design.t list) =
   let lib = ctx.Design.lib in
-  let port_sources : (int * int, source list) Hashtbl.t = Hashtbl.create 32 in
-  let nets : (net, unit) Hashtbl.t = Hashtbl.create 64 in
+  let nets = ref 0 and mux_inputs = ref 0 in
+  let add_distinct equal cur x =
+    if List.exists (equal x) cur then cur
+    else begin
+      incr nets;
+      if cur <> [] then incr mux_inputs;
+      x :: cur
+    end
+  in
+  let n_insts =
+    List.fold_left (fun acc (d : Design.t) -> max acc (Array.length d.Design.insts)) 0 designs
+  in
+  let ports = Array.make n_insts [||] in
   let add_port_source i key src =
-    let cur = match Hashtbl.find_opt port_sources (i, key) with Some l -> l | None -> [] in
-    if not (List.mem src cur) then Hashtbl.replace port_sources (i, key) (src :: cur)
+    let row = ports.(i) in
+    let row =
+      if key < Array.length row then row
+      else begin
+        let grown = Array.make (max (key + 1) (2 * Array.length row)) [] in
+        Array.blit row 0 grown 0 (Array.length row);
+        ports.(i) <- grown;
+        grown
+      end
+    in
+    row.(key) <- add_distinct source_equal row.(key) src
   in
+  let n_regs = List.fold_left (fun acc (d : Design.t) -> max acc d.Design.n_regs) 0 designs in
+  let regs = Array.make n_regs [] in
   List.iter
-    (fun d ->
+    (fun (d : Design.t) ->
+      iter_feeds d (fun i key p -> add_port_source i key (source_of_value d p));
+      (* register writers, walking value indices in node order *)
+      let v = ref 0 in
       Array.iteri
-        (fun i feeds ->
-          List.iter
-            (fun (key, p) ->
-              let src = source_of_value d p in
-              add_port_source i key src;
-              Hashtbl.replace nets (To_port (src, i, key)) ())
-            feeds)
-        (port_feeds_all d))
+        (fun node (n : Dfg.node) ->
+          for out = 0 to n.Dfg.n_out - 1 do
+            let reg = d.Design.value_reg.(!v + out) in
+            if reg >= 0 then
+              let add w = regs.(reg) <- add_distinct writer_equal regs.(reg) w in
+              match n.Dfg.kind with
+              | Dfg.Input -> add (From_input node)
+              | Dfg.Delay _ -> add (From_delay node)
+              | Dfg.Op _ | Dfg.Call _ -> add (From_inst (d.Design.node_inst.(node), out))
+              | Dfg.Const _ | Dfg.Output -> ()
+          done;
+          v := !v + n.Dfg.n_out)
+        d.Design.dfg.Dfg.nodes)
     designs;
-  let mux_inputs =
-    Hashtbl.fold (fun _ sources acc -> acc + max 0 (List.length sources - 1)) port_sources 0
-  in
-  (* register input steering, unioned across designs *)
-  let reg_sources : (int, writer list) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun d ->
-      Hashtbl.iter
-        (fun reg ws ->
-          let cur = match Hashtbl.find_opt reg_sources reg with Some l -> l | None -> [] in
-          let merged = List.fold_left (fun acc w -> if List.mem w acc then acc else w :: acc) cur ws in
-          Hashtbl.replace reg_sources reg merged;
-          List.iter (fun w -> Hashtbl.replace nets (To_reg (w, reg)) ()) ws)
-        (reg_writers d))
-    designs;
-  let reg_mux_inputs =
-    Hashtbl.fold (fun _ ws acc -> acc + max 0 (List.length ws - 1)) reg_sources 0
-  in
-  let muxes = Float.of_int (mux_inputs + reg_mux_inputs) *. lib.Hsyn_modlib.Library.mux_area_per_input in
-  let wires = Float.of_int (Hashtbl.length nets) *. lib.Hsyn_modlib.Library.wire_area in
+  let muxes = Float.of_int !mux_inputs *. lib.Hsyn_modlib.Library.mux_area_per_input in
+  let wires = Float.of_int !nets *. lib.Hsyn_modlib.Library.wire_area in
   (muxes, wires)
 
 (* The scheduler cache threads through the recursion because module

@@ -123,8 +123,10 @@ let hash_fu h (fu : Fu.t) =
   let h = mix_float (mix_float (mix_float h fu.Fu.area) fu.Fu.delay_ns) fu.Fu.energy_cap in
   mix_int h (if fu.Fu.pipelined then 1 else 0)
 
-let rec hash_design h (d : t) =
-  let h = ref (hash_dfg h d.dfg) in
+let rec hash_design h (d : t) = hash_bindings (hash_dfg h d.dfg) d
+
+and hash_bindings h (d : t) =
+  let h = ref h in
   Array.iter
     (fun kind ->
       h :=
@@ -143,7 +145,54 @@ and hash_module h (rm : rtl_module) =
     rm.parts;
   !h
 
-let fingerprint d = hash_design fnv_offset d
+(* Every candidate of a batch shares its top-level graph physically, so
+   the graph's hash from the chain's start is memoized for the last
+   graph seen, per domain, like [value_offsets]. The chain is the same
+   as an unmemoized [hash_design fnv_offset]. *)
+let top_dfg_hash_memo : (Dfg.t * int64) option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let top_dfg_hash (dfg : Dfg.t) =
+  let memo = Domain.DLS.get top_dfg_hash_memo in
+  match !memo with
+  | Some (g, h) when g == dfg -> h
+  | _ ->
+      let h = hash_dfg fnv_offset dfg in
+      memo := Some (dfg, h);
+      h
+
+let fingerprint d = hash_bindings (top_dfg_hash d.dfg) d
+
+(* ------------------------------------------------------------------ *)
+(* Structural equality *)
+
+let int_array_equal (a : int array) (b : int array) =
+  a == b
+  || Array.length a = Array.length b
+     &&
+     let rec go k = k < 0 || (Int.equal a.(k) b.(k) && go (k - 1)) in
+     go (Array.length a - 1)
+
+let rec equal (a : t) (b : t) =
+  a == b
+  || Int.equal a.n_regs b.n_regs
+     && int_array_equal a.node_inst b.node_inst
+     && int_array_equal a.value_reg b.value_reg
+     && (a.insts == b.insts
+        || Array.length a.insts = Array.length b.insts
+           && Array.for_all2 inst_kind_equal a.insts b.insts)
+     && (a.dfg == b.dfg || a.dfg = b.dfg)
+
+and inst_kind_equal a b =
+  match a, b with
+  | Simple fa, Simple fb -> fa == fb || fa = fb
+  | Module ma, Module mb ->
+      ma == mb
+      || String.equal ma.rm_name mb.rm_name
+         && List.equal
+              (fun (ba, pa) (bb, pb) -> String.equal ba bb && equal pa pb)
+              ma.parts mb.parts
+  | Simple _, Module _ | Module _, Simple _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Module queries *)
@@ -300,6 +349,11 @@ let with_binding d node inst =
   node_inst.(node) <- inst;
   { d with node_inst }
 
+let with_bindings d nodes inst =
+  let node_inst = Array.copy d.node_inst in
+  List.iter (fun node -> node_inst.(node) <- inst) nodes;
+  { d with node_inst }
+
 let with_value_reg d value reg =
   let value_reg = Array.copy d.value_reg in
   value_reg.(value) <- reg;
@@ -312,12 +366,14 @@ let add_inst d kind =
 let fresh_reg d = ({ d with n_regs = d.n_regs + 1 }, d.n_regs)
 
 let compact d =
+  let used = Array.make (Array.length d.insts) false in
+  Array.iter (fun i -> if i >= 0 && i < Array.length used then used.(i) <- true) d.node_inst;
   let inst_map = Array.make (Array.length d.insts) (-1) in
   let kept = ref [] in
   let next = ref 0 in
   Array.iteri
     (fun i kind ->
-      if inst_used d i then begin
+      if used.(i) then begin
         inst_map.(i) <- !next;
         incr next;
         kept := kind :: !kept

@@ -72,7 +72,15 @@ val fingerprint : t -> int64
     register bindings. Two structurally equal designs have equal
     fingerprints; the evaluation engine uses this as its cost-cache
     key (verifying candidates against cached designs with structural
-    equality, so a collision can never yield a wrong evaluation). *)
+    equality, so a collision can never yield a wrong evaluation). The
+    hash of the top-level graph is memoized per domain for the last
+    graph seen, since the candidates of a batch share it physically. *)
+
+val equal : t -> t -> bool
+(** Structural equality, the same relation as polymorphic [=] on
+    designs whose units carry no NaN parameter. It returns early on
+    physically shared graphs, instance arrays, units, modules and
+    parts, where [=] would walk them. *)
 
 (** {1 Module queries} *)
 
@@ -117,6 +125,10 @@ val with_inst : t -> int -> inst_kind -> t
 
 val with_binding : t -> int -> int -> t
 (** [with_binding d node inst] rebinds one node. *)
+
+val with_bindings : t -> int list -> int -> t
+(** [with_bindings d nodes inst] rebinds every node of [nodes] onto
+    [inst], copying the binding array once. *)
 
 val with_value_reg : t -> int -> int -> t
 (** [with_value_reg d value reg] moves a value to another register

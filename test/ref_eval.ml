@@ -1,10 +1,12 @@
 (* The evaluation kernels as they stood before simulation was compiled
-   and the power model became array passes: the simulator ([Sim.run])
-   and the switched-capacitance estimate ([Power.energy_per_sample]),
-   kept verbatim apart from their names as the reference the
-   differential test in test_eval_ref.ml holds the production kernels
-   to, bit for bit. [hamming] is the bit-loop form the SWAR popcount
-   replaced. Not for use outside the tests. *)
+   and the power and area models became array passes: the simulator
+   ([Sim.run]), the switched-capacitance estimate
+   ([Power.energy_per_sample]) and the area model's feed enumeration
+   and steering count ([Area.datapath], [Area.module_area]), kept
+   verbatim apart from their names as the reference the differential
+   test in test_eval_ref.ml holds the production kernels to, bit for
+   bit. [hamming] is the bit-loop form the SWAR popcount replaced. Not
+   for use outside the tests. *)
 
 module Design = Hsyn_rtl.Design
 module Dfg = Hsyn_dfg.Dfg
@@ -19,6 +21,149 @@ module Bits = struct
 
   let hamming a b = popcount (truncate a lxor truncate b)
 end
+
+(* ------------------------------------------------------------------ *)
+(* Area model *)
+
+type source = Area.source = Reg of int | Const_wire of int | Direct of int * int
+
+(* A register writer. *)
+type writer = From_inst of int * int | From_input of int | From_delay of int
+
+(* External input ports of an instance's bound nodes (ascending ids),
+   with a stable port key. Chain groups flatten their external inputs
+   in member order; plain units and modules use the node's own port
+   index. *)
+let ref_feeds_of_nodes (d : Design.t) i nodes =
+  let dfg = d.Design.dfg in
+  match d.Design.insts.(i) with
+  | Design.Simple fu when Fu.is_chain fu ->
+      let members = nodes in
+      let feeds = ref [] in
+      let key = ref 0 in
+      List.iter
+        (fun id ->
+          Array.iter
+            (fun ({ Dfg.node = src; _ } as p : Dfg.port) ->
+              if not (List.mem src members) then begin
+                feeds := (!key, p) :: !feeds;
+                incr key
+              end)
+            dfg.Dfg.nodes.(id).Dfg.ins)
+        members;
+      !feeds
+  | Design.Simple _ | Design.Module _ ->
+      List.concat_map
+        (fun id ->
+          Array.to_list dfg.Dfg.nodes.(id).Dfg.ins |> List.mapi (fun port p -> (port, p)))
+        nodes
+
+let ref_port_feeds d i = ref_feeds_of_nodes d i (Design.nodes_on d i)
+let ref_port_feeds_all d = Array.mapi (ref_feeds_of_nodes d) (Design.nodes_by_inst d)
+
+let ref_reg_writers (d : Design.t) =
+  let dfg = d.Design.dfg in
+  let writers : (int, writer list) Hashtbl.t = Hashtbl.create 16 in
+  let add reg w =
+    let cur = match Hashtbl.find_opt writers reg with Some l -> l | None -> [] in
+    if not (List.mem w cur) then Hashtbl.replace writers reg (w :: cur)
+  in
+  Array.iteri
+    (fun node (n : Dfg.node) ->
+      for out = 0 to n.Dfg.n_out - 1 do
+        let reg = d.Design.value_reg.(Design.value_index dfg { Dfg.node; out }) in
+        if reg >= 0 then
+          match n.Dfg.kind with
+          | Dfg.Input -> add reg (From_input node)
+          | Dfg.Delay _ -> add reg (From_delay node)
+          | Dfg.Op _ | Dfg.Call _ -> add reg (From_inst (d.Design.node_inst.(node), out))
+          | Dfg.Const _ | Dfg.Output -> ()
+      done)
+    dfg.Dfg.nodes;
+  writers
+
+(* A point-to-point net: a steering source into an instance input port,
+   or a register writer into a register. *)
+type net = To_port of source * int * int | To_reg of writer * int
+
+(* Steering cost over a list of designs sharing one resource set (a
+   single design for the top level; all parts for a merged module). *)
+let ref_steering (ctx : Design.ctx) (designs : Design.t list) =
+  let lib = ctx.Design.lib in
+  let port_sources : (int * int, source list) Hashtbl.t = Hashtbl.create 32 in
+  let nets : (net, unit) Hashtbl.t = Hashtbl.create 64 in
+  let add_port_source i key src =
+    let cur = match Hashtbl.find_opt port_sources (i, key) with Some l -> l | None -> [] in
+    if not (List.mem src cur) then Hashtbl.replace port_sources (i, key) (src :: cur)
+  in
+  List.iter
+    (fun d ->
+      Array.iteri
+        (fun i feeds ->
+          List.iter
+            (fun (key, p) ->
+              let src = Area.source_of_value d p in
+              add_port_source i key src;
+              Hashtbl.replace nets (To_port (src, i, key)) ())
+            feeds)
+        (ref_port_feeds_all d))
+    designs;
+  let mux_inputs =
+    Hashtbl.fold (fun _ sources acc -> acc + max 0 (List.length sources - 1)) port_sources 0
+  in
+  (* register input steering, unioned across designs *)
+  let reg_sources : (int, writer list) Hashtbl.t = Hashtbl.create 32 in
+  List.iter
+    (fun d ->
+      Hashtbl.iter
+        (fun reg ws ->
+          let cur = match Hashtbl.find_opt reg_sources reg with Some l -> l | None -> [] in
+          let merged = List.fold_left (fun acc w -> if List.mem w acc then acc else w :: acc) cur ws in
+          Hashtbl.replace reg_sources reg merged;
+          List.iter (fun w -> Hashtbl.replace nets (To_reg (w, reg)) ()) ws)
+        (ref_reg_writers d))
+    designs;
+  let reg_mux_inputs =
+    Hashtbl.fold (fun _ ws acc -> acc + max 0 (List.length ws - 1)) reg_sources 0
+  in
+  let muxes = Float.of_int (mux_inputs + reg_mux_inputs) *. lib.Hsyn_modlib.Library.mux_area_per_input in
+  let wires = Float.of_int (Hashtbl.length nets) *. lib.Hsyn_modlib.Library.wire_area in
+  (muxes, wires)
+
+let rec ref_inst_area cache ctx = function
+  | Design.Simple fu -> fu.Fu.area
+  | Design.Module rm -> ref_module_area_rec cache ctx rm
+
+and ref_datapath_of_parts cache ctx (designs : Design.t list) =
+  let lib = ctx.Design.lib in
+  let first = List.hd designs in
+  let units = Array.fold_left (fun acc k -> acc +. ref_inst_area cache ctx k) 0. first.Design.insts in
+  let used_regs =
+    let used = Array.make (max 1 first.Design.n_regs) false in
+    List.iter
+      (fun (d : Design.t) -> Array.iter (fun r -> if r >= 0 then used.(r) <- true) d.Design.value_reg)
+      designs;
+    Array.fold_left (fun acc u -> if u then acc + 1 else acc) 0 used
+  in
+  let registers = Float.of_int used_regs *. lib.Hsyn_modlib.Library.reg_area in
+  let muxes, wires = ref_steering ctx designs in
+  { Area.units; registers; muxes; wires; controller = 0. }
+
+and ref_module_area_rec cache ctx (rm : Design.rtl_module) =
+  let parts = List.map snd rm.Design.parts in
+  let b = ref_datapath_of_parts cache ctx parts in
+  let states =
+    List.fold_left
+      (fun acc (behavior, _) ->
+        let p = Sched.module_profile ~cache ctx rm behavior in
+        acc + p.Sched.busy)
+      0 rm.Design.parts
+  in
+  let controller = Float.of_int states *. ctx.Design.lib.Hsyn_modlib.Library.ctrl_area_per_state in
+  Area.grand_total { b with controller }
+
+let ref_datapath ~sched_cache ctx d = ref_datapath_of_parts sched_cache ctx [ d ]
+let ref_module_area ~sched_cache ctx rm = ref_module_area_rec sched_cache ctx rm
 
 (* ------------------------------------------------------------------ *)
 (* Simulator *)
@@ -179,7 +324,7 @@ let rec ref_energy_rec cache ~top ctx (cs : Sched.constraints) (design : Design.
           | Design.Simple fu ->
               (* per-port operand streams across all samples, in
                  scheduled activation order *)
-              let feeds = Area.port_feeds design i in
+              let feeds = ref_port_feeds design i in
               let port_keys = List.sort_uniq compare (List.map fst feeds) in
               let port_stream key =
                 List.concat_map
@@ -239,7 +384,7 @@ let rec ref_energy_rec cache ~top ctx (cs : Sched.constraints) (design : Design.
                   total := !total +. (e *. Float.of_int (List.length inner_invocations) /. Float.of_int n_samples))
                 by_behavior;
               (* module input port wiring *)
-              let feeds = Area.port_feeds design i in
+              let feeds = ref_port_feeds design i in
               let port_keys = List.sort_uniq compare (List.map fst feeds) in
               List.iter
                 (fun k ->

@@ -327,6 +327,37 @@ let test_checkpoint_schema_versions () =
       | Ok _ -> Alcotest.fail "torn checkpoint accepted"
       | Error _ -> ())
 
+(* Single-bit flips anywhere in a real checkpoint's payload (the seal
+   and the marshalled bytes after the header): each load must return
+   [Error], never raise and never unmarshal damaged bytes. *)
+let test_checkpoint_flipped_bits () =
+  let b = Suite.test1 () in
+  let path = Filename.temp_file "hsyn_test" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let budget =
+        match Budget.make ~max_contexts:1 () with Ok x -> x | Error e -> Alcotest.fail e
+      in
+      (match S.synthesize ~checkpoint:path (request ~budget b) with Ok _ | Error _ -> ());
+      (match Checkpoint.load path with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "intact checkpoint refused: %s" e);
+      let content = In_channel.with_open_bin path In_channel.input_all in
+      let header = String.length "HSYN-CKPT" + 4 in
+      let rng = Hsyn_util.Rng.create 16 in
+      for _ = 1 to 64 do
+        let bit = header * 8 + Hsyn_util.Rng.int rng ((String.length content - header) * 8) in
+        let damaged = Bytes.of_string content in
+        let byte = Bytes.get_uint8 damaged (bit / 8) in
+        Bytes.set_uint8 damaged (bit / 8) (byte lxor (1 lsl (bit mod 8)));
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc damaged);
+        match Checkpoint.load path with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.failf "bit %d flipped, load succeeded" bit
+        | exception e -> Alcotest.failf "bit %d flipped, load raised %s" bit (Printexc.to_string e)
+      done)
+
 let test_resume_mid_rewrite_sweep () =
   (* same determinism contract as [test_checkpoint_resume_identical],
      on the benchmark where move family E commits rewrites: a run
@@ -438,6 +469,7 @@ let () =
           tc "resume identical" test_checkpoint_resume_identical;
           tc "compatibility" test_checkpoint_compatibility;
           tc "schema versions" test_checkpoint_schema_versions;
+          tc "flipped payload bits" test_checkpoint_flipped_bits;
           tc "resume mid rewrite sweep" test_resume_mid_rewrite_sweep;
           tc "missing is cold start" test_resume_missing_is_cold_start;
         ] );

@@ -233,6 +233,31 @@ let test_truncated () =
   load_must_fail "truncated file" dir;
   synthesis_survives dir
 
+(* Single-bit flips anywhere in the payload (the seal and the marshalled
+   bytes after the header): each load must return [Error], never raise
+   and never unmarshal damaged bytes. *)
+let test_flipped_bits () =
+  with_dir @@ fun dir ->
+  populate dir;
+  let file = cache_file dir in
+  let content = In_channel.with_open_bin file In_channel.input_all in
+  let header =
+    String.length Cache_file.magic + 8 + String.length (Cache_file.lib_digest lib)
+  in
+  let rng = Hsyn_util.Rng.create 16 in
+  for _ = 1 to 64 do
+    let bit = header * 8 + Hsyn_util.Rng.int rng ((String.length content - header) * 8) in
+    let damaged = Bytes.of_string content in
+    let byte = Bytes.get_uint8 damaged (bit / 8) in
+    Bytes.set_uint8 damaged (bit / 8) (byte lxor (1 lsl (bit mod 8)));
+    Out_channel.with_open_bin file (fun oc -> Out_channel.output_bytes oc damaged);
+    match Cache_file.load ~dir ~lib_digest:(Cache_file.lib_digest lib) with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "bit %d flipped, load succeeded" bit
+    | exception e -> Alcotest.failf "bit %d flipped, load raised %s" bit (Printexc.to_string e)
+  done;
+  synthesis_survives dir
+
 let test_bad_magic () =
   with_dir @@ fun dir ->
   Out_channel.with_open_bin (cache_file dir) (fun oc ->
@@ -297,6 +322,7 @@ let () =
       ( "robustness",
         [
           tc "truncated file" test_truncated;
+          tc "flipped payload bits" test_flipped_bits;
           tc "bad magic" test_bad_magic;
           tc "schema version mismatch" test_version_mismatch;
           tc "missing file is a cold start" test_missing_cold_start;

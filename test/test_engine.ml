@@ -138,6 +138,87 @@ let test_fingerprint_stability () =
   in
   checkb "sensitive to instances" true (Design.fingerprint d <> Design.fingerprint alt)
 
+(* test1, hierarchical, power objective, at a reduced effort. *)
+let synthesize_test1 policy =
+  let b = Suite.test1 () in
+  let min_ns = S.min_sampling_ns Library.default b.Suite.registry b.Suite.dfg in
+  let config =
+    {
+      S.default_config with
+      S.max_moves = 4;
+      max_passes = 1;
+      max_candidates = 16;
+      trace_length = 6;
+      max_clocks = 1;
+      clib_effort = { Clib.default_effort with Clib.max_moves = 2; max_passes = 1; engine = policy };
+      engine = policy;
+    }
+  in
+  match
+    Result.bind
+      (S.Request.make ~config ~lib:Library.default ~registry:b.Suite.registry ~dfg:b.Suite.dfg
+         ~objective:Cost.Power ~sampling_ns:(2.2 *. min_ns) ())
+      S.synthesize
+  with
+  | Ok r -> r
+  | Error msg -> Alcotest.failf "synthesis failed: %s" msg
+
+(* test1's final design, its neighbourhood, and the designs that
+   instead change one module part into one of the part's neighbours,
+   so that equality and hashing are exercised through module parts. *)
+let suite_final_neighbourhood () =
+  let d = (synthesize_test1 { Engine.default_policy with Engine.jobs = 1 }).S.design in
+  let part_variants =
+    List.concat
+      (List.init (Array.length d.Design.insts) (fun i ->
+           match d.Design.insts.(i) with
+           | Design.Simple _ -> []
+           | Design.Module rm ->
+               List.concat_map
+                 (fun (behavior, part) ->
+                   List.map
+                     (fun part' ->
+                       let parts =
+                         List.map
+                           (fun (b, p) -> if b = behavior then (b, part') else (b, p))
+                           rm.Design.parts
+                       in
+                       Design.with_inst d i (Design.Module { rm with Design.parts }))
+                     (List.tl (Tu.neighbourhood Library.default part)))
+                 rm.Design.parts))
+  in
+  Tu.neighbourhood Library.default d @ part_variants
+
+let test_equal_is_structural () =
+  let ds = suite_final_neighbourhood () in
+  let final = List.hd ds in
+  let copy : Design.t = Marshal.from_string (Marshal.to_string final []) 0 in
+  checkb "the copy's graph is physically distinct" true (copy.Design.dfg != final.Design.dfg);
+  checkb "has modules" true
+    (Array.exists (function Design.Module _ -> true | Design.Simple _ -> false) final.Design.insts);
+  let all = copy :: ds in
+  checkb "a neighbourhood" true (List.length all > 50);
+  List.iter
+    (fun a -> List.iter (fun b -> checkb "Design.equal = (=)" (a = b) (Design.equal a b)) all)
+    all
+
+(* The top-level graph's hash is memoized for the last graph seen:
+   fingerprints computed with graphs interleaved (A, B, A) must equal
+   those computed on a fresh domain, whose memo starts empty, in
+   another order. *)
+let test_fingerprint_interleaved () =
+  let a = suite_final_neighbourhood () in
+  let copy = List.map (fun d -> (Marshal.from_string (Marshal.to_string d []) 0 : Design.t)) a in
+  let b = [ Tu.initial ctx (Tu.small_graph ()); Tu.initial ctx (Tu.add_chain_graph ()) ] in
+  let fps = List.map Design.fingerprint in
+  let interleaved = List.concat_map (fun d -> fps (d :: b)) a in
+  (* backwards, then put back in order *)
+  let fps_reversed l = List.rev (fps (List.rev l)) in
+  let fresh_a, fresh_b = Domain.join (Domain.spawn (fun () -> (fps_reversed copy, fps_reversed b))) in
+  let expect = List.concat_map (fun fa -> fa :: fresh_b) fresh_a in
+  checkb "interleaved = fresh" true (interleaved = expect);
+  checkb "the copy fingerprints as the original" true (fps a = fresh_a)
+
 let test_consumer_index_matches_rescan () =
   List.iter
     (fun seed ->
@@ -308,34 +389,7 @@ let test_family_counters () =
    results at any jobs count, and with the engine machinery disabled. *)
 
 let test_synthesis_determinism () =
-  let b = Suite.test1 () in
-  let min_ns = S.min_sampling_ns Library.default b.Suite.registry b.Suite.dfg in
-  let run policy =
-    let config =
-      {
-        S.default_config with
-        S.max_moves = 4;
-        max_passes = 1;
-        max_candidates = 16;
-        trace_length = 6;
-        max_clocks = 1;
-        clib_effort =
-          { Clib.default_effort with Clib.max_moves = 2; max_passes = 1; engine = policy };
-        engine = policy;
-      }
-    in
-    let r =
-      match
-        Result.bind
-          (S.Request.make ~config ~lib:Library.default ~registry:b.Suite.registry
-             ~dfg:b.Suite.dfg ~objective:Cost.Power ~sampling_ns:(2.2 *. min_ns) ())
-          S.synthesize
-      with
-      | Ok r -> r
-      | Error msg -> Alcotest.failf "synthesis failed: %s" msg
-    in
-    r.S.eval
-  in
+  let run policy = (synthesize_test1 policy).S.eval in
   let direct = run { Engine.jobs = 1; cache_capacity = 0; staged = false } in
   let seq = run { Engine.jobs = 1; cache_capacity = 4096; staged = true } in
   let par = run { Engine.jobs = 4; cache_capacity = 4096; staged = true } in
@@ -357,6 +411,8 @@ let () =
       ( "fingerprint",
         [
           tc "stability" test_fingerprint_stability;
+          tc "Design.equal is structural" test_equal_is_structural;
+          tc "interleaved graphs" test_fingerprint_interleaved;
           tc "consumer index" test_consumer_index_matches_rescan;
         ] );
       ( "engine",

@@ -1,8 +1,10 @@
 (* Differential test of the evaluation kernels against the reference
    copies in ref_eval.ml: the compiled simulator must produce the same
-   value streams, and the array-pass power model the same energy to
-   the last bit ([Int64.bits_of_float]), with the design's schedule
-   passed in and with it omitted. Raised exceptions must agree too.
+   value streams, the array-pass power model the same energy to the
+   last bit ([Int64.bits_of_float]), with the design's schedule passed
+   in and with it omitted, and the array-pass area model the same
+   datapath breakdown and module areas, also to the last bit. Raised
+   exceptions must agree too.
 
    Designs: every suite behavior's final design under both objectives
    at the benchmark's reduced effort, fuzz-generated initial designs,
@@ -18,6 +20,7 @@ module Library = Hsyn_modlib.Library
 module Sched = Hsyn_sched.Sched
 module Sim = Hsyn_eval.Sim
 module Power = Hsyn_eval.Power
+module Area = Hsyn_eval.Area
 module Trace = Hsyn_eval.Trace
 module Rng = Hsyn_util.Rng
 module Initial = Hsyn_core.Initial
@@ -33,6 +36,20 @@ let lib = Library.default
 
 let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
 
+(* Every module instance of a design, nested ones included. *)
+let rec modules_of (d : Design.t) =
+  Array.to_list d.Design.insts
+  |> List.concat_map (function
+       | Design.Simple _ -> []
+       | Design.Module rm -> rm :: List.concat_map (fun (_, p) -> modules_of p) rm.Design.parts)
+
+(* The datapath breakdown's four fields and each module's area, as
+   bits. *)
+let area_bits ~datapath ~module_area (d : Design.t) =
+  let b : Area.breakdown = datapath d in
+  ( List.map Int64.bits_of_float [ b.Area.units; b.registers; b.muxes; b.wires ],
+    List.map (fun rm -> Int64.bits_of_float (module_area rm)) (modules_of d) )
+
 (* Check one design on one trace; returns a description of the first
    disagreement, if any. *)
 let disagreement ~cache ctx cs (d : Design.t) trace =
@@ -46,8 +63,30 @@ let disagreement ~cache ctx cs (d : Design.t) trace =
         let sched = Sched.schedule ~cache ctx cs d in
         Power.energy_per_sample ~sched_cache:cache ~sched ctx cs d trace)
   in
+  let area_ref =
+    outcome (fun () ->
+        area_bits
+          ~datapath:(Ref_eval.ref_datapath ~sched_cache:cache ctx)
+          ~module_area:(Ref_eval.ref_module_area ~sched_cache:cache ctx)
+          d)
+  in
+  let area_new =
+    outcome (fun () ->
+        area_bits
+          ~datapath:(Area.datapath ~sched_cache:cache ctx)
+          ~module_area:(Area.module_area ~sched_cache:cache ctx)
+          d)
+  in
   let show = function Ok b -> Printf.sprintf "%h" (Int64.float_of_bits b) | Error e -> e in
+  let show_area = function
+    | Ok (fields, modules) ->
+        String.concat " "
+          (List.map (fun b -> Printf.sprintf "%h" (Int64.float_of_bits b)) (fields @ modules))
+    | Error e -> e
+  in
   if sim_ref <> sim_new then Some "streams differ"
+  else if area_new <> area_ref then
+    Some (Printf.sprintf "area %s, reference %s" (show_area area_new) (show_area area_ref))
   else if e_omitted <> e_ref then
     Some (Printf.sprintf "energy (schedule omitted) %s, reference %s" (show e_omitted) (show e_ref))
   else if e_passed <> e_ref then
@@ -69,33 +108,12 @@ let check_all cases =
   | first :: _ -> Alcotest.failf "%d of %d cases disagree; first: %s" (List.length failures) (List.length cases) first);
   List.length cases
 
-(* Unit swaps of every simple instance, and each value moved to the
-   next register. Neighbours may be unschedulable or infeasible; the
-   kernels must still agree on them. *)
-let neighbourhood ctx (d : Design.t) =
-  let swaps =
-    List.concat
-      (List.init (Array.length d.Design.insts) (fun i ->
-           match d.Design.insts.(i) with
-           | Design.Simple fu ->
-               List.map
-                 (fun alt -> Design.with_inst d i (Design.Simple alt))
-                 (Library.alternatives ctx.Design.lib fu)
-           | Design.Module _ -> []))
-  in
-  let moves =
-    if d.Design.n_regs < 2 then []
-    else
-      List.filter_map
-        (fun v ->
-          let r = d.Design.value_reg.(v) in
-          if r < 0 then None else Some (Design.with_value_reg d v ((r + 1) mod d.Design.n_regs)))
-        (List.init (Array.length d.Design.value_reg) Fun.id)
-  in
-  d :: (swaps @ moves)
-
+(* The kernels must agree on a design's neighbours too, unschedulable
+   or infeasible ones included. *)
 let with_neighbours label ctx cs d trace =
-  List.mapi (fun k n -> (Printf.sprintf "%s#%d" label k, ctx, cs, n, trace)) (neighbourhood ctx d)
+  List.mapi
+    (fun k n -> (Printf.sprintf "%s#%d" label k, ctx, cs, n, trace))
+    (Tu.neighbourhood ctx.Design.lib d)
 
 (* ------------------------------------------------------------------ *)
 (* Suite final designs *)
@@ -140,7 +158,13 @@ let test_suite_finals () =
       (Suite.all () @ [ Suite.paulin () ])
   in
   let n = check_all cases in
-  Alcotest.(check bool) "hundreds of designs" true (n >= 300)
+  Alcotest.(check bool) "hundreds of designs" true (n >= 300);
+  (* the area model's module parts union into shared slots *)
+  Alcotest.(check bool) "a multi-part module" true
+    (List.exists
+       (fun (_, _, _, d, _) ->
+         List.exists (fun (rm : Design.rtl_module) -> List.length rm.Design.parts > 1) (modules_of d))
+       cases)
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz-generated designs *)

@@ -66,6 +66,32 @@ let trace ?(seed = 17) ?(length = 8) (dfg : Dfg.t) =
 
 let relaxed_cs ?(deadline = 1000) (dfg : Dfg.t) = Sched.relaxed ~deadline dfg
 
+(* A design and its neighbourhood: unit swaps of every simple instance
+   and each value moved to the next register. The neighbours share the
+   design's graph physically, as the candidates of a batch do, and may
+   be unschedulable or infeasible. *)
+let neighbourhood (lib : Library.t) (d : Design.t) =
+  let swaps =
+    List.concat
+      (List.init (Array.length d.Design.insts) (fun i ->
+           match d.Design.insts.(i) with
+           | Design.Simple fu ->
+               List.map
+                 (fun alt -> Design.with_inst d i (Design.Simple alt))
+                 (Library.alternatives lib fu)
+           | Design.Module _ -> []))
+  in
+  let moves =
+    if d.Design.n_regs < 2 then []
+    else
+      List.filter_map
+        (fun v ->
+          let r = d.Design.value_reg.(v) in
+          if r < 0 then None else Some (Design.with_value_reg d v ((r + 1) mod d.Design.n_regs)))
+        (List.init (Array.length d.Design.value_reg) Fun.id)
+  in
+  d :: (swaps @ moves)
+
 (* Find the single instance index a node is bound to. *)
 let inst_of (d : Design.t) label =
   let found = ref (-1) in
