@@ -81,6 +81,7 @@ let synthesize_variant ?session ?token ctx registry clib ~rng ~trace_length ~eff
         allow_split = true;
         allow_rewrite = true;
         fresh_names = 0;
+        rewrites = None;
       }
     in
     let d, _ = Pass.improve ?token env ~max_moves:effort.max_moves ~max_passes:effort.max_passes initial in

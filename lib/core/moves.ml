@@ -53,6 +53,17 @@ type env = {
   allow_split : bool;
   allow_rewrite : bool;
   mutable fresh_names : int;
+  mutable rewrites : rewrites option;
+}
+
+(* Family E's rewrites of one graph: [Rewrite_dfg.candidates] (a pure
+   function of the graph) with the label index and value offsets that
+   [rebind_rewritten] reads. *)
+and rewrites = {
+  rw_dfg : Dfg.t;  (* the graph they rewrite, compared physically *)
+  rw_list : (string * Dfg.t) list;
+  by_label : (string, int) Hashtbl.t;
+  offsets : int array;
 }
 
 let fresh_name env base =
@@ -539,7 +550,7 @@ module Metrics = Hsyn_obs.Metrics
    binding, or the library has no unit for an introduced operation).
    [by_label] maps the current graph's labels to node ids and
    [offsets] its node ids to first value indices; both are shared by
-   every rewrite of one design. *)
+   every rewrite of one graph. *)
 let rebind_rewritten env (d : Design.t) ~by_label ~offsets (g' : Dfg.t) =
   let dfg = d.Design.dfg in
   let extra = ref [] and n_extra = ref 0 in
@@ -601,6 +612,28 @@ let rebind_rewritten env (d : Design.t) ~by_label ~offsets (g' : Dfg.t) =
       let d' = Design.compact d' in
       (match Design.validate env.ctx d' with Ok () -> Some d' | Error _ -> None)
 
+(* The rewrites of [dfg]: the env's memo when it holds [dfg] itself,
+   else computed and kept there in place of the last graph's. Moves
+   between two committed rewrites see one graph, so they share its
+   rewritten graphs, and with them their prepared scheduling contexts
+   and the graph memory of their cost-cache entries. *)
+let rewrites_of env (dfg : Dfg.t) =
+  match env.rewrites with
+  | Some rw when rw.rw_dfg == dfg -> rw
+  | _ ->
+      let n = Array.length dfg.Dfg.nodes in
+      let by_label = Hashtbl.create n in
+      Array.iteri
+        (fun i (node : Dfg.node) -> Hashtbl.replace by_label node.Dfg.label i)
+        dfg.Dfg.nodes;
+      let offsets = Array.make n 0 in
+      for id = 1 to n - 1 do
+        offsets.(id) <- offsets.(id - 1) + dfg.Dfg.nodes.(id - 1).Dfg.n_out
+      done;
+      let rw = { rw_dfg = dfg; rw_list = Rewrite_dfg.candidates dfg; by_label; offsets } in
+      env.rewrites <- Some rw;
+      rw
+
 (* Every candidate passes a mandatory bitwise-equivalence gate: the
    rewritten design is simulated on the environment trace and must
    reproduce the original design's output stream exactly. A candidate
@@ -609,22 +642,11 @@ let rebind_rewritten env (d : Design.t) ~by_label ~offsets (g' : Dfg.t) =
 let rewrite_candidates env (d : Design.t) : candidate Seq.t =
   let bump name = if Metrics.is_enabled () then Metrics.incr (Metrics.counter name) in
   let reference = lazy (Sim.outputs d (Sim.run d env.trace)) in
-  let dfg = d.Design.dfg in
-  let index =
-    lazy
-      (let by_label = Hashtbl.create (Array.length dfg.Dfg.nodes) in
-       Array.iteri (fun i (n : Dfg.node) -> Hashtbl.replace by_label n.Dfg.label i) dfg.Dfg.nodes;
-       let offsets = Array.make (Array.length dfg.Dfg.nodes) 0 in
-       for id = 1 to Array.length dfg.Dfg.nodes - 1 do
-         offsets.(id) <- offsets.(id - 1) + dfg.Dfg.nodes.(id - 1).Dfg.n_out
-       done;
-       (by_label, offsets))
-  in
-  List.to_seq (Rewrite_dfg.candidates dfg)
+  let rw = rewrites_of env d.Design.dfg in
+  List.to_seq rw.rw_list
   |> Seq.filter_map (fun (description, g') ->
          bump "moves.rewrite.candidates";
-         let by_label, offsets = Lazy.force index in
-         match rebind_rewritten env d ~by_label ~offsets g' with
+         match rebind_rewritten env d ~by_label:rw.by_label ~offsets:rw.offsets g' with
          | None ->
              bump "moves.rewrite.rejected_bind";
              None

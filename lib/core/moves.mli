@@ -57,6 +57,10 @@ type t = {
   gain : float;  (** objective(current) − objective(candidate) *)
 }
 
+type rewrites
+(** Family E's rewrites of one graph, with the indexes that rebinding
+    them onto a design reads. *)
+
 type env = {
   ctx : Design.ctx;
   cs : Sched.constraints;
@@ -74,6 +78,13 @@ type env = {
   allow_split : bool;  (** enable move family D *)
   allow_rewrite : bool;  (** enable move family E *)
   mutable fresh_names : int;  (** counter for generated module names *)
+  mutable rewrites : rewrites option;
+      (** family E's memo: the rewrites of the last graph it was asked
+          for. Start it at [None]. Rewriting is a pure function of the
+          graph, and a context meets one graph until it commits a
+          rewrite, so this computes the rewrites once per graph and
+          keeps the rewritten graphs physically shared across moves.
+          It lives in the env, so it ends with the context. *)
 }
 
 val best_select_or_resynth : env -> float -> Design.t -> t option
@@ -85,6 +96,13 @@ val best_merge : env -> float -> Design.t -> t option
 
 val best_split : env -> float -> Design.t -> t option
 (** Best resource-splitting move (statement 10). *)
+
+val rewrite_candidates : env -> Design.t -> ((kind * string) * Design.t) Seq.t
+(** Family E's candidates for a design, before evaluation: each
+    rewrite of its graph (from [env.rewrites] when that holds the
+    design's graph physically) rebound onto the design's resources,
+    kept when it validates and simulates bitwise-identically to the
+    design on [env.trace]. *)
 
 val best_rewrite : env -> float -> Design.t -> t option
 (** Best algebraic rewriting move (family E). [None] when

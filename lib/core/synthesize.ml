@@ -308,6 +308,7 @@ let make_resynth ?session ?token config registry complexes seed =
         allow_split = config.enable_split;
         allow_rewrite = config.enable_rewrite;
         fresh_names = 0;
+        rewrites = None;
       }
     in
     let improved, _ =
@@ -363,6 +364,7 @@ let run_context ~session ?token ~events ~index (req : Request.t) config dfg
       allow_split = config.enable_split;
       allow_rewrite = config.enable_rewrite;
       fresh_names = 0;
+      rewrites = None;
     }
   in
   let initial =

@@ -83,35 +83,71 @@ let same_schedule (a : Sched.schedule) (b : Sched.schedule) =
   && a.Sched.makespan = b.Sched.makespan
   && a.Sched.feasible = b.Sched.feasible
 
-let check_sched_diff _rng (prog : Text.program) =
+(* Variants of the initial design, which has one unit per operation
+   and one register per value: values moved into the register of an
+   earlier value (register anti-edges, and deadlocks when the sharing
+   is illegal), and operations moved onto the first unit of their type
+   (jobs parked on a busy unit). *)
+let share_registers rng (d : Design.t) =
+  let value_reg = Array.copy d.Design.value_reg in
+  let used = ref [] in
+  Array.iteri
+    (fun v r ->
+      if r >= 0 then
+        match !used with
+        | _ :: _ when Rng.int rng 3 = 0 -> value_reg.(v) <- Rng.pick rng !used
+        | _ -> used := r :: !used)
+    d.Design.value_reg;
+  { d with Design.value_reg }
+
+let merge_units rng (d : Design.t) =
+  let first = Hashtbl.create 8 in
+  let node_inst = Array.copy d.Design.node_inst in
+  Array.iteri
+    (fun id i ->
+      if i >= 0 then
+        match d.Design.dfg.Dfg.nodes.(id).Dfg.kind, d.Design.insts.(i) with
+        | Dfg.Op _, Design.Simple fu -> (
+            match Hashtbl.find_opt first fu.Hsyn_modlib.Fu.name with
+            | Some i0 when Rng.int rng 2 = 0 -> node_inst.(id) <- i0
+            | Some _ -> ()
+            | None -> Hashtbl.add first fu.Hsyn_modlib.Fu.name i)
+        | _ -> ())
+    d.Design.node_inst;
+  Design.compact { d with Design.node_inst }
+
+let check_sched_diff rng (prog : Text.program) =
+  let at what ctx d deadline =
+    let cs = Sched.relaxed ~deadline d.Design.dfg in
+    let legacy = Sched.schedule_legacy ctx cs d in
+    let prev = Sched.impl () in
+    Sched.set_impl Sched.Event;
+    let event = Fun.protect ~finally:(fun () -> Sched.set_impl prev) (fun () -> Sched.schedule ctx cs d) in
+    if same_schedule event legacy then Ok legacy
+    else
+      fail
+        "%s: vdd=%g deadline=%d: kernels disagree (event makespan=%d feasible=%b, legacy \
+         makespan=%d feasible=%b)"
+        what ctx.Design.vdd deadline event.Sched.makespan event.Sched.feasible
+        legacy.Sched.makespan legacy.Sched.feasible
+  in
+  (* relaxed, then at the exact makespan and one cycle under it: the
+     tight and the infeasible boundary are where the two kernels
+     historically diverged *)
+  let check_design what ctx d =
+    let* relaxed = at what ctx d 10000 in
+    let m = relaxed.Sched.makespan in
+    let* _ = at what ctx d (max 1 m) in
+    let* _ = at what ctx d (max 1 (m - 1)) in
+    Ok ()
+  in
   let check_ctx ctx =
     let d = initial_design ctx prog in
-    let rec at deadlines =
-      match deadlines with
-      | [] -> Ok ()
-      | deadline :: rest ->
-          let cs = Sched.relaxed ~deadline d.Design.dfg in
-          let legacy = Sched.schedule_legacy ctx cs d in
-          let prev = Sched.impl () in
-          Sched.set_impl Sched.Event;
-          let event = Fun.protect ~finally:(fun () -> Sched.set_impl prev) (fun () -> Sched.schedule ctx cs d) in
-          if not (same_schedule event legacy) then
-            fail
-              "vdd=%g deadline=%d: kernels disagree (event makespan=%d feasible=%b, legacy \
-               makespan=%d feasible=%b)"
-              ctx.Design.vdd deadline event.Sched.makespan event.Sched.feasible
-              legacy.Sched.makespan legacy.Sched.feasible
-          else
-            (* follow up at the exact makespan and one cycle under it:
-               the tight and the infeasible boundary are where the two
-               kernels historically diverged *)
-            let rest =
-              if deadline > 1000 || rest <> [] then rest
-              else [ max 1 legacy.Sched.makespan; max 1 (legacy.Sched.makespan - 1) ]
-            in
-            at rest
-    in
-    at [ 10000 ]
+    let merged = merge_units rng d in
+    let* () = check_design "initial" ctx d in
+    let* () = check_design "shared registers" ctx (share_registers rng d) in
+    let* () = check_design "merged units" ctx merged in
+    check_design "both" ctx (share_registers rng merged)
   in
   let* () = check_ctx ctx5 in
   check_ctx ctx3

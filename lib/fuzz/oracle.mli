@@ -12,7 +12,10 @@
       the program, for LF and CRLF line endings.
     - [sched-diff] — the event-driven scheduler kernel and
       [Sched.schedule_legacy] produce identical schedules, probed at a
-      relaxed deadline, the exact makespan, and one cycle below it.
+      relaxed deadline, the exact makespan, and one cycle below it,
+      on the initial design and on variants of it with shared
+      registers, with operations merged onto shared units, and with
+      both.
     - [engine-direct] — [Engine.evaluate] (fresh and cached) is
       bit-identical to direct [Cost.evaluate], and [Engine.best_of]
       agrees with a sequential fold, for both objectives.

@@ -1,7 +1,7 @@
 module Dfg = Hsyn_dfg.Dfg
 module Design = Hsyn_rtl.Design
 module Fu = Hsyn_modlib.Fu
-module Pqueue = Hsyn_util.Pqueue
+module Int_heap = Hsyn_util.Int_heap
 module Shard_tbl = Hsyn_util.Shard_tbl
 module Span = Hsyn_obs.Trace
 
@@ -19,6 +19,14 @@ let relaxed ~deadline (dfg : Dfg.t) =
 type schedule = { start : int array; avail : int array; makespan : int; feasible : bool }
 
 let infinite_deadline = 1_000_000
+
+(* the gap of a data edge, which constrains through [avail] instead *)
+let no_gap = min_int
+
+(* the low bits that hold a heap payload in 0 .. n - 1 *)
+let payload_bits n =
+  let rec go b = if 1 lsl b >= n then b else go (b + 1) in
+  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Kernel selection.
@@ -91,7 +99,10 @@ let pp_stats fmt s =
    DFG, not on the binding. The move loop evaluates thousands of
    candidate designs over one physically shared graph (functional
    design updates never replace [d.dfg]), so this is built once per
-   graph and reused across every candidate evaluation. *)
+   graph and reused across every candidate evaluation. Every table is
+   a flat int (or bool) array; per-node and per-value lists are CSR
+   pairs: [x_off] of length n + 1 delimits each entry's slice of the
+   data array. *)
 
 module Prepared = struct
   type t = {
@@ -99,45 +110,118 @@ module Prepared = struct
     n_nodes : int;
     n_values : int;
     value_off : int array;  (* n_nodes + 1 prefix sums of n_out *)
-    value_of : Dfg.port array;  (* per value id, its producing port *)
+    value_node : int array;  (* per value id, its producing node *)
     topo_order : int array;
-    topo_pos : int array;
-    consumers : (int * int) array array;
-        (* per value id: (consumer node, in port), ascending *)
+    in_off : int array;  (* n_nodes + 1: each node's slice of [in_val] *)
+    in_val : int array;  (* value id read by each input port, node then port order *)
+    cons_off : int array;  (* n_values + 1: each value's slice of [cons_node] *)
+    cons_node : int array;  (* readers, one entry per reading port, ascending *)
+    cons_at_avail : bool array;
+        (* per reader entry: an Output or Delay, which reads the value
+           at its availability rather than at a job's start *)
+    topo_values : int array;
+        (* every value id, ordered by (topological position of its
+           producer, id): a register's write order is this order
+           restricted to its values *)
+    exec_nodes : int array;  (* Op and Call nodes, ascending: each must be bound *)
+    fixed_values : int array;  (* Const and Delay values, available at 0 *)
+    sink_values : int array;  (* value read by each Output and Delay node *)
+    output_values : int array;  (* value read by each [dfg.outputs] node, in order *)
   }
 
   let dfg t = t.p_dfg
-  let value_index t ({ Dfg.node; out } : Dfg.port) = t.value_off.(node) + out
 
   let build (dfg : Dfg.t) =
     Span.span Span.Schedule "prepare" (fun () ->
         Atomic.incr c_prep_builds;
-        let n_nodes = Array.length dfg.Dfg.nodes in
+        let nodes = dfg.Dfg.nodes in
+        let n_nodes = Array.length nodes in
         let value_off = Array.make (n_nodes + 1) 0 in
+        let in_off = Array.make (n_nodes + 1) 0 in
         for id = 0 to n_nodes - 1 do
-          value_off.(id + 1) <- value_off.(id) + dfg.Dfg.nodes.(id).Dfg.n_out
+          value_off.(id + 1) <- value_off.(id) + nodes.(id).Dfg.n_out;
+          in_off.(id + 1) <- in_off.(id) + Array.length nodes.(id).Dfg.ins
         done;
-        let n_values = value_off.(n_nodes) in
-        let value_of = Array.make n_values { Dfg.node = 0; out = 0 } in
+        let n_values = value_off.(n_nodes) and n_ports = in_off.(n_nodes) in
+        let value_node = Array.make n_values 0 in
         for id = 0 to n_nodes - 1 do
-          for o = 0 to dfg.Dfg.nodes.(id).Dfg.n_out - 1 do
-            value_of.(value_off.(id) + o) <- { Dfg.node = id; out = o }
+          Array.fill value_node value_off.(id) nodes.(id).Dfg.n_out id
+        done;
+        let in_val = Array.make n_ports 0 in
+        let cons_off = Array.make (n_values + 1) 0 in
+        for id = 0 to n_nodes - 1 do
+          Array.iteri
+            (fun port ({ Dfg.node = src; out } : Dfg.port) ->
+              let v = value_off.(src) + out in
+              in_val.(in_off.(id) + port) <- v;
+              cons_off.(v) <- cons_off.(v) + 1)
+            nodes.(id).Dfg.ins
+        done;
+        (* counting sort of the ports by value: inclusive prefix sums,
+           then a descending fill leaves each slice ascending and
+           [cons_off.(v)] at its start *)
+        for v = 1 to n_values do
+          cons_off.(v) <- cons_off.(v) + cons_off.(v - 1)
+        done;
+        let cons_node = Array.make n_ports 0 in
+        let cons_at_avail = Array.make n_ports false in
+        for id = n_nodes - 1 downto 0 do
+          let at_avail =
+            match nodes.(id).Dfg.kind with
+            | Dfg.Output | Dfg.Delay _ -> true
+            | Dfg.Input | Dfg.Const _ | Dfg.Op _ | Dfg.Call _ -> false
+          in
+          for s = in_off.(id + 1) - 1 downto in_off.(id) do
+            let v = in_val.(s) in
+            let c = cons_off.(v) - 1 in
+            cons_off.(v) <- c;
+            cons_node.(c) <- id;
+            cons_at_avail.(c) <- at_avail
           done
         done;
-        let consumers_rev = Array.make n_values [] in
-        Array.iteri
-          (fun dst (node : Dfg.node) ->
-            Array.iteri
-              (fun port ({ Dfg.node = src; out } : Dfg.port) ->
-                let v = value_off.(src) + out in
-                consumers_rev.(v) <- (dst, port) :: consumers_rev.(v))
-              node.Dfg.ins)
-          dfg.Dfg.nodes;
-        let consumers = Array.map (fun l -> Array.of_list (List.rev l)) consumers_rev in
         let topo_order = Dfg.topo_order dfg in
-        let topo_pos = Array.make n_nodes 0 in
-        Array.iteri (fun idx id -> topo_pos.(id) <- idx) topo_order;
-        { p_dfg = dfg; n_nodes; n_values; value_off; value_of; topo_order; topo_pos; consumers })
+        let topo_values = Array.make n_values 0 in
+        let k = ref 0 in
+        Array.iter
+          (fun id ->
+            for v = value_off.(id) to value_off.(id + 1) - 1 do
+              topo_values.(!k) <- v;
+              incr k
+            done)
+          topo_order;
+        let exec = ref [] and fixed = ref [] and sinks = ref [] in
+        for id = n_nodes - 1 downto 0 do
+          match nodes.(id).Dfg.kind with
+          | Dfg.Op _ | Dfg.Call _ -> exec := id :: !exec
+          | Dfg.Const _ -> fixed := value_off.(id) :: !fixed
+          | Dfg.Delay _ ->
+              fixed := value_off.(id) :: !fixed;
+              sinks := in_val.(in_off.(id)) :: !sinks
+          | Dfg.Output -> sinks := in_val.(in_off.(id)) :: !sinks
+          | Dfg.Input -> ()
+        done;
+        let exec_nodes = Array.of_list !exec
+        and fixed_values = Array.of_list !fixed
+        and sink_values = Array.of_list !sinks in
+        let output_values = Array.map (fun id -> in_val.(in_off.(id))) dfg.Dfg.outputs in
+        {
+          p_dfg = dfg;
+          n_nodes;
+          n_values;
+          value_off;
+          value_node;
+          topo_order;
+          in_off;
+          in_val;
+          cons_off;
+          cons_node;
+          cons_at_avail;
+          topo_values;
+          exec_nodes;
+          fixed_values;
+          sink_values;
+          output_values;
+        })
 end
 
 let prepare = Prepared.build
@@ -157,17 +241,28 @@ end
 (* ------------------------------------------------------------------ *)
 (* Job models.
 
-   The event kernel stores needs/outs as flat arrays over value ids;
-   the legacy kernel keeps its original list-of-ports representation
+   The event kernel keeps its jobs as a structure of arrays: one entry
+   per job, and CSR slices for members, needs and outputs. Jobs are
+   numbered by instance, then by member node, and the number breaks
+   ready-queue ties, so that order is part of the kernel's contract.
+   The legacy kernel keeps its original list-of-ports representation
    so it stays byte-for-byte the reference implementation. *)
 
-type ejob = {
-  e_members : int array;  (* node ids executed by this job *)
-  e_inst : int;
-  e_busy : int;  (* cycles the instance is occupied *)
-  e_pipelined : bool;
-  e_needs : (int * int) array;  (* external input value id, need offset *)
-  e_outs : (int * int) array;  (* output value id, ready offset *)
+type jobs = {
+  n_jobs : int;
+  job_of_node : int array;  (* per node, its job or -1 *)
+  j_inst : int array;
+  j_busy : int array;  (* cycles the instance is occupied *)
+  j_pipelined : bool array;
+  j_weight : int array;  (* max of busy and the output offsets *)
+  mem_off : int array;  (* n_jobs + 1: each job's slice of [mem] *)
+  mem : int array;  (* member node ids *)
+  need_off : int array;  (* n_jobs + 1: each job's slice of [need_val]/[need_at] *)
+  need_val : int array;  (* external input value id *)
+  need_at : int array;  (* cycle it is needed, relative to the job's start *)
+  out_off : int array;  (* n_jobs + 1: each job's slice of [out_val]/[out_at] *)
+  out_val : int array;  (* output value id *)
+  out_at : int array;  (* cycle it is ready, relative to the job's start *)
 }
 
 type job = {
@@ -282,389 +377,449 @@ and compute_module_profile cache use_legacy ctx rm behavior =
     Array.map
       (fun input_id ->
         (* first time the input's value is consumed *)
-        let consumers = prep.Prepared.consumers.(prep.Prepared.value_off.(input_id)) in
-        if Array.length consumers = 0 then 0
-        else
-          Array.fold_left
-            (fun acc (dst, _port) ->
-              let s = sch.start.(dst) in
-              let s = if s < 0 then 0 else s in
-              min acc s)
-            max_int consumers)
+        let v = prep.Prepared.value_off.(input_id) in
+        let lo = prep.Prepared.cons_off.(v) and hi = prep.Prepared.cons_off.(v + 1) in
+        if lo = hi then 0
+        else begin
+          let first = ref max_int in
+          for c = lo to hi - 1 do
+            first := min !first (max 0 sch.start.(prep.Prepared.cons_node.(c)))
+          done;
+          !first
+        end)
       dfg.Dfg.inputs
   in
-  let out_ready =
-    Array.map
-      (fun output_id ->
-        let src = dfg.Dfg.nodes.(output_id).Dfg.ins.(0) in
-        sch.avail.(Prepared.value_index prep src))
-      dfg.Dfg.outputs
-  in
+  let out_ready = Array.map (fun v -> sch.avail.(v)) prep.Prepared.output_values in
   ({ in_need; out_ready; busy = sch.makespan }, sch)
 
 (* ------------------------------------------------------------------ *)
 (* Event kernel *)
 
-and build_jobs_event cache (p : Prepared.t) ctx (d : Design.t) =
+(* The jobs of a design, numbered by instance, then by member node: a
+   chained unit runs all its nodes as one job, any other instance one
+   job per node. Module profiles, which schedule their parts
+   recursively, are looked up here, in instance order. *)
+and build_jobs cache (p : Prepared.t) ctx (d : Design.t) =
   let dfg = d.Design.dfg in
-  let inst_nodes = Design.nodes_by_inst d in
-  let jobs = ref [] in
-  let add_job j = jobs := j :: !jobs in
-  let external_needs members need_of =
-    let in_members src = Array.exists (fun m -> m = src) members in
-    let acc = ref [] in
-    Array.iter
-      (fun id ->
-        Array.iteri
-          (fun port ({ Dfg.node = src; _ } as pt : Dfg.port) ->
-            if not (in_members src) then
-              acc := (Prepared.value_index p pt, need_of id port) :: !acc)
-          dfg.Dfg.nodes.(id).Dfg.ins)
-      members;
-    Array.of_list (List.rev !acc)
+  let insts = d.Design.insts in
+  let n_insts = Array.length insts in
+  let node_inst = d.Design.node_inst in
+  (* bucket the bound nodes by instance, ascending: the counting sort
+     of [Prepared.build] *)
+  let bucket = Array.make (n_insts + 1) 0 in
+  Array.iter (fun i -> if i >= 0 && i < n_insts then bucket.(i) <- bucket.(i) + 1) node_inst;
+  for i = 1 to n_insts do
+    bucket.(i) <- bucket.(i) + bucket.(i - 1)
+  done;
+  let mem = Array.make bucket.(n_insts) 0 in
+  for id = Array.length node_inst - 1 downto 0 do
+    let i = node_inst.(id) in
+    if i >= 0 && i < n_insts then begin
+      bucket.(i) <- bucket.(i) - 1;
+      mem.(bucket.(i)) <- id
+    end
+  done;
+  (* sizes: jobs, need slots (at most one per input port of a member)
+     and output slots *)
+  let n_jobs = ref 0 and n_needs = ref 0 and n_outs = ref 0 in
+  for i = 0 to n_insts - 1 do
+    let lo = bucket.(i) and hi = bucket.(i + 1) in
+    if hi > lo then
+      let is_module =
+        match insts.(i) with
+        | Design.Simple fu when Fu.is_chain fu ->
+            incr n_jobs;
+            false
+        | Design.Simple _ ->
+            n_jobs := !n_jobs + (hi - lo);
+            false
+        | Design.Module _ ->
+            n_jobs := !n_jobs + (hi - lo);
+            true
+      in
+      for k = lo to hi - 1 do
+        let id = mem.(k) in
+        n_needs := !n_needs + p.Prepared.in_off.(id + 1) - p.Prepared.in_off.(id);
+        let outs = p.Prepared.value_off.(id + 1) - p.Prepared.value_off.(id) in
+        n_outs := !n_outs + if is_module then outs else 1
+      done
+  done;
+  let n_jobs = !n_jobs in
+  let jb =
+    {
+      n_jobs;
+      job_of_node = Array.make p.Prepared.n_nodes (-1);
+      j_inst = Array.make n_jobs 0;
+      j_busy = Array.make n_jobs 0;
+      j_pipelined = Array.make n_jobs false;
+      j_weight = Array.make n_jobs 0;
+      mem_off = Array.make (n_jobs + 1) (Array.length mem);
+      mem;
+      need_off = Array.make (n_jobs + 1) 0;
+      need_val = Array.make !n_needs 0;
+      need_at = Array.make !n_needs 0;
+      out_off = Array.make (n_jobs + 1) 0;
+      out_val = Array.make !n_outs 0;
+      out_at = Array.make !n_outs 0;
+    }
   in
-  Array.iteri
-    (fun i kind ->
-      let nodes = inst_nodes.(i) in
-      match kind, nodes with
-      | _, [] -> ()
-      | Design.Simple fu, nodes when Fu.is_chain fu ->
+  let next_job = ref 0 and next_need = ref 0 and next_out = ref 0 in
+  (* open the next job, on instance [i], with its members from [mem.(lo)] *)
+  let open_job i ~busy ~pipelined lo =
+    let j = !next_job in
+    incr next_job;
+    jb.j_inst.(j) <- i;
+    jb.j_busy.(j) <- busy;
+    jb.j_pipelined.(j) <- pipelined;
+    jb.mem_off.(j) <- lo;
+    jb.need_off.(j) <- !next_need;
+    jb.out_off.(j) <- !next_out;
+    j
+  in
+  (* the inputs of member [id] that no member of the job produces: on a
+     chain unit the members are the nodes bound to instance [chain],
+     otherwise ([chain] = -1) [id] alone. [in_need] gives each port's
+     need offset; empty means all 0. *)
+  let add_needs ~chain id in_need =
+    let base = p.Prepared.in_off.(id) in
+    for s = base to p.Prepared.in_off.(id + 1) - 1 do
+      let v = p.Prepared.in_val.(s) in
+      let src = p.Prepared.value_node.(v) in
+      if not (if chain >= 0 then node_inst.(src) = chain else src = id) then begin
+        jb.need_val.(!next_need) <- v;
+        jb.need_at.(!next_need) <- (if Array.length in_need = 0 then 0 else in_need.(s - base));
+        incr next_need
+      end
+    done
+  in
+  let add_out v at =
+    jb.out_val.(!next_out) <- v;
+    jb.out_at.(!next_out) <- at;
+    incr next_out
+  in
+  for i = 0 to n_insts - 1 do
+    let lo = bucket.(i) and hi = bucket.(i + 1) in
+    if hi > lo then
+      match insts.(i) with
+      | Design.Simple fu when Fu.is_chain fu ->
           let latency = Fu.cycles_at fu ctx.Design.vdd ~clk_ns:ctx.Design.clk_ns in
-          let members = Array.of_list nodes in
-          add_job
-            {
-              e_members = members;
-              e_inst = i;
-              e_busy = latency;
-              e_pipelined = fu.Fu.pipelined;
-              e_needs = external_needs members (fun _ _ -> 0);
-              e_outs = Array.map (fun id -> (p.Prepared.value_off.(id), latency)) members;
-            }
-      | Design.Simple fu, nodes ->
+          let j = open_job i ~busy:latency ~pipelined:fu.Fu.pipelined lo in
+          for k = lo to hi - 1 do
+            jb.job_of_node.(mem.(k)) <- j;
+            add_needs ~chain:i mem.(k) [||]
+          done;
+          for k = lo to hi - 1 do
+            add_out p.Prepared.value_off.(mem.(k)) latency
+          done
+      | Design.Simple fu ->
           let latency = Fu.cycles_at fu ctx.Design.vdd ~clk_ns:ctx.Design.clk_ns in
-          List.iter
-            (fun id ->
-              let members = [| id |] in
-              add_job
-                {
-                  e_members = members;
-                  e_inst = i;
-                  e_busy = latency;
-                  e_pipelined = fu.Fu.pipelined;
-                  e_needs = external_needs members (fun _ _ -> 0);
-                  e_outs = [| (p.Prepared.value_off.(id), latency) |];
-                })
-            nodes
-      | Design.Module rm, nodes ->
-          List.iter
-            (fun id ->
-              let behavior =
-                match dfg.Dfg.nodes.(id).Dfg.kind with
-                | Dfg.Call b -> b
-                | _ -> invalid_arg "Sched: non-call node on module instance"
-              in
-              let prof, _ = module_profile_impl cache false ctx rm behavior in
-              let members = [| id |] in
-              add_job
-                {
-                  e_members = members;
-                  e_inst = i;
-                  e_busy = max 1 prof.busy;
-                  e_pipelined = false;
-                  e_needs = external_needs members (fun _ port -> prof.in_need.(port));
-                  e_outs =
-                    Array.init dfg.Dfg.nodes.(id).Dfg.n_out (fun j ->
-                        (p.Prepared.value_off.(id) + j, prof.out_ready.(j)));
-                })
-            nodes)
-    d.Design.insts;
-  Array.of_list (List.rev !jobs)
+          for k = lo to hi - 1 do
+            let id = mem.(k) in
+            let j = open_job i ~busy:latency ~pipelined:fu.Fu.pipelined k in
+            jb.job_of_node.(id) <- j;
+            add_needs ~chain:(-1) id [||];
+            add_out p.Prepared.value_off.(id) latency
+          done
+      | Design.Module rm ->
+          for k = lo to hi - 1 do
+            let id = mem.(k) in
+            let behavior =
+              match dfg.Dfg.nodes.(id).Dfg.kind with
+              | Dfg.Call b -> b
+              | _ -> invalid_arg "Sched: non-call node on module instance"
+            in
+            let prof, _ = module_profile_impl cache false ctx rm behavior in
+            let j = open_job i ~busy:(max 1 prof.busy) ~pipelined:false k in
+            jb.job_of_node.(id) <- j;
+            add_needs ~chain:(-1) id prof.in_need;
+            for v = p.Prepared.value_off.(id) to p.Prepared.value_off.(id + 1) - 1 do
+              add_out v prof.out_ready.(v - p.Prepared.value_off.(id))
+            done
+          done
+  done;
+  jb.need_off.(n_jobs) <- !next_need;
+  jb.out_off.(n_jobs) <- !next_out;
+  for j = 0 to n_jobs - 1 do
+    let w = ref jb.j_busy.(j) in
+    for k = jb.out_off.(j) to jb.out_off.(j + 1) - 1 do
+      w := max !w jb.out_at.(k)
+    done;
+    jb.j_weight.(j) <- !w
+  done;
+  jb
 
 and schedule_event cache (p : Prepared.t) ctx (cs : constraints) (d : Design.t) =
   let dfg = d.Design.dfg in
-  let n_nodes = p.Prepared.n_nodes in
-  let nv = p.Prepared.n_values in
-  let jobs = build_jobs_event cache p ctx d in
-  let n_jobs = Array.length jobs in
-  let job_of_node = Array.make n_nodes (-1) in
-  Array.iteri (fun j job -> Array.iter (fun id -> job_of_node.(id) <- j) job.e_members) jobs;
+  let jb = build_jobs cache p ctx d in
+  let n_jobs = jb.n_jobs and job_of_node = jb.job_of_node in
+  let n_insts = Array.length d.Design.insts in
   (* sanity: every op/call node must belong to a job *)
-  Array.iteri
-    (fun id (node : Dfg.node) ->
-      match node.Dfg.kind with
-      | Dfg.Op _ | Dfg.Call _ ->
-          if job_of_node.(id) < 0 then
-            invalid_arg (Printf.sprintf "Sched: node %s is unbound" node.Dfg.label)
-      | Dfg.Input | Dfg.Output | Dfg.Const _ | Dfg.Delay _ -> ())
-    dfg.Dfg.nodes;
-  let avail = Array.make nv (-1) in
+  Array.iter
+    (fun id ->
+      if job_of_node.(id) < 0 then
+        invalid_arg (Printf.sprintf "Sched: node %s is unbound" dfg.Dfg.nodes.(id).Dfg.label))
+    p.Prepared.exec_nodes;
+  let avail = Array.make p.Prepared.n_values (-1) in
   Array.iteri
     (fun pos input_id -> avail.(p.Prepared.value_off.(input_id)) <- cs.input_arrival.(pos))
     dfg.Dfg.inputs;
-  Array.iteri
-    (fun id (node : Dfg.node) ->
-      match node.Dfg.kind with
-      | Dfg.Const _ | Dfg.Delay _ -> avail.(p.Prepared.value_off.(id)) <- 0
-      | Dfg.Input | Dfg.Output | Dfg.Op _ | Dfg.Call _ -> ())
-    dfg.Dfg.nodes;
-  (* priorities: longest path to sink over the job DAG *)
-  let succs = Array.make n_jobs [] in
+  Array.iter (fun v -> avail.(v) <- 0) p.Prepared.fixed_values;
+  (* The job DAG as an edge list, then as successor slices. A data
+     edge runs from the producer of each need (its timing is read off
+     [avail]); a register anti-edge carries a gap: start ≥ start(pred)
+     + gap. Parallel edges stay, one per need or reader, because each
+     is one count in [preds_remaining]. *)
+  let cap = jb.need_off.(n_jobs) + Array.length p.Prepared.cons_node in
+  let e_src = Array.make cap 0 and e_dst = Array.make cap 0 and e_gap = Array.make cap 0 in
+  let n_edges = ref 0 in
   let preds_remaining = Array.make n_jobs 0 in
-  Array.iteri
-    (fun j job ->
-      Array.iter
-        (fun (v, _) ->
-          let pj = job_of_node.(p.Prepared.value_of.(v).Dfg.node) in
-          if pj >= 0 && pj <> j then begin
-            succs.(pj) <- j :: succs.(pj);
-            preds_remaining.(j) <- preds_remaining.(j) + 1
-          end)
-        job.e_needs)
-    jobs;
+  let add_edge src dst gap =
+    e_src.(!n_edges) <- src;
+    e_dst.(!n_edges) <- dst;
+    e_gap.(!n_edges) <- gap;
+    incr n_edges;
+    preds_remaining.(dst) <- preds_remaining.(dst) + 1
+  in
+  for j = 0 to n_jobs - 1 do
+    for k = jb.need_off.(j) to jb.need_off.(j + 1) - 1 do
+      let pj = job_of_node.(p.Prepared.value_node.(jb.need_val.(k))) in
+      if pj >= 0 && pj <> j then add_edge pj j no_gap
+    done
+  done;
   (* Register serialization (the paper's "variables that need to be
      stored in the [same] register" ordering edges): if values v1 then
      v2 live in one register, v2 may only be written after v1's last
-     read. Writing order follows the producers' topological positions.
-     Constraints become anti-edges (pred job, gap): start ≥
-     start(pred) + gap; constraints from input arrivals become static
-     lower bounds in [base_est]. *)
-  let base_est = Array.make n_jobs 0 in
-  let anti_in = Array.make n_jobs [] in
-  let add_anti ~pred ~job ~gap =
-    if pred <> job then begin
-      anti_in.(job) <- (pred, gap) :: anti_in.(job);
-      succs.(pred) <- job :: succs.(pred);
-      preds_remaining.(job) <- preds_remaining.(job) + 1
-    end
+     read. Writing order follows the producers' topological positions,
+     so walking [topo_values] meets each register's values in order.
+     Constraints from input arrivals become static lower bounds in
+     [lower]; the event loop later raises [lower] by each anti-edge as
+     its predecessor fires. *)
+  let lower = Array.make n_jobs 0 in
+  (* when job [j] makes [v] ready, relative to its start; 0 if it does
+     not make it *)
+  let ready_offset j v =
+    let rec find k =
+      if k >= jb.out_off.(j + 1) then 0
+      else if jb.out_val.(k) = v then jb.out_at.(k)
+      else find (k + 1)
+    in
+    find jb.out_off.(j)
   in
-  let out_off_of j value =
-    let outs = jobs.(j).e_outs in
-    let n = Array.length outs in
-    let rec find i =
-      if i >= n then 0
-      else
-        let v, off = outs.(i) in
-        if v = value then off else find (i + 1)
-    in
-    find 0
-  in
-  (* values per register, ascending (one sweep over value_reg) *)
-  let reg_values = Array.make (max 1 d.Design.n_regs) [] in
-  for v = Array.length d.Design.value_reg - 1 downto 0 do
-    let r = d.Design.value_reg.(v) in
-    if r >= 0 && r < d.Design.n_regs then reg_values.(r) <- v :: reg_values.(r)
-  done;
-  for r = 0 to d.Design.n_regs - 1 do
-    let values =
-      reg_values.(r)
-      |> List.sort (fun a b ->
-             let pa = p.Prepared.value_of.(a).Dfg.node in
-             let pb = p.Prepared.value_of.(b).Dfg.node in
-             compare (p.Prepared.topo_pos.(pa), a) (p.Prepared.topo_pos.(pb), b))
-    in
-    let rec pairs = function
-      | v1 :: (v2 :: _ as rest) ->
-          let writer2 = job_of_node.(p.Prepared.value_of.(v2).Dfg.node) in
-          let off2 = if writer2 >= 0 then out_off_of writer2 v2 else 0 in
-          if writer2 >= 0 then
-            Array.iter
-              (fun (dst, _port) ->
-                match dfg.Dfg.nodes.(dst).Dfg.kind with
-                | Dfg.Output | Dfg.Delay _ -> (
-                    (* the consumer reads v1 at its availability *)
-                    let j1 = job_of_node.(p.Prepared.value_of.(v1).Dfg.node) in
-                    if j1 >= 0 then add_anti ~pred:j1 ~job:writer2 ~gap:(out_off_of j1 v1 + 1 - off2)
-                    else
-                      (* v1 is an input/const/delay value: its read
-                         time equals its fixed availability *)
-                      base_est.(writer2) <- max base_est.(writer2) (avail.(v1) + 1 - off2))
-                | Dfg.Input | Dfg.Const _ | Dfg.Op _ | Dfg.Call _ ->
-                    let j = job_of_node.(dst) in
-                    if j >= 0 then begin
-                      let need =
-                        Array.fold_left
-                          (fun found (q, n) -> if q = v1 && n > found then n else found)
-                          0 jobs.(j).e_needs
-                      in
-                      add_anti ~pred:j ~job:writer2 ~gap:(need + 1 - off2)
-                    end)
-              p.Prepared.consumers.(v1);
-          pairs rest
-      | _ -> []
-    in
-    ignore (pairs values)
-  done;
-  let weight job = Array.fold_left (fun acc (_, off) -> max acc off) job.e_busy job.e_outs in
-  let prio = Array.make n_jobs 0 in
-  (* reverse topological order via Kahn on the reversed DAG *)
-  let order =
-    let indeg = Array.copy preds_remaining in
-    let q = Queue.create () in
-    Array.iteri (fun j c -> if c = 0 then Queue.add j q) indeg;
-    let out = ref [] in
-    while not (Queue.is_empty q) do
-      let j = Queue.pop q in
-      out := j :: !out;
-      List.iter
-        (fun s ->
-          indeg.(s) <- indeg.(s) - 1;
-          if indeg.(s) = 0 then Queue.add s q)
-        succs.(j)
+  let need_of j v =
+    let need = ref 0 in
+    for k = jb.need_off.(j) to jb.need_off.(j + 1) - 1 do
+      if jb.need_val.(k) = v && jb.need_at.(k) > !need then need := jb.need_at.(k)
     done;
-    !out (* reverse topological order *)
+    !need
   in
-  List.iter
-    (fun j ->
-      let best_succ = List.fold_left (fun acc s -> max acc prio.(s)) 0 succs.(j) in
-      prio.(j) <- weight jobs.(j) + best_succ)
-    order;
+  let add_anti ~pred ~job ~gap = if pred <> job then add_edge pred job gap in
+  let value_reg = d.Design.value_reg and n_regs = d.Design.n_regs in
+  let last_in_reg = Array.make (max 0 n_regs) (-1) in
+  Array.iter
+    (fun v2 ->
+      let r = if v2 < Array.length value_reg then value_reg.(v2) else -1 in
+      if r >= 0 && r < n_regs then begin
+        let v1 = last_in_reg.(r) in
+        last_in_reg.(r) <- v2;
+        let writer2 = job_of_node.(p.Prepared.value_node.(v2)) in
+        if v1 >= 0 && writer2 >= 0 then begin
+          let off2 = ready_offset writer2 v2 in
+          for c = p.Prepared.cons_off.(v1) to p.Prepared.cons_off.(v1 + 1) - 1 do
+            if p.Prepared.cons_at_avail.(c) then begin
+              (* an Output or Delay reads v1 at its availability *)
+              let j1 = job_of_node.(p.Prepared.value_node.(v1)) in
+              if j1 >= 0 then add_anti ~pred:j1 ~job:writer2 ~gap:(ready_offset j1 v1 + 1 - off2)
+              else
+                (* v1 is an input/const/delay value: its read time
+                   equals its fixed availability *)
+                lower.(writer2) <- max lower.(writer2) (avail.(v1) + 1 - off2)
+            end
+            else
+              let j = job_of_node.(p.Prepared.cons_node.(c)) in
+              if j >= 0 then add_anti ~pred:j ~job:writer2 ~gap:(need_of j v1 + 1 - off2)
+          done
+        end
+      end)
+    p.Prepared.topo_values;
+  let n_edges = !n_edges in
+  let succ_off = Array.make (n_jobs + 1) 0 in
+  for e = 0 to n_edges - 1 do
+    succ_off.(e_src.(e)) <- succ_off.(e_src.(e)) + 1
+  done;
+  for j = 1 to n_jobs do
+    succ_off.(j) <- succ_off.(j) + succ_off.(j - 1)
+  done;
+  let succ = Array.make n_edges 0 and succ_gap = Array.make n_edges 0 in
+  for e = n_edges - 1 downto 0 do
+    let c = succ_off.(e_src.(e)) - 1 in
+    succ_off.(e_src.(e)) <- c;
+    succ.(c) <- e_dst.(e);
+    succ_gap.(c) <- e_gap.(e)
+  done;
+  (* priorities: longest path to sink over the job DAG, in the reverse
+     of Kahn's order; jobs on a cycle (a register deadlock) are never
+     reached and keep 0 *)
+  let prio = Array.make n_jobs 0 in
+  let order = Array.make n_jobs 0 in
+  let indeg = Array.copy preds_remaining in
+  let n_ordered = ref 0 in
+  for j = 0 to n_jobs - 1 do
+    if indeg.(j) = 0 then begin
+      order.(!n_ordered) <- j;
+      incr n_ordered
+    end
+  done;
+  let head = ref 0 in
+  while !head < !n_ordered do
+    let j = order.(!head) in
+    incr head;
+    for k = succ_off.(j) to succ_off.(j + 1) - 1 do
+      let s = succ.(k) in
+      indeg.(s) <- indeg.(s) - 1;
+      if indeg.(s) = 0 then begin
+        order.(!n_ordered) <- s;
+        incr n_ordered
+      end
+    done
+  done;
+  for idx = !n_ordered - 1 downto 0 do
+    let j = order.(idx) in
+    let best_succ = ref 0 in
+    for k = succ_off.(j) to succ_off.(j + 1) - 1 do
+      best_succ := max !best_succ prio.(succ.(k))
+    done;
+    prio.(j) <- jb.j_weight.(j) + !best_succ
+  done;
   (* event-driven list scheduling: instead of scanning all jobs at
-     every cycle, keep (a) a ready queue of startable jobs keyed so the
+     every cycle, keep (a) a ready heap of startable jobs keyed so the
      minimum pops the legacy winner — highest priority, lowest job
      index — (b) a pending heap of jobs whose earliest start time lies
      in the future, and (c) a release heap of instance free times.
      Jobs popped while their instance is busy park on the instance and
-     re-enter the ready queue at its next release. *)
+     re-enter the ready heap at its next release. Each heap entry packs
+     its key and payload into one int, [key lsl bits lor payload].
+     Ready keys are injective, so the pop order exactly matches the
+     legacy argmax scan; pending and release entries may tie in any
+     order, because every entry due at time t moves to the ready heap
+     before the first ready pop at t. *)
   let start_of_job = Array.make n_jobs (-1) in
-  let est = Array.make n_jobs (-1) in
-  let free_from = Array.make (Array.length d.Design.insts) 0 in
+  let free_from = Array.make n_insts 0 in
   let compute_est j =
-    let data =
-      Array.fold_left
-        (fun acc (v, need) ->
-          let a = avail.(v) in
-          assert (a >= 0);
-          max acc (a - need))
-        base_est.(j) jobs.(j).e_needs
-    in
-    List.fold_left
-      (fun acc (pred, gap) ->
-        assert (start_of_job.(pred) >= 0);
-        max acc (start_of_job.(pred) + gap))
-      data anti_in.(j)
+    let est = ref lower.(j) in
+    for k = jb.need_off.(j) to jb.need_off.(j + 1) - 1 do
+      let a = avail.(jb.need_val.(k)) in
+      assert (a >= 0);
+      est := max !est (a - jb.need_at.(k))
+    done;
+    !est
   in
   let unscheduled = ref n_jobs in
-  let total_busy = Array.fold_left (fun acc job -> acc + job.e_busy) 0 jobs in
+  let total_busy = Array.fold_left ( + ) 0 jb.j_busy in
   let max_arrival = Array.fold_left max 0 cs.input_arrival in
-  let max_base = Array.fold_left max 0 base_est in
+  let max_base = Array.fold_left max 0 lower in
   let bound = total_busy + max_arrival + max_base + (3 * n_jobs) + 4 in
-  (* ready keys are injective — priority major, job index minor — so
-     the heap's insertion-order tie-break never engages and the pop
-     order exactly matches the legacy argmax scan *)
-  let ready_key j = (-prio.(j) * n_jobs) + j in
-  let ready = Pqueue.create () in
-  let pending = Pqueue.create () in
-  let releases = Pqueue.create () in
-  let parked = Array.make (Array.length d.Design.insts) [] in
+  let max_prio = Array.fold_left max 0 prio in
+  let ready = Int_heap.create n_jobs in
+  let pending = Int_heap.create n_jobs in
+  let releases = Int_heap.create n_jobs in
+  let job_bits = payload_bits n_jobs and inst_bits = payload_bits n_insts in
+  let job_mask = (1 lsl job_bits) - 1 and inst_mask = (1 lsl inst_bits) - 1 in
+  let push_ready j = Int_heap.push ready (((max_prio - prio.(j)) lsl job_bits) lor j) in
+  (* estimates are never negative: [lower] starts at 0 *)
+  let push_pending j est = Int_heap.push pending ((est lsl job_bits) lor j) in
+  (* parked jobs: a list per instance, threaded through [parked_next] *)
+  let parked = Array.make n_insts (-1) and parked_next = Array.make n_jobs (-1) in
   let pops = ref 0 in
-  Array.iteri
-    (fun j c ->
-      if c = 0 then begin
-        let e = compute_est j in
-        est.(j) <- e;
-        Pqueue.add pending ~key:e j
-      end)
-    preds_remaining;
+  for j = 0 to n_jobs - 1 do
+    if preds_remaining.(j) = 0 then push_pending j (compute_est j)
+  done;
   let unpark i =
-    let ps = parked.(i) in
-    parked.(i) <- [];
-    List.iter (fun q -> Pqueue.add ready ~key:(ready_key q) q) ps
+    let q = ref parked.(i) in
+    parked.(i) <- -1;
+    while !q >= 0 do
+      push_ready !q;
+      q := parked_next.(!q)
+    done
   in
   let fire j t =
-    let job = jobs.(j) in
     start_of_job.(j) <- t;
     decr unscheduled;
-    let free = t + if job.e_pipelined then 1 else job.e_busy in
-    free_from.(job.e_inst) <- free;
-    Array.iter (fun (v, off) -> avail.(v) <- t + off) job.e_outs;
-    List.iter
-      (fun s ->
-        preds_remaining.(s) <- preds_remaining.(s) - 1;
-        if preds_remaining.(s) = 0 then begin
-          let e = compute_est s in
-          est.(s) <- e;
-          if e <= t then Pqueue.add ready ~key:(ready_key s) s else Pqueue.add pending ~key:e s
-        end)
-      succs.(j);
-    if free > t then Pqueue.add releases ~key:free job.e_inst
+    let inst = jb.j_inst.(j) in
+    let free = t + if jb.j_pipelined.(j) then 1 else jb.j_busy.(j) in
+    free_from.(inst) <- free;
+    for k = jb.out_off.(j) to jb.out_off.(j + 1) - 1 do
+      avail.(jb.out_val.(k)) <- t + jb.out_at.(k)
+    done;
+    for k = succ_off.(j) to succ_off.(j + 1) - 1 do
+      let s = succ.(k) in
+      if succ_gap.(k) <> no_gap then lower.(s) <- max lower.(s) (t + succ_gap.(k));
+      preds_remaining.(s) <- preds_remaining.(s) - 1;
+      if preds_remaining.(s) = 0 then begin
+        let est = compute_est s in
+        if est <= t then push_ready s else push_pending s est
+      end
+    done;
+    if free > t then Int_heap.push releases ((free lsl inst_bits) lor inst)
     else
       (* zero-occupancy fire: the instance is already free again this
          cycle, so parked jobs compete at the current time *)
-      unpark job.e_inst
+      unpark inst
   in
   let deadlocked = ref false in
   while !unscheduled > 0 && not !deadlocked do
-    let next =
-      match Pqueue.peek pending, Pqueue.peek releases with
-      | None, None -> None
-      | Some (a, _), None -> Some a
-      | None, Some (b, _) -> Some b
-      | Some (a, _), Some (b, _) -> Some (min a b)
+    let next_pending =
+      if Int_heap.is_empty pending then max_int else Int_heap.top pending lsr job_bits
     in
-    match next with
-    | None -> deadlocked := true
-    | Some t when t > bound -> deadlocked := true
-    | Some t ->
-        let continue_pending = ref true in
-        while !continue_pending do
-          match Pqueue.peek pending with
-          | Some (e, _) when e <= t ->
-              (match Pqueue.pop pending with
-              | Some (_, j) ->
-                  incr pops;
-                  Pqueue.add ready ~key:(ready_key j) j
-              | None -> ())
-          | _ -> continue_pending := false
-        done;
-        let continue_releases = ref true in
-        while !continue_releases do
-          match Pqueue.peek releases with
-          | Some (ft, _) when ft <= t ->
-              (match Pqueue.pop releases with
-              | Some (_, i) ->
-                  incr pops;
-                  unpark i
-              | None -> ())
-          | _ -> continue_releases := false
-        done;
-        let continue_ready = ref true in
-        while !continue_ready do
-          match Pqueue.pop ready with
-          | None -> continue_ready := false
-          | Some (_, j) ->
-              incr pops;
-              if free_from.(jobs.(j).e_inst) <= t then fire j t
-              else parked.(jobs.(j).e_inst) <- j :: parked.(jobs.(j).e_inst)
-        done
+    let next_release =
+      if Int_heap.is_empty releases then max_int else Int_heap.top releases lsr inst_bits
+    in
+    let t = min next_pending next_release in
+    (* nothing left to wait for, or past every feasible finish *)
+    if t > bound then deadlocked := true
+    else begin
+      while (not (Int_heap.is_empty pending)) && Int_heap.top pending lsr job_bits <= t do
+        incr pops;
+        push_ready (Int_heap.pop pending land job_mask)
+      done;
+      while (not (Int_heap.is_empty releases)) && Int_heap.top releases lsr inst_bits <= t do
+        incr pops;
+        unpark (Int_heap.pop releases land inst_mask)
+      done;
+      while not (Int_heap.is_empty ready) do
+        incr pops;
+        let j = Int_heap.pop ready land job_mask in
+        let inst = jb.j_inst.(j) in
+        if free_from.(inst) <= t then fire j t
+        else begin
+          parked_next.(j) <- parked.(inst);
+          parked.(inst) <- j
+        end
+      done
+    end
   done;
   Atomic.incr c_schedules;
   ignore (Atomic.fetch_and_add c_events !pops);
+  let n_nodes = p.Prepared.n_nodes in
   if !unscheduled > 0 then
     (* ordering constraints (register serialization vs data order)
        deadlocked: the design point is simply not schedulable *)
     { start = Array.make n_nodes (-1); avail; makespan = bound; feasible = false }
   else begin
     let start = Array.make n_nodes (-1) in
-    Array.iteri
-      (fun j job -> Array.iter (fun id -> start.(id) <- start_of_job.(j)) job.e_members)
-      jobs;
     let makespan = ref 0 in
-    Array.iteri (fun j job -> makespan := max !makespan (start_of_job.(j) + weight job)) jobs;
-    let consume_time id =
-      let src = dfg.Dfg.nodes.(id).Dfg.ins.(0) in
-      avail.(Prepared.value_index p src)
-    in
-    Array.iteri
-      (fun id (node : Dfg.node) ->
-        match node.Dfg.kind with
-        | Dfg.Output | Dfg.Delay _ -> makespan := max !makespan (consume_time id)
-        | Dfg.Input | Dfg.Const _ | Dfg.Op _ | Dfg.Call _ -> ())
-      dfg.Dfg.nodes;
+    for j = 0 to n_jobs - 1 do
+      for k = jb.mem_off.(j) to jb.mem_off.(j + 1) - 1 do
+        start.(jb.mem.(k)) <- start_of_job.(j)
+      done;
+      makespan := max !makespan (start_of_job.(j) + jb.j_weight.(j))
+    done;
+    (* outputs and delays read their value at its availability *)
+    Array.iter (fun v -> makespan := max !makespan avail.(v)) p.Prepared.sink_values;
     let outputs_ok =
       match cs.output_deadline with
       | None -> true
       | Some deadlines ->
-          Array.for_all2 (fun output_id dl -> consume_time output_id <= dl) dfg.Dfg.outputs deadlines
+          Array.for_all2 (fun v dl -> avail.(v) <= dl) p.Prepared.output_values deadlines
     in
     let feasible = !makespan <= cs.deadline && outputs_ok in
     { start; avail; makespan = !makespan; feasible }
@@ -1006,44 +1161,32 @@ let schedule ?cache ?prepared ctx (cs : constraints) (d : Design.t) =
 
 let alap_start ?cache ctx ~deadline (d : Design.t) =
   let cache = or_transient cache in
-  let dfg = d.Design.dfg in
-  let p = prepared_in cache dfg in
-  let n_nodes = p.Prepared.n_nodes in
-  let jobs = build_jobs_event cache p ctx d in
-  let n_jobs = Array.length jobs in
-  let job_of_node = Array.make n_nodes (-1) in
-  Array.iteri (fun j job -> Array.iter (fun id -> job_of_node.(id) <- j) job.e_members) jobs;
-  let nv = p.Prepared.n_values in
-  (* latest time each value may become available *)
-  let latest_avail = Array.make nv deadline in
-  let job_latest = Array.make n_jobs deadline in
-  (* consumer constraints, processed in reverse topological node order *)
-  let order = p.Prepared.topo_order in
-  let tighten_value v t = if t < latest_avail.(v) then latest_avail.(v) <- t in
-  Array.iter
-    (fun id ->
-      let node = dfg.Dfg.nodes.(id) in
-      match node.Dfg.kind with
-      | Dfg.Output | Dfg.Delay _ -> tighten_value (Prepared.value_index p node.Dfg.ins.(0)) deadline
-      | Dfg.Input | Dfg.Const _ | Dfg.Op _ | Dfg.Call _ -> ())
-    order;
+  let p = prepared_in cache d.Design.dfg in
+  let jb = build_jobs cache p ctx d in
+  (* latest time each value may become available; outputs and delays
+     read theirs by the deadline, where every bound starts *)
+  let latest_avail = Array.make p.Prepared.n_values deadline in
+  let job_latest = Array.make jb.n_jobs deadline in
   (* walk jobs in reverse dependence order: node topo order reversed *)
+  let order = p.Prepared.topo_order in
   for idx = Array.length order - 1 downto 0 do
-    let id = order.(idx) in
-    let j = job_of_node.(id) in
+    let j = jb.job_of_node.(order.(idx)) in
     if j >= 0 then begin
-      let job = jobs.(j) in
-      let latest =
-        Array.fold_left (fun acc (v, off) -> min acc (latest_avail.(v) - off)) deadline job.e_outs
-      in
-      if latest < job_latest.(j) then job_latest.(j) <- latest;
-      Array.iter (fun (v, need) -> tighten_value v (job_latest.(j) + need)) job.e_needs
+      for k = jb.out_off.(j) to jb.out_off.(j + 1) - 1 do
+        job_latest.(j) <- min job_latest.(j) (latest_avail.(jb.out_val.(k)) - jb.out_at.(k))
+      done;
+      for k = jb.need_off.(j) to jb.need_off.(j + 1) - 1 do
+        let v = jb.need_val.(k) in
+        latest_avail.(v) <- min latest_avail.(v) (job_latest.(j) + jb.need_at.(k))
+      done
     end
   done;
-  let result = Array.make n_nodes (-1) in
-  Array.iteri
-    (fun j job -> Array.iter (fun id -> result.(id) <- max 0 job_latest.(j)) job.e_members)
-    jobs;
+  let result = Array.make p.Prepared.n_nodes (-1) in
+  for j = 0 to jb.n_jobs - 1 do
+    for k = jb.mem_off.(j) to jb.mem_off.(j + 1) - 1 do
+      result.(jb.mem.(k)) <- max 0 job_latest.(j)
+    done
+  done;
   result
 
 (* ------------------------------------------------------------------ *)

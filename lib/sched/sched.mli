@@ -48,10 +48,18 @@ type schedule = {
 
 (** {1 Kernel selection}
 
-    The event-driven kernel is the default. The original time-stepped
-    kernel is kept verbatim and selectable — [HSYN_SCHED=legacy] in the
-    environment at startup, or {!set_impl} at runtime — so differential
-    tests can prove the two produce bit-identical schedules. *)
+    The event-driven kernel is the default. It keeps its jobs, job
+    graph and queues in flat [int] arrays: jobs, members, needs, outputs
+    and successor edges as CSR slices, and the ready, pending and
+    release queues as allocation-free {!Hsyn_util.Int_heap}s over packed
+    [(key, payload)] ints. Time jumps from event to event. Jobs are
+    numbered by instance, then member node, and that number breaks
+    ready-queue ties, as the legacy kernel's argmax scan does.
+
+    The original time-stepped kernel is kept verbatim and selectable —
+    [HSYN_SCHED=legacy] in the environment at startup, or {!set_impl}
+    at runtime — so differential tests can prove the two produce
+    bit-identical schedules. *)
 
 type impl = Event | Legacy
 
@@ -60,10 +68,14 @@ val set_impl : impl -> unit
 
 (** {1 Prepared scheduling contexts}
 
-    Everything the scheduler needs that depends only on the DFG (value
-    numbering, topological order, consumer index) is hoisted into a
-    context built once per graph. Candidate designs produced by the
-    move loop share their graph physically, so one context serves
+    Everything the scheduler needs that depends only on the DFG is
+    hoisted into a context built once per graph: value numbering, each
+    node's input value ids, each value's readers and whether each
+    reads at a job's start or (an output or delay) at the value's
+    availability, the node kinds the kernel checks, and every value in
+    topological order of its producer, so that a register's write
+    order is read off instead of sorted. Candidate designs produced by
+    the move loop share their graph physically, so one context serves
     thousands of evaluations. *)
 
 module Prepared : sig

@@ -21,27 +21,7 @@ let checki = Alcotest.check Alcotest.int
 let ctx = Tu.ctx ()
 let _lib = Library.default
 
-let env ?(registry = Registry.create ()) ?(objective = Cost.Area) ?(deadline = 1000)
-    ?(complexes = Tu.no_complexes) (dfg : Dfg.t) =
-  let cs = Sched.relaxed ~deadline dfg in
-  let sampling_ns = Float.of_int deadline *. 20. in
-  let trace = Tu.trace dfg in
-  {
-    Moves.ctx;
-    cs;
-    sampling_ns;
-    trace;
-    objective;
-    engine = Engine.create ~ctx ~cs ~sampling_ns ~trace ~objective ();
-    registry;
-    complexes;
-    resynth = None;
-    max_candidates = 40;
-    allow_embed = true;
-    allow_split = true;
-    allow_rewrite = true;
-    fresh_names = 0;
-  }
+let env = Tu.moves_env
 
 let eval_of env d =
   Cost.evaluate env.Moves.ctx env.Moves.cs ~sampling_ns:env.Moves.sampling_ns
@@ -168,6 +148,7 @@ let test_move_b_resynthesizes_with_slack () =
         allow_split = true;
         allow_rewrite = true;
         fresh_names = 0;
+        rewrites = None;
       }
     in
     fst (Pass.improve e ~max_moves:4 ~max_passes:1 part)

@@ -197,6 +197,49 @@ let test_family_e_improves_avenhaus () =
   let on = value true and off = value false in
   if not (on < off) then Alcotest.failf "with E %.4f, without E %.4f: not strictly better" on off
 
+(* The gated candidates are a subsequence of a fresh [Rewrite.candidates]
+   of the design's graph: same descriptions, structurally equal graphs. *)
+let rec from_fresh cands fresh =
+  match cands, fresh with
+  | [], _ -> true
+  | _, [] -> false
+  | ((_, desc), (c : Hsyn_rtl.Design.t)) :: rest, (desc', g') :: fresh' ->
+      if desc = desc' && Dfg.equal c.Hsyn_rtl.Design.dfg g' then from_fresh rest fresh'
+      else from_fresh cands fresh'
+
+(* The move layer's memo: two calls on one env and design share the
+   rewritten graphs; a design over another graph gets its own. *)
+let test_memo_shares_rewrites () =
+  let module Design = Hsyn_rtl.Design in
+  let module Suite = Hsyn_benchmarks.Suite in
+  let b = Suite.avenhaus_cascade () in
+  let ctx = Tu.ctx () in
+  let d = Tu.initial ctx (Hsyn_dfg.Flatten.flatten b.Suite.registry b.Suite.dfg) in
+  let env = Tu.moves_env d.Design.dfg in
+  let run d = List.of_seq (Hsyn_core.Moves.rewrite_candidates env d) in
+  let descriptions = List.map (fun ((_, desc), _) -> desc) in
+  let first = run d in
+  let second = run d in
+  checkb "candidates" true (List.length first > 1);
+  checkb "same descriptions" true (descriptions first = descriptions second);
+  List.iter2
+    (fun ((_, desc), (c1 : Design.t)) (_, (c2 : Design.t)) ->
+      checkb (desc ^ ": graph shared") true (c1.Design.dfg == c2.Design.dfg))
+    first second;
+  checkb "equal to fresh rewrites" true (from_fresh first (Rewrite.candidates d.Design.dfg));
+  (* a design over another graph gets that graph's rewrites *)
+  let _, d' = List.hd first in
+  let third = run d' in
+  checkb "rewritten design has candidates" true (third <> []);
+  checkb "not the stale list" true (descriptions third <> descriptions first);
+  checkb "equal to the new graph's fresh rewrites" true
+    (from_fresh third (Rewrite.candidates d'.Design.dfg));
+  List.iter
+    (fun (_, (c3 : Design.t)) ->
+      checkb "no graph of the stale list" false
+        (List.exists (fun (_, (c1 : Design.t)) -> c1.Design.dfg == c3.Design.dfg) first))
+    third
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "rewrite"
@@ -221,5 +264,6 @@ let () =
           tc "all candidates valid + equivalent" test_all_candidates_sound;
           tc "kind attribution" test_kind_of_description;
         ] );
+      ("memo", [ tc "rewrites shared per graph" test_memo_shares_rewrites ]);
       ("synthesis", [ tc "family E improves avenhaus_cascade" test_family_e_improves_avenhaus ]);
     ]

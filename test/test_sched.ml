@@ -336,6 +336,58 @@ let prop_alap_dominates_asap =
         sch.Sched.start;
       !ok)
 
+(* Allocation guard: minor words per [Sched.schedule] call, made as
+   the engine makes it (a cache and the graph's prepared context), on
+   the largest flat graph: avenhaus_cascade's initial design, and its
+   area-optimized design at L.F. 1.2 under the benchmark's reduced
+   effort. The flat-array kernel measured 3 085 and 2 240 words a
+   call (OCaml 5.1, x86-64); the list-based kernel before it 16 011
+   and 12 404. The bounds leave about 13% for other compilers. *)
+let words_per_call ctx cs d =
+  let cache = Sched.Cache.create () in
+  let prepared = Sched.prepared_for ~cache d.Design.dfg in
+  ignore (Sched.schedule ~cache ~prepared ctx cs d);
+  let calls = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sched.schedule ~cache ~prepared ctx cs d)
+  done;
+  (Gc.minor_words () -. before) /. Float.of_int calls
+
+let test_allocation_bound () =
+  let module S = Hsyn_core.Synthesize in
+  let module Suite = Hsyn_benchmarks.Suite in
+  let b = Suite.avenhaus_cascade () in
+  let check what words bound =
+    if words > bound then Alcotest.failf "%s: %.0f minor words a call, bound %.0f" what words bound
+  in
+  let flat = Hsyn_dfg.Flatten.flatten b.Suite.registry b.Suite.dfg in
+  check "initial" (words_per_call ctx (Tu.relaxed_cs flat) (Tu.initial ctx flat)) 3_500.;
+  let config =
+    {
+      S.default_config with
+      S.max_moves = 6;
+      max_passes = 2;
+      max_candidates = 24;
+      trace_length = 8;
+      max_clocks = 2;
+      clib_effort =
+        { Hsyn_core.Clib.default_effort with Hsyn_core.Clib.max_moves = 4; max_passes = 1 };
+    }
+  in
+  let sampling_ns = 1.2 *. S.min_sampling_ns lib b.Suite.registry b.Suite.dfg in
+  match
+    Result.bind
+      (S.Request.make ~config ~flatten:true ~lib ~registry:b.Suite.registry ~dfg:b.Suite.dfg
+         ~objective:Hsyn_core.Cost.Area ~sampling_ns ())
+      S.synthesize
+  with
+  | Error msg -> Alcotest.failf "synthesis failed: %s" msg
+  | Ok r ->
+      let d = r.S.design in
+      let cs = Sched.relaxed ~deadline:r.S.deadline_cycles d.Design.dfg in
+      check "area-optimized" (words_per_call r.S.ctx cs d) 2_550.
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "sched"
@@ -371,4 +423,5 @@ let () =
           tc "critical path ignores delays" test_critical_path_ignores_delay_edges;
           tc "pp smoke" test_pp_schedule_smoke;
         ] );
+      ("alloc", [ tc "minor words per call" test_allocation_bound ]);
     ]

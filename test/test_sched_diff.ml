@@ -44,9 +44,17 @@ let diff_schedule what ctx d ~deadline =
   check_same_schedule (what ^ " event+prepared") event_p legacy;
   legacy
 
-(* Every built-in benchmark, three deadlines (relaxed, exactly the
-   relaxed makespan, and one cycle tighter — usually infeasible), two
-   technology contexts. *)
+(* Three deadlines: relaxed, exactly the relaxed makespan, and one
+   cycle tighter (usually infeasible). Returns the relaxed schedule. *)
+let diff_deadlines what ctx d =
+  let relaxed = diff_schedule what ctx d ~deadline:1_000 in
+  let m = relaxed.Sched.makespan in
+  ignore (diff_schedule (what ^ " tight") ctx d ~deadline:(max 1 m));
+  ignore (diff_schedule (what ^ " infeasible") ctx d ~deadline:(max 1 (m - 1)));
+  relaxed
+
+(* Every built-in benchmark, three deadlines, two technology
+   contexts. *)
 let test_suite_schedules () =
   List.iter
     (fun (b : Suite.t) ->
@@ -55,13 +63,57 @@ let test_suite_schedules () =
           let ctx = { Design.lib; vdd; clk_ns } in
           let d = Tu.initial ~registry:b.Suite.registry ctx b.Suite.dfg in
           let what = Printf.sprintf "%s@%.1fV" b.Suite.name vdd in
-          let relaxed = diff_schedule what ctx d ~deadline:1_000 in
-          checkb (what ^ ": relaxed feasible") true relaxed.Sched.feasible;
-          let m = relaxed.Sched.makespan in
-          ignore (diff_schedule (what ^ " tight") ctx d ~deadline:(max 1 m));
-          ignore (diff_schedule (what ^ " infeasible") ctx d ~deadline:(max 1 (m - 1))))
+          let relaxed = diff_deadlines what ctx d in
+          checkb (what ^ ": relaxed feasible") true relaxed.Sched.feasible)
         [ (5.0, 20.0); (3.3, 34.0) ])
     (Suite.all ())
+
+(* Whether some register holds two values, and whether some unit that
+   is not a chain runs two operations: what register anti-edges and
+   jobs parked on a busy unit need. The initial designs have neither. *)
+let shares_register (d : Design.t) =
+  let seen = Array.make (max 1 d.Design.n_regs) 0 in
+  Array.iter (fun r -> if r >= 0 then seen.(r) <- seen.(r) + 1) d.Design.value_reg;
+  Array.exists (fun n -> n > 1) seen
+
+let shares_unit (d : Design.t) =
+  let by_inst = Design.nodes_by_inst d in
+  Array.exists
+    (fun i ->
+      match d.Design.insts.(i), by_inst.(i) with
+      | Design.Simple fu, _ :: _ :: _ -> not (Hsyn_modlib.Fu.is_chain fu)
+      | _ -> false)
+    (Array.init (Array.length d.Design.insts) Fun.id)
+
+(* Diff every design of [Tu.neighbourhood d] at the three deadlines;
+   returns how many deadlocked (the infeasible record, no job started)
+   and how many shared a register. *)
+let diff_neighbourhood what ctx d =
+  let results =
+    List.mapi
+      (fun k n ->
+        let relaxed = diff_deadlines (Printf.sprintf "%s neighbour %d" what k) ctx n in
+        ( (not relaxed.Sched.feasible) && Array.for_all (fun s -> s < 0) relaxed.Sched.start,
+          shares_register n ))
+      (Tu.neighbourhood lib d)
+  in
+  let count f = List.length (List.filter f results) in
+  (count fst, count snd)
+
+(* The neighbourhoods of the initial designs move values into used
+   registers, which adds anti-edges and sometimes deadlocks. *)
+let test_neighbourhood_schedules () =
+  let ctx = Tu.ctx () in
+  let deadlocked, shared =
+    List.fold_left
+      (fun (dl, sh) (b : Suite.t) ->
+        let d = Tu.initial ~registry:b.Suite.registry ctx b.Suite.dfg in
+        let dl', sh' = diff_neighbourhood b.Suite.name ctx d in
+        (dl + dl', sh + sh'))
+      (0, 0) (Suite.all ())
+  in
+  checkb "some neighbour shares a register" true (shared > 0);
+  checkb "some neighbour deadlocks" true (deadlocked > 0)
 
 (* ALAP must never start a node before its ASAP slot, and must agree
    with ASAP on which nodes execute. *)
@@ -112,6 +164,37 @@ let synth impl (b : Suite.t) objective =
 
 let checkf what a b = Alcotest.check (Alcotest.float 1e-9) what a b
 
+(* Each suite behavior synthesized flat for area at L.F. 1.2, where
+   units are shared most, and its neighbourhood, which adds shared
+   registers (the final designs keep one register per value). *)
+let test_area_final_schedules () =
+  let shared_units = ref 0 and deadlocked = ref 0 and shared_regs = ref 0 in
+  List.iter
+    (fun (b : Suite.t) ->
+      let min_ns = S.min_sampling_ns lib b.Suite.registry b.Suite.dfg in
+      let r =
+        match
+          Result.bind
+            (S.Request.make ~config ~flatten:true ~lib ~registry:b.Suite.registry ~dfg:b.Suite.dfg
+               ~objective:Cost.Area ~sampling_ns:(1.2 *. min_ns) ())
+            S.synthesize
+        with
+        | Ok r -> r
+        | Error msg -> Alcotest.failf "synthesis of %s failed: %s" b.Suite.name msg
+      in
+      let d = r.S.design in
+      if shares_unit d then incr shared_units;
+      let what = b.Suite.name ^ " area final" in
+      let relaxed = diff_deadlines what r.S.ctx d in
+      checkb (what ^ ": relaxed feasible") true relaxed.Sched.feasible;
+      let dl, sh = diff_neighbourhood what r.S.ctx d in
+      deadlocked := !deadlocked + dl;
+      shared_regs := !shared_regs + sh)
+    (Suite.all ());
+  checkb "some final design shares a unit" true (!shared_units > 0);
+  checkb "some final neighbour shares a register" true (!shared_regs > 0);
+  checkb "some final neighbour deadlocks" true (!deadlocked > 0)
+
 let test_synthesis_equivalence () =
   List.iter
     (fun (b : Suite.t) ->
@@ -161,9 +244,13 @@ let () =
       ( "differential",
         [
           Alcotest.test_case "suite schedules" `Quick test_suite_schedules;
+          Alcotest.test_case "suite neighbourhoods" `Quick test_neighbourhood_schedules;
           Alcotest.test_case "alap vs asap" `Quick test_alap_vs_asap;
           Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
         ] );
       ( "synthesis",
-        [ Alcotest.test_case "end to end equivalence" `Slow test_synthesis_equivalence ] );
+        [
+          Alcotest.test_case "end to end equivalence" `Slow test_synthesis_equivalence;
+          Alcotest.test_case "area-optimized designs" `Quick test_area_final_schedules;
+        ] );
     ]

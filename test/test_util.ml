@@ -1,7 +1,7 @@
 (* Unit and property tests for the hsyn_util support library. *)
 
 module Rng = Hsyn_util.Rng
-module Pqueue = Hsyn_util.Pqueue
+module Int_heap = Hsyn_util.Int_heap
 module Bits = Hsyn_util.Bits
 module Union_find = Hsyn_util.Union_find
 module Stats = Hsyn_util.Stats
@@ -76,62 +76,69 @@ let test_rng_pick () =
       ignore (Rng.pick rng []))
 
 (* ------------------------------------------------------------------ *)
-(* Pqueue *)
+(* Int_heap *)
 
-let test_pqueue_ordering () =
-  let q = Pqueue.of_list [ (5, "e"); (1, "a"); (3, "c"); (2, "b"); (4, "d") ] in
-  let order = ref [] in
-  let rec drain () =
-    match Pqueue.pop q with
-    | Some (_, v) ->
-        order := v :: !order;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  check (Alcotest.list Alcotest.string) "sorted" [ "a"; "b"; "c"; "d"; "e" ] (List.rev !order)
+let drain h =
+  let acc = ref [] in
+  while not (Int_heap.is_empty h) do
+    acc := Int_heap.pop h :: !acc
+  done;
+  List.rev !acc
 
-let test_pqueue_fifo_ties () =
-  let q = Pqueue.create () in
-  Pqueue.add q ~key:1 "first";
-  Pqueue.add q ~key:1 "second";
-  Pqueue.add q ~key:1 "third";
-  let pop () = match Pqueue.pop q with Some (_, v) -> v | None -> "?" in
-  check Alcotest.string "tie order 1" "first" (pop ());
-  check Alcotest.string "tie order 2" "second" (pop ());
-  check Alcotest.string "tie order 3" "third" (pop ())
+let heap_of_list l =
+  let h = Int_heap.create 1 in
+  List.iter (Int_heap.push h) l;
+  h
 
-let test_pqueue_peek_and_length () =
-  let q = Pqueue.create () in
-  checkb "empty" true (Pqueue.is_empty q);
-  Pqueue.add q ~key:2 "x";
-  Pqueue.add q ~key:1 "y";
-  checki "length" 2 (Pqueue.length q);
-  (match Pqueue.peek q with
-  | Some (k, v) ->
-      checki "peek key" 1 k;
-      check Alcotest.string "peek value" "y" v
-  | None -> Alcotest.fail "expected peek");
-  checki "peek does not remove" 2 (Pqueue.length q)
+let test_heap_ordering () =
+  check (Alcotest.list Alcotest.int) "sorted" [ 1; 2; 3; 4; 5 ]
+    (drain (heap_of_list [ 5; 1; 3; 2; 4 ]))
 
-let test_pqueue_clear () =
-  let q = Pqueue.of_list [ (1, ()); (2, ()) ] in
-  Pqueue.clear q;
-  checkb "cleared" true (Pqueue.is_empty q)
+let test_heap_top_and_length () =
+  let h = Int_heap.create 4 in
+  checkb "empty" true (Int_heap.is_empty h);
+  Int_heap.push h 2;
+  Int_heap.push h 1;
+  checki "length" 2 (Int_heap.length h);
+  checki "top" 1 (Int_heap.top h);
+  checki "top does not remove" 2 (Int_heap.length h);
+  Alcotest.check_raises "pop of empty" (Invalid_argument "Int_heap.pop: empty heap") (fun () ->
+      ignore (Int_heap.pop (Int_heap.create 1)))
 
-let test_pqueue_to_sorted_list () =
-  let q = Pqueue.of_list [ (3, "c"); (1, "a"); (2, "b") ] in
-  let l = Pqueue.to_sorted_list q in
-  check (Alcotest.list Alcotest.string) "sorted copy" [ "a"; "b"; "c" ] (List.map snd l);
-  checki "queue unchanged" 3 (Pqueue.length q)
+let test_heap_clear () =
+  let h = heap_of_list [ 1; 2 ] in
+  Int_heap.clear h;
+  checkb "cleared" true (Int_heap.is_empty h);
+  Int_heap.push h 7;
+  checki "usable after clear" 7 (Int_heap.pop h)
 
-let prop_pqueue_sorts =
-  QCheck.Test.make ~name:"pqueue pops keys in nondecreasing order" ~count:200
-    QCheck.(list (pair small_int unit))
-    (fun items ->
-      let q = Pqueue.of_list items in
-      let keys = List.map fst (Pqueue.to_sorted_list q) in
-      List.sort compare keys = keys)
+let prop_heap_sorts =
+  QCheck.Test.make ~name:"drain equals List.sort of pushes" ~count:300
+    QCheck.(list (int_range (-50) 50))
+    (fun items -> drain (heap_of_list items) = List.sort compare items)
+
+(* the scheduler interleaves pushes and pops: each pop must return the
+   minimum of what is in the heap at that moment *)
+let prop_heap_model =
+  QCheck.Test.make ~name:"interleaved ops match a sorted list" ~count:300
+    QCheck.(list_of_size Gen.(int_bound 200) (option (int_range (-50) 50)))
+    (fun ops ->
+      let h = Int_heap.create 1 in
+      let model = ref [] in
+      List.for_all
+        (function
+          | Some x ->
+              Int_heap.push h x;
+              model := List.merge compare [ x ] !model;
+              true
+          | None -> (
+              match !model with
+              | [] -> Int_heap.is_empty h
+              | m :: rest ->
+                  model := rest;
+                  Int_heap.pop h = m))
+        ops
+      && Int_heap.length h = List.length !model)
 
 (* ------------------------------------------------------------------ *)
 (* Bits *)
@@ -299,14 +306,13 @@ let () =
           tc "shuffle permutes" test_rng_shuffle_permutes;
           tc "pick" test_rng_pick;
         ] );
-      ( "pqueue",
+      ( "int_heap",
         [
-          tc "ordering" test_pqueue_ordering;
-          tc "fifo ties" test_pqueue_fifo_ties;
-          tc "peek and length" test_pqueue_peek_and_length;
-          tc "clear" test_pqueue_clear;
-          tc "to_sorted_list" test_pqueue_to_sorted_list;
-          QCheck_alcotest.to_alcotest prop_pqueue_sorts;
+          tc "ordering" test_heap_ordering;
+          tc "top and length" test_heap_top_and_length;
+          tc "clear" test_heap_clear;
+          QCheck_alcotest.to_alcotest prop_heap_sorts;
+          QCheck_alcotest.to_alcotest prop_heap_model;
         ] );
       ( "bits",
         [
