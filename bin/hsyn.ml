@@ -220,9 +220,9 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
                 Printf.printf "\nevaluation engine (jobs %d, cache %d, staging %s):\n"
                   policy.Engine.jobs policy.Engine.cache_capacity
                   (if policy.Engine.staged then "on" else "off");
-                Format.printf "  total        %a@." Engine.pp_counters (Session.totals session);
+                Format.printf "  total        %a@." Session.pp_totals (Session.totals session);
                 List.iter
-                  (fun (fam, c) -> Format.printf "  %-12s %a@." fam Engine.pp_counters c)
+                  (fun (fam, c) -> Format.printf "  %-12s %a@." fam Session.pp_counters c)
                   (Session.family_totals session);
                 Format.printf "%a@." Sched.pp_stats (Sched.stats ());
                 Format.printf "%a@." Session.pp_stats (Session.stats session);

@@ -1,5 +1,6 @@
 module Design = Hsyn_rtl.Design
 module Sched = Hsyn_sched.Sched
+module Sealed = Hsyn_util.Sealed
 
 (* One persisted cost-cache entry. The design is stored alongside the
    fingerprint so a reloaded entry keeps the collision guarantee of the
@@ -47,24 +48,15 @@ let file_name ~lib_digest = Printf.sprintf "hsyn-cache-%s.bin" lib_digest
 let file_path ~dir ~lib_digest = Filename.concat dir (file_name ~lib_digest)
 
 let save ~dir ~lib_digest (p : payload) =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let file = file_path ~dir ~lib_digest in
-  let tmp = file ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc magic;
-      output_binary_int oc schema_version;
-      output_binary_int oc (String.length lib_digest);
-      output_string oc lib_digest;
-      Hsyn_util.Sealed.output oc p);
-  Sys.rename tmp file
-
-let save ~dir ~lib_digest p =
-  try Ok (save ~dir ~lib_digest p) with
-  | Sys_error msg -> Error msg
-  | Failure msg -> Error msg
+  try
+    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    Ok
+      (Sealed.write (file_path ~dir ~lib_digest) ~magic ~version:schema_version
+         ~header:(fun oc ->
+           output_binary_int oc (String.length lib_digest);
+           output_string oc lib_digest)
+         p)
+  with Sys_error msg | Failure msg -> Error msg
 
 (* [Ok None] means "no cache file for this library" — a cold start, not
    an error. Anything unreadable (bad magic, unsupported schema
@@ -72,35 +64,23 @@ let save ~dir ~lib_digest p =
    reported as [Error], which callers treat as a warning and skip. *)
 let load ~dir ~lib_digest:dg =
   let file = file_path ~dir ~lib_digest:dg in
+  let header ic =
+    let n = input_binary_int ic in
+    if n < 0 || n > 1024 then Error (Printf.sprintf "cache file %s is corrupt" file)
+    else if really_input_string ic n <> dg then
+      Error (Printf.sprintf "cache file %s is for a different library" file)
+    else Ok ()
+  in
   if not (Sys.file_exists file) then Ok None
   else
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let m = really_input_string ic (String.length magic) in
-        if m <> magic then Error (Printf.sprintf "%s is not an hsyn cache file" file)
-        else
-          let v = input_binary_int ic in
-          if v <> schema_version then
-            Error
-              (Printf.sprintf "cache file schema version %d unsupported (expected %d)" v
-                 schema_version)
-          else
-            let n = input_binary_int ic in
-            if n < 0 || n > 1024 then Error (Printf.sprintf "cache file %s is corrupt" file)
-            else
-              let d = really_input_string ic n in
-              if d <> dg then
-                Error (Printf.sprintf "cache file %s is for a different library" file)
-              else
-                match (Hsyn_util.Sealed.input ic : payload option) with
-                | Some p -> Ok (Some p)
-                | None ->
-                    Error (Printf.sprintf "cache file %s is corrupt (payload digest mismatch)" file))
-
-let load ~dir ~lib_digest =
-  try load ~dir ~lib_digest with
-  | End_of_file -> Error (Printf.sprintf "cache file under %s is truncated" dir)
-  | Sys_error msg -> Error msg
-  | Failure msg -> Error (Printf.sprintf "cache file under %s is corrupt: %s" dir msg)
+    (Sealed.read file ~magic ~version:schema_version ~header () : (payload, _) result)
+    |> Result.map Option.some
+    |> Result.map_error (function
+         | Sealed.Foreign -> Printf.sprintf "%s is not an hsyn cache file" file
+         | Version v ->
+             Printf.sprintf "cache file schema version %d unsupported (expected %d)" v
+               schema_version
+         | Corrupt -> Printf.sprintf "cache file %s is corrupt (payload digest mismatch)" file
+         | Truncated -> Printf.sprintf "cache file under %s is truncated" dir
+         | Header msg | Io msg -> msg
+         | Failed msg -> Printf.sprintf "cache file under %s is corrupt: %s" dir msg)

@@ -1,4 +1,5 @@
 module Design = Hsyn_rtl.Design
+module Sealed = Hsyn_util.Sealed
 
 type incumbent = {
   design : Design.t;
@@ -33,8 +34,10 @@ let magic = "HSYN-CKPT"
    v6: Pass.stats lost [log], which duplicated [committed]. All change
    the Marshal layout of the incumbent record.
    v7: the snapshot is sealed ([Hsyn_util.Sealed]) with a digest of its
-   bytes, checked before unmarshalling. *)
-let schema_version = 7
+   bytes, checked before unmarshalling.
+   v8: Pass.stats lost [reverted] and [engine_families], which nothing
+   read. *)
+let schema_version = 8
 
 let compatible t ~dfg_name ~objective ~sampling_ns ~flattened =
   if t.dfg_name <> dfg_name then
@@ -50,40 +53,18 @@ let compatible t ~dfg_name ~objective ~sampling_ns ~flattened =
   else if t.flattened <> flattened then Error "checkpoint mode (hier/flat) does not match"
   else Ok ()
 
-let save path t =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc magic;
-      output_binary_int oc schema_version;
-      Hsyn_util.Sealed.output oc t);
-  Sys.rename tmp path
+let save path (t : t) = Sealed.write path ~magic ~version:schema_version t
 
 let load path =
   if not (Sys.file_exists path) then Error (Printf.sprintf "no checkpoint at %s" path)
   else
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let m = really_input_string ic (String.length magic) in
-        if m <> magic then Error (Printf.sprintf "%s is not an hsyn checkpoint" path)
-        else
-          let v = input_binary_int ic in
-          if v <> schema_version then
-            Error
-              (Printf.sprintf "checkpoint schema version %d unsupported (expected %d)" v
-                 schema_version)
-          else
-            match (Hsyn_util.Sealed.input ic : t option) with
-            | Some t -> Ok t
-            | None ->
-                Error (Printf.sprintf "checkpoint %s is corrupt (payload digest mismatch)" path))
-
-let load path =
-  try load path with
-  | End_of_file -> Error (Printf.sprintf "checkpoint %s is truncated" path)
-  | Sys_error msg -> Error msg
-  | Failure msg -> Error (Printf.sprintf "checkpoint %s is corrupt: %s" path msg)
+    (Sealed.read path ~magic ~version:schema_version () : (t, _) result)
+    |> Result.map_error (function
+         | Sealed.Foreign -> Printf.sprintf "%s is not an hsyn checkpoint" path
+         | Version v ->
+             Printf.sprintf "checkpoint schema version %d unsupported (expected %d)" v
+               schema_version
+         | Corrupt -> Printf.sprintf "checkpoint %s is corrupt (payload digest mismatch)" path
+         | Truncated -> Printf.sprintf "checkpoint %s is truncated" path
+         | Header msg | Io msg -> msg
+         | Failed msg -> Printf.sprintf "checkpoint %s is corrupt: %s" path msg)

@@ -11,18 +11,11 @@ type effort = {
   max_moves : int;
   max_passes : int;
   max_candidates : int;
-  trace : int array list -> int array list;
   engine : Engine.policy;
 }
 
 let default_effort =
-  {
-    max_moves = 6;
-    max_passes = 2;
-    max_candidates = 24;
-    trace = Fun.id;
-    engine = Engine.default_policy;
-  }
+  { max_moves = 6; max_passes = 2; max_candidates = 24; engine = Engine.default_policy }
 
 let lookup (t : t) behavior = match Hashtbl.find_opt t behavior with Some l -> l | None -> []
 
@@ -54,9 +47,8 @@ let synthesize_variant ?session ?token ctx registry clib ~rng ~trace_length ~eff
   let sch0 = Sched.schedule ?cache:sched_cache ctx relaxed initial in
   let fast_span = max 1 sch0.Sched.makespan in
   let trace =
-    effort.trace
-      (Trace.generate (Rng.split rng) Trace.default_kind
-         ~n_inputs:(Array.length variant.Dfg.inputs) ~length:trace_length)
+    Trace.generate (Rng.split rng) Trace.default_kind ~n_inputs:(Array.length variant.Dfg.inputs)
+      ~length:trace_length
   in
   let optimize objective deadline =
     let sampling_ns = Float.of_int deadline *. ctx.Design.clk_ns in

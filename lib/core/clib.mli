@@ -19,8 +19,6 @@ type effort = {
   max_moves : int;
   max_passes : int;
   max_candidates : int;
-  trace : int array list -> int array list;
-      (** trims/extends the caller trace; identity by default *)
   engine : Engine.policy;  (** evaluation-engine policy for library synthesis *)
 }
 

@@ -8,8 +8,8 @@
 
     - {b memoization} — a structural fingerprint of the design
       ({!Hsyn_rtl.Design.fingerprint}) keys a bounded cost cache, so
-      candidates re-generated across passes and across the A/B/C/D
-      move families are never re-scheduled or re-simulated. Hits are
+      candidates re-generated across passes and across the move
+      families are never re-scheduled or re-simulated. Hits are
       verified by structural equality, making collisions harmless.
     - {b staged evaluation} — scheduling feasibility and area are
       computed first; in power mode the expensive trace simulation
@@ -22,35 +22,32 @@
       sized by [HSYN_JOBS] / [--jobs], falling back to plain
       sequential evaluation at [jobs = 1].
 
+    {b One path.} {!evaluate}, {!evaluate_with_power} and {!best_of}
+    share one probe-and-fill routine: it fingerprints and probes a set
+    of designs (one design for a single evaluation, the candidates of
+    a batch otherwise), runs stage one for the misses — on the pool
+    when there are several — and inserts them. Each design is probed
+    on its own, so duplicates within one batch are each a miss. A
+    single evaluation then fills in the power stage when it needs it,
+    replaying the stage-one schedule of a miss; a batch simulates its
+    unfinished power candidates in waves. A single evaluation never
+    polls the budget.
+
     Results are bit-identical to direct {!Cost.evaluate} calls and
-    independent of the pool size; per-family counters make the cache
-    and staging behavior observable ([hsyn synth --stats], the bench
-    harness JSON). *)
+    independent of the pool size.
+
+    {b What the engine counts.} Each evaluation adds a delta of
+    {!Session.counters} to the engine's own totals ({!counters}), to
+    its session's totals, and, for batch candidates, to the session's
+    per-family totals under the candidate's [family] label
+    ({!Session.family_totals}); with metrics enabled it also adds it
+    to the [engine.*] counters. Generated candidates, hits, misses,
+    evictions, simulations and skips of a batch are attributed to the
+    family; batches, engine wall time and the work of single
+    evaluations are not. *)
 
 module Design = Hsyn_rtl.Design
 module Sched = Hsyn_sched.Sched
-
-type counters = Session.counters = {
-  generated : int;  (** candidates pulled from the move generators *)
-  evaluated : int;  (** schedule+area stages actually computed *)
-  cache_hits : int;
-  cache_misses : int;
-  evictions : int;  (** cache entries dropped to respect capacity *)
-  power_sims : int;  (** trace simulations actually run *)
-  power_skipped : int;  (** simulations avoided by the staged bound *)
-  batches : int;  (** [best_of] calls *)
-  disk_hits : int;  (** cache hits served by persisted entries ([Session.load_into]) *)
-  wall_s : float;  (** wall time spent inside the engine *)
-}
-
-val zero : counters
-val add : counters -> counters -> counters
-val sub : counters -> counters -> counters
-(** Fieldwise difference — [sub after before] is the delta of an
-    interval, used to attribute engine work to one improvement run. *)
-
-val pp_counters : Format.formatter -> counters -> unit
-(** One-line summary incl. hit rate and skip rate. *)
 
 type policy = {
   jobs : int;  (** parallelism degree; 1 = sequential, no domains *)
@@ -102,7 +99,8 @@ val evaluate : t -> Design.t -> Cost.eval
 val evaluate_with_power : t -> Design.t -> Cost.eval
 (** Memoized equivalent of [Cost.evaluate ~with_power:true] regardless
     of the objective — for final result reporting. A cached area-only
-    entry is upgraded in place (only the simulation runs). *)
+    entry is upgraded in place (only the simulation runs); a miss
+    schedules the design once for both stages. *)
 
 val best_of :
   t ->
@@ -115,14 +113,11 @@ val best_of :
     and return the feasible candidate minimizing the objective, with
     its evaluation and objective value. Ties go to the earliest
     candidate, matching a sequential fold; the result does not depend
-    on [jobs]. [family] labels candidates for per-move-family
-    counters. *)
+    on [jobs]. [family] labels candidates for the session's
+    per-family counters. *)
 
-val counters : t -> counters
+val counters : t -> Session.counters
 (** Snapshot of this engine's totals. *)
-
-val family_counters : t -> (string * counters) list
-(** Per-family snapshots, sorted by family name. *)
 
 val cache_size : t -> int
 (** Resident entries in this engine's context slice of the session

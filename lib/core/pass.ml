@@ -17,24 +17,19 @@ type stats = {
   moves_tried : int;
   interrupted : bool;
   committed : committed_move list;
-  reverted : (string * int) list;
   rewrite_kinds : (string * int) list;
-  engine : Engine.counters;
-  engine_families : (string * Engine.counters) list;
+  engine : Session.counters;
   sched : Sched.stats;
 }
 
-let bump_reverted reverted fam n =
-  if n = 0 then reverted
-  else
-    let cur = Option.value ~default:0 (List.assoc_opt fam reverted) in
-    (fam, cur + n) :: List.remove_assoc fam reverted
+let incr_count counts key =
+  let cur = Option.value ~default:0 (List.assoc_opt key counts) in
+  (key, cur + 1) :: List.remove_assoc key counts
 
 let improve ?token ?(in_quota = false) ?on_pass ?on_commit (env : Moves.env) ~max_moves
     ~max_passes d0 =
   let eng = env.Moves.engine in
   let before = Engine.counters eng in
-  let fam_before = Engine.family_counters eng in
   let sched_before = Sched.stats () in
   let value d = Cost.objective_value env.Moves.objective (Engine.evaluate eng d) in
   let stats =
@@ -45,10 +40,8 @@ let improve ?token ?(in_quota = false) ?on_pass ?on_commit (env : Moves.env) ~ma
         moves_tried = 0;
         interrupted = false;
         committed = [];
-        reverted = [];
         rewrite_kinds = [];
-        engine = Engine.zero;
-        engine_families = [];
+        engine = Session.zero;
         sched = Sched.zero_stats;
       }
   in
@@ -66,15 +59,7 @@ let improve ?token ?(in_quota = false) ?on_pass ?on_commit (env : Moves.env) ~ma
   in
   let finish current =
     (* attribute to this run the engine work done since it started *)
-    let delta = Engine.sub (Engine.counters eng) before in
-    let fam_delta =
-      Engine.family_counters eng
-      |> List.map (fun (f, c) ->
-             match List.assoc_opt f fam_before with
-             | Some b -> (f, Engine.sub c b)
-             | None -> (f, c))
-      |> List.filter (fun (_, (c : Engine.counters)) -> c.Engine.generated > 0)
-    in
+    let delta = Session.sub (Engine.counters eng) before in
     let sched_delta = Sched.sub_stats (Sched.stats ()) sched_before in
     (* per-rewrite-kind attribution of committed family-E moves,
        classified from the description's kind prefix (the single
@@ -84,20 +69,12 @@ let improve ?token ?(in_quota = false) ?on_pass ?on_commit (env : Moves.env) ~ma
       List.fold_left
         (fun acc (m : committed_move) ->
           if m.cm_family = rewrite_family then
-            bump_reverted acc (Hsyn_dfg.Rewrite.kind_of_description m.cm_description) 1
+            incr_count acc (Hsyn_dfg.Rewrite.kind_of_description m.cm_description)
           else acc)
         [] !stats.committed
       |> List.sort compare
     in
-    ( current,
-      {
-        !stats with
-        reverted = List.sort compare !stats.reverted;
-        rewrite_kinds;
-        engine = delta;
-        engine_families = fam_delta;
-        sched = sched_delta;
-      } )
+    (current, { !stats with rewrite_kinds; engine = delta; sched = sched_delta })
   in
   if value d0 = infinity then finish d0
   else begin
@@ -184,31 +161,19 @@ let improve ?token ?(in_quota = false) ?on_pass ?on_commit (env : Moves.env) ~ma
                           best_prefix_seq := !seq
                         end))
           done;
-          (* tentative moves beyond the committed prefix are reverted *)
-          let n_reverted = List.length !seq - List.length !best_prefix_seq in
           let committed_now =
             if !best_prefix_gain > 1e-9 then List.rev !best_prefix_seq else []
           in
-          let n_reverted =
-            if committed_now = [] then List.length !seq else n_reverted
-          in
-          let dropped =
-            (* newest-first list: reverted moves are its first [n_reverted] *)
-            List.filteri (fun i _ -> i < n_reverted) !seq
-          in
-          stats :=
-            {
-              !stats with
-              reverted =
-                List.fold_left
-                  (fun acc (m : committed_move) -> bump_reverted acc m.cm_family 1)
-                  !stats.reverted dropped;
-            };
-          if Metrics.is_enabled () then
-            List.iter
-              (fun (m : committed_move) ->
-                Metrics.incr (Metrics.counter ("moves.reverted." ^ m.cm_family)))
-              dropped;
+          (* tentative moves beyond the committed prefix are reverted;
+             [!seq] is newest first, so they are its first entries *)
+          if Metrics.is_enabled () then begin
+            let n_reverted = List.length !seq - List.length committed_now in
+            List.iteri
+              (fun i (m : committed_move) ->
+                if i < n_reverted then
+                  Metrics.incr (Metrics.counter ("moves.reverted." ^ m.cm_family)))
+              !seq
+          end;
           if committed_now <> [] then begin
             current := !best_prefix;
             stats :=

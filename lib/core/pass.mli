@@ -32,19 +32,14 @@ type stats = {
   committed : committed_move list;
       (** the committed moves, oldest first — the raw material of the
           flight recorder's gain attribution *)
-  reverted : (string * int) list;
-      (** per family, tentative moves tried but rolled back (beyond
-          the committed prefix of their pass); sorted by family *)
   rewrite_kinds : (string * int) list;
       (** committed family-E moves per rewrite kind (see
           {!Hsyn_dfg.Rewrite.kinds}), classified from the move
           description's kind prefix; sorted by kind, kinds with no
           commits omitted *)
-  engine : Engine.counters;
+  engine : Session.counters;
       (** engine work attributed to this improvement run (delta over
           the run, not process totals) *)
-  engine_families : (string * Engine.counters) list;
-      (** same, per move family, families with no candidates omitted *)
   sched : Hsyn_sched.Sched.stats;
       (** scheduler-kernel work attributed to this improvement run
           (delta over the run, not process totals) *)

@@ -64,13 +64,14 @@ let rate num denom = if denom <= 0 then 0. else 100. *. Float.of_int num /. Floa
 
 let pp_counters ppf c =
   Format.fprintf ppf
-    "gen %d  eval %d  cache %d/%d (%.1f%% hit)  disk %d  evict %d  sims %d  skipped %d (%.1f%%)  batches %d  %.3fs"
+    "gen %d  eval %d  cache %d/%d (%.1f%% hit)  disk %d  evict %d  sims %d  skipped %d (%.1f%%)"
     c.generated c.evaluated c.cache_hits
     (c.cache_hits + c.cache_misses)
     (rate c.cache_hits (c.cache_hits + c.cache_misses))
     c.disk_hits c.evictions c.power_sims c.power_skipped
     (rate c.power_skipped (c.power_sims + c.power_skipped))
-    c.batches c.wall_s
+
+let pp_totals ppf c = Format.fprintf ppf "%a  batches %d  %.3fs" pp_counters c c.batches c.wall_s
 
 (* -- cost cache entries ------------------------------------------------- *)
 
@@ -139,17 +140,16 @@ module Ctx_tbl = Shard_tbl.Make (Ctx_key)
 type t = {
   sc : Sched.Cache.t;
   contexts : cost_cache Ctx_tbl.t;
-  cost_shards : int;
   acc_lock : Mutex.t;
   mutable acc_totals : counters;
   acc_families : (string, counters) Hashtbl.t;
 }
 
-let create ?(cost_shards = 8) ?(max_contexts = 64) ?prepared_capacity ?profile_capacity () =
+let create () =
   {
-    sc = Sched.Cache.create ?prepared_capacity ?profile_capacity ();
-    contexts = Ctx_tbl.create ~shards:4 ~capacity:max_contexts ();
-    cost_shards;
+    sc = Sched.Cache.create ();
+    (* at most 64 contexts keep a live cost cache (FIFO beyond that) *)
+    contexts = Ctx_tbl.create ~shards:4 ~capacity:64 ();
     acc_lock = Mutex.create ();
     acc_totals = zero;
     acc_families = Hashtbl.create 16;
@@ -179,12 +179,6 @@ let family_totals t =
   Mutex.unlock t.acc_lock;
   List.sort (fun (a, _) (b, _) -> compare a b) l
 
-let reset_totals t =
-  Mutex.lock t.acc_lock;
-  t.acc_totals <- zero;
-  Hashtbl.reset t.acc_families;
-  Mutex.unlock t.acc_lock
-
 let cost_cache t ~capacity ~ctx ~cs ~sampling_ns ~trace =
   let key =
     {
@@ -197,7 +191,7 @@ let cost_cache t ~capacity ~ctx ~cs ~sampling_ns ~trace =
     }
   in
   Ctx_tbl.find_or_build t.contexts key (fun _ ->
-      Cost_tbl.create ~shards:t.cost_shards ~capacity ())
+      Cost_tbl.create ~shards:8 ~capacity ())
 
 let cost_find cache fp design =
   match Cost_tbl.find_opt cache fp with

@@ -37,43 +37,44 @@ module Shard_tbl = Hsyn_util.Shard_tbl
 (** {1 Evaluation counters}
 
     Owned here (rather than by [Engine]) so the session can aggregate
-    across every engine created against it; [Engine] re-exports the
-    record for compatibility. *)
+    across every engine created against it. *)
 
 type counters = {
-  generated : int;
-  evaluated : int;
+  generated : int;  (** candidates pulled from the move generators *)
+  evaluated : int;  (** schedule+area stages actually computed *)
   cache_hits : int;
   cache_misses : int;
-  evictions : int;
-  power_sims : int;
-  power_skipped : int;
-  batches : int;
+  evictions : int;  (** cache entries dropped to respect capacity *)
+  power_sims : int;  (** trace simulations actually run *)
+  power_skipped : int;  (** simulations avoided by the staged bound *)
+  batches : int;  (** [Engine.best_of] calls; never attributed to a family *)
   disk_hits : int;  (** cache hits served by entries loaded from disk *)
-  wall_s : float;
+  wall_s : float;  (** wall time spent in batches; never attributed to a family *)
 }
 
 val zero : counters
 val add : counters -> counters -> counters
+
 val sub : counters -> counters -> counters
+(** Fieldwise difference — [sub after before] is the delta of an
+    interval, used to attribute engine work to one improvement run. *)
+
 val pp_counters : Format.formatter -> counters -> unit
+(** One [--stats] row of per-family counters, with hit and skip rates:
+    every field but [batches] and [wall_s], which no family owns. *)
+
+val pp_totals : Format.formatter -> counters -> unit
+(** The [--stats] total row: {!pp_counters}, then [batches] and
+    [wall_s]. *)
 
 (** {1 Sessions} *)
 
 type t
 
-val create :
-  ?cost_shards:int ->
-  ?max_contexts:int ->
-  ?prepared_capacity:int ->
-  ?profile_capacity:int ->
-  unit ->
-  t
-(** [cost_shards] (default 8) shards each per-context cost cache;
-    [max_contexts] (default 64) bounds the number of distinct
-    evaluation contexts with live cost caches (FIFO beyond that);
-    the two capacities size the scheduler cache (see
-    {!Sched.Cache.create}). *)
+val create : unit -> t
+(** An empty session: at most 64 evaluation contexts keep a live cost
+    cache (FIFO beyond that), each in 8 shards, and the scheduler
+    cache has {!Sched.Cache.create}'s sizes. *)
 
 val sched_cache : t -> Sched.Cache.t
 (** The scheduler-side cache (prepared contexts, module profiles) this
@@ -90,8 +91,6 @@ val totals : t -> counters
 
 val family_totals : t -> (string * counters) list
 (** Sorted by family name. *)
-
-val reset_totals : t -> unit
 
 (** {1 The cost cache}
 

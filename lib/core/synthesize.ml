@@ -192,19 +192,19 @@ module Result = struct
 
   let schema_version = 1
 
-  let counters_json (c : Engine.counters) =
+  let counters_json (c : Session.counters) =
     Json.Obj
       [
-        ("generated", Json.Int c.Engine.generated);
-        ("evaluated", Json.Int c.Engine.evaluated);
-        ("cache_hits", Json.Int c.Engine.cache_hits);
-        ("cache_misses", Json.Int c.Engine.cache_misses);
-        ("evictions", Json.Int c.Engine.evictions);
-        ("power_sims", Json.Int c.Engine.power_sims);
-        ("power_skipped", Json.Int c.Engine.power_skipped);
-        ("batches", Json.Int c.Engine.batches);
-        ("disk_hits", Json.Int c.Engine.disk_hits);
-        ("wall_s", Json.Float c.Engine.wall_s);
+        ("generated", Json.Int c.Session.generated);
+        ("evaluated", Json.Int c.Session.evaluated);
+        ("cache_hits", Json.Int c.Session.cache_hits);
+        ("cache_misses", Json.Int c.Session.cache_misses);
+        ("evictions", Json.Int c.Session.evictions);
+        ("power_sims", Json.Int c.Session.power_sims);
+        ("power_skipped", Json.Int c.Session.power_skipped);
+        ("batches", Json.Int c.Session.batches);
+        ("disk_hits", Json.Int c.Session.disk_hits);
+        ("wall_s", Json.Float c.Session.wall_s);
       ]
 
   let to_json_value (r : t) =

@@ -183,7 +183,7 @@ and module_area_rec cache ctx (rm : Design.rtl_module) =
 
 let or_transient = function
   | Some c -> c
-  | None -> Hsyn_sched.Sched.Cache.create ~shards:1 ~prepared_capacity:64 ~profile_capacity:256 ()
+  | None -> Hsyn_sched.Sched.Cache.transient ()
 
 let datapath ?sched_cache ctx d = datapath_of_parts (or_transient sched_cache) ctx [ d ]
 

@@ -212,7 +212,7 @@ let rec energy_rec cache ~top ctx (sch : Sched.schedule) (design : Design.t) inv
 
 let or_transient = function
   | Some c -> c
-  | None -> Sched.Cache.create ~shards:1 ~prepared_capacity:64 ~profile_capacity:256 ()
+  | None -> Sched.Cache.transient ()
 
 let energy_per_sample ?sched_cache ?sched ctx cs design invocations =
   match invocations with

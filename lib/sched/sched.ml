@@ -316,7 +316,7 @@ module Cache = struct
 
   type cache_stats = { prepared_tbl : Shard_tbl.stats; profile_tbl : Shard_tbl.stats }
 
-  let create ?(shards = 8) ?(prepared_capacity = 256) ?(profile_capacity = 1024) () =
+  let make ~shards ~prepared_capacity ~profile_capacity =
     {
       prepared =
         Prep_tbl.create ~shards ~eviction:Shard_tbl.Second_chance ~capacity:prepared_capacity ();
@@ -327,7 +327,8 @@ module Cache = struct
   let stats t =
     { prepared_tbl = Prep_tbl.stats t.prepared; profile_tbl = Prof_tbl.stats t.profiles }
 
-  let transient () = create ~shards:1 ~prepared_capacity:64 ~profile_capacity:256 ()
+  let create () = make ~shards:8 ~prepared_capacity:256 ~profile_capacity:1024
+  let transient () = make ~shards:1 ~prepared_capacity:64 ~profile_capacity:256
 end
 
 let or_transient = function Some c -> c | None -> Cache.transient ()

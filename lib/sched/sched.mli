@@ -110,9 +110,13 @@ module Cache : sig
     profile_tbl : Hsyn_util.Shard_tbl.stats;
   }
 
-  val create : ?shards:int -> ?prepared_capacity:int -> ?profile_capacity:int -> unit -> t
-  (** Defaults: 8 shards per table, 256 prepared contexts, 1024
-      profiles; both tables use second-chance (clock) eviction. *)
+  val create : unit -> t
+  (** 8 shards per table, 256 prepared contexts, 1024 profiles; both
+      tables use second-chance (clock) eviction. *)
+
+  val transient : unit -> t
+  (** A small single-shard cache (64 prepared contexts, 256 profiles)
+      for one call of an entry point that was given none. *)
 
   val stats : t -> cache_stats
 end

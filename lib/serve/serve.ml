@@ -313,9 +313,9 @@ let source_name = function
 let doc_digest doc =
   String.sub (Digest.to_hex (Digest.string (Json.to_string (Wire.doc_to_json doc)))) 0 12
 
-let cache_hit_rate (c : Engine.counters) =
-  let total = c.Engine.cache_hits + c.Engine.cache_misses in
-  if total = 0 then 0. else Float.of_int c.Engine.cache_hits /. Float.of_int total
+let cache_hit_rate (c : Session.counters) =
+  let total = c.Session.cache_hits + c.Session.cache_misses in
+  if total = 0 then 0. else Float.of_int c.Session.cache_hits /. Float.of_int total
 
 (* Per-request outcome counter, labeled by objective/status (and
    tenant when the document names one). Cardinality is bounded by

@@ -435,7 +435,7 @@ let rec ref_energy_rec cache ~top ctx (cs : Sched.constraints) (design : Design.
 
 let or_transient = function
   | Some c -> c
-  | None -> Sched.Cache.create ~shards:1 ~prepared_capacity:64 ~profile_capacity:256 ()
+  | None -> Sched.Cache.transient ()
 
 let ref_energy_per_sample ?sched_cache ctx cs design invocations =
   ref_energy_rec (or_transient sched_cache) ~top:true ctx cs design invocations

@@ -84,8 +84,8 @@ let test_roundtrip () =
   let v' = Engine.evaluate eb d in
   checkb "bit-identical across the disk round trip" true (same_eval v v');
   let c = Engine.counters eb in
-  checki "hit served from disk" 1 c.Engine.disk_hits;
-  checki "nothing recomputed" 0 c.Engine.evaluated
+  checki "hit served from disk" 1 c.Session.disk_hits;
+  checki "nothing recomputed" 0 c.Session.evaluated
 
 let test_disk_entry_served () =
   (* a matching disk entry must actually be consulted: plant a marker
@@ -118,7 +118,7 @@ let test_disk_entry_served () =
   | Error e -> Alcotest.fail e);
   let e = engine s (d, cs, sampling_ns, trace) in
   checkb "served the persisted eval" true (same_eval (Engine.evaluate e d) marker);
-  checki "counted as a disk hit" 1 (Engine.counters e).Engine.disk_hits
+  checki "counted as a disk hit" 1 (Engine.counters e).Session.disk_hits
 
 let test_collision_from_disk () =
   (* right fingerprint, wrong design: the structural verification must
@@ -154,7 +154,7 @@ let test_collision_from_disk () =
   let v = Engine.evaluate e d in
   checkb "collision recomputed the true value" true (same_eval v reference);
   checkb "poisoned eval never observed" false (same_eval v poisoned);
-  checki "no disk hit on a collision" 0 (Engine.counters e).Engine.disk_hits
+  checki "no disk hit on a collision" 0 (Engine.counters e).Session.disk_hits
 
 (* ------------------------------------------------------------------ *)
 (* Synthesis-level warm start *)

@@ -13,6 +13,8 @@ module Fu = Hsyn_modlib.Fu
 module Sched = Hsyn_sched.Sched
 module Cost = Hsyn_core.Cost
 module Engine = Hsyn_core.Engine
+module Session = Hsyn_core.Session
+module Budget = Hsyn_core.Budget
 module Clib = Hsyn_core.Clib
 module S = Hsyn_core.Synthesize
 module Suite = Hsyn_benchmarks.Suite
@@ -256,7 +258,7 @@ let test_engine_equals_direct () =
           (* second query: must hit the cache and return the same bits *)
           let again = Engine.evaluate eng d in
           checkb "cached result identical" true (same_eval via_engine again);
-          checkb "cache hit counted" true ((Engine.counters eng).Engine.cache_hits >= 1);
+          checkb "cache hit counted" true ((Engine.counters eng).Session.cache_hits >= 1);
           (* full-power query upgrades in place and matches a direct
              full evaluation *)
           let full = Engine.evaluate_with_power eng d in
@@ -355,11 +357,12 @@ let test_best_of_limit_and_counters () =
   | _ -> Alcotest.fail "expected candidate 0");
   checki "generation truncated" 5 !pulled;
   let c = Engine.counters eng in
-  checki "generated" 5 c.Engine.generated;
-  checki "batches" 1 c.Engine.batches;
-  (* 5 identical designs: one miss, then in-batch hits *)
-  checki "one schedule computed" 1 c.Engine.evaluated;
-  checki "hits" 4 c.Engine.cache_hits
+  checki "generated" 5 c.Session.generated;
+  checki "batches" 1 c.Session.batches;
+  (* 5 identical designs, each probed before any is inserted: each
+     candidate is evaluated on its own *)
+  checki "every candidate evaluated" 5 c.Session.evaluated;
+  checki "no hits" 0 c.Session.cache_hits
 
 let test_cache_eviction () =
   let designs = List.init 5 (fun s -> Tu.initial ctx (Tu.random_flat_graph (100 + s) ~n_inputs:2 ~n_ops:6)) in
@@ -368,7 +371,7 @@ let test_cache_eviction () =
   in
   List.iter (fun d -> ignore (Engine.evaluate eng d)) designs;
   checkb "capacity respected" true (Engine.cache_size eng <= 2);
-  checkb "evictions counted" true ((Engine.counters eng).Engine.evictions >= 3)
+  checkb "evictions counted" true ((Engine.counters eng).Session.evictions >= 3)
 
 let test_family_counters () =
   let d = Tu.initial ctx (Tu.small_graph ()) in
@@ -378,11 +381,72 @@ let test_family_counters () =
        ~family:(fun i -> if i mod 2 = 0 then "even" else "odd")
        ~limit:10
        (Seq.init 10 (fun i -> (i, d))));
-  match Engine.family_counters eng with
+  match Session.family_totals (Engine.session eng) with
   | [ ("even", ce); ("odd", co) ] ->
-      checki "even generated" 5 ce.Engine.generated;
-      checki "odd generated" 5 co.Engine.generated
+      checki "even generated" 5 ce.Session.generated;
+      checki "odd generated" 5 co.Session.generated
   | l -> Alcotest.failf "unexpected families (%d)" (List.length l)
+
+(* The three entry points share one probe-and-fill path: whichever
+   comes first misses and inserts the one entry, the others hit it. A
+   miss that needs its power schedules the design once for both
+   stages. *)
+let test_one_entry_per_design () =
+  let d = Tu.initial ctx (Tu.small_graph ()) in
+  let schedules f =
+    let before = (Sched.stats ()).Sched.schedules in
+    let r = f () in
+    ((Sched.stats ()).Sched.schedules - before, r)
+  in
+  let best_of eng =
+    match Engine.best_of eng ~limit:1 (Seq.return ((), d)) with
+    | Some (_, _, e, _) -> e
+    | None -> Alcotest.fail "the design is feasible"
+  in
+  List.iter
+    (fun objective ->
+      let eng, direct = mk_engine ~objective d in
+      let n, full = schedules (fun () -> Engine.evaluate_with_power eng d) in
+      checki "a miss with power schedules once" 1 n;
+      checkb "with power matches direct" true (same_eval full (direct ~with_power:true d));
+      checkb "evaluate hits it" true (same_eval full (Engine.evaluate eng d));
+      checkb "best_of hits it" true (same_eval full (best_of eng));
+      let c = Engine.counters eng in
+      checki "one entry" 1 (Engine.cache_size eng);
+      checki "one miss" 1 c.Session.cache_misses;
+      checki "then hits" 2 c.Session.cache_hits;
+      checki "one simulation" 1 c.Session.power_sims;
+      (* the other order: an area-only entry upgraded in place *)
+      let eng, direct = mk_engine ~objective d in
+      let area = best_of eng in
+      checkb "best_of matches direct" true (same_eval area (direct d));
+      checkb "evaluate hits it" true (same_eval area (Engine.evaluate eng d));
+      checkb "with power upgrades it" true
+        (same_eval (Engine.evaluate_with_power eng d) (direct ~with_power:true d));
+      let c = Engine.counters eng in
+      checki "one entry" 1 (Engine.cache_size eng);
+      checki "one miss" 1 c.Session.cache_misses;
+      checki "then hits" 2 c.Session.cache_hits)
+    [ Cost.Area; Cost.Power ]
+
+(* [Pass] makes single evaluations outside its interruption handler,
+   so with a cancelled token they must still answer; a batch raises. *)
+let test_single_evaluations_never_poll () =
+  let d = Tu.initial ctx (Tu.small_graph ()) in
+  let token = Budget.start Budget.unlimited in
+  Budget.cancel token;
+  List.iter
+    (fun objective ->
+      let eng =
+        Engine.create ~token ~ctx ~cs:(Sched.relaxed ~deadline:1000 d.Design.dfg)
+          ~sampling_ns:20000. ~trace:(Tu.trace d.Design.dfg) ~objective ()
+      in
+      checkb "evaluate answers" true (Engine.evaluate eng d).Cost.feasible;
+      checkb "evaluate_with_power answers" true (Engine.evaluate_with_power eng d).Cost.feasible;
+      match Engine.best_of eng ~limit:1 (Seq.return ((), d)) with
+      | _ -> Alcotest.fail "a batch must poll the cancelled token"
+      | exception Budget.Interrupted Budget.Cancelled -> ())
+    [ Cost.Area; Cost.Power ]
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end determinism: full synthesis must produce bit-identical
@@ -423,6 +487,8 @@ let () =
           tc "limit and counters" test_best_of_limit_and_counters;
           tc "cache eviction" test_cache_eviction;
           tc "family counters" test_family_counters;
+          tc "one entry per design" test_one_entry_per_design;
+          tc "single evaluations never poll" test_single_evaluations_never_poll;
         ] );
       ("determinism", [ tc "jobs-independent synthesis" test_synthesis_determinism ]);
     ]

@@ -141,9 +141,9 @@ let test_engine_shared_session () =
   let e2 = mk () in
   let v2 = Engine.evaluate e2 d in
   checkb "bit-identical across engines" true (same_eval v1 v2);
-  checki "first engine missed" 1 (Engine.counters e1).Engine.cache_misses;
-  checki "second engine hit" 1 (Engine.counters e2).Engine.cache_hits;
-  checki "second engine computed nothing" 0 (Engine.counters e2).Engine.evaluated;
+  checki "first engine missed" 1 (Engine.counters e1).Session.cache_misses;
+  checki "second engine hit" 1 (Engine.counters e2).Session.cache_hits;
+  checki "second engine computed nothing" 0 (Engine.counters e2).Session.evaluated;
   (* the session aggregates both engines *)
   let t = Session.totals session in
   checki "session hits" 1 t.Session.cache_hits;
@@ -163,10 +163,31 @@ let test_engine_distinct_contexts_do_not_alias () =
   let v3 = Engine.evaluate e3 d in
   (* a different supply voltage is a different evaluation context: the
      3.3 V engine must compute, not hit the 5 V entry *)
-  checki "no cross-context hit" 0 (Engine.counters e3).Engine.cache_hits;
+  checki "no cross-context hit" 0 (Engine.counters e3).Session.cache_hits;
   checkb "evals differ across contexts" true (not (same_eval v5 v3));
   let s = Session.stats session in
   checki "two context caches" 2 s.Session.contexts
+
+(* The [--stats] rows: a family row has no batches or engine time,
+   which are never attributed to a family; the total row has both. *)
+let test_stats_rows () =
+  let c =
+    {
+      Session.zero with
+      Session.generated = 3;
+      evaluated = 2;
+      cache_hits = 1;
+      cache_misses = 2;
+      power_sims = 2;
+      batches = 1;
+      wall_s = 0.25;
+    }
+  in
+  let family = "gen 3  eval 2  cache 1/3 (33.3% hit)  disk 0  evict 0  sims 2  skipped 0 (0.0%)" in
+  Alcotest.(check string) "family row" family (Format.asprintf "%a" Session.pp_counters c);
+  Alcotest.(check string)
+    "total row" (family ^ "  batches 1  0.250s")
+    (Format.asprintf "%a" Session.pp_totals c)
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent synthesis over one shared session *)
@@ -200,6 +221,19 @@ let same_outcome a b =
       && ra.S.ctx.Design.clk_ns = rb.S.ctx.Design.clk_ns
       && ra.S.deadline_cycles = rb.S.deadline_cycles
   | Ok _, Error _ | Error _, Ok _ -> false
+
+(* Every generated candidate belongs to a move family, so a session's
+   total equals the sum over its families. *)
+let test_family_totals_sum () =
+  let session = Session.create () in
+  let registry, hier = Tu.hier_graph () in
+  (match S.synthesize (mk_request ~session (registry, hier)) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let families = Session.family_totals session in
+  checkb "several families" true (List.length families > 1);
+  checki "generated" (Session.totals session).Session.generated
+    (List.fold_left (fun n (_, c) -> n + c.Session.generated) 0 families)
 
 let test_concurrent_shared_session () =
   let problems =
@@ -253,7 +287,11 @@ let () =
         [
           tc "shared session across engines" test_engine_shared_session;
           tc "contexts do not alias" test_engine_distinct_contexts_do_not_alias;
+          tc "stats rows" test_stats_rows;
         ] );
       ( "synthesize",
-        [ tc "4 concurrent runs, one session" test_concurrent_shared_session ] );
+        [
+          tc "4 concurrent runs, one session" test_concurrent_shared_session;
+          tc "family totals sum to the total" test_family_totals_sum;
+        ] );
     ]

@@ -3,7 +3,6 @@
 module Rng = Hsyn_util.Rng
 module Int_heap = Hsyn_util.Int_heap
 module Bits = Hsyn_util.Bits
-module Union_find = Hsyn_util.Union_find
 module Stats = Hsyn_util.Stats
 module Table = Hsyn_util.Table
 module Vec = Hsyn_util.Vec
@@ -202,26 +201,6 @@ let prop_bits_hamming_triangle =
     (fun (a, b, c) -> Bits.hamming a c <= Bits.hamming a b + Bits.hamming b c)
 
 (* ------------------------------------------------------------------ *)
-(* Union_find *)
-
-let test_uf_basic () =
-  let uf = Union_find.create 5 in
-  checkb "initially separate" false (Union_find.same uf 0 1);
-  Union_find.union uf 0 1;
-  Union_find.union uf 2 3;
-  checkb "joined" true (Union_find.same uf 0 1);
-  checkb "separate" false (Union_find.same uf 1 2);
-  Union_find.union uf 1 2;
-  checkb "transitive" true (Union_find.same uf 0 3)
-
-let test_uf_classes () =
-  let uf = Union_find.create 4 in
-  Union_find.union uf 0 2;
-  check
-    (Alcotest.list (Alcotest.list Alcotest.int))
-    "classes" [ [ 0; 2 ]; [ 1 ]; [ 3 ] ] (Union_find.classes uf)
-
-(* ------------------------------------------------------------------ *)
 (* Stats *)
 
 let test_stats_mean () =
@@ -323,8 +302,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_bits_hamming_symmetric;
           QCheck_alcotest.to_alcotest prop_bits_hamming_triangle;
         ] );
-      ( "union_find",
-        [ tc "basic" test_uf_basic; tc "classes" test_uf_classes ] );
       ( "stats",
         [
           tc "mean" test_stats_mean;
