@@ -36,60 +36,11 @@ module Report = Hsyn_obs.Report
 module Log = Hsyn_obs.Log
 open Cmdliner
 
-(* [-b] accepts a comma-separated list of benchmarks; they are
-   synthesized in order (sharing one memoization session with
-   [--share-session]). *)
-let load_input bench file dfg_name =
-  match bench, file with
-  | Some names, None -> (
-      let names =
-        String.split_on_char ',' names |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-      in
-      let missing = List.filter (fun n -> Suite.by_name n = None) names in
-      match missing with
-      | name :: _ -> Error (Printf.sprintf "unknown benchmark %S (try 'hsyn list')" name)
-      | [] -> (
-          match
-            List.filter_map
-              (fun n -> Option.map (fun b -> (b.Suite.registry, b.Suite.dfg)) (Suite.by_name n))
-              names
-          with
-          | [] -> Error "empty benchmark list"
-          | inputs -> Ok inputs))
-  | None, Some path -> (
-      match Text.parse_file path with
-      | program -> (
-          match Text.select_graph ?name:dfg_name program with
-          | Ok g -> Ok [ (program.Text.registry, g) ]
-          | Error msg ->
-              if dfg_name = None then Error (Printf.sprintf "%s: %s (use --dfg)" path msg)
-              else Error (Printf.sprintf "%s: %s" path msg))
-      | exception Text.Parse_error (line, msg) ->
-          Error (Printf.sprintf "%s:%d: %s" path line msg)
-      | exception Sys_error msg -> Error msg)
-  | Some _, Some _ -> Error "pass either --bench or --file, not both"
-  | None, None -> Error "one of --bench or --file is required"
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* ------------------------------------------------------------------ *)
-(* synth *)
-
-(* Benchmark-name resolution shared by [synth], [--dump-request] and
-   the [serve] daemon — one lookup, so a dumped request document served
-   later resolves to the very same problem. *)
-let resolve_bench name =
-  Option.map (fun b -> (b.Suite.registry, b.Suite.dfg)) (Suite.by_name name)
-
-(* The [-b]/-​-file flags name one or more request sources; everything
-   else about a [synth] invocation (objective, timing, config, budget)
-   is carried by the same [Wire.doc] a [serve] client would send. *)
-let load_sources bench file dfg_name =
+(* The [-b]/[--file] flags: [-b] accepts a comma-separated list of
+   benchmarks (synthesized in order, sharing one memoization session
+   with [--share-session]), [--file] one textual DFG file. [of_benches]
+   and [of_file] turn either into the caller's inputs. *)
+let inputs bench file ~of_benches ~of_file =
   match (bench, file) with
   | Some names, None -> (
       let names =
@@ -100,13 +51,41 @@ let load_sources bench file dfg_name =
       match (missing, names) with
       | name :: _, _ -> Error (Printf.sprintf "unknown benchmark %S (try 'hsyn list')" name)
       | [], [] -> Error "empty benchmark list"
-      | [], names -> Ok (List.map (fun n -> Wire.Bench n) names))
-  | None, Some path -> (
+      | [], names -> Ok (of_benches names))
+  | None, Some path -> of_file path
+  | Some _, Some _ -> Error "pass either --bench or --file, not both"
+  | None, None -> Error "one of --bench or --file is required"
+
+let load_input bench file dfg_name =
+  inputs bench file ~of_benches:(List.filter_map Suite.resolve) ~of_file:(fun path ->
+      match Text.parse_file path with
+      | program -> (
+          match Text.select_graph ?name:dfg_name program with
+          | Ok g -> Ok [ (program.Text.registry, g) ]
+          | Error msg ->
+              if dfg_name = None then Error (Printf.sprintf "%s: %s (use --dfg)" path msg)
+              else Error (Printf.sprintf "%s: %s" path msg))
+      | exception Text.Parse_error (line, msg) ->
+          Error (Printf.sprintf "%s:%d: %s" path line msg)
+      | exception Sys_error msg -> Error msg)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* ------------------------------------------------------------------ *)
+(* synth *)
+
+(* The [-b]/[--file] flags name one or more request sources; everything
+   else about a [synth] invocation (objective, timing, config, budget)
+   is carried by the same [Wire.doc] a [serve] client would send. *)
+let load_sources bench file dfg_name =
+  inputs bench file ~of_benches:(List.map (fun n -> Wire.Bench n)) ~of_file:(fun path ->
       match read_file path with
       | text -> Ok [ Wire.Program { text; graph = dfg_name } ]
       | exception Sys_error msg -> Error msg)
-  | Some _, Some _ -> Error "pass either --bench or --file, not both"
-  | None, None -> Error "one of --bench or --file is required"
 
 (* Compose the CLI's progress/NDJSON observers into one event sink.
    Progress goes to stderr so --json output stays machine-clean. The
@@ -151,7 +130,7 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
     show_stats profile show_rtl show_fsm show_sched show_verilog =
   (
       let lib = Library.default in
-      match Wire.to_request ~session ~resolve_bench ~lib doc with
+      match Wire.to_request ~session ~resolve_bench:Suite.resolve ~lib doc with
       | Error msg ->
           prerr_endline ("hsyn: " ^ msg);
           1
@@ -762,7 +741,6 @@ let do_serve socket tcp max_inflight max_queue max_request_s retry_after_s cache
       (match log_file with None -> () | Some path -> Log.set_sink (Report.Sink.create path));
       let config =
         {
-          Serve.default_config with
           Serve.max_inflight = max 1 max_inflight;
           max_queue = max 0 max_queue;
           max_request_s;
@@ -777,7 +755,7 @@ let do_serve socket tcp max_inflight max_queue max_request_s retry_after_s cache
       (match cache with
       | None -> ()
       | Some dir -> (
-          match Session.load_into session ~lib:config.Serve.lib ~dir with
+          match Session.load_into session ~lib:Library.default ~dir with
           | Ok n ->
               Log.info
                 ~fields:[ ("dir", Json.String dir); ("entries", Json.Int n) ]

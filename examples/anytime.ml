@@ -17,17 +17,18 @@ let () =
   let min_ns = S.min_sampling_ns lib b.Suite.registry b.Suite.dfg in
   let sampling_ns = 2.2 *. min_ns in
 
-  (* 1. A validated config through the builder API. [Config.t] is the
-     plain [config] record, so [{ S.default_config with ... }] updates
-     still work; [make] additionally rejects invalid settings. *)
+  (* 1. A config is a record update of the default; [validate] rejects
+     invalid settings up front ([Request.make] checks them too). *)
   let config =
-    match S.Config.make ~max_passes:2 ~trace_length:8 ~max_clocks:2 () with
+    match
+      S.Config.validate { S.Config.default with S.max_passes = 2; trace_length = 8; max_clocks = 2 }
+    with
     | Ok c -> c
     | Error msg -> failwith msg
   in
 
-  (* 2. A resource envelope: half a second of wall clock. Quotas on
-     moves, passes, and contexts compose the same way. *)
+  (* 2. A resource envelope: half a second of wall clock. A quota on
+     finished (V_dd, clock) contexts composes the same way. *)
   let budget =
     match Budget.make ~deadline_s:0.5 () with Ok bu -> bu | Error msg -> failwith msg
   in

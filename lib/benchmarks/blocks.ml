@@ -56,15 +56,6 @@ let prod4 registry =
       in
       [ tree; chain ])
 
-let dotprod2 registry =
-  ensure registry "dotprod2" (fun () ->
-      let b = B.create "dotprod2_direct" in
-      let a, x, c, d = inputs4 b in
-      let m1 = B.op b Op.Mult [ a; x ] in
-      let m2 = B.op b Op.Mult [ c; d ] in
-      B.output b (B.op b Op.Add [ m1; m2 ]);
-      [ B.finish b ])
-
 let butterfly registry =
   ensure registry "butterfly" (fun () ->
       let b = B.create "butterfly_direct" in

@@ -19,9 +19,6 @@ val prod4 : Registry.t -> unit
     ([prod4_tree]) and serial chain ([prod4_chain]) — the paper's
     C1/C2 pair of functionally equivalent multiplier structures. *)
 
-val dotprod2 : Registry.t -> unit
-(** [dotprod2]: (a,b,c,d) → a·b + c·d. Single variant. *)
-
 val butterfly : Registry.t -> unit
 (** [butterfly]: (a,b) → (a+b, a−b). Single variant. *)
 

@@ -261,3 +261,5 @@ let by_name name =
   | "avenhaus_cascade" -> Some (avenhaus_cascade ())
   | "test1" -> Some (test1 ())
   | _ -> None
+
+let resolve name = Option.map (fun b -> (b.registry, b.dfg)) (by_name name)

@@ -44,3 +44,10 @@ val all : unit -> t list
 (** Every benchmark, in the paper's Table 3 row order. *)
 
 val by_name : string -> t option
+
+val resolve : string -> (Registry.t * Dfg.t) option
+(** The problem a benchmark name denotes, in the shape the request
+    API's [resolve_bench] takes ([Hsyn_core.Wire.to_request]): [hsyn
+    synth] and the [hsyn serve] daemon both resolve names with it, so
+    a dumped request document served later is the very same
+    problem. *)

@@ -1,10 +1,8 @@
-type reason = Deadline | Cancelled | Move_quota | Pass_quota | Context_quota
+type reason = Deadline | Cancelled | Context_quota
 
 let reason_name = function
   | Deadline -> "deadline"
   | Cancelled -> "cancelled"
-  | Move_quota -> "move-quota"
-  | Pass_quota -> "pass-quota"
   | Context_quota -> "context-quota"
 
 exception Interrupted of reason
@@ -14,35 +12,15 @@ let () =
     | Interrupted r -> Some (Printf.sprintf "Hsyn_core.Budget.Interrupted(%s)" (reason_name r))
     | _ -> None)
 
-type t = {
-  deadline_s : float option;
-  max_moves : int option;
-  max_passes : int option;
-  max_contexts : int option;
-}
+type t = { deadline_s : float option; max_contexts : int option }
 
-let unlimited = { deadline_s = None; max_moves = None; max_passes = None; max_contexts = None }
+let unlimited = { deadline_s = None; max_contexts = None }
 
-let make ?deadline_s ?max_moves ?max_passes ?max_contexts () =
-  let pos what = function
-    | Some v when v <= 0 -> Some (Printf.sprintf "budget: %s must be positive" what)
-    | _ -> None
-  in
-  let posf what = function
-    | Some v when v <= 0. -> Some (Printf.sprintf "budget: %s must be positive" what)
-    | _ -> None
-  in
-  match
-    List.find_map Fun.id
-      [
-        posf "deadline_s" deadline_s;
-        pos "max_moves" max_moves;
-        pos "max_passes" max_passes;
-        pos "max_contexts" max_contexts;
-      ]
-  with
-  | Some msg -> Error msg
-  | None -> Ok { deadline_s; max_moves; max_passes; max_contexts }
+let make ?deadline_s ?max_contexts () =
+  match (deadline_s, max_contexts) with
+  | Some v, _ when v <= 0. -> Error "budget: deadline_s must be positive"
+  | _, Some v when v <= 0 -> Error "budget: max_contexts must be positive"
+  | _ -> Ok { deadline_s; max_contexts }
 
 let is_unlimited t = t = unlimited
 
@@ -51,8 +29,6 @@ let pp ppf t =
   else begin
     let parts = ref [] in
     Option.iter (fun v -> parts := Printf.sprintf "contexts<=%d" v :: !parts) t.max_contexts;
-    Option.iter (fun v -> parts := Printf.sprintf "passes<=%d" v :: !parts) t.max_passes;
-    Option.iter (fun v -> parts := Printf.sprintf "moves<=%d" v :: !parts) t.max_moves;
     Option.iter (fun v -> parts := Printf.sprintf "%.3gs" v :: !parts) t.deadline_s;
     Format.pp_print_string ppf (String.concat " " !parts)
   end
@@ -61,36 +37,20 @@ type token = {
   spec : t;
   started_at : float;
   cancel_flag : bool Atomic.t;
-  (* counters are only bumped from the domain driving the synthesis
+  (* [contexts] is only bumped from the domain driving the synthesis
      loop; reads from worker domains (via the cancel poll) only touch
      [cancel_flag] and the clock, so no further synchronization is
      needed *)
-  mutable moves : int;
-  mutable passes : int;
   mutable contexts : int;
 }
 
 let start spec =
-  {
-    spec;
-    started_at = Unix.gettimeofday ();
-    cancel_flag = Atomic.make false;
-    moves = 0;
-    passes = 0;
-    contexts = 0;
-  }
+  { spec; started_at = Unix.gettimeofday (); cancel_flag = Atomic.make false; contexts = 0 }
 
-let spec t = t.spec
 let cancel t = Atomic.set t.cancel_flag true
 let cancelled t = Atomic.get t.cancel_flag
 let elapsed_s t = Unix.gettimeofday () -. t.started_at
-
-let note_move t = t.moves <- t.moves + 1
-let note_pass t = t.passes <- t.passes + 1
 let note_context t = t.contexts <- t.contexts + 1
-let moves_used t = t.moves
-let passes_used t = t.passes
-let contexts_used t = t.contexts
 
 let interrupted t =
   if Atomic.get t.cancel_flag then Some Cancelled
@@ -99,15 +59,12 @@ let interrupted t =
     | Some d when elapsed_s t >= d -> Some Deadline
     | _ -> None
 
-let over quota used = match quota with Some q -> used >= q | None -> false
-
 let exhausted t =
   match interrupted t with
   | Some r -> Some r
-  | None ->
-      if over t.spec.max_moves t.moves then Some Move_quota
-      else if over t.spec.max_passes t.passes then Some Pass_quota
-      else if over t.spec.max_contexts t.contexts then Some Context_quota
-      else None
+  | None -> (
+      match t.spec.max_contexts with
+      | Some q when t.contexts >= q -> Some Context_quota
+      | _ -> None)
 
 let check t = match interrupted t with Some r -> raise (Interrupted r) | None -> ()

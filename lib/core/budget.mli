@@ -1,27 +1,28 @@
 (** Anytime-synthesis budgets and cooperative cancellation.
 
     A {!t} is an immutable resource envelope for one synthesis run: an
-    optional wall-clock deadline plus optional quotas on top-level
-    improvement moves, passes, and (V{_dd}, clock) contexts. A {!token}
-    is the live run state started from it — it carries the clock, the
-    consumed-so-far counters, and a domain-safe cancellation flag.
+    optional wall-clock deadline plus an optional quota on finished
+    (V{_dd}, clock) contexts. A {!token} is the live run state started
+    from it — it carries the clock, the count of finished contexts, and
+    a domain-safe cancellation flag.
 
-    Two interruption strengths are distinguished on purpose:
+    The effort of a context is bounded by the synthesis config (moves
+    per pass, passes per context); the budget bounds the run. Its two
+    kinds of limit are polled in different places on purpose:
 
-    - {e exhaustion} ({!exhausted}) also considers the quotas. Quotas
-      are checked only at top-level move/pass/context boundaries, so a
-      quota-truncated run is deterministic — it visits exactly the
-      prefix of the work an unbudgeted run would visit.
-    - {e interruption} ({!interrupted}, {!check}) considers only the
-      deadline and the cancellation flag. These are safe to poll
-      anywhere (inside candidate batches, nested resynthesis, library
-      construction) because aborting there only discards work that was
-      still tentative.
+    - the {e context quota} ({!exhausted}) is checked only between
+      contexts, so a quota-truncated run is deterministic — it visits
+      exactly the prefix of contexts an unbudgeted run would visit.
+    - the {e deadline} and {e cancellation} ({!interrupted}, {!check})
+      are safe to poll anywhere (at pass and move boundaries, inside
+      candidate batches, nested resynthesis, library construction)
+      because aborting there only discards work that was still
+      tentative.
 
     The synthesis driver always returns the best feasible design found
     before the budget fired. *)
 
-type reason = Deadline | Cancelled | Move_quota | Pass_quota | Context_quota
+type reason = Deadline | Cancelled | Context_quota
 
 val reason_name : reason -> string
 
@@ -31,20 +32,12 @@ exception Interrupted of reason
 
 type t = {
   deadline_s : float option;  (** wall-clock limit for the whole run *)
-  max_moves : int option;  (** top-level tentative moves across all contexts *)
-  max_passes : int option;  (** top-level improvement passes across all contexts *)
   max_contexts : int option;  (** (V_dd, clock) contexts finished *)
 }
 
 val unlimited : t
 
-val make :
-  ?deadline_s:float ->
-  ?max_moves:int ->
-  ?max_passes:int ->
-  ?max_contexts:int ->
-  unit ->
-  (t, string) result
+val make : ?deadline_s:float -> ?max_contexts:int -> unit -> (t, string) result
 (** Validated constructor: every given bound must be positive. *)
 
 val is_unlimited : t -> bool
@@ -57,8 +50,6 @@ type token
 val start : t -> token
 (** Start the clock on a fresh token. *)
 
-val spec : token -> t
-
 val cancel : token -> unit
 (** Request cooperative cancellation. Domain- and signal-safe; may be
     called from another domain or from a signal handler. Idempotent. *)
@@ -66,25 +57,16 @@ val cancel : token -> unit
 val cancelled : token -> bool
 val elapsed_s : token -> float
 
-val note_move : token -> unit
-(** Record one top-level tentative move against the quota. *)
-
-val note_pass : token -> unit
 val note_context : token -> unit
 (** Record one {e finished} context. Charging on completion (not on
     start) means the context quota admits a context and then lets it
     run to its natural end — it never interrupts the context it just
     admitted. *)
 
-val moves_used : token -> int
-val passes_used : token -> int
-val contexts_used : token -> int
-
 val exhausted : token -> reason option
-(** Deadline, cancellation, or any quota spent — poll at top-level
-    move/pass/context boundaries. Quota checks compare consumed
-    counters against the spec, so they are deterministic across runs
-    and pool sizes. *)
+(** Deadline, cancellation, or the context quota spent — poll between
+    contexts. The quota check compares finished contexts against the
+    spec, so it is deterministic across runs and pool sizes. *)
 
 val interrupted : token -> reason option
 (** Deadline or cancellation only — safe to poll anywhere. *)

@@ -2,7 +2,7 @@
 
     The anytime driver walks a deterministic list of (V{_dd}, clock)
     contexts. A checkpoint records how far that walk got — the cursor
-    of fully finished contexts, quota counters, and the incumbent
+    of fully finished contexts, the work counters, and the incumbent
     (best feasible design so far, with everything needed to rebuild a
     full {!Synthesize.result}). Resuming seeds the sweep with the
     incumbent and skips the first [cursor] contexts; because each
@@ -35,7 +35,9 @@ type t = {
   contexts_planned : int;
   cursor : int;  (** contexts fully finished (plan-order prefix) *)
   passes_run : int;
-  moves_tried : int;
+      (** {!Pass.stats.passes} summed over every context run so far;
+          a resumed run adds its own contexts' to it *)
+  moves_tried : int;  (** the same sum of {!Pass.stats.moves_tried} *)
   incumbent : incumbent option;
 }
 

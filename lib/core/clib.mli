@@ -38,10 +38,9 @@ val build :
     [top], deepest behaviors first (so shallower modules can
     instantiate deeper ones). The nested per-variant engines borrow
     their caches from [session] when given (each creates a private
-    session otherwise). With [token], construction polls the
-    budget for hard interruptions (deadline/cancel — never quotas) and
-    raises {!Budget.Interrupted}; the caller abandons the context it
-    was preparing. *)
+    session otherwise). With [token], construction polls its
+    deadline and cancellation and raises {!Budget.Interrupted}; the
+    caller abandons the context it was preparing. *)
 
 val lookup : t -> string -> Design.rtl_module list
 (** Modules implementing a behavior; [[]] when unknown. *)

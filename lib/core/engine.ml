@@ -89,10 +89,8 @@ let create ?(policy = default_policy) ?session ?token ~ctx ~cs ~sampling_ns ~tra
     totals = Session.zero;
   }
 
-(* Cooperative interruption: hard budget events (deadline, cancel) cut
-   candidate batches short. Quotas are deliberately NOT polled here —
-   they are only consulted at move boundaries by [Pass], which keeps
-   quota-truncated runs deterministic. *)
+(* Cooperative interruption: the deadline and cancellation cut
+   candidate batches short. *)
 let check_token t = match t.token with Some tok -> Budget.check tok | None -> ()
 
 let cancel_poll t =

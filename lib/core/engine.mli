@@ -80,12 +80,10 @@ val create :
     results are bit-identical whether the session is fresh or shared
     (see {!Session}).
 
-    When a budget [token] is given, {!best_of} polls it for {e hard}
-    interruptions (deadline, cancellation) between evaluation waves
-    and inside worker tasks, raising {!Budget.Interrupted} — quotas
-    are never consulted here, so quota-limited runs stay
-    deterministic. An interrupted batch leaves no worker domain stuck
-    and no partial result visible. *)
+    When a budget [token] is given, {!best_of} polls its deadline and
+    cancellation between evaluation waves and inside worker tasks,
+    raising {!Budget.Interrupted}. An interrupted batch leaves no
+    worker domain stuck and no partial result visible. *)
 
 val session : t -> Session.t
 (** The session this engine was created against. *)

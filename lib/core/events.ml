@@ -43,7 +43,6 @@ type t = { at_s : float; payload : payload }
 type sink = t -> unit
 
 let null (_ : t) = ()
-let tee a b : sink = fun e -> a e; b e
 
 let kind_name = function
   | Run_started _ -> "run_started"

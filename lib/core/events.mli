@@ -70,9 +70,6 @@ type sink = t -> unit
 val null : sink
 (** Drops every event. *)
 
-val tee : sink -> sink -> sink
-(** [tee a b] delivers each event to [a] then [b]. *)
-
 val kind_name : payload -> string
 (** Stable machine name, e.g. ["context_started"]. *)
 

@@ -26,8 +26,7 @@ let incr_count counts key =
   let cur = Option.value ~default:0 (List.assoc_opt key counts) in
   (key, cur + 1) :: List.remove_assoc key counts
 
-let improve ?token ?(in_quota = false) ?on_pass ?on_commit (env : Moves.env) ~max_moves
-    ~max_passes d0 =
+let improve ?token ?on_pass ?on_commit (env : Moves.env) ~max_moves ~max_passes d0 =
   let eng = env.Moves.engine in
   let before = Engine.counters eng in
   let sched_before = Sched.stats () in
@@ -45,18 +44,10 @@ let improve ?token ?(in_quota = false) ?on_pass ?on_commit (env : Moves.env) ~ma
         sched = Sched.zero_stats;
       }
   in
-  (* Budget discipline: quotas are consulted only when [in_quota] (the
-     top-level improvement runs), and only at pass/move boundaries, so
-     a quota-truncated run commits exactly a prefix of the unbudgeted
-     run's work. Deadline and cancellation are polled everywhere. *)
-  let out_of_budget () =
-    match token with
-    | None -> None
-    | Some tok -> if in_quota then Budget.exhausted tok else Budget.interrupted tok
-  in
+  (* deadline and cancellation, polled at every pass and move boundary;
+     the candidate batches poll them too *)
+  let out_of_budget () = Option.bind token Budget.interrupted in
   let interrupt () = stats := { !stats with interrupted = true } in
-  let note f = match token with Some tok when in_quota -> f tok | _ -> ()
-  in
   let finish current =
     (* attribute to this run the engine work done since it started *)
     let delta = Session.sub (Engine.counters eng) before in
@@ -88,7 +79,6 @@ let improve ?token ?(in_quota = false) ?on_pass ?on_commit (env : Moves.env) ~ma
       | None ->
           Span.span Span.Pass "pass" (fun () ->
           stats := { !stats with passes = !stats.passes + 1 };
-          note Budget.note_pass;
           let cur = ref !current in
           let cur_val = ref (value !cur) in
           (* tentative sequence as committed_move records, newest
@@ -107,9 +97,9 @@ let improve ?token ?(in_quota = false) ?on_pass ?on_commit (env : Moves.env) ~ma
                 interrupt ();
                 stop := true
             | None -> (
-                note Budget.note_move;
-                (* a hard interruption mid-batch aborts the step; the
-                   best committed prefix so far is preserved *)
+                (* an interruption mid-batch aborts the step, which
+                   then does not count in [moves_tried]; the best
+                   committed prefix so far is preserved *)
                 match
                   let m1 = Moves.best_select_or_resynth env !cur_val !cur in
                   let m3 =

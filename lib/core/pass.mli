@@ -8,11 +8,13 @@
     the pass (and the improvement loop) terminates. This is the
     mechanism that lets the optimizer escape local minima.
 
-    The loop is {e anytime}: with a {!Budget.token} it checks the
-    budget at every pass and move boundary and, when the budget fires
-    (or a hard interruption aborts a candidate batch mid-move), it
-    commits the best prefix found so far and returns — the result is
-    always at least as good as the input design. *)
+    The loop is {e anytime}: with a {!Budget.token} it polls the
+    deadline and cancellation ({!Budget.interrupted}) at every pass and
+    move boundary and, when one fires (or aborts a candidate batch
+    mid-move), it commits the best prefix found so far and returns —
+    the result is always at least as good as the input design. Its
+    effort is bounded by [max_moves] and [max_passes] alone; the
+    budget's context quota is the driver's business. *)
 
 module Design = Hsyn_rtl.Design
 
@@ -28,7 +30,9 @@ type stats = {
   passes : int;
   moves_committed : int;
   moves_tried : int;
-  interrupted : bool;  (** the run was cut short by its budget *)
+      (** steps whose candidate batches ran to the end; a step aborted
+          mid-batch by an interruption is not counted *)
+  interrupted : bool;  (** the run was cut short by a deadline or cancellation *)
   committed : committed_move list;
       (** the committed moves, oldest first — the raw material of the
           flight recorder's gain attribution *)
@@ -47,7 +51,6 @@ type stats = {
 
 val improve :
   ?token:Budget.token ->
-  ?in_quota:bool ->
   ?on_pass:(int -> int -> float -> unit) ->
   ?on_commit:(committed_move -> unit) ->
   Moves.env ->
@@ -56,16 +59,13 @@ val improve :
   Design.t ->
   Design.t * stats
 (** Refine a design until no pass yields positive cumulative gain (or
-    the pass budget runs out). The result is always feasible if the
+    [max_passes] passes have run). The result is always feasible if the
     input is; if the input is infeasible the input is returned
     unchanged.
 
-    [token]: poll this budget; [in_quota] (default false) additionally
-    charges this run's moves and passes against the token's quotas and
-    stops on quota exhaustion — enable it for top-level improvement
-    only, so nested resynthesis and library construction stay
-    responsive to deadline/cancel without perturbing the deterministic
-    quota accounting. [on_pass pass moves_committed value] fires after
+    [token]: poll this token's deadline and cancellation — the same
+    rule at the top level, in nested resynthesis and in library
+    construction. [on_pass pass moves_committed value] fires after
     each completed pass with the pass ordinal, the total moves
     committed so far in this run, and the current objective value.
     [on_commit] fires once per committed move, in commit order, at the

@@ -18,7 +18,6 @@ type config = {
   trace_kind : Trace.kind;
   seed : int;
   vdd_candidates : float list;
-  clk_candidates : float list option;
   max_clocks : int;
   enable_resynth : bool;
   enable_embed : bool;
@@ -37,7 +36,6 @@ let default_config =
     trace_kind = Trace.default_kind;
     seed = 42;
     vdd_candidates = Voltage.candidates;
-    clk_candidates = None;
     max_clocks = 3;
     enable_resynth = true;
     enable_embed = true;
@@ -63,13 +61,6 @@ module Config = struct
     else if c.vdd_candidates = [] then err "vdd_candidates must not be empty"
     else if List.exists (fun v -> v <= 0.) c.vdd_candidates then
       err "vdd_candidates must all be positive"
-    else if c.clk_candidates = Some [] then
-      err "clk_candidates, when given, must not be empty"
-    else if
-      match c.clk_candidates with
-      | Some l -> List.exists (fun v -> v <= 0.) l
-      | None -> false
-    then err "clk_candidates must all be positive"
     else if c.clib_effort.Clib.max_moves <= 0 then err "clib_effort.max_moves must be positive"
     else if c.clib_effort.Clib.max_passes <= 0 then err "clib_effort.max_passes must be positive"
     else if c.clib_effort.Clib.max_candidates <= 0 then
@@ -77,33 +68,6 @@ module Config = struct
     else if c.engine.Engine.jobs < 1 then err "engine.jobs must be at least 1"
     else if c.engine.Engine.cache_capacity < 0 then err "engine.cache_capacity must be >= 0"
     else Ok c
-
-  let make ?(max_moves = default.max_moves) ?(max_passes = default.max_passes)
-      ?(max_candidates = default.max_candidates) ?(trace_length = default.trace_length)
-      ?(trace_kind = default.trace_kind) ?(seed = default.seed)
-      ?(vdd_candidates = default.vdd_candidates) ?(clk_candidates = default.clk_candidates)
-      ?(max_clocks = default.max_clocks) ?(enable_resynth = default.enable_resynth)
-      ?(enable_embed = default.enable_embed) ?(enable_split = default.enable_split)
-      ?(enable_rewrite = default.enable_rewrite) ?(clib_effort = default.clib_effort)
-      ?(engine = default.engine) () =
-    validate
-      {
-        max_moves;
-        max_passes;
-        max_candidates;
-        trace_length;
-        trace_kind;
-        seed;
-        vdd_candidates;
-        clk_candidates;
-        max_clocks;
-        enable_resynth;
-        enable_embed;
-        enable_split;
-        enable_rewrite;
-        clib_effort;
-        engine;
-      }
 end
 
 let min_sampling_ns lib registry dfg =
@@ -149,16 +113,11 @@ module Request = struct
       (fun vdd ->
         (* prune: even the fastest design misses the sampling period *)
         if min_ns *. Voltage.delay_factor vdd <= t.sampling_ns then
-          let clks =
-            match config.clk_candidates with
-            | Some l -> l
-            | None -> Clock.candidates t.lib vdd
-          in
           List.filter_map
             (fun clk_ns ->
               let deadline = int_of_float (Float.floor (t.sampling_ns /. clk_ns +. 1e-9)) in
               if deadline >= 1 then Some (vdd, clk_ns, deadline) else None)
-            (Clock.spread config.max_clocks clks)
+            (Clock.spread config.max_clocks (Clock.candidates t.lib vdd))
         else [])
       vdds
 end
@@ -319,13 +278,12 @@ let make_resynth ?session ?token config registry complexes seed =
 
 (* One (V_dd, clock) context of the sweep: build the complex library,
    the initial solution, and run budgeted variable-depth improvement.
-   Raises [Budget.Interrupted] only from the preparatory phases (clib
-   construction, candidate batches before the first move commits);
-   once improvement is underway an interruption surfaces as
+   Raises [Budget.Interrupted] only from library construction; once
+   improvement is underway an interruption surfaces as
    [stats.interrupted] with the best committed prefix. *)
-let run_context ~session ?token ~events ~index (req : Request.t) config dfg
-    (vdd, clk_ns, deadline) =
+let run_context ~session ?token ~events ~index (req : Request.t) dfg (vdd, clk_ns, deadline) =
   Hsyn_obs.Trace.(span Pass) "context" @@ fun () ->
+  let config = req.Request.config in
   let ctx = { Design.lib = req.Request.lib; vdd; clk_ns } in
   let rng = Rng.create config.seed in
   let trace =
@@ -389,7 +347,7 @@ let run_context ~session ?token ~events ~index (req : Request.t) config dfg
          })
   in
   let improved, stats =
-    Pass.improve ?token ~in_quota:true ~on_pass ~on_commit env ~max_moves
+    Pass.improve ?token ~on_pass ~on_commit env ~max_moves
       ~max_passes:config.max_passes initial
   in
   let eval = Engine.evaluate_with_power engine improved in
@@ -418,245 +376,240 @@ let save_cache ~session ~emit dir =
 
 let synthesize ?(events = Events.null) ?token ?checkpoint ?(resume = false) ?cache_dir
     (req : Request.t) =
-  match Config.validate req.Request.config with
+  let config = req.Request.config in
+  let start_time = Unix.gettimeofday () in
+  let token = match token with Some t -> t | None -> Budget.start req.Request.budget in
+  (* every engine of this run (contexts, clib construction, nested
+     resynthesis) borrows from one session — shared across runs
+     when the request carries one *)
+  let session =
+    match req.Request.session with Some s -> s | None -> Session.create ()
+  in
+  let emit payload =
+    events { Events.at_s = Unix.gettimeofday () -. start_time; payload }
+  in
+  (match cache_dir with
+  | Some dir -> load_cache ~session ~config ~lib:req.Request.lib ~emit dir
+  | None -> ());
+  let dfg = Request.effective_dfg req in
+  let plan = Request.plan req in
+  let total = List.length plan in
+  let fresh_snapshot =
+    {
+      Checkpoint.dfg_name = req.Request.dfg.Dfg.name;
+      objective = req.Request.objective;
+      sampling_ns = req.Request.sampling_ns;
+      flattened = req.Request.flatten;
+      contexts_planned = total;
+      cursor = 0;
+      passes_run = 0;
+      moves_tried = 0;
+      incumbent = None;
+    }
+  in
+  let snapshot0 =
+    if not resume then Ok fresh_snapshot
+    else
+      match checkpoint with
+      | None -> Error "resume requested but no checkpoint path given"
+      | Some path when not (Sys.file_exists path) ->
+          (* a missing checkpoint is a cold start, not an error —
+             this is what lets [--resume] be passed unconditionally *)
+          Ok fresh_snapshot
+      | Some path -> (
+          match Checkpoint.load path with
+          | Error msg -> Error msg
+          | Ok ck -> (
+              match
+                Checkpoint.compatible ck ~dfg_name:req.Request.dfg.Dfg.name
+                  ~objective:req.Request.objective ~sampling_ns:req.Request.sampling_ns
+                  ~flattened:req.Request.flatten
+              with
+              | Error msg -> Error msg
+              | Ok () ->
+                  if ck.Checkpoint.contexts_planned <> total then
+                    Error
+                      (Printf.sprintf
+                         "checkpoint plans %d contexts but this request plans %d (different \
+                          config?)"
+                         ck.Checkpoint.contexts_planned total)
+                  else Ok ck))
+  in
+  match snapshot0 with
   | Error msg -> Error msg
-  | Ok config -> (
-      let start_time = Unix.gettimeofday () in
-      let token = match token with Some t -> t | None -> Budget.start req.Request.budget in
-      (* every engine of this run (contexts, clib construction, nested
-         resynthesis) borrows from one session — shared across runs
-         when the request carries one *)
-      let session =
-        match req.Request.session with Some s -> s | None -> Session.create ()
+  | Ok snap0 ->
+      emit
+        (Events.Run_started
+           {
+             dfg = dfg.Dfg.name;
+             objective = Cost.objective_name req.Request.objective;
+             sampling_ns = req.Request.sampling_ns;
+             contexts_planned = total;
+             budget = req.Request.budget;
+           });
+      (* [committed] is the resumable state: incumbent over fully
+         finished contexts only — exactly what checkpoints store.
+         [partial] is the design of a context the budget interrupted;
+         it may be what the caller gets back but never what resume
+         seeds from, keeping resumed runs bit-identical to
+         uninterrupted ones. *)
+      let committed = ref snap0.Checkpoint.incumbent in
+      let partial = ref None in
+      let cursor = ref snap0.Checkpoint.cursor in
+      (* the work of every context run, finished or interrupted *)
+      let passes_run = ref snap0.Checkpoint.passes_run in
+      let moves_tried = ref snap0.Checkpoint.moves_tried in
+      let started = ref 0 in
+      let stop_reason = ref None in
+      let save_checkpoint () =
+        match checkpoint with
+        | None -> ()
+        | Some path ->
+            Hsyn_obs.Trace.(span Checkpoint) "save" (fun () ->
+                Checkpoint.save path
+                  {
+                    snap0 with
+                    Checkpoint.cursor = !cursor;
+                    passes_run = !passes_run;
+                    moves_tried = !moves_tried;
+                    incumbent = !committed;
+                  });
+            emit (Events.Checkpoint_saved { path; contexts_done = !cursor })
       in
-      let emit payload =
-        events { Events.at_s = Unix.gettimeofday () -. start_time; payload }
+      let better value inc =
+        match inc with Some (i : Checkpoint.incumbent) -> value < i.Checkpoint.value | None -> true
       in
+      (try
+         List.iteri
+           (fun index (vdd, clk_ns, deadline) ->
+             if index >= snap0.Checkpoint.cursor then begin
+               (match Budget.exhausted token with Some r -> raise (Stop r) | None -> ());
+               incr started;
+               emit
+                 (Events.Context_started
+                    { index; total; vdd; clk_ns; deadline_cycles = deadline });
+               match
+                 run_context ~session ~token ~events:emit ~index req dfg (vdd, clk_ns, deadline)
+               with
+               | exception Budget.Interrupted r ->
+                   emit (Events.Context_finished { index; feasible = false });
+                   raise (Stop r)
+               | improved, ctx, eval, stats, clib ->
+                   passes_run := !passes_run + stats.Pass.passes;
+                   moves_tried := !moves_tried + stats.Pass.moves_tried;
+                   let feasible = eval.Cost.feasible in
+                   let value = Cost.objective_value req.Request.objective eval in
+                   let inc =
+                     if feasible then
+                       Some
+                         {
+                           Checkpoint.design = improved;
+                           ctx;
+                           eval;
+                           deadline_cycles = deadline;
+                           value;
+                           stats;
+                           clib;
+                         }
+                     else None
+                   in
+                   emit (Events.Context_finished { index; feasible });
+                   if stats.Pass.interrupted then begin
+                     partial := inc;
+                     raise
+                       (Stop (Option.value ~default:Budget.Cancelled (Budget.interrupted token)))
+                   end;
+                   (match inc with
+                   | Some i when better value !committed ->
+                       committed := Some i;
+                       Hsyn_obs.Trace.(instant Pass) "new_incumbent";
+                       emit
+                         (Events.New_incumbent
+                            {
+                              context = index;
+                              vdd;
+                              clk_ns;
+                              value;
+                              area = eval.Cost.area;
+                              power = eval.Cost.power;
+                            })
+                   | _ -> ());
+                   (* charged on completion, so the quota means
+                      "finish at most N contexts" and never
+                      interrupts the context it admitted *)
+                   Budget.note_context token;
+                   cursor := index + 1;
+                   save_checkpoint ()
+             end)
+           plan
+       with Stop r ->
+         stop_reason := Some r;
+         emit (Events.Budget_exhausted { reason = Budget.reason_name r });
+         save_checkpoint ());
+      let elapsed_s = Unix.gettimeofday () -. start_time in
       (match cache_dir with
-      | Some dir -> load_cache ~session ~config ~lib:req.Request.lib ~emit dir
+      | Some dir -> save_cache ~session ~emit dir
       | None -> ());
-      let dfg = Request.effective_dfg req in
-      let plan = Request.plan req in
-      let total = List.length plan in
-      let fresh_snapshot =
+      Session.export_metrics session;
+      let completed = !stop_reason = None in
+      let coverage =
         {
-          Checkpoint.dfg_name = req.Request.dfg.Dfg.name;
-          objective = req.Request.objective;
-          sampling_ns = req.Request.sampling_ns;
-          flattened = req.Request.flatten;
           contexts_planned = total;
-          cursor = 0;
-          passes_run = 0;
-          moves_tried = 0;
-          incumbent = None;
+          contexts_started = snap0.Checkpoint.cursor + !started;
+          contexts_done = !cursor;
+          passes_run = !passes_run;
+          moves_tried = !moves_tried;
+          stop_reason = Option.map Budget.reason_name !stop_reason;
         }
       in
-      let snapshot0 =
-        if not resume then Ok fresh_snapshot
-        else
-          match checkpoint with
-          | None -> Error "resume requested but no checkpoint path given"
-          | Some path when not (Sys.file_exists path) ->
-              (* a missing checkpoint is a cold start, not an error —
-                 this is what lets [--resume] be passed unconditionally *)
-              Ok fresh_snapshot
-          | Some path -> (
-              match Checkpoint.load path with
-              | Error msg -> Error msg
-              | Ok ck -> (
-                  match
-                    Checkpoint.compatible ck ~dfg_name:req.Request.dfg.Dfg.name
-                      ~objective:req.Request.objective ~sampling_ns:req.Request.sampling_ns
-                      ~flattened:req.Request.flatten
-                  with
-                  | Error msg -> Error msg
-                  | Ok () ->
-                      if ck.Checkpoint.contexts_planned <> total then
-                        Error
-                          (Printf.sprintf
-                             "checkpoint plans %d contexts but this request plans %d (different \
-                              config?)"
-                             ck.Checkpoint.contexts_planned total)
-                      else Ok ck))
+      let finish_events result_json =
+        emit
+          (Events.Run_finished
+             {
+               completed;
+               contexts_done = !cursor;
+               contexts_planned = total;
+               elapsed_s;
+               result = result_json;
+             })
       in
-      match snapshot0 with
-      | Error msg -> Error msg
-      | Ok snap0 ->
-          emit
-            (Events.Run_started
-               {
-                 dfg = dfg.Dfg.name;
-                 objective = Cost.objective_name req.Request.objective;
-                 sampling_ns = req.Request.sampling_ns;
-                 contexts_planned = total;
-                 budget = req.Request.budget;
-               });
-          (* [committed] is the resumable state: incumbent over fully
-             finished contexts only — exactly what checkpoints store.
-             [final] may additionally absorb a partial last context; it
-             is what the caller gets back but never what resume seeds
-             from, keeping resumed runs bit-identical to uninterrupted
-             ones. *)
-          let committed = ref snap0.Checkpoint.incumbent in
-          let final = ref snap0.Checkpoint.incumbent in
-          let cursor = ref snap0.Checkpoint.cursor in
-          let started = ref 0 in
-          let stop_reason = ref None in
-          let save_checkpoint () =
-            match checkpoint with
-            | None -> ()
-            | Some path ->
-                Hsyn_obs.Trace.(span Checkpoint) "save" (fun () ->
-                    Checkpoint.save path
-                      {
-                        snap0 with
-                        Checkpoint.cursor = !cursor;
-                        passes_run = snap0.Checkpoint.passes_run + Budget.passes_used token;
-                        moves_tried = snap0.Checkpoint.moves_tried + Budget.moves_used token;
-                        incumbent = !committed;
-                      });
-                emit (Events.Checkpoint_saved { path; contexts_done = !cursor })
-          in
-          let better value inc =
-            match inc with Some (i : Checkpoint.incumbent) -> value < i.Checkpoint.value | None -> true
-          in
-          (try
-             List.iteri
-               (fun index (vdd, clk_ns, deadline) ->
-                 if index >= snap0.Checkpoint.cursor then begin
-                   (match Budget.exhausted token with Some r -> raise (Stop r) | None -> ());
-                   incr started;
-                   emit
-                     (Events.Context_started
-                        { index; total; vdd; clk_ns; deadline_cycles = deadline });
-                   match
-                     run_context ~session ~token ~events:emit ~index req config dfg
-                       (vdd, clk_ns, deadline)
-                   with
-                   | exception Budget.Interrupted r ->
-                       emit (Events.Context_finished { index; feasible = false });
-                       raise (Stop r)
-                   | improved, ctx, eval, stats, clib ->
-                       let feasible = eval.Cost.feasible in
-                       let value = Cost.objective_value req.Request.objective eval in
-                       let inc =
-                         if feasible then
-                           Some
-                             {
-                               Checkpoint.design = improved;
-                               ctx;
-                               eval;
-                               deadline_cycles = deadline;
-                               value;
-                               stats;
-                               clib;
-                             }
-                         else None
-                       in
-                       if stats.Pass.interrupted then begin
-                         (* partial context: usable as a final answer,
-                            not as resumable state *)
-                         emit (Events.Context_finished { index; feasible });
-                         (match inc with
-                         | Some i when better value !final -> final := Some i
-                         | _ -> ());
-                         let r =
-                           match Budget.exhausted token with
-                           | Some r -> r
-                           | None -> Budget.Cancelled
-                         in
-                         raise (Stop r)
-                       end;
-                       emit (Events.Context_finished { index; feasible });
-                       (match inc with
-                       | Some i when better value !committed ->
-                           committed := Some i;
-                           Hsyn_obs.Trace.(instant Pass) "new_incumbent";
-                           emit
-                             (Events.New_incumbent
-                                {
-                                  context = index;
-                                  vdd;
-                                  clk_ns;
-                                  value;
-                                  area = eval.Cost.area;
-                                  power = eval.Cost.power;
-                                })
-                       | _ -> ());
-                       (* keep [final] in sync with the committed state *)
-                       (match (!committed, !final) with
-                       | Some c, Some f when c.Checkpoint.value < f.Checkpoint.value -> final := Some c
-                       | Some _, None -> final := !committed
-                       | _ -> ());
-                       (* charged on completion, so the quota means
-                          "finish at most N contexts" and never
-                          interrupts the context it admitted *)
-                       Budget.note_context token;
-                       cursor := index + 1;
-                       save_checkpoint ()
-                 end)
-               plan
-           with Stop r ->
-             stop_reason := Some r;
-             emit (Events.Budget_exhausted { reason = Budget.reason_name r });
-             save_checkpoint ());
-          let elapsed_s = Unix.gettimeofday () -. start_time in
-          (match cache_dir with
-          | Some dir -> save_cache ~session ~emit dir
-          | None -> ());
-          Session.export_metrics session;
-          let completed = !stop_reason = None in
-          let coverage =
+      (* the interrupted context's design wins only when strictly
+         better: ties keep the earlier context *)
+      let final =
+        match !partial with
+        | Some p when better p.Checkpoint.value !committed -> !partial
+        | _ -> !committed
+      in
+      match final with
+      | None ->
+          finish_events None;
+          if completed then
+            Error
+              (Printf.sprintf "no feasible design for %s at sampling %.1f ns" dfg.Dfg.name
+                 req.Request.sampling_ns)
+          else
+            Error
+              (Printf.sprintf "budget exhausted (%s) before any feasible design was found"
+                 (Option.fold ~none:"?" ~some:Budget.reason_name !stop_reason))
+      | Some (i : Checkpoint.incumbent) ->
+          let r =
             {
-              contexts_planned = total;
-              contexts_started = snap0.Checkpoint.cursor + !started;
-              contexts_done = !cursor;
-              passes_run = snap0.Checkpoint.passes_run + Budget.passes_used token;
-              moves_tried = snap0.Checkpoint.moves_tried + Budget.moves_used token;
-              stop_reason = Option.map Budget.reason_name !stop_reason;
+              design = i.Checkpoint.design;
+              ctx = i.Checkpoint.ctx;
+              eval = i.Checkpoint.eval;
+              objective = req.Request.objective;
+              sampling_ns = req.Request.sampling_ns;
+              deadline_cycles = i.Checkpoint.deadline_cycles;
+              elapsed_s;
+              contexts_tried = coverage.contexts_started;
+              stats = i.Checkpoint.stats;
+              clib = i.Checkpoint.clib;
+              completed;
+              coverage;
             }
           in
-          let finish_events result_json =
-            emit
-              (Events.Run_finished
-                 {
-                   completed;
-                   contexts_done = !cursor;
-                   contexts_planned = total;
-                   elapsed_s;
-                   result = result_json;
-                 })
-          in
-          (match !final with
-          | None ->
-              finish_events None;
-              if completed then
-                Error
-                  (Printf.sprintf "no feasible design for %s at sampling %.1f ns" dfg.Dfg.name
-                     req.Request.sampling_ns)
-              else
-                Error
-                  (Printf.sprintf "budget exhausted (%s) before any feasible design was found"
-                     (Option.fold ~none:"?" ~some:Budget.reason_name !stop_reason))
-          | Some (i : Checkpoint.incumbent) ->
-              let r =
-                {
-                  design = i.Checkpoint.design;
-                  ctx = i.Checkpoint.ctx;
-                  eval = i.Checkpoint.eval;
-                  objective = req.Request.objective;
-                  sampling_ns = req.Request.sampling_ns;
-                  deadline_cycles = i.Checkpoint.deadline_cycles;
-                  elapsed_s;
-                  contexts_tried = coverage.contexts_started;
-                  stats = i.Checkpoint.stats;
-                  clib = i.Checkpoint.clib;
-                  completed;
-                  coverage;
-                }
-              in
-              finish_events (Some (Result.to_json_value r));
-              Ok r))
+          finish_events (Some (Result.to_json_value r));
+          Ok r
 
 let rescale_vdd ?(config = default_config) ?session (r : result) vdds =
   let rng = Rng.create config.seed in

@@ -10,12 +10,14 @@
 
     The modern entry point is {!synthesize}, driven by a validated
     {!Request.t}. It is {e anytime}: give it a {!Budget.t} (or cancel
-    its token) and it stops at the next move boundary, returning the
-    best feasible design found so far, with {!result.completed} and
-    {!result.coverage} saying how much of the sweep ran. Progress is
-    observable through {!Events}, interrupted sweeps are resumable
-    through {!Checkpoint}, and {!synthesize}'s [cache_dir] gives runs a
-    persistent warm start (see {!Session.save}). *)
+    its token) and it stops — between contexts for the context quota,
+    at the next move boundary or mid-batch for the deadline or a
+    cancellation — returning the best feasible design found so far,
+    with {!result.completed} and {!result.coverage} saying how much of
+    the sweep ran. Progress is observable through {!Events},
+    interrupted sweeps are resumable through {!Checkpoint}, and
+    {!synthesize}'s [cache_dir] gives runs a persistent warm start (see
+    {!Session.save}). *)
 
 module Design = Hsyn_rtl.Design
 module Dfg = Hsyn_dfg.Dfg
@@ -30,8 +32,9 @@ type config = {
   trace_kind : Hsyn_eval.Trace.kind;
   seed : int;  (** RNG seed (traces, nothing else is random) *)
   vdd_candidates : float list;
-  clk_candidates : float list option;  (** [None]: derive from the library *)
-  max_clocks : int;  (** clock periods tried per voltage *)
+  max_clocks : int;
+      (** clock periods tried per voltage, spread over the library's
+          candidates ({!Hsyn_modlib.Clock.candidates}) *)
   enable_resynth : bool;  (** allow move B *)
   enable_embed : bool;  (** allow complex-module merging via RTL embedding *)
   enable_split : bool;  (** allow move family D *)
@@ -44,37 +47,15 @@ type config = {
 
 val default_config : config
 
-(** Validated view of {!config}. [Config.t] {e is} [config] — existing
-    [{ default_config with … }] record updates keep working — but
-    {!Config.make} and {!Config.validate} reject nonsense (non-positive
-    quotas, an empty voltage set, …) before a run starts instead of
-    failing somewhere inside the sweep. *)
+(** Validated view of {!config}. [Config.t] {e is} [config]: build one
+    by record update ([{ Config.default with … }]), and
+    {!Config.validate} rejects nonsense (non-positive effort bounds, an
+    empty voltage set, …) before a run starts instead of failing
+    somewhere inside the sweep. {!Request.make} validates too. *)
 module Config : sig
   type t = config
 
   val default : t
-
-  val make :
-    ?max_moves:int ->
-    ?max_passes:int ->
-    ?max_candidates:int ->
-    ?trace_length:int ->
-    ?trace_kind:Hsyn_eval.Trace.kind ->
-    ?seed:int ->
-    ?vdd_candidates:float list ->
-    ?clk_candidates:float list option ->
-    ?max_clocks:int ->
-    ?enable_resynth:bool ->
-    ?enable_embed:bool ->
-    ?enable_split:bool ->
-    ?enable_rewrite:bool ->
-    ?clib_effort:Clib.effort ->
-    ?engine:Engine.policy ->
-    unit ->
-    (t, string) result
-  (** Build and {!validate} in one step; unspecified fields come from
-      {!default}. *)
-
   val validate : t -> (t, string) result
 end
 
@@ -132,8 +113,11 @@ type coverage = {
   contexts_planned : int;
   contexts_started : int;  (** includes a final partially-run context *)
   contexts_done : int;  (** fully finished (the resumable prefix) *)
-  passes_run : int;  (** top-level improvement passes, all contexts *)
-  moves_tried : int;  (** top-level tentative moves, all contexts *)
+  passes_run : int;
+      (** top-level improvement passes: the sum of {!Pass.stats.passes}
+          over every context run, finished or interrupted, plus what a
+          resumed checkpoint counted *)
+  moves_tried : int;  (** the same sum of {!Pass.stats.moves_tried} *)
   stop_reason : string option;
       (** {!Budget.reason_name} of what stopped the sweep; [None] when
           it ran to completion *)
@@ -192,9 +176,9 @@ val synthesize :
     unreadable or version-mismatched cache file is skipped with a
     warning, never an error.
 
-    Returns [Error _] for an invalid request, an incompatible
-    checkpoint, or when no feasible design was found before the sweep
-    ended. An interrupted run with at least one feasible design still
+    The request was validated when {!Request.make} built it. Returns
+    [Error _] for an incompatible checkpoint, or when no feasible
+    design was found before the sweep ended. An interrupted run with at least one feasible design still
     returns [Ok] — check {!result.completed}. Resumed runs converge to
     bit-identical results with uninterrupted ones because checkpoints
     only store fully-finished contexts. *)

@@ -173,9 +173,6 @@ let policy_of_json base v =
 
 (* -- clib effort ------------------------------------------------------- *)
 
-(* The [trace] trimming function is not serializable; it round-trips
-   to the identity default, which is what every shipped configuration
-   uses anyway. *)
 let effort_to_json (e : Clib.effort) =
   Json.Obj
     [
@@ -215,10 +212,6 @@ let config_to_json (c : Synthesize.Config.t) =
       ("trace_kind", Json.String (trace_kind_to_string c.Synthesize.trace_kind));
       ("seed", Json.Int c.Synthesize.seed);
       ("vdd_candidates", Json.List (List.map (fun v -> Json.Float v) c.Synthesize.vdd_candidates));
-      ( "clk_candidates",
-        match c.Synthesize.clk_candidates with
-        | None -> Json.Null
-        | Some l -> Json.List (List.map (fun v -> Json.Float v) l) );
       ("max_clocks", Json.Int c.Synthesize.max_clocks);
       ("enable_resynth", Json.Bool c.Synthesize.enable_resynth);
       ("enable_embed", Json.Bool c.Synthesize.enable_embed);
@@ -256,12 +249,6 @@ let config_of_json v =
         | "vdd_candidates" ->
             let* l = as_float_list v in
             Ok { c with Synthesize.vdd_candidates = l }
-        | "clk_candidates" -> (
-            match v with
-            | Json.Null -> Ok { c with Synthesize.clk_candidates = None }
-            | v ->
-                let* l = as_float_list v in
-                Ok { c with Synthesize.clk_candidates = Some l })
         | "max_clocks" ->
             let* n = as_int v in
             Ok { c with Synthesize.max_clocks = n }
@@ -293,34 +280,28 @@ let budget_to_json (b : Budget.t) =
   let opt name f v = match v with None -> [] | Some x -> [ (name, f x) ] in
   Json.Obj
     (opt "deadline_s" (fun s -> Json.Float s) b.Budget.deadline_s
-    @ opt "max_moves" (fun n -> Json.Int n) b.Budget.max_moves
-    @ opt "max_passes" (fun n -> Json.Int n) b.Budget.max_passes
     @ opt "max_contexts" (fun n -> Json.Int n) b.Budget.max_contexts)
 
 let budget_of_json v =
   let* fields = as_obj "budget" v in
-  let* deadline_s, max_moves, max_passes, max_contexts =
-    fold_fields "budget" fields (None, None, None, None) (fun (d, m, p, c) key v ->
-        let int_opt v = match v with Json.Null -> Ok None | v -> Result.map Option.some (as_int v) in
+  let* deadline_s, max_contexts =
+    fold_fields "budget" fields (None, None) (fun (d, c) key v ->
         match key with
         | "deadline_s" -> (
             match v with
-            | Json.Null -> Ok (None, m, p, c)
+            | Json.Null -> Ok (None, c)
             | v ->
                 let* s = as_float v in
-                Ok (Some s, m, p, c))
-        | "max_moves" ->
-            let* n = int_opt v in
-            Ok (d, n, p, c)
-        | "max_passes" ->
-            let* n = int_opt v in
-            Ok (d, m, n, c)
-        | "max_contexts" ->
-            let* n = int_opt v in
-            Ok (d, m, p, n)
+                Ok (Some s, c))
+        | "max_contexts" -> (
+            match v with
+            | Json.Null -> Ok (d, None)
+            | v ->
+                let* n = as_int v in
+                Ok (d, Some n))
         | _ -> Error "unknown field")
   in
-  Budget.make ?deadline_s ?max_moves ?max_passes ?max_contexts ()
+  Budget.make ?deadline_s ?max_contexts ()
 
 (* -- request documents ------------------------------------------------- *)
 

@@ -55,11 +55,9 @@ val error_of_json : Json.t -> (error, string) result
 
 (** {1 Config and budget codecs}
 
-    Round-trip codecs: [of_json (to_json c) = Ok c] up to the
-    unserializable [clib_effort.trace] function (which always
-    round-trips to the identity default). [of_json] starts from
-    {!Synthesize.Config.default} / {!Budget.unlimited}, overrides the
-    fields present, rejects fields it does not know, and runs the
+    Round-trip codecs: [of_json (to_json c) = Ok c]. [of_json] starts
+    from {!Synthesize.Config.default} / {!Budget.unlimited}, overrides
+    the fields present, rejects fields it does not know, and runs the
     usual validation, so a document can carry just the overrides it
     cares about. *)
 
@@ -132,6 +130,7 @@ val to_request :
     the source, resolve a {!Laxity} timing against the behavior's
     minimum sampling period, and build the validated request.
     [resolve_bench] maps benchmark names (the CLI and the daemon pass
-    the built-in suite; it defaults to rejecting every name, since
-    [lib/core] cannot depend on the benchmark library). [session] is
-    threaded into the request for shared-memoization front-ends. *)
+    the built-in suite's [Hsyn_benchmarks.Suite.resolve]; it defaults
+    to rejecting every name, since [lib/core] cannot depend on the
+    benchmark library). [session] is threaded into the request for
+    shared-memoization front-ends. *)

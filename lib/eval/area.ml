@@ -192,7 +192,3 @@ let module_area ?sched_cache ctx rm = module_area_rec (or_transient sched_cache)
 let total ?sched_cache ctx d ~n_states =
   let b = datapath ?sched_cache ctx d in
   { b with controller = Float.of_int n_states *. ctx.Design.lib.Hsyn_modlib.Library.ctrl_area_per_state }
-
-let pp_breakdown fmt b =
-  Format.fprintf fmt "units=%.1f regs=%.1f muxes=%.1f wires=%.1f ctrl=%.1f total=%.1f" b.units
-    b.registers b.muxes b.wires b.controller (grand_total b)

@@ -53,5 +53,3 @@ val module_area : ?sched_cache:Hsyn_sched.Sched.Cache.t -> Design.ctx -> Design.
 (** Area of one complex RTL module: shared units and registers,
     steering unioned over all behaviors, plus its internal controller
     (one state per cycle of each behavior's schedule). *)
-
-val pp_breakdown : Format.formatter -> breakdown -> unit

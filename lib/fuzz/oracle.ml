@@ -249,11 +249,18 @@ let check_engine_direct rng (prog : Text.program) =
 
 let small_request ?(jobs = 1) ~seed (prog : Text.program) =
   let top = Gen.top_graph prog in
-  let* config =
-    S.Config.make ~max_moves:8 ~max_passes:1 ~max_candidates:3 ~trace_length:4 ~seed
-      ~vdd_candidates:[ 5.0; 3.3 ] ~max_clocks:1
-      ~engine:{ Engine.default_policy with Engine.jobs }
-      ()
+  let config =
+    {
+      S.Config.default with
+      S.max_moves = 8;
+      max_passes = 1;
+      max_candidates = 3;
+      trace_length = 4;
+      seed;
+      vdd_candidates = [ 5.0; 3.3 ];
+      max_clocks = 1;
+      engine = { Engine.default_policy with Engine.jobs };
+    }
   in
   let sampling_ns =
     2.5 *. Float.max 1.0 (S.min_sampling_ns Library.default prog.Text.registry top)

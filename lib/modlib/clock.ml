@@ -1,5 +1,3 @@
-let default_candidates = [ 40.; 20.; 10. ]
-
 let cycles_of_ns ~clk_ns t =
   if t <= 0. then 0 else int_of_float (Float.ceil ((t /. clk_ns) -. 1e-9))
 

@@ -7,9 +7,6 @@
     of d or d/k for some module delay d wastes no slack to
     quantization. *)
 
-val default_candidates : float list
-(** Static fallback set, in ns, descending. *)
-
 val spread : int -> float list -> float list
 (** [spread n l] picks [n] entries evenly spaced across [l] (which
     must be sorted descending); returns [l] when it is short enough.

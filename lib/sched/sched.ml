@@ -83,13 +83,6 @@ let sub_stats a b =
     prepared_builds = a.prepared_builds - b.prepared_builds;
   }
 
-let reset_stats () =
-  Atomic.set c_schedules 0;
-  Atomic.set c_legacy 0;
-  Atomic.set c_events 0;
-  Atomic.set c_prep_hits 0;
-  Atomic.set c_prep_builds 0
-
 let pp_stats fmt s =
   Format.fprintf fmt "@[<v>[sched] schedules: %d (%d legacy), events popped: %d@,[sched] prepared contexts: %d hits / %d builds@]"
     s.schedules s.legacy_schedules s.events_popped s.prepared_hits s.prepared_builds

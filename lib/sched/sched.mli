@@ -166,8 +166,6 @@ type stats = {
 val stats : unit -> stats
 (** Snapshot of the process-wide counters. *)
 
-val reset_stats : unit -> unit
-
 val zero_stats : stats
 
 val sub_stats : stats -> stats -> stats

@@ -3,8 +3,6 @@ module Session = Hsyn_core.Session
 module Synthesize = Hsyn_core.Synthesize
 module Budget = Hsyn_core.Budget
 module Events = Hsyn_core.Events
-module Registry = Hsyn_dfg.Registry
-module Dfg = Hsyn_dfg.Dfg
 module Library = Hsyn_modlib.Library
 module Suite = Hsyn_benchmarks.Suite
 module Json = Hsyn_util.Json
@@ -29,14 +27,8 @@ type config = {
   max_queue : int;
   max_request_s : float option;
   retry_after_s : float;
-  read_timeout_s : float;
   slow_ms : float option;
-  lib : Library.t;
-  resolve_bench : string -> (Registry.t * Dfg.t) option;
 }
-
-let suite_resolve name =
-  Option.map (fun b -> (b.Suite.registry, b.Suite.dfg)) (Suite.by_name name)
 
 let default_config =
   {
@@ -44,10 +36,7 @@ let default_config =
     max_queue = 8;
     max_request_s = None;
     retry_after_s = 1.0;
-    read_timeout_s = 10.0;
     slow_ms = None;
-    lib = Library.default;
-    resolve_bench = suite_resolve;
   }
 
 (* Bucket edges of serve.latency_ms: request wall-clock runs from
@@ -229,9 +218,11 @@ let note_slow t sl =
    same fd would double-close it next to the writer channel). *)
 let max_request_bytes = 16 * 1024 * 1024
 
-let read_request_line t fd =
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.read_timeout_s
-   with Unix.Unix_error _ -> ());
+(* per-connection wait for the request line, in seconds *)
+let read_timeout_s = 10.0
+
+let read_request_line fd =
+  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO read_timeout_s with Unix.Unix_error _ -> ());
   let buf = Buffer.create 1024 in
   let chunk = Bytes.create 4096 in
   let rec go () =
@@ -377,7 +368,7 @@ let handle_conn (t : t) worker_id ~id ~queue_wait_ms fd =
     run_ms
   in
   let kind v = Option.bind (Json.member "kind" v) Json.to_string_opt in
-  (match Result.map Json.of_string (read_request_line t fd) with
+  (match Result.map Json.of_string (read_request_line fd) with
   | Error msg -> send (error_line Wire.Bad_request msg)
   | Ok (Ok v) when kind v = Some "hsyn.metrics" -> send (metrics_line t)
   | Ok (Ok v) when kind v = Some "hsyn.prometheus" -> send_text (prometheus_text t)
@@ -394,8 +385,8 @@ let handle_conn (t : t) worker_id ~id ~queue_wait_ms fd =
             { Scope.id; tenant = doc.Wire.tenant }
             (fun () ->
               match
-                Wire.to_request ~session:t.session ~resolve_bench:t.cfg.resolve_bench
-                  ~lib:t.cfg.lib doc
+                Wire.to_request ~session:t.session ~resolve_bench:Suite.resolve
+                  ~lib:Library.default doc
               with
               | Error msg ->
                   Atomic.incr t.errors;
@@ -644,7 +635,7 @@ end
 
 let solo_final ?session cfg doc =
   let doc = { doc with Wire.budget = clamp_budget cfg doc.Wire.budget } in
-  match Wire.to_request ?session ~resolve_bench:cfg.resolve_bench ~lib:cfg.lib doc with
+  match Wire.to_request ?session ~resolve_bench:Suite.resolve ~lib:Library.default doc with
   | Error msg -> error_line Wire.Bad_request msg
   | Ok req -> (
       match Synthesize.synthesize req with

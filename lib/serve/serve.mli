@@ -52,9 +52,6 @@
 
 module Wire = Hsyn_core.Wire
 module Session = Hsyn_core.Session
-module Registry = Hsyn_dfg.Registry
-module Dfg = Hsyn_dfg.Dfg
-module Library = Hsyn_modlib.Library
 
 type address =
   | Unix_socket of string  (** filesystem path; unlinked on clean stop *)
@@ -69,21 +66,21 @@ type config = {
       (** server-side clamp on every request's budget deadline; [None]
           trusts the client's own budget *)
   retry_after_s : float;  (** hint carried by [Overloaded] rejects *)
-  read_timeout_s : float;  (** per-connection wait for the request line *)
   slow_ms : float option;
       (** requests slower than this log their span tree at [warn] and
           enter the scrape's [serve_recent_slow] ring; setting it also
           arms the tracer ({!Hsyn_obs.Trace.set_enabled}) at
           {!create}. [None] (default) disables slow-request capture *)
-  lib : Library.t;
-  resolve_bench : string -> (Registry.t * Dfg.t) option;
-      (** benchmark-name resolution for [{"source":{"bench":…}}] *)
 }
+(** Every server synthesizes against {!Hsyn_modlib.Library.default},
+    resolves [{"source":{"bench":…}}] names with
+    {!Hsyn_benchmarks.Suite.resolve} (the built-in suite, [paulin]
+    included), and waits at most 10 s for a connection's request
+    line. *)
 
 val default_config : config
-(** 2 workers, queue of 8, no deadline clamp, retry after 1 s, 10 s
-    read timeout, {!Library.default}, and the built-in benchmark suite
-    (including [paulin]) as [resolve_bench]. *)
+(** 2 workers, queue of 8, no deadline clamp, retry after 1 s, no
+    slow-request capture. *)
 
 type t
 

@@ -45,18 +45,14 @@ let request ?(config = config) ?budget ?(objective = Cost.Power) (b : Suite.t) =
 (* validation *)
 
 let test_config_validation () =
+  let invalid c = Result.is_error (S.Config.validate c) in
   checkb "default valid" true (Result.is_ok (S.Config.validate S.default_config));
-  checkb "make defaults" true (Result.is_ok (S.Config.make ()));
-  checkb "non-positive moves" true
-    (Result.is_error (S.Config.make ~max_moves:0 ()));
-  checkb "non-positive passes" true (Result.is_error (S.Config.make ~max_passes:(-1) ()));
-  checkb "empty vdds" true (Result.is_error (S.Config.make ~vdd_candidates:[] ()));
-  checkb "negative vdd" true (Result.is_error (S.Config.make ~vdd_candidates:[ -3.3 ] ()));
-  checkb "empty clk list" true (Result.is_error (S.Config.make ~clk_candidates:(Some []) ()));
+  checkb "non-positive moves" true (invalid { S.Config.default with S.max_moves = 0 });
+  checkb "non-positive passes" true (invalid { S.Config.default with S.max_passes = -1 });
+  checkb "empty vdds" true (invalid { S.Config.default with S.vdd_candidates = [] });
+  checkb "negative vdd" true (invalid { S.Config.default with S.vdd_candidates = [ -3.3 ] });
   checkb "record update validates" true
-    (Result.is_ok (S.Config.validate { S.Config.default with S.max_passes = 2; seed = 7 }));
-  checkb "record update then validate catches" true
-    (Result.is_error (S.Config.validate { S.Config.default with S.max_moves = 0 }))
+    (Result.is_ok (S.Config.validate { S.Config.default with S.max_passes = 2; seed = 7 }))
 
 let test_request_validation () =
   let b = Suite.test1 () in
@@ -78,17 +74,18 @@ let test_budget_validation () =
   checkb "unlimited valid" true (Budget.is_unlimited Budget.unlimited);
   checkb "ok" true (Result.is_ok (Budget.make ~deadline_s:1.0 ~max_contexts:2 ()));
   checkb "zero deadline" true (Result.is_error (Budget.make ~deadline_s:0. ()));
-  checkb "negative quota" true (Result.is_error (Budget.make ~max_moves:(-1) ()))
+  checkb "negative quota" true (Result.is_error (Budget.make ~max_contexts:(-1) ()))
 
 let test_budget_token () =
   let budget =
-    match Budget.make ~max_moves:2 () with Ok b -> b | Error e -> Alcotest.fail e
+    match Budget.make ~max_contexts:2 () with Ok b -> b | Error e -> Alcotest.fail e
   in
   let tok = Budget.start budget in
   checkb "fresh not exhausted" true (Budget.exhausted tok = None);
-  Budget.note_move tok;
-  Budget.note_move tok;
-  checkb "quota fires on exhausted" true (Budget.exhausted tok = Some Budget.Move_quota);
+  Budget.note_context tok;
+  checkb "quota admits the second context" true (Budget.exhausted tok = None);
+  Budget.note_context tok;
+  checkb "quota fires on exhausted" true (Budget.exhausted tok = Some Budget.Context_quota);
   checkb "quota never hard-interrupts" true (Budget.interrupted tok = None);
   Budget.cancel tok;
   checkb "cancel is hard" true (Budget.interrupted tok = Some Budget.Cancelled);
@@ -258,7 +255,11 @@ let test_checkpoint_resume_identical () =
         (full.S.ctx.Design.vdd = resumed.S.ctx.Design.vdd
         && full.S.ctx.Design.clk_ns = resumed.S.ctx.Design.clk_ns);
       checki "full coverage counted across both runs" planned
-        resumed.S.coverage.S.contexts_done)
+        resumed.S.coverage.S.contexts_done;
+      checki "passes counted across both runs" full.S.coverage.S.passes_run
+        resumed.S.coverage.S.passes_run;
+      checki "moves counted across both runs" full.S.coverage.S.moves_tried
+        resumed.S.coverage.S.moves_tried)
 
 let test_checkpoint_compatibility () =
   let b = Suite.test1 () in

@@ -160,12 +160,16 @@ let test_collision_from_disk () =
 (* Synthesis-level warm start *)
 
 let small_config =
-  match
-    S.Config.make ~max_moves:6 ~max_passes:1 ~max_candidates:4 ~trace_length:4 ~seed:7
-      ~vdd_candidates:[ 5.0; 3.3 ] ~max_clocks:2 ()
-  with
-  | Ok c -> c
-  | Error msg -> failwith msg
+  {
+    S.Config.default with
+    S.max_moves = 6;
+    max_passes = 1;
+    max_candidates = 4;
+    trace_length = 4;
+    seed = 7;
+    vdd_candidates = [ 5.0; 3.3 ];
+    max_clocks = 2;
+  }
 
 let mk_request ?session () =
   let dfg = Tu.small_graph () in

@@ -64,14 +64,12 @@ let test_wire_doc_roundtrip () =
        ~timing:(Wire.Sampling_ns 480.) ~flatten:true
        (Wire.Program { text = "dfg t\n  input a\n  op s add a a\n  output y s\nend\n"; graph = Some "t" }));
   let budget =
-    match Budget.make ~deadline_s:1.5 ~max_moves:7 ~max_passes:3 ~max_contexts:2 () with
+    match Budget.make ~deadline_s:1.5 ~max_contexts:2 () with
     | Ok b -> b
     | Error msg -> Alcotest.fail msg
   in
   roundtrip_doc "budgeted doc" (Wire.make_doc ~budget (Wire.Bench "iir"));
-  let config =
-    { test_config with S.vdd_candidates = [ 5.0; 3.3 ]; clk_candidates = Some [ 20.0; 40.0 ] }
-  in
+  let config = { test_config with S.vdd_candidates = [ 5.0; 3.3 ]; max_clocks = 1 } in
   roundtrip_doc "config doc" (Wire.make_doc ~config (Wire.Bench "dct"));
   roundtrip_doc "tenant doc" (Wire.make_doc ~tenant:"acme" (Wire.Bench "test1"));
   (* the tenant field is additive: absent from untenanted documents *)
@@ -82,10 +80,10 @@ let test_wire_doc_roundtrip () =
 
 let test_wire_rejects_unknown_field () =
   let fields = match Wire.doc_to_json (test1_doc ()) with Json.Obj f -> f | _ -> [] in
-  let in_config extra =
-    List.map (function "config", Json.Obj c -> ("config", Json.Obj (c @ extra)) | kv -> kv) fields
+  let in_obj name extra =
+    List.map (function k, Json.Obj c when k = name -> (k, Json.Obj (c @ extra)) | kv -> kv) fields
   in
-  (* fields that older writers emitted (the last two inputs) are
+  (* fields that older writers emitted (all inputs but the first) are
      rejected like any unknown field, never silently ignored *)
   List.iter
     (fun (field, doc) ->
@@ -95,7 +93,10 @@ let test_wire_rejects_unknown_field () =
     [
       ("bogus", fields @ [ ("bogus", Json.Int 1) ]);
       ("portfolio", fields @ [ ("portfolio", Json.Int 2) ]);
-      ("strategy", in_config [ ("strategy", Json.Int 0) ]);
+      ("strategy", in_obj "config" [ ("strategy", Json.Int 0) ]);
+      ("config.clk_candidates", in_obj "config" [ ("clk_candidates", Json.Null) ]);
+      ("budget.max_moves", in_obj "budget" [ ("max_moves", Json.Int 7) ]);
+      ("budget.max_passes", in_obj "budget" [ ("max_passes", Json.Int 3) ]);
     ];
   match Wire.doc_of_string "{\"kind\":\"nope\"}" with
   | Ok _ -> Alcotest.fail "wrong kind accepted"
@@ -221,7 +222,7 @@ let test_admission_rejects_when_full () =
   (* one worker, no queue: a connection that holds the worker (by not
      sending its line) forces the next one onto the reject path *)
   let config =
-    { Serve.default_config with Serve.max_inflight = 1; max_queue = 0; retry_after_s = 0.125; read_timeout_s = 5.0 }
+    { Serve.default_config with Serve.max_inflight = 1; max_queue = 0; retry_after_s = 0.125 }
   in
   with_server ~config (fun server addr ->
       let path = match addr with Serve.Unix_socket p -> p | _ -> Alcotest.fail "unix socket expected" in

@@ -193,12 +193,16 @@ let test_stats_rows () =
 (* Concurrent synthesis over one shared session *)
 
 let small_config =
-  match
-    S.Config.make ~max_moves:6 ~max_passes:1 ~max_candidates:4 ~trace_length:4 ~seed:7
-      ~vdd_candidates:[ 5.0; 3.3 ] ~max_clocks:2 ()
-  with
-  | Ok c -> c
-  | Error msg -> failwith msg
+  {
+    S.Config.default with
+    S.max_moves = 6;
+    max_passes = 1;
+    max_candidates = 4;
+    trace_length = 4;
+    seed = 7;
+    vdd_candidates = [ 5.0; 3.3 ];
+    max_clocks = 2;
+  }
 
 let mk_request ?session (registry, dfg) =
   let sampling_ns =
