@@ -29,11 +29,18 @@ type eval = {
    composition, which is what makes staged engine results bit-identical
    to direct evaluation. *)
 
-let schedule_stage ?sched_cache ?prepared ctx cs design =
+type memo = { area_memo : Area.memo; power_memo : Power.memo }
+
+let memo ctx ~trace = { area_memo = Area.memo ctx; power_memo = Power.memo ctx ~trace }
+
+let schedule_stage ?sched_cache ?prepared ?memo ctx cs design =
   let sch = Sched.schedule ?cache:sched_cache ?prepared ctx cs design in
   let area =
     Hsyn_obs.Trace.(span Schedule) "area" (fun () ->
-        Area.grand_total (Area.total ?sched_cache ctx design ~n_states:(max 1 sch.Sched.makespan)))
+        Area.grand_total
+          (Area.total ?sched_cache
+             ?memo:(Option.map (fun m -> m.area_memo) memo)
+             ctx design ~n_states:(max 1 sch.Sched.makespan)))
   in
   ( {
       area;
@@ -44,12 +51,14 @@ let schedule_stage ?sched_cache ?prepared ctx cs design =
     },
     sch )
 
-let power_stage ?sched_cache ?sched ctx cs ~sampling_ns ~trace design partial =
+let power_stage ?sched_cache ?sched ?memo ctx cs ~sampling_ns ~trace design partial =
   if not partial.feasible then partial
   else begin
     let e =
       Hsyn_obs.Trace.(span Power) "power" (fun () ->
-          Power.energy_per_sample ?sched_cache ?sched ctx cs design trace)
+          Power.energy_per_sample ?sched_cache ?sched
+            ?memo:(Option.map (fun m -> m.power_memo) memo)
+            ctx cs design trace)
     in
     {
       partial with

@@ -35,9 +35,22 @@ val evaluate :
     [power_stage] composed on [schedule_stage]. [?sched_cache] is
     forwarded to both stages. *)
 
+type memo
+(** What the candidates of one evaluation context share: the module
+    areas of {!Hsyn_eval.Area.memo}, and the value streams per (graph,
+    bound parts) and module-part energies per (module, behavior,
+    invocation stream) of {!Hsyn_eval.Power.memo}. The evaluation engine creates one per
+    engine, for the engine's technology context and trace, passes it
+    to both stages, and drops it with the engine. The stages called
+    without it, and {!evaluate}, which takes none, stay uncached. *)
+
+val memo : Design.ctx -> trace:int array list -> memo
+(** An empty memo for one technology context and one trace. *)
+
 val schedule_stage :
   ?sched_cache:Sched.Cache.t ->
   ?prepared:Sched.Prepared.t ->
+  ?memo:memo ->
   Design.ctx ->
   Sched.constraints ->
   Design.t ->
@@ -47,11 +60,13 @@ val schedule_stage :
     ~with_power:false]. The schedule is returned alongside so that
     {!power_stage} need not compute it again. [?prepared] and
     [?sched_cache] are forwarded to {!Sched.schedule} (and the cache to
-    the area model's module profiles). *)
+    the area model's module profiles). [?memo] supplies the module
+    areas. *)
 
 val power_stage :
   ?sched_cache:Sched.Cache.t ->
   ?sched:Sched.schedule ->
+  ?memo:memo ->
   Design.ctx ->
   Sched.constraints ->
   sampling_ns:float ->
@@ -63,7 +78,9 @@ val power_stage :
     and fill [power]/[energy_sample] into a {!schedule_stage} result
     (identity on infeasible designs). [?sched] is the schedule
     {!schedule_stage} returned for the same design and constraints;
-    without it the design is scheduled again. *)
+    without it the design is scheduled again. [?memo] supplies the
+    streams and module-part energies; it must have been made for
+    [ctx] and [trace]. *)
 
 val objective_lower_bound :
   objective ->

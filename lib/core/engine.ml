@@ -29,6 +29,9 @@ type t = {
       (* the session's fingerprint cache for this engine's evaluation
          context; [None] when [policy.cache_capacity <= 0] (the engine
          then neither probes nor inserts) *)
+  memo : Cost.memo;
+      (* what this engine's candidates share: module areas, and value
+         streams with module-part energies; dropped with the engine *)
   mutable prepared : Sched.Prepared.t option;
       (* scheduling context of the graph last evaluated; candidates in a
          batch share their graph physically, so this is one lookup per
@@ -85,6 +88,7 @@ let create ?(policy = default_policy) ?session ?token ~ctx ~cs ~sampling_ns ~tra
     session;
     sched_cache = Session.sched_cache session;
     costs;
+    memo = Cost.memo ctx ~trace;
     prepared = None;
     totals = Session.zero;
   }
@@ -132,7 +136,7 @@ let stage1 t (design : Design.t) =
     | Some p when Sched.Prepared.dfg p == design.Design.dfg -> Some p
     | _ -> None
   in
-  Cost.schedule_stage ~sched_cache:t.sched_cache ?prepared t.ctx t.cs design
+  Cost.schedule_stage ~sched_cache:t.sched_cache ?prepared ~memo:t.memo t.ctx t.cs design
 
 (* Fill the power stage into an entry; a no-op when already done.
    Returns true when a simulation actually ran. [?sched] is the
@@ -146,7 +150,7 @@ let complete_power t ?sched (e : entry) =
   | Session.Full _ -> false
   | Session.Partial ev ->
       let full =
-        Cost.power_stage ~sched_cache:t.sched_cache ?sched t.ctx t.cs
+        Cost.power_stage ~sched_cache:t.sched_cache ?sched ~memo:t.memo t.ctx t.cs
           ~sampling_ns:t.sampling_ns ~trace:t.trace e.e_design ev
       in
       Atomic.set e.e_state (Session.Full full);

@@ -33,6 +33,17 @@
     unfinished power candidates in waves. A single evaluation never
     polls the budget.
 
+    {b Shared work.} A cost-cache miss still reuses what it shares with
+    earlier candidates of the same engine: each engine creates a
+    {!Cost.memo} for its technology context and trace, passes it to
+    both stages, and drops it with the engine. It keeps module areas
+    per module, value streams per (graph, bound parts) and module-part
+    energies per (module, behavior, invocation stream); modules, graphs
+    and parts compare by physical identity. Every table is bounded and
+    safe on the engine's pool (see {!Hsyn_eval.Power.memo} and
+    {!Hsyn_eval.Area.memo}). Direct {!Cost.evaluate} calls take no
+    memo and stay uncached.
+
     Results are bit-identical to direct {!Cost.evaluate} calls and
     independent of the pool size.
 

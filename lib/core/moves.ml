@@ -61,10 +61,16 @@ type env = {
    [rebind_rewritten] reads. *)
 and rewrites = {
   rw_dfg : Dfg.t;  (* the graph they rewrite, compared physically *)
-  rw_list : (string * Dfg.t) list;
+  rw_list : rewrite list;
   by_label : (string, int) Hashtbl.t;
   offsets : int array;
+  call_free : bool;  (* [rw_dfg] has no call node, so neither has a rewrite *)
 }
+
+(* One rewrite and, for a call-free graph, the gate's verdict on it
+   once simulated: it then depends only on the two graphs and the
+   env's trace, all fixed for the entry. *)
+and rewrite = { description : string; graph : Dfg.t; mutable verdict : bool option }
 
 let fresh_name env base =
   env.fresh_names <- env.fresh_names + 1;
@@ -630,7 +636,12 @@ let rewrites_of env (dfg : Dfg.t) =
       for id = 1 to n - 1 do
         offsets.(id) <- offsets.(id - 1) + dfg.Dfg.nodes.(id - 1).Dfg.n_out
       done;
-      let rw = { rw_dfg = dfg; rw_list = Rewrite_dfg.candidates dfg; by_label; offsets } in
+      let rw_list =
+        List.map
+          (fun (description, graph) -> { description; graph; verdict = None })
+          (Rewrite_dfg.candidates dfg)
+      in
+      let rw = { rw_dfg = dfg; rw_list; by_label; offsets; call_free = Dfg.n_calls dfg = 0 } in
       env.rewrites <- Some rw;
       rw
 
@@ -638,27 +649,41 @@ let rewrites_of env (dfg : Dfg.t) =
    rewritten design is simulated on the environment trace and must
    reproduce the original design's output stream exactly. A candidate
    failing the gate is dropped here — it can be rejected but never
-   committed. *)
+   committed. Rebinding comes first, then the gate. On a call-free
+   graph the gate keeps its verdict in the rewrite, so each rewrite is
+   simulated once per memo entry; with calls the outputs depend on the
+   bound parts, so it simulates on every move. *)
 let rewrite_candidates env (d : Design.t) : candidate Seq.t =
   let bump name = if Metrics.is_enabled () then Metrics.incr (Metrics.counter name) in
   let reference = lazy (Sim.outputs d (Sim.run d env.trace)) in
   let rw = rewrites_of env d.Design.dfg in
+  let gate d' =
+    bump "moves.rewrite.simulated";
+    match Sim.outputs d' (Sim.run d' env.trace) with
+    | outs -> outs = Lazy.force reference
+    | exception Invalid_argument _ -> false
+  in
   List.to_seq rw.rw_list
-  |> Seq.filter_map (fun (description, g') ->
+  |> Seq.filter_map (fun r ->
          bump "moves.rewrite.candidates";
-         match rebind_rewritten env d ~by_label:rw.by_label ~offsets:rw.offsets g' with
+         match rebind_rewritten env d ~by_label:rw.by_label ~offsets:rw.offsets r.graph with
          | None ->
              bump "moves.rewrite.rejected_bind";
              None
-         | Some d' -> (
-             match Sim.outputs d' (Sim.run d' env.trace) with
-             | outs when outs = Lazy.force reference -> Some ((Rewrite, description), d')
-             | _ ->
-                 bump "moves.rewrite.rejected_sim";
-                 None
-             | exception Invalid_argument _ ->
-                 bump "moves.rewrite.rejected_sim";
-                 None))
+         | Some d' ->
+             let passed =
+               match r.verdict with
+               | Some v -> v
+               | None ->
+                   let v = gate d' in
+                   if rw.call_free then r.verdict <- Some v;
+                   v
+             in
+             if passed then Some ((Rewrite, r.description), d')
+             else begin
+               bump "moves.rewrite.rejected_sim";
+               None
+             end)
 
 (* ------------------------------------------------------------------ *)
 

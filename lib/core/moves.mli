@@ -59,7 +59,8 @@ type t = {
 
 type rewrites
 (** Family E's rewrites of one graph, with the indexes that rebinding
-    them onto a design reads. *)
+    them onto a design reads and, for a call-free graph, the gate's
+    verdict on each rewrite once it has been simulated. *)
 
 type env = {
   ctx : Design.ctx;
@@ -84,7 +85,9 @@ type env = {
           graph, and a context meets one graph until it commits a
           rewrite, so this computes the rewrites once per graph and
           keeps the rewritten graphs physically shared across moves.
-          It lives in the env, so it ends with the context. *)
+          On a call-free graph it also keeps the gate's verdicts, so
+          each rewrite is simulated once per graph. It lives in the
+          env, so it ends with the context. *)
 }
 
 val best_select_or_resynth : env -> float -> Design.t -> t option
@@ -102,7 +105,13 @@ val rewrite_candidates : env -> Design.t -> ((kind * string) * Design.t) Seq.t
     rewrite of its graph (from [env.rewrites] when that holds the
     design's graph physically) rebound onto the design's resources,
     kept when it validates and simulates bitwise-identically to the
-    design on [env.trace]. *)
+    design on [env.trace]. Rebinding runs first and the gate second,
+    for every rewrite on every call. The gate simulates a rewrite of a
+    call-free graph once per [env.rewrites] entry and then reuses its
+    verdict; a graph with calls is simulated on every call, since its
+    outputs depend on the parts bound to its calls. Each simulation
+    adds one to the [moves.rewrite.simulated] counter when metrics are
+    enabled. *)
 
 val best_rewrite : env -> float -> Design.t -> t option
 (** Best algebraic rewriting move (family E). [None] when

@@ -16,7 +16,9 @@ val register : t -> string -> Dfg.t -> unit
 (** [register t behavior dfg] adds [dfg] as a variant of [behavior].
     All variants of a behavior must agree on input and output arity,
     and variant names (the DFG names) must be distinct within a
-    behavior.
+    behavior. Behaviors must be stateless (no [Delay]); the parser
+    ([Text.parse_string]) refuses a stateful one, this function does
+    not check it.
     @raise Invalid_argument on interface mismatch or duplicate name. *)
 
 val variants : t -> string -> Dfg.t list

@@ -15,7 +15,11 @@ type stmt =
   | S_call of string * string * int * string list
   | S_output of string * string
 
-type block = { header : [ `Dfg of string | `Behavior of string * string ]; body : (int * stmt) list }
+type block = {
+  header : [ `Dfg of string | `Behavior of string * string ];
+  line : int;  (* of the header *)
+  body : (int * stmt) list;
+}
 
 let tokenize_line line =
   let line = match String.index_opt line '#' with Some i -> String.sub line 0 i | None -> line in
@@ -57,9 +61,12 @@ let parse_blocks text =
         let tokens = tokenize_line line in
         match tokens, current with
         | [], _ -> loop (lineno + 1) blocks current rest
-        | [ "dfg"; name ], None -> loop (lineno + 1) blocks (Some { header = `Dfg name; body = [] }) rest
+        | [ "dfg"; name ], None ->
+            loop (lineno + 1) blocks (Some { header = `Dfg name; line = lineno; body = [] }) rest
         | [ "behavior"; bname; "variant"; vname ], None ->
-            loop (lineno + 1) blocks (Some { header = `Behavior (bname, vname); body = [] }) rest
+            loop (lineno + 1) blocks
+              (Some { header = `Behavior (bname, vname); line = lineno; body = [] })
+              rest
         | ("dfg" | "behavior") :: _, Some _ -> fail lineno "nested block"
         | ("dfg" | "behavior") :: _, None -> fail lineno "malformed block header"
         | [ "end" ], Some b -> loop (lineno + 1) ({ b with body = List.rev b.body } :: blocks) None rest
@@ -117,18 +124,33 @@ let build_block block =
   | dfg -> dfg
   | exception Invalid_argument msg -> fail 0 "%s" msg
 
+(* Behaviors are stateless: the simulator restarts a module part at
+   every invocation, while flattening would keep one delay per call
+   site, so a delay inside a behavior has no single meaning. *)
+let check_stateless bname vname body =
+  List.iter
+    (fun (lineno, stmt) ->
+      match stmt with
+      | S_delay (label, _, _) ->
+          fail lineno "behavior %s variant %s: delay %s: behaviors must be stateless" bname vname
+            label
+      | S_input _ | S_const _ | S_op _ | S_call _ | S_output _ -> ())
+    body
+
 let parse_string text =
   let blocks = parse_blocks text in
   let registry = Registry.create () in
   let graphs =
     List.filter_map
       (fun block ->
-        let dfg = build_block block in
         match block.header with
-        | `Behavior (bname, _) ->
-            Registry.register registry bname dfg;
-            None
-        | `Dfg _ -> Some dfg)
+        | `Behavior (bname, vname) -> (
+            check_stateless bname vname block.body;
+            let dfg = build_block block in
+            match Registry.register registry bname dfg with
+            | () -> None
+            | exception Invalid_argument msg -> fail block.line "%s" msg)
+        | `Dfg _ -> Some (build_block block))
       blocks
   in
   { registry; graphs }

@@ -30,7 +30,8 @@
     source may be defined later in the same block (recurrences).
 
     [behavior] blocks register their graph as a variant of the named
-    behavior; [dfg] blocks are standalone top-level graphs. *)
+    behavior; [dfg] blocks are standalone top-level graphs. Behaviors
+    are stateless: a [delay] is allowed only in a [dfg] block. *)
 
 type program = { registry : Registry.t; graphs : Dfg.t list }
 (** Parsed file: registered behavior variants plus top-level graphs in
@@ -40,7 +41,11 @@ exception Parse_error of int * string
 (** Line number (1-based) and message. *)
 
 val parse_string : string -> program
-(** @raise Parse_error on malformed input. *)
+(** @raise Parse_error on malformed input, on a [delay] inside a
+    [behavior] block (at the delay's line, naming the behavior and the
+    delay), and on a variant the registry refuses (an interface that
+    differs from the behavior's first variant, or a variant name used
+    twice in one behavior; at the block's header line). *)
 
 val parse_file : string -> program
 (** {!parse_string} on a file's contents.

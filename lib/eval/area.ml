@@ -144,19 +144,43 @@ let steering (ctx : Design.ctx) (designs : Design.t list) =
   let wires = Float.of_int !nets *. lib.Hsyn_modlib.Library.wire_area in
   (muxes, wires)
 
+(* A module's area depends only on the technology context and the
+   module, compared physically: two modules may share a name. *)
+module Module_tbl = Hsyn_util.Shard_tbl.Make (struct
+  type t = Design.rtl_module
+
+  let equal = ( == )
+  let hash (rm : t) = Hashtbl.hash rm.Design.rm_name
+end)
+
+type memo = { m_ctx : Design.ctx; areas : float Module_tbl.t }
+
+let memo ctx =
+  {
+    m_ctx = ctx;
+    areas =
+      Module_tbl.create ~shards:1 ~eviction:Hsyn_util.Shard_tbl.Second_chance ~capacity:256 ();
+  }
+
 (* The scheduler cache threads through the recursion because module
    areas need module profiles (one controller state per busy cycle),
    and computing a profile schedules the module's part. Callers on the
-   evaluation hot path pass their session's cache; the public wrappers
-   below default to a transient one scoped to the call. *)
-let rec inst_area cache ctx = function
+   evaluation hot path pass their session's cache and their engine's
+   memo; the public wrappers below default to a transient cache scoped
+   to the call and no memo. *)
+let rec inst_area cache memo ctx = function
   | Design.Simple fu -> fu.Fu.area
-  | Design.Module rm -> module_area_rec cache ctx rm
+  | Design.Module rm -> (
+      match memo with
+      | None -> module_area_rec cache memo ctx rm
+      | Some m -> Module_tbl.find_or_build m.areas rm (module_area_rec cache memo ctx))
 
-and datapath_of_parts cache ctx (designs : Design.t list) =
+and datapath_of_parts cache memo ctx (designs : Design.t list) =
   let lib = ctx.Design.lib in
   let first = List.hd designs in
-  let units = Array.fold_left (fun acc k -> acc +. inst_area cache ctx k) 0. first.Design.insts in
+  let units =
+    Array.fold_left (fun acc k -> acc +. inst_area cache memo ctx k) 0. first.Design.insts
+  in
   let used_regs =
     let used = Array.make (max 1 first.Design.n_regs) false in
     List.iter
@@ -168,9 +192,9 @@ and datapath_of_parts cache ctx (designs : Design.t list) =
   let muxes, wires = steering ctx designs in
   { units; registers; muxes; wires; controller = 0. }
 
-and module_area_rec cache ctx (rm : Design.rtl_module) =
+and module_area_rec cache memo ctx (rm : Design.rtl_module) =
   let parts = List.map snd rm.Design.parts in
-  let b = datapath_of_parts cache ctx parts in
+  let b = datapath_of_parts cache memo ctx parts in
   let states =
     List.fold_left
       (fun acc (behavior, _) ->
@@ -185,10 +209,14 @@ let or_transient = function
   | Some c -> c
   | None -> Hsyn_sched.Sched.Cache.transient ()
 
-let datapath ?sched_cache ctx d = datapath_of_parts (or_transient sched_cache) ctx [ d ]
+let datapath ?sched_cache ?memo ctx d =
+  Option.iter
+    (fun m -> if not (m.m_ctx == ctx) then invalid_arg "Area: memo of another technology context")
+    memo;
+  datapath_of_parts (or_transient sched_cache) memo ctx [ d ]
 
-let module_area ?sched_cache ctx rm = module_area_rec (or_transient sched_cache) ctx rm
+let module_area ?sched_cache ctx rm = module_area_rec (or_transient sched_cache) None ctx rm
 
-let total ?sched_cache ctx d ~n_states =
-  let b = datapath ?sched_cache ctx d in
+let total ?sched_cache ?memo ctx d ~n_states =
+  let b = datapath ?sched_cache ?memo ctx d in
   { b with controller = Float.of_int n_states *. ctx.Design.lib.Hsyn_modlib.Library.ctrl_area_per_state }

@@ -37,15 +37,39 @@ type breakdown = {
 
 val grand_total : breakdown -> float
 
-val datapath : ?sched_cache:Hsyn_sched.Sched.Cache.t -> Design.ctx -> Design.t -> breakdown
+type memo
+(** Module areas of one technology context, kept across calls. A
+    module's area (its datapath with steering over all of its parts,
+    plus one controller state per busy cycle of each behavior's
+    profile) depends only on the context and the module, so the memo
+    computes it once per module. The key is the module's physical
+    identity, not its name: two modules with one name keep separate
+    areas. Bounded (256 modules, second-chance eviction) and
+    domain-safe; results are bit-identical with and without it. *)
+
+val memo : Design.ctx -> memo
+(** An empty memo for one technology context, compared physically on
+    every use. The evaluation engine creates one per engine and drops
+    it with the engine. *)
+
+val datapath :
+  ?sched_cache:Hsyn_sched.Sched.Cache.t -> ?memo:memo -> Design.ctx -> Design.t -> breakdown
 (** Area of the design's datapath (controller field 0; add it with
     {!total} once the schedule length is known). Recurses into module
     instances. Module controllers need module profiles, so a scheduler
     cache can be supplied for memoization across calls; without one a
-    transient cache scoped to this call is used. *)
+    transient cache scoped to this call is used. [?memo] reuses module
+    areas across calls; without it every module's area is computed
+    again.
+    @raise Invalid_argument if [memo] was made for another context. *)
 
 val total :
-  ?sched_cache:Hsyn_sched.Sched.Cache.t -> Design.ctx -> Design.t -> n_states:int -> breakdown
+  ?sched_cache:Hsyn_sched.Sched.Cache.t ->
+  ?memo:memo ->
+  Design.ctx ->
+  Design.t ->
+  n_states:int ->
+  breakdown
 (** [datapath] plus the top-level controller ([n_states] is the
     schedule makespan). *)
 

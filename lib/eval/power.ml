@@ -5,6 +5,7 @@ module Fu = Hsyn_modlib.Fu
 module Bits = Hsyn_util.Bits
 module Library = Hsyn_modlib.Library
 module Span = Hsyn_obs.Trace
+module Shard_tbl = Hsyn_util.Shard_tbl
 
 let width_f = Float.of_int Bits.word_width
 
@@ -113,16 +114,97 @@ let rec total_fu_cap (design : Design.t) =
           | (_, first) :: _ -> acc +. total_fu_cap first))
     0. design.Design.insts
 
+(* -- the evaluation-context memo ---------------------------------------- *)
+
+(* A module part's energy per invocation is a function of the module,
+   which fixes the part and the schedule it replays, the behavior, and
+   the part's invocation stream: the arguments of the calls bound to
+   the module's instance, in start order, sample after sample. Keyed
+   by that data, an energy is reused across graphs and bound parts
+   whenever the part sees the same invocations. *)
+module Part_key = struct
+  type t = { rm : Design.rtl_module; behavior : string; invocations : int array list }
+
+  let same_args x y = Array.length x = Array.length y && Array.for_all2 Int.equal x y
+
+  let equal a b =
+    a.rm == b.rm && String.equal a.behavior b.behavior
+    && List.equal same_args a.invocations b.invocations
+
+  let hash k =
+    let mix h args = Array.fold_left (fun h v -> (h * 31) + v) h args in
+    List.fold_left mix (Hashtbl.hash k.behavior) k.invocations land max_int
+end
+
+(* The top-level streams are a function of the graph and of the part
+   bound to each call node, in node order. Both compare physically:
+   the registry never checks that two variants of a behavior compute
+   the same function, so the parts belong to the key. *)
+module Stream_key = struct
+  type t = { dfg : Dfg.t; parts : Design.t array }
+
+  let equal a b =
+    a.dfg == b.dfg
+    && Array.length a.parts = Array.length b.parts
+    && Array.for_all2 ( == ) a.parts b.parts
+
+  let hash k = Hashtbl.hash (k.dfg.Dfg.name, Array.length k.dfg.Dfg.nodes)
+end
+
+module Part_tbl = Shard_tbl.Make (Part_key)
+module Stream_tbl = Shard_tbl.Make (Stream_key)
+
+type memo = {
+  m_ctx : Design.ctx;
+  m_trace : int array list;
+  streams : int array array Stream_tbl.t;
+  parts : float Part_tbl.t;
+}
+
+let memo ctx ~trace =
+  let eviction = Shard_tbl.Second_chance in
+  {
+    m_ctx = ctx;
+    m_trace = trace;
+    streams = Stream_tbl.create ~shards:1 ~eviction ~capacity:16 ();
+    parts = Part_tbl.create ~shards:1 ~eviction ~capacity:512 ();
+  }
+
+let simulate design invocations = Span.span Span.Power "sim" (fun () -> Sim.run design invocations)
+
+(* The part bound to each call node, in node order. *)
+let bound_parts (design : Design.t) =
+  let nodes = design.Design.dfg.Dfg.nodes in
+  let parts = ref [] in
+  for id = Array.length nodes - 1 downto 0 do
+    match nodes.(id).Dfg.kind with
+    | Dfg.Call behavior -> (
+        match design.Design.insts.(design.Design.node_inst.(id)) with
+        | Design.Module rm -> parts := Design.module_part rm behavior :: !parts
+        | Design.Simple _ -> invalid_arg "Power: call bound to simple unit")
+    | _ -> ()
+  done;
+  Array.of_list !parts
+
+let streams_of memo (design : Design.t) invocations =
+  let key = { Stream_key.dfg = design.Design.dfg; parts = bound_parts design } in
+  Stream_tbl.find_or_build memo.streams key (fun _ -> simulate design invocations)
+
 (* [sch] is the design's schedule: the caller's for the top level, the
    module-profile schedule ({!Sched.module_schedule}) for module parts.
    [invocations] is non-empty. The order in which [total] adds its
-   terms is part of the result's bits and must not change. *)
-let rec energy_rec cache ~top ctx (sch : Sched.schedule) (design : Design.t) invocations =
+   terms is part of the result's bits and must not change. [?streams]
+   are the design's streams when the caller already has them; [?memo]
+   supplies module-part energies at every level. *)
+let rec energy_rec cache ?memo ~top ?streams ctx (sch : Sched.schedule) (design : Design.t)
+    invocations =
   let lib = ctx.Design.lib in
   let dfg = design.Design.dfg in
   let vi p = Design.value_index dfg p in
   let n_samples = List.length invocations in
-  let streams = Span.span Span.Power "sim" (fun () -> Sim.run design invocations) in
+  let streams =
+    match streams with Some streams -> streams | None -> simulate design invocations
+  in
   let port_activity ports = activity (port_toggles streams (Array.of_list (List.map vi ports))) in
   let steered ports =
     List.length (List.sort_uniq compare (List.map (Area.source_of_value design) ports)) > 1
@@ -177,9 +259,19 @@ let rec energy_rec cache ~top ctx (sch : Sched.schedule) (design : Design.t) inv
                   |> List.concat_map (fun values ->
                          List.map (Array.map (fun v -> values.(v))) args)
                 in
-                let part = Design.module_part rm behavior in
-                let part_sch = Sched.module_schedule ~cache ctx rm behavior in
-                let e = energy_rec cache ~top:false ctx part_sch part inner_invocations in
+                let part_energy _ =
+                  let part = Design.module_part rm behavior in
+                  let part_sch = Sched.module_schedule ~cache ctx rm behavior in
+                  energy_rec cache ?memo ~top:false ctx part_sch part inner_invocations
+                in
+                let e =
+                  match memo with
+                  | None -> part_energy ()
+                  | Some m ->
+                      Part_tbl.find_or_build m.parts
+                        { Part_key.rm; behavior; invocations = inner_invocations }
+                        part_energy
+                in
                 let n_inner = List.length inner_invocations in
                 total := !total +. (e *. Float.of_int n_inner /. Float.of_int n_samples))
               by_behavior;
@@ -214,13 +306,21 @@ let or_transient = function
   | Some c -> c
   | None -> Sched.Cache.transient ()
 
-let energy_per_sample ?sched_cache ?sched ctx cs design invocations =
+let energy_per_sample ?sched_cache ?sched ?memo ctx cs design invocations =
   match invocations with
   | [] -> 0.
   | _ ->
       let cache = or_transient sched_cache in
       let sch = match sched with Some sch -> sch | None -> Sched.schedule ~cache ctx cs design in
-      energy_rec cache ~top:true ctx sch design invocations
+      let streams =
+        Option.map
+          (fun m ->
+            if not (m.m_ctx == ctx && m.m_trace == invocations) then
+              invalid_arg "Power.energy_per_sample: memo of another evaluation context";
+            streams_of m design invocations)
+          memo
+      in
+      energy_rec cache ?memo ~top:true ?streams ctx sch design invocations
 
 let energy_floor ctx (design : Design.t) ~makespan ~n_samples =
   if n_samples <= 0 then 0.

@@ -25,9 +25,39 @@
 module Design = Hsyn_rtl.Design
 module Sched = Hsyn_sched.Sched
 
+type memo
+(** What the power candidates of one evaluation context share, kept
+    across {!energy_per_sample} calls:
+
+    - {b value streams per (graph, bound parts)}: the top-level
+      streams of {!Sim.run}, keyed by the graph and the part bound to
+      each call node in node order, all compared by physical identity.
+      The values in the streams are fixed by those and the trace; a
+      candidate only changes how they interleave on resources. The
+      parts belong to the key because the registry never checks that
+      the variants of a behavior compute the same function.
+    - {b module-part energies}: a part's energy per invocation, keyed
+      by its module (physically), the behavior and the part's
+      invocation stream, which is the arguments of the calls bound to
+      the module's instance in start order, sample after sample. A
+      candidate whose part sees the same invocations, in this graph or
+      another, neither simulates the part nor looks its profile up.
+      Nested parts use the same table.
+
+    Both tables are bounded (16 stream entries and 512 part energies,
+    second-chance eviction) and domain-safe, and each key is computed
+    once per residency. Reused values are the ones a fresh computation
+    produces, so results are bit-identical with and without a memo. *)
+
+val memo : Design.ctx -> trace:int array list -> memo
+(** An empty memo for one technology context and one trace, both
+    compared physically on every use. The evaluation engine creates
+    one per engine and drops it with the engine. *)
+
 val energy_per_sample :
   ?sched_cache:Sched.Cache.t ->
   ?sched:Sched.schedule ->
+  ?memo:memo ->
   Design.ctx ->
   Sched.constraints ->
   Design.t ->
@@ -41,8 +71,12 @@ val energy_per_sample :
     is scheduled here. Nested module parts replay the schedule their
     module profile was read from ({!Sched.module_schedule}).
     [?sched_cache] memoizes scheduling and profiles across calls —
-    without it a transient cache scoped to this call is used. [0.] for
-    an empty trace. *)
+    without it a transient cache scoped to this call is used. [?memo]
+    reuses the streams and part energies of earlier calls in the same
+    evaluation context; without it nothing is reused across calls.
+    [0.] for an empty trace.
+    @raise Invalid_argument if [memo] was made for another context or
+    trace than [ctx] and the given invocations. *)
 
 val energy_floor : Design.ctx -> Design.t -> makespan:int -> n_samples:int -> float
 (** Trace-independent lower bound on {!energy_per_sample} for a design

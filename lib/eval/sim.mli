@@ -9,9 +9,12 @@
     identical while changing internal activity.
 
     Top-level [Delay] nodes carry state across samples. Behaviors used
-    inside RTL modules are expected to be stateless (delays at the top
-    level — see DESIGN.md); a delay inside a module part restarts from
-    its initial value at every invocation.
+    inside RTL modules are stateless (delays at the top level — see
+    DESIGN.md), and the contract is enforced where programs come in:
+    [Text.parse_string] refuses a [delay] in a [behavior] block with a
+    typed parse error. A registry built in code can still hold one; its
+    delay restarts from its initial value at every invocation here,
+    while flattening keeps one delay per call site.
 
     Each call compiles the design, and every module part it reaches,
     once into a flat program (topological order, operand value

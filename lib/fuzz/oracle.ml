@@ -157,8 +157,43 @@ let check_sched_diff rng (prog : Text.program) =
 (* cost oracle, never a change to it.                                 *)
 
 (* Candidate neighborhood of the initial design: functional-unit
-   swaps and register re-assignments, kept only when still valid. *)
-let candidates ctx (d : Design.t) =
+   swaps, register re-assignments and module rebindings, kept only
+   when still valid. A rebinding moves one call onto a module built
+   from another variant of its behavior, or onto the module of the
+   behavior's first call. So the engine meets designs of one graph
+   whose calls are bound to parts that compute different functions,
+   and modules shared by two calls. *)
+let candidates ctx registry (d : Design.t) =
+  let calls =
+    List.filter_map
+      (fun id ->
+        match d.Design.dfg.Dfg.nodes.(id).Dfg.kind with
+        | Dfg.Call behavior -> Some (id, behavior)
+        | _ -> None)
+      (List.init (Array.length d.Design.dfg.Dfg.nodes) Fun.id)
+  in
+  let other_variants =
+    List.concat_map
+      (fun (id, behavior) ->
+        List.tl (Registry.variants registry behavior)
+        |> List.map (fun (v : Dfg.t) ->
+               let part = Initial.build ctx ~complexes:no_complexes registry v in
+               let rm = { Design.rm_name = behavior ^ "#" ^ v.Dfg.name; parts = [ (behavior, part) ] } in
+               let d', inst = Design.add_inst d (Design.Module rm) in
+               Design.compact (Design.with_binding d' id inst)))
+      calls
+  in
+  let shared =
+    let first = Hashtbl.create 4 in
+    List.filter_map
+      (fun (id, behavior) ->
+        match Hashtbl.find_opt first behavior with
+        | None ->
+            Hashtbl.add first behavior id;
+            None
+        | Some id0 -> Some (Design.compact (Design.with_binding d id d.Design.node_inst.(id0))))
+      calls
+  in
   let swaps =
     Array.to_list d.Design.insts
     |> List.mapi (fun i kind ->
@@ -176,7 +211,7 @@ let candidates ctx (d : Design.t) =
       |> List.mapi (fun v r -> if r > 0 then Some (Design.with_value_reg d v (r - 1)) else None)
       |> List.filter_map Fun.id
   in
-  let all = d :: swaps @ regs in
+  let all = d :: swaps @ regs @ other_variants @ shared in
   List.filter (fun c -> Design.validate ctx c = Ok ()) all
 
 let check_engine_direct rng (prog : Text.program) =
@@ -195,7 +230,7 @@ let check_engine_direct rng (prog : Text.program) =
       ~n_inputs:(Array.length dfg.Dfg.inputs)
       ~length:4
   in
-  let cands = candidates ctx d0 in
+  let cands = candidates ctx prog.Text.registry d0 in
   let check_objective objective =
     let engine = Engine.create ~ctx ~cs ~sampling_ns ~trace ~objective () in
     let with_power = objective = Cost.Power in

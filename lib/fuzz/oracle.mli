@@ -18,7 +18,10 @@
       both.
     - [engine-direct] — [Engine.evaluate] (fresh and cached) is
       bit-identical to direct [Cost.evaluate], and [Engine.best_of]
-      agrees with a sequential fold, for both objectives.
+      agrees with a sequential fold, for both objectives, over a
+      neighborhood of the initial design: unit swaps, register moves,
+      calls moved to modules built from other variants, and calls of
+      one behavior moved onto one module.
     - [checkpoint-resume] — a sweep interrupted after one context and
       resumed from its checkpoint converges to the uninterrupted
       result.

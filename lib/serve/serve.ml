@@ -321,9 +321,10 @@ let count_request ~objective ~tenant ~status =
 
 (* Serve one connection on a worker domain. Never raises: every write
    failure means the client is gone, which only cancels that client's
-   run. Runs under the request's [Scope], which is what stamps the
-   request id onto event lines, spans and log records emitted below
-   here on this domain. *)
+   run, and any other exception is answered with a typed [internal]
+   error before the connection is closed. Runs under the request's
+   [Scope], which is what stamps the request id onto event lines, spans
+   and log records emitted below here on this domain. *)
 let handle_conn (t : t) worker_id ~id ~queue_wait_ms fd =
   let oc = Unix.out_channel_of_descr fd in
   let sink = Report.Sink.of_channel oc in
@@ -368,66 +369,74 @@ let handle_conn (t : t) worker_id ~id ~queue_wait_ms fd =
     run_ms
   in
   let kind v = Option.bind (Json.member "kind" v) Json.to_string_opt in
-  (match Result.map Json.of_string (read_request_line fd) with
-  | Error msg -> send (error_line Wire.Bad_request msg)
-  | Ok (Ok v) when kind v = Some "hsyn.metrics" -> send (metrics_line t)
-  | Ok (Ok v) when kind v = Some "hsyn.prometheus" -> send_text (prometheus_text t)
-  | Ok parsed -> (
-      match Result.bind (Result.map_error (( ^ ) "invalid JSON: ") parsed) Wire.doc_of_json with
-      | Error msg ->
-          Atomic.incr t.errors;
-          Metrics.incr t.c_errors;
-          Log.warn ~fields:[ ("client", Json.String (peer_name fd)) ] "bad request";
-          send (error_line Wire.Bad_request msg)
-      | Ok doc ->
-          let doc = { doc with Wire.budget = clamp_budget t.cfg doc.Wire.budget } in
-          Scope.with_scope
-            { Scope.id; tenant = doc.Wire.tenant }
-            (fun () ->
-              match
-                Wire.to_request ~session:t.session ~resolve_bench:Suite.resolve
-                  ~lib:Library.default doc
-              with
-              | Error msg ->
-                  Atomic.incr t.errors;
-                  Metrics.incr t.c_errors;
-                  ignore (access ~doc ~status:"bad_request" ~extra:[] : float);
-                  send (error_line Wire.Bad_request msg)
-              | Ok req ->
-                  let token = Budget.start doc.Wire.budget in
-                  Atomic.set t.tokens.(worker_id) (Some token);
-                  (* The event stream doubles as liveness detection: a
-                     failed write means the client disconnected, and the
-                     supported way to stop its run is its budget token. *)
-                  let events ev =
-                    try Report.Sink.line sink (Events.to_json ev)
-                    with _ -> Budget.cancel token
-                  in
-                  (* [doc.cache] is deliberately ignored: the daemon's
-                     persistent cache location is operator-controlled
-                     ([hsyn serve --cache]), never client-controlled. *)
-                  (match Synthesize.synthesize ~events ~token req with
-                  | Ok r ->
-                      Atomic.incr t.completed;
-                      Metrics.incr t.c_completed;
-                      let stats = r.Synthesize.stats in
-                      ignore
-                        (access ~doc ~status:"ok"
-                           ~extra:
-                             [
-                               ("moves_committed", Json.Int stats.Pass.moves_committed);
-                               ( "cache_hit_rate",
-                                 Json.Float (cache_hit_rate stats.Pass.engine) );
-                             ]
-                          : float);
-                      send (Synthesize.Result.to_json r)
-                  | Error msg ->
-                      Atomic.incr t.errors;
-                      Metrics.incr t.c_errors;
-                      ignore (access ~doc ~status:"failed" ~extra:[] : float);
-                      send (error_line Wire.Failed msg));
-                  Atomic.set t.tokens.(worker_id) None;
-                  note_latency t ((Unix.gettimeofday () -. started) *. 1000.))));
+  (try
+     match Result.map Json.of_string (read_request_line fd) with
+     | Error msg -> send (error_line Wire.Bad_request msg)
+     | Ok (Ok v) when kind v = Some "hsyn.metrics" -> send (metrics_line t)
+     | Ok (Ok v) when kind v = Some "hsyn.prometheus" -> send_text (prometheus_text t)
+     | Ok parsed -> (
+         match Result.bind (Result.map_error (( ^ ) "invalid JSON: ") parsed) Wire.doc_of_json with
+         | Error msg ->
+             Atomic.incr t.errors;
+             Metrics.incr t.c_errors;
+             Log.warn ~fields:[ ("client", Json.String (peer_name fd)) ] "bad request";
+             send (error_line Wire.Bad_request msg)
+         | Ok doc ->
+             let doc = { doc with Wire.budget = clamp_budget t.cfg doc.Wire.budget } in
+             Scope.with_scope
+               { Scope.id; tenant = doc.Wire.tenant }
+               (fun () ->
+                 match
+                   Wire.to_request ~session:t.session ~resolve_bench:Suite.resolve
+                     ~lib:Library.default doc
+                 with
+                 | Error msg ->
+                     Atomic.incr t.errors;
+                     Metrics.incr t.c_errors;
+                     ignore (access ~doc ~status:"bad_request" ~extra:[] : float);
+                     send (error_line Wire.Bad_request msg)
+                 | Ok req ->
+                     let token = Budget.start doc.Wire.budget in
+                     Atomic.set t.tokens.(worker_id) (Some token);
+                     (* The event stream doubles as liveness detection: a
+                        failed write means the client disconnected, and the
+                        supported way to stop its run is its budget token. *)
+                     let events ev =
+                       try Report.Sink.line sink (Events.to_json ev)
+                       with _ -> Budget.cancel token
+                     in
+                     (* [doc.cache] is deliberately ignored: the daemon's
+                        persistent cache location is operator-controlled
+                        ([hsyn serve --cache]), never client-controlled. *)
+                     (match Synthesize.synthesize ~events ~token req with
+                     | Ok r ->
+                         Atomic.incr t.completed;
+                         Metrics.incr t.c_completed;
+                         let stats = r.Synthesize.stats in
+                         ignore
+                           (access ~doc ~status:"ok"
+                              ~extra:
+                                [
+                                  ("moves_committed", Json.Int stats.Pass.moves_committed);
+                                  ( "cache_hit_rate",
+                                    Json.Float (cache_hit_rate stats.Pass.engine) );
+                                ]
+                             : float);
+                         send (Synthesize.Result.to_json r)
+                     | Error msg ->
+                         Atomic.incr t.errors;
+                         Metrics.incr t.c_errors;
+                         ignore (access ~doc ~status:"failed" ~extra:[] : float);
+                         send (error_line Wire.Failed msg));
+                     Atomic.set t.tokens.(worker_id) None;
+                     note_latency t ((Unix.gettimeofday () -. started) *. 1000.)))
+   with e ->
+     let msg = "internal error: " ^ Printexc.to_string e in
+     Atomic.set t.tokens.(worker_id) None;
+     Atomic.incr t.errors;
+     Metrics.incr t.c_errors;
+     Log.error ~fields:[ ("client", Json.String (peer_name fd)) ] msg;
+     send (error_line Wire.Internal msg));
   try close_out oc with _ -> ( try Unix.close fd with Unix.Unix_error _ -> ())
 
 (* -- admission and workers --------------------------------------------- *)

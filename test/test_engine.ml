@@ -449,6 +449,106 @@ let test_single_evaluations_never_poll () =
     [ Cost.Area; Cost.Power ]
 
 (* ------------------------------------------------------------------ *)
+(* The engine's memo: candidates reuse the streams of their (graph,
+   bound parts) and the energies of their module parts. Each test below
+   builds designs that share what a too-short key would confuse, and
+   checks every engine result against a direct evaluation. *)
+
+module B = Hsyn_dfg.Dfg.Builder
+module Op = Hsyn_dfg.Op
+module Registry = Hsyn_dfg.Registry
+
+(* A two-input variant [y = op a b] of a behavior. *)
+let variant name op =
+  let b = B.create name in
+  let a = B.input b "a" and c = B.input b "b" in
+  B.output b ~label:"y" (B.op b ~label:"s" op [ a; c ]);
+  B.finish b
+
+let one_behavior_module registry ~name behavior v =
+  { Design.rm_name = name; parts = [ (behavior, Tu.initial ~registry ctx v) ] }
+
+let check_against_direct engine direct designs =
+  List.iteri
+    (fun i d ->
+      let got = Engine.evaluate engine d in
+      checkb (Printf.sprintf "candidate %d equals direct" i) true (same_eval got (direct d)))
+    designs
+
+(* One graph whose call is bound to modules built from two variants
+   that compute different functions, a + b and a - b: the streams of
+   one must never serve the other, nor the energy of one part the
+   other, though both parts see the same invocations. *)
+let test_memo_streams_keyed_by_parts () =
+  let registry = Registry.create () in
+  let f_add = variant "f_add" Op.Add and f_sub = variant "f_sub" Op.Sub in
+  Registry.register registry "f" f_add;
+  Registry.register registry "f" f_sub;
+  let g =
+    let b = B.create "top" in
+    let x = B.input b "x" and y = B.input b "y" in
+    let c = B.call b ~label:"c" ~behavior:"f" ~n_out:1 [ x; y ] in
+    B.output b ~label:"o" (B.op b ~label:"m" Op.Mult [ c.(0); x ]);
+    B.finish b
+  in
+  let d_add = Tu.initial ~registry ctx g in
+  let d_sub =
+    Design.with_inst d_add (Tu.inst_of d_add "c")
+      (Design.Module (one_behavior_module registry ~name:"f#sub" "f" f_sub))
+  in
+  checkb "one graph" true (d_add.Design.dfg == d_sub.Design.dfg);
+  let trace = Tu.trace g in
+  checkb "the variants compute different functions" false
+    (Hsyn_eval.Sim.(outputs d_add (run d_add trace) = outputs d_sub (run d_sub trace)));
+  List.iter
+    (fun order ->
+      let engine, direct = mk_engine ~objective:Cost.Power d_add in
+      check_against_direct engine direct order)
+    [ [ d_add; d_sub; d_add; d_sub ]; [ d_sub; d_add ] ]
+
+(* One module instance shared by two calls, in two designs on one
+   graph with the same parts whose schedules start the calls in
+   opposite orders: the multiplier feeding each call decides which is
+   ready first. The part's merged invocation stream differs, so its
+   energy must not be reused across the orders. *)
+let test_memo_part_energy_keyed_by_call_order () =
+  let registry = Registry.create () in
+  Registry.register registry "f" (variant "f_add" Op.Add);
+  let g =
+    let b = B.create "top" in
+    let x = B.input b "x" and y = B.input b "y" and z = B.input b "z" in
+    let p = B.op b ~label:"p" Op.Mult [ x; y ] and q = B.op b ~label:"q" Op.Mult [ x; z ] in
+    let c1 = B.call b ~label:"c1" ~behavior:"f" ~n_out:1 [ p; y ] in
+    let c2 = B.call b ~label:"c2" ~behavior:"f" ~n_out:1 [ q; z ] in
+    B.output b ~label:"o1" c1.(0);
+    B.output b ~label:"o2" c2.(0);
+    B.finish b
+  in
+  let d0 = Tu.initial ~registry ctx g in
+  let shared =
+    Design.compact (Design.with_binding d0 (Tu.node_id g "c2") (Tu.inst_of d0 "c1"))
+  in
+  let mult name = Design.Simple (Library.find_exn Library.default name) in
+  let with_mults dp dq =
+    Design.with_inst
+      (Design.with_inst shared (Tu.inst_of shared "p") (mult dp))
+      (Tu.inst_of shared "q") (mult dq)
+  in
+  let c1_first = with_mults "mult1" "mult2" and c2_first = with_mults "mult2" "mult1" in
+  let starts d =
+    let sch = Sched.schedule ctx (Sched.relaxed ~deadline:1000 g) d in
+    (sch.Sched.start.(Tu.node_id g "c1"), sch.Sched.start.(Tu.node_id g "c2"))
+  in
+  let s1, s2 = starts c1_first and s1', s2' = starts c2_first in
+  checkb "c1 starts first" true (s1 < s2);
+  checkb "c2 starts first" true (s2' < s1');
+  List.iter
+    (fun order ->
+      let engine, direct = mk_engine ~objective:Cost.Power shared in
+      check_against_direct engine direct order)
+    [ [ c1_first; c2_first ]; [ c2_first; c1_first ] ]
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end determinism: full synthesis must produce bit-identical
    results at any jobs count, and with the engine machinery disabled. *)
 
@@ -489,6 +589,11 @@ let () =
           tc "family counters" test_family_counters;
           tc "one entry per design" test_one_entry_per_design;
           tc "single evaluations never poll" test_single_evaluations_never_poll;
+        ] );
+      ( "memo",
+        [
+          tc "streams keyed by bound parts" test_memo_streams_keyed_by_parts;
+          tc "part energies keyed by call order" test_memo_part_energy_keyed_by_call_order;
         ] );
       ("determinism", [ tc "jobs-independent synthesis" test_synthesis_determinism ]);
     ]

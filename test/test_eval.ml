@@ -117,6 +117,44 @@ let prop_flatten_preserves_semantics =
 (* ------------------------------------------------------------------ *)
 (* Area *)
 
+(* The area memo keys a module by its identity: two modules with one
+   name but different parts keep separate areas. *)
+let test_area_memo_keyed_by_module () =
+  let registry = Registry.create () in
+  let variant name op =
+    let b = B.create name in
+    let a = B.input b "a" and c = B.input b "b" in
+    B.output b ~label:"y" (B.op b ~label:"s" op [ a; c ]);
+    B.finish b
+  in
+  let f_add = variant "f_add" Op.Add and f_mult = variant "f_mult" Op.Mult in
+  Registry.register registry "f" f_add;
+  Registry.register registry "f" f_mult;
+  let g =
+    let b = B.create "top" in
+    let x = B.input b "x" and y = B.input b "y" in
+    B.output b ~label:"o" (B.call b ~label:"c" ~behavior:"f" ~n_out:1 [ x; y ]).(0);
+    B.finish b
+  in
+  let with_module v =
+    let d = Tu.initial ~registry ctx g in
+    let rm = { Design.rm_name = "m"; parts = [ ("f", Tu.initial ~registry ctx v) ] } in
+    Design.with_inst d (Tu.inst_of d "c") (Design.Module rm)
+  in
+  let d_add = with_module f_add and d_mult = with_module f_mult in
+  let plain d = Area.grand_total (Area.total ctx d ~n_states:4) in
+  checkb "the parts differ in area" true (plain d_add <> plain d_mult);
+  let memo = Area.memo ctx in
+  List.iter
+    (fun d ->
+      let a = Area.grand_total (Area.total ~memo ctx d ~n_states:4) in
+      checkb "memoized area equals plain" true
+        (Int64.bits_of_float a = Int64.bits_of_float (plain d)))
+    [ d_add; d_mult; d_add; d_mult ];
+  Alcotest.check_raises "a memo serves one context"
+    (Invalid_argument "Area: memo of another technology context") (fun () ->
+      ignore (Area.total ~memo (Tu.ctx ~vdd:3.3 ()) d_add ~n_states:4))
+
 let test_area_components () =
   let g = Tu.small_graph () in
   let d = Tu.initial ctx g in
@@ -346,6 +384,7 @@ let () =
           tc "sharing adds muxes" test_area_sharing_adds_muxes;
           tc "register sharing" test_area_register_sharing;
           tc "module recursion" test_module_area_recursion;
+          tc "memo keyed by module identity" test_area_memo_keyed_by_module;
         ] );
       ( "power",
         [

@@ -240,6 +240,62 @@ let test_memo_shares_rewrites () =
         (List.exists (fun (_, (c1 : Design.t)) -> c1.Design.dfg == c3.Design.dfg) first))
     third
 
+(* The gate keeps its verdicts: on a call-free design it simulates each
+   rewrite once per [Moves.rewrites] entry, however many moves ask for
+   the candidates; on a design with calls it simulates on every move.
+   Rebinding still runs first on every move, so the rejection counters
+   repeat move after move. *)
+let test_gate_keeps_verdicts () =
+  let module Design = Hsyn_rtl.Design in
+  let module Metrics = Hsyn_obs.Metrics in
+  let module Suite = Hsyn_benchmarks.Suite in
+  let ctx = Tu.ctx () in
+  let value name = Metrics.counter_value (Metrics.counter name) in
+  (* one move: (candidates kept, gate simulations, rebound, rejected by the gate) *)
+  let move env d =
+    let sims = value "moves.rewrite.simulated" and seen = value "moves.rewrite.candidates" in
+    let unbound = value "moves.rewrite.rejected_bind" and failed = value "moves.rewrite.rejected_sim" in
+    let kept = List.length (List.of_seq (Hsyn_core.Moves.rewrite_candidates env d)) in
+    ( kept,
+      value "moves.rewrite.simulated" - sims,
+      value "moves.rewrite.candidates" - seen - (value "moves.rewrite.rejected_bind" - unbound),
+      value "moves.rewrite.rejected_sim" - failed )
+  in
+  let check what ~call_free env d =
+    let kept, sims, rebound, rejected = move env d in
+    checkb (what ^ ": rewrites rebind") true (rebound > 0);
+    checki (what ^ ": first move simulates every rebound rewrite") rebound sims;
+    checki (what ^ ": kept or rejected by the gate") rebound (kept + rejected);
+    let kept', sims', rebound', rejected' = move env d in
+    checki (what ^ ": same candidates") kept kept';
+    checki (what ^ ": rebinds again") rebound rebound';
+    checki (what ^ ": gate rejects again") rejected rejected';
+    checki (what ^ ": second move simulates") (if call_free then 0 else rebound) sims'
+  in
+  Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+    (fun () ->
+      let b = Suite.avenhaus_cascade () in
+      let flat = Tu.initial ctx (Hsyn_dfg.Flatten.flatten b.Suite.registry b.Suite.dfg) in
+      check "call-free" ~call_free:true (Tu.moves_env flat.Design.dfg) flat;
+      (* a multiply by 8 and an add chain, both rewritable, feeding a call *)
+      let registry, _ = Tu.hier_graph () in
+      let g =
+        let b = B.create "with_call" in
+        let x = B.input b "a" and y = B.input b "b" and z = B.input b "c" and w = B.input b "d" in
+        let m = B.op b ~label:"m" Op.Mult [ x; B.const b ~label:"k" 8 ] in
+        let s1 = B.op b ~label:"s1" Op.Add [ x; y ] in
+        let s2 = B.op b ~label:"s2" Op.Add [ s1; z ] in
+        let s3 = B.op b ~label:"s3" Op.Add [ s2; w ] in
+        B.output b ~label:"o" (B.call b ~label:"c1" ~behavior:"mac" ~n_out:1 [ s3; m; y ]).(0);
+        B.finish b
+      in
+      let d = Tu.initial ~registry ctx g in
+      check "with a call" ~call_free:false (Tu.moves_env ~registry g) d)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "rewrite"
@@ -264,6 +320,10 @@ let () =
           tc "all candidates valid + equivalent" test_all_candidates_sound;
           tc "kind attribution" test_kind_of_description;
         ] );
-      ("memo", [ tc "rewrites shared per graph" test_memo_shares_rewrites ]);
+      ( "memo",
+        [
+          tc "rewrites shared per graph" test_memo_shares_rewrites;
+          tc "gate keeps its verdicts" test_gate_keeps_verdicts;
+        ] );
       ("synthesis", [ tc "family E improves avenhaus_cascade" test_family_e_improves_avenhaus ]);
     ]

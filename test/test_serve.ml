@@ -209,11 +209,41 @@ let test_malformed_request_survives () =
           checks "deep nesting is bad_request" "bad_request" (gets "code" j);
           checks "rejected at the limit" "invalid JSON: nesting deeper than 256 at offset 257"
             (gets "message" j));
-      (* the daemon still serves after all three *)
+      (* an inline program the registry refuses: two variants of one
+         behavior with different interfaces *)
+      let program text =
+        Json.to_string
+          (Wire.doc_to_json
+             (Wire.make_doc ~objective:Cost.Power ~timing:(Wire.Laxity 2.2) ~config:test_config
+                (Wire.Program { text; graph = None })))
+      in
+      let mismatched =
+        "behavior f variant f1\n  input a\n  input b\n  op s add a b\n  output y s\nend\n\
+         behavior f variant f2\n  input a\n  op s neg a\n  output y s\nend\n\
+         dfg top\n  input x\n  input y\n  call c1 f 1 x y\n  output o c1\nend\n"
+      in
+      (match Serve.Client.raw ~timeout_s:10. addr (program mismatched) with
+      | Error msg -> Alcotest.failf "refused program: %s" msg
+      | Ok lines ->
+          let j = parse (last lines) in
+          checks "refused program is bad_request" "bad_request" (gets "code" j);
+          checks "names the refusal"
+            "program line 7: Registry.register: variant f2 of f has mismatched interface"
+            (gets "message" j));
+      (* a call of a behavior the program never defines raises inside
+         request resolution: the worker answers [internal] and closes
+         the connection instead of dropping it *)
+      (match
+         Serve.Client.raw ~timeout_s:10. addr
+           (program "dfg top\n  input x\n  call c1 nosuch 1 x\n  output o c1\nend\n")
+       with
+      | Error msg -> Alcotest.failf "escaping exception: %s" msg
+      | Ok lines -> checks "escaping exception is internal" "internal" (gets "code" (parse (last lines))));
+      (* the daemon still serves after all five *)
       let final = last (request_lines addr (test1_doc ())) in
       checks "daemon survives" "hsyn.result" (gets "kind" (parse final));
       let stats = Serve.stats server in
-      checki "all three protocol errors counted" 3 stats.Serve.errors)
+      checki "all five errors counted" 5 stats.Serve.errors)
 
 (* ------------------------------------------------------------------ *)
 (* admission control *)

@@ -8,6 +8,7 @@ module Flatten = Hsyn_dfg.Flatten
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
+let checks = Alcotest.check Alcotest.string
 
 let example =
   {|
@@ -67,6 +68,16 @@ end
   let g = List.hd prog.Text.graphs in
   checkb "valid" true (Dfg.validate g = Ok ())
 
+(* Programs the registry refuses or whose behaviors keep state. *)
+let mismatched_variants =
+  "behavior f variant f1\n  input a\n  input b\n  op s add a b\n  output y s\nend\n\
+   behavior f variant f2\n  input a\n  op s neg a\n  output y s\nend\n\
+   dfg top\n  input x\n  input y\n  call c1 f 1 x y\n  output o c1\nend\n"
+
+let stateful_behavior =
+  "behavior acc variant acc0\n  input a\n  delay z s\n  op s add a z\n  output y s\nend\n\
+   dfg top\n  input x\n  call c1 acc 1 x\n  call c2 acc 1 c1\n  output o c2\nend\n"
+
 let expect_error src =
   match Text.parse_string src with
   | exception Text.Parse_error (_, _) -> ()
@@ -81,7 +92,22 @@ let test_errors () =
   (* statement outside block *)
   expect_error "dfg a\n  input x\n  input x\nend";
   (* duplicate label *)
-  expect_error "dfg a\ndfg b\nend\nend"
+  expect_error "dfg a\ndfg b\nend\nend";
+  (* two variants of one behavior with different interfaces *)
+  expect_error mismatched_variants;
+  (* two variants of one behavior with the same name *)
+  expect_error
+    "behavior f variant f1\n  input a\n  op s neg a\n  output y s\nend\n\
+     behavior f variant f1\n  input a\n  op s abs a\n  output y s\nend\n\
+     dfg top\n  input x\n  call c1 f 1 x\n  output o c1\nend\n";
+  (* a delay inside a behavior: behaviors are stateless *)
+  expect_error stateful_behavior;
+  match Text.parse_string stateful_behavior with
+  | exception Text.Parse_error (line, msg) ->
+      checki "at the delay" 3 line;
+      checks "names the behavior and the delay"
+        "behavior acc variant acc0: delay z: behaviors must be stateless" msg
+  | _ -> Alcotest.fail "expected Parse_error"
 
 let test_error_line_numbers () =
   match Text.parse_string "dfg a\n  input x\n  op m mult x nosuch\nend" with
