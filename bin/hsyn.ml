@@ -190,15 +190,14 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
               Printf.printf "  area          : %.1f\n" r.S.eval.Cost.area;
               Printf.printf "  power         : %.3f\n" r.S.eval.Cost.power;
               Printf.printf "  synthesis time: %.2f s (%d contexts, %d moves)\n" r.S.elapsed_s
-                r.S.contexts_tried r.S.stats.Hsyn_core.Pass.moves_committed;
+                r.S.coverage.S.contexts_started r.S.stats.Hsyn_core.Pass.moves_committed;
               if not r.S.completed then
                 Printf.printf "  sweep stopped : %s after %d/%d contexts (best so far shown)\n"
                   (match r.S.coverage.S.stop_reason with Some s -> s | None -> "?")
                   r.S.coverage.S.contexts_done r.S.coverage.S.contexts_planned;
               if show_stats || profile then begin
-                Printf.printf "\nevaluation engine (jobs %d, cache %d, staging %s):\n"
-                  policy.Engine.jobs policy.Engine.cache_capacity
-                  (if policy.Engine.staged then "on" else "off");
+                Printf.printf "\nevaluation engine (jobs %d, cache %d):\n" policy.Engine.jobs
+                  policy.Engine.cache_capacity;
                 Format.printf "  total        %a@." Session.pp_totals (Session.totals session);
                 List.iter
                   (fun (fam, c) -> Format.printf "  %-12s %a@." fam Session.pp_counters c)
@@ -437,7 +436,7 @@ let stats_flag =
   Arg.(
     value & flag
     & info [ "stats" ]
-        ~doc:"Print evaluation-engine and scheduler-kernel statistics (cache, staging, parallelism).")
+        ~doc:"Print evaluation-engine and scheduler-kernel statistics (cache, parallelism).")
 
 let profile_flag =
   Arg.(

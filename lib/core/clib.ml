@@ -38,6 +38,18 @@ let reachable registry top =
   visit top;
   List.rev !order
 
+let improve_part ?session ?token ctx registry ~complexes ~effort ~trace ~allow_embed
+    ~allow_split ~allow_rewrite cs objective part =
+  let sampling_ns = Float.of_int cs.Sched.deadline *. ctx.Design.clk_ns in
+  let engine =
+    Engine.create ~policy:effort.engine ?session ?token ~ctx ~cs ~sampling_ns ~trace ~objective ()
+  in
+  let env =
+    Moves.make_env engine ~registry ~complexes ~max_candidates:effort.max_candidates ~allow_embed
+      ~allow_split ~allow_rewrite
+  in
+  fst (Pass.improve env ~max_moves:effort.max_moves ~max_passes:effort.max_passes part)
+
 let synthesize_variant ?session ?token ctx registry clib ~rng ~trace_length ~effort behavior
     (variant : Dfg.t) =
   let sched_cache = Option.map Session.sched_cache session in
@@ -50,34 +62,12 @@ let synthesize_variant ?session ?token ctx registry clib ~rng ~trace_length ~eff
     Trace.generate (Rng.split rng) Trace.default_kind ~n_inputs:(Array.length variant.Dfg.inputs)
       ~length:trace_length
   in
+  (* Library construction embeds, splits and rewrites whatever the
+     config's family switches say. ROADMAP item 1 decides whether it
+     should follow them instead. *)
   let optimize objective deadline =
-    let sampling_ns = Float.of_int deadline *. ctx.Design.clk_ns in
-    let cs = { relaxed with Sched.deadline } in
-    let engine =
-      Engine.create ~policy:effort.engine ?session ?token ~ctx ~cs ~sampling_ns ~trace
-        ~objective ()
-    in
-    let env =
-      {
-        Moves.ctx;
-        cs;
-        sampling_ns;
-        trace;
-        objective;
-        engine;
-        registry;
-        complexes;
-        resynth = None;
-        max_candidates = effort.max_candidates;
-        allow_embed = true;
-        allow_split = true;
-        allow_rewrite = true;
-        fresh_names = 0;
-        rewrites = None;
-      }
-    in
-    let d, _ = Pass.improve ?token env ~max_moves:effort.max_moves ~max_passes:effort.max_passes initial in
-    d
+    improve_part ?session ?token ctx registry ~complexes ~effort ~trace ~allow_embed:true
+      ~allow_split:true ~allow_rewrite:true { relaxed with Sched.deadline } objective initial
   in
   let fast = { Design.rm_name = variant.Dfg.name ^ "@f"; parts = [ (behavior, initial) ] } in
   let area_opt =

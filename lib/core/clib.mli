@@ -12,6 +12,7 @@
 module Design = Hsyn_rtl.Design
 module Dfg = Hsyn_dfg.Dfg
 module Registry = Hsyn_dfg.Registry
+module Sched = Hsyn_sched.Sched
 
 type t
 
@@ -41,6 +42,31 @@ val build :
     session otherwise). With [token], construction polls its
     deadline and cancellation and raises {!Budget.Interrupted}; the
     caller abandons the context it was preparing. *)
+
+val improve_part :
+  ?session:Session.t ->
+  ?token:Budget.token ->
+  Design.ctx ->
+  Registry.t ->
+  complexes:(string -> Design.rtl_module list) ->
+  effort:effort ->
+  trace:int array list ->
+  allow_embed:bool ->
+  allow_split:bool ->
+  allow_rewrite:bool ->
+  Sched.constraints ->
+  Cost.objective ->
+  Design.t ->
+  Design.t
+(** One nested improvement run (Figure 4's loop below the top level):
+    improve a module part under the given constraints and objective,
+    with move B off. The sampling period is the constraints' deadline
+    in clock periods. It creates its own engine (policy
+    [effort.engine], borrowing from [session] and polling [token]) and
+    runs {!Pass.improve} at [effort]'s move and pass bounds with
+    [effort.max_candidates] per family. Library construction calls it
+    for each variant's area- and power-optimized modules, and move B
+    for each resynthesis. *)
 
 val lookup : t -> string -> Design.rtl_module list
 (** Modules implementing a behavior; [[]] when unknown. *)

@@ -33,8 +33,8 @@ type memo = { area_memo : Area.memo; power_memo : Power.memo }
 
 let memo ctx ~trace = { area_memo = Area.memo ctx; power_memo = Power.memo ctx ~trace }
 
-let schedule_stage ?sched_cache ?prepared ?memo ctx cs design =
-  let sch = Sched.schedule ?cache:sched_cache ?prepared ctx cs design in
+let schedule_stage ?sched_cache ?memo ctx cs design =
+  let sch = Sched.schedule ?cache:sched_cache ctx cs design in
   let area =
     Hsyn_obs.Trace.(span Schedule) "area" (fun () ->
         Area.grand_total

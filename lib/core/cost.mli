@@ -49,7 +49,6 @@ val memo : Design.ctx -> trace:int array list -> memo
 
 val schedule_stage :
   ?sched_cache:Sched.Cache.t ->
-  ?prepared:Sched.Prepared.t ->
   ?memo:memo ->
   Design.ctx ->
   Sched.constraints ->
@@ -58,10 +57,10 @@ val schedule_stage :
 (** The cheap stage: list scheduling plus the area model. [power] and
     [energy_sample] are [nan]; the eval equals [evaluate
     ~with_power:false]. The schedule is returned alongside so that
-    {!power_stage} need not compute it again. [?prepared] and
-    [?sched_cache] are forwarded to {!Sched.schedule} (and the cache to
-    the area model's module profiles). [?memo] supplies the module
-    areas. *)
+    {!power_stage} need not compute it again. [?sched_cache] is
+    forwarded to {!Sched.schedule}, which takes the graph's prepared
+    context from it, and to the area model's module profiles. [?memo]
+    supplies the module areas. *)
 
 val power_stage :
   ?sched_cache:Sched.Cache.t ->

@@ -4,9 +4,9 @@ module Pool = Hsyn_util.Pool
 module Metrics = Hsyn_obs.Metrics
 module Span = Hsyn_obs.Trace
 
-type policy = { jobs : int; cache_capacity : int; staged : bool }
+type policy = { jobs : int; cache_capacity : int }
 
-let default_policy = { jobs = Pool.default_jobs (); cache_capacity = 4096; staged = true }
+let default_policy = { jobs = Pool.default_jobs (); cache_capacity = 4096 }
 
 type entry = Session.entry = {
   e_design : Design.t;
@@ -32,11 +32,6 @@ type t = {
   memo : Cost.memo;
       (* what this engine's candidates share: module areas, and value
          streams with module-part energies; dropped with the engine *)
-  mutable prepared : Sched.Prepared.t option;
-      (* scheduling context of the graph last evaluated; candidates in a
-         batch share their graph physically, so this is one lookup per
-         batch instead of one per candidate. Written only by the domain
-         driving the engine (workers just read it). *)
   mutable totals : Session.counters;
 }
 
@@ -89,7 +84,6 @@ let create ?(policy = default_policy) ?session ?token ~ctx ~cs ~sampling_ns ~tra
     sched_cache = Session.sched_cache session;
     costs;
     memo = Cost.memo ctx ~trace;
-    prepared = None;
     totals = Session.zero;
   }
 
@@ -117,26 +111,18 @@ let on_pool t f arr =
   with Pool.Cancelled -> raise_interrupted t
 
 let objective t = t.obj
+let ctx t = t.ctx
+let constraints t = t.cs
+let sampling_ns t = t.sampling_ns
+let trace t = t.trace
+let interrupted t = Option.bind t.token Budget.interrupted
 let counters t = t.totals
 let session t = t.session
 let cache_size t = match t.costs with Some c -> Session.cost_size c | None -> 0
 
 (* -- staged evaluation primitives -------------------------------------- *)
 
-(* Make sure [t.prepared] matches [design]'s graph. Must only be called
-   from the engine's owning domain, never from pool workers. *)
-let prime_prepared t (design : Design.t) =
-  match t.prepared with
-  | Some p when Sched.Prepared.dfg p == design.Design.dfg -> ()
-  | _ -> t.prepared <- Some (Sched.prepared_for ~cache:t.sched_cache design.Design.dfg)
-
-let stage1 t (design : Design.t) =
-  let prepared =
-    match t.prepared with
-    | Some p when Sched.Prepared.dfg p == design.Design.dfg -> Some p
-    | _ -> None
-  in
-  Cost.schedule_stage ~sched_cache:t.sched_cache ?prepared ~memo:t.memo t.ctx t.cs design
+let stage1 t design = Cost.schedule_stage ~sched_cache:t.sched_cache ~memo:t.memo t.ctx t.cs design
 
 (* Fill the power stage into an entry; a no-op when already done.
    Returns true when a simulation actually ran. [?sched] is the
@@ -169,9 +155,6 @@ let complete_power t ?sched (e : entry) =
    so a single evaluation never raises [Budget.Interrupted] ([Pass]
    calls those outside its interruption handler). *)
 let fill t ~keep_sched designs =
-  (* all designs of a batch share their graph physically; prime the
-     prepared context before workers start reading it *)
-  if Array.length designs > 0 then prime_prepared t (snd designs.(0));
   let probed =
     Array.map
       (fun (fam, design) ->
@@ -288,9 +271,7 @@ let best_of t ?family ~limit seq =
     | [] -> ()
     | pending ->
         check_token t;
-        let beats_best b =
-          (not t.policy.staged) || match !best with None -> true | Some (bv, _) -> b <= bv
-        in
+        let beats_best b = match !best with None -> true | Some (bv, _) -> b <= bv in
         let skipped, rest = List.partition (fun (b, _) -> not (beats_best b)) pending in
         List.iter (fun (_, i) -> bump t ?fam:(fam i) { Session.zero with power_skipped = 1 }) skipped;
         let wave = take_n wave_size (List.to_seq rest) in

@@ -42,7 +42,10 @@
     and parts compare by physical identity. Every table is bounded and
     safe on the engine's pool (see {!Hsyn_eval.Power.memo} and
     {!Hsyn_eval.Area.memo}). Direct {!Cost.evaluate} calls take no
-    memo and stay uncached.
+    memo and stay uncached. Scheduling contexts are not the engine's:
+    each schedule looks its graph's prepared context up in the
+    session's scheduler cache ({!Session.sched_cache}), as module
+    profiles and the move generators' own schedules do.
 
     Results are bit-identical to direct {!Cost.evaluate} calls and
     independent of the pool size.
@@ -63,11 +66,10 @@ module Sched = Hsyn_sched.Sched
 type policy = {
   jobs : int;  (** parallelism degree; 1 = sequential, no domains *)
   cache_capacity : int;  (** max memoized designs; 0 disables the cache *)
-  staged : bool;  (** enable the power-simulation skip bound *)
 }
 
 val default_policy : policy
-(** [jobs] from [HSYN_JOBS] (default 1), capacity 4096, staged on. *)
+(** [jobs] from [HSYN_JOBS] (default 1), capacity 4096. *)
 
 type t
 
@@ -94,12 +96,27 @@ val create :
     When a budget [token] is given, {!best_of} polls its deadline and
     cancellation between evaluation waves and inside worker tasks,
     raising {!Budget.Interrupted}. An interrupted batch leaves no
-    worker domain stuck and no partial result visible. *)
+    worker domain stuck and no partial result visible. The improvement
+    loop polls the same token through {!interrupted}. *)
 
 val session : t -> Session.t
 (** The session this engine was created against. *)
 
+(** {1 The evaluation context}
+
+    The engine owns its improvement run's evaluation context and
+    budget token: the move generators and {!Pass.improve} read them
+    here. *)
+
+val ctx : t -> Design.ctx
+val constraints : t -> Sched.constraints
+val sampling_ns : t -> float
+val trace : t -> int array list
 val objective : t -> Cost.objective
+
+val interrupted : t -> Budget.reason option
+(** What has fired on the engine's budget token — its deadline or a
+    cancellation — or [None], always [None] without a token. *)
 
 val evaluate : t -> Design.t -> Cost.eval
 (** Memoized equivalent of

@@ -38,11 +38,6 @@ type t = {
 }
 
 type env = {
-  ctx : Design.ctx;
-  cs : Sched.constraints;
-  sampling_ns : float;
-  trace : int array list;
-  objective : Cost.objective;
   engine : Engine.t;
   registry : Registry.t;
   complexes : string -> Design.rtl_module list;
@@ -71,6 +66,25 @@ and rewrites = {
    once simulated: it then depends only on the two graphs and the
    env's trace, all fixed for the entry. *)
 and rewrite = { description : string; graph : Dfg.t; mutable verdict : bool option }
+
+let make_env ?resynth engine ~registry ~complexes ~max_candidates ~allow_embed ~allow_split
+    ~allow_rewrite =
+  {
+    engine;
+    registry;
+    complexes;
+    resynth;
+    max_candidates;
+    allow_embed;
+    allow_split;
+    allow_rewrite;
+    fresh_names = 0;
+    rewrites = None;
+  }
+
+(* The evaluation context is the engine's. *)
+let ctx env = Engine.ctx env.engine
+let cs env = Engine.constraints env.engine
 
 let fresh_name env base =
   env.fresh_names <- env.fresh_names + 1;
@@ -124,12 +138,12 @@ let used_modules (d : Design.t) by_inst =
 (* Move family A: module selection *)
 
 let select_candidates env (d : Design.t) : candidate Seq.t =
-  let lib = env.ctx.Design.lib in
+  let lib = (ctx env).Design.lib in
   (* rank unit swaps by how much objective they can plausibly win, so
      truncation in [best_of] keeps the promising ones: big capacitance
      cuts first for power, big area cuts first for area *)
   let swap_score uses (old_fu : Fu.t) (alt : Fu.t) =
-    match env.objective with
+    match Engine.objective env.engine with
     | Cost.Power -> Float.of_int uses *. (old_fu.Fu.energy_cap -. alt.Fu.energy_cap)
     | Cost.Area -> old_fu.Fu.area -. alt.Fu.area
   in
@@ -182,12 +196,13 @@ let resynth_candidates env (d : Design.t) : candidate Seq.t =
   | None -> Seq.empty
   | Some resynth ->
       let dfg = d.Design.dfg in
+      let ctx = ctx env and deadline = (cs env).Sched.deadline in
       (* schedule, ALAP and the consumer index are shared by all
          instances but only computed if some candidate is pulled *)
       let pre =
         lazy
-          ( Sched.schedule ~cache:(sched_cache env) env.ctx env.cs d,
-            Sched.alap_start ~cache:(sched_cache env) env.ctx ~deadline:env.cs.Sched.deadline d,
+          ( Sched.schedule ~cache:(sched_cache env) ctx (cs env) d,
+            Sched.alap_start ~cache:(sched_cache env) ctx ~deadline d,
             Design.consumer_index dfg )
       in
       Seq.init (Array.length d.Design.insts) Fun.id
@@ -213,9 +228,9 @@ let resynth_candidates env (d : Design.t) : candidate Seq.t =
                          List.fold_left
                            (fun acc (c, _) ->
                              match dfg.Dfg.nodes.(c).Dfg.kind with
-                             | Dfg.Output | Dfg.Delay _ -> min acc env.cs.Sched.deadline
+                             | Dfg.Output | Dfg.Delay _ -> min acc deadline
                              | _ -> min acc (max 0 alap.(c)))
-                           env.cs.Sched.deadline cons
+                           deadline cons
                        in
                        let outs = Array.init node.Dfg.n_out latest_out in
                        let base = Array.fold_left min max_int arrivals in
@@ -231,7 +246,7 @@ let resynth_candidates env (d : Design.t) : candidate Seq.t =
                          }
                        in
                        let part = Design.module_part rm behavior in
-                       let part' = resynth env.ctx inner_cs env.objective part in
+                       let part' = resynth ctx inner_cs (Engine.objective env.engine) part in
                        if part' == part then Seq.Nil
                        else
                          let rm' =
@@ -280,7 +295,7 @@ let merge_simple_candidates (d : Design.t) : candidate Seq.t =
 (* Chain fusion: nodes a -> b (both additions on separate plain units)
    fused onto a chained adder; extended to three for chained_add3. *)
 let chain_candidates env (d : Design.t) : candidate Seq.t =
-  let lib = env.ctx.Design.lib in
+  let lib = (ctx env).Design.lib in
   let dfg = d.Design.dfg in
   let cidx = lazy (Design.consumer_index dfg) in
   let is_plain_add id =
@@ -409,7 +424,7 @@ let module_merge_candidates env (d : Design.t) : candidate Seq.t =
   List.to_seq !pairs
   |> Seq.filter_map (fun (i, j, rmi, rmj) ->
          match
-           Embed.merge_modules env.ctx
+           Embed.merge_modules (ctx env)
              ~name:(fresh_name env (rmi.Design.rm_name ^ "+" ^ rmj.Design.rm_name))
              rmi rmj
          with
@@ -428,7 +443,7 @@ let module_merge_candidates env (d : Design.t) : candidate Seq.t =
 let left_edge_candidate env (d : Design.t) : candidate Seq.t =
  fun () ->
   let dfg = d.Design.dfg in
-  let sch = Sched.schedule ~cache:(sched_cache env) env.ctx env.cs d in
+  let sch = Sched.schedule ~cache:(sched_cache env) (ctx env) (cs env) d in
   if not sch.Sched.feasible then Seq.Nil
   else begin
     let cidx = Design.consumer_index dfg in
@@ -509,7 +524,7 @@ let merge_candidates env d : candidate Seq.t =
 (* Move family D: splitting *)
 
 let split_candidates env (d : Design.t) : candidate Seq.t =
-  let sch = lazy (Sched.schedule ~cache:(sched_cache env) env.ctx env.cs d) in
+  let sch = lazy (Sched.schedule ~cache:(sched_cache env) (ctx env) (cs env) d) in
   let by_inst = lazy (Design.nodes_by_inst d) in
   Seq.init (Array.length d.Design.insts) Fun.id
   |> Seq.concat_map (fun i ->
@@ -576,7 +591,7 @@ let rebind_rewritten env (d : Design.t) ~by_label ~offsets (g' : Dfg.t) =
               when dfg.Dfg.nodes.(orig).Dfg.kind = node.Dfg.kind
                    && d.Design.node_inst.(orig) >= 0 ->
                 d.Design.node_inst.(orig)
-            | _ -> add_inst (Design.Simple (Library.fastest_for env.ctx.Design.lib op)))
+            | _ -> add_inst (Design.Simple (Library.fastest_for (ctx env).Design.lib op)))
         | Dfg.Call _ -> (
             match Hashtbl.find_opt by_label node.Dfg.label with
             | Some orig when dfg.Dfg.nodes.(orig).Dfg.kind = node.Dfg.kind ->
@@ -616,7 +631,7 @@ let rebind_rewritten env (d : Design.t) ~by_label ~offsets (g' : Dfg.t) =
       let insts = Array.append d.Design.insts (Array.of_list (List.rev !extra)) in
       let d' = { Design.dfg = g'; insts; node_inst; value_reg; n_regs = !next } in
       let d' = Design.compact d' in
-      (match Design.validate env.ctx d' with Ok () -> Some d' | Error _ -> None)
+      (match Design.validate (ctx env) d' with Ok () -> Some d' | Error _ -> None)
 
 (* The rewrites of [dfg]: the env's memo when it holds [dfg] itself,
    else computed and kept there in place of the last graph's. Moves
@@ -655,11 +670,12 @@ let rewrites_of env (dfg : Dfg.t) =
    bound parts, so it simulates on every move. *)
 let rewrite_candidates env (d : Design.t) : candidate Seq.t =
   let bump name = if Metrics.is_enabled () then Metrics.incr (Metrics.counter name) in
-  let reference = lazy (Sim.outputs d (Sim.run d env.trace)) in
+  let trace = Engine.trace env.engine in
+  let reference = lazy (Sim.outputs d (Sim.run d trace)) in
   let rw = rewrites_of env d.Design.dfg in
   let gate d' =
     bump "moves.rewrite.simulated";
-    match Sim.outputs d' (Sim.run d' env.trace) with
+    match Sim.outputs d' (Sim.run d' trace) with
     | outs -> outs = Lazy.force reference
     | exception Invalid_argument _ -> false
   in

@@ -62,13 +62,13 @@ type rewrites
     them onto a design reads and, for a call-free graph, the gate's
     verdict on each rewrite once it has been simulated. *)
 
-type env = {
-  ctx : Design.ctx;
-  cs : Sched.constraints;
-  sampling_ns : float;
-  trace : int array list;
-  objective : Cost.objective;
-  engine : Engine.t;  (** the evaluation engine all cost queries go through *)
+(** A move-loop environment: one improvement run's engine, library and
+    move-family switches, built by {!make_env}. *)
+type env = private {
+  engine : Engine.t;
+      (** the evaluation engine all cost queries go through; it also
+          holds the run's evaluation context (technology context,
+          constraints, trace, objective), which the generators read *)
   registry : Registry.t;
   complexes : string -> Design.rtl_module list;
   resynth :
@@ -81,14 +81,26 @@ type env = {
   mutable fresh_names : int;  (** counter for generated module names *)
   mutable rewrites : rewrites option;
       (** family E's memo: the rewrites of the last graph it was asked
-          for. Start it at [None]. Rewriting is a pure function of the
-          graph, and a context meets one graph until it commits a
-          rewrite, so this computes the rewrites once per graph and
-          keeps the rewritten graphs physically shared across moves.
-          On a call-free graph it also keeps the gate's verdicts, so
-          each rewrite is simulated once per graph. It lives in the
-          env, so it ends with the context. *)
+          for. Rewriting is a pure function of the graph, and a context
+          meets one graph until it commits a rewrite, so this computes
+          the rewrites once per graph and keeps the rewritten graphs
+          physically shared across moves. On a call-free graph it also
+          keeps the gate's verdicts, so each rewrite is simulated once
+          per graph. It lives in the env, so it ends with the run. *)
 }
+
+val make_env :
+  ?resynth:(Design.ctx -> Sched.constraints -> Cost.objective -> Design.t -> Design.t) ->
+  Engine.t ->
+  registry:Registry.t ->
+  complexes:(string -> Design.rtl_module list) ->
+  max_candidates:int ->
+  allow_embed:bool ->
+  allow_split:bool ->
+  allow_rewrite:bool ->
+  env
+(** The one constructor of {!env}. Without [resynth] move B is off.
+    The name counter starts at 0 and the rewrite memo empty. *)
 
 val best_select_or_resynth : env -> float -> Design.t -> t option
 (** Best move from A ∪ B against the given current objective value
@@ -105,7 +117,7 @@ val rewrite_candidates : env -> Design.t -> ((kind * string) * Design.t) Seq.t
     rewrite of its graph (from [env.rewrites] when that holds the
     design's graph physically) rebound onto the design's resources,
     kept when it validates and simulates bitwise-identically to the
-    design on [env.trace]. Rebinding runs first and the gate second,
+    design on the engine's trace. Rebinding runs first and the gate second,
     for every rewrite on every call. The gate simulates a rewrite of a
     call-free graph once per [env.rewrites] entry and then reuses its
     verdict; a graph with calls is simulated on every call, since its

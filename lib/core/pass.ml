@@ -26,11 +26,12 @@ let incr_count counts key =
   let cur = Option.value ~default:0 (List.assoc_opt key counts) in
   (key, cur + 1) :: List.remove_assoc key counts
 
-let improve ?token ?on_pass ?on_commit (env : Moves.env) ~max_moves ~max_passes d0 =
+let improve ?on_pass ?on_commit (env : Moves.env) ~max_moves ~max_passes d0 =
   let eng = env.Moves.engine in
+  let objective = Engine.objective eng in
   let before = Engine.counters eng in
   let sched_before = Sched.stats () in
-  let value d = Cost.objective_value env.Moves.objective (Engine.evaluate eng d) in
+  let value d = Cost.objective_value objective (Engine.evaluate eng d) in
   let stats =
     ref
       {
@@ -46,7 +47,7 @@ let improve ?token ?on_pass ?on_commit (env : Moves.env) ~max_moves ~max_passes 
   in
   (* deadline and cancellation, polled at every pass and move boundary;
      the candidate batches poll them too *)
-  let out_of_budget () = Option.bind token Budget.interrupted in
+  let out_of_budget () = Engine.interrupted eng in
   let interrupt () = stats := { !stats with interrupted = true } in
   let finish current =
     (* attribute to this run the engine work done since it started *)
@@ -134,7 +135,7 @@ let improve ?token ?on_pass ?on_commit (env : Moves.env) ~max_moves ~max_passes 
                     | None -> stop := true
                     | Some m ->
                         cur := m.Moves.candidate;
-                        cur_val := Cost.objective_value env.Moves.objective m.Moves.eval;
+                        cur_val := Cost.objective_value objective m.Moves.eval;
                         cum := !cum +. m.Moves.gain;
                         seq :=
                           {
@@ -182,9 +183,7 @@ let improve ?token ?on_pass ?on_commit (env : Moves.env) ~max_moves ~max_passes 
           else continue_ := false;
           if !stats.interrupted then continue_ := false;
           Option.iter
-            (fun f ->
-              f !stats.passes !stats.moves_committed
-                (Cost.objective_value env.Moves.objective (Engine.evaluate eng !current)))
+            (fun f -> f !stats.passes !stats.moves_committed (value !current))
             on_pass)
     done;
     finish !current

@@ -8,13 +8,14 @@
     the pass (and the improvement loop) terminates. This is the
     mechanism that lets the optimizer escape local minima.
 
-    The loop is {e anytime}: with a {!Budget.token} it polls the
-    deadline and cancellation ({!Budget.interrupted}) at every pass and
-    move boundary and, when one fires (or aborts a candidate batch
-    mid-move), it commits the best prefix found so far and returns —
-    the result is always at least as good as the input design. Its
-    effort is bounded by [max_moves] and [max_passes] alone; the
-    budget's context quota is the driver's business. *)
+    The loop is {e anytime}: when the env's engine was created with a
+    {!Budget.token}, it polls the token's deadline and cancellation
+    ({!Engine.interrupted}) at every pass and move boundary and, when
+    one fires (or aborts a candidate batch mid-move), it commits the
+    best prefix found so far and returns — the result is always at
+    least as good as the input design. Its effort is bounded by
+    [max_moves] and [max_passes] alone; the budget's context quota is
+    the driver's business. *)
 
 module Design = Hsyn_rtl.Design
 
@@ -50,7 +51,6 @@ type stats = {
 }
 
 val improve :
-  ?token:Budget.token ->
   ?on_pass:(int -> int -> float -> unit) ->
   ?on_commit:(committed_move -> unit) ->
   Moves.env ->
@@ -63,11 +63,12 @@ val improve :
     input is; if the input is infeasible the input is returned
     unchanged.
 
-    [token]: poll this token's deadline and cancellation — the same
-    rule at the top level, in nested resynthesis and in library
-    construction. [on_pass pass moves_committed value] fires after
-    each completed pass with the pass ordinal, the total moves
-    committed so far in this run, and the current objective value.
+    The engine's token is polled by the same rule at the top level, in
+    nested resynthesis and in library construction.
+
+    [on_pass pass moves_committed value] fires after each completed
+    pass with the pass ordinal, the total moves committed so far in
+    this run, and the current objective value.
     [on_commit] fires once per committed move, in commit order, at the
     end of the pass that committed it (tentative moves that are rolled
     back never reach it). *)

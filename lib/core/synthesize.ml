@@ -139,7 +139,6 @@ type result = {
   sampling_ns : float;
   deadline_cycles : int;
   elapsed_s : float;
-  contexts_tried : int;
   stats : Pass.stats;
   clib : Clib.t;
   completed : bool;
@@ -233,48 +232,22 @@ module Result = struct
   let to_json r = Json.to_string (to_json_value r)
 end
 
-(* A bounded re-synthesis closure for move B: improve the module part
-   under the derived environment constraints, without nesting another
-   level of B moves. *)
-let make_resynth ?session ?token config registry complexes seed =
+(* Move B's resynthesizer: a nested improvement run of the module part
+   under its derived environment constraints, without another level of
+   B moves, on a fresh trace per call. *)
+let make_resynth ?session ?token config registry complexes =
   let counter = ref 0 in
   fun ctx cs objective (part : Design.t) ->
     incr counter;
-    let rng = Rng.create (seed + !counter) in
     let trace =
-      Trace.generate rng config.trace_kind
+      Trace.generate (Rng.create (config.seed + !counter)) config.trace_kind
         ~n_inputs:(Array.length part.Design.dfg.Dfg.inputs)
         ~length:config.trace_length
     in
-    let sampling_ns = Float.of_int cs.Sched.deadline *. ctx.Design.clk_ns in
-    let engine =
-      Engine.create ~policy:config.engine ?session ?token ~ctx ~cs ~sampling_ns ~trace
-        ~objective ()
-    in
-    let env =
-      {
-        Moves.ctx;
-        cs;
-        sampling_ns;
-        trace;
-        objective;
-        engine;
-        registry;
-        complexes;
-        resynth = None;
-        max_candidates = config.clib_effort.Clib.max_candidates;
-        allow_embed = config.enable_embed;
-        allow_split = config.enable_split;
-        allow_rewrite = config.enable_rewrite;
-        fresh_names = 0;
-        rewrites = None;
-      }
-    in
-    let improved, _ =
-      Pass.improve ?token env ~max_moves:config.clib_effort.Clib.max_moves
-        ~max_passes:config.clib_effort.Clib.max_passes part
-    in
-    improved
+    Clib.improve_part ?session ?token ctx registry ~complexes
+      ~effort:{ config.clib_effort with Clib.engine = config.engine }
+      ~trace ~allow_embed:config.enable_embed ~allow_split:config.enable_split
+      ~allow_rewrite:config.enable_rewrite cs objective part
 
 (* One (V_dd, clock) context of the sweep: build the complex library,
    the initial solution, and run budgeted variable-depth improvement.
@@ -299,7 +272,7 @@ let run_context ~session ?token ~events ~index (req : Request.t) dfg (vdd, clk_n
   let cs = Sched.relaxed ~deadline dfg in
   let resynth =
     if config.enable_resynth then
-      Some (make_resynth ~session ?token config req.Request.registry complexes config.seed)
+      Some (make_resynth ~session ?token config req.Request.registry complexes)
     else None
   in
   let engine =
@@ -307,23 +280,9 @@ let run_context ~session ?token ~events ~index (req : Request.t) dfg (vdd, clk_n
       ~sampling_ns:req.Request.sampling_ns ~trace ~objective:req.Request.objective ()
   in
   let env =
-    {
-      Moves.ctx;
-      cs;
-      sampling_ns = req.Request.sampling_ns;
-      trace;
-      objective = req.Request.objective;
-      engine;
-      registry = req.Request.registry;
-      complexes;
-      resynth;
-      max_candidates = config.max_candidates;
-      allow_embed = config.enable_embed;
-      allow_split = config.enable_split;
-      allow_rewrite = config.enable_rewrite;
-      fresh_names = 0;
-      rewrites = None;
-    }
+    Moves.make_env ?resynth engine ~registry:req.Request.registry ~complexes
+      ~max_candidates:config.max_candidates ~allow_embed:config.enable_embed
+      ~allow_split:config.enable_split ~allow_rewrite:config.enable_rewrite
   in
   let initial =
     Initial.build ~sched_cache:(Session.sched_cache session) ctx ~complexes req.Request.registry
@@ -347,8 +306,7 @@ let run_context ~session ?token ~events ~index (req : Request.t) dfg (vdd, clk_n
          })
   in
   let improved, stats =
-    Pass.improve ?token ~on_pass ~on_commit env ~max_moves
-      ~max_passes:config.max_passes initial
+    Pass.improve ~on_pass ~on_commit env ~max_moves ~max_passes:config.max_passes initial
   in
   let eval = Engine.evaluate_with_power engine improved in
   (improved, ctx, eval, stats, clib)
@@ -601,7 +559,6 @@ let synthesize ?(events = Events.null) ?token ?checkpoint ?(resume = false) ?cac
               sampling_ns = req.Request.sampling_ns;
               deadline_cycles = i.Checkpoint.deadline_cycles;
               elapsed_s;
-              contexts_tried = coverage.contexts_started;
               stats = i.Checkpoint.stats;
               clib = i.Checkpoint.clib;
               completed;
@@ -611,7 +568,7 @@ let synthesize ?(events = Events.null) ?token ?checkpoint ?(resume = false) ?cac
           finish_events (Some (Result.to_json_value r));
           Ok r
 
-let rescale_vdd ?(config = default_config) ?session (r : result) vdds =
+let rescale_vdd ?(config = default_config) (r : result) vdds =
   let rng = Rng.create config.seed in
   let trace =
     Trace.generate rng config.trace_kind
@@ -633,14 +590,7 @@ let rescale_vdd ?(config = default_config) ?session (r : result) vdds =
           if deadline >= 1 then begin
             let ctx = { r.ctx with Design.vdd; clk_ns } in
             let cs = Sched.relaxed ~deadline r.design.Design.dfg in
-            (* each (vdd, clk) point is its own evaluation context, so
-               each gets its own (tiny) engine *)
-            let engine =
-              Engine.create
-                ~policy:{ config.engine with Engine.cache_capacity = 4 }
-                ?session ~ctx ~cs ~sampling_ns:r.sampling_ns ~trace ~objective:r.objective ()
-            in
-            let eval = Engine.evaluate_with_power engine r.design in
+            let eval = Cost.evaluate ctx cs ~sampling_ns:r.sampling_ns ~trace r.design in
             if eval.Cost.feasible && eval.Cost.power < !best.eval.Cost.power then
               best := { r with ctx; eval; deadline_cycles = deadline }
           end)

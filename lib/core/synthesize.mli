@@ -41,8 +41,9 @@ type config = {
   enable_rewrite : bool;  (** allow move family E (algebraic rewriting) *)
   clib_effort : Clib.effort;
   engine : Engine.policy;
-      (** evaluation-engine policy (jobs, cache capacity, staging) used
-          by every improvement run of this synthesis *)
+      (** evaluation-engine policy (jobs, cache capacity) used by the
+          top-level improvement runs and move B's nested ones; library
+          construction uses [clib_effort.engine] *)
 }
 
 val default_config : config
@@ -131,7 +132,6 @@ type result = {
   sampling_ns : float;
   deadline_cycles : int;
   elapsed_s : float;  (** wall-clock synthesis time *)
-  contexts_tried : int;  (** (V_dd, clock) points actually explored *)
   stats : Pass.stats;  (** improvement statistics of the winning context *)
   clib : Clib.t;  (** complex library of the winning context *)
   completed : bool;  (** the full sweep ran (no budget interruption) *)
@@ -183,9 +183,9 @@ val synthesize :
     bit-identical results with uninterrupted ones because checkpoints
     only store fully-finished contexts. *)
 
-val rescale_vdd :
-  ?config:config -> ?session:Session.t -> result -> Hsyn_modlib.Voltage.t list -> result
+val rescale_vdd : ?config:config -> result -> Hsyn_modlib.Voltage.t list -> result
 (** Voltage-scale a finished design: keep the architecture, try lower
     supply voltages (rescheduling at each), and return the lowest-power
     feasible point — the paper's "area-optimized circuits …
-    subsequently voltage-scaled for low power operation". *)
+    subsequently voltage-scaled for low power operation". Each
+    (V{_dd}, clock) point is evaluated once, with {!Cost.evaluate}. *)

@@ -153,7 +153,6 @@ let policy_to_json (p : Engine.policy) =
     [
       ("jobs", Json.Int p.Engine.jobs);
       ("cache_capacity", Json.Int p.Engine.cache_capacity);
-      ("staged", Json.Bool p.Engine.staged);
     ]
 
 let policy_of_json base v =
@@ -166,9 +165,6 @@ let policy_of_json base v =
       | "cache_capacity" ->
           let* n = as_int v in
           Ok { p with Engine.cache_capacity = n }
-      | "staged" ->
-          let* b = as_bool v in
-          Ok { p with Engine.staged = b }
       | _ -> Error "unknown field")
 
 (* -- clib effort ------------------------------------------------------- *)
@@ -466,10 +462,12 @@ let resolve_source ?(resolve_bench = fun _ -> None) source =
   | Program { text; graph } -> (
       match Text.parse_string text with
       | exception Text.Parse_error (line, msg) -> err "program line %d: %s" line msg
-      | program -> (
-          match Text.select_graph ?name:graph program with
-          | Ok g -> Ok (program.Text.registry, g)
-          | Error msg -> Error msg))
+      | program ->
+          let* g = Text.select_graph ?name:graph program in
+          (* an undefined behavior, a wrong arity or a recursive call
+             would fail (or recurse without bound) inside synthesis *)
+          let* () = Registry.check_calls program.Text.registry g in
+          Ok (program.Text.registry, g))
 
 let to_request ?session ?resolve_bench ~lib doc =
   let* registry, dfg = resolve_source ?resolve_bench doc.source in

@@ -128,7 +128,11 @@ val to_request :
   (Synthesize.Request.t, string) result
 (** Resolve the document against a module library: look up or parse
     the source, resolve a {!Laxity} timing against the behavior's
-    minimum sampling period, and build the validated request.
+    minimum sampling period, and build the validated request. An
+    inline program's selected graph must pass
+    {!Hsyn_dfg.Registry.check_calls} (every call resolves to a
+    registered behavior of matching arity, and no behavior calls
+    itself); its message is the [Error] otherwise.
     [resolve_bench] maps benchmark names (the CLI and the daemon pass
     the built-in suite's [Hsyn_benchmarks.Suite.resolve]; it defaults
     to rejecting every name, since [lib/core] cannot depend on the

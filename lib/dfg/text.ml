@@ -112,11 +112,9 @@ let build_block block =
           define lineno label port;
           feeds := (lineno, src, feed) :: !feeds
       | S_call (label, behavior, n_out, srcs) ->
-          let outs =
-            Dfg.Builder.call b ~label ~behavior ~n_out (List.map (resolve lineno) srcs)
-          in
-          if Array.length outs = 0 then fail lineno "call %S has no outputs" label;
-          define lineno label outs.(0)
+          let srcs = List.map (resolve lineno) srcs in
+          if n_out < 1 then fail lineno "call %S has no outputs" label;
+          define lineno label (Dfg.Builder.call b ~label ~behavior ~n_out srcs).(0)
       | S_output (label, src) -> Dfg.Builder.output b ~label (resolve lineno src))
     block.body;
   List.iter (fun (lineno, src, feed) -> feed (resolve lineno src)) !feeds;

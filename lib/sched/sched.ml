@@ -99,7 +99,6 @@ let pp_stats fmt s =
 
 module Prepared = struct
   type t = {
-    p_dfg : Dfg.t;
     n_nodes : int;
     n_values : int;
     value_off : int array;  (* n_nodes + 1 prefix sums of n_out *)
@@ -121,8 +120,6 @@ module Prepared = struct
     sink_values : int array;  (* value read by each Output and Delay node *)
     output_values : int array;  (* value read by each [dfg.outputs] node, in order *)
   }
-
-  let dfg t = t.p_dfg
 
   let build (dfg : Dfg.t) =
     Span.span Span.Schedule "prepare" (fun () ->
@@ -198,7 +195,6 @@ module Prepared = struct
         and sink_values = Array.of_list !sinks in
         let output_values = Array.map (fun id -> in_val.(in_off.(id))) dfg.Dfg.outputs in
         {
-          p_dfg = dfg;
           n_nodes;
           n_values;
           value_off;
@@ -216,8 +212,6 @@ module Prepared = struct
           output_values;
         })
 end
-
-let prepare = Prepared.build
 
 (* Prepared contexts are cached by the graph's physical identity:
    module parts and the top-level graph each get one context for the
@@ -335,9 +329,6 @@ let prepared_in (cache : Cache.t) dfg =
   in
   if not !built then Atomic.incr c_prep_hits;
   p
-
-let prepared_for ?cache dfg =
-  match cache with Some c -> prepared_in c dfg | None -> Prepared.build dfg
 
 let rec module_profile_impl cache use_legacy ctx rm behavior =
   let key =
@@ -1137,18 +1128,12 @@ let module_schedule ?cache ctx rm behavior =
 let schedule_legacy ?cache ctx (cs : constraints) (d : Design.t) =
   schedule_legacy_rec (or_transient cache) ctx cs d
 
-let schedule ?cache ?prepared ctx (cs : constraints) (d : Design.t) =
+let schedule ?cache ctx (cs : constraints) (d : Design.t) =
   Span.span Span.Schedule "schedule" (fun () ->
+      let cache = or_transient cache in
       match Atomic.get impl_ref with
-      | Legacy -> schedule_legacy_rec (or_transient cache) ctx cs d
-      | Event ->
-          let cache = or_transient cache in
-          let p =
-            match prepared with
-            | Some p when Prepared.dfg p == d.Design.dfg -> p
-            | _ -> prepared_in cache d.Design.dfg
-          in
-          schedule_event cache p ctx cs d)
+      | Legacy -> schedule_legacy_rec cache ctx cs d
+      | Event -> schedule_event cache (prepared_in cache d.Design.dfg) ctx cs d)
 
 (* ------------------------------------------------------------------ *)
 (* ALAP (infinite resources) *)

@@ -66,38 +66,31 @@ type impl = Event | Legacy
 val impl : unit -> impl
 val set_impl : impl -> unit
 
-(** {1 Prepared scheduling contexts}
-
-    Everything the scheduler needs that depends only on the DFG is
-    hoisted into a context built once per graph: value numbering, each
-    node's input value ids, each value's readers and whether each
-    reads at a job's start or (an output or delay) at the value's
-    availability, the node kinds the kernel checks, and every value in
-    topological order of its producer, so that a register's write
-    order is read off instead of sorted. Candidate designs produced by
-    the move loop share their graph physically, so one context serves
-    thousands of evaluations. *)
-
-module Prepared : sig
-  type t
-
-  val dfg : t -> Dfg.t
-  (** The graph this context was built from. *)
-end
-
-val prepare : Dfg.t -> Prepared.t
-(** Build a context (uncached). *)
-
 (** {1 Memoization caches}
 
     The scheduler keeps no global mutable cache state. All memoization
-    — prepared contexts keyed by graph physical identity, module
-    profiles keyed by (module, kernel, behavior, vdd, clock) — lives in
-    an explicit {!Cache.t} owned by the caller (in practice a
+    lives in an explicit {!Cache.t} owned by the caller (in practice a
     synthesis session, see [Hsyn_core.Session]) and passed to every
-    entry point. Entry points called without a cache allocate a
-    transient one scoped to that call: recursive profile computation is
-    still memoized within the call, but nothing persists or is shared.
+    entry point:
+
+    - {b prepared contexts}, keyed by the graph's physical identity.
+      Everything the scheduler needs that depends only on the DFG is
+      hoisted into a context built once per graph: value numbering,
+      each node's input value ids, each value's readers and whether
+      each reads at a job's start or (an output or delay) at the
+      value's availability, the node kinds the kernel checks, and
+      every value in topological order of its producer, so that a
+      register's write order is read off instead of sorted. Candidate
+      designs produced by the move loop share their graph physically,
+      so one context serves thousands of evaluations. Every entry
+      point that needs one — {!schedule}, {!module_profile},
+      {!alap_start} — looks it up here.
+    - {b module profiles}, keyed by (module, kernel, behavior, vdd,
+      clock).
+
+    Entry points called without a cache allocate a transient one
+    scoped to that call: recursive profile computation is still
+    memoized within the call, but nothing persists or is shared.
 
     Caches are domain-safe (sharded, per-shard locking) and each key is
     built exactly once per residency even under concurrent lookups. *)
@@ -121,10 +114,6 @@ module Cache : sig
   val stats : t -> cache_stats
 end
 
-val prepared_for : ?cache:Cache.t -> Dfg.t -> Prepared.t
-(** Memoized {!prepare} in the given cache, keyed by the graph's
-    physical identity. Without a cache this is just {!prepare}. *)
-
 val module_profile : ?cache:Cache.t -> Design.ctx -> Design.rtl_module -> string -> profile
 (** Profile of a module for one behavior, derived by scheduling the
     corresponding part with all inputs at 0 (recursively through
@@ -140,12 +129,10 @@ val module_schedule : ?cache:Cache.t -> Design.ctx -> Design.rtl_module -> strin
     replays it for nested modules. The arrays are shared with the
     cache: callers must not mutate them. *)
 
-val schedule :
-  ?cache:Cache.t -> ?prepared:Prepared.t -> Design.ctx -> constraints -> Design.t -> schedule
+val schedule : ?cache:Cache.t -> Design.ctx -> constraints -> Design.t -> schedule
 (** List-schedule the design. Always returns a schedule; check
-    [feasible] for constraint satisfaction. [?prepared] supplies a
-    reusable context; it is ignored (and looked up/rebuilt) unless it
-    was built from [d.dfg] itself.
+    [feasible] for constraint satisfaction. The event kernel takes
+    [d.dfg]'s prepared context from the cache.
     @raise Invalid_argument if the binding is structurally unusable
     (e.g. an unbound operation). *)
 

@@ -23,11 +23,14 @@ let _lib = Library.default
 
 let env = Tu.moves_env
 
-let eval_of env d =
-  Cost.evaluate env.Moves.ctx env.Moves.cs ~sampling_ns:env.Moves.sampling_ns
-    ~trace:env.Moves.trace d
+(* Direct evaluation in the env's evaluation context, bypassing its
+   engine. *)
+let eval_of ?with_power env d =
+  let eng = env.Moves.engine in
+  Cost.evaluate ?with_power (Engine.ctx eng) (Engine.constraints eng)
+    ~sampling_ns:(Engine.sampling_ns eng) ~trace:(Engine.trace eng) d
 
-let obj_value env d = Cost.objective_value env.Moves.objective (eval_of env d)
+let obj_value env d = Cost.objective_value (Engine.objective env.Moves.engine) (eval_of env d)
 
 (* ------------------------------------------------------------------ *)
 (* Cost *)
@@ -57,11 +60,7 @@ let test_cost_infeasible_is_infinite () =
 let test_cost_skip_power () =
   let g = Tu.small_graph () in
   let d = Tu.initial ctx g in
-  let e = env g in
-  let ev =
-    Cost.evaluate ~with_power:false e.Moves.ctx e.Moves.cs ~sampling_ns:e.Moves.sampling_ns
-      ~trace:e.Moves.trace d
-  in
+  let ev = eval_of ~with_power:false (env g) d in
   checkb "power skipped" true (Float.is_nan ev.Cost.power)
 
 (* ------------------------------------------------------------------ *)
@@ -129,31 +128,13 @@ let test_move_b_resynthesizes_with_slack () =
      multiplier may become mult2 when the environment allows *)
   let registry, g = Tu.hier_graph () in
   let d = Tu.initial ~registry ctx g in
-  let resynth ctx cs objective part =
-    let sampling_ns = Float.of_int cs.Sched.deadline *. 20. in
-    let trace = Tu.trace part.Design.dfg in
-    let e =
-      {
-        Moves.ctx;
-        cs;
-        sampling_ns;
-        trace;
-        objective;
-        engine = Engine.create ~ctx ~cs ~sampling_ns ~trace ~objective ();
-        registry;
-        complexes = Tu.no_complexes;
-        resynth = None;
-        max_candidates = 20;
-        allow_embed = true;
-        allow_split = true;
-        allow_rewrite = true;
-        fresh_names = 0;
-        rewrites = None;
-      }
-    in
-    fst (Pass.improve e ~max_moves:4 ~max_passes:1 part)
+  let effort = { Clib.default_effort with Clib.max_moves = 4; max_passes = 1; max_candidates = 20 } in
+  let resynth ctx cs objective (part : Design.t) =
+    Clib.improve_part ctx registry ~complexes:Tu.no_complexes ~effort
+      ~trace:(Tu.trace part.Design.dfg) ~allow_embed:true ~allow_split:true ~allow_rewrite:true cs
+      objective part
   in
-  let e = { (env ~registry ~objective:Cost.Power g) with Moves.resynth = Some resynth } in
+  let e = env ~registry ~objective:Cost.Power ~resynth g in
   match Moves.best_select_or_resynth e (obj_value e d) d with
   | None -> () (* acceptable: no profitable resynthesis *)
   | Some m -> checkb "valid candidate" true (Design.validate ctx m.Moves.candidate = Ok ())

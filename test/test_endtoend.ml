@@ -128,7 +128,7 @@ let test_synthesis_time_reported () =
   let b = Suite.test1 () in
   let r = synth b in
   checkb "elapsed recorded" true (r.S.elapsed_s >= 0.);
-  checkb "contexts recorded" true (r.S.contexts_tried >= 1)
+  checkb "contexts recorded" true (r.S.coverage.S.contexts_started >= 1)
 
 let () =
   let tc name f = Alcotest.test_case name `Slow f in

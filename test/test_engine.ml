@@ -4,7 +4,7 @@
    The central property: the engine is an optimization of the cost
    oracle, never a change to it. Every result must be bit-identical to
    a direct Cost.evaluate call, for both objectives, at any jobs
-   count, with the cache and staging on or off. *)
+   count, with the cache on or off. *)
 
 module Design = Hsyn_rtl.Design
 module Dfg = Hsyn_dfg.Dfg
@@ -278,8 +278,8 @@ let test_engine_random_graphs () =
               let eng, direct = mk_engine ~policy ~objective d in
               checkb "policy-independent" true (same_eval (Engine.evaluate eng d) (direct d)))
             [
-              { Engine.jobs = 1; cache_capacity = 0; staged = false };
-              { Engine.jobs = 4; cache_capacity = 64; staged = true };
+              { Engine.jobs = 1; cache_capacity = 0 };
+              { Engine.jobs = 4; cache_capacity = 64 };
             ])
         [ Cost.Area; Cost.Power ])
     (List.init 8 succ)
@@ -335,9 +335,9 @@ let test_best_of_matches_reference () =
                 checkb "winner power bits" true
                   (Int64.bits_of_float e.Cost.power = Int64.bits_of_float re.Cost.power))
         [
-          { Engine.jobs = 1; cache_capacity = 0; staged = false };
-          { Engine.jobs = 1; cache_capacity = 128; staged = true };
-          { Engine.jobs = 4; cache_capacity = 128; staged = true };
+          { Engine.jobs = 1; cache_capacity = 0 };
+          { Engine.jobs = 1; cache_capacity = 128 };
+          { Engine.jobs = 4; cache_capacity = 128 };
         ])
     [ Cost.Area; Cost.Power ]
 
@@ -367,7 +367,7 @@ let test_best_of_limit_and_counters () =
 let test_cache_eviction () =
   let designs = List.init 5 (fun s -> Tu.initial ctx (Tu.random_flat_graph (100 + s) ~n_inputs:2 ~n_ops:6)) in
   let eng, _ =
-    mk_engine ~policy:{ Engine.jobs = 1; cache_capacity = 2; staged = true } (List.hd designs)
+    mk_engine ~policy:{ Engine.jobs = 1; cache_capacity = 2 } (List.hd designs)
   in
   List.iter (fun d -> ignore (Engine.evaluate eng d)) designs;
   checkb "capacity respected" true (Engine.cache_size eng <= 2);
@@ -550,13 +550,13 @@ let test_memo_part_energy_keyed_by_call_order () =
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end determinism: full synthesis must produce bit-identical
-   results at any jobs count, and with the engine machinery disabled. *)
+   results at any jobs count, and with the cost cache disabled. *)
 
 let test_synthesis_determinism () =
   let run policy = (synthesize_test1 policy).S.eval in
-  let direct = run { Engine.jobs = 1; cache_capacity = 0; staged = false } in
-  let seq = run { Engine.jobs = 1; cache_capacity = 4096; staged = true } in
-  let par = run { Engine.jobs = 4; cache_capacity = 4096; staged = true } in
+  let direct = run { Engine.jobs = 1; cache_capacity = 0 } in
+  let seq = run { Engine.jobs = 1; cache_capacity = 4096 } in
+  let par = run { Engine.jobs = 4; cache_capacity = 4096 } in
   checkb "engine-on equals direct" true (same_eval direct seq);
   checkb "jobs=4 equals jobs=1" true (same_eval seq par)
 

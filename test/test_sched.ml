@@ -337,20 +337,20 @@ let prop_alap_dominates_asap =
       !ok)
 
 (* Allocation guard: minor words per [Sched.schedule] call, made as
-   the engine makes it (a cache and the graph's prepared context), on
-   the largest flat graph: avenhaus_cascade's initial design, and its
-   area-optimized design at L.F. 1.2 under the benchmark's reduced
-   effort. The flat-array kernel measured 3 085 and 2 240 words a
-   call (OCaml 5.1, x86-64); the list-based kernel before it 16 011
-   and 12 404. The bounds leave about 13% for other compilers. *)
+   the engine makes it (with a cache that holds the graph's prepared
+   context), on the largest flat graph: avenhaus_cascade's initial
+   design, and its area-optimized design at L.F. 1.2 under the
+   benchmark's reduced effort. The flat-array kernel measured 3 104
+   and 2 259 words a call (OCaml 5.1, x86-64), of which 19 are the
+   cache lookup; the list-based kernel before it 16 011 and 12 404.
+   The bounds leave about 13% for other compilers. *)
 let words_per_call ctx cs d =
   let cache = Sched.Cache.create () in
-  let prepared = Sched.prepared_for ~cache d.Design.dfg in
-  ignore (Sched.schedule ~cache ~prepared ctx cs d);
+  ignore (Sched.schedule ~cache ctx cs d);
   let calls = 100 in
   let before = Gc.minor_words () in
   for _ = 1 to calls do
-    ignore (Sched.schedule ~cache ~prepared ctx cs d)
+    ignore (Sched.schedule ~cache ctx cs d)
   done;
   (Gc.minor_words () -. before) /. Float.of_int calls
 

@@ -33,15 +33,20 @@ let check_same_schedule what (a : Sched.schedule) (b : Sched.schedule) =
 
 (* Schedule one design under both kernels at a given deadline and
    context, and demand field-by-field equality. The event kernel is
-   exercised both with and without an explicitly prepared context. *)
+   exercised both with a transient cache and with a shared one that
+   already holds the graph's prepared context. *)
 let diff_schedule what ctx d ~deadline =
   let cs = Sched.relaxed ~deadline d.Design.dfg in
   let legacy = with_impl Sched.Legacy (fun () -> Sched.schedule_legacy ctx cs d) in
   let event = with_impl Sched.Event (fun () -> Sched.schedule ctx cs d) in
-  let prepared = Sched.prepared_for d.Design.dfg in
-  let event_p = with_impl Sched.Event (fun () -> Sched.schedule ~prepared ctx cs d) in
+  let cache = Sched.Cache.create () in
+  let event_c =
+    with_impl Sched.Event (fun () ->
+        ignore (Sched.schedule ~cache ctx cs d);
+        Sched.schedule ~cache ctx cs d)
+  in
   check_same_schedule (what ^ " event") event legacy;
-  check_same_schedule (what ^ " event+prepared") event_p legacy;
+  check_same_schedule (what ^ " event+cache") event_c legacy;
   legacy
 
 (* Three deadlines: relaxed, exactly the relaxed makespan, and one

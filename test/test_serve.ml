@@ -230,20 +230,43 @@ let test_malformed_request_survives () =
           checks "names the refusal"
             "program line 7: Registry.register: variant f2 of f has mismatched interface"
             (gets "message" j));
-      (* a call of a behavior the program never defines raises inside
-         request resolution: the worker answers [internal] and closes
-         the connection instead of dropping it *)
+      (* calls that do not resolve: refused before synthesis starts,
+         with the registry's call check's message *)
+      List.iter
+        (fun (what, text, message) ->
+          match Serve.Client.raw ~timeout_s:10. addr (program text) with
+          | Error msg -> Alcotest.failf "%s: %s" what msg
+          | Ok lines ->
+              let j = parse (last lines) in
+              checks (what ^ " is bad_request") "bad_request" (gets "code" j);
+              checks (what ^ ": the call check's message") message (gets "message" j))
+        [
+          ( "undefined behavior",
+            "dfg top\n  input x\n  call c1 nosuch 1 x\n  output o c1\nend\n",
+            "top calls unregistered behavior nosuch" );
+          ( "wrong arity",
+            "behavior f variant f1\n  input a\n  input b\n  op s add a b\n  output y s\nend\n\
+             dfg top\n  input x\n  call c1 f 1 x\n  output o c1\nend\n",
+            "top: call c1 expects 2 inputs" );
+          ( "recursive behavior",
+            "behavior f variant f1\n  input a\n  call c f 1 a\n  output y c\nend\n\
+             dfg top\n  input x\n  call c1 f 1 x\n  output o c1\nend\n",
+            "recursive call cycle through behavior f" );
+        ];
+      (* an output count too large to allocate raises inside request
+         resolution: the worker answers [internal] and closes the
+         connection instead of dropping it *)
       (match
          Serve.Client.raw ~timeout_s:10. addr
-           (program "dfg top\n  input x\n  call c1 nosuch 1 x\n  output o c1\nend\n")
+           (program "dfg top\n  input x\n  call c1 f 4611686018427387903 x\n  output o c1\nend\n")
        with
       | Error msg -> Alcotest.failf "escaping exception: %s" msg
       | Ok lines -> checks "escaping exception is internal" "internal" (gets "code" (parse (last lines))));
-      (* the daemon still serves after all five *)
+      (* the daemon still serves after all eight *)
       let final = last (request_lines addr (test1_doc ())) in
       checks "daemon survives" "hsyn.result" (gets "kind" (parse final));
       let stats = Serve.stats server in
-      checki "all five errors counted" 5 stats.Serve.errors)
+      checki "all eight errors counted" 8 stats.Serve.errors)
 
 (* ------------------------------------------------------------------ *)
 (* admission control *)

@@ -100,6 +100,8 @@ let test_errors () =
     "behavior f variant f1\n  input a\n  op s neg a\n  output y s\nend\n\
      behavior f variant f1\n  input a\n  op s abs a\n  output y s\nend\n\
      dfg top\n  input x\n  call c1 f 1 x\n  output o c1\nend\n";
+  (* a call with a negative output count, refused like one with none *)
+  expect_error "dfg a\n  input x\n  call c1 f -1 x\n  output o c1\nend";
   (* a delay inside a behavior: behaviors are stateless *)
   expect_error stateful_behavior;
   match Text.parse_string stateful_behavior with

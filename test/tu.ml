@@ -66,31 +66,16 @@ let trace ?(seed = 17) ?(length = 8) (dfg : Dfg.t) =
 
 let relaxed_cs ?(deadline = 1000) (dfg : Dfg.t) = Sched.relaxed ~deadline dfg
 
-(* A move-loop environment for [dfg] at [ctx ()], every family on, no
-   resynthesis. *)
+(* A move-loop environment for [dfg] at [ctx ()], every family on,
+   move B only with [resynth]. *)
 let moves_env ?(registry = Registry.create ()) ?(objective = Hsyn_core.Cost.Area)
-    ?(deadline = 1000) ?(complexes = no_complexes) (dfg : Dfg.t) =
+    ?(deadline = 1000) ?(complexes = no_complexes) ?resynth (dfg : Dfg.t) =
   let ctx = ctx () in
   let cs = Sched.relaxed ~deadline dfg in
   let sampling_ns = Float.of_int deadline *. ctx.Design.clk_ns in
-  let trace = trace dfg in
-  {
-    Hsyn_core.Moves.ctx;
-    cs;
-    sampling_ns;
-    trace;
-    objective;
-    engine = Hsyn_core.Engine.create ~ctx ~cs ~sampling_ns ~trace ~objective ();
-    registry;
-    complexes;
-    resynth = None;
-    max_candidates = 40;
-    allow_embed = true;
-    allow_split = true;
-    allow_rewrite = true;
-    fresh_names = 0;
-    rewrites = None;
-  }
+  let engine = Hsyn_core.Engine.create ~ctx ~cs ~sampling_ns ~trace:(trace dfg) ~objective () in
+  Hsyn_core.Moves.make_env ?resynth engine ~registry ~complexes ~max_candidates:40
+    ~allow_embed:true ~allow_split:true ~allow_rewrite:true
 
 (* A design and its neighbourhood: unit swaps of every simple instance
    and each value moved to the next register. The neighbours share the
