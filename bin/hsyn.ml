@@ -693,8 +693,8 @@ let fuzz_cmd =
       `S Cmdliner.Manpage.s_description;
       `P
         "Draws random well-formed hierarchical DFG programs and checks, per program, that \
-         implementations which must agree do agree: the event-driven scheduler against the legacy \
-         kernel, the memoized evaluation engine against direct cost evaluation, print against \
+         implementations which must agree do agree: the event-driven scheduler against the \
+         time-stepped reference kernel, the memoized evaluation engine against direct cost evaluation, print against \
          parse, checkpoint-resume against an uninterrupted sweep, parallel against sequential \
          evaluation, and module merging against behavioral simulation. Failing programs are \
          shrunk to minimal $(b,.hsyn) repro files in the corpus directory.";

@@ -36,8 +36,10 @@ let magic = "HSYN-CKPT"
    v7: the snapshot is sealed ([Hsyn_util.Sealed]) with a digest of its
    bytes, checked before unmarshalling.
    v8: Pass.stats lost [reverted] and [engine_families], which nothing
-   read. *)
-let schema_version = 8
+   read.
+   v9: Pass.stats.sched lost its count of time-stepped schedules; that
+   kernel left the scheduler for the fuzz library. *)
+let schema_version = 9
 
 let compatible t ~dfg_name ~objective ~sampling_ns ~flattened =
   if t.dfg_name <> dfg_name then

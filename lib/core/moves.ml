@@ -529,32 +529,24 @@ let split_candidates env (d : Design.t) : candidate Seq.t =
   Seq.init (Array.length d.Design.insts) Fun.id
   |> Seq.concat_map (fun i ->
          let nodes = (Lazy.force by_inst).(i) in
-         if List.length nodes < 2 then Seq.empty
-         else
+         let name =
            match d.Design.insts.(i) with
-           | Design.Simple fu when not (Fu.is_chain fu) ->
-               fun () ->
-                 let sch = Lazy.force sch in
-                 let ordered =
-                   List.sort (fun a b -> compare sch.Sched.start.(a) sch.Sched.start.(b)) nodes
-                 in
-                 let odd = List.filteri (fun k _ -> k mod 2 = 1) ordered in
-                 let d', inst = Design.add_inst d (Design.Simple fu) in
-                 let d' = Design.with_bindings d' odd inst in
-                 Seq.Cons
-                   (((Split, Printf.sprintf "split I%d (%s)" i fu.Fu.name), d'), Seq.empty)
-           | Design.Simple _ -> Seq.empty
-           | Design.Module rm ->
-               fun () ->
-                 let sch = Lazy.force sch in
-                 let ordered =
-                   List.sort (fun a b -> compare sch.Sched.start.(a) sch.Sched.start.(b)) nodes
-                 in
-                 let odd = List.filteri (fun k _ -> k mod 2 = 1) ordered in
-                 let d', inst = Design.add_inst d (Design.Module rm) in
-                 let d' = Design.with_bindings d' odd inst in
-                 Seq.Cons
-                   (((Split, Printf.sprintf "split I%d (%s)" i rm.Design.rm_name), d'), Seq.empty))
+           | Design.Simple fu when not (Fu.is_chain fu) -> Some fu.Fu.name
+           | Design.Simple _ -> None
+           | Design.Module rm -> Some rm.Design.rm_name
+         in
+         match name with
+         | Some name when List.length nodes >= 2 ->
+             fun () ->
+               let sch = Lazy.force sch in
+               let ordered =
+                 List.sort (fun a b -> compare sch.Sched.start.(a) sch.Sched.start.(b)) nodes
+               in
+               let odd = List.filteri (fun k _ -> k mod 2 = 1) ordered in
+               let d', inst = Design.add_inst d d.Design.insts.(i) in
+               let d' = Design.with_bindings d' odd inst in
+               Seq.Cons (((Split, Printf.sprintf "split I%d (%s)" i name), d'), Seq.empty)
+         | _ -> Seq.empty)
 
 (* ------------------------------------------------------------------ *)
 (* Move family E: algebraic datapath rewriting *)

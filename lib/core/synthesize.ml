@@ -148,7 +148,7 @@ type result = {
 module Result = struct
   type t = result
 
-  let schema_version = 1
+  let schema_version = 2
 
   let counters_json (c : Session.counters) =
     Json.Obj
@@ -220,7 +220,6 @@ module Result = struct
                 Json.Obj
                   [
                     ("schedules", Json.Int r.stats.Pass.sched.Sched.schedules);
-                    ("legacy_schedules", Json.Int r.stats.Pass.sched.Sched.legacy_schedules);
                     ("events_popped", Json.Int r.stats.Pass.sched.Sched.events_popped);
                     ("prepared_hits", Json.Int r.stats.Pass.sched.Sched.prepared_hits);
                     ("prepared_builds", Json.Int r.stats.Pass.sched.Sched.prepared_builds);

@@ -76,10 +76,10 @@ let parse_blocks text =
   in
   loop 1 [] None lines
 
-let build_block block =
+let build_block ~max_outputs block =
   let name = match block.header with `Dfg n -> n | `Behavior (_, v) -> v in
   let b = Dfg.Builder.create name in
-  let env : (string, Dfg.port) Hashtbl.t = Hashtbl.create 16 in
+  let env : (string, Dfg.port * int) Hashtbl.t = Hashtbl.create 16 in (* port, outputs *)
   let feeds : (int * string * (Dfg.port -> unit)) list ref = ref [] in
   let resolve lineno src =
     let base, out =
@@ -89,13 +89,14 @@ let build_block block =
     in
     match Hashtbl.find_opt env base with
     | None -> fail lineno "undefined source %S" src
-    | Some port ->
-        if out = 0 then port
-        else { port with Dfg.out } (* call outputs share the node id *)
+    | Some (port, n_out) ->
+        if out < 0 || out >= n_out then
+          fail lineno "source %S: %s has no output port %d (it has %d)" src base out n_out;
+        { port with Dfg.out } (* call outputs share the node id *)
   in
-  let define lineno label port =
+  let define lineno label ?(n_out = 1) port =
     if Hashtbl.mem env label then fail lineno "duplicate label %S" label;
-    Hashtbl.add env label port
+    Hashtbl.add env label (port, n_out)
   in
   List.iter
     (fun (lineno, stmt) ->
@@ -114,13 +115,16 @@ let build_block block =
       | S_call (label, behavior, n_out, srcs) ->
           let srcs = List.map (resolve lineno) srcs in
           if n_out < 1 then fail lineno "call %S has no outputs" label;
-          define lineno label (Dfg.Builder.call b ~label ~behavior ~n_out srcs).(0)
+          if n_out > max_outputs then
+            fail lineno "call %S has %d outputs, more than the program's %d statements" label n_out
+              max_outputs;
+          define lineno label ~n_out (Dfg.Builder.call b ~label ~behavior ~n_out srcs).(0)
       | S_output (label, src) -> Dfg.Builder.output b ~label (resolve lineno src))
     block.body;
   List.iter (fun (lineno, src, feed) -> feed (resolve lineno src)) !feeds;
   match Dfg.Builder.finish b with
   | dfg -> dfg
-  | exception Invalid_argument msg -> fail 0 "%s" msg
+  | exception Invalid_argument msg -> fail block.line "%s" msg
 
 (* Behaviors are stateless: the simulator restarts a module part at
    every invocation, while flattening would keep one delay per call
@@ -137,6 +141,8 @@ let check_stateless bname vname body =
 
 let parse_string text =
   let blocks = parse_blocks text in
+  (* no behavior the program defines has more outputs than it has statements *)
+  let max_outputs = List.fold_left (fun n block -> n + List.length block.body) 0 blocks in
   let registry = Registry.create () in
   let graphs =
     List.filter_map
@@ -144,11 +150,11 @@ let parse_string text =
         match block.header with
         | `Behavior (bname, vname) -> (
             check_stateless bname vname block.body;
-            let dfg = build_block block in
+            let dfg = build_block ~max_outputs block in
             match Registry.register registry bname dfg with
             | () -> None
             | exception Invalid_argument msg -> fail block.line "%s" msg)
-        | `Dfg _ -> Some (build_block block))
+        | `Dfg _ -> Some (build_block ~max_outputs block))
       blocks
   in
   { registry; graphs }

@@ -41,7 +41,9 @@ exception Parse_error of int * string
 (** Line number (1-based) and message. *)
 
 val parse_string : string -> program
-(** @raise Parse_error on malformed input, on a [delay] inside a
+(** @raise Parse_error on malformed input (a [label.k] its source
+    lacks, or a call output count below 1 or above the program's
+    statement count, at that statement's line), on a [delay] inside a
     [behavior] block (at the delay's line, naming the behavior and the
     delay), and on a variant the registry refuses (an interface that
     differs from the behavior's first variant, or a variant name used

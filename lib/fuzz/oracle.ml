@@ -76,7 +76,7 @@ let check_roundtrip _rng (prog : Text.program) =
   compare "crlf" crlf
 
 (* ------------------------------------------------------------------ *)
-(* sched-diff: event-driven kernel ≡ legacy time-stepped kernel.      *)
+(* sched-diff: event-driven kernel ≡ time-stepped reference kernel.   *)
 
 let same_schedule (a : Sched.schedule) (b : Sched.schedule) =
   a.Sched.start = b.Sched.start && a.Sched.avail = b.Sched.avail
@@ -119,17 +119,15 @@ let merge_units rng (d : Design.t) =
 let check_sched_diff rng (prog : Text.program) =
   let at what ctx d deadline =
     let cs = Sched.relaxed ~deadline d.Design.dfg in
-    let legacy = Sched.schedule_legacy ctx cs d in
-    let prev = Sched.impl () in
-    Sched.set_impl Sched.Event;
-    let event = Fun.protect ~finally:(fun () -> Sched.set_impl prev) (fun () -> Sched.schedule ctx cs d) in
-    if same_schedule event legacy then Ok legacy
+    let reference = Sched_ref.schedule ctx cs d in
+    let event = Sched.schedule ctx cs d in
+    if same_schedule event reference then Ok reference
     else
       fail
-        "%s: vdd=%g deadline=%d: kernels disagree (event makespan=%d feasible=%b, legacy \
+        "%s: vdd=%g deadline=%d: kernels disagree (event makespan=%d feasible=%b, reference \
          makespan=%d feasible=%b)"
         what ctx.Design.vdd deadline event.Sched.makespan event.Sched.feasible
-        legacy.Sched.makespan legacy.Sched.feasible
+        reference.Sched.makespan reference.Sched.feasible
   in
   (* relaxed, then at the exact makespan and one cycle under it: the
      tight and the infeasible boundary are where the two kernels
@@ -220,7 +218,7 @@ let check_engine_direct rng (prog : Text.program) =
   let dfg = d0.Design.dfg in
   let deadline =
     let cs = Sched.relaxed ~deadline:10000 dfg in
-    let s = Sched.schedule_legacy ctx cs d0 in
+    let s = Sched.schedule ctx cs d0 in
     max 1 s.Sched.makespan + Rng.int rng 3
   in
   let cs = Sched.relaxed ~deadline dfg in
@@ -609,7 +607,7 @@ let check_rewrite rng (prog : Text.program) =
 let all =
   [
     { name = "roundtrip"; doc = "text print/parse round-trip (LF and CRLF)"; check = check_roundtrip };
-    { name = "sched-diff"; doc = "event-driven scheduler ≡ legacy kernel"; check = check_sched_diff };
+    { name = "sched-diff"; doc = "event-driven scheduler ≡ reference kernel"; check = check_sched_diff };
     {
       name = "engine-direct";
       doc = "evaluation engine ≡ direct cost evaluation; best_of ≡ sequential fold";

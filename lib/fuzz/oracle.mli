@@ -10,9 +10,10 @@
     The registered oracles:
     - [roundtrip] — [Text.to_string] then [parse_string] reproduces
       the program, for LF and CRLF line endings.
-    - [sched-diff] — the event-driven scheduler kernel and
-      [Sched.schedule_legacy] produce identical schedules, probed at a
-      relaxed deadline, the exact makespan, and one cycle below it,
+    - [sched-diff] — [Sched.schedule] (the event-driven kernel) and
+      the time-stepped reference {!Sched_ref.schedule} produce
+      identical schedules, probed at a relaxed deadline, the exact
+      makespan, and one cycle below it,
       on the initial design and on variants of it with shared
       registers, with operations merged onto shared units, and with
       both.

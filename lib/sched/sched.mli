@@ -46,25 +46,22 @@ type schedule = {
   feasible : bool;  (** deadline and per-output deadlines met *)
 }
 
-(** {1 Kernel selection}
+(** {1 The kernel}
 
-    The event-driven kernel is the default. It keeps its jobs, job
+    The event-driven kernel is the only kernel. It keeps its jobs, job
     graph and queues in flat [int] arrays: jobs, members, needs, outputs
     and successor edges as CSR slices, and the ready, pending and
     release queues as allocation-free {!Hsyn_util.Int_heap}s over packed
     [(key, payload)] ints. Time jumps from event to event. Jobs are
     numbered by instance, then member node, and that number breaks
-    ready-queue ties, as the legacy kernel's argmax scan does.
-
-    The original time-stepped kernel is kept verbatim and selectable —
-    [HSYN_SCHED=legacy] in the environment at startup, or {!set_impl}
-    at runtime — so differential tests can prove the two produce
-    bit-identical schedules. *)
+    ready-queue ties, as the argmax scan of the original time-stepped
+    kernel does. That kernel is the differential reference
+    [Hsyn_fuzz.Sched_ref]. *)
 
 type impl = Event | Legacy
 
 val impl : unit -> impl
-val set_impl : impl -> unit
+(** Always [Event]; kept only because [bench/perf/perf.ml] reads it. *)
 
 (** {1 Memoization caches}
 
@@ -85,7 +82,7 @@ val set_impl : impl -> unit
       so one context serves thousands of evaluations. Every entry
       point that needs one — {!schedule}, {!module_profile},
       {!alap_start} — looks it up here.
-    - {b module profiles}, keyed by (module, kernel, behavior, vdd,
+    - {b module profiles}, keyed by (module identity, behavior, vdd,
       clock).
 
     Entry points called without a cache allocate a transient one
@@ -117,7 +114,7 @@ end
 val module_profile : ?cache:Cache.t -> Design.ctx -> Design.rtl_module -> string -> profile
 (** Profile of a module for one behavior, derived by scheduling the
     corresponding part with all inputs at 0 (recursively through
-    nested modules). Memoized per (module, kernel, behavior, vdd,
+    nested modules). Memoized per (module identity, behavior, vdd,
     clock) in the given cache; domain-safe. *)
 
 val module_schedule : ?cache:Cache.t -> Design.ctx -> Design.rtl_module -> string -> schedule
@@ -136,16 +133,11 @@ val schedule : ?cache:Cache.t -> Design.ctx -> constraints -> Design.t -> schedu
     @raise Invalid_argument if the binding is structurally unusable
     (e.g. an unbound operation). *)
 
-val schedule_legacy : ?cache:Cache.t -> Design.ctx -> constraints -> Design.t -> schedule
-(** The original time-stepped kernel, regardless of {!impl}. Reference
-    implementation for differential tests. *)
-
 (** {1 Kernel counters} *)
 
 type stats = {
-  schedules : int;  (** scheduling calls, either kernel, incl. module parts *)
-  legacy_schedules : int;  (** subset served by the legacy kernel *)
-  events_popped : int;  (** queue pops inside the event kernel *)
+  schedules : int;  (** scheduling calls, incl. module parts *)
+  events_popped : int;  (** queue pops inside the kernel *)
   prepared_hits : int;  (** prepared-context cache hits *)
   prepared_builds : int;  (** prepared-context builds *)
 }

@@ -423,7 +423,7 @@ let test_result_json () =
     let rec go i = i + nn <= nh && (String.sub s i nn = needle || go (i + 1)) in
     go 0
   in
-  checkb "has schema version" true (contains "\"schema_version\":1");
+  checkb "has schema version" true (contains "\"schema_version\":2");
   checkb "has coverage" true (contains "\"coverage\"");
   checkb "has fingerprint" true (contains "\"fingerprint\"");
   checkb "completed" true (contains "\"completed\":true")

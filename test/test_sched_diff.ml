@@ -1,8 +1,9 @@
 (* Differential tests: the event-driven scheduler kernel must be
-   bit-identical to the original time-stepped kernel. Every built-in
-   benchmark is scheduled at several deadlines and under several
-   technology contexts, full synthesis is run once per kernel per
-   objective, and ALAP is checked against ASAP. *)
+   bit-identical to the original time-stepped kernel, the reference
+   [Hsyn_fuzz.Sched_ref]. Every built-in benchmark is scheduled at
+   several deadlines and under several technology contexts, the
+   winners of full synthesis runs and their neighbourhoods are diffed
+   too, and ALAP is checked against ASAP. *)
 
 module Design = Hsyn_rtl.Design
 module Sched = Hsyn_sched.Sched
@@ -12,18 +13,13 @@ module Clib = Hsyn_core.Clib
 module S = Hsyn_core.Synthesize
 module Suite = Hsyn_benchmarks.Suite
 module Library = Hsyn_modlib.Library
+module Sched_ref = Hsyn_fuzz.Sched_ref
+module Embed = Hsyn_embed.Embed
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
 let lib = Library.default
-
-(* Run [f] with the process-wide kernel forced to [impl], restoring
-   the previous selection afterwards (tests share one process). *)
-let with_impl impl f =
-  let prev = Sched.impl () in
-  Sched.set_impl impl;
-  Fun.protect ~finally:(fun () -> Sched.set_impl prev) f
 
 let check_same_schedule what (a : Sched.schedule) (b : Sched.schedule) =
   checkb (what ^ ": feasible") a.Sched.feasible b.Sched.feasible;
@@ -37,17 +33,14 @@ let check_same_schedule what (a : Sched.schedule) (b : Sched.schedule) =
    already holds the graph's prepared context. *)
 let diff_schedule what ctx d ~deadline =
   let cs = Sched.relaxed ~deadline d.Design.dfg in
-  let legacy = with_impl Sched.Legacy (fun () -> Sched.schedule_legacy ctx cs d) in
-  let event = with_impl Sched.Event (fun () -> Sched.schedule ctx cs d) in
+  let reference = Sched_ref.schedule ctx cs d in
+  let event = Sched.schedule ctx cs d in
   let cache = Sched.Cache.create () in
-  let event_c =
-    with_impl Sched.Event (fun () ->
-        ignore (Sched.schedule ~cache ctx cs d);
-        Sched.schedule ~cache ctx cs d)
-  in
-  check_same_schedule (what ^ " event") event legacy;
-  check_same_schedule (what ^ " event+cache") event_c legacy;
-  legacy
+  ignore (Sched.schedule ~cache ctx cs d);
+  let event_c = Sched.schedule ~cache ctx cs d in
+  check_same_schedule (what ^ " event") event reference;
+  check_same_schedule (what ^ " event+cache") event_c reference;
+  reference
 
 (* Three deadlines: relaxed, exactly the relaxed makespan, and one
    cycle tighter (usually infeasible). Returns the relaxed schedule. *)
@@ -141,9 +134,8 @@ let test_alap_vs_asap () =
         alap)
     (Suite.all ())
 
-(* Full synthesis under each kernel must converge to the same design:
-   same deadline, same committed-move sequence, same area/power. The
-   config is small so the whole matrix runs in seconds. *)
+(* The synthesis runs below use a small config so the whole matrix
+   runs in seconds. *)
 let config =
   {
     S.default_config with
@@ -155,19 +147,16 @@ let config =
     clib_effort = { Clib.default_effort with Clib.max_moves = 3; max_passes = 1 };
   }
 
-let synth impl (b : Suite.t) objective =
-  with_impl impl (fun () ->
-      let min_ns = S.min_sampling_ns lib b.Suite.registry b.Suite.dfg in
-      match
-        Result.bind
-          (S.Request.make ~config ~lib ~registry:b.Suite.registry ~dfg:b.Suite.dfg ~objective
-             ~sampling_ns:(2.2 *. min_ns) ())
-          S.synthesize
-      with
-      | Ok r -> r
-      | Error msg -> Alcotest.failf "synthesis of %s failed: %s" b.Suite.name msg)
-
-let checkf what a b = Alcotest.check (Alcotest.float 1e-9) what a b
+let synth ?(flatten = false) ~lf (b : Suite.t) objective =
+  let min_ns = S.min_sampling_ns lib b.Suite.registry b.Suite.dfg in
+  match
+    Result.bind
+      (S.Request.make ~config ~flatten ~lib ~registry:b.Suite.registry ~dfg:b.Suite.dfg ~objective
+         ~sampling_ns:(lf *. min_ns) ())
+      S.synthesize
+  with
+  | Ok r -> r
+  | Error msg -> Alcotest.failf "synthesis of %s failed: %s" b.Suite.name msg
 
 (* Each suite behavior synthesized flat for area at L.F. 1.2, where
    units are shared most, and its neighbourhood, which adds shared
@@ -176,17 +165,7 @@ let test_area_final_schedules () =
   let shared_units = ref 0 and deadlocked = ref 0 and shared_regs = ref 0 in
   List.iter
     (fun (b : Suite.t) ->
-      let min_ns = S.min_sampling_ns lib b.Suite.registry b.Suite.dfg in
-      let r =
-        match
-          Result.bind
-            (S.Request.make ~config ~flatten:true ~lib ~registry:b.Suite.registry ~dfg:b.Suite.dfg
-               ~objective:Cost.Area ~sampling_ns:(1.2 *. min_ns) ())
-            S.synthesize
-        with
-        | Ok r -> r
-        | Error msg -> Alcotest.failf "synthesis of %s failed: %s" b.Suite.name msg
-      in
+      let r = synth ~flatten:true ~lf:1.2 b Cost.Area in
       let d = r.S.design in
       if shares_unit d then incr shared_units;
       let what = b.Suite.name ^ " area final" in
@@ -200,35 +179,56 @@ let test_area_final_schedules () =
   checkb "some final neighbour shares a register" true (!shared_regs > 0);
   checkb "some final neighbour deadlocks" true (!deadlocked > 0)
 
+(* [d] with its first two module instances embedded into one module
+   that runs both their calls, as move C's embed candidate builds it:
+   a module of two parts, whose profiles must be told apart by
+   behavior. *)
+let embed_first_modules ctx (d : Design.t) =
+  let modules =
+    List.filter_map
+      (fun i -> match d.Design.insts.(i) with Design.Module rm -> Some (i, rm) | Design.Simple _ -> None)
+      (List.init (Array.length d.Design.insts) Fun.id)
+  in
+  match modules with
+  | (i, rmi) :: (j, rmj) :: _ ->
+      Embed.merge_modules ctx ~name:"embedded" rmi rmj
+      |> Option.map (fun (merged, _) ->
+             Design.compact
+               (Design.with_bindings
+                  (Design.with_inst d i (Design.Module merged))
+                  (Design.nodes_on d j) i))
+  | _ -> None
+
+(* The winners of hierarchical synthesis, at both objectives: each is
+   diffed at its own deadline, at the three deadlines, and over its
+   whole neighbourhood, and so is each winner with two modules
+   embedded into one. Their module parts come from the complex
+   library's nested synthesis, and the reference derives their
+   profiles with its own kernel. *)
 let test_synthesis_equivalence () =
+  let embedded = ref 0 in
   List.iter
     (fun (b : Suite.t) ->
       List.iter
         (fun objective ->
-          let what =
-            Printf.sprintf "%s/%s" b.Suite.name (Cost.objective_name objective)
-          in
-          let ev = synth Sched.Event b objective in
-          let lg = synth Sched.Legacy b objective in
-          checki (what ^ ": deadline") lg.S.deadline_cycles ev.S.deadline_cycles;
-          checkf (what ^ ": vdd") lg.S.ctx.Design.vdd ev.S.ctx.Design.vdd;
-          checkf (what ^ ": clk") lg.S.ctx.Design.clk_ns ev.S.ctx.Design.clk_ns;
-          checkf (what ^ ": area") lg.S.eval.Cost.area ev.S.eval.Cost.area;
-          checkf (what ^ ": power") lg.S.eval.Cost.power ev.S.eval.Cost.power;
-          checki (what ^ ": moves committed") lg.S.stats.Hsyn_core.Pass.moves_committed
-            ev.S.stats.Hsyn_core.Pass.moves_committed;
-          checkb (what ^ ": committed moves") true
-            (lg.S.stats.Hsyn_core.Pass.committed = ev.S.stats.Hsyn_core.Pass.committed);
-          (* the winning designs schedule identically under both kernels *)
-          ignore
-            (diff_schedule (what ^ " winner") ev.S.ctx ev.S.design
-               ~deadline:ev.S.deadline_cycles))
+          let what = Printf.sprintf "%s/%s" b.Suite.name (Cost.objective_name objective) in
+          let r = synth ~lf:2.2 b objective in
+          let d = r.S.design in
+          let winner = diff_schedule (what ^ " winner") r.S.ctx d ~deadline:r.S.deadline_cycles in
+          checkb (what ^ ": winner feasible") true winner.Sched.feasible;
+          ignore (diff_deadlines what r.S.ctx d);
+          ignore (diff_neighbourhood what r.S.ctx d);
+          match embed_first_modules r.S.ctx d with
+          | Some e ->
+              incr embedded;
+              ignore (diff_deadlines (what ^ " embedded") r.S.ctx e)
+          | None -> ())
         [ Cost.Area; Cost.Power ])
-    [ Suite.test1 (); Suite.hier_paulin () ]
+    [ Suite.test1 (); Suite.hier_paulin () ];
+  checkb "some winner has two modules to embed" true (!embedded > 0)
 
-(* The legacy reference path must not disturb the kernel counters'
-   invariant: legacy calls are counted both as schedules and as
-   legacy_schedules. *)
+(* Scheduling is counted, and the reference counts nothing: a call that
+   moved [Sched.stats] would mean it ran the event kernel somewhere. *)
 let test_stats_accounting () =
   let b = Suite.test1 () in
   let ctx = Tu.ctx () in
@@ -236,12 +236,13 @@ let test_stats_accounting () =
   let cs = Sched.relaxed ~deadline:1_000 d.Design.dfg in
   let before = Sched.stats () in
   ignore (Sched.schedule ctx cs d);
-  ignore (Sched.schedule_legacy ctx cs d);
   let delta = Sched.sub_stats (Sched.stats ()) before in
-  checkb "schedules counted" true (delta.Sched.schedules >= 2);
-  checkb "legacy counted" true (delta.Sched.legacy_schedules >= 1);
+  checkb "schedules counted" true (delta.Sched.schedules >= 1);
   checkb "events popped" true (delta.Sched.events_popped > 0);
-  checkb "legacy <= total" true (delta.Sched.legacy_schedules <= delta.Sched.schedules)
+  let before = Sched.stats () in
+  ignore (Sched_ref.schedule ctx cs d);
+  checkb "reference counts nothing" true
+    (Sched.sub_stats (Sched.stats ()) before = Sched.zero_stats)
 
 let () =
   Alcotest.run "sched_diff"

@@ -231,7 +231,8 @@ let test_malformed_request_survives () =
             "program line 7: Registry.register: variant f2 of f has mismatched interface"
             (gets "message" j));
       (* calls that do not resolve: refused before synthesis starts,
-         with the registry's call check's message *)
+         with the registry's call check's message; and an output count
+         too large to allocate, refused by the parser at the call *)
       List.iter
         (fun (what, text, message) ->
           match Serve.Client.raw ~timeout_s:10. addr (program text) with
@@ -252,21 +253,31 @@ let test_malformed_request_survives () =
             "behavior f variant f1\n  input a\n  call c f 1 a\n  output y c\nend\n\
              dfg top\n  input x\n  call c1 f 1 x\n  output o c1\nend\n",
             "recursive call cycle through behavior f" );
+          ( "huge output count",
+            "dfg top\n  input x\n  call c1 f 4611686018427387903 x\n  output o c1\nend\n",
+            "program line 3: call \"c1\" has 4611686018427387903 outputs, more than the program's 3 \
+             statements" );
         ];
-      (* an output count too large to allocate raises inside request
-         resolution: the worker answers [internal] and closes the
-         connection instead of dropping it *)
+      (* an exception that escapes the run: a trace length too large to
+         allocate, which [Trace.generate] refuses with Invalid_argument.
+         The worker answers [internal] and closes the connection instead
+         of dropping it. This trigger moves again once [trace_length]
+         is bounded at the request. *)
       (match
          Serve.Client.raw ~timeout_s:10. addr
-           (program "dfg top\n  input x\n  call c1 f 4611686018427387903 x\n  output o c1\nend\n")
+           (Json.to_string
+              (Wire.doc_to_json
+                 (Wire.make_doc ~objective:Cost.Area ~timing:(Wire.Laxity 2.2)
+                    ~config:{ test_config with S.trace_length = max_int }
+                    (Wire.Bench "test1"))))
        with
       | Error msg -> Alcotest.failf "escaping exception: %s" msg
       | Ok lines -> checks "escaping exception is internal" "internal" (gets "code" (parse (last lines))));
-      (* the daemon still serves after all eight *)
+      (* the daemon still serves after all nine *)
       let final = last (request_lines addr (test1_doc ())) in
       checks "daemon survives" "hsyn.result" (gets "kind" (parse final));
       let stats = Serve.stats server in
-      checki "all eight errors counted" 8 stats.Serve.errors)
+      checki "all nine errors counted" 9 stats.Serve.errors)
 
 (* ------------------------------------------------------------------ *)
 (* admission control *)

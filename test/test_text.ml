@@ -102,6 +102,18 @@ let test_errors () =
      dfg top\n  input x\n  call c1 f 1 x\n  output o c1\nend\n";
   (* a call with a negative output count, refused like one with none *)
   expect_error "dfg a\n  input x\n  call c1 f -1 x\n  output o c1\nend";
+  (* output counts above the program's statement count, one that fits
+     in memory and one that does not: refused at the call's line before
+     any port is allocated *)
+  List.iter
+    (fun count ->
+      match
+        Text.parse_string
+          (Printf.sprintf "dfg top\n  input x\n  call c1 f %s x\n  output o c1\nend\n" count)
+      with
+      | exception Text.Parse_error (line, _) -> checki ("count " ^ count ^ ": at the call") 3 line
+      | _ -> Alcotest.failf "count %s: expected Parse_error" count)
+    [ "10000000"; "4611686018427387903" ];
   (* a delay inside a behavior: behaviors are stateless *)
   expect_error stateful_behavior;
   match Text.parse_string stateful_behavior with
@@ -112,9 +124,21 @@ let test_errors () =
   | _ -> Alcotest.fail "expected Parse_error"
 
 let test_error_line_numbers () =
-  match Text.parse_string "dfg a\n  input x\n  op m mult x nosuch\nend" with
-  | exception Text.Parse_error (line, _) -> checki "line" 3 line
-  | _ -> Alcotest.fail "expected Parse_error"
+  List.iter
+    (fun (what, src, expected) ->
+      match Text.parse_string src with
+      | exception Text.Parse_error (line, _) -> checki what expected line
+      | _ -> Alcotest.failf "%s: expected Parse_error" what)
+    [
+      ("undefined source", "dfg a\n  input x\n  op m mult x nosuch\nend", 3);
+      (* an output port the source does not have, read on an op and on
+         a one-output call *)
+      ("op port", "dfg top\n  input x\n  op s neg x\n  output o s.3\nend\n", 4);
+      ( "call port",
+        "behavior f variant f1\n  input a\n  op s neg a\n  output y s\nend\n\
+         dfg top\n  input x\n  call c1 f 1 x\n  output o c1.4\nend\n",
+        9 );
+    ]
 
 let test_crlf () =
   (* a Windows-edited file: every line terminated with \r\n. Each line's
