@@ -48,7 +48,7 @@ let improve_part ?session ?token ctx registry ~complexes ~effort ~trace ~allow_e
     Moves.make_env engine ~registry ~complexes ~max_candidates:effort.max_candidates ~allow_embed
       ~allow_split ~allow_rewrite
   in
-  fst (Pass.improve env ~max_moves:effort.max_moves ~max_passes:effort.max_passes part)
+  Pass.improve env ~max_moves:effort.max_moves ~max_passes:effort.max_passes part
 
 let synthesize_variant ?session ?token ctx registry clib ~rng ~trace_length ~effort behavior
     (variant : Dfg.t) =
@@ -66,8 +66,9 @@ let synthesize_variant ?session ?token ctx registry clib ~rng ~trace_length ~eff
      config's family switches say. ROADMAP item 1 decides whether it
      should follow them instead. *)
   let optimize objective deadline =
-    improve_part ?session ?token ctx registry ~complexes ~effort ~trace ~allow_embed:true
-      ~allow_split:true ~allow_rewrite:true { relaxed with Sched.deadline } objective initial
+    fst
+      (improve_part ?session ?token ctx registry ~complexes ~effort ~trace ~allow_embed:true
+         ~allow_split:true ~allow_rewrite:true { relaxed with Sched.deadline } objective initial)
   in
   let fast = { Design.rm_name = variant.Dfg.name ^ "@f"; parts = [ (behavior, initial) ] } in
   let area_opt =

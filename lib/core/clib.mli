@@ -57,16 +57,17 @@ val improve_part :
   Sched.constraints ->
   Cost.objective ->
   Design.t ->
-  Design.t
+  Design.t * Pass.stats
 (** One nested improvement run (Figure 4's loop below the top level):
     improve a module part under the given constraints and objective,
     with move B off. The sampling period is the constraints' deadline
     in clock periods. It creates its own engine (policy
     [effort.engine], borrowing from [session] and polling [token]) and
     runs {!Pass.improve} at [effort]'s move and pass bounds with
-    [effort.max_candidates] per family. Library construction calls it
-    for each variant's area- and power-optimized modules, and move B
-    for each resynthesis. *)
+    [effort.max_candidates] per family, returning its result. Library
+    construction calls it for each variant's area- and power-optimized
+    modules, and move B for each resynthesis it has not answered
+    before in the context. *)
 
 val lookup : t -> string -> Design.rtl_module list
 (** Modules implementing a behavior; [[]] when unknown. *)

@@ -41,8 +41,7 @@ type env = {
   engine : Engine.t;
   registry : Registry.t;
   complexes : string -> Design.rtl_module list;
-  resynth :
-    (Design.ctx -> Sched.constraints -> Cost.objective -> Design.t -> Design.t) option;
+  resynth : (string -> Sched.constraints -> Design.t -> Design.t) option;
   max_candidates : int;
   allow_embed : bool;
   allow_split : bool;
@@ -246,7 +245,7 @@ let resynth_candidates env (d : Design.t) : candidate Seq.t =
                          }
                        in
                        let part = Design.module_part rm behavior in
-                       let part' = resynth ctx inner_cs (Engine.objective env.engine) part in
+                       let part' = resynth behavior inner_cs part in
                        if part' == part then Seq.Nil
                        else
                          let rm' =

@@ -7,7 +7,10 @@
     - {b B — resynthesis}: derive the environment of a complex module
       instance (operand arrival times from the current schedule,
       output deadlines from ALAP slack), and re-synthesize its behavior
-      under those relaxed constraints.
+      under those relaxed constraints. Resynthesis is a pure function
+      of its request (behavior, part, constraints), so a repeated
+      request is answered from the resynthesizer's table; every answer
+      is wrapped in a fresh module record named by the env's counter.
     - {b C — merging}: map two simple instances onto one (resource
       sharing), fuse dependent additions onto a chained adder, merge
       two complex modules via RTL embedding, or globally re-allocate
@@ -71,9 +74,12 @@ type env = private {
           constraints, trace, objective), which the generators read *)
   registry : Registry.t;
   complexes : string -> Design.rtl_module list;
-  resynth :
-    (Design.ctx -> Sched.constraints -> Cost.objective -> Design.t -> Design.t) option;
-      (** bounded inner optimizer used by move B; [None] disables B *)
+  resynth : (string -> Sched.constraints -> Design.t -> Design.t) option;
+      (** move B's bounded inner optimizer, [resynth behavior cs part],
+          in the engine's context and objective; [None] disables B.
+          The one in production ({!Synthesize.make_resynth}) is a pure
+          function of its request (behavior, part, constraints) and
+          answers a repeated request from its table. *)
   max_candidates : int;  (** cap on evaluated candidates per family *)
   allow_embed : bool;  (** enable complex-module merging via RTL embedding *)
   allow_split : bool;  (** enable move family D *)
@@ -90,7 +96,7 @@ type env = private {
 }
 
 val make_env :
-  ?resynth:(Design.ctx -> Sched.constraints -> Cost.objective -> Design.t -> Design.t) ->
+  ?resynth:(string -> Sched.constraints -> Design.t -> Design.t) ->
   Engine.t ->
   registry:Registry.t ->
   complexes:(string -> Design.rtl_module list) ->

@@ -9,6 +9,7 @@ module Flatten = Hsyn_dfg.Flatten
 module Trace = Hsyn_eval.Trace
 module Rng = Hsyn_util.Rng
 module Json = Hsyn_util.Json
+module Metrics = Hsyn_obs.Metrics
 
 type config = {
   max_moves : int;
@@ -231,22 +232,47 @@ module Result = struct
   let to_json r = Json.to_string (to_json_value r)
 end
 
-(* Move B's resynthesizer: a nested improvement run of the module part
-   under its derived environment constraints, without another level of
-   B moves, on a fresh trace per call. *)
-let make_resynth ?session ?token config registry complexes =
-  let counter = ref 0 in
-  fun ctx cs objective (part : Design.t) ->
-    incr counter;
-    let trace =
-      Trace.generate (Rng.create (config.seed + !counter)) config.trace_kind
-        ~n_inputs:(Array.length part.Design.dfg.Dfg.inputs)
-        ~length:config.trace_length
-    in
-    Clib.improve_part ?session ?token ctx registry ~complexes
-      ~effort:{ config.clib_effort with Clib.engine = config.engine }
-      ~trace ~allow_embed:config.enable_embed ~allow_split:config.enable_split
-      ~allow_rewrite:config.enable_rewrite cs objective part
+(* A move-B request: the behavior, the part (compared physically: the
+   candidates of a context share their modules' parts) and the inner
+   constraints (compared structurally). *)
+module Resynth_tbl = Hashtbl.Make (struct
+  type t = string * Design.t * Sched.constraints
+
+  let equal (b, p, cs) (b', p', cs') = String.equal b b' && p == p' && cs = cs'
+  let hash (b, _, cs) = Hashtbl.hash (b, cs)
+end)
+
+(* Move B's resynthesizer for one context: a nested improvement run of
+   the module part under its derived environment constraints, without
+   another level of B moves. Its trace is drawn from the run's seed and
+   the behavior, so the answer is a function of the request alone, and
+   the closure keeps each answer: a repeated request runs once. A run
+   the budget interrupted is not kept. *)
+let make_resynth ?session ?token config registry complexes ctx objective =
+  let bump name = if Metrics.is_enabled () then Metrics.incr (Metrics.counter name) in
+  let answers = Resynth_tbl.create 16 in
+  fun behavior cs (part : Design.t) ->
+    bump "moves.resynth.requests";
+    let key = (behavior, part, cs) in
+    match Resynth_tbl.find_opt answers key with
+    | Some part' -> part'
+    | None ->
+        bump "moves.resynth.runs";
+        let trace =
+          Trace.generate
+            (Rng.derive (Rng.create config.seed) ("resynth/" ^ behavior))
+            config.trace_kind
+            ~n_inputs:(Array.length part.Design.dfg.Dfg.inputs)
+            ~length:config.trace_length
+        in
+        let part', stats =
+          Clib.improve_part ?session ?token ctx registry ~complexes
+            ~effort:{ config.clib_effort with Clib.engine = config.engine }
+            ~trace ~allow_embed:config.enable_embed ~allow_split:config.enable_split
+            ~allow_rewrite:config.enable_rewrite cs objective part
+        in
+        if not stats.Pass.interrupted then Resynth_tbl.add answers key part';
+        part'
 
 (* One (V_dd, clock) context of the sweep: build the complex library,
    the initial solution, and run budgeted variable-depth improvement.
@@ -271,7 +297,9 @@ let run_context ~session ?token ~events ~index (req : Request.t) dfg (vdd, clk_n
   let cs = Sched.relaxed ~deadline dfg in
   let resynth =
     if config.enable_resynth then
-      Some (make_resynth ~session ?token config req.Request.registry complexes)
+      Some
+        (make_resynth ~session ?token config req.Request.registry complexes ctx
+           req.Request.objective)
     else None
   in
   let engine =

@@ -151,6 +151,35 @@ module Result : sig
   val to_json : t -> string
 end
 
+val make_resynth :
+  ?session:Session.t ->
+  ?token:Budget.token ->
+  config ->
+  Registry.t ->
+  (string -> Design.rtl_module list) ->
+  Design.ctx ->
+  Cost.objective ->
+  string ->
+  Hsyn_sched.Sched.constraints ->
+  Design.t ->
+  Design.t
+(** [make_resynth config registry complexes ctx objective] is move B's
+    resynthesizer for one (V{_dd}, clock) context: [resynth behavior cs
+    part] improves a module part of [behavior] under the inner
+    constraints [cs] with {!Clib.improve_part} (move B off, the
+    config's other family switches, [config.clib_effort]'s bounds and
+    [config.engine]'s policy). Resynthesis is a pure function of its
+    request (behavior, part, constraints): the nested trace is drawn
+    with [Rng.derive] from [config.seed] and the label
+    ["resynth/<behavior>"], never from the order of the requests. Each
+    resynthesizer keeps a table from request to answer (part compared
+    physically, constraints structurally), so a request repeated in
+    the context returns its first answer, physically, without another
+    nested run; a run that [token] interrupted is not kept. Two
+    resynthesizers share no entry. When metrics are enabled, each call
+    adds one to [moves.resynth.requests] and each nested run one to
+    [moves.resynth.runs]. *)
+
 val synthesize :
   ?events:Events.sink ->
   ?token:Budget.token ->

@@ -59,11 +59,6 @@ let iter_feeds (d : Design.t) f =
       end)
     d.Design.node_inst
 
-let port_feeds_all d =
-  let acc = Array.make (Array.length d.Design.insts) [] in
-  iter_feeds d (fun i key p -> acc.(i) <- (key, p) :: acc.(i));
-  Array.map List.rev acc
-
 let port_feeds d i =
   let acc = ref [] in
   iter_feeds d (fun i' key p -> if i' = i then acc := (key, p) :: !acc);

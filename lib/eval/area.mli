@@ -17,15 +17,22 @@ type source = Reg of int | Const_wire of int | Direct of int * int
 
 val source_of_value : Design.t -> Hsyn_dfg.Dfg.port -> source
 
-val port_feeds : Design.t -> int -> (int * Hsyn_dfg.Dfg.port) list
-(** The (stable port key, feeding value) pairs of an instance, over
-    every node bound to it — the basis for both mux-area counting and
-    per-port activity streams in {!Power}. Chain groups flatten their
-    external inputs in member order. *)
+val source_equal : source -> source -> bool
+(** Equality of sources, without polymorphic compare. *)
 
-val port_feeds_all : Design.t -> (int * Hsyn_dfg.Dfg.port) list array
-(** {!port_feeds} of every instance, from one sweep over the
-    bindings. *)
+val iter_feeds : Design.t -> (int -> int -> Hsyn_dfg.Dfg.port -> unit) -> unit
+(** [iter_feeds d f] calls [f inst key port] for every external input
+    feed of the design's instances, in one sweep over the bindings in
+    ascending node order (the {e feed order}), each node's inputs in
+    port order. Plain units and modules key a feed by the node's own
+    input index; chain groups number their external inputs (sources
+    not bound to the chain itself) consecutively in member order. The
+    feeds of one key are an instance port: the basis for both
+    mux-area counting and per-port activity streams in {!Power}. *)
+
+val port_feeds : Design.t -> int -> (int * Hsyn_dfg.Dfg.port) list
+(** The (port key, feeding value) pairs of one instance, in feed
+    order ({!iter_feeds} restricted to it). *)
 
 type breakdown = {
   units : float;

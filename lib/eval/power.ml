@@ -17,34 +17,42 @@ let width_f = Float.of_int Bits.word_width
    last bit. *)
 let activity toggles = Float.of_int toggles /. width_f
 
+(* Stable insertion sort of [a.(0 .. n-1)] by [key]: elements with
+   equal keys keep their order. The arrays it sorts are a port's
+   operands, a module's calls or a register's values, a handful each. *)
+let sort_by (key : int -> int) a n =
+  for k = 1 to n - 1 do
+    let x = a.(k) in
+    let kx = key x in
+    let j = ref (k - 1) in
+    while !j >= 0 && key a.(!j) > kx do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
 (* Toggled bits of the stream that visits, sample after sample, the
-   values [order] indexes (one resource port, operands in order). *)
-let port_toggles (streams : int array array) order =
+   values [order.(0 .. n-1)] indexes (one resource port, operands in
+   order). *)
+let port_toggles (streams : int array array) order n =
   let prev = ref 0 and acc = ref 0 in
   Array.iter
     (fun values ->
-      Array.iter
-        (fun v ->
-          let x = values.(v) in
-          acc := !acc + Bits.hamming !prev x;
-          prev := x)
-        order)
+      for k = 0 to n - 1 do
+        let x = values.(order.(k)) in
+        acc := !acc + Bits.hamming !prev x;
+        prev := x
+      done)
     streams;
   !acc
 
-(* Toggled bits of a register's write stream. Writes follow the
-   schedule's [avail] order, and writes available in the same cycle go
-   in ascending data order: the model sorts (avail, value) pairs, so
-   the tie-break is part of its results. Only those tie groups need a
-   sort per sample. *)
-let reg_toggles (streams : int array array) (avail : int array) values =
-  let rec groups = function
-    | [] -> []
-    | v :: _ as l ->
-        let same, rest = List.partition (fun w -> avail.(w) = avail.(v)) l in
-        Array.of_list same :: groups rest
-  in
-  let groups = Array.of_list (groups (List.stable_sort (fun a b -> compare avail.(a) avail.(b)) values)) in
+(* Toggled bits of a register's write stream. [order.(0 .. n-1)] are
+   its values, stably sorted by the schedule's [avail]; writes
+   available in the same cycle go in ascending data order, so each run
+   of equal [avail] is sorted by value, sample by sample, in [scratch].
+   The tie-break is part of the model's results. *)
+let reg_toggles (streams : int array array) (avail : int array) order n scratch =
   let prev = ref 0 and acc = ref 0 in
   let write x =
     acc := !acc + Bits.hamming !prev x;
@@ -52,23 +60,28 @@ let reg_toggles (streams : int array array) (avail : int array) values =
   in
   Array.iter
     (fun values ->
-      Array.iter
-        (fun g ->
-          if Array.length g = 1 then write values.(g.(0))
-          else begin
-            let xs = Array.map (fun v -> values.(v)) g in
-            Array.sort Int.compare xs;
-            Array.iter write xs
-          end)
-        groups)
+      let k = ref 0 in
+      while !k < n do
+        let a = avail.(order.(!k)) in
+        let e = ref (!k + 1) in
+        while !e < n && avail.(order.(!e)) = a do
+          incr e
+        done;
+        if !e = !k + 1 then write values.(order.(!k))
+        else begin
+          let m = !e - !k in
+          for j = 0 to m - 1 do
+            scratch.(j) <- values.(order.(!k + j))
+          done;
+          sort_by Fun.id scratch m;
+          for j = 0 to m - 1 do
+            write scratch.(j)
+          done
+        end;
+        k := !e
+      done)
     streams;
   !acc
-
-(* An instance's feeds grouped by port key: ascending keys, each with
-   its feeding ports in feed order. *)
-let ports_by_key feeds =
-  List.sort_uniq compare (List.map fst feeds)
-  |> List.map (fun k -> (k, List.filter_map (fun (k', p) -> if k' = k then Some p else None) feeds))
 
 (* Registers clocked by the design, including the shared register
    files of nested RTL modules (counted once per module instance) and
@@ -190,102 +203,176 @@ let streams_of memo (design : Design.t) invocations =
   let key = { Stream_key.dfg = design.Design.dfg; parts = bound_parts design } in
   Stream_tbl.find_or_build memo.streams key (fun _ -> simulate design invocations)
 
+let no_port = { Dfg.node = 0; out = 0 }
+
 (* [sch] is the design's schedule: the caller's for the top level, the
    module-profile schedule ({!Sched.module_schedule}) for module parts.
    [invocations] is non-empty. The order in which [total] adds its
    terms is part of the result's bits and must not change. [?streams]
    are the design's streams when the caller already has them; [?memo]
-   supplies module-part energies at every level. *)
+   supplies module-part energies at every level. Each pass runs over
+   flat arrays allocated once per call. *)
 let rec energy_rec cache ?memo ~top ?streams ctx (sch : Sched.schedule) (design : Design.t)
     invocations =
   let lib = ctx.Design.lib in
   let dfg = design.Design.dfg in
-  let vi p = Design.value_index dfg p in
   let n_samples = List.length invocations in
   let streams =
     match streams with Some streams -> streams | None -> simulate design invocations
   in
-  let port_activity ports = activity (port_toggles streams (Array.of_list (List.map vi ports))) in
-  let steered ports =
-    List.length (List.sort_uniq compare (List.map (Area.source_of_value design) ports)) > 1
+  let n_insts = Array.length design.Design.insts in
+  (* The feeds of instance [i], in feed order, are entries
+     [first.(i) .. first.(i + 1) - 1] of [feed_key], [feed_port] and
+     [feed_value]; its port keys are below [n_keys.(i)]. *)
+  let first = Array.make (n_insts + 1) 0 and n_keys = Array.make n_insts 0 in
+  Area.iter_feeds design (fun i key _ ->
+      first.(i + 1) <- first.(i + 1) + 1;
+      if key >= n_keys.(i) then n_keys.(i) <- key + 1);
+  for i = 1 to n_insts do
+    first.(i) <- first.(i) + first.(i - 1)
+  done;
+  let n_feeds = first.(n_insts) in
+  let feed_key = Array.make n_feeds 0
+  and feed_port = Array.make n_feeds no_port
+  and feed_value = Array.make n_feeds 0 in
+  let next = Array.sub first 0 n_insts in
+  Area.iter_feeds design (fun i key p ->
+      let j = next.(i) in
+      feed_key.(j) <- key;
+      feed_port.(j) <- p;
+      feed_value.(j) <- Design.value_index dfg p;
+      next.(i) <- j + 1);
+  (* one port: [sel.(0 .. m-1)] are its feeds, [order] their values *)
+  let sel = Array.make n_feeds 0 and order = Array.make n_feeds 0 in
+  let collect i key =
+    let m = ref 0 in
+    for j = first.(i) to first.(i + 1) - 1 do
+      if feed_key.(j) = key then begin
+        sel.(!m) <- j;
+        incr m
+      end
+    done;
+    !m
   in
-  let wire_charge ports act =
-    let mux = if steered ports then lib.Library.mux_cap else 0. in
+  let port_activity m =
+    for k = 0 to m - 1 do
+      order.(k) <- feed_value.(sel.(k))
+    done;
+    activity (port_toggles streams order m)
+  in
+  (* a port is steered when some source differs from the first *)
+  let steered m =
+    let src = Area.source_of_value design feed_port.(sel.(0)) in
+    let rec differs k =
+      k < m
+      && ((not (Area.source_equal src (Area.source_of_value design feed_port.(sel.(k)))))
+         || differs (k + 1))
+    in
+    differs 1
+  in
+  let wire_charge steered act =
+    let mux = if steered then lib.Library.mux_cap else 0. in
     (lib.Library.wire_cap +. mux) *. act
   in
-  let feeds = Area.port_feeds_all design in
+  let used = Array.make n_insts false in
+  Array.iter (fun i -> if i >= 0 && i < n_insts then used.(i) <- true) design.Design.node_inst;
+  let max_keys = Array.fold_left max 0 n_keys in
+  let acts = Array.make max_keys 0. and steers = Array.make max_keys false in
   let total = ref 0. in
+  (* A module part's charge: its energy per invocation over the calls
+     of [behavior] bound to the module ([calls], descending ids), in
+     start order, sample after sample. *)
+  let part_charge rm behavior calls =
+    sort_by (fun id -> sch.Sched.start.(id)) calls (Array.length calls);
+    let args =
+      Array.map (fun id -> Array.map (Design.value_index dfg) dfg.Dfg.nodes.(id).Dfg.ins) calls
+    in
+    let inner_invocations = ref [] in
+    for s = Array.length streams - 1 downto 0 do
+      let values = streams.(s) in
+      for c = Array.length args - 1 downto 0 do
+        inner_invocations := Array.map (fun v -> values.(v)) args.(c) :: !inner_invocations
+      done
+    done;
+    let inner_invocations = !inner_invocations in
+    let part_energy _ =
+      let part = Design.module_part rm behavior in
+      let part_sch = Sched.module_schedule ~cache ctx rm behavior in
+      energy_rec cache ?memo ~top:false ctx part_sch part inner_invocations
+    in
+    let e =
+      match memo with
+      | None -> part_energy ()
+      | Some m ->
+          Part_tbl.find_or_build m.parts
+            { Part_key.rm; behavior; invocations = inner_invocations }
+            part_energy
+    in
+    let n_inner = Array.length streams * Array.length args in
+    total := !total +. (e *. Float.of_int n_inner /. Float.of_int n_samples)
+  in
   (* --- functional units and modules --- *)
-  Array.iteri
-    (fun i nodes ->
-      if nodes <> [] then
-        match design.Design.insts.(i) with
-        | Design.Simple fu ->
-            (* The feed list pairs (port key, consuming-node input):
-               for a plain shared unit the same key appears once per
-               bound node, giving the interleaved operand stream the
-               sharing power effect comes from. Operands of a port go
-               in the order of their producers' start cycles (the
-               known defect documented in power.mli). *)
-            let ports = ports_by_key feeds.(i) in
-            let by_start (p1 : Dfg.port) (p2 : Dfg.port) =
-              compare sch.Sched.start.(p1.Dfg.node) sch.Sched.start.(p2.Dfg.node)
-            in
-            let acts = List.map (fun (_, ps) -> port_activity (List.stable_sort by_start ps)) ports in
-            let n_ports = max 1 (List.length ports) in
-            let mean_act = List.fold_left ( +. ) 0. acts /. Float.of_int n_ports in
-            total := !total +. (fu.Fu.energy_cap *. mean_act);
-            (* wire and mux charges per port *)
-            List.iter2 (fun (_, ps) act -> total := !total +. wire_charge ps act) ports acts
-        | Design.Module rm ->
-            (* group calls by behavior; recurse over merged streams *)
-            let by_behavior = Hashtbl.create 4 in
-            List.iter
-              (fun id ->
+  for i = 0 to n_insts - 1 do
+    if used.(i) then
+      match design.Design.insts.(i) with
+      | Design.Simple fu ->
+          (* All feeds of one port key form a port: for a plain shared
+             unit the same key appears once per bound node, giving the
+             interleaved operand stream the sharing power effect comes
+             from. Operands of a port go in the order of their
+             producers' start cycles (the known defect documented in
+             power.mli). *)
+          let n_ports = ref 0 and act_sum = ref 0. in
+          for key = 0 to n_keys.(i) - 1 do
+            let m = collect i key in
+            if m > 0 then begin
+              sort_by (fun j -> sch.Sched.start.(feed_port.(j).Dfg.node)) sel m;
+              let act = port_activity m in
+              acts.(!n_ports) <- act;
+              steers.(!n_ports) <- steered m;
+              act_sum := !act_sum +. act;
+              incr n_ports
+            end
+          done;
+          let mean_act = !act_sum /. Float.of_int (max 1 !n_ports) in
+          total := !total +. (fu.Fu.energy_cap *. mean_act);
+          (* wire and mux charges per port *)
+          for k = 0 to !n_ports - 1 do
+            total := !total +. wire_charge steers.(k) acts.(k)
+          done
+      | Design.Module rm ->
+          (* group calls by behavior; recurse over merged streams, the
+             groups in [Hashtbl.iter] order, as the sum has always been
+             taken *)
+          let by_behavior = Hashtbl.create 4 in
+          Array.iteri
+            (fun id i' ->
+              if i' = i then
                 match dfg.Dfg.nodes.(id).Dfg.kind with
                 | Dfg.Call b ->
                     let cur = match Hashtbl.find_opt by_behavior b with Some l -> l | None -> [] in
                     Hashtbl.replace by_behavior b (id :: cur)
                 | _ -> ())
-              nodes;
-            Hashtbl.iter
-              (fun behavior calls ->
-                let calls =
-                  List.sort (fun a b -> compare sch.Sched.start.(a) sch.Sched.start.(b)) calls
-                in
-                let args = List.map (fun id -> Array.map vi dfg.Dfg.nodes.(id).Dfg.ins) calls in
-                let inner_invocations =
-                  Array.to_list streams
-                  |> List.concat_map (fun values ->
-                         List.map (Array.map (fun v -> values.(v))) args)
-                in
-                let part_energy _ =
-                  let part = Design.module_part rm behavior in
-                  let part_sch = Sched.module_schedule ~cache ctx rm behavior in
-                  energy_rec cache ?memo ~top:false ctx part_sch part inner_invocations
-                in
-                let e =
-                  match memo with
-                  | None -> part_energy ()
-                  | Some m ->
-                      Part_tbl.find_or_build m.parts
-                        { Part_key.rm; behavior; invocations = inner_invocations }
-                        part_energy
-                in
-                let n_inner = List.length inner_invocations in
-                total := !total +. (e *. Float.of_int n_inner /. Float.of_int n_samples))
-              by_behavior;
-            (* module input port wiring, in feed order *)
-            List.iter
-              (fun (_, ps) -> total := !total +. wire_charge ps (port_activity ps))
-              (ports_by_key feeds.(i)))
-    (Design.nodes_by_inst design);
-  (* --- registers --- *)
+            design.Design.node_inst;
+          Hashtbl.iter
+            (fun behavior calls -> part_charge rm behavior (Array.of_list calls))
+            by_behavior;
+          (* module input port wiring, in feed order *)
+          for key = 0 to n_keys.(i) - 1 do
+            let m = collect i key in
+            if m > 0 then total := !total +. wire_charge (steered m) (port_activity m)
+          done
+  done;
+  (* --- registers: [writes.(0 .. m-1)] are one register's values --- *)
+  let n_values = Array.length design.Design.value_reg in
+  let writes = Array.make n_values 0 and scratch = Array.make n_values 0 in
   Array.iter
     (fun values ->
-      if values <> [] then begin
-        let act = activity (reg_toggles streams sch.Sched.avail values) in
-        let mux = if List.length values > 1 then lib.Library.mux_cap else 0. in
+      let m = List.fold_left (fun k v -> writes.(k) <- v; k + 1) 0 values in
+      if m > 0 then begin
+        sort_by (fun v -> sch.Sched.avail.(v)) writes m;
+        let act = activity (reg_toggles streams sch.Sched.avail writes m scratch) in
+        let mux = if m > 1 then lib.Library.mux_cap else 0. in
         total := !total +. ((lib.Library.reg_cap +. lib.Library.wire_cap +. mux) *. act)
       end)
     (Design.values_by_reg design);

@@ -16,6 +16,21 @@
     capacitance units; multiply by [Voltage.energy_factor] and divide
     by the sampling period for power.
 
+    A port of an instance is the set of its feeds with one port key
+    ({!Area.iter_feeds}); its activity is the Hamming distance summed
+    over its operand stream, sample after sample, divided by the word
+    width. A simple unit charges its capacitance times the mean
+    activity of its ports. Every port, of a unit or a module, charges
+    the wire capacitance times its activity, plus the multiplexer
+    capacitance when some source feeding it differs from the first. A
+    register charges register, wire and (when it holds more than one
+    value) multiplexer capacitance times the activity of its writes,
+    which go in [avail] order, writes of one cycle in ascending data
+    order. The model runs as passes over flat arrays built once per
+    call, and adds its terms in a fixed order (over a module's
+    behaviors, the order of [Hashtbl.iter]), which is part of the
+    result's bits.
+
     Known defect, kept for bit-identical results: a shared unit's
     operand stream is ordered by the start cycle of each operand's
     {e producer}, not of the operation consuming it, and every primary

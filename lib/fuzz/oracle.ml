@@ -116,6 +116,38 @@ let merge_units rng (d : Design.t) =
     d.Design.node_inst;
   Design.compact { d with Design.node_inst }
 
+(* The initial design with two of its modules embedded into one, as
+   move C does: the first pair of module instances whose behaviors
+   differ is merged by [Embed.merge_modules] and the second one's calls
+   are rebound onto the first. The merged module has one part per
+   behavior, so its profiles must be told apart by behavior. [None]
+   when no such pair exists. *)
+let embed_modules ctx (d : Design.t) =
+  let modules =
+    List.filter_map
+      (fun i ->
+        match d.Design.insts.(i) with
+        | Design.Module rm when Design.nodes_on d i <> [] -> Some (i, rm)
+        | Design.Module _ | Design.Simple _ -> None)
+      (List.init (Array.length d.Design.insts) Fun.id)
+  in
+  let rec pairs = function
+    | [] -> None
+    | (i, rmi) :: rest -> (
+        match
+          List.find_map
+            (fun (j, rmj) ->
+              Option.map (fun (merged, _) -> (j, merged)) (Embed.merge_modules ctx ~name:"embedded" rmi rmj))
+            rest
+        with
+        | Some (j, merged) ->
+            Some
+              (Design.compact
+                 (Design.with_bindings (Design.with_inst d i (Design.Module merged)) (Design.nodes_on d j) i))
+        | None -> pairs rest)
+  in
+  pairs modules
+
 let check_sched_diff rng (prog : Text.program) =
   let at what ctx d deadline =
     let cs = Sched.relaxed ~deadline d.Design.dfg in
@@ -145,7 +177,10 @@ let check_sched_diff rng (prog : Text.program) =
     let* () = check_design "initial" ctx d in
     let* () = check_design "shared registers" ctx (share_registers rng d) in
     let* () = check_design "merged units" ctx merged in
-    check_design "both" ctx (share_registers rng merged)
+    let* () = check_design "both" ctx (share_registers rng merged) in
+    match embed_modules ctx d with
+    | Some embedded -> check_design "embedded modules" ctx embedded
+    | None -> Ok ()
   in
   let* () = check_ctx ctx5 in
   check_ctx ctx3

@@ -15,8 +15,10 @@
       identical schedules, probed at a relaxed deadline, the exact
       makespan, and one cycle below it,
       on the initial design and on variants of it with shared
-      registers, with operations merged onto shared units, and with
-      both.
+      registers, with operations merged onto shared units, with both,
+      and with two modules of different behaviors embedded into one
+      two-part module and their calls rebound onto it (as move C
+      does), whose profiles must be told apart by behavior.
     - [engine-direct] — [Engine.evaluate] (fresh and cached) is
       bit-identical to direct [Cost.evaluate], and [Engine.best_of]
       agrees with a sequential fold, for both objectives, over a

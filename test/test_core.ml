@@ -129,15 +129,108 @@ let test_move_b_resynthesizes_with_slack () =
   let registry, g = Tu.hier_graph () in
   let d = Tu.initial ~registry ctx g in
   let effort = { Clib.default_effort with Clib.max_moves = 4; max_passes = 1; max_candidates = 20 } in
-  let resynth ctx cs objective (part : Design.t) =
-    Clib.improve_part ctx registry ~complexes:Tu.no_complexes ~effort
-      ~trace:(Tu.trace part.Design.dfg) ~allow_embed:true ~allow_split:true ~allow_rewrite:true cs
-      objective part
+  let resynth _behavior cs (part : Design.t) =
+    fst
+      (Clib.improve_part ctx registry ~complexes:Tu.no_complexes ~effort
+         ~trace:(Tu.trace part.Design.dfg) ~allow_embed:true ~allow_split:true ~allow_rewrite:true
+         cs Cost.Power part)
   in
   let e = env ~registry ~objective:Cost.Power ~resynth g in
   match Moves.best_select_or_resynth e (obj_value e d) d with
   | None -> () (* acceptable: no profitable resynthesis *)
   | Some m -> checkb "valid candidate" true (Design.validate ctx m.Moves.candidate = Ok ())
+
+(* Move B's resynthesizer: requests on test1's sum4 behavior, the
+   initial part of its sum4_tree variant under relaxed inner
+   constraints of a given deadline. Under power, this request's answer
+   depends on the nested trace. *)
+module S = Hsyn_core.Synthesize
+module Metrics = Hsyn_obs.Metrics
+
+let resynth_setup () =
+  let b = Hsyn_benchmarks.Suite.test1 () in
+  let registry = b.Hsyn_benchmarks.Suite.registry in
+  let variant =
+    List.find (fun (g : Dfg.t) -> g.Dfg.name = "sum4_tree") (Registry.variants registry "sum4")
+  in
+  let part = Tu.initial ~registry ctx variant in
+  let config =
+    {
+      S.default_config with
+      S.trace_length = 8;
+      clib_effort = { Clib.default_effort with Clib.max_moves = 4; max_passes = 1 };
+    }
+  in
+  let resynthesizer ?token () =
+    S.make_resynth ?token config registry Tu.no_complexes ctx Cost.Power
+  in
+  (* a fresh constraints record for every request: the table compares
+     constraints structurally *)
+  let request deadline = Sched.relaxed ~deadline variant in
+  (resynthesizer, part, request)
+
+(* Runs [f] with metrics on; returns its result and the requests and
+   nested runs it counted. *)
+let counting f =
+  let value name = Metrics.counter_value (Metrics.counter name) in
+  Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+    (fun () ->
+      let requests = value "moves.resynth.requests" and runs = value "moves.resynth.runs" in
+      let r = f () in
+      (r, value "moves.resynth.requests" - requests, value "moves.resynth.runs" - runs))
+
+let test_resynth_repeat_runs_once () =
+  let resynthesizer, part, request = resynth_setup () in
+  let resynth = resynthesizer () in
+  let (first, again), requests, runs =
+    counting (fun () ->
+        let first = resynth "sum4" (request 12) part in
+        (first, resynth "sum4" (request 12) part))
+  in
+  checkb "the part improves" false (first == part);
+  checki "two requests" 2 requests;
+  checki "one nested run" 1 runs;
+  checkb "the same part" true (again == first)
+
+let test_resynth_order_free () =
+  let resynthesizer, part, request = resynth_setup () in
+  let after_another =
+    let resynth = resynthesizer () in
+    ignore (resynth "sum4" (request 6) part : Design.t);
+    resynth "sum4" (request 12) part
+  in
+  let alone = (resynthesizer ()) "sum4" (request 12) part in
+  checkb "the part improves" false (alone == part);
+  checkb "same answer" true (Design.equal after_another alone)
+
+let test_resynth_contexts_share_nothing () =
+  let resynthesizer, part, request = resynth_setup () in
+  let (a, b), requests, runs =
+    counting (fun () ->
+        let a = (resynthesizer ()) "sum4" (request 12) part in
+        (a, (resynthesizer ()) "sum4" (request 12) part))
+  in
+  checki "two requests" 2 requests;
+  checki "two nested runs" 2 runs;
+  checkb "equal answers" true (Design.equal a b);
+  checkb "not shared" false (a == b)
+
+let test_resynth_interrupted_not_kept () =
+  let resynthesizer, part, request = resynth_setup () in
+  let token = Hsyn_core.Budget.start Hsyn_core.Budget.unlimited in
+  Hsyn_core.Budget.cancel token;
+  let resynth = resynthesizer ~token () in
+  let _, requests, runs =
+    counting (fun () ->
+        ignore (resynth "sum4" (request 12) part : Design.t);
+        resynth "sum4" (request 12) part)
+  in
+  checki "two requests" 2 requests;
+  checki "both run" 2 runs
 
 let test_module_sharing_move () =
   (* two calls of the same behavior on separate module instances:
@@ -267,6 +360,10 @@ let () =
           tc "C chain fusion" test_move_c_chain_fusion;
           tc "D splits shared unit" test_move_d_splits_shared_unit;
           tc "B resynthesizes with slack" test_move_b_resynthesizes_with_slack;
+          tc "B repeated request runs once" test_resynth_repeat_runs_once;
+          tc "B answer ignores request order" test_resynth_order_free;
+          tc "B contexts share no entry" test_resynth_contexts_share_nothing;
+          tc "B interrupted run not kept" test_resynth_interrupted_not_kept;
           tc "module sharing" test_module_sharing_move;
           tc "left-edge registers" test_left_edge_reduces_registers;
         ] );

@@ -272,6 +272,88 @@ let nested_module_case () =
   Alcotest.(check bool) "a module inside a module part" true nested;
   ("nested module", ctx, Tu.relaxed_cs g, d, Tu.trace ~length:9 g)
 
+(* One module instance runs calls of two behaviors: move C's embedding
+   merges the module of a call of "apb_cmd" with the module of a call
+   of "ab_cd" (the paper's Example 3), and all three calls are rebound
+   onto it. Its part energies are added per behavior in [Hashtbl.iter]
+   order, which here is not the order the calls first appear in, after
+   the charge of an adder that comes first. *)
+let embedded_module_case () =
+  let registry = Registry.create () in
+  let rtl1 =
+    let b = B.create "ab_cd" in
+    let a = B.input b "a" and x = B.input b "b" and c = B.input b "c" and d = B.input b "d" in
+    let m1 = B.op b ~label:"m1" Op.Mult [ a; x ] and m2 = B.op b ~label:"m2" Op.Mult [ c; d ] in
+    B.output b ~label:"y" (B.op b ~label:"s" Op.Add [ m1; m2 ]);
+    B.finish b
+  in
+  let rtl2 =
+    let b = B.create "apb_cmd" in
+    let a = B.input b "a" and x = B.input b "b" and c = B.input b "c" and d = B.input b "d" in
+    let s = B.op b ~label:"s" Op.Add [ a; x ] and t = B.op b ~label:"t" Op.Sub [ c; d ] in
+    B.output b ~label:"y" (B.op b ~label:"m" Op.Mult [ s; t ]);
+    B.finish b
+  in
+  Registry.register registry "ab_cd" rtl1;
+  Registry.register registry "apb_cmd" rtl2;
+  let b = B.create "top" in
+  let w = B.input b "w" and x = B.input b "x" and y = B.input b "y" and z = B.input b "z" in
+  let s = B.op b ~label:"s" Op.Add [ w; z ] in
+  let c1 = B.call b ~label:"c1" ~behavior:"apb_cmd" ~n_out:1 [ s; x; y; z ] in
+  let c2 = B.call b ~label:"c2" ~behavior:"ab_cd" ~n_out:1 [ c1.(0); x; z; w ] in
+  let c3 = B.call b ~label:"c3" ~behavior:"apb_cmd" ~n_out:1 [ c2.(0); y; c1.(0); x ] in
+  B.output b ~label:"o" c3.(0);
+  let g = B.finish b in
+  let d = Tu.initial ~registry ctx g in
+  let inst l = d.Design.node_inst.(Tu.node_id g l) in
+  let module_at l =
+    match d.Design.insts.(inst l) with
+    | Design.Module rm -> rm
+    | Design.Simple _ -> Alcotest.fail "a call on a simple unit"
+  in
+  let merged =
+    match Hsyn_embed.Embed.merge_modules ctx ~name:"merged" (module_at "c1") (module_at "c2") with
+    | Some (rm, _) -> rm
+    | None -> Alcotest.fail "the two modules do not merge"
+  in
+  let d =
+    Design.compact
+      (Design.with_bindings
+         (Design.with_inst d (inst "c1") (Design.Module merged))
+         [ Tu.node_id g "c2"; Tu.node_id g "c3" ]
+         (inst "c1"))
+  in
+  Alcotest.(check int) "an adder and one module instance" 2 (Array.length d.Design.insts);
+  Alcotest.(check int) "two parts" 2 (List.length merged.Design.parts);
+  (* on this trace the two orders differ in the last bit *)
+  ("embedded module", ctx, Tu.relaxed_cs g, d, Tu.trace ~seed:5 ~length:7 g)
+
+(* A shared adder whose first port is fed by a constant, a register
+   (input x) and a direct, unregistered unit output (m's value), so the
+   port is steered; its second port reads y alone and is not. *)
+let steered_port_case () =
+  let b = B.create "steer" in
+  let x = B.input b "x" and y = B.input b "y" in
+  let k = B.const b ~label:"k" 5 in
+  let m = B.op b ~label:"m" Op.Mult [ x; y ] in
+  B.output b ~label:"o1" (B.op b ~label:"a1" Op.Add [ k; y ]);
+  B.output b ~label:"o2" (B.op b ~label:"a2" Op.Add [ x; y ]);
+  B.output b ~label:"o3" (B.op b ~label:"a3" Op.Add [ m; y ]);
+  let g = B.finish b in
+  let d = Tu.initial ctx g in
+  let adder = Tu.inst_of d "a1" in
+  let d = Design.compact (Design.with_bindings d [ Tu.node_id g "a2"; Tu.node_id g "a3" ] adder) in
+  let d = Design.with_value_reg d (vi g "m") (-1) in
+  let feeds = Area.port_feeds d (Tu.inst_of d "a1") in
+  let sources key =
+    List.filter_map (fun (k, p) -> if k = key then Some (Area.source_of_value d p) else None) feeds
+  in
+  let y_reg = Area.Reg d.Design.value_reg.(vi g "y") in
+  Alcotest.(check bool) "constant, register and direct sources" true
+    (match sources 0 with [ Area.Const_wire 5; Area.Reg _; Area.Direct _ ] -> true | _ -> false);
+  Alcotest.(check bool) "y alone on the second port" true (sources 1 = [ y_reg; y_reg; y_reg ]);
+  ("steered port", ctx, Tu.relaxed_cs g, d, Tu.trace ~length:7 g)
+
 let empty_trace_case () =
   let registry, g = Tu.hier_graph () in
   ("empty trace", ctx, Tu.relaxed_cs g, Tu.initial ~registry ctx g, [])
@@ -280,7 +362,15 @@ let test_hand_built () =
   let cases =
     List.concat_map
       (fun (label, ctx, cs, d, trace) -> with_neighbours label ctx cs d trace)
-      [ equal_avail_case (); chain_case (); multi_output_case (); nested_module_case (); empty_trace_case () ]
+      [
+        equal_avail_case ();
+        chain_case ();
+        multi_output_case ();
+        nested_module_case ();
+        embedded_module_case ();
+        steered_port_case ();
+        empty_trace_case ();
+      ]
   in
   ignore (check_all cases : int);
   let _, _, cs, d, _ = empty_trace_case () in
