@@ -162,6 +162,9 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
                    end))
           in
           let events, close_events = make_events ~progress ~events_json in
+          (* the kernel's counters are process-wide; the CLI synthesizes
+             one design at a time, so this window is the design's own *)
+          let sched0 = Sched.stats () in
           let outcome =
             Fun.protect
               ~finally:(fun () ->
@@ -174,6 +177,7 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
               (fun () ->
                 S.synthesize ~events ~token ?checkpoint ~resume ?cache_dir:doc.Wire.cache req)
           in
+          let sched = Sched.sub_stats (Sched.stats ()) sched0 in
           match outcome with
           | Error msg ->
               prerr_endline ("hsyn: " ^ msg);
@@ -190,7 +194,7 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
               Printf.printf "  area          : %.1f\n" r.S.eval.Cost.area;
               Printf.printf "  power         : %.3f\n" r.S.eval.Cost.power;
               Printf.printf "  synthesis time: %.2f s (%d contexts, %d moves)\n" r.S.elapsed_s
-                r.S.coverage.S.contexts_started r.S.stats.Hsyn_core.Pass.moves_committed;
+                r.S.coverage.S.contexts_started (Hsyn_core.Pass.moves_committed r.S.stats);
               if not r.S.completed then
                 Printf.printf "  sweep stopped : %s after %d/%d contexts (best so far shown)\n"
                   (match r.S.coverage.S.stop_reason with Some s -> s | None -> "?")
@@ -202,9 +206,9 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
                 List.iter
                   (fun (fam, c) -> Format.printf "  %-12s %a@." fam Session.pp_counters c)
                   (Session.family_totals session);
-                Format.printf "%a@." Sched.pp_stats (Sched.stats ());
+                Format.printf "%a@." Sched.pp_stats sched;
                 Format.printf "%a@." Session.pp_stats (Session.stats session);
-                (match r.S.stats.Hsyn_core.Pass.rewrite_kinds with
+                (match Hsyn_core.Pass.rewrite_kinds r.S.stats with
                 | [] -> ()
                 | kinds ->
                     Printf.printf "rewrites committed:";
@@ -218,7 +222,8 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
                 Metrics.fold
                   (fun ~base ~labels:_ view () ->
                     match view with
-                    | Metrics.Histogram_view v when String.starts_with ~prefix:"stage." base ->
+                    | Metrics.Histogram_view v
+                      when String.starts_with ~prefix:"stage." base && v.Metrics.count > 0 ->
                         Printf.printf
                           "  %-10s %7d calls  total %8.1f ms  median %7.4f ms  p90 %7.4f ms\n"
                           (String.sub base 6 (String.length base - 6))
@@ -290,6 +295,9 @@ let do_synth bench file dfg_name objective lf sampling mode seed jobs budget_s m
       List.fold_left
         (fun acc doc ->
           let session = match shared with Some s -> s | None -> Session.create () in
+          (* each design's artifacts describe that design alone *)
+          Metrics.reset ();
+          Trace.reset ();
           let code =
             synth_one ~session ~doc progress events_json trace_out metrics_out checkpoint resume
               json show_stats profile show_rtl show_fsm show_sched show_verilog

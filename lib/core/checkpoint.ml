@@ -6,7 +6,6 @@ type incumbent = {
   ctx : Design.ctx;
   eval : Cost.eval;
   deadline_cycles : int;
-  value : float;
   stats : Pass.stats;
   clib : Clib.t;
 }
@@ -38,8 +37,12 @@ let magic = "HSYN-CKPT"
    v8: Pass.stats lost [reverted] and [engine_families], which nothing
    read.
    v9: Pass.stats.sched lost its count of time-stepped schedules; that
-   kernel left the scheduler for the fuzz library. *)
-let schema_version = 9
+   kernel left the scheduler for the fuzz library.
+   v10: Pass.stats lost [sched] (process-wide, not the run's own),
+   [moves_committed] and [rewrite_kinds] (both derived from
+   [committed]); Session.counters lost [wall_s]; the incumbent lost
+   [value], its eval's objective value. *)
+let schema_version = 10
 
 let compatible t ~dfg_name ~objective ~sampling_ns ~flattened =
   if t.dfg_name <> dfg_name then

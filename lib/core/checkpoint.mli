@@ -21,8 +21,9 @@ type incumbent = {
   design : Design.t;
   ctx : Design.ctx;
   eval : Cost.eval;
+      (** its objective value ranks incumbents — lower wins, ties keep
+          the earlier context *)
   deadline_cycles : int;
-  value : float;  (** objective value — lower wins, ties keep the earlier context *)
   stats : Pass.stats;
   clib : Clib.t;
 }

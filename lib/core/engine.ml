@@ -55,8 +55,7 @@ let metrics_bump fam (d : Session.counters) =
   put "power_sims" d.power_sims;
   put "power_skipped" d.power_skipped;
   put "batches" d.batches;
-  put "disk_hits" d.disk_hits;
-  if d.wall_s <> 0. then Metrics.facc (Metrics.fcounter "engine.wall_s") d.wall_s
+  put "disk_hits" d.disk_hits
 
 let bump t ?fam d =
   t.totals <- Session.add t.totals d;
@@ -220,7 +219,6 @@ let better (v1, i1) (v2, i2) = v1 < v2 || (v1 = v2 && i1 < i2)
 
 let best_of t ?family ~limit seq =
   Span.span Span.Move "batch" @@ fun () ->
-  let t0 = Unix.gettimeofday () in
   check_token t;
   (* Generation happens here on the calling domain: pulling the lazy
      sequence may recurse into nested synthesis (move B), which must
@@ -290,7 +288,7 @@ let best_of t ?family ~limit seq =
         waves (List.filteri (fun k _ -> k >= wave_size) rest)
   in
   waves pending;
-  bump t { Session.zero with batches = 1; wall_s = Unix.gettimeofday () -. t0 };
+  bump t { Session.zero with batches = 1 };
   Option.map
     (fun (v, i) ->
       let e = entry i in

@@ -57,8 +57,9 @@
     ({!Session.family_totals}); with metrics enabled it also adds it
     to the [engine.*] counters. Generated candidates, hits, misses,
     evictions, simulations and skips of a batch are attributed to the
-    family; batches, engine wall time and the work of single
-    evaluations are not. *)
+    family; batches and the work of single evaluations are not. A
+    batch's time is the [batch] span's ([stage.batch] with metrics
+    enabled). *)
 
 module Design = Hsyn_rtl.Design
 module Sched = Hsyn_sched.Sched

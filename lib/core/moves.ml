@@ -27,8 +27,6 @@ let kind_name k =
   let _, name, _ = List.find (fun (k', _, _) -> k' = k) all_kinds in
   name
 
-let family_names = List.map (fun (_, name, _) -> name) all_kinds
-
 type t = {
   kind : kind;
   description : string;

@@ -42,15 +42,11 @@ type kind = Select | Resynthesize | Merge | Split | Rewrite
 val all_kinds : (kind * string * string) list
 (** The move-family universe — [(kind, display name, one-line
     description)] — in sweep order. The single source of truth behind
-    {!kind_name}, {!family_names}, pass statistics and user-facing
-    family tables. *)
+    {!kind_name}, pass statistics and user-facing family tables. *)
 
 val kind_name : kind -> string
 (** Display name of a family, e.g. ["A:select"], ["E:rewrite"] —
     derived from {!all_kinds}. *)
-
-val family_names : string list
-(** All display names, in {!all_kinds} order. *)
 
 type t = {
   kind : kind;

@@ -1,5 +1,4 @@
 module Design = Hsyn_rtl.Design
-module Sched = Hsyn_sched.Sched
 module Metrics = Hsyn_obs.Metrics
 module Span = Hsyn_obs.Trace
 
@@ -13,36 +12,43 @@ type committed_move = {
 
 type stats = {
   passes : int;
-  moves_committed : int;
   moves_tried : int;
   interrupted : bool;
   committed : committed_move list;
-  rewrite_kinds : (string * int) list;
   engine : Session.counters;
-  sched : Sched.stats;
 }
+
+let moves_committed stats = List.length stats.committed
 
 let incr_count counts key =
   let cur = Option.value ~default:0 (List.assoc_opt key counts) in
   (key, cur + 1) :: List.remove_assoc key counts
 
+(* classified from the description's kind prefix (the single source of
+   truth is Rewrite.kind_of_description) *)
+let rewrite_kinds stats =
+  let rewrite_family = Moves.kind_name Moves.Rewrite in
+  List.fold_left
+    (fun acc (m : committed_move) ->
+      if m.cm_family = rewrite_family then
+        incr_count acc (Hsyn_dfg.Rewrite.kind_of_description m.cm_description)
+      else acc)
+    [] stats.committed
+  |> List.sort compare
+
 let improve ?on_pass ?on_commit (env : Moves.env) ~max_moves ~max_passes d0 =
   let eng = env.Moves.engine in
   let objective = Engine.objective eng in
   let before = Engine.counters eng in
-  let sched_before = Sched.stats () in
   let value d = Cost.objective_value objective (Engine.evaluate eng d) in
   let stats =
     ref
       {
         passes = 0;
-        moves_committed = 0;
         moves_tried = 0;
         interrupted = false;
         committed = [];
-        rewrite_kinds = [];
         engine = Session.zero;
-        sched = Sched.zero_stats;
       }
   in
   (* deadline and cancellation, polled at every pass and move boundary;
@@ -51,22 +57,7 @@ let improve ?on_pass ?on_commit (env : Moves.env) ~max_moves ~max_passes d0 =
   let interrupt () = stats := { !stats with interrupted = true } in
   let finish current =
     (* attribute to this run the engine work done since it started *)
-    let delta = Session.sub (Engine.counters eng) before in
-    let sched_delta = Sched.sub_stats (Sched.stats ()) sched_before in
-    (* per-rewrite-kind attribution of committed family-E moves,
-       classified from the description's kind prefix (the single
-       source of truth is Rewrite.kind_of_description) *)
-    let rewrite_family = Moves.kind_name Moves.Rewrite in
-    let rewrite_kinds =
-      List.fold_left
-        (fun acc (m : committed_move) ->
-          if m.cm_family = rewrite_family then
-            incr_count acc (Hsyn_dfg.Rewrite.kind_of_description m.cm_description)
-          else acc)
-        [] !stats.committed
-      |> List.sort compare
-    in
-    (current, { !stats with rewrite_kinds; engine = delta; sched = sched_delta })
+    (current, { !stats with engine = Session.sub (Engine.counters eng) before })
   in
   if value d0 = infinity then finish d0
   else begin
@@ -167,12 +158,7 @@ let improve ?on_pass ?on_commit (env : Moves.env) ~max_moves ~max_passes d0 =
           end;
           if committed_now <> [] then begin
             current := !best_prefix;
-            stats :=
-              {
-                !stats with
-                moves_committed = !stats.moves_committed + List.length committed_now;
-                committed = !stats.committed @ committed_now;
-              };
+            stats := { !stats with committed = !stats.committed @ committed_now };
             List.iter
               (fun (m : committed_move) ->
                 if Metrics.is_enabled () then
@@ -183,7 +169,7 @@ let improve ?on_pass ?on_commit (env : Moves.env) ~max_moves ~max_passes d0 =
           else continue_ := false;
           if !stats.interrupted then continue_ := false;
           Option.iter
-            (fun f -> f !stats.passes !stats.moves_committed (value !current))
+            (fun f -> f !stats.passes (moves_committed !stats) (value !current))
             on_pass)
     done;
     finish !current

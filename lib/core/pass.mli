@@ -29,7 +29,6 @@ type committed_move = {
 
 type stats = {
   passes : int;
-  moves_committed : int;
   moves_tried : int;
       (** steps whose candidate batches ran to the end; a step aborted
           mid-batch by an interruption is not counted *)
@@ -37,18 +36,18 @@ type stats = {
   committed : committed_move list;
       (** the committed moves, oldest first — the raw material of the
           flight recorder's gain attribution *)
-  rewrite_kinds : (string * int) list;
-      (** committed family-E moves per rewrite kind (see
-          {!Hsyn_dfg.Rewrite.kinds}), classified from the move
-          description's kind prefix; sorted by kind, kinds with no
-          commits omitted *)
   engine : Session.counters;
       (** engine work attributed to this improvement run (delta over
           the run, not process totals) *)
-  sched : Hsyn_sched.Sched.stats;
-      (** scheduler-kernel work attributed to this improvement run
-          (delta over the run, not process totals) *)
 }
+
+val moves_committed : stats -> int
+(** The number of {!stats.committed} moves. *)
+
+val rewrite_kinds : stats -> (string * int) list
+(** Committed family-E moves per rewrite kind (see
+    {!Hsyn_dfg.Rewrite.kinds}), classified from the move description's
+    kind prefix; sorted by kind, kinds with no commits omitted. *)
 
 val improve :
   ?on_pass:(int -> int -> float -> unit) ->

@@ -15,7 +15,6 @@ type counters = {
   power_skipped : int;
   batches : int;
   disk_hits : int;
-  wall_s : float;
 }
 
 let zero =
@@ -29,7 +28,6 @@ let zero =
     power_skipped = 0;
     batches = 0;
     disk_hits = 0;
-    wall_s = 0.;
   }
 
 let add a b =
@@ -43,7 +41,6 @@ let add a b =
     power_skipped = a.power_skipped + b.power_skipped;
     batches = a.batches + b.batches;
     disk_hits = a.disk_hits + b.disk_hits;
-    wall_s = a.wall_s +. b.wall_s;
   }
 
 let sub a b =
@@ -57,7 +54,6 @@ let sub a b =
     power_skipped = a.power_skipped - b.power_skipped;
     batches = a.batches - b.batches;
     disk_hits = a.disk_hits - b.disk_hits;
-    wall_s = a.wall_s -. b.wall_s;
   }
 
 let rate num denom = if denom <= 0 then 0. else 100. *. Float.of_int num /. Float.of_int denom
@@ -71,7 +67,7 @@ let pp_counters ppf c =
     c.disk_hits c.evictions c.power_sims c.power_skipped
     (rate c.power_skipped (c.power_sims + c.power_skipped))
 
-let pp_totals ppf c = Format.fprintf ppf "%a  batches %d  %.3fs" pp_counters c c.batches c.wall_s
+let pp_totals ppf c = Format.fprintf ppf "%a  batches %d" pp_counters c c.batches
 
 (* -- cost cache entries ------------------------------------------------- *)
 

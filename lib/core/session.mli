@@ -49,7 +49,6 @@ type counters = {
   power_skipped : int;  (** simulations avoided by the staged bound *)
   batches : int;  (** [Engine.best_of] calls; never attributed to a family *)
   disk_hits : int;  (** cache hits served by entries loaded from disk *)
-  wall_s : float;  (** wall time spent in batches; never attributed to a family *)
 }
 
 val zero : counters
@@ -61,11 +60,10 @@ val sub : counters -> counters -> counters
 
 val pp_counters : Format.formatter -> counters -> unit
 (** One [--stats] row of per-family counters, with hit and skip rates:
-    every field but [batches] and [wall_s], which no family owns. *)
+    every field but [batches], which no family owns. *)
 
 val pp_totals : Format.formatter -> counters -> unit
-(** The [--stats] total row: {!pp_counters}, then [batches] and
-    [wall_s]. *)
+(** The [--stats] total row: {!pp_counters}, then [batches]. *)
 
 (** {1 Sessions} *)
 
@@ -171,8 +169,10 @@ val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
 val export_metrics : t -> unit
-(** Publish the current {!stats} through [Obs.Metrics] as [session.*]
-    gauges (hits, misses, evictions, sizes, per-shard occupancy as
-    [session.<table>.shard<i>.size]). A no-op while metrics are
-    disabled. Call after a run (or periodically from a server loop);
-    values are absolute snapshots, not deltas. *)
+(** Publish the current {!stats} through [Obs.Metrics] as
+    [session.<table>.*] gauges for the [cost], [prepared] and
+    [profiles] tables (hits, misses, evictions, size, and shard
+    occupancy as [shard_min] and [shard_max]) plus
+    [session.contexts]. A no-op while metrics are disabled. Call after
+    a run (or periodically from a server loop); values are absolute
+    snapshots, not deltas. *)

@@ -149,7 +149,7 @@ type result = {
 module Result = struct
   type t = result
 
-  let schema_version = 2
+  let schema_version = 3
 
   let counters_json (c : Session.counters) =
     Json.Obj
@@ -163,7 +163,6 @@ module Result = struct
         ("power_skipped", Json.Int c.Session.power_skipped);
         ("batches", Json.Int c.Session.batches);
         ("disk_hits", Json.Int c.Session.disk_hits);
-        ("wall_s", Json.Float c.Session.wall_s);
       ]
 
   let to_json_value (r : t) =
@@ -213,18 +212,10 @@ module Result = struct
           Json.Obj
             [
               ("passes", Json.Int r.stats.Pass.passes);
-              ("moves_committed", Json.Int r.stats.Pass.moves_committed);
+              ("moves_committed", Json.Int (Pass.moves_committed r.stats));
               ("moves_tried", Json.Int r.stats.Pass.moves_tried);
               ("interrupted", Json.Bool r.stats.Pass.interrupted);
               ("engine", counters_json r.stats.Pass.engine);
-              ( "sched",
-                Json.Obj
-                  [
-                    ("schedules", Json.Int r.stats.Pass.sched.Sched.schedules);
-                    ("events_popped", Json.Int r.stats.Pass.sched.Sched.events_popped);
-                    ("prepared_hits", Json.Int r.stats.Pass.sched.Sched.prepared_hits);
-                    ("prepared_builds", Json.Int r.stats.Pass.sched.Sched.prepared_builds);
-                  ] );
             ] );
         ("elapsed_s", Json.Float r.elapsed_s);
       ]
@@ -461,9 +452,10 @@ let synthesize ?(events = Events.null) ?token ?checkpoint ?(resume = false) ?cac
                   });
             emit (Events.Checkpoint_saved { path; contexts_done = !cursor })
       in
-      let better value inc =
-        match inc with Some (i : Checkpoint.incumbent) -> value < i.Checkpoint.value | None -> true
+      let value_of (i : Checkpoint.incumbent) =
+        Cost.objective_value req.Request.objective i.Checkpoint.eval
       in
+      let better value inc = match inc with Some i -> value < value_of i | None -> true in
       (try
          List.iteri
            (fun index (vdd, clk_ns, deadline) ->
@@ -492,7 +484,6 @@ let synthesize ?(events = Events.null) ?token ?checkpoint ?(resume = false) ?cac
                            ctx;
                            eval;
                            deadline_cycles = deadline;
-                           value;
                            stats;
                            clib;
                          }
@@ -562,7 +553,7 @@ let synthesize ?(events = Events.null) ?token ?checkpoint ?(resume = false) ?cac
          better: ties keep the earlier context *)
       let final =
         match !partial with
-        | Some p when better p.Checkpoint.value !committed -> !partial
+        | Some p when better (value_of p) !committed -> !partial
         | _ -> !committed
       in
       match final with

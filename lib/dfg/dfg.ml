@@ -21,15 +21,6 @@ type t = {
 
 let n_out t id = t.nodes.(id).n_out
 
-let succs t =
-  let n = Array.length t.nodes in
-  let acc = Array.make n [] in
-  Array.iteri
-    (fun dst node ->
-      Array.iteri (fun dst_in { node = src; out } -> acc.(src) <- (dst, dst_in, out) :: acc.(src)) node.ins)
-    t.nodes;
-  Array.map (fun l -> Array.of_list (List.rev l)) acc
-
 (* Scheduling-dependence topological order: a node depends on the
    producers of its inputs, except that values read from a Delay come
    from the previous sample and impose no intra-sample ordering. *)

@@ -88,10 +88,6 @@ val validate : t -> (unit, string) result
 val n_out : t -> int -> int
 (** Number of output ports of a node. *)
 
-val succs : t -> (int * int * int) array array
-(** [ (dst, dst_in, src_out) ] adjacency per node (computed once and
-    cached). *)
-
 val topo_order : t -> int array
 (** Nodes in a scheduling-dependence topological order (delay outputs
     treated as available at time 0).

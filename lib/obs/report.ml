@@ -178,12 +178,14 @@ let of_lines lines =
       | Some (Json.Obj fields) -> fields
       | _ -> []
     in
-    (* family universe: move events plus metric suffixes *)
+    (* family universe: move events plus metric suffixes that counted
+       something (a zero is a name left registered by an earlier run
+       before a registry reset) *)
     let fam_tbl = Hashtbl.create 8 in
     let touch f = if not (Hashtbl.mem fam_tbl f) then Hashtbl.add fam_tbl f () in
     List.iter (fun (_, f, _, _) -> touch f) moves;
     List.iter
-      (fun pfx -> List.iter (fun (f, _) -> touch f) (suffixed counters pfx))
+      (fun pfx -> List.iter (fun (f, n) -> if n <> 0 then touch f) (suffixed counters pfx))
       [ "engine.generated"; "engine.evaluated"; "moves.committed"; "moves.reverted" ];
     let fam_names = Hashtbl.fold (fun f () acc -> f :: acc) fam_tbl [] |> List.sort compare in
     let families =

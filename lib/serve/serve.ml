@@ -15,6 +15,7 @@ module Prom = Hsyn_obs.Prom
 module Cost = Hsyn_core.Cost
 module Pass = Hsyn_core.Pass
 module Engine = Hsyn_core.Engine
+module Clib = Hsyn_core.Clib
 
 type address = Unix_socket of string | Tcp of string * int
 
@@ -245,14 +246,31 @@ let read_request_line fd =
 let error_line ?retry_after_s code msg =
   Json.to_string (Wire.error_to_json (Wire.error ?retry_after_s code msg))
 
-let clamp_budget cfg (b : Budget.t) =
-  match cfg.max_request_s with
-  | None -> b
-  | Some cap ->
-      let deadline_s =
-        match b.Budget.deadline_s with None -> cap | Some d -> Float.min d cap
-      in
-      { b with Budget.deadline_s = Some deadline_s }
+let clamp_doc cfg (doc : Wire.doc) =
+  let budget =
+    match cfg.max_request_s with
+    | None -> doc.Wire.budget
+    | Some cap ->
+        let deadline_s =
+          match doc.Wire.budget.Budget.deadline_s with None -> cap | Some d -> Float.min d cap
+        in
+        { doc.Wire.budget with Budget.deadline_s = Some deadline_s }
+  in
+  (* [Pool.shared] keeps a pool per distinct [jobs] for the life of the
+     process, so a client must not size one freely *)
+  let jobs (p : Engine.policy) =
+    { p with Engine.jobs = min p.Engine.jobs (Domain.recommended_domain_count ()) }
+  in
+  let c = doc.Wire.config in
+  let effort = c.Synthesize.clib_effort in
+  let config =
+    {
+      c with
+      Synthesize.engine = jobs c.Synthesize.engine;
+      clib_effort = { effort with Clib.engine = jobs effort.Clib.engine };
+    }
+  in
+  { doc with Wire.budget; config }
 
 let refresh_exports t =
   Mutex.lock t.lock;
@@ -382,7 +400,7 @@ let handle_conn (t : t) worker_id ~id ~queue_wait_ms fd =
              Log.warn ~fields:[ ("client", Json.String (peer_name fd)) ] "bad request";
              send (error_line Wire.Bad_request msg)
          | Ok doc ->
-             let doc = { doc with Wire.budget = clamp_budget t.cfg doc.Wire.budget } in
+             let doc = clamp_doc t.cfg doc in
              Scope.with_scope
                { Scope.id; tenant = doc.Wire.tenant }
                (fun () ->
@@ -417,7 +435,7 @@ let handle_conn (t : t) worker_id ~id ~queue_wait_ms fd =
                            (access ~doc ~status:"ok"
                               ~extra:
                                 [
-                                  ("moves_committed", Json.Int stats.Pass.moves_committed);
+                                  ("moves_committed", Json.Int (Pass.moves_committed stats));
                                   ( "cache_hit_rate",
                                     Json.Float (cache_hit_rate stats.Pass.engine) );
                                 ]
@@ -643,7 +661,7 @@ end
 (* -- identity helpers -------------------------------------------------- *)
 
 let solo_final ?session cfg doc =
-  let doc = { doc with Wire.budget = clamp_budget cfg doc.Wire.budget } in
+  let doc = clamp_doc cfg doc in
   match Wire.to_request ?session ~resolve_bench:Suite.resolve ~lib:Library.default doc with
   | Error msg -> error_line Wire.Bad_request msg
   | Ok req -> (
@@ -652,12 +670,18 @@ let solo_final ?session cfg doc =
       | Error msg -> error_line Wire.Failed msg)
 
 let canonical_final line =
+  (* the value at [path] replaced by null *)
+  let rec null_at path v =
+    match (path, v) with
+    | key :: rest, Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k, v) ->
+               if k <> key then (k, v) else (k, if rest = [] then Json.Null else null_at rest v))
+             fields)
+    | _ -> v
+  in
   match Json.of_string line with
-  | Ok (Json.Obj fields) ->
-      Json.to_string
-        (Json.Obj
-           (List.map
-              (fun (k, v) ->
-                if k = "elapsed_s" || k = "stats" then (k, Json.Null) else (k, v))
-              fields))
+  | Ok (Json.Obj _ as v) ->
+      Json.to_string (null_at [ "stats"; "engine" ] (null_at [ "elapsed_s" ] v))
   | Ok _ | Error _ -> line

@@ -34,7 +34,8 @@
     tenants synthesizing similar filters warm each other's caches;
     PR 6's session guarantee is what keeps each served result
     bit-identical to a solo run of the same document (modulo the
-    [elapsed_s] wall-clock field — see {!canonical_final}).
+    [elapsed_s] wall-clock field and the engine's cache counts — see
+    {!canonical_final}).
 
     Admission control is load-based: a connection is accepted into a
     bounded queue served by [max_inflight] worker domains; when
@@ -147,6 +148,16 @@ end
 
 (** {1 Identity helpers} *)
 
+val clamp_doc : config -> Wire.doc -> Wire.doc
+(** The document a server with [config] runs for [doc]: its budget
+    deadline clamped to [min(client, max_request_s)], and
+    [config.engine.jobs] and [config.clib_effort.engine.jobs] each
+    clamped to [Domain.recommended_domain_count ()] — the process keeps
+    one pool of [jobs − 1] domains per distinct value
+    ({!Hsyn_util.Pool.shared}), so a client must not choose it freely.
+    Results do not depend on [jobs]. The request path and
+    {!solo_final} both apply it. *)
+
 val solo_final : ?session:Session.t -> config -> Wire.doc -> string
 (** The final line a server with [config] would send for [doc],
     computed in-process with no socket (fresh session by default) —
@@ -154,11 +165,12 @@ val solo_final : ?session:Session.t -> config -> Wire.doc -> string
     Used to check served-vs-solo bit-identity. *)
 
 val canonical_final : string -> string
-(** The final line with its observability fields — [elapsed_s] and the
-    [stats] subtree (wall clocks, cache-hit counters) — nulled out.
+(** The final line with [elapsed_s] and [stats.engine] nulled out.
     Those are the only fields that legitimately differ between two
     runs of the same deterministic (quota- or unlimited-budget)
-    request: a warm shared session changes who computed a value (hit
-    rates, timings), never the value. Byte-equality of canonical
-    finals is the served-vs-solo identity check. Non-JSON lines pass
-    through unchanged. *)
+    request: the wall clock, and the engine's cache hits, misses and
+    simulations, since a warm shared session changes who computed a
+    value, never the value. The run's own facts — its passes, moves
+    tried and committed, and whether it was interrupted — stay.
+    Byte-equality of canonical finals is the served-vs-solo identity
+    check. Non-JSON lines pass through unchanged. *)

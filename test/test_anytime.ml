@@ -369,7 +369,7 @@ let test_resume_mid_rewrite_sweep () =
     match S.synthesize (request b) with Ok r -> r | Error e -> Alcotest.fail e
   in
   checkb "family E committed rewrites" true
-    (full.S.stats.Hsyn_core.Pass.rewrite_kinds <> []);
+    (Hsyn_core.Pass.rewrite_kinds full.S.stats <> []);
   let planned = full.S.coverage.S.contexts_planned in
   checkb "enough contexts to interrupt" true (planned >= 2);
   let path = Filename.temp_file "hsyn_test" ".ckpt" in
@@ -396,8 +396,8 @@ let test_resume_mid_rewrite_sweep () =
         (Design.fingerprint resumed.S.design);
       Alcotest.(check (float 0.)) "same power" full.S.eval.Cost.power resumed.S.eval.Cost.power;
       checkb "same rewrites attributed" true
-        (full.S.stats.Hsyn_core.Pass.rewrite_kinds
-        = resumed.S.stats.Hsyn_core.Pass.rewrite_kinds))
+        (Hsyn_core.Pass.rewrite_kinds full.S.stats
+        = Hsyn_core.Pass.rewrite_kinds resumed.S.stats))
 
 let test_resume_missing_is_cold_start () =
   let b = Suite.test1 () in
@@ -423,10 +423,20 @@ let test_result_json () =
     let rec go i = i + nn <= nh && (String.sub s i nn = needle || go (i + 1)) in
     go 0
   in
-  checkb "has schema version" true (contains "\"schema_version\":2");
+  checkb "has schema version" true (contains "\"schema_version\":3");
   checkb "has coverage" true (contains "\"coverage\"");
   checkb "has fingerprint" true (contains "\"fingerprint\"");
-  checkb "completed" true (contains "\"completed\":true")
+  checkb "completed" true (contains "\"completed\":true");
+  (* stats holds the run's own facts once: no process-wide scheduler
+     delta, no batch clock, and moves_committed counts [committed] *)
+  let stats = Option.get (Json.member "stats" (S.Result.to_json_value r)) in
+  checkb "no stats.sched" true (Json.member "sched" stats = None);
+  checkb "no stats.engine.wall_s" true
+    (Option.bind (Json.member "engine" stats) (Json.member "wall_s") = None);
+  Alcotest.(check (option int))
+    "moves_committed = committed moves"
+    (Some (List.length r.S.stats.Hsyn_core.Pass.committed))
+    (Option.bind (Json.member "moves_committed" stats) Json.to_int_opt)
 
 let test_json_builder () =
   let v =

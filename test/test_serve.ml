@@ -1,14 +1,17 @@
 (* Tests for the hsyn serve daemon and the Wire request codec: JSON
    round-trips with strict field checking, served-vs-solo result
    identity over a live socket, admission-control rejects, server-side
-   deadline clamps firing mid-stream, malformed input survival, the
-   metrics endpoint, and the clean stop/drain path. *)
+   deadline clamps firing mid-stream, the pool-size clamp, malformed
+   input survival, the metrics endpoint, and the clean stop/drain
+   path. *)
 
 module Wire = Hsyn_core.Wire
 module Budget = Hsyn_core.Budget
 module Cost = Hsyn_core.Cost
 module S = Hsyn_core.Synthesize
 module Session = Hsyn_core.Session
+module Engine = Hsyn_core.Engine
+module Clib = Hsyn_core.Clib
 module Serve = Hsyn_serve.Serve
 module Top = Hsyn_serve.Top
 module Suite = Hsyn_benchmarks.Suite
@@ -157,7 +160,9 @@ let parse line = match Json.of_string line with Ok j -> j | Error m -> Alcotest.
 
 (* concurrent tenants on the shared session: one client domain per
    document, all in flight at once (the default 2 workers plus a queue
-   of 8 admit them all), and each served final equals a solo run *)
+   of 8 admit them all), and each served final equals a solo run —
+   stats included, but for the engine's counts; the first two
+   documents are identical *)
 let test_served_identical_to_solo () =
   let inline =
     let text = Hsyn_dfg.Text.to_string (Hsyn_fuzz.Gen.program (Hsyn_util.Rng.create 12)) in
@@ -165,7 +170,7 @@ let test_served_identical_to_solo () =
       (Wire.Program { text; graph = None })
   in
   with_server (fun _ addr ->
-      let docs = [ test1_doc (); test1_doc ~objective:Cost.Power (); inline ] in
+      let docs = [ test1_doc (); test1_doc (); test1_doc ~objective:Cost.Power (); inline ] in
       let clients = List.map (fun doc -> Domain.spawn (fun () -> request_lines addr doc)) docs in
       List.iter2
         (fun doc client ->
@@ -315,6 +320,25 @@ let test_admission_rejects_when_full () =
       checkb "reject was counted" true (stats.Serve.rejected >= 1))
 
 (* ------------------------------------------------------------------ *)
+(* A request's pool sizes are clamped to the machine's domain count.
+   Checked on the decoded document alone: a request with an unclamped
+   size is never run. *)
+let test_jobs_clamp () =
+  let line =
+    {|{"kind":"hsyn.request","schema_version":1,"source":{"bench":"test1"},"config":{"engine":{"jobs":1000000},"clib":{"engine":{"jobs":1000000}}}}|}
+  in
+  let doc = match Wire.doc_of_string line with Ok d -> d | Error m -> Alcotest.fail m in
+  checki "the document asks for 1 000 000" 1_000_000 doc.Wire.config.S.engine.Engine.jobs;
+  let cap = Domain.recommended_domain_count () in
+  let clamped = Serve.clamp_doc Serve.default_config doc in
+  checki "engine.jobs clamped" cap clamped.Wire.config.S.engine.Engine.jobs;
+  checki "clib engine.jobs clamped" cap
+    clamped.Wire.config.S.clib_effort.Clib.engine.Engine.jobs;
+  checkb "nothing else changes" true
+    ({ clamped with Wire.config = doc.Wire.config } = doc);
+  checkb "a document within the cap is unchanged" true
+    (Serve.clamp_doc Serve.default_config clamped = clamped)
+
 (* server-side deadline clamp fires mid-stream *)
 
 let test_deadline_clamp_mid_stream () =
@@ -533,6 +557,7 @@ let () =
         [
           Alcotest.test_case "malformed request survives" `Quick test_malformed_request_survives;
           Alcotest.test_case "deadline clamp mid-stream" `Quick test_deadline_clamp_mid_stream;
+          Alcotest.test_case "jobs clamp" `Quick test_jobs_clamp;
           Alcotest.test_case "metrics endpoint" `Quick test_metrics_endpoint;
         ] );
       ( "telemetry",
