@@ -216,21 +216,11 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
                     print_newline ())
               end;
               if profile then begin
-                Printf.printf "\nstage wall time (per call):\n";
-                (* calls/total are the stage histograms' exact count and
-                   sum; median and p90 are bucket estimates *)
-                Metrics.fold
-                  (fun ~base ~labels:_ view () ->
-                    match view with
-                    | Metrics.Histogram_view v
-                      when String.starts_with ~prefix:"stage." base && v.Metrics.count > 0 ->
-                        Printf.printf
-                          "  %-10s %7d calls  total %8.1f ms  median %7.4f ms  p90 %7.4f ms\n"
-                          (String.sub base 6 (String.length base - 6))
-                          v.Metrics.count v.Metrics.sum (Metrics.hist_quantile 50. v)
-                          (Metrics.hist_quantile 90. v)
-                    | _ -> ())
-                  ()
+                (* the table hsyn report prints from this run's snapshot *)
+                print_newline ();
+                print_string
+                  (Report.render_stages ~wall_s:r.S.elapsed_s
+                     (Report.stages_of_snapshot (Metrics.snapshot ())))
               end;
               if show_rtl then Format.printf "@.%a@." Design.pp r.S.design;
               let cs = Sched.relaxed ~deadline:r.S.deadline_cycles r.S.design.Design.dfg in
@@ -451,10 +441,10 @@ let profile_flag =
     value & flag
     & info [ "profile" ]
         ~doc:
-          "Record per-stage wall time (prepare/schedule/power) during synthesis and print a \
-           breakdown with the statistics: calls and total are exact, median and p90 are \
-           estimated from the stage histogram's buckets (implies $(b,--stats) and metrics \
-           collection).")
+          "Record each stage's calls, inclusive time and self time (its time minus that of \
+           the stages inside it) during synthesis and print the self-time table with the \
+           statistics; with one job the self times and an \"outside any span\" row sum to \
+           the run's wall time (implies $(b,--stats) and metrics collection).")
 let rtl_flag = Arg.(value & flag & info [ "rtl" ] ~doc:"Dump the RTL structure of the result.")
 let fsm_flag = Arg.(value & flag & info [ "fsm" ] ~doc:"Dump the controller FSM of the result.")
 let sched_flag = Arg.(value & flag & info [ "sched" ] ~doc:"Dump the schedule of the result.")

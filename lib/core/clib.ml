@@ -82,7 +82,10 @@ let synthesize_variant ?session ?token ctx registry clib ~rng ~trace_length ~eff
   in
   [ fast; area_opt; power_opt ]
 
+let clib_probe = Hsyn_obs.Trace.(probe Pass "clib")
+
 let build ?session ?token ctx registry ~rng ~trace_length ~effort ~top =
+  Hsyn_obs.Trace.span clib_probe @@ fun () ->
   let clib : t = Hashtbl.create 16 in
   List.iter
     (fun behavior ->

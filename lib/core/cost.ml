@@ -33,10 +33,13 @@ type memo = { area_memo : Area.memo; power_memo : Power.memo }
 
 let memo ctx ~trace = { area_memo = Area.memo ctx; power_memo = Power.memo ctx ~trace }
 
+let area_probe = Hsyn_obs.Trace.(probe Schedule "area")
+let power_probe = Hsyn_obs.Trace.(probe Power "power")
+
 let schedule_stage ?sched_cache ?memo ctx cs design =
   let sch = Sched.schedule ?cache:sched_cache ctx cs design in
   let area =
-    Hsyn_obs.Trace.(span Schedule) "area" (fun () ->
+    Hsyn_obs.Trace.span area_probe (fun () ->
         Area.grand_total
           (Area.total ?sched_cache
              ?memo:(Option.map (fun m -> m.area_memo) memo)
@@ -55,7 +58,7 @@ let power_stage ?sched_cache ?sched ?memo ctx cs ~sampling_ns ~trace design part
   if not partial.feasible then partial
   else begin
     let e =
-      Hsyn_obs.Trace.(span Power) "power" (fun () ->
+      Hsyn_obs.Trace.span power_probe (fun () ->
           Power.energy_per_sample ?sched_cache ?sched
             ?memo:(Option.map (fun m -> m.power_memo) memo)
             ctx cs design trace)

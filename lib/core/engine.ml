@@ -14,6 +14,22 @@ type entry = Session.entry = {
   e_from_disk : bool;
 }
 
+(* The registry mirror of the counters, engine.<field> plus a suffix:
+   "" for the totals and ".<family>" for a family, one handle per
+   [Session.counters] field in declaration order. *)
+let fields =
+  [|
+    "generated"; "evaluated"; "cache_hits"; "cache_misses"; "evictions"; "power_sims";
+    "power_skipped"; "batches"; "disk_hits";
+  |]
+
+let handles suffix = Array.map (fun field -> Metrics.counter ("engine." ^ field ^ suffix)) fields
+let total_handles = handles ""
+
+type family = { fam_name : string; fam_handles : Metrics.counter array }
+
+let family name = { fam_name = name; fam_handles = handles ("." ^ name) }
+
 type t = {
   policy : policy;
   ctx : Design.ctx;
@@ -33,34 +49,70 @@ type t = {
       (* what this engine's candidates share: module areas, and value
          streams with module-part energies; dropped with the engine *)
   mutable totals : Session.counters;
+  pending : int array;
+  mutable pending_fams : (family * int array) list;
 }
 
-(* Mirror a counter delta into the metrics registry as engine.<field>
-   (plus engine.<field>.<family>). Only reached when metrics are
-   enabled, so the interning cost never touches the default path. *)
-let metrics_bump fam (d : Session.counters) =
-  let put field n =
-    if n <> 0 then begin
-      Metrics.add (Metrics.counter ("engine." ^ field)) n;
-      match fam with
-      | None -> ()
-      | Some f -> Metrics.add (Metrics.counter ("engine." ^ field ^ "." ^ f)) n
-    end
-  in
-  put "generated" d.generated;
-  put "evaluated" d.evaluated;
-  put "cache_hits" d.cache_hits;
-  put "cache_misses" d.cache_misses;
-  put "evictions" d.evictions;
-  put "power_sims" d.power_sims;
-  put "power_skipped" d.power_skipped;
-  put "batches" d.batches;
-  put "disk_hits" d.disk_hits
+(* [d]'s fields added into [a], in the order of [fields] *)
+let accumulate (a : int array) (d : Session.counters) =
+  a.(0) <- a.(0) + d.generated;
+  a.(1) <- a.(1) + d.evaluated;
+  a.(2) <- a.(2) + d.cache_hits;
+  a.(3) <- a.(3) + d.cache_misses;
+  a.(4) <- a.(4) + d.evictions;
+  a.(5) <- a.(5) + d.power_sims;
+  a.(6) <- a.(6) + d.power_skipped;
+  a.(7) <- a.(7) + d.batches;
+  a.(8) <- a.(8) + d.disk_hits
+
+(* Armed, a bump adds its delta to the engine's unwritten totals
+   ([pending], and per family [pending_fams]); they reach the registry
+   when the batch or single evaluation ends ([flush_metrics]), one
+   atomic add per non-zero field instead of several per candidate. *)
+let pending_of t f =
+  match List.assq f t.pending_fams with
+  | a -> a
+  | exception Not_found ->
+      let a = Array.make (Array.length fields) 0 in
+      t.pending_fams <- (f, a) :: t.pending_fams;
+      a
 
 let bump t ?fam d =
   t.totals <- Session.add t.totals d;
-  Session.bump t.session ?family:fam d;
-  if Metrics.is_enabled () then metrics_bump fam d
+  match fam with
+  | None ->
+      Session.bump t.session d;
+      if Metrics.is_enabled () then accumulate t.pending d
+  | Some f ->
+      Session.bump t.session ~family:f.fam_name d;
+      if Metrics.is_enabled () then begin
+        accumulate t.pending d;
+        accumulate (pending_of t f) d
+      end
+
+let write handles (a : int array) =
+  Array.iteri
+    (fun i n ->
+      if n <> 0 then begin
+        Metrics.add handles.(i) n;
+        a.(i) <- 0
+      end)
+    a
+
+let flush_metrics t =
+  write total_handles t.pending;
+  List.iter (fun (f, a) -> write f.fam_handles a) t.pending_fams
+
+(* [f t], then the unwritten counters, also when [f] raises *)
+let flushing t f =
+  match f () with
+  | v ->
+      flush_metrics t;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      flush_metrics t;
+      Printexc.raise_with_backtrace e bt
 
 let create ?(policy = default_policy) ?session ?token ~ctx ~cs ~sampling_ns ~trace ~objective () =
   let session = match session with Some s -> s | None -> Session.create () in
@@ -84,6 +136,8 @@ let create ?(policy = default_policy) ?session ?token ~ctx ~cs ~sampling_ns ~tra
     costs;
     memo = Cost.memo ctx ~trace;
     totals = Session.zero;
+    pending = Array.make (Array.length fields) 0;
+    pending_fams = [];
   }
 
 (* Cooperative interruption: the deadline and cancellation cut
@@ -153,8 +207,13 @@ let complete_power t ?sched (e : entry) =
    poll hard interruptions; a lone miss runs inline without polling,
    so a single evaluation never raises [Budget.Interrupted] ([Pass]
    calls those outside its interruption handler). *)
+let cache_probe = Span.probe Span.Move "probe"
+let batch_probe = Span.probe Span.Move "batch"
+let generate_probe = Span.probe Span.Move "generate"
+
 let fill t ~keep_sched designs =
   let probed =
+    Span.span cache_probe @@ fun () ->
     Array.map
       (fun (fam, design) ->
         let fp = Design.fingerprint design in
@@ -196,6 +255,7 @@ let fill t ~keep_sched designs =
   filled
 
 let eval_internal t ~need_power design =
+  flushing t @@ fun () ->
   let e, sched = (fill t ~keep_sched:need_power [| (None, design) |]).(0) in
   if need_power && complete_power t ?sched e then bump t { Session.zero with power_sims = 1 };
   Session.entry_eval e
@@ -218,12 +278,13 @@ let take_n n seq =
 let better (v1, i1) (v2, i2) = v1 < v2 || (v1 = v2 && i1 < i2)
 
 let best_of t ?family ~limit seq =
-  Span.span Span.Move "batch" @@ fun () ->
+  Span.span batch_probe @@ fun () ->
+  flushing t @@ fun () ->
   check_token t;
   (* Generation happens here on the calling domain: pulling the lazy
      sequence may recurse into nested synthesis (move B), which must
      not run on pool workers. *)
-  let raw = take_n (max 0 limit) seq |> Array.of_list in
+  let raw = Span.span generate_probe (fun () -> take_n (max 0 limit) seq |> Array.of_list) in
   let labelled =
     Array.map
       (fun (tag, design) ->

@@ -54,10 +54,12 @@
     {!Session.counters} to the engine's own totals ({!counters}), to
     its session's totals, and, for batch candidates, to the session's
     per-family totals under the candidate's [family] label
-    ({!Session.family_totals}); with metrics enabled it also adds it
-    to the [engine.*] counters. Generated candidates, hits, misses,
-    evictions, simulations and skips of a batch are attributed to the
-    family; batches and the work of single evaluations are not. A
+    ({!Session.family_totals}). With metrics enabled the engine also
+    sums the deltas and adds them to the [engine.<field>] and
+    [engine.<field>.<family>] counters when the batch or single
+    evaluation ends (also when it raises). Generated candidates, hits,
+    misses, evictions, simulations and skips of a batch are attributed
+    to the family; batches and the work of single evaluations are not. A
     batch's time is the [batch] span's ([stage.batch] with metrics
     enabled). *)
 
@@ -129,9 +131,18 @@ val evaluate_with_power : t -> Design.t -> Cost.eval
     entry is upgraded in place (only the simulation runs); a miss
     schedules the design once for both stages. *)
 
+type family
+(** A move family's label and its [engine.<field>.<name>] metrics
+    handles. *)
+
+val family : string -> family
+(** [family name] registers the family's [engine.*] counters; make one
+    per family, once (e.g. at top level), so a batch writes them
+    without a lookup. *)
+
 val best_of :
   t ->
-  ?family:('a -> string) ->
+  ?family:('a -> family) ->
   limit:int ->
   ('a * Design.t) Seq.t ->
   ('a * Design.t * Cost.eval * float) option
@@ -141,7 +152,11 @@ val best_of :
     its evaluation and objective value. Ties go to the earliest
     candidate, matching a sequential fold; the result does not depend
     on [jobs]. [family] labels candidates for the session's
-    per-family counters. *)
+    per-family counters.
+
+    Spans: [batch] covers the call, [generate] the pulling of the
+    sequence (including nested resynthesis), and [probe] the
+    fingerprinting and cache lookup of each fill. *)
 
 val counters : t -> Session.counters
 (** Snapshot of this engine's totals. *)

@@ -4,7 +4,7 @@ module Registry = Hsyn_dfg.Registry
 module Sched = Hsyn_sched.Sched
 module Library = Hsyn_modlib.Library
 
-let rec build ?sched_cache ctx ~complexes registry (dfg : Dfg.t) =
+let rec build_rec ?sched_cache ctx ~complexes registry (dfg : Dfg.t) =
   let insts = ref [] in
   let n_insts = ref 0 in
   let add_inst kind =
@@ -22,7 +22,7 @@ let rec build ?sched_cache ctx ~complexes registry (dfg : Dfg.t) =
               match complexes behavior with
               | [] ->
                   let variant = Registry.default_variant registry behavior in
-                  let part = build ?sched_cache ctx ~complexes registry variant in
+                  let part = build_rec ?sched_cache ctx ~complexes registry variant in
                   { Design.rm_name = behavior ^ "#init"; parts = [ (behavior, part) ] }
               | candidates ->
                   (* fastest available implementation *)
@@ -54,3 +54,8 @@ let rec build ?sched_cache ctx ~complexes registry (dfg : Dfg.t) =
     value_reg;
     n_regs = !n_regs;
   }
+
+let initial_probe = Hsyn_obs.Trace.(probe Pass "initial")
+
+let build ?sched_cache ctx ~complexes registry dfg =
+  Hsyn_obs.Trace.span initial_probe (fun () -> build_rec ?sched_cache ctx ~complexes registry dfg)

@@ -27,6 +27,9 @@ let kind_name k =
   let _, name, _ = List.find (fun (k', _, _) -> k' = k) all_kinds in
   name
 
+(* each family's engine counters, resolved once *)
+let engine_families = List.map (fun (k, name, _) -> (k, Engine.family name)) all_kinds
+
 type t = {
   kind : kind;
   description : string;
@@ -101,7 +104,7 @@ type candidate = (kind * string) * Design.t
 let best_of env cur_value (candidates : candidate Seq.t) =
   match
     Engine.best_of env.engine
-      ~family:(fun (kind, _) -> kind_name kind)
+      ~family:(fun (kind, _) -> List.assq kind engine_families)
       ~limit:env.max_candidates candidates
   with
   | None -> None
@@ -657,23 +660,27 @@ let rewrites_of env (dfg : Dfg.t) =
    graph the gate keeps its verdict in the rewrite, so each rewrite is
    simulated once per memo entry; with calls the outputs depend on the
    bound parts, so it simulates on every move. *)
+let rewrite_simulated = Metrics.counter "moves.rewrite.simulated"
+let rewrite_candidates_seen = Metrics.counter "moves.rewrite.candidates"
+let rewrite_rejected_bind = Metrics.counter "moves.rewrite.rejected_bind"
+let rewrite_rejected_sim = Metrics.counter "moves.rewrite.rejected_sim"
+
 let rewrite_candidates env (d : Design.t) : candidate Seq.t =
-  let bump name = if Metrics.is_enabled () then Metrics.incr (Metrics.counter name) in
   let trace = Engine.trace env.engine in
   let reference = lazy (Sim.outputs d (Sim.run d trace)) in
   let rw = rewrites_of env d.Design.dfg in
   let gate d' =
-    bump "moves.rewrite.simulated";
+    Metrics.incr rewrite_simulated;
     match Sim.outputs d' (Sim.run d' trace) with
     | outs -> outs = Lazy.force reference
     | exception Invalid_argument _ -> false
   in
   List.to_seq rw.rw_list
   |> Seq.filter_map (fun r ->
-         bump "moves.rewrite.candidates";
+         Metrics.incr rewrite_candidates_seen;
          match rebind_rewritten env d ~by_label:rw.by_label ~offsets:rw.offsets r.graph with
          | None ->
-             bump "moves.rewrite.rejected_bind";
+             Metrics.incr rewrite_rejected_bind;
              None
          | Some d' ->
              let passed =
@@ -686,26 +693,32 @@ let rewrite_candidates env (d : Design.t) : candidate Seq.t =
              in
              if passed then Some ((Rewrite, r.description), d')
              else begin
-               bump "moves.rewrite.rejected_sim";
+               Metrics.incr rewrite_rejected_sim;
                None
              end)
 
 (* ------------------------------------------------------------------ *)
 
-let span = Hsyn_obs.Trace.(span Move)
+module Span = Hsyn_obs.Trace
+
+let select_or_resynth_probe = Span.probe Span.Move "best_select_or_resynth"
+let merge_probe = Span.probe Span.Move "best_merge"
+let split_probe = Span.probe Span.Move "best_split"
+let rewrite_probe = Span.probe Span.Move "best_rewrite"
 
 let best_select_or_resynth env cur_value d =
-  span "best_select_or_resynth" (fun () ->
+  Span.span select_or_resynth_probe (fun () ->
       best_of env cur_value (Seq.append (select_candidates env d) (resynth_candidates env d)))
 
 let best_merge env cur_value d =
-  span "best_merge" (fun () -> best_of env cur_value (merge_candidates env d))
+  Span.span merge_probe (fun () -> best_of env cur_value (merge_candidates env d))
 
 let best_split env cur_value d =
-  if env.allow_split then span "best_split" (fun () -> best_of env cur_value (split_candidates env d))
+  if env.allow_split then
+    Span.span split_probe (fun () -> best_of env cur_value (split_candidates env d))
   else None
 
 let best_rewrite env cur_value d =
   if env.allow_rewrite then
-    span "best_rewrite" (fun () -> best_of env cur_value (rewrite_candidates env d))
+    Span.span rewrite_probe (fun () -> best_of env cur_value (rewrite_candidates env d))
   else None

@@ -36,6 +36,15 @@ let rewrite_kinds stats =
     [] stats.committed
   |> List.sort compare
 
+let pass_probe = Span.probe Span.Pass "pass"
+
+(* moves.committed.<family> and moves.reverted.<family>, per move kind *)
+let family_counters prefix =
+  List.map (fun (k, name, _) -> (k, Metrics.counter (prefix ^ name))) Moves.all_kinds
+
+let committed_counters = family_counters "moves.committed."
+let reverted_counters = family_counters "moves.reverted."
+
 let improve ?on_pass ?on_commit (env : Moves.env) ~max_moves ~max_passes d0 =
   let eng = env.Moves.engine in
   let objective = Engine.objective eng in
@@ -69,11 +78,11 @@ let improve ?on_pass ?on_commit (env : Moves.env) ~max_moves ~max_passes d0 =
           interrupt ();
           continue_ := false
       | None ->
-          Span.span Span.Pass "pass" (fun () ->
+          Span.span pass_probe (fun () ->
           stats := { !stats with passes = !stats.passes + 1 };
           let cur = ref !current in
           let cur_val = ref (value !cur) in
-          (* tentative sequence as committed_move records, newest
+          (* tentative sequence as (kind, committed_move) pairs, newest
              first; the best-gain prefix is committed at pass end *)
           let cum = ref 0. in
           let best_prefix_gain = ref 0. in
@@ -129,13 +138,14 @@ let improve ?on_pass ?on_commit (env : Moves.env) ~max_moves ~max_passes d0 =
                         cur_val := Cost.objective_value objective m.Moves.eval;
                         cum := !cum +. m.Moves.gain;
                         seq :=
-                          {
-                            cm_pass = !stats.passes;
-                            cm_family = Moves.kind_name m.Moves.kind;
-                            cm_description = m.Moves.description;
-                            cm_gain = m.Moves.gain;
-                            cm_value = !cur_val;
-                          }
+                          ( m.Moves.kind,
+                            {
+                              cm_pass = !stats.passes;
+                              cm_family = Moves.kind_name m.Moves.kind;
+                              cm_description = m.Moves.description;
+                              cm_gain = m.Moves.gain;
+                              cm_value = !cur_val;
+                            } )
                           :: !seq;
                         if !cum > !best_prefix_gain then begin
                           best_prefix_gain := !cum;
@@ -151,18 +161,15 @@ let improve ?on_pass ?on_commit (env : Moves.env) ~max_moves ~max_passes d0 =
           if Metrics.is_enabled () then begin
             let n_reverted = List.length !seq - List.length committed_now in
             List.iteri
-              (fun i (m : committed_move) ->
-                if i < n_reverted then
-                  Metrics.incr (Metrics.counter ("moves.reverted." ^ m.cm_family)))
+              (fun i (k, _) -> if i < n_reverted then Metrics.incr (List.assq k reverted_counters))
               !seq
           end;
           if committed_now <> [] then begin
             current := !best_prefix;
-            stats := { !stats with committed = !stats.committed @ committed_now };
+            stats := { !stats with committed = !stats.committed @ List.map snd committed_now };
             List.iter
-              (fun (m : committed_move) ->
-                if Metrics.is_enabled () then
-                  Metrics.incr (Metrics.counter ("moves.committed." ^ m.cm_family));
+              (fun (k, m) ->
+                Metrics.incr (List.assq k committed_counters);
                 Option.iter (fun f -> f m) on_commit)
               committed_now
           end

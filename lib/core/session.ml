@@ -313,27 +313,53 @@ let pp_stats fmt s =
     s.contexts Shard_tbl.pp_stats s.cost_tbl Shard_tbl.pp_stats s.prepared_tbl Shard_tbl.pp_stats
     s.profile_tbl
 
+(* session.<table>.<field> gauges of one table, resolved once *)
+type table_gauges = {
+  g_hits : Metrics.gauge;
+  g_misses : Metrics.gauge;
+  g_evictions : Metrics.gauge;
+  g_size : Metrics.gauge;
+  g_shard_min : Metrics.gauge;
+  g_shard_max : Metrics.gauge;
+}
+
+let table_gauges name =
+  let g suffix = Metrics.gauge ("session." ^ name ^ "." ^ suffix) in
+  {
+    g_hits = g "hits";
+    g_misses = g "misses";
+    g_evictions = g "evictions";
+    g_size = g "size";
+    g_shard_min = g "shard_min";
+    g_shard_max = g "shard_max";
+  }
+
+let cost_gauges = table_gauges "cost"
+let prepared_gauges = table_gauges "prepared"
+let profiles_gauges = table_gauges "profiles"
+let contexts_gauge = Metrics.gauge "session.contexts"
+
 let export_metrics t =
   if Metrics.is_enabled () then begin
     let s = stats t in
-    let table name (st : Shard_tbl.stats) =
-      let g suffix v = Metrics.set (Metrics.gauge ("session." ^ name ^ "." ^ suffix)) v in
-      g "hits" (Float.of_int st.Shard_tbl.hits);
-      g "misses" (Float.of_int st.Shard_tbl.misses);
-      g "evictions" (Float.of_int st.Shard_tbl.evictions);
-      g "size" (Float.of_int st.Shard_tbl.size);
+    let table g (st : Shard_tbl.stats) =
+      let set gauge n = Metrics.set gauge (Float.of_int n) in
+      set g.g_hits st.Shard_tbl.hits;
+      set g.g_misses st.Shard_tbl.misses;
+      set g.g_evictions st.Shard_tbl.evictions;
+      set g.g_size st.Shard_tbl.size;
       (* Shard balance as two aggregates rather than one gauge per
          shard: a per-shard series scales the export with the shard
          count (16 per table x 3 tables) while all a reader ever did
          with it was eyeball the spread. *)
       let occ = st.Shard_tbl.occupancy in
       if Array.length occ > 0 then begin
-        g "shard_min" (Float.of_int (Array.fold_left min occ.(0) occ));
-        g "shard_max" (Float.of_int (Array.fold_left max occ.(0) occ))
+        set g.g_shard_min (Array.fold_left min occ.(0) occ);
+        set g.g_shard_max (Array.fold_left max occ.(0) occ)
       end
     in
-    table "cost" s.cost_tbl;
-    table "prepared" s.prepared_tbl;
-    table "profiles" s.profile_tbl;
-    Metrics.set (Metrics.gauge "session.contexts") (Float.of_int s.contexts)
+    table cost_gauges s.cost_tbl;
+    table prepared_gauges s.prepared_tbl;
+    table profiles_gauges s.profile_tbl;
+    Metrics.set contexts_gauge (Float.of_int s.contexts)
   end

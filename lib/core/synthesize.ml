@@ -10,6 +10,7 @@ module Trace = Hsyn_eval.Trace
 module Rng = Hsyn_util.Rng
 module Json = Hsyn_util.Json
 module Metrics = Hsyn_obs.Metrics
+module Span = Hsyn_obs.Trace
 
 type config = {
   max_moves : int;
@@ -239,16 +240,19 @@ end)
    the behavior, so the answer is a function of the request alone, and
    the closure keeps each answer: a repeated request runs once. A run
    the budget interrupted is not kept. *)
+let resynth_requests = Metrics.counter "moves.resynth.requests"
+let resynth_runs = Metrics.counter "moves.resynth.runs"
+let resynth_probe = Span.probe Span.Move "resynth"
+
 let make_resynth ?session ?token config registry complexes ctx objective =
-  let bump name = if Metrics.is_enabled () then Metrics.incr (Metrics.counter name) in
   let answers = Resynth_tbl.create 16 in
   fun behavior cs (part : Design.t) ->
-    bump "moves.resynth.requests";
+    Metrics.incr resynth_requests;
     let key = (behavior, part, cs) in
     match Resynth_tbl.find_opt answers key with
     | Some part' -> part'
     | None ->
-        bump "moves.resynth.runs";
+        Metrics.incr resynth_runs;
         let trace =
           Trace.generate
             (Rng.derive (Rng.create config.seed) ("resynth/" ^ behavior))
@@ -257,10 +261,11 @@ let make_resynth ?session ?token config registry complexes ctx objective =
             ~length:config.trace_length
         in
         let part', stats =
-          Clib.improve_part ?session ?token ctx registry ~complexes
-            ~effort:{ config.clib_effort with Clib.engine = config.engine }
-            ~trace ~allow_embed:config.enable_embed ~allow_split:config.enable_split
-            ~allow_rewrite:config.enable_rewrite cs objective part
+          Span.span resynth_probe (fun () ->
+              Clib.improve_part ?session ?token ctx registry ~complexes
+                ~effort:{ config.clib_effort with Clib.engine = config.engine }
+                ~trace ~allow_embed:config.enable_embed ~allow_split:config.enable_split
+                ~allow_rewrite:config.enable_rewrite cs objective part)
         in
         if not stats.Pass.interrupted then Resynth_tbl.add answers key part';
         part'
@@ -270,8 +275,11 @@ let make_resynth ?session ?token config registry complexes ctx objective =
    Raises [Budget.Interrupted] only from library construction; once
    improvement is underway an interruption surfaces as
    [stats.interrupted] with the best committed prefix. *)
+let context_probe = Span.probe Span.Pass "context"
+let save_probe = Span.probe Span.Checkpoint "save"
+
 let run_context ~session ?token ~events ~index (req : Request.t) dfg (vdd, clk_ns, deadline) =
-  Hsyn_obs.Trace.(span Pass) "context" @@ fun () ->
+  Span.span context_probe @@ fun () ->
   let config = req.Request.config in
   let ctx = { Design.lib = req.Request.lib; vdd; clk_ns } in
   let rng = Rng.create config.seed in
@@ -441,7 +449,7 @@ let synthesize ?(events = Events.null) ?token ?checkpoint ?(resume = false) ?cac
         match checkpoint with
         | None -> ()
         | Some path ->
-            Hsyn_obs.Trace.(span Checkpoint) "save" (fun () ->
+            Span.span save_probe (fun () ->
                 Checkpoint.save path
                   {
                     snap0 with
@@ -498,7 +506,7 @@ let synthesize ?(events = Events.null) ?token ?checkpoint ?(resume = false) ?cac
                    (match inc with
                    | Some i when better value !committed ->
                        committed := Some i;
-                       Hsyn_obs.Trace.(instant Pass) "new_incumbent";
+                       Span.instant Span.Pass "new_incumbent";
                        emit
                          (Events.New_incumbent
                             {

@@ -50,8 +50,10 @@ let host_cost (lk : Design.inst_kind) (rk : Design.inst_kind) =
   | Design.Module lm, Design.Module rm -> if lm.Design.rm_name = rm.Design.rm_name then Some (lk, 0.) else None
   | Design.Simple _, Design.Module _ | Design.Module _, Design.Simple _ -> None
 
+let embed_probe = Hsyn_obs.Trace.(probe Embed "embed")
+
 let merge_modules _ctx ~name (left : Design.rtl_module) (right : Design.rtl_module) =
-  Hsyn_obs.Trace.(span Embed) "embed" @@ fun () ->
+  Hsyn_obs.Trace.span embed_probe @@ fun () ->
   match merged_behaviors left right with
   | None -> None
   | Some _ ->

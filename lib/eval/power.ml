@@ -183,7 +183,8 @@ let memo ctx ~trace =
     parts = Part_tbl.create ~shards:1 ~eviction ~capacity:512 ();
   }
 
-let simulate design invocations = Span.span Span.Power "sim" (fun () -> Sim.run design invocations)
+let sim_probe = Span.probe Span.Power "sim"
+let simulate design invocations = Span.span sim_probe (fun () -> Sim.run design invocations)
 
 (* The part bound to each call node, in node order. *)
 let bound_parts (design : Design.t) =

@@ -69,24 +69,25 @@ let overflow_id base = make_id base overflow_labels
 
 type 'a shards = (int * 'a) list Atomic.t
 
-let find_shard (type a) (shards : a shards) dom =
-  let rec go = function
-    | [] -> None
-    | (d, s) :: tl -> if d = dom then Some s else go tl
-  in
-  go (Atomic.get shards)
+(* the write path allocates nothing: no option, no closure; a domain
+   with no shard yet is the rare [Not_found] *)
+let rec find_shard dom = function
+  | [] -> raise_notrace Not_found
+  | (d, s) :: tl -> if d = dom then s else find_shard dom tl
 
-let shard_for (type a) (shards : a shards) (mk : unit -> a) : a =
+(* [mk arg] makes a domain's first shard; passing [arg] apart keeps the
+   write path free of a closure *)
+let shard_for (type a b) (shards : a shards) (mk : b -> a) (arg : b) : a =
   let dom = (Domain.self () :> int) in
-  match find_shard shards dom with
-  | Some s -> s
-  | None ->
+  match find_shard dom (Atomic.get shards) with
+  | s -> s
+  | exception Not_found ->
       let rec add () =
         let cur = Atomic.get shards in
         match List.assoc_opt dom cur with
         | Some s -> s
         | None ->
-            let s = mk () in
+            let s = mk arg in
             if Atomic.compare_and_set shards cur ((dom, s) :: cur) then s else add ()
       in
       add ()
@@ -128,6 +129,18 @@ type metric = C of counter | F of fcounter | G of gauge | H of histogram
 let metric_id = function C c -> c.c_id | F f -> f.f_id | G g -> g.g_id | H h -> h.h_id
 let metric_name m = (metric_id m).full
 
+(* A metric is written since the last [reset] (or since start) when a
+   domain holds a shard of it, or a gauge holds a value: [reset] drops
+   both and the first write makes them. Only written metrics enter a
+   snapshot. *)
+let is_written m =
+  let has = function [] -> false | _ :: _ -> true in
+  match m with
+  | C c -> has (Atomic.get c.c_shards)
+  | F f -> has (Atomic.get f.f_shards)
+  | G g -> Option.is_some (Atomic.get g.g_cell)
+  | H h -> has (Atomic.get h.h_shards)
+
 (* -- registry ---------------------------------------------------------- *)
 
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
@@ -136,6 +149,10 @@ let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
    cap; the reserved overflow series is not counted *)
 let label_sets : (string, int) Hashtbl.t = Hashtbl.create 16
 let registry_lock = Mutex.create ()
+
+(* handle requests served, each under [registry_lock] *)
+let interns = Atomic.make 0
+let intern_count () = Atomic.get interns
 
 (* under registry_lock *)
 let admit_id id =
@@ -149,6 +166,7 @@ let admit_id id =
     end
 
 let intern id mk classify =
+  Atomic.incr interns;
   Mutex.lock registry_lock;
   let id = admit_id id in
   let r =
@@ -209,17 +227,23 @@ let histogram ?(edges = default_duration_edges_ms) ?(labels = []) name =
 
 (* -- writes (enabled-checked by the caller for batch sites, or here) --- *)
 
+let new_int_cell () = Atomic.make 0
+let new_float_cell () = Atomic.make 0.
+
+(* [add c 0] still makes the domain's shard: the counter is written *)
 let add c n =
-  if Gate.metrics_enabled () && n <> 0 then
-    ignore (Atomic.fetch_and_add (shard_for c.c_shards (fun () -> Atomic.make 0)) n : int)
+  if Gate.metrics_enabled () then begin
+    let s = shard_for c.c_shards new_int_cell () in
+    if n <> 0 then ignore (Atomic.fetch_and_add s n : int)
+  end
 
 let incr c = add c 1
 
-let facc f x = if Gate.metrics_enabled () then fadd (shard_for f.f_shards (fun () -> Atomic.make 0.)) x
+let facc f x = if Gate.metrics_enabled () then fadd (shard_for f.f_shards new_float_cell ()) x
 
 let set g x = if Gate.metrics_enabled () then Atomic.set g.g_cell (Some x)
 
-let fresh_hshard edges () =
+let fresh_hshard edges =
   {
     h_buckets = Array.init (Array.length edges + 1) (fun _ -> Atomic.make 0);
     h_count = Atomic.make 0;
@@ -228,15 +252,13 @@ let fresh_hshard edges () =
     h_max = Atomic.make neg_infinity;
   }
 
-let bucket_index edges v =
-  let n = Array.length edges in
-  let rec go i = if i >= n then n else if v <= edges.(i) then i else go (i + 1) in
-  go 0
+let rec bucket_index (edges : float array) (v : float) i =
+  if i >= Array.length edges || v <= edges.(i) then i else bucket_index edges v (i + 1)
 
 let observe h v =
   if Gate.metrics_enabled () then begin
-    let s = shard_for h.h_shards (fresh_hshard h.h_edges) in
-    ignore (Atomic.fetch_and_add s.h_buckets.(bucket_index h.h_edges v) 1 : int);
+    let s = shard_for h.h_shards fresh_hshard h.h_edges in
+    ignore (Atomic.fetch_and_add s.h_buckets.(bucket_index h.h_edges v 0) 1 : int);
     ignore (Atomic.fetch_and_add s.h_count 1 : int);
     fadd s.h_sum v;
     fmin s.h_min v;
@@ -294,11 +316,16 @@ let hist_quantile p (v : hist_view) =
 
 (* -- iteration (snapshot + Prometheus rendering) ----------------------- *)
 
-let sorted_metrics () =
+(* the registered metrics [keep] admits, in no order *)
+let collect keep =
   Mutex.lock registry_lock;
-  let ms = Hashtbl.fold (fun _ m acc -> m :: acc) registry [] in
+  let ms = Hashtbl.fold (fun _ m acc -> if keep m then m :: acc else acc) registry [] in
   Mutex.unlock registry_lock;
-  List.sort (fun a b -> compare (metric_name a) (metric_name b)) ms
+  ms
+
+let all _ = true
+
+let by_name ms = List.sort (fun a b -> String.compare (metric_name a) (metric_name b)) ms
 
 type view =
   | Counter_view of int
@@ -318,7 +345,7 @@ let fold f init =
         | H h -> Histogram_view (histogram_view h)
       in
       f ~base:id.base ~labels:id.labels view acc)
-    init (sorted_metrics ())
+    init (by_name (collect all))
 
 (* -- snapshot ---------------------------------------------------------- *)
 
@@ -347,7 +374,7 @@ let snapshot () =
                   ("max", if v.count = 0 then Json.Null else Json.Float v.max);
                 ] )
             :: !hists)
-    (sorted_metrics ());
+    (by_name (collect is_written));
   Json.Obj
     [
       ("schema_version", Json.Int schema_version);
@@ -365,4 +392,4 @@ let reset () =
       | F f -> Atomic.set f.f_shards []
       | G g -> Atomic.set g.g_cell None
       | H h -> Atomic.set h.h_shards [])
-    (sorted_metrics ())
+    (collect all)

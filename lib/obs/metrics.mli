@@ -10,7 +10,9 @@
     load.
 
     Handles are interned by name — [counter "engine.generated"] returns
-    the same counter everywhere — and the naming convention is
+    the same counter everywhere. Interning takes the registry's lock,
+    so a hot path resolves its handles once, where it is defined, and
+    only writes them. The naming convention is
     dot-separated lowercase segments, most general first, with an
     optional move-family suffix ([engine.generated.A:select]); see
     DESIGN.md §Observability. Re-registering a name with a different
@@ -25,10 +27,11 @@
     collapse into the reserved [base{overflow="true"}] series — an
     unbounded labeler degrades accuracy, never memory.
 
-    {!snapshot} renders every registered metric as one versioned JSON
-    object — the export behind [hsyn synth --metrics], the
-    flight-recorder NDJSON line, and [hsyn report]; {!Prom.render}
-    re-renders the same registry as Prometheus text exposition. *)
+    {!snapshot} renders every metric written since the last {!reset}
+    as one versioned JSON object — the export behind
+    [hsyn synth --metrics], the flight-recorder NDJSON line, and
+    [hsyn report]; {!Prom.render} re-renders every registered series as
+    Prometheus text exposition. *)
 
 module Json = Hsyn_util.Json
 
@@ -65,7 +68,9 @@ val add : counter -> int -> unit
 val facc : fcounter -> float -> unit
 val set : gauge -> float -> unit
 val observe : histogram -> float -> unit
-(** All writes are no-ops while metrics are disabled. *)
+(** All writes are no-ops while metrics are disabled. Each marks its
+    metric written, so a {!snapshot} lists it; [add c 0] changes no
+    value but publishes [c] at zero. *)
 
 val counter_value : counter -> int
 val fcounter_value : fcounter -> float
@@ -101,8 +106,16 @@ val fold : (base:string -> labels:labels -> view -> 'a -> 'a) -> 'a -> 'a
     merged value — the iteration behind {!Prom.render}. *)
 
 val snapshot : unit -> Json.t
-(** Versioned JSON of every registered metric, keys sorted; labeled
-    series appear under their full [base{k="v"}] key. *)
+(** Versioned JSON of every metric written since the last {!reset} (or
+    since start), keys sorted; labeled series appear under their full
+    [base{k="v"}] key. A handle registered but not written since is
+    absent, so a snapshot describes the run that wrote it. *)
 
 val reset : unit -> unit
-(** Zero every registered metric (handles stay valid). *)
+(** Zero every registered metric and mark it unwritten (handles stay
+    valid). *)
+
+val intern_count : unit -> int
+(** Handle requests ({!counter}, {!fcounter}, {!gauge}, {!histogram})
+    served since start. Each takes the registry's lock, so a hot path
+    that makes none leaves this count unchanged. *)

@@ -5,7 +5,7 @@
    and a final [metrics_snapshot] line). [of_lines] folds that stream
    into a per-move-family gain-attribution report — moves proposed /
    evaluated / committed / reverted, cumulative committed gain, cache
-   hit rates, per-stage time shares — rendered as a table ([render])
+   hit rates, the self-time table — rendered as text ([render])
    and versioned JSON ([to_json]), and cross-checked against the
    run's own [run_finished] result so drift between the recorder and
    the synthesizer is caught rather than printed. *)
@@ -69,6 +69,8 @@ type family = {
   power_skipped : int;
 }
 
+type stage = { stage : string; calls : int; total_ms : float; self_ms : float }
+
 type winner = {
   w_context : int option;  (* resolved via the result's (vdd, clk, deadline) *)
   w_committed : int;  (* move_committed events in that context *)
@@ -89,7 +91,7 @@ type t = {
   total_committed : int;
   total_gain : float;
   winner : winner option;
-  stages : (string * int * float) list;  (* stage name, calls, total ms *)
+  stages : stage list;  (* descending self time *)
   cache_hit_rate : float option;
   has_metrics : bool;
   skipped_lines : int;
@@ -114,6 +116,60 @@ let suffixed counters prefix =
         Option.map (fun i -> (String.sub name pl (String.length name - pl), i)) (Json.to_int_opt v)
       else None)
     counters
+
+(* -- the self-time table -------------------------------------------------- *)
+
+(* One row per [stage.<name>] histogram: its count and sum, and the
+   probe's [stage.<name>.self_ns] counter. *)
+let stages_of_snapshot snap =
+  let section k =
+    match Json.member k snap with Some (Json.Obj fields) -> fields | _ -> []
+  in
+  let counters = section "counters" in
+  let ns name =
+    Option.map
+      (fun n -> Float.of_int n /. 1e6)
+      (Option.bind (List.assoc_opt name counters) Json.to_int_opt)
+  in
+  List.filter_map
+    (fun (name, h) ->
+      match (String.starts_with ~prefix:"stage." name, geti "count" h) with
+      | true, Some calls ->
+          Some
+            {
+              stage = String.sub name 6 (String.length name - 6);
+              calls;
+              total_ms = Option.value ~default:0. (getf "sum" h);
+              self_ms = Option.value ~default:0. (ns (name ^ ".self_ns"));
+            }
+      | _ -> None)
+    (section "histograms")
+  |> List.stable_sort (fun a b -> compare b.self_ms a.self_ms)
+
+let outside_row = "(outside any span)"
+
+let render_stages ?wall_s stages =
+  let buf = Buffer.create 1024 in
+  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let self_sum = List.fold_left (fun acc s -> acc +. s.self_ms) 0. stages in
+  let wall_ms = Option.map (fun s -> s *. 1000.) wall_s in
+  let base = match wall_ms with Some w -> w | None -> self_sum in
+  let share ms = if base > 0. then 100. *. ms /. base else 0. in
+  (match wall_ms with
+  | Some w -> pr "self time per stage (wall %.1f ms):\n" w
+  | None -> pr "self time per stage:\n");
+  pr "  %-24s %9s %11s %7s %11s\n" "stage" "calls" "self ms" "self %" "total ms";
+  List.iter
+    (fun s ->
+      pr "  %-24s %9d %11.1f %6.1f%% %11.1f\n" s.stage s.calls s.self_ms (share s.self_ms)
+        s.total_ms)
+    stages;
+  Option.iter
+    (fun w ->
+      let outside = w -. self_sum in
+      pr "  %-24s %9s %11.1f %6.1f%%\n" outside_row "-" outside (share outside))
+    wall_ms;
+  Buffer.contents buf
 
 let of_lines lines =
   let skipped = ref 0 in
@@ -173,19 +229,13 @@ let of_lines lines =
       | _ -> []
     in
     let cval name = Option.bind (List.assoc_opt name counters) Json.to_int_opt in
-    let histograms =
-      match Option.bind !metrics (Json.member "histograms") with
-      | Some (Json.Obj fields) -> fields
-      | _ -> []
-    in
-    (* family universe: move events plus metric suffixes that counted
-       something (a zero is a name left registered by an earlier run
-       before a registry reset) *)
+    (* family universe: move events plus the metric suffixes the run
+       wrote *)
     let fam_tbl = Hashtbl.create 8 in
     let touch f = if not (Hashtbl.mem fam_tbl f) then Hashtbl.add fam_tbl f () in
     List.iter (fun (_, f, _, _) -> touch f) moves;
     List.iter
-      (fun pfx -> List.iter (fun (f, n) -> if n <> 0 then touch f) (suffixed counters pfx))
+      (fun pfx -> List.iter (fun (f, _) -> touch f) (suffixed counters pfx))
       [ "engine.generated"; "engine.evaluated"; "moves.committed"; "moves.reverted" ];
     let fam_names = Hashtbl.fold (fun f () acc -> f :: acc) fam_tbl [] |> List.sort compare in
     let families =
@@ -210,17 +260,7 @@ let of_lines lines =
           })
         fam_names
     in
-    let stages =
-      List.filter_map
-        (fun (name, v) ->
-          if String.length name > 6 && String.sub name 0 6 = "stage." then
-            match (geti "count" v, getf "sum" v) with
-            | Some c, Some s -> Some (String.sub name 6 (String.length name - 6), c, s)
-            | _ -> None
-          else None)
-        histograms
-      |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
-    in
+    let stages = match !metrics with Some snap -> stages_of_snapshot snap | None -> [] in
     let cache_hit_rate =
       match (cval "engine.cache_hits", cval "engine.cache_misses") with
       | Some h, Some m when h + m > 0 -> Some (Float.of_int h /. Float.of_int (h + m))
@@ -355,12 +395,13 @@ let to_json (t : t) =
       ( "stages",
         Json.List
           (List.map
-             (fun (name, calls, total_ms) ->
+             (fun s ->
                Json.Obj
                  [
-                   ("stage", Json.String name);
-                   ("calls", Json.Int calls);
-                   ("total_ms", Json.Float total_ms);
+                   ("stage", Json.String s.stage);
+                   ("calls", Json.Int s.calls);
+                   ("total_ms", Json.Float s.total_ms);
+                   ("self_ms", Json.Float s.self_ms);
                  ])
              t.stages) );
       ("cache_hit_rate", opt_json (fun f -> Json.Float f) t.cache_hit_rate);
@@ -411,13 +452,8 @@ let render (t : t) =
   | Some r -> pr "\noverall cache hit rate: %.1f%%\n" (100. *. r)
   | None -> ());
   if t.stages <> [] then begin
-    let total = List.fold_left (fun acc (_, _, ms) -> acc +. ms) 0. t.stages in
-    pr "\nper-stage time shares:\n";
-    List.iter
-      (fun (name, calls, ms) ->
-        pr "  %-12s %8d calls  %10.1f ms  %5.1f%%\n" name calls ms
-          (if total > 0. then 100. *. ms /. total else 0.))
-      t.stages
+    pr "\n";
+    Buffer.add_string buf (render_stages ?wall_s:t.elapsed_s t.stages)
   end
   else if not t.has_metrics then
     pr "\n(no metrics_snapshot line — run with --metrics for proposed/evaluated/cache/stage data)\n";

@@ -43,6 +43,15 @@ type family = {
   power_skipped : int;
 }
 
+type stage = {
+  stage : string;  (** probe name, e.g. ["schedule"] *)
+  calls : int;  (** [stage.<name>] histogram count *)
+  total_ms : float;  (** inclusive: the histogram's sum *)
+  self_ms : float;
+      (** exclusive: [stage.<name>.self_ns], the stage's time minus that
+          of the spans opened directly inside it *)
+}
+
 type winner = {
   w_context : int option;
       (** index of the context matching the result's (vdd, clk, deadline) *)
@@ -64,9 +73,9 @@ type t = {
   total_committed : int;
   total_gain : float;
   winner : winner option;
-  stages : (string * int * float) list;
-      (** stage name, calls, total ms — descending total; from the
-          [stage.*] histograms of the metrics snapshot *)
+  stages : stage list;
+      (** the self-time table of the metrics snapshot
+          ({!stages_of_snapshot}) *)
   cache_hit_rate : float option;
   has_metrics : bool;
   skipped_lines : int;  (** unparseable (e.g. truncated) lines ignored *)
@@ -77,6 +86,20 @@ type t = {
 }
 
 val schema_version : int
+
+val stages_of_snapshot : Json.t -> stage list
+(** One row per [stage.<name>] histogram of a {!Metrics.snapshot}, in
+    descending self time. *)
+
+val render_stages : ?wall_s:float -> stage list -> string
+(** The self-time table: calls, self ms, share and inclusive ms per
+    stage. Given the run's wall time it ends with an "(outside any
+    span)" row, the wall time minus every stage's self time, so the
+    self column and that row sum to the wall time. Self times add over
+    domains: with one job (every span on the driving domain) the
+    outside row is the time spent in no span; with pool workers the
+    rows can exceed the wall time. [hsyn synth --profile] and
+    [hsyn report] print this table. *)
 
 val of_lines : string list -> (t, string) result
 (** Fold NDJSON lines (blank lines ignored, unparseable lines counted
@@ -90,8 +113,9 @@ val to_json : t -> Json.t
     deterministic for a fixed input stream. *)
 
 val render : t -> string
-(** Human-readable report: attribution table, stage time shares,
-    winner summary, consistency verdict. *)
+(** Human-readable report: attribution table, self-time table
+    ({!render_stages} with the run's [elapsed_s]), winner summary,
+    consistency verdict. *)
 
 val trace_summary : Json.t -> ((string * int * float) list, string) result
 (** Per-category (event count, total duration ms) of a parsed

@@ -1,14 +1,23 @@
 (* Span tracer with Chrome/Perfetto trace-event export.
 
-   [span] is the one probe embedded permanently in the pipeline's hot
-   paths (scheduler prepare/schedule, power simulation, candidate
-   batches, passes, contexts, embedding, checkpoints). Disabled — the
-   default — it costs exactly one atomic load ({!Gate.armed}). Armed,
-   it feeds up to two consumers from one clock read pair:
+   A span is timed through a probe: a handle made once per call site,
+   at module initialization, that carries the site's category, name and
+   metrics handles. Disabled — the default — a span costs exactly one
+   atomic load ({!Gate.armed}). Armed, it reads a monotonic clock in
+   integer nanoseconds on entry and exit and feeds up to two consumers:
 
-     - a per-stage duration histogram in the metrics registry (read by
-       --profile, --metrics and hsyn report);
+     - the probe's metrics (read by --profile, --metrics and hsyn
+       report): the [stage.<name>] duration histogram (calls and
+       inclusive time) and the exact exclusive (self) total
+       [stage.<name>.self_ns];
      - a trace event in this domain's ring buffer.
+
+   Self time is kept online: each domain has a stack of open spans, and
+   a closing span adds its inclusive time to its parent's children
+   total, so self = inclusive - direct children's inclusive, exactly,
+   in integer nanoseconds. An armed span builds no string, looks up no
+   registry entry, takes no lock and allocates a constant few words
+   (the histogram's boxed sample and sum, and the event when tracing).
 
    Ring buffers are per-domain (pool workers record their own spans
    under their own tid) and bounded: when full the oldest events are
@@ -43,8 +52,11 @@ type event = {
 let set_enabled = Gate.set_trace
 let is_enabled = Gate.trace_enabled
 
-let epoch = Unix.gettimeofday ()
-let now_us () = (Unix.gettimeofday () -. epoch) *. 1e6
+(* clock_gettime(CLOCK_MONOTONIC) in integer nanoseconds *)
+external now_ns : unit -> (int[@untagged]) = "hsyn_clock_ns_byte" "hsyn_clock_ns" [@@noalloc]
+
+let epoch_ns = now_ns ()
+let us_since_epoch t_ns = Float.of_int (t_ns - epoch_ns) *. 1e-3
 
 (* -- per-domain rings -------------------------------------------------- *)
 
@@ -71,9 +83,9 @@ let rings : (int, ring) Hashtbl.t = Hashtbl.create 8
 let rings_lock = Mutex.create ()
 
 let ring_for dom =
-  match Hashtbl.find_opt rings dom with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find rings dom with
+  | r -> r
+  | exception Not_found ->
       Mutex.lock rings_lock;
       let r =
         match Hashtbl.find_opt rings dom with
@@ -87,7 +99,7 @@ let ring_for dom =
       r
 
 (* Only the owning domain writes its ring, so no lock on the push path.
-   The unlocked [Hashtbl.find_opt] fast path is safe because rings are
+   The unlocked [Hashtbl.find] fast path is safe because rings are
    only ever added (never removed) outside [reset], and reset must not
    race recording. *)
 let push ev =
@@ -102,36 +114,81 @@ let instant cat name =
         ev_name = name;
         ev_cat = cat;
         ev_phase = Instant;
-        ev_ts_us = now_us ();
+        ev_ts_us = us_since_epoch (now_ns ());
         ev_dur_us = 0.;
         ev_tid = (Domain.self () :> int);
         ev_scope = current_scope ();
       }
 
-(* -- the probe --------------------------------------------------------- *)
+(* -- probes ------------------------------------------------------------ *)
 
-let stage_hist name = Metrics.histogram ("stage." ^ name)
+type probe = {
+  p_name : string;
+  p_cat : category;
+  p_hist : Metrics.histogram;  (* stage.<name>: inclusive ms per call *)
+  p_self : Metrics.counter;  (* stage.<name>.self_ns: exclusive *)
+}
 
-let span_armed cat name f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () ->
-      let dt = Unix.gettimeofday () -. t0 in
-      if Gate.metrics_enabled () then Metrics.observe (stage_hist name) (dt *. 1000.);
-      if Gate.trace_enabled () then
-        push
-          {
-            ev_name = name;
-            ev_cat = cat;
-            ev_phase = Complete;
-            ev_ts_us = (t0 -. epoch) *. 1e6;
-            ev_dur_us = dt *. 1e6;
-            ev_tid = (Domain.self () :> int);
-            ev_scope = current_scope ();
-          })
-    f
+let probe cat name =
+  let stage = "stage." ^ name in
+  {
+    p_name = name;
+    p_cat = cat;
+    p_hist = Metrics.histogram stage;
+    p_self = Metrics.counter (stage ^ ".self_ns");
+  }
 
-let span cat name f = if not (Atomic.get Gate.armed) then f () else span_armed cat name f
+(* The open spans of one domain: [children.(i)] is the inclusive time of
+   the closed direct children of the i-th open span, outermost first. *)
+type stack = { mutable depth : int; mutable children : int array }
+
+let stack_key = Domain.DLS.new_key (fun () -> { depth = 0; children = Array.make 16 0 })
+
+let grow st =
+  let a = Array.make (2 * Array.length st.children) 0 in
+  Array.blit st.children 0 a 0 (Array.length st.children);
+  st.children <- a
+
+let close p st d t0 =
+  let dt = now_ns () - t0 in
+  let self = dt - st.children.(d) in
+  st.depth <- d;
+  if d > 0 then st.children.(d - 1) <- st.children.(d - 1) + dt;
+  if Gate.metrics_enabled () then begin
+    Metrics.observe p.p_hist (Float.of_int dt *. 1e-6);
+    Metrics.add p.p_self self
+  end;
+  if Gate.trace_enabled () then
+    push
+      {
+        ev_name = p.p_name;
+        ev_cat = p.p_cat;
+        ev_phase = Complete;
+        ev_ts_us = us_since_epoch t0;
+        ev_dur_us = Float.of_int dt *. 1e-3;
+        ev_tid = (Domain.self () :> int);
+        ev_scope = current_scope ();
+      }
+
+(* The span is closed on the way out whether [f] returns or raises, so
+   the stack stays balanced; the exception escapes with its backtrace. *)
+let span_armed p f =
+  let st = Domain.DLS.get stack_key in
+  let d = st.depth in
+  if d = Array.length st.children then grow st;
+  st.children.(d) <- 0;
+  st.depth <- d + 1;
+  let t0 = now_ns () in
+  match f () with
+  | v ->
+      close p st d t0;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      close p st d t0;
+      Printexc.raise_with_backtrace e bt
+
+let span p f = if not (Atomic.get Gate.armed) then f () else span_armed p f
 
 (* -- collection and export --------------------------------------------- *)
 

@@ -2,12 +2,16 @@
     per-domain ring buffers, exported as Chrome/Perfetto trace-event
     JSON ([hsyn synth --trace out.trace.json]).
 
-    {!span} is the permanent probe of the synthesis pipeline. With
-    everything off it costs one atomic load. Armed, one pair of clock
-    reads feeds a [stage.<name>] duration histogram in the metrics
-    registry (what [--profile], [--metrics] and [hsyn report] read)
-    when metrics are on, and — when tracing proper is on — a trace
-    event under the recording domain's tid.
+    {!span} through a {!probe} is the permanent instrument of the
+    synthesis pipeline. A probe is made once per call site, at module
+    initialization. With everything off a span costs one atomic load.
+    Armed, one pair of monotonic clock reads (integer nanoseconds)
+    feeds, when metrics are on, the probe's [stage.<name>] duration
+    histogram and its exact self-time total in the metrics registry
+    (what [--profile], [--metrics] and [hsyn report] read), and — when
+    tracing proper is on — a trace event under the recording domain's
+    tid. An armed span builds no string, looks nothing up in the
+    registry and takes no lock.
 
     Rings are bounded ({!set_capacity}, default 65536 events per
     domain); overflow overwrites the oldest events and is reported in
@@ -41,9 +45,29 @@ type event = {
 val set_enabled : bool -> unit
 val is_enabled : unit -> bool
 
-val span : category -> string -> (unit -> 'a) -> 'a
-(** [span cat name f] runs [f], recording its wall-clock duration to
-    every armed consumer (also on exceptions). Safe from any domain. *)
+type probe
+(** One span site: its category and name, and its metrics handles. *)
+
+val probe : category -> string -> probe
+(** [probe cat name] registers the site's metrics: the [stage.<name>]
+    histogram of inclusive milliseconds per call (default edges; its
+    count is the number of calls, its sum the inclusive time) and the
+    counter [stage.<name>.self_ns], the exclusive time in integer
+    nanoseconds. Self time is a span's time minus that of the spans
+    opened directly inside it on the same domain, computed from the
+    integer clock, so a span's inclusive nanoseconds (its trace event's
+    duration) are exactly its self time plus its direct children's.
+    Make a probe once per call site, e.g. at top level:
+    [let probe = Trace.probe Trace.Schedule "schedule"]; probes with one
+    name share their metrics. *)
+
+val span : probe -> (unit -> 'a) -> 'a
+(** [span p f] runs [f], recording its duration to every armed
+    consumer (also when [f] raises, which closes the span and lets the
+    exception escape). Safe from any domain; each domain keeps its own
+    stack of open spans, which the threads of one domain share, so self
+    times are exact when one thread per domain runs spans, as the CLI,
+    the evaluation pool and the serve daemon's workers do. *)
 
 val instant : category -> string -> unit
 (** A zero-duration marker event; recorded only when tracing is on. *)

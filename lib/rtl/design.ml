@@ -85,83 +85,128 @@ let consumer_index (dfg : Dfg.t) =
 let fnv_prime = 0x100000001b3L
 let fnv_offset = 0xcbf29ce484222325L
 
-let mix h x = Int64.mul (Int64.logxor h x) fnv_prime
-let mix_int h i = mix h (Int64.of_int i)
-let mix_float h f = mix h (Int64.bits_of_float f)
+(* The chain's state lives in an 8-byte buffer that the functions below
+   share. Each loads it into a local [int64] that no closure captures,
+   mixes in plain loops and stores it back before it calls another
+   hashing function, so the native compiler keeps the state unboxed: a
+   fingerprint allocates its buffer and its boxed result, and nothing
+   per mixed value. *)
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let mix_string h s =
-  let h = ref (mix_int h (String.length s)) in
-  String.iter (fun c -> h := mix_int !h (Char.code c)) s;
-  !h
+let[@inline] mix h x = Int64.mul (Int64.logxor h x) fnv_prime
+let[@inline] mix_int h i = mix h (Int64.of_int i)
+let[@inline] mix_float h f = mix h (Int64.bits_of_float f)
 
-let hash_dfg h (dfg : Dfg.t) =
-  let h = ref (mix_string h dfg.Dfg.name) in
-  Array.iter
-    (fun (node : Dfg.node) ->
-      (h :=
-         match node.Dfg.kind with
-         | Dfg.Input -> mix_int !h 1
-         | Dfg.Output -> mix_int !h 2
-         | Dfg.Const c -> mix_int (mix_int !h 3) c
-         | Dfg.Delay init -> mix_int (mix_int !h 4) init
-         | Dfg.Op op -> mix_string (mix_int !h 5) (Op.name op)
-         | Dfg.Call b -> mix_string (mix_int !h 6) b);
-      h := mix_int !h node.Dfg.n_out;
-      Array.iter
-        (fun ({ Dfg.node = src; out } : Dfg.port) -> h := mix_int (mix_int !h src) out)
-        node.Dfg.ins)
-    dfg.Dfg.nodes;
-  !h
+let mix_string st s =
+  let h = ref (mix_int (get_state st 0) (String.length s)) in
+  for i = 0 to String.length s - 1 do
+    h := mix_int !h (Char.code (String.unsafe_get s i))
+  done;
+  set_state st 0 !h
 
-let hash_fu h (fu : Fu.t) =
-  let h = mix_string h fu.Fu.name in
-  let h =
-    match fu.Fu.kind with
-    | Fu.Unit ops -> List.fold_left (fun h op -> mix_string h (Op.name op)) (mix_int h 1) ops
-    | Fu.Chain (op, k) -> mix_int (mix_string (mix_int h 2) (Op.name op)) k
-  in
-  let h = mix_float (mix_float (mix_float h fu.Fu.area) fu.Fu.delay_ns) fu.Fu.energy_cap in
-  mix_int h (if fu.Fu.pipelined then 1 else 0)
+let mix_int_st st i = set_state st 0 (mix_int (get_state st 0) i)
 
-let rec hash_design h (d : t) = hash_bindings (hash_dfg h d.dfg) d
+let hash_dfg st (dfg : Dfg.t) =
+  mix_string st dfg.Dfg.name;
+  let nodes = dfg.Dfg.nodes in
+  for k = 0 to Array.length nodes - 1 do
+    let node = nodes.(k) in
+    (match node.Dfg.kind with
+    | Dfg.Input -> mix_int_st st 1
+    | Dfg.Output -> mix_int_st st 2
+    | Dfg.Const c -> set_state st 0 (mix_int (mix_int (get_state st 0) 3) c)
+    | Dfg.Delay init -> set_state st 0 (mix_int (mix_int (get_state st 0) 4) init)
+    | Dfg.Op op ->
+        mix_int_st st 5;
+        mix_string st (Op.name op)
+    | Dfg.Call b ->
+        mix_int_st st 6;
+        mix_string st b);
+    let h = ref (mix_int (get_state st 0) node.Dfg.n_out) in
+    let ins = node.Dfg.ins in
+    for p = 0 to Array.length ins - 1 do
+      let ({ Dfg.node = src; out } : Dfg.port) = ins.(p) in
+      h := mix_int (mix_int !h src) out
+    done;
+    set_state st 0 !h
+  done
 
-and hash_bindings h (d : t) =
-  let h = ref h in
-  Array.iter
-    (fun kind ->
-      h :=
-        match kind with
-        | Simple fu -> hash_fu (mix_int !h 7) fu
-        | Module rm -> hash_module (mix_int !h 8) rm)
-    d.insts;
-  Array.iter (fun i -> h := mix_int !h i) d.node_inst;
-  Array.iter (fun r -> h := mix_int !h r) d.value_reg;
-  mix_int !h d.n_regs
+let rec mix_ops st = function
+  | [] -> ()
+  | op :: ops ->
+      mix_string st (Op.name op);
+      mix_ops st ops
 
-and hash_module h (rm : rtl_module) =
-  let h = ref (mix_string h rm.rm_name) in
-  List.iter
-    (fun (behavior, part) -> h := hash_design (mix_string !h behavior) part)
-    rm.parts;
-  !h
+let hash_fu st (fu : Fu.t) =
+  mix_string st fu.Fu.name;
+  (match fu.Fu.kind with
+  | Fu.Unit ops ->
+      mix_int_st st 1;
+      mix_ops st ops
+  | Fu.Chain (op, k) ->
+      mix_int_st st 2;
+      mix_string st (Op.name op);
+      mix_int_st st k);
+  let h = mix_float (mix_float (mix_float (get_state st 0) fu.Fu.area) fu.Fu.delay_ns) fu.Fu.energy_cap in
+  set_state st 0 (mix_int h (if fu.Fu.pipelined then 1 else 0))
+
+let mix_ints st (a : int array) =
+  let h = ref (get_state st 0) in
+  for i = 0 to Array.length a - 1 do
+    h := mix_int !h a.(i)
+  done;
+  set_state st 0 !h
+
+let rec hash_design st (d : t) =
+  hash_dfg st d.dfg;
+  hash_bindings st d
+
+and hash_bindings st (d : t) =
+  let insts = d.insts in
+  for i = 0 to Array.length insts - 1 do
+    match insts.(i) with
+    | Simple fu ->
+        mix_int_st st 7;
+        hash_fu st fu
+    | Module rm ->
+        mix_int_st st 8;
+        hash_module st rm
+  done;
+  mix_ints st d.node_inst;
+  mix_ints st d.value_reg;
+  mix_int_st st d.n_regs
+
+and hash_module st (rm : rtl_module) =
+  mix_string st rm.rm_name;
+  hash_parts st rm.parts
+
+and hash_parts st = function
+  | [] -> ()
+  | (behavior, part) :: parts ->
+      mix_string st behavior;
+      hash_design st part;
+      hash_parts st parts
 
 (* Every candidate of a batch shares its top-level graph physically, so
    the graph's hash from the chain's start is memoized for the last
    graph seen, per domain, like [value_offsets]. The chain is the same
-   as an unmemoized [hash_design fnv_offset]. *)
+   as an unmemoized [hash_design] from [fnv_offset]. Each call has its
+   own state buffer, so threads sharing a domain cannot mix states. *)
 let top_dfg_hash_memo : (Dfg.t * int64) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let top_dfg_hash (dfg : Dfg.t) =
+let fingerprint d =
+  let st = Bytes.create 8 in
   let memo = Domain.DLS.get top_dfg_hash_memo in
-  match !memo with
-  | Some (g, h) when g == dfg -> h
+  (match !memo with
+  | Some (g, h) when g == d.dfg -> set_state st 0 h
   | _ ->
-      let h = hash_dfg fnv_offset dfg in
-      memo := Some (dfg, h);
-      h
-
-let fingerprint d = hash_bindings (top_dfg_hash d.dfg) d
+      set_state st 0 fnv_offset;
+      hash_dfg st d.dfg;
+      memo := Some (d.dfg, get_state st 0));
+  hash_bindings st d;
+  get_state st 0
 
 (* ------------------------------------------------------------------ *)
 (* Structural equality *)

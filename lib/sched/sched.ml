@@ -48,6 +48,9 @@ let c_events = Atomic.make 0
 let c_prep_hits = Atomic.make 0
 let c_prep_builds = Atomic.make 0
 
+let prepare_probe = Span.probe Span.Schedule "prepare"
+let schedule_probe = Span.probe Span.Schedule "schedule"
+
 let stats () =
   {
     schedules = Atomic.get c_schedules;
@@ -105,7 +108,7 @@ module Prepared = struct
   }
 
   let build (dfg : Dfg.t) =
-    Span.span Span.Schedule "prepare" (fun () ->
+    Span.span prepare_probe (fun () ->
         Atomic.incr c_prep_builds;
         let nodes = dfg.Dfg.nodes in
         let n_nodes = Array.length nodes in
@@ -785,7 +788,7 @@ let module_schedule ?cache ctx rm behavior =
   snd (module_profile_impl (or_transient cache) ctx rm behavior)
 
 let schedule ?cache ctx (cs : constraints) (d : Design.t) =
-  Span.span Span.Schedule "schedule" (fun () ->
+  Span.span schedule_probe (fun () ->
       let cache = or_transient cache in
       schedule_event cache (prepared_in cache d.Design.dfg) ctx cs d)
 

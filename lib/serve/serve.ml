@@ -159,6 +159,12 @@ let create ?session ?(config = default_config) addr =
     | exception Unix.Unix_error (e, fn, arg) ->
         Error (Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message e))
     | Ok (listener, addr) ->
+        let counter name =
+          let c = Metrics.counter name in
+          (* published from the start, at zero *)
+          Metrics.add c 0;
+          c
+        in
         Ok
           {
             cfg = config;
@@ -182,10 +188,10 @@ let create ?session ?(config = default_config) addr =
             g_queued = Metrics.gauge "serve.queued";
             g_p90 = Metrics.gauge "serve.latency_p90_ms";
             h_latency = Metrics.histogram ~edges:latency_edges_ms "serve.latency_ms";
-            c_accepted = Metrics.counter "serve.accepted";
-            c_rejected = Metrics.counter "serve.rejected";
-            c_completed = Metrics.counter "serve.completed";
-            c_errors = Metrics.counter "serve.errors";
+            c_accepted = counter "serve.accepted";
+            c_rejected = counter "serve.rejected";
+            c_completed = counter "serve.completed";
+            c_errors = counter "serve.errors";
           }
 
 let stop t = Atomic.set t.stopping true

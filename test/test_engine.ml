@@ -376,9 +376,10 @@ let test_cache_eviction () =
 let test_family_counters () =
   let d = Tu.initial ctx (Tu.small_graph ()) in
   let eng, _ = mk_engine ~objective:Cost.Area d in
+  let even = Engine.family "even" and odd = Engine.family "odd" in
   ignore
     (Engine.best_of eng
-       ~family:(fun i -> if i mod 2 = 0 then "even" else "odd")
+       ~family:(fun i -> if i mod 2 = 0 then even else odd)
        ~limit:10
        (Seq.init 10 (fun i -> (i, d))));
   match Session.family_totals (Engine.session eng) with

@@ -1,8 +1,10 @@
 (* Tests for the hsyn_obs observability library: metrics registry
-   (domain-safe shard merge under pool fan-out), span tracer
-   (Chrome-trace JSON validity, disabled probes that allocate nothing,
-   armed runs identical to disarmed ones), and the flight-recorder
-   report (deterministic aggregation of a fixed NDJSON stream). *)
+   (domain-safe shard merge under pool fan-out, snapshots of what was
+   written), span tracer (Chrome-trace JSON validity, disabled probes
+   that allocate nothing, armed spans at a constant cost, exact self
+   time, armed runs identical to disarmed ones), and the
+   flight-recorder report (deterministic aggregation of a fixed NDJSON
+   stream). *)
 
 module Json = Hsyn_util.Json
 module Pool = Hsyn_util.Pool
@@ -69,6 +71,24 @@ let test_json_roundtrip () =
       checki "int member" (-42) (geti "i" j');
       checkf "float member" 1.5 (getf "f" j');
       checki "list member" 2 (List.length (getl "l" j'))
+
+(* Floats render as [Printf]'s [%.1f] (integral, below 1e15) or [%.12g]
+   would: the renderer calls the formatting primitive directly, and
+   every JSON file the program writes depends on the text. *)
+let test_json_float_text () =
+  let expect f =
+    if Float.is_nan f || Float.abs f = Float.infinity then "null"
+    else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+    else Printf.sprintf "%.12g" f
+  in
+  let rng = Random.State.make [| 27 |] in
+  let values =
+    [ 0.; -0.; 1.; -1.; 0.1; 1e-7; 1e15; -1e15; 1e300; 5e-324; 0.30000000000000004; Float.nan;
+      Float.infinity; Float.neg_infinity; 13.613753085581006; 1067.1513150035948 ]
+    @ List.init 10_000 (fun _ -> Int64.float_of_bits (Random.State.int64 rng Int64.max_int))
+    @ List.init 10_000 (fun _ -> Random.State.float rng 2000. -. 1000.)
+  in
+  List.iter (fun f -> checks (Printf.sprintf "%h" f) (expect f) (Json.to_string (Json.Float f))) values
 
 let test_json_rejects_garbage () =
   checkb "truncated" true (Result.is_error (Json.of_string "{\"a\": [1, 2"));
@@ -178,20 +198,48 @@ let test_metrics_snapshot_shape () =
   checks "snapshot deterministic" (Json.to_string s) (Json.to_string (Metrics.snapshot ()));
   fresh ()
 
+(* A snapshot describes what was written since the last reset: a
+   registered handle nobody wrote is absent, and so is a counter
+   written only before the reset. The Prometheus page still lists
+   every registered series. *)
+let test_metrics_snapshot_lists_written () =
+  fresh ();
+  Metrics.set_enabled true;
+  let idle = Metrics.counter "t.written.idle" in
+  let idle_h = Metrics.histogram "t.written.idle_h" in
+  let before = Metrics.counter "t.written.before" in
+  let after = Metrics.counter "t.written.after" in
+  Metrics.add before 5;
+  let has section name s = Json.member name (mem section s) <> None in
+  checkb "written counter listed" true (has "counters" "t.written.before" (Metrics.snapshot ()));
+  Metrics.reset ();
+  Metrics.incr after;
+  let s = Metrics.snapshot () in
+  checkb "registered, never written: absent" false (has "counters" "t.written.idle" s);
+  checkb "histogram never observed: absent" false (has "histograms" "t.written.idle_h" s);
+  checkb "written before the reset only: absent" false (has "counters" "t.written.before" s);
+  checki "written after the reset: listed" 1 (geti "t.written.after" (mem "counters" s));
+  checki "handles stay valid" 0 (Metrics.counter_value before + Metrics.counter_value idle);
+  ignore idle_h;
+  checkb "Prometheus keeps every registered series" true
+    (contains (Prom.render ()) "t_written_idle 0");
+  fresh ()
+
 (* ------------------------------------------------------------------ *)
 (* Trace *)
 
 let test_trace_disabled_records_nothing () =
   fresh ();
-  Trace.span Trace.Schedule "t.off" (fun () -> ());
+  Trace.span (Trace.probe Trace.Schedule "t.off") (fun () -> ());
   Trace.instant Trace.Pass "t.off.i";
   checki "no events" 0 (List.length (Trace.events ()))
 
 let test_trace_json_validity () =
   fresh ();
   Trace.set_enabled true;
-  checki "span result passes through" 41 (Trace.span Trace.Move "t.span" (fun () -> 41));
-  Trace.span Trace.Power "t.power" (fun () -> ignore (Sys.opaque_identity (Array.make 10 0)));
+  checki "span result passes through" 41 (Trace.span (Trace.probe Trace.Move "t.span") (fun () -> 41));
+  Trace.span (Trace.probe Trace.Power "t.power") (fun () ->
+      ignore (Sys.opaque_identity (Array.make 10 0)));
   Trace.instant Trace.Checkpoint "t.marker";
   let j = Trace.to_json () in
   (* the export must round-trip through a strict JSON parser *)
@@ -223,9 +271,8 @@ let test_trace_ring_bounded () =
   fresh ();
   Trace.set_capacity 16;
   Trace.set_enabled true;
-  for i = 1 to 100 do
-    Trace.span Trace.Move (Printf.sprintf "t.ring.%d" i) (fun () -> ())
-  done;
+  let probes = Array.init 100 (fun i -> Trace.probe Trace.Move (Printf.sprintf "t.ring.%d" (i + 1))) in
+  Array.iter (fun p -> Trace.span p (fun () -> ())) probes;
   let evs = Trace.events () in
   checki "ring keeps the newest capacity events" 16 (List.length evs);
   checki "dropped counted" 84 (Trace.dropped ());
@@ -237,16 +284,64 @@ let test_trace_ring_bounded () =
 let test_trace_feeds_profile_and_metrics () =
   fresh ();
   Metrics.set_enabled true;
+  let probe = Trace.probe Trace.Schedule "t.feeds" in
   let count () = (Metrics.histogram_view (Metrics.histogram "stage.t.feeds")).Metrics.count in
-  checki "span returns its body's value" 42 (Trace.span Trace.Schedule "t.feeds" (fun () -> 42));
+  checki "span returns its body's value" 42 (Trace.span probe (fun () -> 42));
   checki "stage histogram recorded" 1 (count ());
   (* a body that raises is still timed, and the exception escapes *)
   checkb "exception propagates" true
-    (match Trace.span Trace.Schedule "t.feeds" (fun () -> failwith "boom") with
+    (match Trace.span probe (fun () -> failwith "boom") with
     | () -> false
     | exception Failure _ -> true);
   checki "raising span recorded" 2 (count ());
+  let self_ns = Metrics.counter_value (Metrics.counter "stage.t.feeds.self_ns") in
+  checkb "self time recorded" true (self_ns > 0);
+  check (Alcotest.float 1e-6) "a span with no child is all self time"
+    (Metrics.histogram_view (Metrics.histogram "stage.t.feeds")).Metrics.sum
+    (Float.of_int self_ns /. 1e6);
   checki "but no trace events without --trace" 0 (List.length (Trace.events ()));
+  fresh ()
+
+(* Self time is kept online, exactly: each span's inclusive time is its
+   self time plus its direct children's inclusive time, in integer
+   nanoseconds, also when a child's body raises. Outer span [o] holds
+   [a] (holding [c]), then [r], whose child [x] raises out through [r]
+   into [o], then [b]. Were the raising spans left open, [b] would
+   close against the wrong frame and [o]'s sum would break. Inclusive
+   nanoseconds come from the trace events, whose microsecond durations
+   round back to the integer exactly. *)
+let test_trace_self_time_exact () =
+  fresh ();
+  Metrics.set_enabled true;
+  Trace.set_enabled true;
+  let p name = Trace.probe Trace.Pass ("t.nest." ^ name) in
+  let o = p "o" and a = p "a" and c = p "c" and r = p "r" and x = p "x" and b = p "b" in
+  let work () = ignore (Sys.opaque_identity (Array.make 100 0)) in
+  Trace.span o (fun () ->
+      work ();
+      Trace.span a (fun () ->
+          work ();
+          Trace.span c work);
+      (match Trace.span r (fun () -> Trace.span x (fun () -> failwith "inner")) with
+      | () -> Alcotest.fail "the exception did not escape"
+      | exception Failure _ -> ());
+      Trace.span b work);
+  let self name = Metrics.counter_value (Metrics.counter ("stage.t.nest." ^ name ^ ".self_ns")) in
+  let total name =
+    List.fold_left
+      (fun acc ev ->
+        if ev.Trace.ev_name = "t.nest." ^ name then
+          acc + int_of_float (Float.round (ev.Trace.ev_dur_us *. 1000.))
+        else acc)
+      0 (Trace.events ())
+  in
+  checki "o = self + a + r + b" (total "o") (self "o" + total "a" + total "r" + total "b");
+  checki "a = self + c" (total "a") (self "a" + total "c");
+  checki "r = self + x (x raised)" (total "r") (self "r" + total "x");
+  List.iter (fun leaf -> checki ("leaf " ^ leaf ^ " is all self") (total leaf) (self leaf)) [ "c"; "x"; "b" ];
+  (* the stack is back at the top: a new span has no parent to charge *)
+  Trace.span c work;
+  checki "o untouched by a later span" (total "o") (self "o" + total "a" + total "r" + total "b");
   fresh ()
 
 (* The disabled path of every probe is one atomic load: no event, no
@@ -257,9 +352,10 @@ let test_disabled_probes_allocate_nothing () =
   fresh ();
   Log.set_level Log.Warn (* the default: debug records are filtered *);
   let body () = () in
+  let probe = Trace.probe Trace.Schedule "t.disabled" in
   let before = Gc.minor_words () in
   for _ = 1 to 100_000 do
-    Trace.span Trace.Schedule "t.disabled" body
+    Trace.span probe body
   done;
   for _ = 1 to 100_000 do
     Log.debug "t.disabled"
@@ -268,10 +364,46 @@ let test_disabled_probes_allocate_nothing () =
   checkf "minor words allocated by 100 000 spans + 100 000 filtered logs" 0. words;
   checki "and nothing recorded" 0 (List.length (Trace.events ()))
 
-(* Arming trace and metrics observes a synthesis without steering it:
-   the armed run returns the disarmed run's design, area and power, bit
-   for bit. *)
-let test_armed_run_identical () =
+(* An armed span costs its probe's resolved handles and a constant
+   number of words, whatever the number of spans: no name is built and
+   nothing is interned. With metrics armed a span allocates the boxed
+   millisecond sample it hands the histogram and the histogram's new
+   boxed sum, 2 words each; a trace event adds its record (8 words) and
+   its two boxed timestamps (2 words each). *)
+let metrics_span_words = 4.
+let traced_span_words = metrics_span_words +. 12.
+
+let test_armed_span_constant_cost () =
+  fresh ();
+  let probe = Trace.probe Trace.Schedule "t.armed" in
+  let body () = () in
+  let spans = 100_000 in
+  let words_per_span () =
+    Trace.span probe body;
+    let interns = Metrics.intern_count () in
+    let before = Gc.minor_words () in
+    for _ = 1 to spans do
+      Trace.span probe body
+    done;
+    let words = Gc.minor_words () -. before in
+    checki "no handle interned" interns (Metrics.intern_count ());
+    words /. Float.of_int spans
+  in
+  Metrics.set_enabled true;
+  let w = words_per_span () in
+  checkb (Printf.sprintf "metrics armed: %.2f words per span <= %.0f" w metrics_span_words) true
+    (w <= metrics_span_words);
+  checki "every span counted" (spans + 1)
+    (Metrics.histogram_view (Metrics.histogram "stage.t.armed")).Metrics.count;
+  Trace.set_enabled true;
+  let w = words_per_span () in
+  checkb (Printf.sprintf "metrics and trace armed: %.2f words per span <= %.0f" w traced_span_words)
+    true (w <= traced_span_words);
+  fresh ()
+
+(* A reduced-effort power synthesis of test1: the design's fingerprint
+   and the bits of its area and power. *)
+let synth_test1 () =
   let module S = Hsyn_core.Synthesize in
   let module Clib = Hsyn_core.Clib in
   let module Cost = Hsyn_core.Cost in
@@ -290,19 +422,38 @@ let test_armed_run_identical () =
     }
   in
   let sampling_ns = 2.2 *. S.min_sampling_ns lib b.Suite.registry b.Suite.dfg in
-  let run () =
-    match
-      Result.bind
-        (S.Request.make ~config ~lib ~registry:b.Suite.registry ~dfg:b.Suite.dfg
-           ~objective:Cost.Power ~sampling_ns ())
-        S.synthesize
-    with
-    | Ok r ->
-        ( Hsyn_rtl.Design.fingerprint r.S.design,
-          Int64.bits_of_float r.S.eval.Cost.area,
-          Int64.bits_of_float r.S.eval.Cost.power )
-    | Error msg -> Alcotest.failf "synthesis failed: %s" msg
-  in
+  match
+    Result.bind
+      (S.Request.make ~config ~lib ~registry:b.Suite.registry ~dfg:b.Suite.dfg
+         ~objective:Cost.Power ~sampling_ns ())
+      S.synthesize
+  with
+  | Ok r ->
+      ( Hsyn_rtl.Design.fingerprint r.S.design,
+        Int64.bits_of_float r.S.eval.Cost.area,
+        Int64.bits_of_float r.S.eval.Cost.power )
+  | Error msg -> Alcotest.failf "synthesis failed: %s" msg
+
+(* Every span, candidate and pass path writes handles resolved when its
+   module was initialized: an armed synthesis asks the registry for
+   none, so a second identical run interns nothing. *)
+let test_armed_run_interns_nothing () =
+  fresh ();
+  Trace.set_enabled true;
+  Metrics.set_enabled true;
+  ignore (synth_test1 ());
+  let interns = Metrics.intern_count () in
+  ignore (synth_test1 ());
+  checki "handles interned by the second run" 0 (Metrics.intern_count () - interns);
+  checkb "the run was armed" true
+    ((Metrics.histogram_view (Metrics.histogram "stage.pass")).Metrics.count > 0);
+  fresh ()
+
+(* Arming trace and metrics observes a synthesis without steering it:
+   the armed run returns the disarmed run's design, area and power, bit
+   for bit. *)
+let test_armed_run_identical () =
+  let run = synth_test1 in
   fresh ();
   let fp0, area0, power0 = run () in
   Trace.set_enabled true;
@@ -332,7 +483,7 @@ let fixture =
     {|{"at_s":0.9,"event":"new_incumbent","context":1,"vdd":3.3,"clk_ns":25.0,"value":85.0,"area":120.0,"power":85.0}|};
     {|{"at_s":1.0,"event":"context_finished","index":1,"feasible":true}|};
     {|{"at_s":1.1,"event":"run_finished","completed":true,"contexts_done":2,"contexts_planned":2,"elapsed_s":1.1,"result":{"context":{"vdd":3.3,"clk_ns":25.0,"deadline_cycles":40},"eval":{"area":120.0,"power":85.0},"stats":{"moves_committed":2}}}|};
-    {|{"event":"metrics_snapshot","snapshot":{"schema_version":1,"kind":"hsyn.metrics","counters":{"engine.generated":40,"engine.generated.A:select":30,"engine.generated.C:merge":10,"engine.evaluated":24,"engine.evaluated.A:select":18,"engine.evaluated.C:merge":6,"engine.cache_hits":16,"engine.cache_misses":24,"moves.committed.A:select":2,"moves.committed.C:merge":1,"moves.reverted.A:select":4},"fcounters":{},"gauges":{},"histograms":{"stage.schedule":{"edges":[1.0],"counts":[5,0],"count":5,"sum":2.5,"min":0.4,"max":0.6},"stage.power":{"edges":[1.0],"counts":[3,1],"count":4,"sum":7.5,"min":0.5,"max":4.0}}}}|};
+    {|{"event":"metrics_snapshot","snapshot":{"schema_version":1,"kind":"hsyn.metrics","counters":{"engine.generated":40,"engine.generated.A:select":30,"engine.generated.C:merge":10,"engine.evaluated":24,"engine.evaluated.A:select":18,"engine.evaluated.C:merge":6,"engine.cache_hits":16,"engine.cache_misses":24,"moves.committed.A:select":2,"moves.committed.C:merge":1,"moves.reverted.A:select":4,"stage.schedule.self_ns":2500000,"stage.power.self_ns":5000000},"fcounters":{},"gauges":{},"histograms":{"stage.schedule":{"edges":[1.0],"counts":[5,0],"count":5,"sum":2.5,"min":0.4,"max":0.6},"stage.power":{"edges":[1.0],"counts":[3,1],"count":4,"sum":7.5,"min":0.5,"max":4.0}}}}|};
   ]
 
 let report () =
@@ -365,13 +516,20 @@ let test_report_aggregates () =
   checkf "C gain" 3.0 c.Report.gain;
   checkf "cache hit rate" 0.4 (Option.get r.Report.cache_hit_rate);
   (match r.Report.stages with
-  | (s0, n0, ms0) :: (s1, n1, _) :: [] ->
-      checks "power dominates" "power" s0;
-      checki "power calls" 4 n0;
-      checkf "power total ms" 7.5 ms0;
-      checks "then schedule" "schedule" s1;
-      checki "schedule calls" 5 n1
+  | [ s0; s1 ] ->
+      checks "power dominates" "power" s0.Report.stage;
+      checki "power calls" 4 s0.Report.calls;
+      checkf "power total ms" 7.5 s0.Report.total_ms;
+      checkf "power self ms" 5.0 s0.Report.self_ms;
+      checks "then schedule" "schedule" s1.Report.stage;
+      checki "schedule calls" 5 s1.Report.calls;
+      checkf "schedule self ms" 2.5 s1.Report.self_ms
   | l -> Alcotest.failf "expected two stages, got %d" (List.length l));
+  (* the self column and the outside row sum to the run's 1.1 s *)
+  let table = Report.render_stages ?wall_s:r.Report.elapsed_s r.Report.stages in
+  checkb "wall time printed" true (contains table "(wall 1100.0 ms)");
+  checkb "outside row is wall minus self" true (contains table "(outside any span)");
+  checkb "outside value" true (contains table "1092.5");
   match r.Report.winner with
   | None -> Alcotest.fail "winner missing"
   | Some w ->
@@ -698,9 +856,9 @@ let test_trace_scoped_events () =
   fresh ();
   Trace.set_enabled true;
   Scope.with_scope { Scope.id = 42; tenant = None } (fun () ->
-      Trace.span Trace.Pass "scoped_outer" (fun () ->
-          Trace.span Trace.Schedule "scoped_inner" (fun () -> ())));
-  Trace.span Trace.Pass "unscoped" (fun () -> ());
+      Trace.span (Trace.probe Trace.Pass "scoped_outer") (fun () ->
+          Trace.span (Trace.probe Trace.Schedule "scoped_inner") (fun () -> ())));
+  Trace.span (Trace.probe Trace.Pass "unscoped") (fun () -> ());
   let evs = Trace.scoped_events 42 in
   checki "exactly the scoped spans" 2 (List.length evs);
   let tree = Trace.render_tree evs in
@@ -719,7 +877,11 @@ let () =
   Alcotest.run "hsyn_obs"
     [
       ( "json",
-        [ tc "roundtrip" `Quick test_json_roundtrip; tc "rejects garbage" `Quick test_json_rejects_garbage ] );
+        [
+          tc "roundtrip" `Quick test_json_roundtrip;
+          tc "float text" `Quick test_json_float_text;
+          tc "rejects garbage" `Quick test_json_rejects_garbage;
+        ] );
       ( "metrics",
         [
           tc "disabled writes dropped" `Quick test_metrics_disabled_writes_dropped;
@@ -728,6 +890,7 @@ let () =
           tc "histogram fan-out merge" `Quick test_metrics_histogram_fanout_merge;
           tc "kind clash raises" `Quick test_metrics_kind_clash_raises;
           tc "snapshot shape" `Quick test_metrics_snapshot_shape;
+          tc "snapshot lists only what was written" `Quick test_metrics_snapshot_lists_written;
           tc "labels interned" `Quick test_metrics_labels_interned;
           tc "label cardinality cap" `Quick test_metrics_label_cardinality_cap;
           tc "hist quantile" `Quick test_metrics_hist_quantile;
@@ -747,9 +910,12 @@ let () =
           tc "json validity" `Quick test_trace_json_validity;
           tc "ring bounded" `Quick test_trace_ring_bounded;
           tc "feeds profile and metrics" `Quick test_trace_feeds_profile_and_metrics;
+          tc "self time exact under nesting and raise" `Quick test_trace_self_time_exact;
           tc "scoped events and tree" `Quick test_trace_scoped_events;
           tc "disabled probes allocate nothing" `Quick test_disabled_probes_allocate_nothing;
+          tc "armed spans cost a constant" `Quick test_armed_span_constant_cost;
           tc "armed run identical to disarmed" `Quick test_armed_run_identical;
+          tc "second armed run interns nothing" `Quick test_armed_run_interns_nothing;
         ] );
       ( "report",
         [

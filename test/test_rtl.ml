@@ -195,6 +195,39 @@ let test_module_part_lookup () =
           ignore (Design.module_part rm "nosuch"))
   | Design.Simple _ -> Alcotest.fail "expected module"
 
+(* ------------------------------------------------------------------ *)
+(* Fingerprint *)
+
+(* The fingerprint keys the cost caches, the disk cache and the
+   checkpoints, so its value is part of the file formats: these pins
+   fail on any change to the FNV chain. test1's initial design has
+   module instances (the recursive module branch); paulin's is flat. *)
+let test_fingerprint_pinned () =
+  let module Suite = Hsyn_benchmarks.Suite in
+  let fp (b : Suite.t) =
+    Printf.sprintf "%016Lx" (Design.fingerprint (Tu.initial ~registry:b.Suite.registry ctx b.Suite.dfg))
+  in
+  Alcotest.check Alcotest.string "test1 initial design" "ece9b6cd20346f77" (fp (Suite.test1 ()));
+  Alcotest.check Alcotest.string "paulin initial design" "01b4e4ffdee21640" (fp (Suite.paulin ()))
+
+(* The chain's state stays unboxed: a fingerprint allocates its 8-byte
+   state buffer and its boxed [int64] result (3 words each) and nothing
+   per mixed value. A design with module instances takes the recursive
+   path too. *)
+let test_fingerprint_allocation () =
+  let module Suite = Hsyn_benchmarks.Suite in
+  let b = Suite.test1 () in
+  let d = Tu.initial ~registry:b.Suite.registry ctx b.Suite.dfg in
+  ignore (Design.fingerprint d);
+  let calls = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Design.fingerprint d))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.check (Alcotest.float 0.) "minor words of 1000 fingerprints" (6. *. Float.of_int calls)
+    words
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "rtl"
@@ -227,4 +260,5 @@ let () =
           tc "chain shape" test_validate_chain_shape;
           tc "call on simple" test_validate_call_on_simple;
         ] );
+      ("fingerprint", [ tc "pinned values" test_fingerprint_pinned; tc "allocates only its buffer and result" test_fingerprint_allocation ]);
     ]
