@@ -6,8 +6,10 @@
      report   flight-recorder report from a run's NDJSON/trace artifacts
      list     list built-in benchmarks
      library  print the default module library (Table 1)
-     dump     print a benchmark in the textual DFG format
-     dot      print a benchmark DFG in Graphviz format *)
+     dump     print a benchmark in the textual DFG format (--dot: Graphviz)
+     fuzz     differential fuzzing of random programs against the oracles
+     serve    synthesis daemon over a Unix or TCP socket
+     top      live dashboard of a running daemon's metrics *)
 
 module Dfg = Hsyn_dfg.Dfg
 module Registry = Hsyn_dfg.Registry
@@ -162,9 +164,6 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
                    end))
           in
           let events, close_events = make_events ~progress ~events_json in
-          (* the kernel's counters are process-wide; the CLI synthesizes
-             one design at a time, so this window is the design's own *)
-          let sched0 = Sched.stats () in
           let outcome =
             Fun.protect
               ~finally:(fun () ->
@@ -177,7 +176,6 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
               (fun () ->
                 S.synthesize ~events ~token ?checkpoint ~resume ?cache_dir:doc.Wire.cache req)
           in
-          let sched = Sched.sub_stats (Sched.stats ()) sched0 in
           match outcome with
           | Error msg ->
               prerr_endline ("hsyn: " ^ msg);
@@ -200,27 +198,24 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
                   (match r.S.coverage.S.stop_reason with Some s -> s | None -> "?")
                   r.S.coverage.S.contexts_done r.S.coverage.S.contexts_planned;
               if show_stats || profile then begin
+                (* this design's own snapshot (the registry is reset
+                   before each design), the one --metrics writes *)
+                let snap = Metrics.snapshot () in
                 Printf.printf "\nevaluation engine (jobs %d, cache %d):\n" policy.Engine.jobs
                   policy.Engine.cache_capacity;
-                Format.printf "  total        %a@." Session.pp_totals (Session.totals session);
-                List.iter
-                  (fun (fam, c) -> Format.printf "  %-12s %a@." fam Session.pp_counters c)
-                  (Session.family_totals session);
-                Format.printf "%a@." Sched.pp_stats sched;
-                Format.printf "%a@." Session.pp_stats (Session.stats session);
+                print_string (Report.render_stats snap);
                 (match Hsyn_core.Pass.rewrite_kinds r.S.stats with
                 | [] -> ()
                 | kinds ->
                     Printf.printf "rewrites committed:";
                     List.iter (fun (k, n) -> Printf.printf " %s %d" k n) kinds;
-                    print_newline ())
-              end;
-              if profile then begin
-                (* the table hsyn report prints from this run's snapshot *)
-                print_newline ();
-                print_string
-                  (Report.render_stages ~wall_s:r.S.elapsed_s
-                     (Report.stages_of_snapshot (Metrics.snapshot ())))
+                    print_newline ());
+                if profile then begin
+                  (* the table hsyn report prints from the same snapshot *)
+                  print_newline ();
+                  print_string
+                    (Report.render_stages ~wall_s:r.S.elapsed_s (Report.stages_of_snapshot snap))
+                end
               end;
               if show_rtl then Format.printf "@.%a@." Design.pp r.S.design;
               let cs = Sched.relaxed ~deadline:r.S.deadline_cycles r.S.design.Design.dfg in
@@ -277,7 +272,8 @@ let do_synth bench file dfg_name objective lf sampling mode seed jobs budget_s m
       0
   | Ok docs ->
       if trace_out <> None then Trace.set_enabled true;
-      if metrics_out <> None || trace_out <> None || profile then Metrics.set_enabled true;
+      if metrics_out <> None || trace_out <> None || show_stats || profile then
+        Metrics.set_enabled true;
       (* one session reused across every design with --share-session;
          otherwise each design gets its own (results are identical
          either way — sharing only skips repeated work) *)
@@ -367,7 +363,8 @@ let share_session_flag =
         ~doc:
           "Share one memoization session (scheduler and cost caches) across all designs of a \
            comma-separated $(b,-b) list. Results are bit-identical with or without sharing; \
-           sharing only skips repeated work. $(b,--stats) then reports cumulative totals.")
+           sharing only skips repeated work. $(b,--stats) still reports each design's own \
+           counts; only its $(b,[session]) lines describe the shared session's tables.")
 
 let dump_request_flag =
   Arg.(
@@ -434,7 +431,10 @@ let stats_flag =
   Arg.(
     value & flag
     & info [ "stats" ]
-        ~doc:"Print evaluation-engine and scheduler-kernel statistics (cache, parallelism).")
+        ~doc:
+          "Print evaluation-engine, scheduler-kernel and session-cache statistics of each design \
+           from its metrics snapshot (implies metrics collection, which costs a few percent of \
+           the run time).")
 
 let profile_flag =
   Arg.(

@@ -23,6 +23,30 @@ let fields =
     "power_skipped"; "batches"; "disk_hits";
   |]
 
+(* each field's slot in a tally, in the order of [fields] *)
+let generated = 0
+let evaluated = 1
+let cache_hits = 2
+let cache_misses = 3
+let evictions = 4
+let power_sims = 5
+let power_skipped = 6
+let batches = 7
+let disk_hits = 8
+
+let counters_of (a : int array) =
+  {
+    Session.generated = a.(generated);
+    evaluated = a.(evaluated);
+    cache_hits = a.(cache_hits);
+    cache_misses = a.(cache_misses);
+    evictions = a.(evictions);
+    power_sims = a.(power_sims);
+    power_skipped = a.(power_skipped);
+    batches = a.(batches);
+    disk_hits = a.(disk_hits);
+  }
+
 let handles suffix = Array.map (fun field -> Metrics.counter ("engine." ^ field ^ suffix)) fields
 let total_handles = handles ""
 
@@ -53,22 +77,11 @@ type t = {
   mutable pending_fams : (family * int array) list;
 }
 
-(* [d]'s fields added into [a], in the order of [fields] *)
-let accumulate (a : int array) (d : Session.counters) =
-  a.(0) <- a.(0) + d.generated;
-  a.(1) <- a.(1) + d.evaluated;
-  a.(2) <- a.(2) + d.cache_hits;
-  a.(3) <- a.(3) + d.cache_misses;
-  a.(4) <- a.(4) + d.evictions;
-  a.(5) <- a.(5) + d.power_sims;
-  a.(6) <- a.(6) + d.power_skipped;
-  a.(7) <- a.(7) + d.batches;
-  a.(8) <- a.(8) + d.disk_hits
-
-(* Armed, a bump adds its delta to the engine's unwritten totals
-   ([pending], and per family [pending_fams]); they reach the registry
-   when the batch or single evaluation ends ([flush_metrics]), one
-   atomic add per non-zero field instead of several per candidate. *)
+(* A bump adds [n] to one field of the batch's tally ([pending], and
+   per family [pending_fams]), and nothing else. When the batch or
+   single evaluation ends, [flush] hands the tally to every store: the
+   engine's totals, its session (one lock) and the registry (armed, one
+   atomic add per non-zero field). *)
 let pending_of t f =
   match List.assq f t.pending_fams with
   | a -> a
@@ -77,19 +90,15 @@ let pending_of t f =
       t.pending_fams <- (f, a) :: t.pending_fams;
       a
 
-let bump t ?fam d =
-  t.totals <- Session.add t.totals d;
+let bump t ?fam field n =
+  t.pending.(field) <- t.pending.(field) + n;
   match fam with
-  | None ->
-      Session.bump t.session d;
-      if Metrics.is_enabled () then accumulate t.pending d
+  | None -> ()
   | Some f ->
-      Session.bump t.session ~family:f.fam_name d;
-      if Metrics.is_enabled () then begin
-        accumulate t.pending d;
-        accumulate (pending_of t f) d
-      end
+      let a = pending_of t f in
+      a.(field) <- a.(field) + n
 
+(* adds [a] to the registry (a no-op disarmed) and zeroes it *)
 let write handles (a : int array) =
   Array.iteri
     (fun i n ->
@@ -99,19 +108,28 @@ let write handles (a : int array) =
       end)
     a
 
-let flush_metrics t =
+let flush t =
+  let d = counters_of t.pending in
+  let fams =
+    List.filter_map
+      (fun (f, a) ->
+        if Array.exists (fun n -> n <> 0) a then Some (f.fam_name, counters_of a) else None)
+      t.pending_fams
+  in
+  t.totals <- Session.add t.totals d;
+  Session.bump t.session d fams;
   write total_handles t.pending;
   List.iter (fun (f, a) -> write f.fam_handles a) t.pending_fams
 
-(* [f t], then the unwritten counters, also when [f] raises *)
+(* [f t], then the tally, also when [f] raises *)
 let flushing t f =
   match f () with
   | v ->
-      flush_metrics t;
+      flush t;
       v
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      flush_metrics t;
+      flush t;
       Printexc.raise_with_backtrace e bt
 
 let create ?(policy = default_policy) ?session ?token ~ctx ~cs ~sampling_ns ~trace ~objective () =
@@ -242,22 +260,23 @@ let fill t ~keep_sched designs =
     (fun (fam, _, fp, hit) (e, _) ->
       match hit with
       | Some _ ->
-          bump t ?fam
-            { Session.zero with cache_hits = 1; disk_hits = Bool.to_int e.e_from_disk }
+          bump t ?fam cache_hits 1;
+          if e.e_from_disk then bump t ?fam disk_hits 1
       | None -> (
-          bump t ?fam { Session.zero with cache_misses = 1; evaluated = 1 };
+          bump t ?fam cache_misses 1;
+          bump t ?fam evaluated 1;
           match t.costs with
           | None -> ()
           | Some c ->
               let evicted = Session.cost_insert c fp e in
-              if evicted > 0 then bump t ?fam { Session.zero with evictions = evicted }))
+              if evicted > 0 then bump t ?fam evictions evicted))
     probed filled;
   filled
 
 let eval_internal t ~need_power design =
   flushing t @@ fun () ->
   let e, sched = (fill t ~keep_sched:need_power [| (None, design) |]).(0) in
-  if need_power && complete_power t ?sched e then bump t { Session.zero with power_sims = 1 };
+  if need_power && complete_power t ?sched e then bump t power_sims 1;
   Session.entry_eval e
 
 let evaluate t design = eval_internal t ~need_power:(t.obj = Cost.Power) design
@@ -289,7 +308,7 @@ let best_of t ?family ~limit seq =
     Array.map
       (fun (tag, design) ->
         let fam = Option.map (fun f -> f tag) family in
-        bump t ?fam { Session.zero with generated = 1 };
+        bump t ?fam generated 1;
         (fam, design))
       raw
   in
@@ -332,7 +351,7 @@ let best_of t ?family ~limit seq =
         check_token t;
         let beats_best b = match !best with None -> true | Some (bv, _) -> b <= bv in
         let skipped, rest = List.partition (fun (b, _) -> not (beats_best b)) pending in
-        List.iter (fun (_, i) -> bump t ?fam:(fam i) { Session.zero with power_skipped = 1 }) skipped;
+        List.iter (fun (_, i) -> bump t ?fam:(fam i) power_skipped 1) skipped;
         let wave = take_n wave_size (List.to_seq rest) in
         let sims =
           on_pool t
@@ -343,15 +362,19 @@ let best_of t ?family ~limit seq =
         in
         List.iteri
           (fun k (_, i) ->
-            if sims.(k) then bump t ?fam:(fam i) { Session.zero with power_sims = 1 };
+            if sims.(k) then bump t ?fam:(fam i) power_sims 1;
             consider i)
           wave;
         waves (List.filteri (fun k _ -> k >= wave_size) rest)
   in
   waves pending;
-  bump t { Session.zero with batches = 1 };
+  bump t batches 1;
+  (* the candidate as generated: on a hit the entry holds an equal
+     design another batch or engine made, and handing that copy on
+     would make the memos keyed by physical identity depend on which
+     copy was cached first *)
   Option.map
     (fun (v, i) ->
-      let e = entry i in
-      (fst raw.(i), e.e_design, Session.entry_eval e, v))
+      let tag, design = raw.(i) in
+      (tag, design, Session.entry_eval (entry i), v))
     !best

@@ -50,14 +50,14 @@
     Results are bit-identical to direct {!Cost.evaluate} calls and
     independent of the pool size.
 
-    {b What the engine counts.} Each evaluation adds a delta of
-    {!Session.counters} to the engine's own totals ({!counters}), to
-    its session's totals, and, for batch candidates, to the session's
-    per-family totals under the candidate's [family] label
-    ({!Session.family_totals}). With metrics enabled the engine also
-    sums the deltas and adds them to the [engine.<field>] and
-    [engine.<field>.<family>] counters when the batch or single
-    evaluation ends (also when it raises). Generated candidates, hits,
+    {b What the engine counts.} A batch or single evaluation counts
+    into one tally of {!Session.counters} fields, and when it ends
+    (also when it raises) hands the tally to every store at once: the
+    engine's own totals ({!counters}), its session's totals and, for
+    batch candidates, the session's per-family totals under the
+    candidate's [family] label ({!Session.family_totals}), under one
+    session lock, and with metrics enabled the [engine.<field>] and
+    [engine.<field>.<family>] counters. Generated candidates, hits,
     misses, evictions, simulations and skips of a batch are attributed
     to the family; batches and the work of single evaluations are not. A
     batch's time is the [batch] span's ([stage.batch] with metrics
@@ -151,8 +151,11 @@ val best_of :
     and return the feasible candidate minimizing the objective, with
     its evaluation and objective value. Ties go to the earliest
     candidate, matching a sequential fold; the result does not depend
-    on [jobs]. [family] labels candidates for the session's
-    per-family counters.
+    on [jobs]. The design returned is the candidate as the sequence
+    produced it, never a cache entry's structurally equal copy, so what
+    follows (memos keyed by physical identity included) does not depend
+    on which engine cached the design first. [family] labels candidates
+    for the session's per-family counters.
 
     Spans: [batch] covers the call, [generate] the pulling of the
     sequence (including nested resynthesis), and [probe] the
@@ -168,5 +171,6 @@ val cache_size : t -> int
 (** Engines are created at every level of the synthesis recursion
     (top-level improvement, complex-library construction, move-B
     resynthesis); the {!Session} they share aggregates counters across
-    all of them for [--stats] reporting and the bench harness — there
-    is no process-wide accounting anymore. *)
+    all of them for the bench harness and tests, and the registry's
+    [engine.*] counters across all of them for [--stats], [--metrics]
+    and [hsyn report]. *)

@@ -56,19 +56,6 @@ let sub a b =
     disk_hits = a.disk_hits - b.disk_hits;
   }
 
-let rate num denom = if denom <= 0 then 0. else 100. *. Float.of_int num /. Float.of_int denom
-
-let pp_counters ppf c =
-  Format.fprintf ppf
-    "gen %d  eval %d  cache %d/%d (%.1f%% hit)  disk %d  evict %d  sims %d  skipped %d (%.1f%%)"
-    c.generated c.evaluated c.cache_hits
-    (c.cache_hits + c.cache_misses)
-    (rate c.cache_hits (c.cache_hits + c.cache_misses))
-    c.disk_hits c.evictions c.power_sims c.power_skipped
-    (rate c.power_skipped (c.power_sims + c.power_skipped))
-
-let pp_totals ppf c = Format.fprintf ppf "%a  batches %d" pp_counters c c.batches
-
 (* -- cost cache entries ------------------------------------------------- *)
 
 (* An entry keeps the design it was computed from so a fingerprint
@@ -153,14 +140,14 @@ let create () =
 
 let sched_cache t = t.sc
 
-let bump t ?family d =
+let bump t d families =
   Mutex.lock t.acc_lock;
   t.acc_totals <- add t.acc_totals d;
-  (match family with
-  | None -> ()
-  | Some f ->
+  List.iter
+    (fun (f, fd) ->
       let cur = match Hashtbl.find_opt t.acc_families f with Some c -> c | None -> zero in
-      Hashtbl.replace t.acc_families f (add cur d));
+      Hashtbl.replace t.acc_families f (add cur fd))
+    families;
   Mutex.unlock t.acc_lock
 
 let totals t =
@@ -307,18 +294,13 @@ let stats (t : t) =
     profile_tbl = sc.Sched.Cache.profile_tbl;
   }
 
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "@[<v>[session] cost cache (%d ctx): %a@,[session] prepared: %a@,[session] profiles: %a@]"
-    s.contexts Shard_tbl.pp_stats s.cost_tbl Shard_tbl.pp_stats s.prepared_tbl Shard_tbl.pp_stats
-    s.profile_tbl
-
 (* session.<table>.<field> gauges of one table, resolved once *)
 type table_gauges = {
   g_hits : Metrics.gauge;
   g_misses : Metrics.gauge;
   g_evictions : Metrics.gauge;
   g_size : Metrics.gauge;
+  g_capacity : Metrics.gauge;
   g_shard_min : Metrics.gauge;
   g_shard_max : Metrics.gauge;
 }
@@ -330,6 +312,7 @@ let table_gauges name =
     g_misses = g "misses";
     g_evictions = g "evictions";
     g_size = g "size";
+    g_capacity = g "capacity";
     g_shard_min = g "shard_min";
     g_shard_max = g "shard_max";
   }
@@ -348,6 +331,7 @@ let export_metrics t =
       set g.g_misses st.Shard_tbl.misses;
       set g.g_evictions st.Shard_tbl.evictions;
       set g.g_size st.Shard_tbl.size;
+      set g.g_capacity st.Shard_tbl.capacity;
       (* Shard balance as two aggregates rather than one gauge per
          shard: a per-shard series scales the export with the shard
          count (16 per table x 3 tables) while all a reader ever did

@@ -58,13 +58,6 @@ val sub : counters -> counters -> counters
 (** Fieldwise difference — [sub after before] is the delta of an
     interval, used to attribute engine work to one improvement run. *)
 
-val pp_counters : Format.formatter -> counters -> unit
-(** One [--stats] row of per-family counters, with hit and skip rates:
-    every field but [batches], which no family owns. *)
-
-val pp_totals : Format.formatter -> counters -> unit
-(** The [--stats] total row: {!pp_counters}, then [batches]. *)
-
 (** {1 Sessions} *)
 
 type t
@@ -80,9 +73,10 @@ val sched_cache : t -> Sched.Cache.t
 
 (** {1 Aggregated accounting} *)
 
-val bump : t -> ?family:string -> counters -> unit
-(** Add a delta to the session totals (and the per-family breakdown
-    when [family] is given). Thread-safe; called by engines on every
+val bump : t -> counters -> (string * counters) list -> unit
+(** [bump t d families] adds [d] to the session totals and each
+    family's delta to that family's total, under one lock.
+    Thread-safe; an engine calls it once per batch or single
     evaluation. *)
 
 val totals : t -> counters
@@ -166,13 +160,13 @@ type stats = {
 }
 
 val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit
 
 val export_metrics : t -> unit
 (** Publish the current {!stats} through [Obs.Metrics] as
     [session.<table>.*] gauges for the [cost], [prepared] and
-    [profiles] tables (hits, misses, evictions, size, and shard
-    occupancy as [shard_min] and [shard_max]) plus
+    [profiles] tables (hits, misses, evictions, size, capacity (0 when
+    unbounded; the cost table's sums its contexts'), and shard occupancy
+    as [shard_min] and [shard_max]) plus
     [session.contexts]. A no-op while metrics are disabled. Call after
     a run (or periodically from a server loop); values are absolute
     snapshots, not deltas. *)

@@ -1,6 +1,5 @@
-(* Unified metrics registry: named counters, float accumulators, gauges
-   and fixed-bucket histograms, optionally carrying a low-cardinality
-   label dimension.
+(* Unified metrics registry: named counters, gauges and fixed-bucket
+   histograms, optionally carrying a low-cardinality label dimension.
 
    Domain-safety follows the worker-pool model: writers bump a
    per-domain shard (found or CAS-appended in a lock-free list), so the
@@ -30,7 +29,7 @@ module Json = Hsyn_util.Json
 let set_enabled = Gate.set_metrics
 let is_enabled = Gate.metrics_enabled
 
-let schema_version = 1
+let schema_version = 2
 
 (* -- names and labels -------------------------------------------------- *)
 
@@ -95,7 +94,7 @@ let shard_for (type a b) (shards : a shards) (mk : b -> a) (arg : b) : a =
 let fold_shards shards f init =
   List.fold_left (fun acc (_, s) -> f acc s) init (Atomic.get shards)
 
-(* atomic float accumulate via CAS *)
+(* atomic float accumulate via CAS, for histogram sums *)
 let rec fadd (a : float Atomic.t) x =
   let v = Atomic.get a in
   if not (Atomic.compare_and_set a v (v +. x)) then fadd a x
@@ -111,7 +110,6 @@ let rec fmax (a : float Atomic.t) x =
 (* -- metric kinds ------------------------------------------------------ *)
 
 type counter = { c_id : id; c_shards : int Atomic.t shards }
-type fcounter = { f_id : id; f_shards : float Atomic.t shards }
 type gauge = { g_id : id; g_cell : float option Atomic.t }
 
 type hshard = {
@@ -124,9 +122,9 @@ type hshard = {
 
 type histogram = { h_id : id; h_edges : float array; h_shards : hshard shards }
 
-type metric = C of counter | F of fcounter | G of gauge | H of histogram
+type metric = C of counter | G of gauge | H of histogram
 
-let metric_id = function C c -> c.c_id | F f -> f.f_id | G g -> g.g_id | H h -> h.h_id
+let metric_id = function C c -> c.c_id | G g -> g.g_id | H h -> h.h_id
 let metric_name m = (metric_id m).full
 
 (* A metric is written since the last [reset] (or since start) when a
@@ -137,7 +135,6 @@ let is_written m =
   let has = function [] -> false | _ :: _ -> true in
   match m with
   | C c -> has (Atomic.get c.c_shards)
-  | F f -> has (Atomic.get f.f_shards)
   | G g -> Option.is_some (Atomic.get g.g_cell)
   | H h -> has (Atomic.get h.h_shards)
 
@@ -193,13 +190,6 @@ let counter ?(labels = []) name =
       (C c, c))
     (function C c -> Some c | _ -> None)
 
-let fcounter ?(labels = []) name =
-  intern (make_id name labels)
-    (fun id ->
-      let f = { f_id = id; f_shards = Atomic.make [] } in
-      (F f, f))
-    (function F f -> Some f | _ -> None)
-
 let gauge ?(labels = []) name =
   intern (make_id name labels)
     (fun id ->
@@ -228,7 +218,6 @@ let histogram ?(edges = default_duration_edges_ms) ?(labels = []) name =
 (* -- writes (enabled-checked by the caller for batch sites, or here) --- *)
 
 let new_int_cell () = Atomic.make 0
-let new_float_cell () = Atomic.make 0.
 
 (* [add c 0] still makes the domain's shard: the counter is written *)
 let add c n =
@@ -238,8 +227,6 @@ let add c n =
   end
 
 let incr c = add c 1
-
-let facc f x = if Gate.metrics_enabled () then fadd (shard_for f.f_shards new_float_cell ()) x
 
 let set g x = if Gate.metrics_enabled () then Atomic.set g.g_cell (Some x)
 
@@ -268,7 +255,6 @@ let observe h v =
 (* -- merged reads ------------------------------------------------------ *)
 
 let counter_value c = fold_shards c.c_shards (fun acc s -> acc + Atomic.get s) 0
-let fcounter_value f = fold_shards f.f_shards (fun acc s -> acc +. Atomic.get s) 0.
 let gauge_value g = Atomic.get g.g_cell
 
 type hist_view = {
@@ -329,7 +315,6 @@ let by_name ms = List.sort (fun a b -> String.compare (metric_name a) (metric_na
 
 type view =
   | Counter_view of int
-  | Fcounter_view of float
   | Gauge_view of float option
   | Histogram_view of hist_view
 
@@ -340,7 +325,6 @@ let fold f init =
       let view =
         match m with
         | C c -> Counter_view (counter_value c)
-        | F fc -> Fcounter_view (fcounter_value fc)
         | G g -> Gauge_view (gauge_value g)
         | H h -> Histogram_view (histogram_view h)
       in
@@ -350,12 +334,11 @@ let fold f init =
 (* -- snapshot ---------------------------------------------------------- *)
 
 let snapshot () =
-  let counters = ref [] and fcounters = ref [] and gauges = ref [] and hists = ref [] in
+  let counters = ref [] and gauges = ref [] and hists = ref [] in
   List.iter
     (fun m ->
       match m with
       | C c -> counters := (c.c_id.full, Json.Int (counter_value c)) :: !counters
-      | F f -> fcounters := (f.f_id.full, Json.Float (fcounter_value f)) :: !fcounters
       | G g ->
           gauges :=
             (g.g_id.full, match gauge_value g with Some v -> Json.Float v | None -> Json.Null)
@@ -380,7 +363,6 @@ let snapshot () =
       ("schema_version", Json.Int schema_version);
       ("kind", Json.String "hsyn.metrics");
       ("counters", Json.Obj (List.rev !counters));
-      ("fcounters", Json.Obj (List.rev !fcounters));
       ("gauges", Json.Obj (List.rev !gauges));
       ("histograms", Json.Obj (List.rev !hists));
     ]
@@ -389,7 +371,6 @@ let reset () =
   List.iter
     (function
       | C c -> Atomic.set c.c_shards []
-      | F f -> Atomic.set f.f_shards []
       | G g -> Atomic.set g.g_cell None
       | H h -> Atomic.set h.h_shards [])
     (collect all)

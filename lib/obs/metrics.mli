@@ -1,6 +1,5 @@
-(** Unified metrics registry: counters, float accumulators, gauges and
-    fixed-bucket histograms, named, optionally labeled, process-wide,
-    domain-safe.
+(** Unified metrics registry: counters, gauges and fixed-bucket
+    histograms, named, optionally labeled, process-wide, domain-safe.
 
     Writers bump per-domain shards (lock-free CAS-appended lists of
     atomics, following the evaluation-pool worker model), so recording
@@ -38,6 +37,8 @@ module Json = Hsyn_util.Json
 val set_enabled : bool -> unit
 val is_enabled : unit -> bool
 val schema_version : int
+(** 2: a snapshot has the sections [counters], [gauges] and
+    [histograms] (version 1 also had an always-empty [fcounters]). *)
 
 type labels = (string * string) list
 (** Label key/value pairs; sorted by key on intern, so
@@ -47,12 +48,10 @@ val max_label_sets : int
 (** Cardinality cap per base name (overflow series excluded). *)
 
 type counter
-type fcounter
 type gauge
 type histogram
 
 val counter : ?labels:labels -> string -> counter
-val fcounter : ?labels:labels -> string -> fcounter
 val gauge : ?labels:labels -> string -> gauge
 
 val default_duration_edges_ms : float array
@@ -65,7 +64,6 @@ val histogram : ?edges:float array -> ?labels:labels -> string -> histogram
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-val facc : fcounter -> float -> unit
 val set : gauge -> float -> unit
 val observe : histogram -> float -> unit
 (** All writes are no-ops while metrics are disabled. Each marks its
@@ -73,7 +71,6 @@ val observe : histogram -> float -> unit
     value but publishes [c] at zero. *)
 
 val counter_value : counter -> int
-val fcounter_value : fcounter -> float
 val gauge_value : gauge -> float option
 
 type hist_view = {
@@ -97,7 +94,6 @@ val hist_quantile : float -> hist_view -> float
 
 type view =
   | Counter_view of int
-  | Fcounter_view of float
   | Gauge_view of float option
   | Histogram_view of hist_view
 
@@ -116,6 +112,6 @@ val reset : unit -> unit
     valid). *)
 
 val intern_count : unit -> int
-(** Handle requests ({!counter}, {!fcounter}, {!gauge}, {!histogram})
+(** Handle requests ({!counter}, {!gauge}, {!histogram})
     served since start. Each takes the registry's lock, so a hot path
     that makes none leaves this count unchanged. *)

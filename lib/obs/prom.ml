@@ -68,9 +68,6 @@ let render () =
       | Metrics.Counter_view n ->
           type_line name "counter";
           sample name labels (string_of_int n)
-      | Metrics.Fcounter_view f ->
-          type_line name "counter";
-          sample name labels (render_float f)
       | Metrics.Gauge_view None -> ()  (* never set: no sample, no type line *)
       | Metrics.Gauge_view (Some f) ->
           type_line name "gauge";

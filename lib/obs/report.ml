@@ -171,6 +171,53 @@ let render_stages ?wall_s stages =
     wall_ms;
   Buffer.contents buf
 
+(* -- the --stats block ------------------------------------------------------ *)
+
+let rate num denom = if denom <= 0 then 0. else 100. *. Float.of_int num /. Float.of_int denom
+
+let render_stats snap =
+  let section k =
+    match Json.member k snap with Some (Json.Obj fields) -> fields | _ -> []
+  in
+  let counters = section "counters" and gauges = section "gauges" in
+  let read conv fields name =
+    Option.value ~default:0 (Option.bind (List.assoc_opt name fields) conv)
+  in
+  let c = read Json.to_int_opt counters in
+  let g = read (fun v -> Option.map Float.to_int (Json.to_float_opt v)) gauges in
+  let buf = Buffer.create 1024 in
+  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  (* one engine row: every field but [batches], which no family owns *)
+  let row suffix =
+    let f field = c ("engine." ^ field ^ suffix) in
+    let hits = f "cache_hits" and skipped = f "power_skipped" in
+    let lookups = hits + f "cache_misses" and sims = f "power_sims" in
+    Printf.sprintf
+      "gen %d  eval %d  cache %d/%d (%.1f%% hit)  disk %d  evict %d  sims %d  skipped %d (%.1f%%)"
+      (f "generated") (f "evaluated") hits lookups (rate hits lookups) (f "disk_hits")
+      (f "evictions") sims skipped (rate skipped (sims + skipped))
+  in
+  pr "  total        %s  batches %d\n" (row "") (c "engine.batches");
+  (* every family the engine counted generated a candidate *)
+  List.iter
+    (fun (fam, _) -> pr "  %-12s %s\n" fam (row ("." ^ fam)))
+    (List.sort compare (suffixed counters "engine.generated"));
+  pr "[sched] schedules: %d, events popped: %d\n" (c "sched.schedules") (c "sched.events_popped");
+  pr "[sched] prepared contexts: %d hits / %d builds\n" (c "sched.prepared_hits")
+    (c "sched.prepared_builds");
+  let table label name =
+    let f field = g ("session." ^ name ^ "." ^ field) in
+    let hits = f "hits" and capacity = f "capacity" in
+    let lookups = hits + f "misses" in
+    pr "[session] %s: %d/%d (%.1f%% hit)  evict %d  size %d%s\n" label hits lookups
+      (rate hits lookups) (f "evictions") (f "size")
+      (if capacity > 0 then Printf.sprintf "/%d" capacity else "")
+  in
+  table (Printf.sprintf "cost cache (%d ctx)" (g "session.contexts")) "cost";
+  table "prepared" "prepared";
+  table "profiles" "profiles";
+  Buffer.contents buf
+
 let of_lines lines =
   let skipped = ref 0 in
   let parsed =

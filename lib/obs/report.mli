@@ -101,6 +101,16 @@ val render_stages : ?wall_s:float -> stage list -> string
     rows can exceed the wall time. [hsyn synth --profile] and
     [hsyn report] print this table. *)
 
+val render_stats : Json.t -> string
+(** The [hsyn synth --stats] block of a {!Metrics.snapshot}: the
+    engine's total row ([engine.<field>], then [engine.batches]), one
+    row per move family ([engine.<field>.<family>], sorted by family
+    name), two [[sched]] lines ([sched.*]) and three [[session]]
+    lines, one per session table ([session.<table>.*] gauges, and
+    [session.contexts]); a table's [capacity] gauge of 0 prints no
+    bound. A name the snapshot lacks reads 0, as a snapshot omits what
+    the run never wrote. *)
+
 val of_lines : string list -> (t, string) result
 (** Fold NDJSON lines (blank lines ignored, unparseable lines counted
     in [skipped_lines]) into a report. [Error] only when no line

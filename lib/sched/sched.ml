@@ -4,6 +4,7 @@ module Fu = Hsyn_modlib.Fu
 module Int_heap = Hsyn_util.Int_heap
 module Shard_tbl = Hsyn_util.Shard_tbl
 module Span = Hsyn_obs.Trace
+module Metrics = Hsyn_obs.Metrics
 
 type profile = { in_need : int array; out_ready : int array; busy : int }
 
@@ -34,7 +35,8 @@ type impl = Event | Legacy
 let impl () = Event
 
 (* ------------------------------------------------------------------ *)
-(* Kernel counters *)
+(* Kernel counters: registry handles, made once; disarmed, a write is
+   one atomic load *)
 
 type stats = {
   schedules : int;
@@ -43,20 +45,20 @@ type stats = {
   prepared_builds : int;
 }
 
-let c_schedules = Atomic.make 0
-let c_events = Atomic.make 0
-let c_prep_hits = Atomic.make 0
-let c_prep_builds = Atomic.make 0
+let c_schedules = Metrics.counter "sched.schedules"
+let c_events = Metrics.counter "sched.events_popped"
+let c_prep_hits = Metrics.counter "sched.prepared_hits"
+let c_prep_builds = Metrics.counter "sched.prepared_builds"
 
 let prepare_probe = Span.probe Span.Schedule "prepare"
 let schedule_probe = Span.probe Span.Schedule "schedule"
 
 let stats () =
   {
-    schedules = Atomic.get c_schedules;
-    events_popped = Atomic.get c_events;
-    prepared_hits = Atomic.get c_prep_hits;
-    prepared_builds = Atomic.get c_prep_builds;
+    schedules = Metrics.counter_value c_schedules;
+    events_popped = Metrics.counter_value c_events;
+    prepared_hits = Metrics.counter_value c_prep_hits;
+    prepared_builds = Metrics.counter_value c_prep_builds;
   }
 
 let zero_stats = { schedules = 0; events_popped = 0; prepared_hits = 0; prepared_builds = 0 }
@@ -68,10 +70,6 @@ let sub_stats a b =
     prepared_hits = a.prepared_hits - b.prepared_hits;
     prepared_builds = a.prepared_builds - b.prepared_builds;
   }
-
-let pp_stats fmt s =
-  Format.fprintf fmt "@[<v>[sched] schedules: %d, events popped: %d@,[sched] prepared contexts: %d hits / %d builds@]"
-    s.schedules s.events_popped s.prepared_hits s.prepared_builds
 
 (* ------------------------------------------------------------------ *)
 (* Prepared scheduling context: everything that depends only on the
@@ -109,7 +107,7 @@ module Prepared = struct
 
   let build (dfg : Dfg.t) =
     Span.span prepare_probe (fun () ->
-        Atomic.incr c_prep_builds;
+        Metrics.incr c_prep_builds;
         let nodes = dfg.Dfg.nodes in
         let n_nodes = Array.length nodes in
         let value_off = Array.make (n_nodes + 1) 0 in
@@ -298,7 +296,7 @@ let prepared_in (cache : Cache.t) dfg =
         built := true;
         Prepared.build dfg)
   in
-  if not !built then Atomic.incr c_prep_hits;
+  if not !built then Metrics.incr c_prep_hits;
   p
 
 let rec module_profile_impl cache ctx rm behavior =
@@ -750,8 +748,8 @@ and schedule_event cache (p : Prepared.t) ctx (cs : constraints) (d : Design.t) 
       done
     end
   done;
-  Atomic.incr c_schedules;
-  ignore (Atomic.fetch_and_add c_events !pops);
+  Metrics.incr c_schedules;
+  Metrics.add c_events !pops;
   let n_nodes = p.Prepared.n_nodes in
   if !unscheduled > 0 then
     (* ordering constraints (register serialization vs data order)

@@ -133,7 +133,15 @@ val schedule : ?cache:Cache.t -> Design.ctx -> constraints -> Design.t -> schedu
     @raise Invalid_argument if the binding is structurally unusable
     (e.g. an unbound operation). *)
 
-(** {1 Kernel counters} *)
+(** {1 Kernel counters}
+
+    The kernel counts in the metrics registry ({!Hsyn_obs.Metrics}),
+    through handles made once when this module is initialized:
+    [sched.schedules], [sched.events_popped], [sched.prepared_hits] and
+    [sched.prepared_builds]. Like every probe they count only while
+    metrics are armed; disarmed, a write costs one atomic load. So they
+    reach [--metrics], [--stats], [hsyn report] and the daemon's
+    scrapes, and {!Hsyn_obs.Metrics.reset} zeroes them. *)
 
 type stats = {
   schedules : int;  (** scheduling calls, incl. module parts *)
@@ -143,14 +151,14 @@ type stats = {
 }
 
 val stats : unit -> stats
-(** Snapshot of the process-wide counters. *)
+(** The four registry counters as they read now: process-wide, counted
+    since the last {!Hsyn_obs.Metrics.reset} and only while metrics
+    were armed. *)
 
 val zero_stats : stats
 
 val sub_stats : stats -> stats -> stats
 (** Pointwise difference, for windowed deltas. *)
-
-val pp_stats : Format.formatter -> stats -> unit
 
 val alap_start : ?cache:Cache.t -> Design.ctx -> deadline:int -> Design.t -> int array
 (** Latest start time of each node under infinite resources — an

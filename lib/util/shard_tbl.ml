@@ -24,14 +24,6 @@ let add_stats a b =
     occupancy = Array.append a.occupancy b.occupancy;
   }
 
-let rate num denom = if denom <= 0 then 0. else 100. *. Float.of_int num /. Float.of_int denom
-
-let pp_stats fmt s =
-  Format.fprintf fmt "%d/%d (%.1f%% hit)  evict %d  size %d%s" s.hits (s.hits + s.misses)
-    (rate s.hits (s.hits + s.misses))
-    s.evictions s.size
-    (if s.capacity > 0 then Printf.sprintf "/%d" s.capacity else "")
-
 module type KEY = sig
   type t
 

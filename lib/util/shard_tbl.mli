@@ -36,9 +36,6 @@ type stats = {
 val zero_stats : stats
 val add_stats : stats -> stats -> stats
 
-val pp_stats : Format.formatter -> stats -> unit
-(** [hits/misses (rate), evictions, size/capacity] on one line. *)
-
 module type KEY = sig
   type t
 

@@ -20,6 +20,7 @@ module S = Hsyn_core.Synthesize
 module Suite = Hsyn_benchmarks.Suite
 module Pool = Hsyn_util.Pool
 module Stats = Hsyn_util.Stats
+module Metrics = Hsyn_obs.Metrics
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -394,7 +395,10 @@ let test_family_counters () =
    stages. *)
 let test_one_entry_per_design () =
   let d = Tu.initial ctx (Tu.small_graph ()) in
+  (* the kernel counts only while metrics are armed *)
   let schedules f =
+    Metrics.set_enabled true;
+    Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
     let before = (Sched.stats ()).Sched.schedules in
     let r = f () in
     ((Sched.stats ()).Sched.schedules - before, r)

@@ -121,7 +121,6 @@ let test_metrics_counter_fanout_exact () =
   fresh ();
   Metrics.set_enabled true;
   let c = Metrics.counter "t.fanout" in
-  let f = Metrics.fcounter "t.fanout.f" in
   let per_task = 1000 in
   List.iter
     (fun jobs ->
@@ -131,13 +130,10 @@ let test_metrics_counter_fanout_exact () =
         (Pool.map_array pool
            (fun _ ->
              for _ = 1 to per_task do
-               Metrics.incr c;
-               Metrics.facc f 0.25
+               Metrics.incr c
              done)
            (Array.init 32 Fun.id));
-      checki (Printf.sprintf "exact sum at jobs=%d" jobs) (32 * per_task) (Metrics.counter_value c);
-      checkf (Printf.sprintf "exact fsum at jobs=%d" jobs) (0.25 *. float_of_int (32 * per_task))
-        (Metrics.fcounter_value f))
+      checki (Printf.sprintf "exact sum at jobs=%d" jobs) (32 * per_task) (Metrics.counter_value c))
     [ 1; 2; 4 ];
   fresh ()
 
@@ -483,7 +479,7 @@ let fixture =
     {|{"at_s":0.9,"event":"new_incumbent","context":1,"vdd":3.3,"clk_ns":25.0,"value":85.0,"area":120.0,"power":85.0}|};
     {|{"at_s":1.0,"event":"context_finished","index":1,"feasible":true}|};
     {|{"at_s":1.1,"event":"run_finished","completed":true,"contexts_done":2,"contexts_planned":2,"elapsed_s":1.1,"result":{"context":{"vdd":3.3,"clk_ns":25.0,"deadline_cycles":40},"eval":{"area":120.0,"power":85.0},"stats":{"moves_committed":2}}}|};
-    {|{"event":"metrics_snapshot","snapshot":{"schema_version":1,"kind":"hsyn.metrics","counters":{"engine.generated":40,"engine.generated.A:select":30,"engine.generated.C:merge":10,"engine.evaluated":24,"engine.evaluated.A:select":18,"engine.evaluated.C:merge":6,"engine.cache_hits":16,"engine.cache_misses":24,"moves.committed.A:select":2,"moves.committed.C:merge":1,"moves.reverted.A:select":4,"stage.schedule.self_ns":2500000,"stage.power.self_ns":5000000},"fcounters":{},"gauges":{},"histograms":{"stage.schedule":{"edges":[1.0],"counts":[5,0],"count":5,"sum":2.5,"min":0.4,"max":0.6},"stage.power":{"edges":[1.0],"counts":[3,1],"count":4,"sum":7.5,"min":0.5,"max":4.0}}}}|};
+    {|{"event":"metrics_snapshot","snapshot":{"schema_version":2,"kind":"hsyn.metrics","counters":{"engine.generated":40,"engine.generated.A:select":30,"engine.generated.C:merge":10,"engine.evaluated":24,"engine.evaluated.A:select":18,"engine.evaluated.C:merge":6,"engine.cache_hits":16,"engine.cache_misses":24,"moves.committed.A:select":2,"moves.committed.C:merge":1,"moves.reverted.A:select":4,"stage.schedule.self_ns":2500000,"stage.power.self_ns":5000000},"gauges":{},"histograms":{"stage.schedule":{"edges":[1.0],"counts":[5,0],"count":5,"sum":2.5,"min":0.4,"max":0.6},"stage.power":{"edges":[1.0],"counts":[3,1],"count":4,"sum":7.5,"min":0.5,"max":4.0}}}}|};
   ]
 
 let report () =
@@ -538,6 +534,34 @@ let test_report_aggregates () =
       checkf "winner value" 85.0 (Option.get w.Report.w_value);
       checki "result committed" 2 (Option.get w.Report.w_result_committed);
       checkb "consistent" true r.Report.consistent
+
+(* The [--stats] block of a snapshot: a family row has no batches,
+   which are never attributed to a family; the total row has them. The
+   fixture writes no disk hits, evictions or skips, no prepared-context
+   hits and no profile table, and each reads 0. *)
+let test_render_stats () =
+  let snap =
+    match
+      Json.of_string
+        {|{"schema_version":2,"kind":"hsyn.metrics","counters":{"engine.batches":1,"engine.cache_hits":1,"engine.cache_hits.A:select":1,"engine.cache_misses":2,"engine.cache_misses.A:select":2,"engine.evaluated":2,"engine.evaluated.A:select":2,"engine.generated":3,"engine.generated.A:select":3,"engine.power_sims":2,"engine.power_sims.A:select":2,"sched.events_popped":40,"sched.prepared_builds":2,"sched.schedules":5},"gauges":{"session.contexts":2.0,"session.cost.capacity":8192.0,"session.cost.evictions":0.0,"session.cost.hits":1.0,"session.cost.misses":2.0,"session.cost.size":2.0,"session.prepared.capacity":256.0,"session.prepared.evictions":0.0,"session.prepared.hits":3.0,"session.prepared.misses":2.0,"session.prepared.size":2.0},"histograms":{}}|}
+    with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "fixture: %s" e
+  in
+  let family = "gen 3  eval 2  cache 1/3 (33.3% hit)  disk 0  evict 0  sims 2  skipped 0 (0.0%)" in
+  checks "the block"
+    (String.concat "\n"
+       [
+         "  total        " ^ family ^ "  batches 1";
+         "  A:select     " ^ family;
+         "[sched] schedules: 5, events popped: 40";
+         "[sched] prepared contexts: 0 hits / 2 builds";
+         "[session] cost cache (2 ctx): 1/3 (33.3% hit)  evict 0  size 2/8192";
+         "[session] prepared: 3/5 (60.0% hit)  evict 0  size 2/256";
+         "[session] profiles: 0/0 (0.0% hit)  evict 0  size 0";
+         "";
+       ])
+    (Report.render_stats snap)
 
 let test_report_deterministic () =
   let a = Json.to_string (Report.to_json (report ())) in
@@ -920,6 +944,7 @@ let () =
       ( "report",
         [
           tc "aggregates fixture" `Quick test_report_aggregates;
+          tc "render stats fixture" `Quick test_render_stats;
           tc "deterministic" `Quick test_report_deterministic;
           tc "counts truncated lines" `Quick test_report_counts_truncated_lines;
           tc "detects result mismatch" `Quick test_report_detects_mismatch;

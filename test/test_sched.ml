@@ -388,6 +388,33 @@ let test_allocation_bound () =
       let cs = Sched.relaxed ~deadline:r.S.deadline_cycles d.Design.dfg in
       check "area-optimized" (words_per_call r.S.ctx cs d) 2_550.
 
+(* The kernel counts in the metrics registry: disarmed, a schedule moves
+   no counter; armed, one schedule of a flat design counts one schedule,
+   its queue pops and one prepared-context hit, and a snapshot carries
+   the count. *)
+let test_counters_armed_only () =
+  let module Metrics = Hsyn_obs.Metrics in
+  let d = Tu.initial ctx (Tu.small_graph ()) in
+  let cs = Tu.relaxed_cs d.Design.dfg in
+  let cache = Sched.Cache.create () in
+  Metrics.reset ();
+  let before = Sched.stats () in
+  ignore (Sched.schedule ~cache ctx cs d);
+  checkb "disarmed: nothing moves" true (Sched.sub_stats (Sched.stats ()) before = Sched.zero_stats);
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
+  let before = Sched.stats () in
+  ignore (Sched.schedule ~cache ctx cs d);
+  let delta = Sched.sub_stats (Sched.stats ()) before in
+  checki "armed: one schedule" 1 delta.Sched.schedules;
+  checkb "armed: events popped" true (delta.Sched.events_popped > 0);
+  checki "armed: one prepared hit" 1 delta.Sched.prepared_hits;
+  checki "armed: no prepared build" 0 delta.Sched.prepared_builds;
+  let counters = Option.get (Hsyn_util.Json.member "counters" (Metrics.snapshot ())) in
+  checkb "in the snapshot" true
+    (Option.bind (Hsyn_util.Json.member "sched.schedules" counters) Hsyn_util.Json.to_int_opt
+    = Some 1)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "sched"
@@ -424,4 +451,5 @@ let () =
           tc "pp smoke" test_pp_schedule_smoke;
         ] );
       ("alloc", [ tc "minor words per call" test_allocation_bound ]);
+      ("counters", [ tc "counted only while armed" test_counters_armed_only ]);
     ]

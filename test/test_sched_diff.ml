@@ -15,6 +15,7 @@ module Suite = Hsyn_benchmarks.Suite
 module Library = Hsyn_modlib.Library
 module Sched_ref = Hsyn_fuzz.Sched_ref
 module Embed = Hsyn_embed.Embed
+module Metrics = Hsyn_obs.Metrics
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -228,12 +229,16 @@ let test_synthesis_equivalence () =
   checkb "some winner has two modules to embed" true (!embedded > 0)
 
 (* Scheduling is counted, and the reference counts nothing: a call that
-   moved [Sched.stats] would mean it ran the event kernel somewhere. *)
+   moved [Sched.stats] would mean it ran the event kernel somewhere.
+   The kernel counts only while metrics are armed, so both windows are
+   armed. *)
 let test_stats_accounting () =
   let b = Suite.test1 () in
   let ctx = Tu.ctx () in
   let d = Tu.initial ~registry:b.Suite.registry ctx b.Suite.dfg in
   let cs = Sched.relaxed ~deadline:1_000 d.Design.dfg in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
   let before = Sched.stats () in
   ignore (Sched.schedule ctx cs d);
   let delta = Sched.sub_stats (Sched.stats ()) before in

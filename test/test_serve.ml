@@ -378,6 +378,9 @@ let test_metrics_endpoint () =
             [
               "serve.accepted"; "serve.completed"; "serve.rejected"; "serve.errors";
               "serve.in_flight"; "serve.queued"; "serve.latency_p90_ms";
+              (* the scheduler kernel counts in the same registry *)
+              "sched.schedules"; "sched.events_popped"; "sched.prepared_hits";
+              "sched.prepared_builds";
             ])
 
 (* ------------------------------------------------------------------ *)
@@ -498,6 +501,10 @@ let test_prometheus_endpoint_and_top () =
               {|le="+Inf"|};
               "serve_latency_ms_count";
               {|serve_requests{objective="area",status="ok"}|};
+              "# TYPE sched_schedules counter";
+              "# TYPE sched_events_popped counter";
+              "# TYPE sched_prepared_hits counter";
+              "# TYPE sched_prepared_builds counter";
             ];
           (* dotted names never leak into the exposition *)
           checkb "names are sanitized" false (contains text "serve.completed"));

@@ -169,26 +169,6 @@ let test_engine_distinct_contexts_do_not_alias () =
   let s = Session.stats session in
   checki "two context caches" 2 s.Session.contexts
 
-(* The [--stats] rows: a family row has no batches, which are never
-   attributed to a family; the total row has them. *)
-let test_stats_rows () =
-  let c =
-    {
-      Session.zero with
-      Session.generated = 3;
-      evaluated = 2;
-      cache_hits = 1;
-      cache_misses = 2;
-      power_sims = 2;
-      batches = 1;
-    }
-  in
-  let family = "gen 3  eval 2  cache 1/3 (33.3% hit)  disk 0  evict 0  sims 2  skipped 0 (0.0%)" in
-  Alcotest.(check string) "family row" family (Format.asprintf "%a" Session.pp_counters c);
-  Alcotest.(check string)
-    "total row" (family ^ "  batches 1")
-    (Format.asprintf "%a" Session.pp_totals c)
-
 (* ------------------------------------------------------------------ *)
 (* Concurrent synthesis over one shared session *)
 
@@ -303,6 +283,68 @@ let test_concurrent_shared_session () =
   let after = (Session.stats session).Session.cost_tbl.Shard_tbl.hits in
   checkb "warmed rerun hit the shared cost cache" true (after > before)
 
+(* Two identical requests side by side on one session. A batch that
+   hits an entry the other run inserted goes on with its own candidate,
+   not the entry's equal copy: with the copy, the memos keyed by
+   physical identity (move B's answers, prepared scheduling contexts,
+   part energies) hit or miss with timing, and so do the counts. So in
+   every repetition the generated candidates, the moves tried and move
+   B's nested runs are each twice a solo run's; hits, evaluations and
+   simulations may legitimately differ on a warm session. *)
+let test_concurrent_identical_counts () =
+  let module Metrics = Hsyn_obs.Metrics in
+  let module Suite = Hsyn_benchmarks.Suite in
+  let request session =
+    let b = Suite.test1 () in
+    let sampling_ns = 2.2 *. S.min_sampling_ns Library.default b.Suite.registry b.Suite.dfg in
+    match
+      S.Request.make ~session ~lib:Library.default ~registry:b.Suite.registry ~dfg:b.Suite.dfg
+        ~objective:Cost.Power ~sampling_ns ()
+    with
+    | Ok req -> req
+    | Error msg -> failwith msg
+  in
+  let sum prefix =
+    Metrics.fold
+      (fun ~base ~labels:_ view acc ->
+        match view with
+        | Metrics.Counter_view n when String.starts_with ~prefix base -> acc + n
+        | _ -> acc)
+      0
+  in
+  let resynth_runs = Metrics.counter "moves.resynth.runs" in
+  (* run [n] copies at once on one fresh session, from a reset registry *)
+  let counts n =
+    Metrics.reset ();
+    let session = Session.create () in
+    let ready = Atomic.make 0 in
+    let runs =
+      List.init n (fun _ ->
+          Domain.spawn (fun () ->
+              Atomic.incr ready;
+              while Atomic.get ready < n do
+                Domain.cpu_relax ()
+              done;
+              S.synthesize (request session)))
+    in
+    List.iter
+      (fun d -> match Domain.join d with Ok _ -> () | Error e -> Alcotest.fail e)
+      runs;
+    ( (Session.totals session).Session.generated,
+      sum "moves.committed." + sum "moves.reverted.",
+      Metrics.counter_value resynth_runs )
+  in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
+  let gen, moves, resynth = counts 1 in
+  checkb "move B ran" true (resynth > 0);
+  for rep = 1 to 3 do
+    let gen2, moves2, resynth2 = counts 2 in
+    checki (Printf.sprintf "repetition %d: generated" rep) (2 * gen) gen2;
+    checki (Printf.sprintf "repetition %d: moves tried" rep) (2 * moves) moves2;
+    checki (Printf.sprintf "repetition %d: move-B runs" rep) (2 * resynth) resynth2
+  done
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "session"
@@ -319,11 +361,11 @@ let () =
         [
           tc "shared session across engines" test_engine_shared_session;
           tc "contexts do not alias" test_engine_distinct_contexts_do_not_alias;
-          tc "stats rows" test_stats_rows;
         ] );
       ( "synthesize",
         [
           tc "4 concurrent runs, one session" test_concurrent_shared_session;
           tc "family totals sum to the total" test_family_totals_sum;
+          tc "2 identical runs count twice a solo run" test_concurrent_identical_counts;
         ] );
     ]

@@ -2,8 +2,8 @@
 # Guard against process-global mutable cache state creeping back into
 # the synthesis core. PR "session" moved every cache and counter table
 # in lib/core and lib/sched into Session-owned state; the only global
-# mutability still allowed there is lock-free Atomic counters (cheap
-# monotonic stats, safe to share and impossible to observe torn).
+# mutability still allowed there is metrics registry handles (counters
+# and gauges of Hsyn_obs.Metrics, made once at module initialization).
 #
 # Fails if a top-level binding in lib/core/*.ml or lib/sched/*.ml
 # allocates a ref cell, hash table, queue, or mutex. State like that
