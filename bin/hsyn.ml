@@ -3,7 +3,7 @@
 
    Subcommands:
      synth    synthesize a benchmark or a textual DFG file
-     report   flight-recorder report from a run's NDJSON/trace artifacts
+     report   flight-recorder report from a run's NDJSON event file
      list     list built-in benchmarks
      library  print the default module library (Table 1)
      dump     print a benchmark in the textual DFG format (--dot: Graphviz)
@@ -473,97 +473,29 @@ let synth_cmd =
 (* ------------------------------------------------------------------ *)
 (* report *)
 
-let do_report events_path trace_path json_out =
-  let fail msg =
-    prerr_endline ("hsyn: " ^ msg);
-    1
-  in
-  if events_path = None && trace_path = None then
-    fail "report: give a run's --events-json file and/or --trace FILE"
-  else begin
-    let report =
-      match events_path with
-      | None -> Ok None
-      | Some p -> (
-          match Report.load p with
-          | Ok r -> Ok (Some r)
-          | Error e -> Error (Printf.sprintf "%s: %s" p e))
-    in
-    let trace_sum =
-      match trace_path with
-      | None -> Ok None
-      | Some p -> (
-          match Json.of_string (read_file p) with
-          | exception Sys_error e -> Error e
-          | Error e -> Error (Printf.sprintf "%s: %s" p e)
-          | Ok j -> (
-              match Report.trace_summary j with
-              | Ok l -> Ok (Some l)
-              | Error e -> Error (Printf.sprintf "%s: %s" p e)))
-    in
-    match (report, trace_sum) with
-    | Error e, _ | _, Error e -> fail e
-    | Ok r, Ok ts ->
-        let trace_json l =
-          Json.List
-            (List.map
-               (fun (cat, n, ms) ->
-                 Json.Obj
-                   [
-                     ("category", Json.String cat);
-                     ("events", Json.Int n);
-                     ("total_ms", Json.Float ms);
-                   ])
-               l)
-        in
-        if json_out then begin
-          let base =
-            match Option.map Report.to_json r with
-            | Some (Json.Obj fields) -> fields
-            | _ ->
-                [
-                  ("schema_version", Json.Int Report.schema_version);
-                  ("kind", Json.String "hsyn.report");
-                ]
-          in
-          let fields =
-            match ts with Some l -> base @ [ ("trace_summary", trace_json l) ] | None -> base
-          in
-          print_endline (Json.to_string (Json.Obj fields))
-        end
-        else begin
-          Option.iter (fun r -> print_string (Report.render r)) r;
-          Option.iter
-            (fun l ->
-              Printf.printf "\ntrace summary (per category):\n";
-              List.iter
-                (fun (cat, n, ms) -> Printf.printf "  %-12s %8d events  %10.1f ms\n" cat n ms)
-                l)
-            ts
-        end;
-        (* a recorder/result mismatch is a hard failure so CI can rely
-           on the exit code *)
-        match r with Some r when not r.Report.consistent -> 3 | _ -> 0
-  end
+let do_report events_path json_out =
+  match Report.load events_path with
+  | Error e ->
+      prerr_endline (Printf.sprintf "hsyn: %s: %s" events_path e);
+      1
+  | Ok r ->
+      if json_out then print_endline (Json.to_string (Report.to_json r))
+      else print_string (Report.render r);
+      (* a recorder/result mismatch is a hard failure so CI can rely
+         on the exit code *)
+      if r.Report.consistent then 0 else 3
 
 let events_path_arg =
   Arg.(
-    value
+    required
     & pos 0 (some string) None
     & info [] ~docv:"EVENTS.ndjson"
         ~doc:"NDJSON event stream written by $(b,hsyn synth --events-json).")
 
-let report_trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:"Chrome/Perfetto trace file written by $(b,hsyn synth --trace) to summarize.")
-
 let report_cmd =
-  let doc = "flight-recorder report: per-move-family gain attribution from a run's artifacts" in
+  let doc = "flight-recorder report: per-move-family gain attribution from a run's event file" in
   Cmd.v (Cmd.info "report" ~doc)
-    Term.(const do_report $ events_path_arg $ report_trace_arg $ json_flag)
+    Term.(const do_report $ events_path_arg $ json_flag)
 
 (* ------------------------------------------------------------------ *)
 (* list / library / dump / dot *)

@@ -21,6 +21,6 @@ val build :
 (** [complexes] returns the library RTL modules implementing a
     behavior (fastest is chosen); it may return [[]]. The module
     profiles consulted for that choice are memoized in [sched_cache]
-    when given (a transient per-call cache otherwise).
+    when given (each lookup makes a fresh cache otherwise).
     @raise Not_found if an operation has no supporting library unit or
     a called behavior is unregistered. *)

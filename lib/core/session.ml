@@ -131,8 +131,8 @@ type t = {
 let create () =
   {
     sc = Sched.Cache.create ();
-    (* at most 64 contexts keep a live cost cache (FIFO beyond that) *)
-    contexts = Ctx_tbl.create ~shards:4 ~capacity:64 ();
+    (* at most 64 contexts keep a live cost cache *)
+    contexts = Ctx_tbl.create ~capacity:64 ();
     acc_lock = Mutex.create ();
     acc_totals = zero;
     acc_families = Hashtbl.create 16;
@@ -173,8 +173,7 @@ let cost_cache t ~capacity ~ctx ~cs ~sampling_ns ~trace =
       k_trace = trace;
     }
   in
-  Ctx_tbl.find_or_build t.contexts key (fun _ ->
-      Cost_tbl.create ~shards:8 ~capacity ())
+  Ctx_tbl.find_or_build t.contexts key (fun _ -> Cost_tbl.create ~capacity ())
 
 let cost_find cache fp design =
   match Cost_tbl.find_opt cache fp with
@@ -190,7 +189,7 @@ let cost_size cache = Cost_tbl.length cache
    library (the on-disk partition key is the library's content digest;
    in memory libraries are compared physically, which cannot survive a
    process boundary). Entries are collected first and written after, so
-   no shard lock is held across disk I/O. *)
+   no table lock is held across disk I/O. *)
 let save t ~dir =
   let by_digest = Hashtbl.create 4 in
   Ctx_tbl.iter
@@ -301,8 +300,6 @@ type table_gauges = {
   g_evictions : Metrics.gauge;
   g_size : Metrics.gauge;
   g_capacity : Metrics.gauge;
-  g_shard_min : Metrics.gauge;
-  g_shard_max : Metrics.gauge;
 }
 
 let table_gauges name =
@@ -313,8 +310,6 @@ let table_gauges name =
     g_evictions = g "evictions";
     g_size = g "size";
     g_capacity = g "capacity";
-    g_shard_min = g "shard_min";
-    g_shard_max = g "shard_max";
   }
 
 let cost_gauges = table_gauges "cost"
@@ -331,16 +326,7 @@ let export_metrics t =
       set g.g_misses st.Shard_tbl.misses;
       set g.g_evictions st.Shard_tbl.evictions;
       set g.g_size st.Shard_tbl.size;
-      set g.g_capacity st.Shard_tbl.capacity;
-      (* Shard balance as two aggregates rather than one gauge per
-         shard: a per-shard series scales the export with the shard
-         count (16 per table x 3 tables) while all a reader ever did
-         with it was eyeball the spread. *)
-      let occ = st.Shard_tbl.occupancy in
-      if Array.length occ > 0 then begin
-        set g.g_shard_min (Array.fold_left min occ.(0) occ);
-        set g.g_shard_max (Array.fold_left max occ.(0) occ)
-      end
+      set g.g_capacity st.Shard_tbl.capacity
     in
     table cost_gauges s.cost_tbl;
     table prepared_gauges s.prepared_tbl;

@@ -64,8 +64,8 @@ type t
 
 val create : unit -> t
 (** An empty session: at most 64 evaluation contexts keep a live cost
-    cache (FIFO beyond that), each in 8 shards, and the scheduler
-    cache has {!Sched.Cache.create}'s sizes. *)
+    cache (second-chance eviction beyond that, like every table here),
+    and the scheduler cache has {!Sched.Cache.create}'s sizes. *)
 
 val sched_cache : t -> Sched.Cache.t
 (** The scheduler-side cache (prepared contexts, module profiles) this
@@ -165,8 +165,7 @@ val export_metrics : t -> unit
 (** Publish the current {!stats} through [Obs.Metrics] as
     [session.<table>.*] gauges for the [cost], [prepared] and
     [profiles] tables (hits, misses, evictions, size, capacity (0 when
-    unbounded; the cost table's sums its contexts'), and shard occupancy
-    as [shard_min] and [shard_max]) plus
+    unbounded; the cost table's sums its contexts')) plus
     [session.contexts]. A no-op while metrics are disabled. Call after
     a run (or periodically from a server loop); values are absolute
     snapshots, not deltas. *)

@@ -150,19 +150,14 @@ end)
 
 type memo = { m_ctx : Design.ctx; areas : float Module_tbl.t }
 
-let memo ctx =
-  {
-    m_ctx = ctx;
-    areas =
-      Module_tbl.create ~shards:1 ~eviction:Hsyn_util.Shard_tbl.Second_chance ~capacity:256 ();
-  }
+let memo ctx = { m_ctx = ctx; areas = Module_tbl.create ~capacity:256 () }
 
 (* The scheduler cache threads through the recursion because module
    areas need module profiles (one controller state per busy cycle),
    and computing a profile schedules the module's part. Callers on the
    evaluation hot path pass their session's cache and their engine's
-   memo; the public wrappers below default to a transient cache scoped
-   to the call and no memo. *)
+   memo; the public wrappers below default to a fresh cache scoped to
+   the call and no memo. *)
 let rec inst_area cache memo ctx = function
   | Design.Simple fu -> fu.Fu.area
   | Design.Module rm -> (
@@ -200,17 +195,14 @@ and module_area_rec cache memo ctx (rm : Design.rtl_module) =
   let controller = Float.of_int states *. ctx.Design.lib.Hsyn_modlib.Library.ctrl_area_per_state in
   grand_total { b with controller }
 
-let or_transient = function
-  | Some c -> c
-  | None -> Hsyn_sched.Sched.Cache.transient ()
-
-let datapath ?sched_cache ?memo ctx d =
+let datapath ?(sched_cache = Hsyn_sched.Sched.Cache.create ()) ?memo ctx d =
   Option.iter
     (fun m -> if not (m.m_ctx == ctx) then invalid_arg "Area: memo of another technology context")
     memo;
-  datapath_of_parts (or_transient sched_cache) memo ctx [ d ]
+  datapath_of_parts sched_cache memo ctx [ d ]
 
-let module_area ?sched_cache ctx rm = module_area_rec (or_transient sched_cache) None ctx rm
+let module_area ?(sched_cache = Hsyn_sched.Sched.Cache.create ()) ctx rm =
+  module_area_rec sched_cache None ctx rm
 
 let total ?sched_cache ?memo ctx d ~n_states =
   let b = datapath ?sched_cache ?memo ctx d in

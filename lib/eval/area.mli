@@ -65,7 +65,7 @@ val datapath :
     {!total} once the schedule length is known). Recurses into module
     instances. Module controllers need module profiles, so a scheduler
     cache can be supplied for memoization across calls; without one a
-    transient cache scoped to this call is used. [?memo] reuses module
+    fresh cache scoped to this call is used. [?memo] reuses module
     areas across calls; without it every module's area is computed
     again.
     @raise Invalid_argument if [memo] was made for another context. *)

@@ -175,12 +175,11 @@ type memo = {
 }
 
 let memo ctx ~trace =
-  let eviction = Shard_tbl.Second_chance in
   {
     m_ctx = ctx;
     m_trace = trace;
-    streams = Stream_tbl.create ~shards:1 ~eviction ~capacity:16 ();
-    parts = Part_tbl.create ~shards:1 ~eviction ~capacity:512 ();
+    streams = Stream_tbl.create ~capacity:16 ();
+    parts = Part_tbl.create ~capacity:512 ();
   }
 
 let sim_probe = Span.probe Span.Power "sim"
@@ -390,15 +389,11 @@ let rec energy_rec cache ?memo ~top ?streams ctx (sch : Sched.schedule) (design 
   end;
   !total /. Float.of_int n_samples
 
-let or_transient = function
-  | Some c -> c
-  | None -> Sched.Cache.transient ()
-
-let energy_per_sample ?sched_cache ?sched ?memo ctx cs design invocations =
+let energy_per_sample ?sched_cache:(cache = Sched.Cache.create ()) ?sched ?memo ctx cs design
+    invocations =
   match invocations with
   | [] -> 0.
   | _ ->
-      let cache = or_transient sched_cache in
       let sch = match sched with Some sch -> sch | None -> Sched.schedule ~cache ctx cs design in
       let streams =
         Option.map

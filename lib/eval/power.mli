@@ -86,7 +86,7 @@ val energy_per_sample :
     is scheduled here. Nested module parts replay the schedule their
     module profile was read from ({!Sched.module_schedule}).
     [?sched_cache] memoizes scheduling and profiles across calls —
-    without it a transient cache scoped to this call is used. [?memo]
+    without it a fresh cache scoped to this call is used. [?memo]
     reuses the streams and part energies of earlier calls in the same
     evaluation context; without it nothing is reused across calls.
     [0.] for an empty trace.

@@ -516,25 +516,3 @@ let render (t : t) =
   | None -> pr "\n(no run_finished result in the stream)\n");
   pr "consistency with the run's own result: %s\n" (if t.consistent then "ok" else "MISMATCH");
   Buffer.contents buf
-
-(* -- trace summary ----------------------------------------------------- *)
-
-(* Per-category event count and total duration (ms) of a parsed
-   Chrome-trace JSON value, for [hsyn report --trace]. *)
-let trace_summary j =
-  match Option.bind (Json.member "traceEvents" j) Json.to_list_opt with
-  | None -> Error "no traceEvents array"
-  | Some evs ->
-      let tbl = Hashtbl.create 8 in
-      List.iter
-        (fun ev ->
-          match gets "cat" ev with
-          | None -> ()
-          | Some cat ->
-              let dur = match getf "dur" ev with Some d -> d /. 1000. | None -> 0. in
-              let c, d = try Hashtbl.find tbl cat with Not_found -> (0, 0.) in
-              Hashtbl.replace tbl cat (c + 1, d +. dur))
-        evs;
-      Ok
-        (Hashtbl.fold (fun cat (c, d) acc -> (cat, c, d) :: acc) tbl []
-        |> List.sort (fun (a, _, _) (b, _, _) -> compare a b))

@@ -127,6 +127,3 @@ val render : t -> string
     ({!render_stages} with the run's [elapsed_s]), winner summary,
     consistency verdict. *)
 
-val trace_summary : Json.t -> ((string * int * float) list, string) result
-(** Per-category (event count, total duration ms) of a parsed
-    Chrome-trace JSON value, sorted by category name. *)

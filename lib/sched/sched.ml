@@ -261,33 +261,23 @@ module Prof_tbl = Shard_tbl.Make (Profile_key)
 (* A cache value owns both memo tables the scheduler keeps: prepared
    contexts and module profiles. There is deliberately no global
    instance — callers that want sharing (the evaluation engine, via
-   its session) pass one down; entry points called without a cache get
-   a transient single-shard instance scoped to that call, so recursive
-   profile computation is still memoized within the call but nothing
-   outlives it. Both tables are shared across domains; [find_or_build]
-   makes each key build exactly once even under concurrent lookups. *)
+   its session) pass one down; entry points called without a cache
+   make a fresh one scoped to that call, so recursive profile
+   computation is still memoized within the call but nothing outlives
+   it. Both tables are shared across domains; [find_or_build] makes
+   each key build exactly once even under concurrent lookups. *)
 
 module Cache = struct
   type t = { prepared : Prepared.t Prep_tbl.t; profiles : (profile * schedule) Prof_tbl.t }
 
   type cache_stats = { prepared_tbl : Shard_tbl.stats; profile_tbl : Shard_tbl.stats }
 
-  let make ~shards ~prepared_capacity ~profile_capacity =
-    {
-      prepared =
-        Prep_tbl.create ~shards ~eviction:Shard_tbl.Second_chance ~capacity:prepared_capacity ();
-      profiles =
-        Prof_tbl.create ~shards ~eviction:Shard_tbl.Second_chance ~capacity:profile_capacity ();
-    }
+  let create () =
+    { prepared = Prep_tbl.create ~capacity:256 (); profiles = Prof_tbl.create ~capacity:1024 () }
 
   let stats t =
     { prepared_tbl = Prep_tbl.stats t.prepared; profile_tbl = Prof_tbl.stats t.profiles }
-
-  let create () = make ~shards:8 ~prepared_capacity:256 ~profile_capacity:1024
-  let transient () = make ~shards:1 ~prepared_capacity:64 ~profile_capacity:256
 end
-
-let or_transient = function Some c -> c | None -> Cache.transient ()
 
 let prepared_in (cache : Cache.t) dfg =
   let built = ref false in
@@ -779,22 +769,20 @@ and schedule_event cache (p : Prepared.t) ctx (cs : constraints) (d : Design.t) 
 (* ------------------------------------------------------------------ *)
 (* Public entry points *)
 
-let module_profile ?cache ctx rm behavior =
-  fst (module_profile_impl (or_transient cache) ctx rm behavior)
+let module_profile ?(cache = Cache.create ()) ctx rm behavior =
+  fst (module_profile_impl cache ctx rm behavior)
 
-let module_schedule ?cache ctx rm behavior =
-  snd (module_profile_impl (or_transient cache) ctx rm behavior)
+let module_schedule ?(cache = Cache.create ()) ctx rm behavior =
+  snd (module_profile_impl cache ctx rm behavior)
 
-let schedule ?cache ctx (cs : constraints) (d : Design.t) =
+let schedule ?(cache = Cache.create ()) ctx (cs : constraints) (d : Design.t) =
   Span.span schedule_probe (fun () ->
-      let cache = or_transient cache in
       schedule_event cache (prepared_in cache d.Design.dfg) ctx cs d)
 
 (* ------------------------------------------------------------------ *)
 (* ALAP (infinite resources) *)
 
-let alap_start ?cache ctx ~deadline (d : Design.t) =
-  let cache = or_transient cache in
+let alap_start ?(cache = Cache.create ()) ctx ~deadline (d : Design.t) =
   let p = prepared_in cache d.Design.dfg in
   let jb = build_jobs cache p ctx d in
   (* latest time each value may become available; outputs and delays

@@ -85,12 +85,12 @@ val impl : unit -> impl
     - {b module profiles}, keyed by (module identity, behavior, vdd,
       clock).
 
-    Entry points called without a cache allocate a transient one
+    Entry points called without a cache make a fresh {!Cache.create}
     scoped to that call: recursive profile computation is still
     memoized within the call, but nothing persists or is shared.
 
-    Caches are domain-safe (sharded, per-shard locking) and each key is
-    built exactly once per residency even under concurrent lookups. *)
+    Caches are domain-safe (one lock per table) and each key is built
+    exactly once per residency even under concurrent lookups. *)
 
 module Cache : sig
   type t
@@ -101,12 +101,8 @@ module Cache : sig
   }
 
   val create : unit -> t
-  (** 8 shards per table, 256 prepared contexts, 1024 profiles; both
-      tables use second-chance (clock) eviction. *)
-
-  val transient : unit -> t
-  (** A small single-shard cache (64 prepared contexts, 256 profiles)
-      for one call of an entry point that was given none. *)
+  (** 256 prepared contexts, 1024 profiles; both tables use
+      second-chance (clock) eviction. *)
 
   val stats : t -> cache_stats
 end

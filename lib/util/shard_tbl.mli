@@ -1,27 +1,25 @@
-(** Sharded, domain-safe hash table with bounded eviction.
+(** Domain-safe hash table with bounded, second-chance eviction.
 
-    The table is split into [shards] independent segments, each guarded
-    by its own mutex, so concurrent readers and writers only contend
-    when their keys land on the same shard. Every shard keeps a FIFO of
-    resident keys for eviction ([Fifo] evicts strictly oldest-first;
-    [Second_chance] gives recently-hit entries one extra round, the
-    classic clock approximation of LRU) and the invariant that the FIFO
-    holds exactly the resident keys, each once — asserted after every
-    mutation, so queue/table drift is impossible rather than merely
-    unlikely.
+    One hash table under one mutex. A FIFO of resident keys drives
+    eviction: a key hit since it was filed gets one more round before
+    it goes (second chance, the classic clock approximation of LRU).
+    The FIFO holds exactly the resident keys, each once — asserted
+    after every mutation, so queue/table drift is impossible rather
+    than merely unlikely.
 
     [find_or_build] is the primitive that memoization callers want:
     each key is built {e exactly once} per residency, even under
-    concurrent lookups. The builder runs {e outside} the shard lock
-    (builders may recurse into the same table for other keys), with an
-    in-flight marker making concurrent requesters of the same key wait
-    for the winner instead of duplicating work.
+    concurrent lookups. The builder runs {e outside} the lock (builders
+    may recurse into the same table for other keys), with an in-flight
+    marker making concurrent requesters of the same key wait for the
+    winner instead of duplicating work.
 
-    Hit/miss/eviction counters are maintained per shard and aggregated
-    by {!stats}; they are what the session layer exports as [session.*]
-    metrics. *)
-
-type eviction = Fifo | Second_chance
+    Hit/miss/eviction counters are read by {!stats}; they are what the
+    session layer exports as [session.*] metrics. The name is older
+    than the single lock (the table was once split into shards); it
+    stays because the benchmark harness ([bench/perf/workload.ml])
+    names the module, and that harness changes only with the
+    benchmark itself. *)
 
 type stats = {
   hits : int;
@@ -29,8 +27,7 @@ type stats = {
   evictions : int;
   insertions : int;
   size : int;  (** resident entries at the time of the call *)
-  capacity : int;  (** total bound; 0 means unbounded *)
-  occupancy : int array;  (** resident entries per shard *)
+  capacity : int;  (** the bound; 0 means unbounded *)
 }
 
 val zero_stats : stats
@@ -46,23 +43,18 @@ end
 module Make (K : KEY) : sig
   type 'a t
 
-  val create : ?shards:int -> ?eviction:eviction -> capacity:int -> unit -> 'a t
-  (** [shards] is rounded up to a power of two (default 8; clamped to
-      at least 1, and down so it never exceeds a positive [capacity]).
-      [capacity] is a strict bound on the {e total} resident entries
-      across all shards ([<= 0] means unbounded); each shard gets an
-      equal floored slice, so a capacity that is not a multiple of the
-      shard count leaves a few slots unused rather than ever
-      overshooting. *)
+  val create : capacity:int -> unit -> 'a t
+  (** [capacity] is the most entries the table holds ([<= 0] means
+      unbounded); it holds that many whatever the keys hash to. *)
 
   val find_opt : 'a t -> K.t -> 'a option
-  (** Counts a hit or a miss; a hit marks the entry recently-used for
-      [Second_chance] eviction. *)
+  (** Counts a hit or a miss; a hit marks the entry recently-used, so
+      the next eviction passes it over once. *)
 
   val find_or_build : 'a t -> K.t -> (K.t -> 'a) -> 'a
   (** Memoized lookup: returns the resident value, or runs the builder
-      and inserts its result. The builder runs without the shard lock
-      held; concurrent callers for the same key block until the single
+      and inserts its result. The builder runs without the lock held;
+      concurrent callers for the same key block until the single
       builder finishes (waiters count as hits). If the builder raises,
       the exception propagates to the builder's caller and one waiter
       is promoted to retry the build. *)
@@ -76,12 +68,12 @@ module Make (K : KEY) : sig
   val length : 'a t -> int
 
   val iter : (K.t -> 'a -> unit) -> 'a t -> unit
-  (** Visit every resident entry. Each shard is locked while its
+  (** Visit every resident entry. The table is locked while its
       entries are visited, so [f] must not touch this same table. *)
 
   val stats : 'a t -> stats
 
   val validate : 'a t -> unit
-  (** Re-checks the FIFO/table agreement invariant on every shard;
-      raises [Assert_failure] on drift. For tests. *)
+  (** Re-checks the FIFO/table agreement invariant; raises
+      [Assert_failure] on drift. For tests. *)
 end

@@ -433,9 +433,5 @@ let rec ref_energy_rec cache ~top ctx (cs : Sched.constraints) (design : Design.
     !total /. Float.of_int n_samples
   end
 
-let or_transient = function
-  | Some c -> c
-  | None -> Sched.Cache.transient ()
-
-let ref_energy_per_sample ?sched_cache ctx cs design invocations =
-  ref_energy_rec (or_transient sched_cache) ~top:true ctx cs design invocations
+let ref_energy_per_sample ?sched_cache:(cache = Sched.Cache.create ()) ctx cs design invocations =
+  ref_energy_rec cache ~top:true ctx cs design invocations

@@ -30,7 +30,7 @@ let check_same_schedule what (a : Sched.schedule) (b : Sched.schedule) =
 
 (* Schedule one design under both kernels at a given deadline and
    context, and demand field-by-field equality. The event kernel is
-   exercised both with a transient cache and with a shared one that
+   exercised both with a per-call cache and with a shared one that
    already holds the graph's prepared context. *)
 let diff_schedule what ctx d ~deadline =
   let cs = Sched.relaxed ~deadline d.Design.dfg in

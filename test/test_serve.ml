@@ -488,6 +488,13 @@ let test_tenant_label_on_request_counter () =
 
 let test_prometheus_endpoint_and_top () =
   with_server (fun _ addr ->
+      (* [serve.completed] is process-wide: count from a scrape taken
+         before the request *)
+      let completed_before =
+        match Serve.Client.metrics ~timeout_s:10. addr with
+        | Error msg -> Alcotest.failf "metrics failed: %s" msg
+        | Ok line -> geti "serve.completed" (Option.get (Json.member "counters" (parse line)))
+      in
       ignore (request_lines addr (test1_doc ()));
       (match Serve.Client.prometheus ~timeout_s:10. addr with
       | Error msg -> Alcotest.failf "prometheus failed: %s" msg
@@ -518,7 +525,14 @@ let test_prometheus_endpoint_and_top () =
               let frame = Top.render sample in
               List.iter
                 (fun needle -> checkb (needle ^ " in top frame") true (contains frame needle))
-                [ "hsyn top"; "load"; "completed 1"; "p90"; "cache" ]))
+                [
+                  "hsyn top";
+                  "load";
+                  (* the whole count, not a prefix of a larger one *)
+                  Printf.sprintf "completed %d  rejected" (completed_before + 1);
+                  "p90";
+                  "cache";
+                ]))
 
 (* ------------------------------------------------------------------ *)
 (* clean stop/drain *)

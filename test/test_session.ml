@@ -1,4 +1,4 @@
-(* Tests for the session-scoped memoization layer: the sharded table
+(* Tests for the session-scoped memoization layer: the locked table
    primitive (eviction bounds, counter accuracy, build-exactly-once
    under domain contention) and the headline property — concurrent
    synthesis runs sharing one session are bit-identical to solo runs
@@ -30,21 +30,41 @@ module T = Shard_tbl.Make (Int_key)
 (* Shard_tbl *)
 
 let test_capacity_bound () =
-  List.iter
-    (fun eviction ->
-      let tbl = T.create ~shards:4 ~eviction ~capacity:8 () in
-      for k = 0 to 99 do
-        ignore (T.set tbl k (k * 3) : int)
-      done;
-      checkb "size within capacity" true (T.length tbl <= 8);
-      T.validate tbl;
-      (* resident entries kept their values *)
-      T.iter (fun k v -> checki "value" (k * 3) v) tbl)
-    [ Shard_tbl.Fifo; Shard_tbl.Second_chance ]
+  let tbl = T.create ~capacity:8 () in
+  for k = 0 to 99 do
+    ignore (T.set tbl k (k * 3) : int)
+  done;
+  checkb "size within capacity" true (T.length tbl <= 8);
+  T.validate tbl;
+  (* resident entries kept their values *)
+  T.iter (fun k v -> checki "value" (k * 3) v) tbl
+
+(* Keys that all hash alike must still fill the table to its capacity:
+   the bound is the table's, not a slice of it. *)
+module Same_hash = Shard_tbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash _ = 0
+end)
+
+let test_capacity_whatever_the_hash () =
+  let tbl = Same_hash.create ~capacity:8 () in
+  for k = 1 to 8 do
+    checki "no eviction while below capacity" 0 (Same_hash.set tbl k k)
+  done;
+  checki "all 8 keys resident" 8 (Same_hash.length tbl);
+  for k = 1 to 8 do
+    checkb "key resident" true (Same_hash.mem tbl k)
+  done;
+  let s = Same_hash.stats tbl in
+  checki "nothing evicted" 0 s.Shard_tbl.evictions;
+  checki "size" 8 s.Shard_tbl.size;
+  checki "the ninth key evicts one" 1 (Same_hash.set tbl 9 9);
+  checki "still at capacity" 8 (Same_hash.length tbl);
+  Same_hash.validate tbl
 
 let test_tiny_capacity () =
-  (* a capacity smaller than the default shard count must still bound
-     the total (the shard count is clamped down, not the bound up) *)
   let tbl = T.create ~capacity:2 () in
   for k = 0 to 19 do
     ignore (T.set tbl k k : int)
@@ -53,7 +73,7 @@ let test_tiny_capacity () =
   T.validate tbl
 
 let test_counter_accuracy () =
-  let tbl = T.create ~shards:1 ~eviction:Shard_tbl.Fifo ~capacity:4 () in
+  let tbl = T.create ~capacity:4 () in
   for k = 1 to 4 do
     checki "no eviction yet" 0 (T.set tbl k (10 * k))
   done;
@@ -64,6 +84,8 @@ let test_counter_accuracy () =
   done;
   checkb "probe miss" true (T.find_opt tbl 99 = None);
   checki "insert beyond capacity evicts one" 1 (T.set tbl 5 50);
+  (* every key was hit once, and one lap of second chance clears every
+     mark, so the oldest goes *)
   checkb "oldest evicted" true (T.find_opt tbl 1 = None);
   let s = T.stats tbl in
   checki "hits" 4 s.Shard_tbl.hits;
@@ -72,12 +94,10 @@ let test_counter_accuracy () =
   checki "evictions" 1 s.Shard_tbl.evictions;
   checki "size" 4 s.Shard_tbl.size;
   checki "capacity" 4 s.Shard_tbl.capacity;
-  checki "occupancy sums to size" s.Shard_tbl.size
-    (Array.fold_left ( + ) 0 s.Shard_tbl.occupancy);
   T.validate tbl
 
 let test_second_chance () =
-  let tbl = T.create ~shards:1 ~eviction:Shard_tbl.Second_chance ~capacity:2 () in
+  let tbl = T.create ~capacity:2 () in
   ignore (T.set tbl 1 1 : int);
   ignore (T.set tbl 2 2 : int);
   (* touch key 1 so it survives the next eviction *)
@@ -89,7 +109,7 @@ let test_second_chance () =
   T.validate tbl
 
 let test_find_or_build_once_parallel () =
-  let tbl = T.create ~shards:4 ~capacity:0 () in
+  let tbl = T.create ~capacity:0 () in
   let n_keys = 50 in
   let builds = Atomic.make 0 in
   let worker () =
@@ -168,6 +188,24 @@ let test_engine_distinct_contexts_do_not_alias () =
   checkb "evals differ across contexts" true (not (same_eval v5 v3));
   let s = Session.stats session in
   checki "two context caches" 2 s.Session.contexts
+
+(* A session keeps the 64 evaluation contexts it states, whatever
+   their keys hash to; a 65th replaces one of them. *)
+let test_session_keeps_64_contexts () =
+  let d = Tu.initial ctx (Tu.small_graph ()) in
+  let cs = Sched.relaxed ~deadline:1000 d.Design.dfg in
+  let trace = Tu.trace d.Design.dfg in
+  let session = Session.create () in
+  let add_context i =
+    let sampling_ns = 20000. +. Float.of_int i in
+    ignore (Session.cost_cache session ~capacity:16 ~ctx ~cs ~sampling_ns ~trace : Session.cost_cache)
+  in
+  for i = 1 to 64 do
+    add_context i
+  done;
+  checki "64 contexts kept" 64 (Session.stats session).Session.contexts;
+  add_context 65;
+  checki "a 65th replaces one" 64 (Session.stats session).Session.contexts
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent synthesis over one shared session *)
@@ -353,6 +391,7 @@ let () =
         [
           tc "capacity bound" test_capacity_bound;
           tc "tiny capacity" test_tiny_capacity;
+          tc "capacity whatever the hash" test_capacity_whatever_the_hash;
           tc "counter accuracy" test_counter_accuracy;
           tc "second chance" test_second_chance;
           tc "parallel build-once" test_find_or_build_once_parallel;
@@ -361,6 +400,7 @@ let () =
         [
           tc "shared session across engines" test_engine_shared_session;
           tc "contexts do not alias" test_engine_distinct_contexts_do_not_alias;
+          tc "64 contexts kept" test_session_keeps_64_contexts;
         ] );
       ( "synthesize",
         [
