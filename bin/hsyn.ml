@@ -473,17 +473,24 @@ let synth_cmd =
 (* ------------------------------------------------------------------ *)
 (* report *)
 
+(* A recorder/result mismatch is a hard failure so CI can rely on the
+   exit code; so is a stream with no result to check, which is not a
+   passed check. *)
+let report_mismatch = 3
+let report_not_checked = 4
+
 let do_report events_path json_out =
   match Report.load events_path with
   | Error e ->
-      prerr_endline (Printf.sprintf "hsyn: %s: %s" events_path e);
+      prerr_endline ("hsyn: " ^ e);
       1
-  | Ok r ->
+  | Ok r -> (
       if json_out then print_endline (Json.to_string (Report.to_json r))
       else print_string (Report.render r);
-      (* a recorder/result mismatch is a hard failure so CI can rely
-         on the exit code *)
-      if r.Report.consistent then 0 else 3
+      match r.Report.consistent with
+      | Some true -> 0
+      | Some false -> report_mismatch
+      | None -> report_not_checked)
 
 let events_path_arg =
   Arg.(
@@ -494,7 +501,14 @@ let events_path_arg =
 
 let report_cmd =
   let doc = "flight-recorder report: per-move-family gain attribution from a run's event file" in
-  Cmd.v (Cmd.info "report" ~doc)
+  let exits =
+    Cmd.Exit.info 1 ~doc:"the file cannot be read or holds no parseable line."
+    :: Cmd.Exit.info report_mismatch ~doc:"the report disagrees with the run's own result."
+    :: Cmd.Exit.info report_not_checked
+         ~doc:"the stream has no $(b,run_finished) line, so nothing was checked."
+    :: Cmd.Exit.defaults
+  in
+  Cmd.v (Cmd.info "report" ~doc ~exits)
     Term.(const do_report $ events_path_arg $ json_flag)
 
 (* ------------------------------------------------------------------ *)

@@ -38,8 +38,9 @@ val evaluate :
 type memo
 (** What the candidates of one evaluation context share: the module
     areas of {!Hsyn_eval.Area.memo}, and the value streams per (graph,
-    bound parts) and module-part energies per (module, behavior,
-    invocation stream) of {!Hsyn_eval.Power.memo}. The evaluation engine creates one per
+    bound parts), module-part energies per (module, behavior,
+    invocation stream) and module idle terms of
+    {!Hsyn_eval.Power.memo}. The evaluation engine creates one per
     engine, for the engine's technology context and trace, passes it
     to both stages, and drops it with the engine. The stages called
     without it, and {!evaluate}, which takes none, stay uncached. *)

@@ -35,7 +35,7 @@ let source_of_value (d : Design.t) (p : Dfg.port) =
    number their external inputs (sources not bound to the chain
    itself) consecutively in member order. *)
 let iter_feeds (d : Design.t) f =
-  let dfg = d.Design.dfg in
+  let nodes = d.Design.dfg.Dfg.nodes and node_inst = d.Design.node_inst in
   let n_insts = Array.length d.Design.insts in
   (* next key of each chain instance; -1 marks a plain unit or module *)
   let chain_key =
@@ -43,21 +43,20 @@ let iter_feeds (d : Design.t) f =
       (function Design.Simple fu when Fu.is_chain fu -> 0 | Design.Simple _ | Design.Module _ -> -1)
       d.Design.insts
   in
-  Array.iteri
-    (fun id i ->
-      if i >= 0 && i < n_insts then begin
-        let ins = dfg.Dfg.nodes.(id).Dfg.ins in
-        if chain_key.(i) < 0 then Array.iteri (fun port p -> f i port p) ins
-        else
-          Array.iter
-            (fun (p : Dfg.port) ->
-              if d.Design.node_inst.(p.Dfg.node) <> i then begin
-                f i chain_key.(i) p;
-                chain_key.(i) <- chain_key.(i) + 1
-              end)
-            ins
-      end)
-    d.Design.node_inst
+  for id = 0 to Array.length node_inst - 1 do
+    let i = node_inst.(id) in
+    if i >= 0 && i < n_insts then begin
+      let ins = nodes.(id).Dfg.ins in
+      for port = 0 to Array.length ins - 1 do
+        let p = ins.(port) in
+        if chain_key.(i) < 0 then f i port p
+        else if node_inst.(p.Dfg.node) <> i then begin
+          f i chain_key.(i) p;
+          chain_key.(i) <- chain_key.(i) + 1
+        end
+      done
+    end
+  done
 
 let port_feeds d i =
   let acc = ref [] in
@@ -139,14 +138,16 @@ let steering (ctx : Design.ctx) (designs : Design.t list) =
   let wires = Float.of_int !nets *. lib.Hsyn_modlib.Library.wire_area in
   (muxes, wires)
 
-(* A module's area depends only on the technology context and the
-   module, compared physically: two modules may share a name. *)
-module Module_tbl = Hsyn_util.Shard_tbl.Make (struct
+module Module_key = struct
   type t = Design.rtl_module
 
   let equal = ( == )
   let hash (rm : t) = Hashtbl.hash rm.Design.rm_name
-end)
+end
+
+(* A module's area depends only on the technology context and the
+   module, compared physically: two modules may share a name. *)
+module Module_tbl = Hsyn_util.Shard_tbl.Make (Module_key)
 
 type memo = { m_ctx : Design.ctx; areas : float Module_tbl.t }
 

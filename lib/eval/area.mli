@@ -44,6 +44,11 @@ type breakdown = {
 
 val grand_total : breakdown -> float
 
+module Module_key : Hsyn_util.Shard_tbl.KEY with type t = Design.rtl_module
+(** Modules compared by physical identity, hashed by name: the key of
+    every memo table kept per module, {!memo}'s areas and the power
+    model's idle terms. Two modules may share a name. *)
+
 type memo
 (** Module areas of one technology context, kept across calls. A
     module's area (its datapath with steering over all of its parts,

@@ -47,6 +47,23 @@ let port_toggles (streams : int array array) order n =
     streams;
   !acc
 
+(* Toggled bits of every value's own stream, from the all-zero word:
+   [port_toggles streams [| v |] 1] for each value [v], in one pass. A
+   port that one value feeds and a register that holds one value read
+   their count here. *)
+let own_toggles (streams : int array array) =
+  if Array.length streams = 0 then [||]
+  else begin
+    let acc = Array.map (Bits.hamming 0) streams.(0) in
+    for s = 1 to Array.length streams - 1 do
+      let prev = streams.(s - 1) and cur = streams.(s) in
+      for v = 0 to Array.length acc - 1 do
+        acc.(v) <- acc.(v) + Bits.hamming prev.(v) cur.(v)
+      done
+    done;
+    acc
+  end
+
 (* Toggled bits of a register's write stream. [order.(0 .. n-1)] are
    its values, stably sorted by the schedule's [avail]; writes
    available in the same cycle go in ascending data order, so each run
@@ -83,70 +100,34 @@ let reg_toggles (streams : int array array) (avail : int array) order n scratch 
     streams;
   !acc
 
-(* Registers clocked by the design, including the shared register
-   files of nested RTL modules (counted once per module instance) and
-   their own nested modules. *)
-let rec clocked_regs (design : Design.t) =
-  let used = Array.make (max 1 design.Design.n_regs) false in
-  Array.iter (fun r -> if r >= 0 then used.(r) <- true) design.Design.value_reg;
-  let own = Array.fold_left (fun acc u -> if u then acc + 1 else acc) 0 used in
-  Array.fold_left
-    (fun acc kind ->
-      match kind with
-      | Design.Simple _ -> acc
-      | Design.Module rm -> acc + clocked_regs_of_module rm)
-    own design.Design.insts
-
-and clocked_regs_of_module (rm : Design.rtl_module) =
-  match rm.Design.parts with
-  | [] -> 0
-  | (_, first) :: _ as parts ->
-      let used = Array.make (max 1 first.Design.n_regs) false in
-      List.iter
-        (fun (_, (p : Design.t)) ->
-          Array.iter (fun r -> if r >= 0 then used.(r) <- true) p.Design.value_reg)
-        parts;
-      let own = Array.fold_left (fun acc u -> if u then acc + 1 else acc) 0 used in
-      Array.fold_left
-        (fun acc kind ->
-          match kind with
-          | Design.Simple _ -> acc
-          | Design.Module nested -> acc + clocked_regs_of_module nested)
-        own first.Design.insts
-
-(* Total functional-unit capacitance of a design, including nested
-   modules — the basis of the per-cycle idle-switching charge. *)
-let rec total_fu_cap (design : Design.t) =
-  Array.fold_left
-    (fun acc kind ->
-      match kind with
-      | Design.Simple fu -> acc +. fu.Fu.energy_cap
-      | Design.Module rm -> (
-          match rm.Design.parts with
-          | [] -> acc
-          | (_, first) :: _ -> acc +. total_fu_cap first))
-    0. design.Design.insts
-
 (* -- the evaluation-context memo ---------------------------------------- *)
 
 (* A module part's energy per invocation is a function of the module,
    which fixes the part and the schedule it replays, the behavior, and
    the part's invocation stream: the arguments of the calls bound to
-   the module's instance, in start order, sample after sample. Keyed
-   by that data, an energy is reused across graphs and bound parts
-   whenever the part sees the same invocations. *)
+   the module's instance, in start order, sample after sample. The key
+   holds that stream as one flat array of words and its length in
+   invocations. Every call of one behavior has the arity of the
+   module's part for it (the simulation that made the caller's streams
+   checks it), so for one module and behavior two keys are equal
+   exactly when the invocation lists are. Keyed by that data, an energy
+   is reused across graphs and bound parts whenever the part sees the
+   same invocations. *)
 module Part_key = struct
-  type t = { rm : Design.rtl_module; behavior : string; invocations : int array list }
-
-  let same_args x y = Array.length x = Array.length y && Array.for_all2 Int.equal x y
+  type t = { rm : Design.rtl_module; behavior : string; n_invocations : int; words : int array }
 
   let equal a b =
     a.rm == b.rm && String.equal a.behavior b.behavior
-    && List.equal same_args a.invocations b.invocations
+    && Int.equal a.n_invocations b.n_invocations
+    && Array.length a.words = Array.length b.words
+    && Array.for_all2 Int.equal a.words b.words
 
   let hash k =
-    let mix h args = Array.fold_left (fun h v -> (h * 31) + v) h args in
-    List.fold_left mix (Hashtbl.hash k.behavior) k.invocations land max_int
+    let h = ref (Hashtbl.hash k.behavior) in
+    for j = 0 to Array.length k.words - 1 do
+      h := (!h * 31) + k.words.(j)
+    done;
+    !h land max_int
 end
 
 (* The top-level streams are a function of the graph and of the part
@@ -167,11 +148,25 @@ end
 module Part_tbl = Shard_tbl.Make (Part_key)
 module Stream_tbl = Shard_tbl.Make (Stream_key)
 
+(* A module's idle terms depend on the module alone. *)
+module Module_tbl = Shard_tbl.Make (Area.Module_key)
+
+(* A design's value streams, [values.(s).(v)] as {!Sim.run} returns
+   them, and each value's own toggle count ({!own_toggles}), counted
+   once when the streams are made and only read after. *)
+type streams = { values : int array array; toggles : int array }
+
+(* The basis of the per-cycle idle charges of a design or a module
+   instance: the registers it clocks and the capacitance of its
+   functional units, each including its nested modules'. *)
+type idle = { regs : int; cap : float }
+
 type memo = {
   m_ctx : Design.ctx;
   m_trace : int array list;
-  streams : int array array Stream_tbl.t;
+  streams : streams Stream_tbl.t;
   parts : float Part_tbl.t;
+  idle : idle Module_tbl.t;
 }
 
 let memo ctx ~trace =
@@ -180,10 +175,54 @@ let memo ctx ~trace =
     m_trace = trace;
     streams = Stream_tbl.create ~capacity:16 ();
     parts = Part_tbl.create ~capacity:512 ();
+    idle = Module_tbl.create ~capacity:256 ();
   }
 
+(* -- idle terms -------------------------------------------------------- *)
+
+(* Registers that some value of [parts] uses, in a register file of
+   [n_regs] the parts share. *)
+let count_used n_regs (parts : Design.t list) =
+  let used = Array.make (max 1 n_regs) false in
+  List.iter
+    (fun (p : Design.t) -> Array.iter (fun r -> if r >= 0 then used.(r) <- true) p.Design.value_reg)
+    parts;
+  Array.fold_left (fun acc u -> if u then acc + 1 else acc) 0 used
+
+(* The idle terms of [own] clocked registers plus those of the
+   instances [insts], in instance order: each simple unit's
+   capacitance, and each module's registers and capacitance. *)
+let rec insts_idle memo own (insts : Design.inst_kind array) =
+  let regs = ref own and cap = ref 0. in
+  for k = 0 to Array.length insts - 1 do
+    match insts.(k) with
+    | Design.Simple fu -> cap := !cap +. fu.Fu.energy_cap
+    | Design.Module rm ->
+        let t = module_idle memo rm in
+        regs := !regs + t.regs;
+        cap := !cap +. t.cap
+  done;
+  { regs = !regs; cap = !cap }
+
+(* A module's parts share its registers, each clocked once per module
+   instance, and carry one set of units: its first part's. *)
+and module_idle memo (rm : Design.rtl_module) =
+  let build (rm : Design.rtl_module) =
+    match rm.Design.parts with
+    | [] -> { regs = 0; cap = 0. }
+    | (_, first) :: _ as parts ->
+        insts_idle memo (count_used first.Design.n_regs (List.map snd parts)) first.Design.insts
+  in
+  match memo with None -> build rm | Some m -> Module_tbl.find_or_build m.idle rm build
+
+let design_idle memo (design : Design.t) =
+  insts_idle memo (count_used design.Design.n_regs [ design ]) design.Design.insts
+
 let sim_probe = Span.probe Span.Power "sim"
-let simulate design invocations = Span.span sim_probe (fun () -> Sim.run design invocations)
+
+let simulate design invocations =
+  let values = Span.span sim_probe (fun () -> Sim.run design invocations) in
+  { values; toggles = own_toggles values }
 
 (* The part bound to each call node, in node order. *)
 let bound_parts (design : Design.t) =
@@ -210,16 +249,15 @@ let no_port = { Dfg.node = 0; out = 0 }
    [invocations] is non-empty. The order in which [total] adds its
    terms is part of the result's bits and must not change. [?streams]
    are the design's streams when the caller already has them; [?memo]
-   supplies module-part energies at every level. Each pass runs over
-   flat arrays allocated once per call. *)
+   supplies module-part energies at every level and the idle terms of
+   modules. Each pass runs over flat arrays allocated once per call. *)
 let rec energy_rec cache ?memo ~top ?streams ctx (sch : Sched.schedule) (design : Design.t)
     invocations =
   let lib = ctx.Design.lib in
   let dfg = design.Design.dfg in
   let n_samples = List.length invocations in
-  let streams =
-    match streams with Some streams -> streams | None -> simulate design invocations
-  in
+  let s = match streams with Some s -> s | None -> simulate design invocations in
+  let streams = s.values and toggles = s.toggles in
   let n_insts = Array.length design.Design.insts in
   (* The feeds of instance [i], in feed order, are entries
      [first.(i) .. first.(i + 1) - 1] of [feed_key], [feed_port] and
@@ -254,14 +292,22 @@ let rec energy_rec cache ?memo ~top ?streams ctx (sch : Sched.schedule) (design 
     done;
     !m
   in
+  (* a port of one feed reads its value's own count, which is what the
+     walk over its one-operand stream adds up *)
   let port_activity m =
-    for k = 0 to m - 1 do
-      order.(k) <- feed_value.(sel.(k))
-    done;
-    activity (port_toggles streams order m)
+    if m = 1 then activity toggles.(feed_value.(sel.(0)))
+    else begin
+      for k = 0 to m - 1 do
+        order.(k) <- feed_value.(sel.(k))
+      done;
+      activity (port_toggles streams order m)
+    end
   in
-  (* a port is steered when some source differs from the first *)
+  (* a port is steered when some source differs from the first; a port
+     of one feed has nothing to compare *)
   let steered m =
+    m > 1
+    &&
     let src = Area.source_of_value design feed_port.(sel.(0)) in
     let rec differs k =
       k < m
@@ -283,19 +329,28 @@ let rec energy_rec cache ?memo ~top ?streams ctx (sch : Sched.schedule) (design 
      of [behavior] bound to the module ([calls], descending ids), in
      start order, sample after sample. *)
   let part_charge rm behavior calls =
-    sort_by (fun id -> sch.Sched.start.(id)) calls (Array.length calls);
-    let args =
-      Array.map (fun id -> Array.map (Design.value_index dfg) dfg.Dfg.nodes.(id).Dfg.ins) calls
-    in
-    let inner_invocations = ref [] in
-    for s = Array.length streams - 1 downto 0 do
-      let values = streams.(s) in
-      for c = Array.length args - 1 downto 0 do
-        inner_invocations := Array.map (fun v -> values.(v)) args.(c) :: !inner_invocations
+    let n_calls = Array.length calls in
+    sort_by (fun id -> sch.Sched.start.(id)) calls n_calls;
+    let arity = Array.length dfg.Dfg.nodes.(calls.(0)).Dfg.ins in
+    let per_sample = n_calls * arity in
+    let args = Array.make per_sample 0 in
+    for c = 0 to n_calls - 1 do
+      let ins = dfg.Dfg.nodes.(calls.(c)).Dfg.ins in
+      for k = 0 to arity - 1 do
+        args.((c * arity) + k) <- Design.value_index dfg ins.(k)
       done
     done;
-    let inner_invocations = !inner_invocations in
+    let n_streams = Array.length streams in
+    let words = Array.make (n_streams * per_sample) 0 in
+    for s = 0 to n_streams - 1 do
+      let values = streams.(s) in
+      for j = 0 to per_sample - 1 do
+        words.((s * per_sample) + j) <- values.(args.(j))
+      done
+    done;
+    let n_inner = n_streams * n_calls in
     let part_energy _ =
+      let inner_invocations = List.init n_inner (fun k -> Array.sub words (k * arity) arity) in
       let part = Design.module_part rm behavior in
       let part_sch = Sched.module_schedule ~cache ctx rm behavior in
       energy_rec cache ?memo ~top:false ctx part_sch part inner_invocations
@@ -305,10 +360,9 @@ let rec energy_rec cache ?memo ~top ?streams ctx (sch : Sched.schedule) (design 
       | None -> part_energy ()
       | Some m ->
           Part_tbl.find_or_build m.parts
-            { Part_key.rm; behavior; invocations = inner_invocations }
+            { Part_key.rm; behavior; n_invocations = n_inner; words }
             part_energy
     in
-    let n_inner = Array.length streams * Array.length args in
     total := !total +. (e *. Float.of_int n_inner /. Float.of_int n_samples)
   in
   (* --- functional units and modules --- *)
@@ -326,7 +380,7 @@ let rec energy_rec cache ?memo ~top ?streams ctx (sch : Sched.schedule) (design 
           for key = 0 to n_keys.(i) - 1 do
             let m = collect i key in
             if m > 0 then begin
-              sort_by (fun j -> sch.Sched.start.(feed_port.(j).Dfg.node)) sel m;
+              if m > 1 then sort_by (fun j -> sch.Sched.start.(feed_port.(j).Dfg.node)) sel m;
               let act = port_activity m in
               acts.(!n_ports) <- act;
               steers.(!n_ports) <- steered m;
@@ -363,16 +417,23 @@ let rec energy_rec cache ?memo ~top ?streams ctx (sch : Sched.schedule) (design 
             if m > 0 then total := !total +. wire_charge (steered m) (port_activity m)
           done
   done;
-  (* --- registers: [writes.(0 .. m-1)] are one register's values --- *)
+  (* --- registers: [writes.(0 .. m-1)] are one register's values; one
+     value reads its own count, more go in write order --- *)
   let n_values = Array.length design.Design.value_reg in
   let writes = Array.make n_values 0 and scratch = Array.make n_values 0 in
   Array.iter
     (fun values ->
       let m = List.fold_left (fun k v -> writes.(k) <- v; k + 1) 0 values in
       if m > 0 then begin
-        sort_by (fun v -> sch.Sched.avail.(v)) writes m;
-        let act = activity (reg_toggles streams sch.Sched.avail writes m scratch) in
+        let toggled =
+          if m = 1 then toggles.(writes.(0))
+          else begin
+            sort_by (fun v -> sch.Sched.avail.(v)) writes m;
+            reg_toggles streams sch.Sched.avail writes m scratch
+          end
+        in
         let mux = if m > 1 then lib.Library.mux_cap else 0. in
+        let act = activity toggled in
         total := !total +. ((lib.Library.reg_cap +. lib.Library.wire_cap +. mux) *. act)
       end)
     (Design.values_by_reg design);
@@ -382,10 +443,11 @@ let rec energy_rec cache ?memo ~top ?streams ctx (sch : Sched.schedule) (design 
      input latching, over the whole design, every cycle --- *)
   if top then begin
     let cycles = Float.of_int (max 1 sch.Sched.makespan) in
+    let idle = design_idle memo design in
     total :=
       !total
-      +. (lib.Library.reg_clock_cap *. Float.of_int (clocked_regs design) *. cycles)
-      +. (lib.Library.fu_idle_frac *. total_fu_cap design *. cycles)
+      +. (lib.Library.reg_clock_cap *. Float.of_int idle.regs *. cycles)
+      +. (lib.Library.fu_idle_frac *. idle.cap *. cycles)
   end;
   !total /. Float.of_int n_samples
 
@@ -414,9 +476,10 @@ let energy_floor ctx (design : Design.t) ~makespan ~n_samples =
        non-negative capacitance, so this is a true lower bound. *)
     let lib = ctx.Design.lib in
     let cycles = Float.of_int (max 1 makespan) in
+    let idle = design_idle None design in
     (lib.Library.ctrl_cap_per_cycle *. cycles
-    +. (lib.Library.reg_clock_cap *. Float.of_int (clocked_regs design) *. cycles)
-    +. (lib.Library.fu_idle_frac *. total_fu_cap design *. cycles))
+    +. (lib.Library.reg_clock_cap *. Float.of_int idle.regs *. cycles)
+    +. (lib.Library.fu_idle_frac *. idle.cap *. cycles))
     /. Float.of_int n_samples
   end
 

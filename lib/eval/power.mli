@@ -31,6 +31,13 @@
     behaviors, the order of [Hashtbl.iter]), which is part of the
     result's bits.
 
+    Each stream starts from an all-zero word, so the toggle count of a
+    port fed by one value, or of a register holding one, is that
+    value's own count: the Hamming distances along its stream from the
+    zero word. Those counts are computed once with the streams and
+    read; ports of several operands and registers of several values
+    walk their samples.
+
     Known defect, kept for bit-identical results: a shared unit's
     operand stream is ordered by the start cycle of each operand's
     {e producer}, not of the operation consuming it, and every primary
@@ -50,19 +57,28 @@ type memo
       The values in the streams are fixed by those and the trace; a
       candidate only changes how they interleave on resources. The
       parts belong to the key because the registry never checks that
-      the variants of a behavior compute the same function.
+      the variants of a behavior compute the same function. An entry
+      also holds each value's own toggle count, counted when the entry
+      is built; nested parts count theirs on each call.
     - {b module-part energies}: a part's energy per invocation, keyed
       by its module (physically), the behavior and the part's
       invocation stream, which is the arguments of the calls bound to
-      the module's instance in start order, sample after sample. A
-      candidate whose part sees the same invocations, in this graph or
-      another, neither simulates the part nor looks its profile up.
-      Nested parts use the same table.
+      the module's instance in start order, sample after sample. The
+      key holds that stream as one flat array of words; every call of
+      a behavior has its part's arity, so the flat key is equal
+      exactly when the stream is. A candidate whose part sees the same
+      invocations, in this graph or another, neither simulates the
+      part nor looks its profile up. Nested parts use the same table.
+    - {b idle terms per module}: the registers a module instance
+      clocks and the capacitance of its units, nested modules
+      included, keyed by the module's physical identity (two modules
+      may share a name), read by {!energy_per_sample}.
 
-    Both tables are bounded (16 stream entries and 512 part energies,
-    second-chance eviction) and domain-safe, and each key is computed
-    once per residency. Reused values are the ones a fresh computation
-    produces, so results are bit-identical with and without a memo. *)
+    The tables are bounded (16 stream entries, 512 part energies and
+    256 modules, second-chance eviction) and domain-safe, and each key
+    is computed once per residency. Reused values are the ones a fresh
+    computation produces, so results are bit-identical with and
+    without a memo. *)
 
 val memo : Design.ctx -> trace:int array list -> memo
 (** An empty memo for one technology context and one trace, both
@@ -98,9 +114,9 @@ val energy_floor : Design.ctx -> Design.t -> makespan:int -> n_samples:int -> fl
     whose schedule has the given makespan, over a trace of [n_samples]
     invocations: the controller, register-clocking and idle-switching
     charges, which do not depend on data activity. The evaluation
-    engine's staged mode uses it to prove a candidate cannot beat the
-    incumbent without running the trace simulation. [0.] when
-    [n_samples <= 0] (the simulation then reports zero energy). *)
+    engine uses it to prove a candidate cannot beat the incumbent
+    without running the trace simulation. [0.] when [n_samples <= 0]
+    (the simulation then reports zero energy). *)
 
 val power :
   ?sched_cache:Sched.Cache.t ->

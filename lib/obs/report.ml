@@ -95,10 +95,10 @@ type t = {
   cache_hit_rate : float option;
   has_metrics : bool;
   skipped_lines : int;
-  consistent : bool;
+  consistent : bool option;
 }
 
-let schema_version = 1
+let schema_version = 2
 
 let geti k j = Option.bind (Json.member k j) Json.to_int_opt
 let getf k j = Option.bind (Json.member k j) Json.to_float_opt
@@ -350,11 +350,11 @@ let of_lines lines =
     in
     let consistent =
       match winner with
-      | None -> true  (* nothing to check against *)
+      | None -> None (* nothing to check against *)
       | Some w -> (
           match w.w_result_committed with
-          | Some n -> w.w_context <> None && w.w_committed = n
-          | None -> false)
+          | Some n -> Some (w.w_context <> None && w.w_committed = n)
+          | None -> Some false)
     in
     Ok
       {
@@ -376,20 +376,24 @@ let of_lines lines =
       }
   end
 
+(* [open_in]'s message names the path already; the others do not *)
 let load path =
   match open_in path with
   | exception Sys_error msg -> Error msg
-  | ic ->
+  | ic -> (
       let lines = ref [] in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          try
-            while true do
-              lines := input_line ic :: !lines
-            done
-          with End_of_file -> ());
-      of_lines (List.rev !lines)
+      match
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () ->
+            try
+              while true do
+                lines := input_line ic :: !lines
+              done
+            with End_of_file -> ())
+      with
+      | exception Sys_error msg -> Error (path ^ ": " ^ msg)
+      | () -> Result.map_error (fun e -> path ^ ": " ^ e) (of_lines (List.rev !lines)))
 
 (* -- rendering --------------------------------------------------------- *)
 
@@ -454,7 +458,7 @@ let to_json (t : t) =
       ("cache_hit_rate", opt_json (fun f -> Json.Float f) t.cache_hit_rate);
       ("has_metrics", Json.Bool t.has_metrics);
       ("skipped_lines", Json.Int t.skipped_lines);
-      ("consistent", Json.Bool t.consistent);
+      ("consistent", opt_json (fun b -> Json.Bool b) t.consistent);
     ]
 
 let render (t : t) =
@@ -514,5 +518,9 @@ let render (t : t) =
       | Some a, Some p -> pr "result: area %.1f, power %.3f\n" a p
       | _ -> ())
   | None -> pr "\n(no run_finished result in the stream)\n");
-  pr "consistency with the run's own result: %s\n" (if t.consistent then "ok" else "MISMATCH");
+  pr "consistency with the run's own result: %s\n"
+    (match t.consistent with
+    | Some true -> "ok"
+    | Some false -> "MISMATCH"
+    | None -> "not checked");
   Buffer.contents buf

@@ -79,10 +79,12 @@ type t = {
   cache_hit_rate : float option;
   has_metrics : bool;
   skipped_lines : int;  (** unparseable (e.g. truncated) lines ignored *)
-  consistent : bool;
-      (** recorder agrees with the run's own result: the winning
-          context resolved and its committed-move count equals
-          [stats.moves_committed] *)
+  consistent : bool option;
+      (** whether the recorder agrees with the run's own result: the
+          winning context resolved and its committed-move count equals
+          [stats.moves_committed]. [None] when the stream has no
+          [run_finished] line, so there is nothing to check against
+          (the wrong file, or a run that did not finish). *)
 }
 
 val schema_version : int
@@ -117,13 +119,16 @@ val of_lines : string list -> (t, string) result
     parses. *)
 
 val load : string -> (t, string) result
+(** {!of_lines} of a file's lines. Every error message names the path
+    once. *)
 
 val to_json : t -> Json.t
 (** Versioned ([kind = "hsyn.report"]) machine-readable form;
-    deterministic for a fixed input stream. *)
+    deterministic for a fixed input stream. [consistent] is [null]
+    when nothing was checked. *)
 
 val render : t -> string
 (** Human-readable report: attribution table, self-time table
     ({!render_stages} with the run's [elapsed_s]), winner summary,
-    consistency verdict. *)
+    consistency verdict ([ok], [MISMATCH] or [not checked]). *)
 

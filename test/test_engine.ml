@@ -553,6 +553,105 @@ let test_memo_part_energy_keyed_by_call_order () =
       check_against_direct engine direct order)
     [ [ c1_first; c2_first ]; [ c2_first; c1_first ] ]
 
+(* One module instance runs two behaviors, a + b and a * b, merged by
+   embedding, and a call of each sees the same arguments: the two parts'
+   invocation streams are the same words, so only the behavior in the
+   key keeps one part's energy from serving the other. *)
+let test_memo_part_energy_keyed_by_behavior () =
+  let registry = Registry.create () in
+  Registry.register registry "f" (variant "f_add" Op.Add);
+  Registry.register registry "g" (variant "g_mult" Op.Mult);
+  let g =
+    let b = B.create "top" in
+    let x = B.input b "x" and y = B.input b "y" in
+    let c1 = B.call b ~label:"c1" ~behavior:"f" ~n_out:1 [ x; y ] in
+    let c2 = B.call b ~label:"c2" ~behavior:"g" ~n_out:1 [ x; y ] in
+    B.output b ~label:"o" (B.op b ~label:"s" Op.Sub [ c1.(0); c2.(0) ]);
+    B.finish b
+  in
+  let d0 = Tu.initial ~registry ctx g in
+  let module_at label =
+    match d0.Design.insts.(Tu.inst_of d0 label) with
+    | Design.Module rm -> rm
+    | Design.Simple _ -> Alcotest.fail "a call on a simple unit"
+  in
+  let merged =
+    match Hsyn_embed.Embed.merge_modules ctx ~name:"fg" (module_at "c1") (module_at "c2") with
+    | Some (rm, _) -> rm
+    | None -> Alcotest.fail "the two modules do not merge"
+  in
+  let d =
+    Design.compact
+      (Design.with_binding
+         (Design.with_inst d0 (Tu.inst_of d0 "c1") (Design.Module merged))
+         (Tu.node_id g "c2") (Tu.inst_of d0 "c1"))
+  in
+  checki "both calls on one module" (Tu.inst_of d "c1") (Tu.inst_of d "c2");
+  checki "two parts" 2 (List.length merged.Design.parts);
+  let engine, direct = mk_engine ~objective:Cost.Power d in
+  check_against_direct engine direct [ d; d0; d ]
+
+(* A behavior without inputs, called twice: every invocation of its
+   part has the same (empty) argument words, so the words alone cannot
+   tell one call on the module from two calls sharing it. The key's
+   invocation count does, and the part's energy per invocation, its
+   start-up transition spread over one or two invocations a sample,
+   differs. *)
+let test_memo_part_energy_keyed_by_invocation_count () =
+  let registry = Registry.create () in
+  let k =
+    let b = B.create "k0" in
+    B.output b ~label:"y" (B.op b ~label:"n" Op.Neg [ B.const b ~label:"c" 5 ]);
+    B.finish b
+  in
+  Registry.register registry "k" k;
+  let g =
+    let b = B.create "top" in
+    let x = B.input b "x" in
+    let c1 = B.call b ~label:"c1" ~behavior:"k" ~n_out:1 [] in
+    let c2 = B.call b ~label:"c2" ~behavior:"k" ~n_out:1 [] in
+    let t = B.op b ~label:"t" Op.Add [ c1.(0); c2.(0) ] in
+    B.output b ~label:"o" (B.op b ~label:"s" Op.Add [ t; x ]);
+    B.finish b
+  in
+  let apart = Tu.initial ~registry ctx g in
+  let shared =
+    Design.compact (Design.with_binding apart (Tu.node_id g "c2") (Tu.inst_of apart "c1"))
+  in
+  checki "both calls on one module" (Tu.inst_of shared "c1") (Tu.inst_of shared "c2");
+  List.iter
+    (fun order ->
+      let engine, direct = mk_engine ~objective:Cost.Power apart in
+      check_against_direct engine direct order)
+    [ [ apart; shared ]; [ shared; apart ] ]
+
+(* Two modules with one name, one built from an adder and one from a
+   multiplier, bound to the same call in two designs: their idle terms
+   (clocked registers, unit capacitance) differ, so a table of idle
+   terms must tell the modules apart by identity, not by name. *)
+let test_memo_idle_terms_keyed_by_module () =
+  let registry = Registry.create () in
+  let f_add = variant "f_add" Op.Add and f_mult = variant "f_mult" Op.Mult in
+  Registry.register registry "f" f_add;
+  Registry.register registry "f" f_mult;
+  let g =
+    let b = B.create "top" in
+    let x = B.input b "x" and y = B.input b "y" in
+    B.output b ~label:"o" (B.call b ~label:"c" ~behavior:"f" ~n_out:1 [ x; y ]).(0);
+    B.finish b
+  in
+  let d = Tu.initial ~registry ctx g in
+  let with_module v =
+    Design.with_inst d (Tu.inst_of d "c")
+      (Design.Module (one_behavior_module registry ~name:"m" "f" v))
+  in
+  let d_add = with_module f_add and d_mult = with_module f_mult in
+  List.iter
+    (fun order ->
+      let engine, direct = mk_engine ~objective:Cost.Power d_add in
+      check_against_direct engine direct order)
+    [ [ d_add; d_mult ]; [ d_mult; d_add ] ]
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end determinism: full synthesis must produce bit-identical
    results at any jobs count, and with the cost cache disabled. *)
@@ -599,6 +698,10 @@ let () =
         [
           tc "streams keyed by bound parts" test_memo_streams_keyed_by_parts;
           tc "part energies keyed by call order" test_memo_part_energy_keyed_by_call_order;
+          tc "part energies keyed by behavior" test_memo_part_energy_keyed_by_behavior;
+          tc "part energies keyed by invocation count"
+            test_memo_part_energy_keyed_by_invocation_count;
+          tc "idle terms keyed by module" test_memo_idle_terms_keyed_by_module;
         ] );
       ("determinism", [ tc "jobs-independent synthesis" test_synthesis_determinism ]);
     ]

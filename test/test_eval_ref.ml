@@ -208,6 +208,37 @@ let equal_avail_case () =
   let trace = [ [| 5; 3 |]; [| 1; 9 |]; [| 7; 7 |]; [| 0xffff; 2 |]; [| 0; 0x8000 |] ] in
   ("equal avail", ctx, cs, d, trace)
 
+(* Both register paths and both port paths in one design: ports fed by
+   one value and registers holding one value, which read each value's
+   own toggle count, next to a register whose two values are written in
+   the same cycle and a shared adder whose ports see two operands each,
+   which walk their samples. *)
+let mixed_paths_case () =
+  let b = B.create "mixed" in
+  let a = B.input b "a" and x = B.input b "x" and y = B.input b "y" in
+  let p = B.op b ~label:"p" Op.Mult [ a; y ] in
+  let q = B.op b ~label:"q" Op.Add [ x; y ] in
+  B.output b ~label:"o" (B.op b ~label:"s" Op.Add [ p; q ]);
+  let g = B.finish b in
+  let d = Tu.initial ctx g in
+  let d = Design.with_value_reg d (vi g "x") d.Design.value_reg.(vi g "a") in
+  let d = Design.compact (Design.with_binding d (Tu.node_id g "s") (Tu.inst_of d "q")) in
+  let cs = Tu.relaxed_cs g in
+  let sch = Sched.schedule ctx cs d in
+  Alcotest.(check int)
+    "a and x written in one cycle" sch.Sched.avail.(vi g "a") sch.Sched.avail.(vi g "x");
+  let port_sizes label =
+    let feeds = Area.port_feeds d (Tu.inst_of d label) in
+    List.sort_uniq compare (List.map fst feeds)
+    |> List.map (fun key -> List.length (List.filter (fun (k, _) -> k = key) feeds))
+  in
+  Alcotest.(check (list int)) "one operand per multiplier port" [ 1; 1 ] (port_sizes "p");
+  Alcotest.(check (list int)) "two operands per adder port" [ 2; 2 ] (port_sizes "q");
+  let held = Array.map List.length (Design.values_by_reg d) in
+  Alcotest.(check bool) "a register of one value" true (Array.mem 1 held);
+  Alcotest.(check bool) "a register of two values" true (Array.mem 2 held);
+  ("mixed paths", ctx, cs, d, Tu.trace ~length:7 g)
+
 let chain_case () =
   let g = Tu.add_chain_graph () in
   let d, inst = Design.add_inst (Tu.initial ctx g) (Design.Simple (Library.find_exn lib "chained_add3")) in
@@ -364,6 +395,7 @@ let test_hand_built () =
       (fun (label, ctx, cs, d, trace) -> with_neighbours label ctx cs d trace)
       [
         equal_avail_case ();
+        mixed_paths_case ();
         chain_case ();
         multi_output_case ();
         nested_module_case ();

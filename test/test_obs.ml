@@ -533,7 +533,7 @@ let test_report_aggregates () =
       checki "winner committed" 2 w.Report.w_committed;
       checkf "winner value" 85.0 (Option.get w.Report.w_value);
       checki "result committed" 2 (Option.get w.Report.w_result_committed);
-      checkb "consistent" true r.Report.consistent
+      checkb "consistent" true (r.Report.consistent = Some true)
 
 (* The [--stats] block of a snapshot: a family row has no batches,
    which are never attributed to a family; the total row has them. The
@@ -591,10 +591,55 @@ let test_report_detects_mismatch () =
   in
   match Report.of_lines tampered with
   | Error e -> Alcotest.failf "unexpected: %s" e
-  | Ok r -> checkb "mismatch flagged" false r.Report.consistent
+  | Ok r -> checkb "mismatch flagged" true (r.Report.consistent = Some false)
+
+(* A stream without a run_finished line has no result to check the
+   recorder against: the trace file passed by mistake, or a run cut
+   short. The report says that nothing was checked, in its text and in
+   its JSON, rather than reporting the check passed. *)
+let test_report_unchecked_without_result () =
+  let no_result = List.filter (fun l -> not (contains l {|"event":"run_finished"|})) fixture in
+  match Report.of_lines no_result with
+  | Error e -> Alcotest.failf "unexpected: %s" e
+  | Ok r ->
+      let text = Report.render r in
+      checkb "the text says so" true
+        (contains text "consistency with the run's own result: not checked");
+      checkb "the text does not say ok" false
+        (contains text "consistency with the run's own result: ok");
+      checkb "the JSON says so" true (Json.member "consistent" (Report.to_json r) = Some Json.Null)
 
 let test_report_rejects_empty () =
   checkb "no parseable line is an error" true (Result.is_error (Report.of_lines [ "nope"; "" ]))
+
+(* [Report.load]'s errors name the path once, whichever step fails:
+   opening, reading (a directory opens but cannot be read) or parsing. *)
+let test_report_load_names_path () =
+  let occurrences s sub =
+    let n = String.length sub in
+    let rec go i acc =
+      if i + n > String.length s then acc
+      else if String.sub s i n = sub then go (i + n) (acc + 1)
+      else go (i + 1) acc
+    in
+    go 0 0
+  in
+  let names_once path =
+    match Report.load path with
+    | Ok _ -> Alcotest.failf "%s loaded" path
+    | Error e -> checki (Printf.sprintf "%S names %s once" e path) 1 (occurrences e path)
+  in
+  names_once "/nonexistent/run.ndjson";
+  let dir = Filename.get_temp_dir_name () in
+  names_once dir;
+  let path = Filename.temp_file "hsyn_obs" ".ndjson" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      output_string oc "nope\n";
+      close_out oc;
+      names_once path)
 
 (* ------------------------------------------------------------------ *)
 (* Sink *)
@@ -948,7 +993,9 @@ let () =
           tc "deterministic" `Quick test_report_deterministic;
           tc "counts truncated lines" `Quick test_report_counts_truncated_lines;
           tc "detects result mismatch" `Quick test_report_detects_mismatch;
+          tc "unchecked without a result" `Quick test_report_unchecked_without_result;
           tc "rejects empty stream" `Quick test_report_rejects_empty;
+          tc "load errors name the path once" `Quick test_report_load_names_path;
         ] );
       ( "sink",
         [
