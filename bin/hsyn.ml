@@ -228,12 +228,9 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
 (* Flags -> [Wire.doc]s: the CLI front-end builds the same request
    documents a [serve] client sends, then resolves them through the
    same [Wire.to_request]. [--dump-request] prints them instead. *)
-let make_docs bench file dfg_name objective lf sampling mode seed jobs budget_s max_contexts
+let make_docs bench file dfg_name objective lf sampling flatten seed jobs budget_s max_contexts
     cache no_rewrite =
   Result.bind (load_sources bench file dfg_name) (fun sources ->
-      let objective =
-        match Cost.objective_of_string objective with Some o -> o | None -> Cost.Area
-      in
       let timing =
         match sampling with Some ns -> Wire.Sampling_ns ns | None -> Wire.Laxity lf
       in
@@ -254,14 +251,14 @@ let make_docs bench file dfg_name objective lf sampling mode seed jobs budget_s 
       Result.bind (Budget.make ?deadline_s:budget_s ?max_contexts ()) (fun budget ->
           Ok
             (List.map
-               (Wire.make_doc ~objective ~timing ~flatten:(mode = "flat") ~config ~budget ?cache)
+               (Wire.make_doc ~objective ~timing ~flatten ~config ~budget ?cache)
                sources)))
 
-let do_synth bench file dfg_name objective lf sampling mode seed jobs budget_s max_contexts
+let do_synth bench file dfg_name objective lf sampling flatten seed jobs budget_s max_contexts
     cache no_rewrite share_session dump_request progress events_json trace_out metrics_out
     checkpoint resume json show_stats profile show_rtl show_fsm show_sched show_verilog =
   match
-    make_docs bench file dfg_name objective lf sampling mode seed jobs budget_s max_contexts
+    make_docs bench file dfg_name objective lf sampling flatten seed jobs budget_s max_contexts
       cache no_rewrite
   with
   | Error msg ->
@@ -307,7 +304,11 @@ let dfg_arg =
   Arg.(value & opt (some string) None & info [ "dfg" ] ~docv:"NAME" ~doc:"Which dfg block of the file to use.")
 
 let objective_arg =
-  Arg.(value & opt string "area" & info [ "o"; "objective" ] ~docv:"area|power" ~doc:"Optimization objective.")
+  let objectives = List.map (fun o -> (Cost.objective_name o, o)) [ Cost.Area; Cost.Power ] in
+  Arg.(
+    value
+    & opt (enum objectives) Cost.Area
+    & info [ "o"; "objective" ] ~docv:"area|power" ~doc:"Optimization objective.")
 
 let lf_arg =
   Arg.(value & opt float 2.2 & info [ "lf" ] ~docv:"FACTOR" ~doc:"Laxity factor: sampling period as a multiple of the minimum.")
@@ -316,7 +317,10 @@ let sampling_arg =
   Arg.(value & opt (some float) None & info [ "sampling" ] ~docv:"NS" ~doc:"Absolute sampling period in ns (overrides --lf).")
 
 let mode_arg =
-  Arg.(value & opt string "hier" & info [ "m"; "mode" ] ~docv:"hier|flat" ~doc:"Hierarchical synthesis or the flattened baseline.")
+  Arg.(
+    value
+    & opt (enum [ ("hier", false); ("flat", true) ]) false
+    & info [ "m"; "mode" ] ~docv:"hier|flat" ~doc:"Hierarchical synthesis or the flattened baseline.")
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Trace RNG seed.")
 
@@ -678,9 +682,7 @@ let do_serve socket tcp max_inflight max_queue max_request_s retry_after_s cache
   | Ok addr -> (
       (* daemon logging: structured NDJSON records at info level by
          default (libraries default to warn), optionally into a file *)
-      (match Log.level_of_string log_level with
-      | Some l -> Log.set_level l
-      | None -> prerr_endline (Printf.sprintf "hsyn: --log-level %S ignored" log_level));
+      Log.set_level log_level;
       (match log_file with None -> () | Some path -> Log.set_sink (Report.Sink.create path));
       let config =
         {
@@ -835,8 +837,10 @@ let serve_log_arg =
            $(docv) instead of stderr.")
 
 let log_level_arg =
+  let levels = List.map (fun l -> (Log.level_name l, l)) Log.[ Debug; Info; Warn; Error ] in
   Arg.(
-    value & opt string "info"
+    value
+    & opt (enum (levels @ [ ("warning", Log.Warn) ])) Log.Info
     & info [ "log-level" ] ~docv:"LEVEL"
         ~doc:"Log threshold: $(b,debug), $(b,info), $(b,warn) or $(b,error).")
 

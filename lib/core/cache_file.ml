@@ -36,10 +36,12 @@ let magic = "HSYN-CACHE"
    digest (length-prefixed hex), then the marshaled [payload].
    v2: the payload is sealed ([Hsyn_util.Sealed]) with a digest of its
    bytes, checked before unmarshalling.
+   v3: Dfg.t (in each saved design) gained [index], the tables
+   Builder.finish builds once per graph.
    Bump on any change to the Marshal layout of [payload] (so
    [Cost.eval], [Design.t] and [Sched.constraints] changes all
    count). *)
-let schema_version = 2
+let schema_version = 3
 
 let lib_digest (lib : Hsyn_modlib.Library.t) =
   Digest.to_hex (Digest.string (Marshal.to_string lib []))

@@ -41,8 +41,10 @@ let magic = "HSYN-CKPT"
    v10: Pass.stats lost [sched] (process-wide, not the run's own),
    [moves_committed] and [rewrite_kinds] (both derived from
    [committed]); Session.counters lost [wall_s]; the incumbent lost
-   [value], its eval's objective value. *)
-let schema_version = 10
+   [value], its eval's objective value.
+   v11: Dfg.t gained [index], the tables Builder.finish builds once
+   per graph. *)
+let schema_version = 11
 
 let compatible t ~dfg_name ~objective ~sampling_ns ~flattened =
   if t.dfg_name <> dfg_name then

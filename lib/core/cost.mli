@@ -59,9 +59,8 @@ val schedule_stage :
     [energy_sample] are [nan]; the eval equals [evaluate
     ~with_power:false]. The schedule is returned alongside so that
     {!power_stage} need not compute it again. [?sched_cache] is
-    forwarded to {!Sched.schedule}, which takes the graph's prepared
-    context from it, and to the area model's module profiles. [?memo]
-    supplies the module areas. *)
+    forwarded to {!Sched.schedule} and to the area model, for module
+    profiles. [?memo] supplies the module areas. *)
 
 val power_stage :
   ?sched_cache:Sched.Cache.t ->

@@ -42,10 +42,11 @@
     and parts compare by physical identity. Every table is bounded and
     safe on the engine's pool (see {!Hsyn_eval.Power.memo} and
     {!Hsyn_eval.Area.memo}). Direct {!Cost.evaluate} calls take no
-    memo and stay uncached. Scheduling contexts are not the engine's:
-    each schedule looks its graph's prepared context up in the
-    session's scheduler cache ({!Session.sched_cache}), as module
-    profiles and the move generators' own schedules do.
+    memo and stay uncached. Scheduling tables are not the engine's:
+    each schedule reads its graph's {!Hsyn_dfg.Dfg.index}, and looks
+    module profiles up in the session's scheduler cache
+    ({!Session.sched_cache}), as the move generators' own schedules
+    do.
 
     Results are bit-identical to direct {!Cost.evaluate} calls and
     independent of the pool size.

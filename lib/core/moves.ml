@@ -52,13 +52,12 @@ type env = {
 }
 
 (* Family E's rewrites of one graph: [Rewrite_dfg.candidates] (a pure
-   function of the graph) with the label index and value offsets that
-   [rebind_rewritten] reads. *)
+   function of the graph) with the label index that [rebind_rewritten]
+   reads. *)
 and rewrites = {
   rw_dfg : Dfg.t;  (* the graph they rewrite, compared physically *)
   rw_list : rewrite list;
   by_label : (string, int) Hashtbl.t;
-  offsets : int array;
   call_free : bool;  (* [rw_dfg] has no call node, so neither has a rewrite *)
 }
 
@@ -117,9 +116,16 @@ let best_of env cur_value (candidates : candidate Seq.t) =
 let single_behavior (rm : Design.rtl_module) =
   match rm.Design.parts with [ (b, _) ] -> Some b | _ -> None
 
-(* Consumers of a value, via the index built once per generator run —
-   replaces the former whole-graph rescan per query. *)
-let consumers idx (dfg : Dfg.t) (p : Dfg.port) = idx.(Design.value_index dfg p)
+(* [f acc reader at_avail] over the readers of value [v], from the
+   graph's index: [at_avail] marks an Output or Delay, which reads the
+   value when it becomes available. *)
+let fold_readers (dfg : Dfg.t) v f acc =
+  let ix = dfg.Dfg.index in
+  let acc = ref acc in
+  for c = ix.Dfg.reader_off.(v) to ix.Dfg.reader_off.(v + 1) - 1 do
+    acc := f !acc ix.Dfg.readers.(c) ix.Dfg.reader_at_avail.(c)
+  done;
+  !acc
 
 (* Rebind all nodes from instance [j] onto [i] with merged unit type,
    then drop [j]. [by_inst] is [Design.nodes_by_inst d]. *)
@@ -197,13 +203,12 @@ let resynth_candidates env (d : Design.t) : candidate Seq.t =
   | Some resynth ->
       let dfg = d.Design.dfg in
       let ctx = ctx env and deadline = (cs env).Sched.deadline in
-      (* schedule, ALAP and the consumer index are shared by all
-         instances but only computed if some candidate is pulled *)
+      (* schedule and ALAP are shared by all instances but only
+         computed if some candidate is pulled *)
       let pre =
         lazy
           ( Sched.schedule ~cache:(sched_cache env) ctx (cs env) d,
-            Sched.alap_start ~cache:(sched_cache env) ctx ~deadline d,
-            Design.consumer_index dfg )
+            Sched.alap_start ~cache:(sched_cache env) ctx ~deadline d )
       in
       Seq.init (Array.length d.Design.insts) Fun.id
       |> Seq.concat_map (fun i ->
@@ -215,7 +220,7 @@ let resynth_candidates env (d : Design.t) : candidate Seq.t =
                      (* the nested synthesis is the expensive part:
                         defer it until this element is demanded *)
                      fun () ->
-                       let sch, alap, cidx = Lazy.force pre in
+                       let sch, alap = Lazy.force pre in
                        let node = dfg.Dfg.nodes.(call) in
                        let arrivals =
                          Array.map
@@ -223,14 +228,11 @@ let resynth_candidates env (d : Design.t) : candidate Seq.t =
                            node.Dfg.ins
                        in
                        let latest_out out =
-                         let p = { Dfg.node = call; out } in
-                         let cons = consumers cidx dfg p in
-                         List.fold_left
-                           (fun acc (c, _) ->
-                             match dfg.Dfg.nodes.(c).Dfg.kind with
-                             | Dfg.Output | Dfg.Delay _ -> min acc deadline
-                             | _ -> min acc (max 0 alap.(c)))
-                           deadline cons
+                         fold_readers dfg
+                           (Design.value_index dfg { Dfg.node = call; out })
+                           (fun acc c at_avail ->
+                             if at_avail then min acc deadline else min acc (max 0 alap.(c)))
+                           deadline
                        in
                        let outs = Array.init node.Dfg.n_out latest_out in
                        let base = Array.fold_left min max_int arrivals in
@@ -297,7 +299,6 @@ let merge_simple_candidates (d : Design.t) : candidate Seq.t =
 let chain_candidates env (d : Design.t) : candidate Seq.t =
   let lib = (ctx env).Design.lib in
   let dfg = d.Design.dfg in
-  let cidx = lazy (Design.consumer_index dfg) in
   let is_plain_add id =
     dfg.Dfg.nodes.(id).Dfg.kind = Dfg.Op Op.Add
     && d.Design.node_inst.(id) >= 0
@@ -314,13 +315,12 @@ let chain_candidates env (d : Design.t) : candidate Seq.t =
     let d' =
       List.fold_left
         (fun acc id ->
-          let p = { Dfg.node = id; out = 0 } in
-          let cons = consumers (Lazy.force cidx) dfg p in
+          let v = Design.value_index dfg { Dfg.node = id; out = 0 } in
           let internal_only =
-            cons <> [] && List.for_all (fun (c, _) -> List.mem c nodes) cons
+            dfg.Dfg.index.Dfg.reader_off.(v) < dfg.Dfg.index.Dfg.reader_off.(v + 1)
+            && fold_readers dfg v (fun ok c _ -> ok && List.mem c nodes) true
           in
-          if internal_only then Design.with_value_reg acc (Design.value_index dfg p) (-1)
-          else acc)
+          if internal_only then Design.with_value_reg acc v (-1) else acc)
         d' nodes
     in
     Design.compact d'
@@ -446,7 +446,6 @@ let left_edge_candidate env (d : Design.t) : candidate Seq.t =
   let sch = Sched.schedule ~cache:(sched_cache env) (ctx env) (cs env) d in
   if not sch.Sched.feasible then Seq.Nil
   else begin
-    let cidx = Design.consumer_index dfg in
     let nv = Design.n_values dfg in
     (* values that must keep private registers: delay state *)
     let is_delay_value v =
@@ -454,20 +453,13 @@ let left_edge_candidate env (d : Design.t) : candidate Seq.t =
       match dfg.Dfg.nodes.(node).Dfg.kind with Dfg.Delay _ -> true | _ -> false
     in
     let lifetime v =
-      let p = Design.value_of_index dfg v in
       let birth = sch.Sched.avail.(v) in
       let death =
-        List.fold_left
-          (fun acc (c, _) ->
-            let t =
-              match dfg.Dfg.nodes.(c).Dfg.kind with
-              | Dfg.Output | Dfg.Delay _ ->
-                  sch.Sched.avail.(v) (* consumed on availability *)
-              | _ -> max sch.Sched.start.(c) sch.Sched.avail.(v)
-            in
-            max acc t)
+        fold_readers dfg v
+          (fun acc c at_avail ->
+            (* an Output or Delay consumes on availability *)
+            max acc (if at_avail then birth else max sch.Sched.start.(c) birth))
           birth
-          (consumers cidx dfg p)
       in
       (birth, death)
     in
@@ -561,10 +553,9 @@ module Metrics = Hsyn_obs.Metrics
    fastest supporting unit and fresh registers. Returns [None] when
    the result does not validate (e.g. a rewrite broke a chained-unit
    binding, or the library has no unit for an introduced operation).
-   [by_label] maps the current graph's labels to node ids and
-   [offsets] its node ids to first value indices; both are shared by
-   every rewrite of one graph. *)
-let rebind_rewritten env (d : Design.t) ~by_label ~offsets (g' : Dfg.t) =
+   [by_label] maps the current graph's labels to node ids; it is shared
+   by every rewrite of one graph. *)
+let rebind_rewritten env (d : Design.t) ~by_label (g' : Dfg.t) =
   let dfg = d.Design.dfg in
   let extra = ref [] and n_extra = ref 0 in
   let base = Array.length d.Design.insts in
@@ -597,28 +588,28 @@ let rebind_rewritten env (d : Design.t) ~by_label ~offsets (g' : Dfg.t) =
   | node_inst ->
       let value_reg = Array.make (Design.n_values g') (-1) in
       let next = ref d.Design.n_regs in
-      (* the value index of [g'] is [!v + out], running in node order *)
-      let v = ref 0 in
-      Array.iter
-        (fun (node : Dfg.node) ->
+      Array.iteri
+        (fun id (node : Dfg.node) ->
           for out = 0 to node.Dfg.n_out - 1 do
             match node.Dfg.kind with
             | Dfg.Const _ | Dfg.Output -> ()
             | Dfg.Input | Dfg.Op _ | Dfg.Call _ | Dfg.Delay _ -> (
+                let v = Design.value_index g' { Dfg.node = id; out } in
                 let preserved =
                   match Hashtbl.find_opt by_label node.Dfg.label with
                   | Some orig when dfg.Dfg.nodes.(orig).Dfg.n_out > out ->
-                      let r = d.Design.value_reg.(offsets.(orig) + out) in
+                      let r =
+                        d.Design.value_reg.(Design.value_index dfg { Dfg.node = orig; out })
+                      in
                       if r >= 0 then Some r else None
                   | _ -> None
                 in
                 match preserved with
-                | Some r -> value_reg.(!v + out) <- r
+                | Some r -> value_reg.(v) <- r
                 | None ->
-                    value_reg.(!v + out) <- !next;
+                    value_reg.(v) <- !next;
                     incr next)
-          done;
-          v := !v + node.Dfg.n_out)
+          done)
         g'.Dfg.nodes;
       let insts = Array.append d.Design.insts (Array.of_list (List.rev !extra)) in
       let d' = { Design.dfg = g'; insts; node_inst; value_reg; n_regs = !next } in
@@ -628,8 +619,8 @@ let rebind_rewritten env (d : Design.t) ~by_label ~offsets (g' : Dfg.t) =
 (* The rewrites of [dfg]: the env's memo when it holds [dfg] itself,
    else computed and kept there in place of the last graph's. Moves
    between two committed rewrites see one graph, so they share its
-   rewritten graphs, and with them their prepared scheduling contexts
-   and the graph memory of their cost-cache entries. *)
+   rewritten graphs, and with them each graph's index and the graph
+   memory of their cost-cache entries. *)
 let rewrites_of env (dfg : Dfg.t) =
   match env.rewrites with
   | Some rw when rw.rw_dfg == dfg -> rw
@@ -639,16 +630,12 @@ let rewrites_of env (dfg : Dfg.t) =
       Array.iteri
         (fun i (node : Dfg.node) -> Hashtbl.replace by_label node.Dfg.label i)
         dfg.Dfg.nodes;
-      let offsets = Array.make n 0 in
-      for id = 1 to n - 1 do
-        offsets.(id) <- offsets.(id - 1) + dfg.Dfg.nodes.(id - 1).Dfg.n_out
-      done;
       let rw_list =
         List.map
           (fun (description, graph) -> { description; graph; verdict = None })
           (Rewrite_dfg.candidates dfg)
       in
-      let rw = { rw_dfg = dfg; rw_list; by_label; offsets; call_free = Dfg.n_calls dfg = 0 } in
+      let rw = { rw_dfg = dfg; rw_list; by_label; call_free = Dfg.n_calls dfg = 0 } in
       env.rewrites <- Some rw;
       rw
 
@@ -678,7 +665,7 @@ let rewrite_candidates env (d : Design.t) : candidate Seq.t =
   List.to_seq rw.rw_list
   |> Seq.filter_map (fun r ->
          Metrics.incr rewrite_candidates_seen;
-         match rebind_rewritten env d ~by_label:rw.by_label ~offsets:rw.offsets r.graph with
+         match rebind_rewritten env d ~by_label:rw.by_label r.graph with
          | None ->
              Metrics.incr rewrite_rejected_bind;
              None

@@ -273,7 +273,6 @@ let load_into ?(capacity = 4096) t ~lib ~dir =
 type stats = {
   cost_tbl : Shard_tbl.stats;
   contexts : int;
-  prepared_tbl : Shard_tbl.stats;
   profile_tbl : Shard_tbl.stats;
 }
 
@@ -285,13 +284,7 @@ let stats (t : t) =
       incr n;
       cost := Shard_tbl.add_stats !cost (Cost_tbl.stats cache))
     t.contexts;
-  let sc = Sched.Cache.stats t.sc in
-  {
-    cost_tbl = !cost;
-    contexts = !n;
-    prepared_tbl = sc.Sched.Cache.prepared_tbl;
-    profile_tbl = sc.Sched.Cache.profile_tbl;
-  }
+  { cost_tbl = !cost; contexts = !n; profile_tbl = Sched.Cache.stats t.sc }
 
 (* session.<table>.<field> gauges of one table, resolved once *)
 type table_gauges = {
@@ -313,7 +306,6 @@ let table_gauges name =
   }
 
 let cost_gauges = table_gauges "cost"
-let prepared_gauges = table_gauges "prepared"
 let profiles_gauges = table_gauges "profiles"
 let contexts_gauge = Metrics.gauge "session.contexts"
 
@@ -329,7 +321,6 @@ let export_metrics t =
       set g.g_capacity st.Shard_tbl.capacity
     in
     table cost_gauges s.cost_tbl;
-    table prepared_gauges s.prepared_tbl;
     table profiles_gauges s.profile_tbl;
     Metrics.set contexts_gauge (Float.of_int s.contexts)
   end

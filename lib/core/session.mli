@@ -1,12 +1,11 @@
 (** Session-scoped memoization and accounting for synthesis.
 
     A session owns every piece of state that used to be global or
-    per-engine: the scheduler's prepared-context and module-profile
-    caches, the engine's fingerprint-keyed cost cache, and the
-    aggregated evaluation counters. Engines, passes and requests all
-    borrow from the session they were created with — there is no
-    process-wide mutable cache state left in [lib/core] or
-    [lib/sched].
+    per-engine: the scheduler's module-profile cache, the engine's
+    fingerprint-keyed cost cache, and the aggregated evaluation
+    counters. Engines, passes and requests all borrow from the session
+    they were created with — there is no process-wide mutable cache
+    state left in [lib/core] or [lib/sched].
 
     Sharing one session across N concurrent [Synthesize.synthesize]
     calls is safe and bit-identical to running each call on a fresh
@@ -68,8 +67,8 @@ val create : unit -> t
     and the scheduler cache has {!Sched.Cache.create}'s sizes. *)
 
 val sched_cache : t -> Sched.Cache.t
-(** The scheduler-side cache (prepared contexts, module profiles) this
-    session owns; pass it to [Sched]/[Area]/[Power] entry points. *)
+(** The scheduler-side cache (module profiles) this session owns;
+    pass it to [Sched]/[Area]/[Power] entry points. *)
 
 (** {1 Aggregated accounting} *)
 
@@ -155,17 +154,16 @@ val load_into : ?capacity:int -> t -> lib:Hsyn_modlib.Library.t -> dir:string ->
 type stats = {
   cost_tbl : Shard_tbl.stats;  (** aggregated over all context caches *)
   contexts : int;  (** live evaluation contexts *)
-  prepared_tbl : Shard_tbl.stats;
-  profile_tbl : Shard_tbl.stats;
+  profile_tbl : Shard_tbl.stats;  (** the scheduler's module profiles *)
 }
 
 val stats : t -> stats
 
 val export_metrics : t -> unit
 (** Publish the current {!stats} through [Obs.Metrics] as
-    [session.<table>.*] gauges for the [cost], [prepared] and
-    [profiles] tables (hits, misses, evictions, size, capacity (0 when
-    unbounded; the cost table's sums its contexts')) plus
+    [session.<table>.*] gauges for the [cost] and [profiles] tables
+    (hits, misses, evictions, size, capacity (0 when unbounded; the
+    cost table's sums its contexts')) plus
     [session.contexts]. A no-op while metrics are disabled. Call after
     a run (or periodically from a server loop); values are absolute
     snapshots, not deltas. *)

@@ -1,4 +1,5 @@
 module Vec = Hsyn_util.Vec
+module Fnv = Hsyn_util.Fnv
 
 type port = { node : int; out : int }
 
@@ -12,61 +13,79 @@ type kind =
 
 type node = { kind : kind; label : string; ins : port array; n_out : int }
 
+(* The index [Builder.finish] builds once per graph. Per-node and
+   per-value lists are CSR pairs: [x_off] of length n + 1 delimits each
+   entry's slice of the data array. *)
+type index = {
+  value_off : int array;
+  value_node : int array;
+  order : int array;
+  in_off : int array;
+  in_val : int array;
+  reader_off : int array;
+  readers : int array;
+  reader_at_avail : bool array;
+  topo_values : int array;
+  exec_nodes : int array;
+  fixed_values : int array;
+  sink_values : int array;
+  output_values : int array;
+  hash : int64;
+}
+
 type t = {
   name : string;
   nodes : node array;
   inputs : int array;
   outputs : int array;
+  index : index;
 }
 
 let n_out t id = t.nodes.(id).n_out
+let topo_order t = t.index.order
 
-(* Scheduling-dependence topological order: a node depends on the
-   producers of its inputs, except that values read from a Delay come
-   from the previous sample and impose no intra-sample ordering. *)
-let topo_order t =
-  let n = Array.length t.nodes in
-  let indeg = Array.make n 0 in
-  let dep_edges dst =
-    Array.to_list t.nodes.(dst).ins
-    |> List.filter_map (fun { node = src; _ } ->
-           match t.nodes.(src).kind with Delay _ -> None | _ -> Some src)
-  in
-  for dst = 0 to n - 1 do
-    indeg.(dst) <- List.length (dep_edges dst)
-  done;
-  let out_edges = Array.make n [] in
-  for dst = 0 to n - 1 do
-    List.iter (fun src -> out_edges.(src) <- dst :: out_edges.(src)) (dep_edges dst)
-  done;
-  let order = Vec.create () in
-  let ready = Queue.create () in
-  for id = 0 to n - 1 do
-    if indeg.(id) = 0 then Queue.add id ready
-  done;
-  while not (Queue.is_empty ready) do
-    let id = Queue.pop ready in
-    ignore (Vec.push order id);
-    List.iter
-      (fun dst ->
-        indeg.(dst) <- indeg.(dst) - 1;
-        if indeg.(dst) = 0 then Queue.add dst ready)
-      (List.sort compare out_edges.(id))
-  done;
-  if Vec.length order <> n then
-    invalid_arg (Printf.sprintf "Dfg.topo_order: combinational cycle in %s" t.name);
-  Vec.to_array order
+(* The structure mixed into an FNV chain, node by node: the design
+   fingerprint continues the chain a graph's [index.hash] starts. The
+   chain's step is inlined (see [Fnv.prime]). *)
+let[@inline] step h i = Int64.mul (Int64.logxor h (Int64.of_int i)) Fnv.prime
+let mix_int st i = Fnv.store st 0 (step (Fnv.load st 0) i)
 
-let validate t =
-  let n = Array.length t.nodes in
+let hash_nodes st name (nodes : node array) =
+  Fnv.string st name;
+  for k = 0 to Array.length nodes - 1 do
+    let node = nodes.(k) in
+    (match node.kind with
+    | Input -> mix_int st 1
+    | Output -> mix_int st 2
+    | Const c -> Fnv.store st 0 (step (step (Fnv.load st 0) 3) c)
+    | Delay init -> Fnv.store st 0 (step (step (Fnv.load st 0) 4) init)
+    | Op op ->
+        mix_int st 5;
+        Fnv.string st (Op.name op)
+    | Call b ->
+        mix_int st 6;
+        Fnv.string st b);
+    let h = ref (step (Fnv.load st 0) node.n_out) in
+    let ins = node.ins in
+    for p = 0 to Array.length ins - 1 do
+      h := step (step !h ins.(p).node) ins.(p).out
+    done;
+    Fnv.store st 0 !h
+  done
+
+let hash_into st t = hash_nodes st t.name t.nodes
+
+(* Everything but the order's acyclicity, which [index] checks. *)
+let check name (nodes : node array) inputs outputs =
+  let n = Array.length nodes in
   let err fmt = Format.kasprintf (fun msg -> Error msg) fmt in
   let check_node id node =
     let bad_port { node = src; out } =
       if src < 0 || src >= n then Some (Printf.sprintf "node %d: dangling source %d" id src)
-      else if out < 0 || out >= t.nodes.(src).n_out then
+      else if out < 0 || out >= nodes.(src).n_out then
         Some (Printf.sprintf "node %d: source %d has no output port %d" id src out)
       else
-        match t.nodes.(src).kind with
+        match nodes.(src).kind with
         | Output -> Some (Printf.sprintf "node %d reads from an Output node" id)
         | _ -> None
     in
@@ -85,18 +104,18 @@ let validate t =
         | _ -> None)
   in
   let node_errors =
-    Array.to_list (Array.mapi (fun id node -> check_node id node) t.nodes) |> List.filter_map Fun.id
+    Array.to_list (Array.mapi (fun id node -> check_node id node) nodes) |> List.filter_map Fun.id
   in
   match node_errors with
-  | msg :: _ -> err "%s: %s" t.name msg
+  | msg :: _ -> err "%s: %s" name msg
   | [] ->
       let io_ok kind ids =
         Array.for_all
-          (fun id -> id >= 0 && id < n && t.nodes.(id).kind = kind)
+          (fun id -> id >= 0 && id < n && nodes.(id).kind = kind)
           ids
       in
-      if not (io_ok Input t.inputs) then err "%s: inputs array inconsistent" t.name
-      else if not (io_ok Output t.outputs) then err "%s: outputs array inconsistent" t.name
+      if not (io_ok Input inputs) then err "%s: inputs array inconsistent" name
+      else if not (io_ok Output outputs) then err "%s: outputs array inconsistent" name
       else begin
         (* Labels must be unique so the textual format round-trips. *)
         let seen = Hashtbl.create 16 in
@@ -108,14 +127,135 @@ let validate t =
                 Hashtbl.add seen node.label ();
                 false
               end)
-            t.nodes
+            nodes
         in
-        if dup then err "%s: duplicate node labels" t.name
-        else
-          match topo_order t with
-          | _ -> Ok ()
-          | exception Invalid_argument msg -> Error msg
+        if dup then err "%s: duplicate node labels" name else Ok ()
       end
+
+let validate t = check t.name t.nodes t.inputs t.outputs
+
+(* The index of checked nodes, or the error of a combinational cycle. *)
+let index name (nodes : node array) outputs =
+  let n = Array.length nodes in
+  let value_off = Array.make (n + 1) 0 and in_off = Array.make (n + 1) 0 in
+  for id = 0 to n - 1 do
+    value_off.(id + 1) <- value_off.(id) + nodes.(id).n_out;
+    in_off.(id + 1) <- in_off.(id) + Array.length nodes.(id).ins
+  done;
+  let n_values = value_off.(n) and n_ports = in_off.(n) in
+  let value_node = Array.make n_values 0 in
+  for id = 0 to n - 1 do
+    Array.fill value_node value_off.(id) nodes.(id).n_out id
+  done;
+  let in_val = Array.make n_ports 0 and reader_off = Array.make (n_values + 1) 0 in
+  for id = 0 to n - 1 do
+    Array.iteri
+      (fun port { node = src; out } ->
+        let v = value_off.(src) + out in
+        in_val.(in_off.(id) + port) <- v;
+        reader_off.(v) <- reader_off.(v) + 1)
+      nodes.(id).ins
+  done;
+  (* counting sort of the ports by value: inclusive prefix sums, then a
+     descending fill leaves each slice ascending and [reader_off.(v)]
+     at its start *)
+  for v = 1 to n_values do
+    reader_off.(v) <- reader_off.(v) + reader_off.(v - 1)
+  done;
+  let readers = Array.make n_ports 0 and reader_at_avail = Array.make n_ports false in
+  for id = n - 1 downto 0 do
+    let at_avail = match nodes.(id).kind with Output | Delay _ -> true | _ -> false in
+    for s = in_off.(id + 1) - 1 downto in_off.(id) do
+      let v = in_val.(s) in
+      let c = reader_off.(v) - 1 in
+      reader_off.(v) <- c;
+      readers.(c) <- id;
+      reader_at_avail.(c) <- at_avail
+    done
+  done;
+  (* Kahn's algorithm over the scheduling dependences: a node depends
+     on the producers of its inputs, except that values read from a
+     Delay come from the previous sample and impose no intra-sample
+     ordering. The queue is [order] itself. A pop appends the readers
+     it frees in ascending order. *)
+  let is_delay id = match nodes.(id).kind with Delay _ -> true | _ -> false in
+  let indeg = Array.make n 0 in
+  for id = 0 to n - 1 do
+    for s = in_off.(id) to in_off.(id + 1) - 1 do
+      if not (is_delay value_node.(in_val.(s))) then indeg.(id) <- indeg.(id) + 1
+    done
+  done;
+  let order = Array.make n 0 and tail = ref 0 in
+  let push id =
+    order.(!tail) <- id;
+    incr tail
+  in
+  for id = 0 to n - 1 do
+    if indeg.(id) = 0 then push id
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let id = order.(!head) in
+    incr head;
+    if not (is_delay id) then begin
+      let first = !tail in
+      for c = reader_off.(value_off.(id)) to reader_off.(value_off.(id + 1)) - 1 do
+        let dst = readers.(c) in
+        indeg.(dst) <- indeg.(dst) - 1;
+        if indeg.(dst) = 0 then push dst
+      done;
+      (* a node of several outputs frees readers of each in turn *)
+      for k = first + 1 to !tail - 1 do
+        let x = order.(k) and j = ref (k - 1) in
+        while !j >= first && order.(!j) > x do
+          order.(!j + 1) <- order.(!j);
+          decr j
+        done;
+        order.(!j + 1) <- x
+      done
+    end
+  done;
+  if !tail < n then Error (Printf.sprintf "%s: combinational cycle" name)
+  else begin
+    let topo_values = Array.make n_values 0 and k = ref 0 in
+    Array.iter
+      (fun id ->
+        for v = value_off.(id) to value_off.(id + 1) - 1 do
+          topo_values.(!k) <- v;
+          incr k
+        done)
+      order;
+    let exec = ref [] and fixed = ref [] and sinks = ref [] in
+    for id = n - 1 downto 0 do
+      match nodes.(id).kind with
+      | Op _ | Call _ -> exec := id :: !exec
+      | Const _ -> fixed := value_off.(id) :: !fixed
+      | Delay _ ->
+          fixed := value_off.(id) :: !fixed;
+          sinks := in_val.(in_off.(id)) :: !sinks
+      | Output -> sinks := in_val.(in_off.(id)) :: !sinks
+      | Input -> ()
+    done;
+    let st = Fnv.create () in
+    hash_nodes st name nodes;
+    Ok
+      {
+        value_off;
+        value_node;
+        order;
+        in_off;
+        in_val;
+        reader_off;
+        readers;
+        reader_at_avail;
+        topo_values;
+        exec_nodes = Array.of_list !exec;
+        fixed_values = Array.of_list !fixed;
+        sink_values = Array.of_list !sinks;
+        output_values = Array.map (fun id -> in_val.(in_off.(id))) outputs;
+        hash = Fnv.load st 0;
+      }
+  end
 
 module Builder = struct
   type pending = { id : int; mutable fed : bool }
@@ -189,16 +329,10 @@ module Builder = struct
     List.iter
       (fun p -> if not p.fed then invalid_arg "Builder.finish: unfed delay_feed")
       b.pendings;
-    let t =
-      {
-        name = b.bname;
-        nodes = Vec.to_array b.bnodes;
-        inputs = Vec.to_array b.binputs;
-        outputs = Vec.to_array b.boutputs;
-      }
-    in
-    match validate t with
-    | Ok () -> t
+    let name = b.bname and nodes = Vec.to_array b.bnodes in
+    let inputs = Vec.to_array b.binputs and outputs = Vec.to_array b.boutputs in
+    match Result.bind (check name nodes inputs outputs) (fun () -> index name nodes outputs) with
+    | Ok index -> { name; nodes; inputs; outputs; index }
     | Error msg -> invalid_arg ("Builder.finish: " ^ msg)
 end
 

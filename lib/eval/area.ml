@@ -172,14 +172,7 @@ and datapath_of_parts cache memo ctx (designs : Design.t list) =
   let units =
     Array.fold_left (fun acc k -> acc +. inst_area cache memo ctx k) 0. first.Design.insts
   in
-  let used_regs =
-    let used = Array.make (max 1 first.Design.n_regs) false in
-    List.iter
-      (fun (d : Design.t) -> Array.iter (fun r -> if r >= 0 then used.(r) <- true) d.Design.value_reg)
-      designs;
-    Array.fold_left (fun acc u -> if u then acc + 1 else acc) 0 used
-  in
-  let registers = Float.of_int used_regs *. lib.Hsyn_modlib.Library.reg_area in
+  let registers = Float.of_int (Design.reg_count_used designs) *. lib.Hsyn_modlib.Library.reg_area in
   let muxes, wires = steering ctx designs in
   { units; registers; muxes; wires; controller = 0. }
 

@@ -180,15 +180,6 @@ let memo ctx ~trace =
 
 (* -- idle terms -------------------------------------------------------- *)
 
-(* Registers that some value of [parts] uses, in a register file of
-   [n_regs] the parts share. *)
-let count_used n_regs (parts : Design.t list) =
-  let used = Array.make (max 1 n_regs) false in
-  List.iter
-    (fun (p : Design.t) -> Array.iter (fun r -> if r >= 0 then used.(r) <- true) p.Design.value_reg)
-    parts;
-  Array.fold_left (fun acc u -> if u then acc + 1 else acc) 0 used
-
 (* The idle terms of [own] clocked registers plus those of the
    instances [insts], in instance order: each simple unit's
    capacitance, and each module's registers and capacitance. *)
@@ -211,12 +202,12 @@ and module_idle memo (rm : Design.rtl_module) =
     match rm.Design.parts with
     | [] -> { regs = 0; cap = 0. }
     | (_, first) :: _ as parts ->
-        insts_idle memo (count_used first.Design.n_regs (List.map snd parts)) first.Design.insts
+        insts_idle memo (Design.reg_count_used (List.map snd parts)) first.Design.insts
   in
   match memo with None -> build rm | Some m -> Module_tbl.find_or_build m.idle rm build
 
 let design_idle memo (design : Design.t) =
-  insts_idle memo (count_used design.Design.n_regs [ design ]) design.Design.insts
+  insts_idle memo (Design.reg_count_used [ design ]) design.Design.insts
 
 let sim_probe = Span.probe Span.Power "sim"
 

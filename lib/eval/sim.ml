@@ -3,10 +3,10 @@ module Dfg = Hsyn_dfg.Dfg
 module Op = Hsyn_dfg.Op
 
 (* A design compiled for evaluation: its nodes in topological order as
-   flat instructions over dense value indices ([Design.value_index]),
-   so that the per-sample loop walks no graph, scans no input list and
-   looks up no binding. Call nodes point at the compiled program of
-   the module part they are bound to. *)
+   flat instructions over dense value indices, both read off the
+   graph's index, so that the per-sample loop walks no graph, scans no
+   input list and looks up no binding. Call nodes point at the
+   compiled program of the module part they are bound to. *)
 type instr =
   | Load of int * int  (* dst, primary-input position *)
   | Set of int * int  (* dst, constant *)
@@ -80,7 +80,7 @@ let rec compile compiled (design : Design.t) =
           delay_out = Array.map (fun (o, _, _) -> o) delays;
           delay_in = Array.map (fun (_, i, _) -> i) delays;
           delay_init = Array.map (fun (_, _, v) -> v) delays;
-          results = Array.map (fun out_id -> vi nodes.(out_id).Dfg.ins.(0)) dfg.Dfg.outputs;
+          results = dfg.Dfg.index.Dfg.output_values;
         }
       in
       compiled := (design, prog) :: !compiled;
@@ -122,14 +122,8 @@ let run (design : Design.t) invocations =
            invocations)
 
 let outputs (design : Design.t) streams =
-  let dfg = design.Design.dfg in
-  Array.to_list streams
-  |> List.map (fun values ->
-         Array.map
-           (fun out_id ->
-             let src = dfg.Dfg.nodes.(out_id).Dfg.ins.(0) in
-             values.(Design.value_index dfg src))
-           dfg.Dfg.outputs)
+  let results = design.Design.dfg.Dfg.index.Dfg.output_values in
+  Array.to_list streams |> List.map (fun values -> Array.map (fun v -> values.(v)) results)
 
 (* A trivial design wrapper lets the flat reference path reuse [run]:
    bind nothing (flat graphs evaluated purely). *)

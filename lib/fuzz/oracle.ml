@@ -391,7 +391,7 @@ let check_session rng (prog : Text.program) =
   let* req = small_request ~seed prog in
   let fresh = S.synthesize req in
   (* warm the session with a full run, then synthesize the same request
-     again on it: every cache layer (prepared, profiles, cost entries —
+     again on it: every cache layer (profiles, cost entries —
      including completed power simulations) is hot the second time *)
   let session = Hsyn_core.Session.create () in
   let with_session () =

@@ -24,13 +24,17 @@ let rec profile memo ctx rm behavior =
       let part = Design.module_part rm behavior in
       let dfg = part.Design.dfg in
       let sch = schedule_rec memo ctx (relaxed ~deadline:infinite_deadline dfg) part in
-      let readers = Design.consumer_index dfg in
       let value = Design.value_index dfg in
-      (* first time the input's value is consumed *)
+      (* first time the input's value is consumed, found by a scan of
+         every node's inputs rather than the graph's reader slices *)
       let first_read id =
-        match readers.(value { Dfg.node = id; out = 0 }) with
-        | [] -> 0
-        | rs -> List.fold_left (fun first (c, _) -> min first (max 0 sch.start.(c))) max_int rs
+        let p = { Dfg.node = id; out = 0 } in
+        let first = ref max_int in
+        Array.iteri
+          (fun c (node : Dfg.node) ->
+            if Array.mem p node.Dfg.ins then first := min !first (max 0 sch.start.(c)))
+          dfg.Dfg.nodes;
+        if !first = max_int then 0 else !first
       in
       let out_ready =
         Array.map (fun id -> sch.avail.(value dfg.Dfg.nodes.(id).Dfg.ins.(0))) dfg.Dfg.outputs

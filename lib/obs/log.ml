@@ -14,13 +14,6 @@ type level = Debug | Info | Warn | Error
 let level_int = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 let level_name = function Debug -> "debug" | Info -> "info" | Warn -> "warn" | Error -> "error"
 
-let level_of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" | "warning" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 let set_level l = Atomic.set Gate.log_level (level_int l)
 let enabled l = level_int l >= Atomic.get Gate.log_level
 

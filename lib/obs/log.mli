@@ -25,9 +25,6 @@ val level_int : level -> int
     ordering. *)
 
 val level_name : level -> string
-val level_of_string : string -> level option
-(** ["debug" | "info" | "warn" ("warning") | "error"]. *)
-
 val set_level : level -> unit
 (** Emit records at this level and above. *)
 

@@ -203,8 +203,6 @@ let render_stats snap =
     (fun (fam, _) -> pr "  %-12s %s\n" fam (row ("." ^ fam)))
     (List.sort compare (suffixed counters "engine.generated"));
   pr "[sched] schedules: %d, events popped: %d\n" (c "sched.schedules") (c "sched.events_popped");
-  pr "[sched] prepared contexts: %d hits / %d builds\n" (c "sched.prepared_hits")
-    (c "sched.prepared_builds");
   let table label name =
     let f field = g ("session." ^ name ^ "." ^ field) in
     let hits = f "hits" and capacity = f "capacity" in
@@ -214,7 +212,6 @@ let render_stats snap =
       (if capacity > 0 then Printf.sprintf "/%d" capacity else "")
   in
   table (Printf.sprintf "cost cache (%d ctx)" (g "session.contexts")) "cost";
-  table "prepared" "prepared";
   table "profiles" "profiles";
   Buffer.contents buf
 

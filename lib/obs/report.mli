@@ -107,8 +107,8 @@ val render_stats : Json.t -> string
 (** The [hsyn synth --stats] block of a {!Metrics.snapshot}: the
     engine's total row ([engine.<field>], then [engine.batches]), one
     row per move family ([engine.<field>.<family>], sorted by family
-    name), two [[sched]] lines ([sched.*]) and three [[session]]
-    lines, one per session table ([session.<table>.*] gauges, and
+    name), one [[sched]] line ([sched.*]) and two [[session]] lines,
+    one per session table ([session.<table>.*] gauges, and
     [session.contexts]); a table's [capacity] gauge of 0 prints no
     bound. A name the snapshot lacks reads 0, as a snapshot omits what
     the run never wrote. *)

@@ -1,6 +1,7 @@
 module Op = Hsyn_dfg.Op
 module Dfg = Hsyn_dfg.Dfg
 module Fu = Hsyn_modlib.Fu
+module Fnv = Hsyn_util.Fnv
 
 type ctx = {
   lib : Hsyn_modlib.Library.t;
@@ -21,58 +22,15 @@ and t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Value numbering *)
+(* Value numbering: the graph's index *)
 
-(* The offsets of a graph are requested on every value query, and the
-   move loop queries the same (physically shared) graph millions of
-   times — memoize the last graph seen, per domain so the evaluation
-   pool needs no locking. *)
-let value_offsets_memo : (Dfg.t * int array) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+let n_values (dfg : Dfg.t) = Array.length dfg.index.value_node
+let value_index (dfg : Dfg.t) ({ Dfg.node; out } : Dfg.port) = dfg.index.value_off.(node) + out
 
-let value_offsets (dfg : Dfg.t) =
-  let memo = Domain.DLS.get value_offsets_memo in
-  match !memo with
-  | Some (g, offsets) when g == dfg -> offsets
-  | _ ->
-      let n = Array.length dfg.nodes in
-      let offsets = Array.make (n + 1) 0 in
-      for id = 0 to n - 1 do
-        offsets.(id + 1) <- offsets.(id) + dfg.nodes.(id).Dfg.n_out
-      done;
-      memo := Some (dfg, offsets);
-      offsets
-
-let n_values dfg =
-  let offsets = value_offsets dfg in
-  offsets.(Array.length dfg.nodes)
-
-let value_index dfg ({ Dfg.node; out } : Dfg.port) = (value_offsets dfg).(node) + out
-
-let value_of_index dfg idx =
-  let offsets = value_offsets dfg in
-  let n = Array.length dfg.nodes in
-  let rec search lo hi =
-    (* invariant: offsets.(lo) <= idx < offsets.(hi) *)
-    if hi - lo = 1 then { Dfg.node = lo; out = idx - offsets.(lo) }
-    else
-      let mid = (lo + hi) / 2 in
-      if idx < offsets.(mid) then search lo mid else search mid hi
-  in
-  if idx < 0 || idx >= offsets.(n) then invalid_arg "Design.value_of_index";
-  search 0 n
-
-let consumer_index (dfg : Dfg.t) =
-  let offsets = value_offsets dfg in
-  let acc = Array.make offsets.(Array.length dfg.nodes) [] in
-  Array.iteri
-    (fun dst (node : Dfg.node) ->
-      Array.iteri
-        (fun port ({ Dfg.node = src; out } : Dfg.port) ->
-          acc.(offsets.(src) + out) <- (dst, port) :: acc.(offsets.(src) + out))
-        node.Dfg.ins)
-    dfg.nodes;
-  Array.map List.rev acc
+let value_of_index (dfg : Dfg.t) idx =
+  if idx < 0 || idx >= n_values dfg then invalid_arg "Design.value_of_index";
+  let node = dfg.index.value_node.(idx) in
+  { Dfg.node; out = idx - dfg.index.value_off.(node) }
 
 (* ------------------------------------------------------------------ *)
 (* Structural fingerprinting (FNV-1a over the full structure).
@@ -82,84 +40,33 @@ let consumer_index (dfg : Dfg.t) =
    hit is accepted, so collisions cost a recomputation, never a wrong
    answer. *)
 
-let fnv_prime = 0x100000001b3L
-let fnv_offset = 0xcbf29ce484222325L
-
-(* The chain's state lives in an 8-byte buffer that the functions below
-   share. Each loads it into a local [int64] that no closure captures,
-   mixes in plain loops and stores it back before it calls another
-   hashing function, so the native compiler keeps the state unboxed: a
-   fingerprint allocates its buffer and its boxed result, and nothing
-   per mixed value. *)
-external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-
-let[@inline] mix h x = Int64.mul (Int64.logxor h x) fnv_prime
-let[@inline] mix_int h i = mix h (Int64.of_int i)
-let[@inline] mix_float h f = mix h (Int64.bits_of_float f)
-
-let mix_string st s =
-  let h = ref (mix_int (get_state st 0) (String.length s)) in
-  for i = 0 to String.length s - 1 do
-    h := mix_int !h (Char.code (String.unsafe_get s i))
-  done;
-  set_state st 0 !h
-
-let mix_int_st st i = set_state st 0 (mix_int (get_state st 0) i)
-
-let hash_dfg st (dfg : Dfg.t) =
-  mix_string st dfg.Dfg.name;
-  let nodes = dfg.Dfg.nodes in
-  for k = 0 to Array.length nodes - 1 do
-    let node = nodes.(k) in
-    (match node.Dfg.kind with
-    | Dfg.Input -> mix_int_st st 1
-    | Dfg.Output -> mix_int_st st 2
-    | Dfg.Const c -> set_state st 0 (mix_int (mix_int (get_state st 0) 3) c)
-    | Dfg.Delay init -> set_state st 0 (mix_int (mix_int (get_state st 0) 4) init)
-    | Dfg.Op op ->
-        mix_int_st st 5;
-        mix_string st (Op.name op)
-    | Dfg.Call b ->
-        mix_int_st st 6;
-        mix_string st b);
-    let h = ref (mix_int (get_state st 0) node.Dfg.n_out) in
-    let ins = node.Dfg.ins in
-    for p = 0 to Array.length ins - 1 do
-      let ({ Dfg.node = src; out } : Dfg.port) = ins.(p) in
-      h := mix_int (mix_int !h src) out
-    done;
-    set_state st 0 !h
-  done
+(* the chain's step, inlined (see [Fnv.prime]) *)
+let[@inline] step h i = Int64.mul (Int64.logxor h (Int64.of_int i)) Fnv.prime
+let[@inline] step_float h f = Int64.mul (Int64.logxor h (Int64.bits_of_float f)) Fnv.prime
+let mix_int st i = Fnv.store st 0 (step (Fnv.load st 0) i)
 
 let rec mix_ops st = function
   | [] -> ()
   | op :: ops ->
-      mix_string st (Op.name op);
+      Fnv.string st (Op.name op);
       mix_ops st ops
 
 let hash_fu st (fu : Fu.t) =
-  mix_string st fu.Fu.name;
+  Fnv.string st fu.Fu.name;
   (match fu.Fu.kind with
   | Fu.Unit ops ->
-      mix_int_st st 1;
+      mix_int st 1;
       mix_ops st ops
   | Fu.Chain (op, k) ->
-      mix_int_st st 2;
-      mix_string st (Op.name op);
-      mix_int_st st k);
-  let h = mix_float (mix_float (mix_float (get_state st 0) fu.Fu.area) fu.Fu.delay_ns) fu.Fu.energy_cap in
-  set_state st 0 (mix_int h (if fu.Fu.pipelined then 1 else 0))
-
-let mix_ints st (a : int array) =
-  let h = ref (get_state st 0) in
-  for i = 0 to Array.length a - 1 do
-    h := mix_int !h a.(i)
-  done;
-  set_state st 0 !h
+      mix_int st 2;
+      Fnv.string st (Op.name op);
+      mix_int st k);
+  let h = step_float (Fnv.load st 0) fu.Fu.area in
+  let h = step_float (step_float h fu.Fu.delay_ns) fu.Fu.energy_cap in
+  Fnv.store st 0 (step h (if fu.Fu.pipelined then 1 else 0))
 
 let rec hash_design st (d : t) =
-  hash_dfg st d.dfg;
+  Dfg.hash_into st d.dfg;
   hash_bindings st d
 
 and hash_bindings st (d : t) =
@@ -167,46 +74,35 @@ and hash_bindings st (d : t) =
   for i = 0 to Array.length insts - 1 do
     match insts.(i) with
     | Simple fu ->
-        mix_int_st st 7;
+        mix_int st 7;
         hash_fu st fu
     | Module rm ->
-        mix_int_st st 8;
+        mix_int st 8;
         hash_module st rm
   done;
-  mix_ints st d.node_inst;
-  mix_ints st d.value_reg;
-  mix_int_st st d.n_regs
+  Fnv.ints st d.node_inst;
+  Fnv.ints st d.value_reg;
+  mix_int st d.n_regs
 
 and hash_module st (rm : rtl_module) =
-  mix_string st rm.rm_name;
+  Fnv.string st rm.rm_name;
   hash_parts st rm.parts
 
 and hash_parts st = function
   | [] -> ()
   | (behavior, part) :: parts ->
-      mix_string st behavior;
+      Fnv.string st behavior;
       hash_design st part;
       hash_parts st parts
 
-(* Every candidate of a batch shares its top-level graph physically, so
-   the graph's hash from the chain's start is memoized for the last
-   graph seen, per domain, like [value_offsets]. The chain is the same
-   as an unmemoized [hash_design] from [fnv_offset]. Each call has its
-   own state buffer, so threads sharing a domain cannot mix states. *)
-let top_dfg_hash_memo : (Dfg.t * int64) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
+(* The top-level graph's share of the chain is stored with its index,
+   so the candidates of a batch, which share the graph, do not hash it
+   again; module parts hash theirs in the chain. *)
 let fingerprint d =
-  let st = Bytes.create 8 in
-  let memo = Domain.DLS.get top_dfg_hash_memo in
-  (match !memo with
-  | Some (g, h) when g == d.dfg -> set_state st 0 h
-  | _ ->
-      set_state st 0 fnv_offset;
-      hash_dfg st d.dfg;
-      memo := Some (d.dfg, get_state st 0));
+  let st = Fnv.create () in
+  Fnv.store st 0 d.dfg.index.hash;
   hash_bindings st d;
-  get_state st 0
+  Fnv.load st 0
 
 (* ------------------------------------------------------------------ *)
 (* Structural equality *)
@@ -226,7 +122,7 @@ let rec equal (a : t) (b : t) =
      && (a.insts == b.insts
         || Array.length a.insts = Array.length b.insts
            && Array.for_all2 inst_kind_equal a.insts b.insts)
-     && (a.dfg == b.dfg || a.dfg = b.dfg)
+     && (a.dfg == b.dfg || Dfg.equal a.dfg b.dfg)
 
 and inst_kind_equal a b =
   match a, b with
@@ -280,9 +176,9 @@ let values_by_reg d =
 
 let inst_used d inst = Array.exists (fun i -> i = inst) d.node_inst
 
-let reg_count_used d =
-  let used = Array.make d.n_regs false in
-  Array.iter (fun r -> if r >= 0 then used.(r) <- true) d.value_reg;
+let reg_count_used (parts : t list) =
+  let used = Array.make (List.fold_left (fun acc d -> max acc d.n_regs) 0 parts) false in
+  List.iter (fun d -> Array.iter (fun r -> if r >= 0 then used.(r) <- true) d.value_reg) parts;
   Array.fold_left (fun acc u -> if u then acc + 1 else acc) 0 used
 
 (* Check that the nodes bound to a chain instance form one linear
@@ -454,4 +350,4 @@ and pp fmt (d : t) =
       let labels = List.map (fun id -> d.dfg.nodes.(id).Dfg.label) nodes in
       Format.fprintf fmt "  I%d: %a <- [%s]@," i pp_inst_kind kind (String.concat " " labels))
     d.insts;
-  Format.fprintf fmt "  registers: %d in use / %d allocated@]" (reg_count_used d) d.n_regs
+  Format.fprintf fmt "  registers: %d in use / %d allocated@]" (reg_count_used [ d ]) d.n_regs

@@ -49,7 +49,10 @@ and t = {
   n_regs : int;  (** registers are numbered [0 .. n_regs-1] *)
 }
 
-(** {1 Value numbering} *)
+(** {1 Value numbering}
+
+    Read off the graph's {!Dfg.index}, which also lists each value's
+    readers. *)
 
 val n_values : Dfg.t -> int
 (** Total output-port count over all nodes. *)
@@ -58,13 +61,8 @@ val value_index : Dfg.t -> Dfg.port -> int
 (** Dense index of a value; ports of one node are consecutive. *)
 
 val value_of_index : Dfg.t -> int -> Dfg.port
-(** Inverse of {!value_index}. *)
-
-val consumer_index : Dfg.t -> (int * int) list array
-(** Per value index, the [(consumer node, input port)] pairs reading
-    the value, in ascending consumer order — built in one pass over
-    the graph. Replaces per-query O(nodes × ports) rescans in the move
-    generators. *)
+(** Inverse of {!value_index}.
+    @raise Invalid_argument if the index is out of range. *)
 
 val fingerprint : t -> int64
 (** Structural 64-bit FNV-1a fingerprint of the design — the DFG, the
@@ -73,8 +71,9 @@ val fingerprint : t -> int64
     fingerprints; the evaluation engine uses this as its cost-cache
     key (verifying candidates against cached designs with structural
     equality, so a collision can never yield a wrong evaluation). The
-    hash of the top-level graph is memoized per domain for the last
-    graph seen, since the candidates of a batch share it physically. *)
+    chain starts from the top-level graph's [index.hash], so the graph
+    is not hashed again; module parts hash their graphs in the
+    chain. *)
 
 val equal : t -> t -> bool
 (** Structural equality, the same relation as polymorphic [=] on
@@ -108,8 +107,10 @@ val values_by_reg : t -> int list array
 
 val inst_used : t -> int -> bool
 
-val reg_count_used : t -> int
-(** Number of registers with at least one value bound. *)
+val reg_count_used : t list -> int
+(** Number of registers that at least one value of the given designs
+    is bound to: the parts of one module share a register file, so pass
+    them all, or one design alone. *)
 
 val validate : ctx -> t -> (unit, string) result
 (** Check binding sanity: every operation node is bound to a simple

@@ -47,167 +47,25 @@ type stats = {
 
 let c_schedules = Metrics.counter "sched.schedules"
 let c_events = Metrics.counter "sched.events_popped"
-let c_prep_hits = Metrics.counter "sched.prepared_hits"
-let c_prep_builds = Metrics.counter "sched.prepared_builds"
-
-let prepare_probe = Span.probe Span.Schedule "prepare"
 let schedule_probe = Span.probe Span.Schedule "schedule"
 
+(* the two prepared fields stay 0; see sched.mli *)
 let stats () =
   {
     schedules = Metrics.counter_value c_schedules;
     events_popped = Metrics.counter_value c_events;
-    prepared_hits = Metrics.counter_value c_prep_hits;
-    prepared_builds = Metrics.counter_value c_prep_builds;
+    prepared_hits = 0;
+    prepared_builds = 0;
   }
 
 let zero_stats = { schedules = 0; events_popped = 0; prepared_hits = 0; prepared_builds = 0 }
 
 let sub_stats a b =
   {
+    zero_stats with
     schedules = a.schedules - b.schedules;
     events_popped = a.events_popped - b.events_popped;
-    prepared_hits = a.prepared_hits - b.prepared_hits;
-    prepared_builds = a.prepared_builds - b.prepared_builds;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Prepared scheduling context: everything that depends only on the
-   DFG, not on the binding. The move loop evaluates thousands of
-   candidate designs over one physically shared graph (functional
-   design updates never replace [d.dfg]), so this is built once per
-   graph and reused across every candidate evaluation. Every table is
-   a flat int (or bool) array; per-node and per-value lists are CSR
-   pairs: [x_off] of length n + 1 delimits each entry's slice of the
-   data array. *)
-
-module Prepared = struct
-  type t = {
-    n_nodes : int;
-    n_values : int;
-    value_off : int array;  (* n_nodes + 1 prefix sums of n_out *)
-    value_node : int array;  (* per value id, its producing node *)
-    topo_order : int array;
-    in_off : int array;  (* n_nodes + 1: each node's slice of [in_val] *)
-    in_val : int array;  (* value id read by each input port, node then port order *)
-    cons_off : int array;  (* n_values + 1: each value's slice of [cons_node] *)
-    cons_node : int array;  (* readers, one entry per reading port, ascending *)
-    cons_at_avail : bool array;
-        (* per reader entry: an Output or Delay, which reads the value
-           at its availability rather than at a job's start *)
-    topo_values : int array;
-        (* every value id, ordered by (topological position of its
-           producer, id): a register's write order is this order
-           restricted to its values *)
-    exec_nodes : int array;  (* Op and Call nodes, ascending: each must be bound *)
-    fixed_values : int array;  (* Const and Delay values, available at 0 *)
-    sink_values : int array;  (* value read by each Output and Delay node *)
-    output_values : int array;  (* value read by each [dfg.outputs] node, in order *)
-  }
-
-  let build (dfg : Dfg.t) =
-    Span.span prepare_probe (fun () ->
-        Metrics.incr c_prep_builds;
-        let nodes = dfg.Dfg.nodes in
-        let n_nodes = Array.length nodes in
-        let value_off = Array.make (n_nodes + 1) 0 in
-        let in_off = Array.make (n_nodes + 1) 0 in
-        for id = 0 to n_nodes - 1 do
-          value_off.(id + 1) <- value_off.(id) + nodes.(id).Dfg.n_out;
-          in_off.(id + 1) <- in_off.(id) + Array.length nodes.(id).Dfg.ins
-        done;
-        let n_values = value_off.(n_nodes) and n_ports = in_off.(n_nodes) in
-        let value_node = Array.make n_values 0 in
-        for id = 0 to n_nodes - 1 do
-          Array.fill value_node value_off.(id) nodes.(id).Dfg.n_out id
-        done;
-        let in_val = Array.make n_ports 0 in
-        let cons_off = Array.make (n_values + 1) 0 in
-        for id = 0 to n_nodes - 1 do
-          Array.iteri
-            (fun port ({ Dfg.node = src; out } : Dfg.port) ->
-              let v = value_off.(src) + out in
-              in_val.(in_off.(id) + port) <- v;
-              cons_off.(v) <- cons_off.(v) + 1)
-            nodes.(id).Dfg.ins
-        done;
-        (* counting sort of the ports by value: inclusive prefix sums,
-           then a descending fill leaves each slice ascending and
-           [cons_off.(v)] at its start *)
-        for v = 1 to n_values do
-          cons_off.(v) <- cons_off.(v) + cons_off.(v - 1)
-        done;
-        let cons_node = Array.make n_ports 0 in
-        let cons_at_avail = Array.make n_ports false in
-        for id = n_nodes - 1 downto 0 do
-          let at_avail =
-            match nodes.(id).Dfg.kind with
-            | Dfg.Output | Dfg.Delay _ -> true
-            | Dfg.Input | Dfg.Const _ | Dfg.Op _ | Dfg.Call _ -> false
-          in
-          for s = in_off.(id + 1) - 1 downto in_off.(id) do
-            let v = in_val.(s) in
-            let c = cons_off.(v) - 1 in
-            cons_off.(v) <- c;
-            cons_node.(c) <- id;
-            cons_at_avail.(c) <- at_avail
-          done
-        done;
-        let topo_order = Dfg.topo_order dfg in
-        let topo_values = Array.make n_values 0 in
-        let k = ref 0 in
-        Array.iter
-          (fun id ->
-            for v = value_off.(id) to value_off.(id + 1) - 1 do
-              topo_values.(!k) <- v;
-              incr k
-            done)
-          topo_order;
-        let exec = ref [] and fixed = ref [] and sinks = ref [] in
-        for id = n_nodes - 1 downto 0 do
-          match nodes.(id).Dfg.kind with
-          | Dfg.Op _ | Dfg.Call _ -> exec := id :: !exec
-          | Dfg.Const _ -> fixed := value_off.(id) :: !fixed
-          | Dfg.Delay _ ->
-              fixed := value_off.(id) :: !fixed;
-              sinks := in_val.(in_off.(id)) :: !sinks
-          | Dfg.Output -> sinks := in_val.(in_off.(id)) :: !sinks
-          | Dfg.Input -> ()
-        done;
-        let exec_nodes = Array.of_list !exec
-        and fixed_values = Array.of_list !fixed
-        and sink_values = Array.of_list !sinks in
-        let output_values = Array.map (fun id -> in_val.(in_off.(id))) dfg.Dfg.outputs in
-        {
-          n_nodes;
-          n_values;
-          value_off;
-          value_node;
-          topo_order;
-          in_off;
-          in_val;
-          cons_off;
-          cons_node;
-          cons_at_avail;
-          topo_values;
-          exec_nodes;
-          fixed_values;
-          sink_values;
-          output_values;
-        })
-end
-
-(* Prepared contexts are cached by the graph's physical identity:
-   module parts and the top-level graph each get one context for the
-   lifetime of a synthesis run. Bounded so long-lived processes that
-   churn through many graphs cannot grow without bound. *)
-
-module Dfg_id = struct
-  type t = Dfg.t
-
-  let equal = ( == )
-  let hash (g : Dfg.t) = Hashtbl.hash (g.Dfg.name, Array.length g.Dfg.nodes)
-end
 
 (* ------------------------------------------------------------------ *)
 (* Job model.
@@ -255,39 +113,23 @@ module Profile_key = struct
   let hash k = Hashtbl.hash (k.pk_rm.Design.rm_name, k.pk_behavior, k.pk_vdd, k.pk_clk_ns)
 end
 
-module Prep_tbl = Shard_tbl.Make (Dfg_id)
 module Prof_tbl = Shard_tbl.Make (Profile_key)
 
-(* A cache value owns both memo tables the scheduler keeps: prepared
-   contexts and module profiles. There is deliberately no global
-   instance — callers that want sharing (the evaluation engine, via
-   its session) pass one down; entry points called without a cache
-   make a fresh one scoped to that call, so recursive profile
-   computation is still memoized within the call but nothing outlives
-   it. Both tables are shared across domains; [find_or_build] makes
-   each key build exactly once even under concurrent lookups. *)
+(* The one memo table the scheduler keeps, of module profiles. There is
+   deliberately no global instance — callers that want sharing (the
+   evaluation engine, via its session) pass one down; entry points
+   called without a cache make a fresh one scoped to that call, so
+   recursive profile computation is still memoized within the call but
+   nothing outlives it. The table is shared across domains;
+   [find_or_build] makes each key build exactly once even under
+   concurrent lookups. *)
 
 module Cache = struct
-  type t = { prepared : Prepared.t Prep_tbl.t; profiles : (profile * schedule) Prof_tbl.t }
+  type t = (profile * schedule) Prof_tbl.t
 
-  type cache_stats = { prepared_tbl : Shard_tbl.stats; profile_tbl : Shard_tbl.stats }
-
-  let create () =
-    { prepared = Prep_tbl.create ~capacity:256 (); profiles = Prof_tbl.create ~capacity:1024 () }
-
-  let stats t =
-    { prepared_tbl = Prep_tbl.stats t.prepared; profile_tbl = Prof_tbl.stats t.profiles }
+  let create () : t = Prof_tbl.create ~capacity:1024 ()
+  let stats = Prof_tbl.stats
 end
-
-let prepared_in (cache : Cache.t) dfg =
-  let built = ref false in
-  let p =
-    Prep_tbl.find_or_build cache.Cache.prepared dfg (fun dfg ->
-        built := true;
-        Prepared.build dfg)
-  in
-  if not !built then Metrics.incr c_prep_hits;
-  p
 
 let rec module_profile_impl cache ctx rm behavior =
   let key =
@@ -304,32 +146,32 @@ let rec module_profile_impl cache ctx rm behavior =
      under different keys, the call graph is acyclic), which
      [find_or_build] permits because builders run outside the shard
      lock *)
-  Prof_tbl.find_or_build cache.Cache.profiles key (fun _ ->
+  Prof_tbl.find_or_build cache key (fun _ ->
       compute_module_profile cache ctx rm behavior)
 
 and compute_module_profile cache ctx rm behavior =
   let part = Design.module_part rm behavior in
   let dfg = part.Design.dfg in
   let cs = relaxed ~deadline:infinite_deadline dfg in
-  let prep = prepared_in cache dfg in
-  let sch = schedule_event cache prep ctx cs part in
+  let sch = schedule_event cache ctx cs part in
+  let ix = dfg.Dfg.index in
   let in_need =
     Array.map
       (fun input_id ->
         (* first time the input's value is consumed *)
-        let v = prep.Prepared.value_off.(input_id) in
-        let lo = prep.Prepared.cons_off.(v) and hi = prep.Prepared.cons_off.(v + 1) in
+        let v = ix.Dfg.value_off.(input_id) in
+        let lo = ix.Dfg.reader_off.(v) and hi = ix.Dfg.reader_off.(v + 1) in
         if lo = hi then 0
         else begin
           let first = ref max_int in
           for c = lo to hi - 1 do
-            first := min !first (max 0 sch.start.(prep.Prepared.cons_node.(c)))
+            first := min !first (max 0 sch.start.(ix.Dfg.readers.(c)))
           done;
           !first
         end)
       dfg.Dfg.inputs
   in
-  let out_ready = Array.map (fun v -> sch.avail.(v)) prep.Prepared.output_values in
+  let out_ready = Array.map (fun v -> sch.avail.(v)) ix.Dfg.output_values in
   ({ in_need; out_ready; busy = sch.makespan }, sch)
 
 (* ------------------------------------------------------------------ *)
@@ -339,13 +181,14 @@ and compute_module_profile cache ctx rm behavior =
    chained unit runs all its nodes as one job, any other instance one
    job per node. Module profiles, which schedule their parts
    recursively, are looked up here, in instance order. *)
-and build_jobs cache (p : Prepared.t) ctx (d : Design.t) =
+and build_jobs cache ctx (d : Design.t) =
   let dfg = d.Design.dfg in
+  let ix = dfg.Dfg.index in
   let insts = d.Design.insts in
   let n_insts = Array.length insts in
   let node_inst = d.Design.node_inst in
-  (* bucket the bound nodes by instance, ascending: the counting sort
-     of [Prepared.build] *)
+  (* bucket the bound nodes by instance, ascending: a counting sort,
+     like the one that lays out the graph's reader slices *)
   let bucket = Array.make (n_insts + 1) 0 in
   Array.iter (fun i -> if i >= 0 && i < n_insts then bucket.(i) <- bucket.(i) + 1) node_inst;
   for i = 1 to n_insts do
@@ -379,8 +222,8 @@ and build_jobs cache (p : Prepared.t) ctx (d : Design.t) =
       in
       for k = lo to hi - 1 do
         let id = mem.(k) in
-        n_needs := !n_needs + p.Prepared.in_off.(id + 1) - p.Prepared.in_off.(id);
-        let outs = p.Prepared.value_off.(id + 1) - p.Prepared.value_off.(id) in
+        n_needs := !n_needs + ix.Dfg.in_off.(id + 1) - ix.Dfg.in_off.(id);
+        let outs = ix.Dfg.value_off.(id + 1) - ix.Dfg.value_off.(id) in
         n_outs := !n_outs + if is_module then outs else 1
       done
   done;
@@ -388,7 +231,7 @@ and build_jobs cache (p : Prepared.t) ctx (d : Design.t) =
   let jb =
     {
       n_jobs;
-      job_of_node = Array.make p.Prepared.n_nodes (-1);
+      job_of_node = Array.make (Array.length dfg.Dfg.nodes) (-1);
       j_inst = Array.make n_jobs 0;
       j_busy = Array.make n_jobs 0;
       j_pipelined = Array.make n_jobs false;
@@ -421,10 +264,10 @@ and build_jobs cache (p : Prepared.t) ctx (d : Design.t) =
      otherwise ([chain] = -1) [id] alone. [in_need] gives each port's
      need offset; empty means all 0. *)
   let add_needs ~chain id in_need =
-    let base = p.Prepared.in_off.(id) in
-    for s = base to p.Prepared.in_off.(id + 1) - 1 do
-      let v = p.Prepared.in_val.(s) in
-      let src = p.Prepared.value_node.(v) in
+    let base = ix.Dfg.in_off.(id) in
+    for s = base to ix.Dfg.in_off.(id + 1) - 1 do
+      let v = ix.Dfg.in_val.(s) in
+      let src = ix.Dfg.value_node.(v) in
       if not (if chain >= 0 then node_inst.(src) = chain else src = id) then begin
         jb.need_val.(!next_need) <- v;
         jb.need_at.(!next_need) <- (if Array.length in_need = 0 then 0 else in_need.(s - base));
@@ -449,7 +292,7 @@ and build_jobs cache (p : Prepared.t) ctx (d : Design.t) =
             add_needs ~chain:i mem.(k) [||]
           done;
           for k = lo to hi - 1 do
-            add_out p.Prepared.value_off.(mem.(k)) latency
+            add_out ix.Dfg.value_off.(mem.(k)) latency
           done
       | Design.Simple fu ->
           let latency = Fu.cycles_at fu ctx.Design.vdd ~clk_ns:ctx.Design.clk_ns in
@@ -458,7 +301,7 @@ and build_jobs cache (p : Prepared.t) ctx (d : Design.t) =
             let j = open_job i ~busy:latency ~pipelined:fu.Fu.pipelined k in
             jb.job_of_node.(id) <- j;
             add_needs ~chain:(-1) id [||];
-            add_out p.Prepared.value_off.(id) latency
+            add_out ix.Dfg.value_off.(id) latency
           done
       | Design.Module rm ->
           for k = lo to hi - 1 do
@@ -472,8 +315,8 @@ and build_jobs cache (p : Prepared.t) ctx (d : Design.t) =
             let j = open_job i ~busy:(max 1 prof.busy) ~pipelined:false k in
             jb.job_of_node.(id) <- j;
             add_needs ~chain:(-1) id prof.in_need;
-            for v = p.Prepared.value_off.(id) to p.Prepared.value_off.(id + 1) - 1 do
-              add_out v prof.out_ready.(v - p.Prepared.value_off.(id))
+            for v = ix.Dfg.value_off.(id) to ix.Dfg.value_off.(id + 1) - 1 do
+              add_out v prof.out_ready.(v - ix.Dfg.value_off.(id))
             done
           done
   done;
@@ -488,9 +331,10 @@ and build_jobs cache (p : Prepared.t) ctx (d : Design.t) =
   done;
   jb
 
-and schedule_event cache (p : Prepared.t) ctx (cs : constraints) (d : Design.t) =
+and schedule_event cache ctx (cs : constraints) (d : Design.t) =
   let dfg = d.Design.dfg in
-  let jb = build_jobs cache p ctx d in
+  let ix = dfg.Dfg.index in
+  let jb = build_jobs cache ctx d in
   let n_jobs = jb.n_jobs and job_of_node = jb.job_of_node in
   let n_insts = Array.length d.Design.insts in
   (* sanity: every op/call node must belong to a job *)
@@ -498,18 +342,18 @@ and schedule_event cache (p : Prepared.t) ctx (cs : constraints) (d : Design.t) 
     (fun id ->
       if job_of_node.(id) < 0 then
         invalid_arg (Printf.sprintf "Sched: node %s is unbound" dfg.Dfg.nodes.(id).Dfg.label))
-    p.Prepared.exec_nodes;
-  let avail = Array.make p.Prepared.n_values (-1) in
+    ix.Dfg.exec_nodes;
+  let avail = Array.make (Array.length ix.Dfg.value_node) (-1) in
   Array.iteri
-    (fun pos input_id -> avail.(p.Prepared.value_off.(input_id)) <- cs.input_arrival.(pos))
+    (fun pos input_id -> avail.(ix.Dfg.value_off.(input_id)) <- cs.input_arrival.(pos))
     dfg.Dfg.inputs;
-  Array.iter (fun v -> avail.(v) <- 0) p.Prepared.fixed_values;
+  Array.iter (fun v -> avail.(v) <- 0) ix.Dfg.fixed_values;
   (* The job DAG as an edge list, then as successor slices. A data
      edge runs from the producer of each need (its timing is read off
      [avail]); a register anti-edge carries a gap: start ≥ start(pred)
      + gap. Parallel edges stay, one per need or reader, because each
      is one count in [preds_remaining]. *)
-  let cap = jb.need_off.(n_jobs) + Array.length p.Prepared.cons_node in
+  let cap = jb.need_off.(n_jobs) + Array.length ix.Dfg.readers in
   let e_src = Array.make cap 0 and e_dst = Array.make cap 0 and e_gap = Array.make cap 0 in
   let n_edges = ref 0 in
   let preds_remaining = Array.make n_jobs 0 in
@@ -522,7 +366,7 @@ and schedule_event cache (p : Prepared.t) ctx (cs : constraints) (d : Design.t) 
   in
   for j = 0 to n_jobs - 1 do
     for k = jb.need_off.(j) to jb.need_off.(j + 1) - 1 do
-      let pj = job_of_node.(p.Prepared.value_node.(jb.need_val.(k))) in
+      let pj = job_of_node.(ix.Dfg.value_node.(jb.need_val.(k))) in
       if pj >= 0 && pj <> j then add_edge pj j no_gap
     done
   done;
@@ -561,13 +405,13 @@ and schedule_event cache (p : Prepared.t) ctx (cs : constraints) (d : Design.t) 
       if r >= 0 && r < n_regs then begin
         let v1 = last_in_reg.(r) in
         last_in_reg.(r) <- v2;
-        let writer2 = job_of_node.(p.Prepared.value_node.(v2)) in
+        let writer2 = job_of_node.(ix.Dfg.value_node.(v2)) in
         if v1 >= 0 && writer2 >= 0 then begin
           let off2 = ready_offset writer2 v2 in
-          for c = p.Prepared.cons_off.(v1) to p.Prepared.cons_off.(v1 + 1) - 1 do
-            if p.Prepared.cons_at_avail.(c) then begin
+          for c = ix.Dfg.reader_off.(v1) to ix.Dfg.reader_off.(v1 + 1) - 1 do
+            if ix.Dfg.reader_at_avail.(c) then begin
               (* an Output or Delay reads v1 at its availability *)
-              let j1 = job_of_node.(p.Prepared.value_node.(v1)) in
+              let j1 = job_of_node.(ix.Dfg.value_node.(v1)) in
               if j1 >= 0 then add_anti ~pred:j1 ~job:writer2 ~gap:(ready_offset j1 v1 + 1 - off2)
               else
                 (* v1 is an input/const/delay value: its read time
@@ -575,12 +419,12 @@ and schedule_event cache (p : Prepared.t) ctx (cs : constraints) (d : Design.t) 
                 lower.(writer2) <- max lower.(writer2) (avail.(v1) + 1 - off2)
             end
             else
-              let j = job_of_node.(p.Prepared.cons_node.(c)) in
+              let j = job_of_node.(ix.Dfg.readers.(c)) in
               if j >= 0 then add_anti ~pred:j ~job:writer2 ~gap:(need_of j v1 + 1 - off2)
           done
         end
       end)
-    p.Prepared.topo_values;
+    ix.Dfg.topo_values;
   let n_edges = !n_edges in
   let succ_off = Array.make (n_jobs + 1) 0 in
   for e = 0 to n_edges - 1 do
@@ -740,7 +584,7 @@ and schedule_event cache (p : Prepared.t) ctx (cs : constraints) (d : Design.t) 
   done;
   Metrics.incr c_schedules;
   Metrics.add c_events !pops;
-  let n_nodes = p.Prepared.n_nodes in
+  let n_nodes = Array.length dfg.Dfg.nodes in
   if !unscheduled > 0 then
     (* ordering constraints (register serialization vs data order)
        deadlocked: the design point is simply not schedulable *)
@@ -755,12 +599,12 @@ and schedule_event cache (p : Prepared.t) ctx (cs : constraints) (d : Design.t) 
       makespan := max !makespan (start_of_job.(j) + jb.j_weight.(j))
     done;
     (* outputs and delays read their value at its availability *)
-    Array.iter (fun v -> makespan := max !makespan avail.(v)) p.Prepared.sink_values;
+    Array.iter (fun v -> makespan := max !makespan avail.(v)) ix.Dfg.sink_values;
     let outputs_ok =
       match cs.output_deadline with
       | None -> true
       | Some deadlines ->
-          Array.for_all2 (fun v dl -> avail.(v) <= dl) p.Prepared.output_values deadlines
+          Array.for_all2 (fun v dl -> avail.(v) <= dl) ix.Dfg.output_values deadlines
     in
     let feasible = !makespan <= cs.deadline && outputs_ok in
     { start; avail; makespan = !makespan; feasible }
@@ -776,21 +620,20 @@ let module_schedule ?(cache = Cache.create ()) ctx rm behavior =
   snd (module_profile_impl cache ctx rm behavior)
 
 let schedule ?(cache = Cache.create ()) ctx (cs : constraints) (d : Design.t) =
-  Span.span schedule_probe (fun () ->
-      schedule_event cache (prepared_in cache d.Design.dfg) ctx cs d)
+  Span.span schedule_probe (fun () -> schedule_event cache ctx cs d)
 
 (* ------------------------------------------------------------------ *)
 (* ALAP (infinite resources) *)
 
 let alap_start ?(cache = Cache.create ()) ctx ~deadline (d : Design.t) =
-  let p = prepared_in cache d.Design.dfg in
-  let jb = build_jobs cache p ctx d in
+  let dfg = d.Design.dfg in
+  let jb = build_jobs cache ctx d in
   (* latest time each value may become available; outputs and delays
      read theirs by the deadline, where every bound starts *)
-  let latest_avail = Array.make p.Prepared.n_values deadline in
+  let latest_avail = Array.make (Design.n_values dfg) deadline in
   let job_latest = Array.make jb.n_jobs deadline in
   (* walk jobs in reverse dependence order: node topo order reversed *)
-  let order = p.Prepared.topo_order in
+  let order = Dfg.topo_order dfg in
   for idx = Array.length order - 1 downto 0 do
     let j = jb.job_of_node.(order.(idx)) in
     if j >= 0 then begin
@@ -803,7 +646,7 @@ let alap_start ?(cache = Cache.create ()) ctx ~deadline (d : Design.t) =
       done
     end
   done;
-  let result = Array.make p.Prepared.n_nodes (-1) in
+  let result = Array.make (Array.length dfg.Dfg.nodes) (-1) in
   for j = 0 to jb.n_jobs - 1 do
     for k = jb.mem_off.(j) to jb.mem_off.(j + 1) - 1 do
       result.(jb.mem.(k)) <- max 0 job_latest.(j)

@@ -63,48 +63,37 @@ type impl = Event | Legacy
 val impl : unit -> impl
 (** Always [Event]; kept only because [bench/perf/perf.ml] reads it. *)
 
-(** {1 Memoization caches}
+(** {1 Memoization}
 
-    The scheduler keeps no global mutable cache state. All memoization
-    lives in an explicit {!Cache.t} owned by the caller (in practice a
-    synthesis session, see [Hsyn_core.Session]) and passed to every
-    entry point:
+    Everything the kernel needs that depends only on the graph — value
+    numbering, each node's input values, each value's readers and
+    whether each reads at a job's start or (an output or delay) at the
+    value's availability, the nodes that must be bound, and every value
+    in topological order of its producer, so that a register's write
+    order is read off instead of sorted — is the graph's own
+    {!Dfg.index}, built once by {!Dfg.Builder.finish}. Candidate
+    designs produced by the move loop share their graph physically, so
+    they share its index too.
 
-    - {b prepared contexts}, keyed by the graph's physical identity.
-      Everything the scheduler needs that depends only on the DFG is
-      hoisted into a context built once per graph: value numbering,
-      each node's input value ids, each value's readers and whether
-      each reads at a job's start or (an output or delay) at the
-      value's availability, the node kinds the kernel checks, and
-      every value in topological order of its producer, so that a
-      register's write order is read off instead of sorted. Candidate
-      designs produced by the move loop share their graph physically,
-      so one context serves thousands of evaluations. Every entry
-      point that needs one — {!schedule}, {!module_profile},
-      {!alap_start} — looks it up here.
-    - {b module profiles}, keyed by (module identity, behavior, vdd,
-      clock).
+    The scheduler keeps no global mutable cache state. Its one memo,
+    of module profiles keyed by (module identity, behavior, vdd,
+    clock), lives in an explicit {!Cache.t} owned by the caller (in
+    practice a synthesis session, see [Hsyn_core.Session]) and passed
+    to every entry point. Entry points called without a cache make a
+    fresh {!Cache.create} scoped to that call: recursive profile
+    computation is still memoized within the call, but nothing
+    persists or is shared.
 
-    Entry points called without a cache make a fresh {!Cache.create}
-    scoped to that call: recursive profile computation is still
-    memoized within the call, but nothing persists or is shared.
-
-    Caches are domain-safe (one lock per table) and each key is built
-    exactly once per residency even under concurrent lookups. *)
+    The cache is domain-safe (one lock) and each key is built exactly
+    once per residency even under concurrent lookups. *)
 
 module Cache : sig
   type t
 
-  type cache_stats = {
-    prepared_tbl : Hsyn_util.Shard_tbl.stats;
-    profile_tbl : Hsyn_util.Shard_tbl.stats;
-  }
-
   val create : unit -> t
-  (** 256 prepared contexts, 1024 profiles; both tables use
-      second-chance (clock) eviction. *)
+  (** 1024 profiles, with second-chance (clock) eviction. *)
 
-  val stats : t -> cache_stats
+  val stats : t -> Hsyn_util.Shard_tbl.stats
 end
 
 val module_profile : ?cache:Cache.t -> Design.ctx -> Design.rtl_module -> string -> profile
@@ -125,7 +114,7 @@ val module_schedule : ?cache:Cache.t -> Design.ctx -> Design.rtl_module -> strin
 val schedule : ?cache:Cache.t -> Design.ctx -> constraints -> Design.t -> schedule
 (** List-schedule the design. Always returns a schedule; check
     [feasible] for constraint satisfaction. The event kernel takes
-    [d.dfg]'s prepared context from the cache.
+    [d.dfg]'s tables from its {!Dfg.index}.
     @raise Invalid_argument if the binding is structurally unusable
     (e.g. an unbound operation). *)
 
@@ -133,21 +122,24 @@ val schedule : ?cache:Cache.t -> Design.ctx -> constraints -> Design.t -> schedu
 
     The kernel counts in the metrics registry ({!Hsyn_obs.Metrics}),
     through handles made once when this module is initialized:
-    [sched.schedules], [sched.events_popped], [sched.prepared_hits] and
-    [sched.prepared_builds]. Like every probe they count only while
-    metrics are armed; disarmed, a write costs one atomic load. So they
-    reach [--metrics], [--stats], [hsyn report] and the daemon's
-    scrapes, and {!Hsyn_obs.Metrics.reset} zeroes them. *)
+    [sched.schedules] and [sched.events_popped]. Like every probe they
+    count only while metrics are armed; disarmed, a write costs one
+    atomic load. So they reach [--metrics], [--stats], [hsyn report]
+    and the daemon's scrapes, and {!Hsyn_obs.Metrics.reset} zeroes
+    them. *)
 
 type stats = {
   schedules : int;  (** scheduling calls, incl. module parts *)
   events_popped : int;  (** queue pops inside the kernel *)
-  prepared_hits : int;  (** prepared-context cache hits *)
-  prepared_builds : int;  (** prepared-context builds *)
+  prepared_hits : int;  (** always 0 *)
+  prepared_builds : int;  (** always 0 *)
 }
+(** The two [prepared_*] fields counted a cache of per-graph tables
+    that is now the graph's {!Dfg.index}. They stay, always 0, only
+    because [bench/perf/layers.ml] reads them, like {!impl}. *)
 
 val stats : unit -> stats
-(** The four registry counters as they read now: process-wide, counted
+(** The two registry counters as they read now: process-wide, counted
     since the last {!Hsyn_obs.Metrics.reset} and only while metrics
     were armed. *)
 

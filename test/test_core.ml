@@ -262,7 +262,7 @@ let test_left_edge_reduces_registers () =
   | None -> Alcotest.fail "expected merge move"
   | Some m ->
       checkb "register count reduced or units shared" true
-        (Design.reg_count_used m.Moves.candidate < Design.reg_count_used d
+        (Design.reg_count_used [ m.Moves.candidate ] < Design.reg_count_used [ d ]
         || Array.length m.Moves.candidate.Design.insts < Array.length d.Design.insts)
 
 (* ------------------------------------------------------------------ *)

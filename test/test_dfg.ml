@@ -393,6 +393,132 @@ let prop_text_roundtrip_random =
       let prog = Hsyn_dfg.Text.parse_string (Buffer.contents buf) in
       match prog.Hsyn_dfg.Text.graphs with [ g' ] -> Dfg.equal g g' | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* The index, rebuilt from the nodes alone: every table {!Dfg.index}
+   holds, on every graph of the suite (variants, top graphs and their
+   flattenings) and of 200 generated programs *)
+
+(* The Kahn sort [Dfg.topo_order] ran on every call before the order
+   became part of the index: dependents kept in lists, sorted at each
+   pop. *)
+let kahn_order (g : Dfg.t) =
+  let n = Array.length g.Dfg.nodes in
+  let dep_edges dst =
+    Array.to_list g.Dfg.nodes.(dst).Dfg.ins
+    |> List.filter_map (fun ({ Dfg.node = src; _ } : Dfg.port) ->
+           match g.Dfg.nodes.(src).Dfg.kind with Dfg.Delay _ -> None | _ -> Some src)
+  in
+  let indeg = Array.init n (fun dst -> List.length (dep_edges dst)) in
+  let out_edges = Array.make n [] in
+  for dst = 0 to n - 1 do
+    List.iter (fun src -> out_edges.(src) <- dst :: out_edges.(src)) (dep_edges dst)
+  done;
+  let order = ref [] and ready = Queue.create () in
+  for id = 0 to n - 1 do
+    if indeg.(id) = 0 then Queue.add id ready
+  done;
+  while not (Queue.is_empty ready) do
+    let id = Queue.pop ready in
+    order := id :: !order;
+    List.iter
+      (fun dst ->
+        indeg.(dst) <- indeg.(dst) - 1;
+        if indeg.(dst) = 0 then Queue.add dst ready)
+      (List.sort compare out_edges.(id))
+  done;
+  Array.of_list (List.rev !order)
+
+let check_index (g : Dfg.t) =
+  let ix = g.Dfg.index and nodes = Array.to_list g.Dfg.nodes in
+  let ints what = Alcotest.(check (array int)) (g.Dfg.name ^ ": " ^ what) in
+  let is_kind f id = f g.Dfg.nodes.(id).Dfg.kind in
+  (* values are the output ports, in node order *)
+  let ports id (node : Dfg.node) = List.init node.Dfg.n_out (fun out -> (id, out)) in
+  let values = Array.of_list (List.concat (List.mapi ports nodes)) in
+  let value_of ({ Dfg.node; out } : Dfg.port) =
+    let rec find v = if values.(v) = (node, out) then v else find (v + 1) in
+    find 0
+  in
+  let prefix_sums counts =
+    Array.of_list (List.rev (List.fold_left (fun acc c -> (List.hd acc + c) :: acc) [ 0 ] counts))
+  in
+  let per_node f = List.map (fun (node : Dfg.node) -> f node) nodes in
+  ints "value offsets" (prefix_sums (per_node (fun node -> node.Dfg.n_out))) ix.Dfg.value_off;
+  ints "producers" (Array.map fst values) ix.Dfg.value_node;
+  ints "input offsets"
+    (prefix_sums (per_node (fun node -> Array.length node.Dfg.ins)))
+    ix.Dfg.in_off;
+  ints "input values"
+    (Array.concat (per_node (fun node -> Array.map value_of node.Dfg.ins)))
+    ix.Dfg.in_val;
+  (* each value's readers: one entry per reading port, by node then
+     port, flagged when an Output or Delay reads it *)
+  let at_avail_kind = function Dfg.Output | Dfg.Delay _ -> true | _ -> false in
+  let at_avail = is_kind at_avail_kind in
+  let reads v =
+    List.concat
+      (List.mapi
+         (fun dst (node : Dfg.node) ->
+           List.filter_map
+             (fun p -> if value_of p = v then Some (dst, at_avail dst) else None)
+             (Array.to_list node.Dfg.ins))
+         nodes)
+  in
+  let n_values = Array.length values in
+  ints "reader offsets"
+    (prefix_sums (List.init n_values (fun v -> List.length (reads v))))
+    ix.Dfg.reader_off;
+  for v = 0 to n_values - 1 do
+    let lo = ix.Dfg.reader_off.(v) in
+    Alcotest.(check (list (pair int bool)))
+      (Printf.sprintf "%s: readers of value %d" g.Dfg.name v)
+      (reads v)
+      (List.init
+         (ix.Dfg.reader_off.(v + 1) - lo)
+         (fun k -> (ix.Dfg.readers.(lo + k), ix.Dfg.reader_at_avail.(lo + k))))
+  done;
+  let order = kahn_order g in
+  ints "order" order (Dfg.topo_order g);
+  let position = Array.make (Array.length order) 0 in
+  Array.iteri (fun k id -> position.(id) <- k) order;
+  let by_position v = (position.(fst values.(v)), v) in
+  ints "values in topological order"
+    (Array.of_list
+       (List.sort (fun a b -> compare (by_position a) (by_position b)) (List.init n_values Fun.id)))
+    ix.Dfg.topo_values;
+  let ids f = List.filter (is_kind f) (List.init (List.length nodes) Fun.id) in
+  let first_in id = value_of g.Dfg.nodes.(id).Dfg.ins.(0) in
+  let own id = value_of { Dfg.node = id; out = 0 } in
+  ints "exec nodes"
+    (Array.of_list (ids (function Dfg.Op _ | Dfg.Call _ -> true | _ -> false)))
+    ix.Dfg.exec_nodes;
+  ints "fixed values"
+    (Array.of_list (List.map own (ids (function Dfg.Const _ | Dfg.Delay _ -> true | _ -> false))))
+    ix.Dfg.fixed_values;
+  ints "sink values" (Array.of_list (List.map first_in (ids at_avail_kind))) ix.Dfg.sink_values;
+  ints "output values" (Array.map first_in g.Dfg.outputs) ix.Dfg.output_values;
+  let st = Hsyn_util.Fnv.create () in
+  Dfg.hash_into st g;
+  checkb (g.Dfg.name ^ ": hash") true (Int64.equal (Hsyn_util.Fnv.load st 0) ix.Dfg.hash)
+
+(* the variants of every behavior, the top graph and its flattening *)
+let program_graphs registry top =
+  List.concat_map (Registry.variants registry) (Registry.behaviors registry)
+  @ [ top; Flatten.flatten registry top ]
+
+let test_index_suite () =
+  let module Suite = Hsyn_benchmarks.Suite in
+  List.iter
+    (fun (b : Suite.t) -> List.iter check_index (program_graphs b.Suite.registry b.Suite.dfg))
+    (Suite.all ())
+
+let test_index_generated () =
+  let module Gen = Hsyn_fuzz.Gen in
+  for seed = 0 to 199 do
+    let prog = Gen.program (Hsyn_util.Rng.create seed) in
+    List.iter check_index (program_graphs prog.Hsyn_dfg.Text.registry (Gen.top_graph prog))
+  done
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "dfg"
@@ -434,6 +560,11 @@ let () =
           tc "choose variant" test_flatten_choose_variant;
           tc "recursion detected" test_registry_detects_recursion;
           tc "three levels" test_flatten_three_levels;
+        ] );
+      ( "index",
+        [
+          tc "suite graphs" test_index_suite;
+          tc "200 generated programs" test_index_generated;
         ] );
       ( "properties",
         [

@@ -205,10 +205,9 @@ let test_equal_is_structural () =
     (fun a -> List.iter (fun b -> checkb "Design.equal = (=)" (a = b) (Design.equal a b)) all)
     all
 
-(* The top-level graph's hash is memoized for the last graph seen:
-   fingerprints computed with graphs interleaved (A, B, A) must equal
-   those computed on a fresh domain, whose memo starts empty, in
-   another order. *)
+(* The top-level graph's hash is stored with its index: fingerprints
+   computed with graphs interleaved (A, B, A) must equal those computed
+   on a fresh domain in another order. *)
 let test_fingerprint_interleaved () =
   let a = suite_final_neighbourhood () in
   let copy = List.map (fun d -> (Marshal.from_string (Marshal.to_string d []) 0 : Design.t)) a in
@@ -222,21 +221,23 @@ let test_fingerprint_interleaved () =
   checkb "interleaved = fresh" true (interleaved = expect);
   checkb "the copy fingerprints as the original" true (fps a = fresh_a)
 
-let test_consumer_index_matches_rescan () =
+let test_reader_slices_match_rescan () =
   List.iter
     (fun seed ->
       let g = Tu.random_flat_graph seed ~n_inputs:3 ~n_ops:12 in
-      let idx = Design.consumer_index g in
-      (* reference: whole-graph rescan *)
+      let ix = g.Dfg.index in
+      (* reference: whole-graph rescan, one entry per reading port, in
+         ascending node order *)
       for v = 0 to Design.n_values g - 1 do
         let p = Design.value_of_index g v in
         let expect = ref [] in
         Array.iteri
           (fun dst (node : Dfg.node) ->
-            Array.iteri (fun port src -> if src = p then expect := (dst, port) :: !expect) node.Dfg.ins)
+            Array.iter (fun src -> if src = p then expect := dst :: !expect) node.Dfg.ins)
           g.Dfg.nodes;
-        checkb "same consumers" true
-          (List.sort compare idx.(v) = List.sort compare !expect)
+        let lo = ix.Dfg.reader_off.(v) in
+        let slice = Array.sub ix.Dfg.readers lo (ix.Dfg.reader_off.(v + 1) - lo) in
+        checkb "same consumers" true (Array.to_list slice = List.rev !expect)
       done)
     [ 1; 2; 3; 4; 5 ]
 
@@ -681,7 +682,7 @@ let () =
           tc "stability" test_fingerprint_stability;
           tc "Design.equal is structural" test_equal_is_structural;
           tc "interleaved graphs" test_fingerprint_interleaved;
-          tc "consumer index" test_consumer_index_matches_rescan;
+          tc "consumer index" test_reader_slices_match_rescan;
         ] );
       ( "engine",
         [

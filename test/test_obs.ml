@@ -537,13 +537,13 @@ let test_report_aggregates () =
 
 (* The [--stats] block of a snapshot: a family row has no batches,
    which are never attributed to a family; the total row has them. The
-   fixture writes no disk hits, evictions or skips, no prepared-context
-   hits and no profile table, and each reads 0. *)
+   fixture writes no disk hits, evictions or skips and no profile table,
+   and each reads 0. *)
 let test_render_stats () =
   let snap =
     match
       Json.of_string
-        {|{"schema_version":2,"kind":"hsyn.metrics","counters":{"engine.batches":1,"engine.cache_hits":1,"engine.cache_hits.A:select":1,"engine.cache_misses":2,"engine.cache_misses.A:select":2,"engine.evaluated":2,"engine.evaluated.A:select":2,"engine.generated":3,"engine.generated.A:select":3,"engine.power_sims":2,"engine.power_sims.A:select":2,"sched.events_popped":40,"sched.prepared_builds":2,"sched.schedules":5},"gauges":{"session.contexts":2.0,"session.cost.capacity":8192.0,"session.cost.evictions":0.0,"session.cost.hits":1.0,"session.cost.misses":2.0,"session.cost.size":2.0,"session.prepared.capacity":256.0,"session.prepared.evictions":0.0,"session.prepared.hits":3.0,"session.prepared.misses":2.0,"session.prepared.size":2.0},"histograms":{}}|}
+        {|{"schema_version":2,"kind":"hsyn.metrics","counters":{"engine.batches":1,"engine.cache_hits":1,"engine.cache_hits.A:select":1,"engine.cache_misses":2,"engine.cache_misses.A:select":2,"engine.evaluated":2,"engine.evaluated.A:select":2,"engine.generated":3,"engine.generated.A:select":3,"engine.power_sims":2,"engine.power_sims.A:select":2,"sched.events_popped":40,"sched.schedules":5},"gauges":{"session.contexts":2.0,"session.cost.capacity":8192.0,"session.cost.evictions":0.0,"session.cost.hits":1.0,"session.cost.misses":2.0,"session.cost.size":2.0},"histograms":{}}|}
     with
     | Ok j -> j
     | Error e -> Alcotest.failf "fixture: %s" e
@@ -555,9 +555,7 @@ let test_render_stats () =
          "  total        " ^ family ^ "  batches 1";
          "  A:select     " ^ family;
          "[sched] schedules: 5, events popped: 40";
-         "[sched] prepared contexts: 0 hits / 2 builds";
          "[session] cost cache (2 ctx): 1/3 (33.3% hit)  evict 0  size 2/8192";
-         "[session] prepared: 3/5 (60.0% hit)  evict 0  size 2/256";
          "[session] profiles: 0/0 (0.0% hit)  evict 0  size 0";
          "";
        ])

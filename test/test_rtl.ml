@@ -78,7 +78,7 @@ let test_values_in_reg_and_count () =
   let g = Tu.small_graph () in
   let d = Tu.initial ctx g in
   (* 4 inputs + 3 op results = 7 registers, one value each *)
-  checki "regs used" 7 (Design.reg_count_used d);
+  checki "regs used" 7 (Design.reg_count_used [ d ]);
   for r = 0 to d.Design.n_regs - 1 do
     checki "one value per reg" 1 (List.length (Design.values_in_reg d r))
   done
@@ -134,7 +134,7 @@ let test_compact_renumbers_registers () =
   (* move value 0 to a fresh far-away register, leaving a hole *)
   let d = Design.with_value_reg d 0 (d.Design.n_regs + 5) in
   let d' = Design.compact d in
-  checki "dense registers" (Design.reg_count_used d') d'.Design.n_regs
+  checki "dense registers" (Design.reg_count_used [ d' ]) d'.Design.n_regs
 
 (* ------------------------------------------------------------------ *)
 (* Validation errors *)

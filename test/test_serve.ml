@@ -379,8 +379,7 @@ let test_metrics_endpoint () =
               "serve.accepted"; "serve.completed"; "serve.rejected"; "serve.errors";
               "serve.in_flight"; "serve.queued"; "serve.latency_p90_ms";
               (* the scheduler kernel counts in the same registry *)
-              "sched.schedules"; "sched.events_popped"; "sched.prepared_hits";
-              "sched.prepared_builds";
+              "sched.schedules"; "sched.events_popped";
             ])
 
 (* ------------------------------------------------------------------ *)
@@ -510,8 +509,6 @@ let test_prometheus_endpoint_and_top () =
               {|serve_requests{objective="area",status="ok"}|};
               "# TYPE sched_schedules counter";
               "# TYPE sched_events_popped counter";
-              "# TYPE sched_prepared_hits counter";
-              "# TYPE sched_prepared_builds counter";
             ];
           (* dotted names never leak into the exposition *)
           checkb "names are sanitized" false (contains text "serve.completed"));
