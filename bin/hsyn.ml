@@ -102,8 +102,15 @@ let make_events ~progress ~events_json =
     | Some "-" -> Some (Report.Sink.of_channel stdout)
     | Some path -> Some (Report.Sink.create path)
   in
+  (* a skipped cache load or a failed save is printed without
+     --progress too: the run goes on without the cache *)
+  let warns (e : Events.t) =
+    match e.Events.payload with
+    | Events.Cache_loaded { warning = Some _; _ } | Events.Cache_saved { warning = Some _; _ } -> true
+    | _ -> false
+  in
   let sink (e : Events.t) =
-    if progress then (
+    if progress || warns e then (
       prerr_endline (Events.to_string e);
       flush stderr);
     Option.iter (fun s -> Report.Sink.line s (Events.to_json e)) ndjson
@@ -358,7 +365,7 @@ let cache_arg =
           "Persistent cost-cache directory: warm-start the run from caches saved there by \
            earlier runs, and snapshot the session's cache back on completion. Warm runs are \
            bit-identical to cold ones; a missing, corrupt or version-mismatched cache file is \
-           skipped with a warning (a cold start), never an error.")
+           skipped with a warning on stderr (a cold start), never an error.")
 
 let share_session_flag =
   Arg.(

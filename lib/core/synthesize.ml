@@ -61,8 +61,8 @@ module Config = struct
     else if c.trace_length <= 0 then err "trace_length must be positive (got %d)" c.trace_length
     else if c.max_clocks <= 0 then err "max_clocks must be positive (got %d)" c.max_clocks
     else if c.vdd_candidates = [] then err "vdd_candidates must not be empty"
-    else if List.exists (fun v -> v <= 0.) c.vdd_candidates then
-      err "vdd_candidates must all be positive"
+    else if List.exists (fun v -> not (v > Voltage.threshold)) c.vdd_candidates then
+      err "vdd_candidates must all exceed the device threshold of %g V" Voltage.threshold
     else if c.clib_effort.Clib.max_moves <= 0 then err "clib_effort.max_moves must be positive"
     else if c.clib_effort.Clib.max_passes <= 0 then err "clib_effort.max_passes must be positive"
     else if c.clib_effort.Clib.max_candidates <= 0 then

@@ -32,6 +32,8 @@ type config = {
   trace_kind : Hsyn_eval.Trace.kind;
   seed : int;  (** RNG seed (traces, nothing else is random) *)
   vdd_candidates : float list;
+      (** supply voltages tried under the power objective, each above
+          {!Hsyn_modlib.Voltage.threshold} *)
   max_clocks : int;
       (** clock periods tried per voltage, spread over the library's
           candidates ({!Hsyn_modlib.Clock.candidates}) *)
@@ -51,8 +53,9 @@ val default_config : config
 (** Validated view of {!config}. [Config.t] {e is} [config]: build one
     by record update ([{ Config.default with … }]), and
     {!Config.validate} rejects nonsense (non-positive effort bounds, an
-    empty voltage set, …) before a run starts instead of failing
-    somewhere inside the sweep. {!Request.make} validates too. *)
+    empty voltage set, a voltage at or below the device threshold, …)
+    before a run starts instead of failing somewhere inside the
+    sweep. {!Request.make} validates too. *)
 module Config : sig
   type t = config
 

@@ -368,8 +368,3 @@ let op_histogram t =
 
 let equal a b =
   a.name = b.name && a.nodes = b.nodes && a.inputs = b.inputs && a.outputs = b.outputs
-
-let pp_stats fmt t =
-  Format.fprintf fmt "%s: %d nodes (%d ops, %d calls, %d in, %d out)" t.name
-    (Array.length t.nodes) (n_operations t) (n_calls t) (Array.length t.inputs)
-    (Array.length t.outputs)

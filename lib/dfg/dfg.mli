@@ -153,5 +153,3 @@ val equal : t -> t -> bool
 (** Structural equality (names included); the index is derived, so
     it is not compared. *)
 
-val pp_stats : Format.formatter -> t -> unit
-(** One-line summary: name, node/op/call counts. *)

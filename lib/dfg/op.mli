@@ -52,7 +52,7 @@ val eval : t -> int list -> int
 
 val eval1 : t -> int -> int
 (** [eval1 op a] is [eval op [ a ]] without building the list — the
-    form the simulator's compiled programs call.
+    form the simulator calls.
     @raise Invalid_argument if [op] is not unary. *)
 
 val eval2 : t -> int -> int -> int

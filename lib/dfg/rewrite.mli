@@ -21,6 +21,25 @@ val kind_of_description : string -> string
 (** Map a candidate description (["<kind>:<site>"]) back to its kind;
     ["other"] for descriptions minted elsewhere. *)
 
+val rebuild :
+  Dfg.t ->
+  ?skip:(int -> bool) ->
+  ?subst:(Dfg.port -> Dfg.port option) ->
+  ?custom:(int -> (Dfg.Builder.b -> (Dfg.port -> Dfg.port) -> Dfg.node -> Dfg.port) option) ->
+  unit ->
+  Dfg.t option
+(** The graph surgery every rewrite (and the fuzz shrinker) is made
+    of: re-run a graph through {!Dfg.Builder} in node order, leaving
+    out the nodes [skip] holds for and reading [q] wherever [subst]
+    maps a port to [Some q] (a substitution must lead to an earlier
+    node, never back to itself). [custom i = Some emit] emits node
+    [i]'s single output as [emit b resolve node] instead, [resolve]
+    mapping an original port to its rebuilt counterpart. Delay feeds
+    are connected after the walk, so a delay may read a later node.
+    [None] when a port resolves to a node left out or not yet rebuilt,
+    or when {!Dfg.Builder.finish} refuses the result (say, a
+    combinational cycle). *)
+
 val strength_reduce : Dfg.t -> (string * Dfg.t) list
 (** Per applicable site: multiplication by a constant wrapping to
     [2^k] becomes [Lsh] by [k] (sound for every [k] in 0..15 modulo

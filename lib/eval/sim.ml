@@ -2,124 +2,70 @@ module Design = Hsyn_rtl.Design
 module Dfg = Hsyn_dfg.Dfg
 module Op = Hsyn_dfg.Op
 
-(* A design compiled for evaluation: its nodes in topological order as
-   flat instructions over dense value indices, both read off the
-   graph's index, so that the per-sample loop walks no graph, scans no
-   input list and looks up no binding. Call nodes point at the
-   compiled program of the module part they are bound to. *)
-type instr =
-  | Load of int * int  (* dst, primary-input position *)
-  | Set of int * int  (* dst, constant *)
-  | Unary of Op.t * int * int  (* op, operand, dst *)
-  | Binary of Op.t * int * int * int  (* op, operands, dst *)
-  | Invoke of program * int array * int  (* part, argument values, first result value *)
-
-and program = {
-  n_inputs : int;
-  n_values : int;
-  code : instr array;
-  delay_out : int array;  (* per Delay node: the value it drives *)
-  delay_in : int array;  (* per Delay node: the value it latches *)
-  delay_init : int array;
-  results : int array;  (* per primary output: the value it reads *)
-}
-
-let width_mismatch () = invalid_arg "Sim: input vector width mismatch"
-
-(* [compiled] memoizes parts by physical identity within one [run], so
-   a part reached by several calls is compiled once. *)
-let rec compile compiled (design : Design.t) =
-  match List.assq_opt design !compiled with
-  | Some prog -> prog
-  | None ->
-      let dfg = design.Design.dfg in
-      let nodes = dfg.Dfg.nodes in
-      let vi p = Design.value_index dfg p in
-      let input_pos = Array.make (Array.length nodes) 0 in
-      Array.iteri (fun pos id -> input_pos.(id) <- pos) dfg.Dfg.inputs;
-      let code =
-        Dfg.topo_order dfg |> Array.to_list
-        |> List.filter_map (fun id ->
-               let node = nodes.(id) in
-               let dst = vi { Dfg.node = id; out = 0 } in
-               match node.Dfg.kind with
-               | Dfg.Input -> Some (Load (dst, input_pos.(id)))
-               | Dfg.Const v -> Some (Set (dst, v))
-               | Dfg.Delay _ | Dfg.Output -> None
-               | Dfg.Op op ->
-                   (* a built graph has validated arities: 1 or 2 operands *)
-                   let ins = Array.map vi node.Dfg.ins in
-                   Some
-                     (if Array.length ins = 1 then Unary (op, ins.(0), dst)
-                      else Binary (op, ins.(0), ins.(1), dst))
-               | Dfg.Call behavior ->
-                   let rm =
-                     match design.Design.insts.(design.Design.node_inst.(id)) with
-                     | Design.Module rm -> rm
-                     | Design.Simple _ -> invalid_arg "Sim: call bound to simple unit"
-                   in
-                   let part = compile compiled (Design.module_part rm behavior) in
-                   if Array.length node.Dfg.ins <> part.n_inputs then width_mismatch ();
-                   Some (Invoke (part, Array.map vi node.Dfg.ins, dst)))
-        |> Array.of_list
-      in
-      let delays =
-        List.filter_map
-          (fun id ->
-            match nodes.(id).Dfg.kind with
-            | Dfg.Delay init -> Some (vi { Dfg.node = id; out = 0 }, vi nodes.(id).Dfg.ins.(0), init)
-            | _ -> None)
-          (List.init (Array.length nodes) Fun.id)
-        |> Array.of_list
-      in
-      let prog =
-        {
-          n_inputs = Array.length dfg.Dfg.inputs;
-          n_values = Design.n_values dfg;
-          code;
-          delay_out = Array.map (fun (o, _, _) -> o) delays;
-          delay_in = Array.map (fun (_, i, _) -> i) delays;
-          delay_init = Array.map (fun (_, _, v) -> v) delays;
-          results = dfg.Dfg.index.Dfg.output_values;
-        }
-      in
-      compiled := (design, prog) :: !compiled;
-      prog
-
-(* One invocation: seed the delay outputs from [state] (their consumers
-   run before the Delay latches), then run the code. Module parts run
-   with fresh state: module behaviors are stateless. *)
-let rec exec prog state (inputs : int array) =
-  let values = Array.make prog.n_values 0 in
-  Array.iteri (fun k v -> values.(prog.delay_out.(k)) <- v) state;
-  Array.iter
-    (function
-      | Load (dst, pos) -> values.(dst) <- inputs.(pos)
-      | Set (dst, v) -> values.(dst) <- v
-      | Unary (op, a, dst) -> values.(dst) <- Op.eval1 op values.(a)
-      | Binary (op, a, b, dst) -> values.(dst) <- Op.eval2 op values.(a) values.(b)
-      | Invoke (part, args, dst) ->
-          let inner = exec part part.delay_init (Array.map (fun a -> values.(a)) args) in
-          Array.iteri (fun j r -> values.(dst + j) <- inner.(r)) part.results)
-    prog.code;
+(* One invocation of [design], walking its graph's index into a fresh
+   values array. A delay reads the value that fed it in [prev], the
+   previous invocation's values, or starts from its initial value when
+   there is none; its readers run before it latches, so the topological
+   walk skips it. A call evaluates the module part it is bound to with
+   fresh delays: module behaviors are stateless. *)
+let rec invoke (design : Design.t) prev (inputs : int array) =
+  let dfg = design.Design.dfg in
+  let nodes = dfg.Dfg.nodes and ix = dfg.Dfg.index in
+  let value_off = ix.Dfg.value_off and in_off = ix.Dfg.in_off and in_val = ix.Dfg.in_val in
+  let input_ids = dfg.Dfg.inputs in
+  if Array.length inputs <> Array.length input_ids then
+    invalid_arg "Sim: input vector width mismatch";
+  let values = Array.make (Design.n_values dfg) 0 in
+  for pos = 0 to Array.length input_ids - 1 do
+    values.(value_off.(input_ids.(pos))) <- inputs.(pos)
+  done;
+  let fixed = ix.Dfg.fixed_values in
+  for k = 0 to Array.length fixed - 1 do
+    let v = fixed.(k) in
+    let id = ix.Dfg.value_node.(v) in
+    (* [fixed_values] holds the values of constants and delays only *)
+    match (nodes.(id).Dfg.kind, prev) with
+    | Dfg.Const c, _ -> values.(v) <- c
+    | Dfg.Delay _, Some prev -> values.(v) <- prev.(in_val.(in_off.(id)))
+    | Dfg.Delay init, None -> values.(v) <- init
+    | _ -> ()
+  done;
+  let order = ix.Dfg.order in
+  for k = 0 to Array.length order - 1 do
+    let id = order.(k) in
+    match nodes.(id).Dfg.kind with
+    | Dfg.Op op ->
+        (* a built graph has validated arities: 1 or 2 operands *)
+        let first = in_off.(id) in
+        values.(value_off.(id)) <-
+          (if in_off.(id + 1) - first = 1 then Op.eval1 op values.(in_val.(first))
+           else Op.eval2 op values.(in_val.(first)) values.(in_val.(first + 1)))
+    | Dfg.Call behavior ->
+        let part =
+          match design.Design.insts.(design.Design.node_inst.(id)) with
+          | Design.Module rm -> Design.module_part rm behavior
+          | Design.Simple _ -> invalid_arg "Sim: call bound to simple unit"
+        in
+        let first = in_off.(id) in
+        let args = Array.init (in_off.(id + 1) - first) (fun p -> values.(in_val.(first + p))) in
+        let inner = invoke part None args in
+        let results = part.Design.dfg.Dfg.index.Dfg.output_values in
+        for j = 0 to Array.length results - 1 do
+          values.(value_off.(id) + j) <- inner.(results.(j))
+        done
+    | Dfg.Input | Dfg.Output | Dfg.Const _ | Dfg.Delay _ -> ()
+  done;
   values
 
 let run (design : Design.t) invocations =
-  let n_inputs = Array.length design.Design.dfg.Dfg.inputs in
-  match invocations with
-  | [] -> [||]
-  | first :: _ ->
-      if Array.length first <> n_inputs then width_mismatch ();
-      let prog = compile (ref []) design in
-      let state = Array.copy prog.delay_init in
-      Array.of_list
-        (List.map
-           (fun inputs ->
-             if Array.length inputs <> n_inputs then width_mismatch ();
-             let values = exec prog state inputs in
-             Array.iteri (fun k src -> state.(k) <- values.(src)) prog.delay_in;
-             values)
-           invocations)
+  let prev = ref None in
+  Array.of_list
+    (List.map
+       (fun inputs ->
+         let values = invoke design !prev inputs in
+         prev := Some values;
+         values)
+       invocations)
 
 let outputs (design : Design.t) streams =
   let results = design.Design.dfg.Dfg.index.Dfg.output_values in

@@ -16,10 +16,11 @@
     delay restarts from its initial value at every invocation here,
     while flattening keeps one delay per call site.
 
-    Each call compiles the design, and every module part it reaches,
-    once into a flat program (topological order, operand value
-    indices, input positions, delay seeds) and then runs every sample
-    over [int] arrays. Nothing is cached across calls. *)
+    An invocation walks the tables {!Dfg.Builder.finish} built once
+    for its graph ({!Dfg.index}: the topological order, each node's
+    operand values, the value numbering) over one [int] array of
+    values; a call looks its part up from the binding when it runs.
+    Nothing is compiled, and nothing is cached across calls. *)
 
 module Design = Hsyn_rtl.Design
 module Dfg = Hsyn_dfg.Dfg
@@ -30,7 +31,8 @@ val run : Design.t -> int array list -> int array array
     id [v] (see {!Design.value_index}) at sample [s]. Delay state
     persists across the samples of the list.
     @raise Invalid_argument if an input vector's width differs from
-    the DFG's input arity. *)
+    the DFG's input arity, if a call's argument count differs from
+    its part's, or if a call is bound to a simple unit. *)
 
 val outputs : Design.t -> int array array -> int array list
 (** Extract the per-sample primary-output vectors from [run]'s

@@ -1,7 +1,7 @@
 module Dfg = Hsyn_dfg.Dfg
 module Registry = Hsyn_dfg.Registry
+module Rewrite = Hsyn_dfg.Rewrite
 module Text = Hsyn_dfg.Text
-module B = Dfg.Builder
 
 (* ------------------------------------------------------------------ *)
 (* Graph surgery: drop one node, rewiring its consumers to the        *)
@@ -24,54 +24,17 @@ let droppable (g : Dfg.t) v =
       (* a self-feeding cycle through v cannot be rewired away *)
       && not (Array.exists (fun (p : Dfg.port) -> p.Dfg.node = v) n.Dfg.ins)
 
-(* Rebuild [g] without node [v] through the Builder (Dfg.t is private;
-   the Builder re-validates for free), substituting [replacement k]
-   for references to [v]'s output [k]. Returns [None] when the result
-   is malformed — e.g. removing the last op re-creates a combinational
-   cycle some delay was breaking. *)
+(* Rebuild [g] without node [v] (Dfg.t is private; the Builder
+   re-validates for free), substituting [replacement k] for references
+   to [v]'s output [k]. Returns [None] when the result is malformed —
+   e.g. removing the last op re-creates a combinational cycle some
+   delay was breaking. *)
 let rebuild_without (g : Dfg.t) v replacement =
   if not (droppable g v) then None
   else
-    let b = B.create g.Dfg.name in
-    let n = Array.length g.Dfg.nodes in
-    let ports : Dfg.port option array array =
-      Array.init n (fun i -> Array.make (max 1 g.Dfg.nodes.(i).Dfg.n_out) None)
-    in
-    (* resolve an original port to its rebuilt counterpart; one
-       substitution step when it points at the victim *)
-    let rec resolve (p : Dfg.port) =
-      if p.Dfg.node = v then resolve (replacement p.Dfg.out)
-      else match ports.(p.Dfg.node).(p.Dfg.out) with Some q -> q | None -> raise Exit
-    in
-    let feeds = ref [] in
-    match
-      Array.iteri
-        (fun i (node : Dfg.node) ->
-          if i <> v then
-            match node.Dfg.kind with
-            | Dfg.Input -> ports.(i).(0) <- Some (B.input b node.Dfg.label)
-            | Dfg.Const c -> ports.(i).(0) <- Some (B.const b ~label:node.Dfg.label c)
-            | Dfg.Op o ->
-                let args = Array.to_list (Array.map resolve node.Dfg.ins) in
-                ports.(i).(0) <- Some (B.op b ~label:node.Dfg.label o args)
-            | Dfg.Call behavior ->
-                let args = Array.to_list (Array.map resolve node.Dfg.ins) in
-                let outs = B.call b ~label:node.Dfg.label ~behavior ~n_out:node.Dfg.n_out args in
-                Array.iteri (fun k p -> ports.(i).(k) <- Some p) outs
-            | Dfg.Delay init ->
-                (* the feed may reference nodes not rebuilt yet: patch
-                   after the full pass, like the original construction *)
-                let p, feed = B.delay_feed b ~label:node.Dfg.label ~init () in
-                ports.(i).(0) <- Some p;
-                feeds := (node.Dfg.ins.(0), feed) :: !feeds
-            | Dfg.Output -> B.output b ~label:node.Dfg.label (resolve node.Dfg.ins.(0)))
-        g.Dfg.nodes;
-      List.iter (fun (src, feed) -> feed (resolve src)) !feeds;
-      B.finish b
-    with
-    | g' -> Some g'
-    | exception Exit -> None
-    | exception Invalid_argument _ -> None
+    Rewrite.rebuild g ~skip:(Int.equal v)
+      ~subst:(fun (p : Dfg.port) -> if p.Dfg.node = v then Some (replacement p.Dfg.out) else None)
+      ()
 
 let remove_node (g : Dfg.t) v =
   let ins = g.Dfg.nodes.(v).Dfg.ins in

@@ -1,6 +1,6 @@
-(* The evaluation kernels as they stood before simulation was compiled
-   and the power and area models became array passes: the simulator
-   ([Sim.run]), the switched-capacitance estimate
+(* The evaluation kernels as they stood before simulation ran over
+   value arrays and the power and area models became array passes: the
+   simulator ([Sim.run]), the switched-capacitance estimate
    ([Power.energy_per_sample]) and the area model's feed enumeration
    and steering count ([Area.datapath], [Area.module_area]), kept
    verbatim apart from their names as the reference the differential

@@ -51,6 +51,9 @@ let test_config_validation () =
   checkb "non-positive passes" true (invalid { S.Config.default with S.max_passes = -1 });
   checkb "empty vdds" true (invalid { S.Config.default with S.vdd_candidates = [] });
   checkb "negative vdd" true (invalid { S.Config.default with S.vdd_candidates = [ -3.3 ] });
+  (* the delay law d(V) ~ V / (V - V_t)^2 has no value at or below V_t *)
+  checkb "vdd below threshold" true (invalid { S.Config.default with S.vdd_candidates = [ 3.3; 0.5 ] });
+  checkb "vdd at threshold" true (invalid { S.Config.default with S.vdd_candidates = [ 0.8 ] });
   checkb "record update validates" true
     (Result.is_ok (S.Config.validate { S.Config.default with S.max_passes = 2; seed = 7 }))
 

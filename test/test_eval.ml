@@ -98,6 +98,39 @@ let test_sim_input_width_checked () =
   Alcotest.check_raises "width" (Invalid_argument "Sim: input vector width mismatch") (fun () ->
       ignore (Sim.run d [ [| 1 |] ]))
 
+(* A design of [g] whose call nodes are all bound to instance 0,
+   [inst], and nothing else bound: simulation reads only the call
+   bindings. *)
+let bind_calls (g : Dfg.t) inst =
+  {
+    Design.dfg = g;
+    insts = [| inst |];
+    node_inst =
+      Array.map (fun (n : Dfg.node) -> match n.Dfg.kind with Dfg.Call _ -> 0 | _ -> -1) g.Dfg.nodes;
+    value_reg = Array.make (Design.n_values g) (-1);
+    n_regs = 0;
+  }
+
+let test_sim_call_width_checked () =
+  (* a call passing two arguments to a part of one input *)
+  let part =
+    let b = B.create "f" in
+    B.output b (B.op b Op.Neg [ B.input b "a" ]);
+    Tu.initial ctx (B.finish b)
+  in
+  let b = B.create "top" in
+  let x = B.input b "x" and y = B.input b "y" in
+  B.output b (B.call b ~label:"c" ~behavior:"f" ~n_out:1 [ x; y ]).(0);
+  let d = bind_calls (B.finish b) (Design.Module { Design.rm_name = "f"; parts = [ ("f", part) ] }) in
+  Alcotest.check_raises "call width" (Invalid_argument "Sim: input vector width mismatch") (fun () ->
+      ignore (Sim.run d [ [| 1; 2 |] ]))
+
+let test_sim_call_bound_to_simple_unit () =
+  let _, g = Tu.hier_graph () in
+  let d = bind_calls g (Design.Simple (Library.find_exn lib "add1")) in
+  Alcotest.check_raises "simple unit" (Invalid_argument "Sim: call bound to simple unit") (fun () ->
+      ignore (Sim.run d (Tu.trace g)))
+
 let test_sim_run_flat_requires_flat () =
   let _, g = Tu.hier_graph () in
   Alcotest.check_raises "flat only" (Invalid_argument "Sim.run_flat: graph must be flat")
@@ -374,6 +407,8 @@ let () =
           tc "delay state" test_sim_delay_state;
           tc "delay initial value" test_sim_delay_initial_value;
           tc "input width checked" test_sim_input_width_checked;
+          tc "call width checked" test_sim_call_width_checked;
+          tc "call bound to simple unit" test_sim_call_bound_to_simple_unit;
           tc "run_flat requires flat" test_sim_run_flat_requires_flat;
           QCheck_alcotest.to_alcotest prop_flatten_preserves_semantics;
         ] );

@@ -1,6 +1,6 @@
 (* Differential test of the evaluation kernels against the reference
-   copies in ref_eval.ml: the compiled simulator must produce the same
-   value streams, the array-pass power model the same energy to the
+   copies in ref_eval.ml: the index-walking simulator must produce the
+   same value streams, the array-pass power model the same energy to the
    last bit ([Int64.bits_of_float]), with the design's schedule passed
    in and with it omitted, and the array-pass area model the same
    datapath breakdown and module areas, also to the last bit. Raised

@@ -320,6 +320,28 @@ let test_admission_rejects_when_full () =
       checkb "reject was counted" true (stats.Serve.rejected >= 1))
 
 (* ------------------------------------------------------------------ *)
+(* A supply voltage at or below the device threshold has no gate
+   delay: the request is refused before synthesis starts, with a
+   message that names the threshold, not answered [internal] from
+   inside the sweep. *)
+let test_vdd_below_threshold_refused () =
+  with_server (fun _ addr ->
+      List.iter
+        (fun vdd ->
+          let line =
+            Printf.sprintf
+              {|{"kind":"hsyn.request","schema_version":1,"source":{"bench":"test1"},"objective":"power","config":{"vdd_candidates":[%s]}}|}
+              vdd
+          in
+          match Serve.Client.raw ~timeout_s:10. addr line with
+          | Error msg -> Alcotest.failf "vdd %s: %s" vdd msg
+          | Ok lines ->
+              let j = parse (last lines) in
+              checks ("vdd " ^ vdd ^ " is bad_request") "bad_request" (gets "code" j);
+              checkb "names the threshold" true (contains (gets "message" j) "threshold of 0.8 V"))
+        [ "0.5"; "0.8" ])
+
+(* ------------------------------------------------------------------ *)
 (* A request's pool sizes are clamped to the machine's domain count.
    Checked on the decoded document alone: a request with an unclamped
    size is never run. *)
@@ -576,6 +598,8 @@ let () =
           Alcotest.test_case "malformed request survives" `Quick test_malformed_request_survives;
           Alcotest.test_case "deadline clamp mid-stream" `Quick test_deadline_clamp_mid_stream;
           Alcotest.test_case "jobs clamp" `Quick test_jobs_clamp;
+          Alcotest.test_case "vdd at or below threshold is bad_request" `Quick
+            test_vdd_below_threshold_refused;
           Alcotest.test_case "metrics endpoint" `Quick test_metrics_endpoint;
         ] );
       ( "telemetry",
