@@ -36,15 +36,38 @@ let memo ctx ~trace = { area_memo = Area.memo ctx; power_memo = Power.memo ctx ~
 let area_probe = Hsyn_obs.Trace.(probe Schedule "area")
 let power_probe = Hsyn_obs.Trace.(probe Power "power")
 
-let schedule_stage ?sched_cache ?memo ctx cs design =
+let datapath ?sched_cache ?memo ctx design =
+  Hsyn_obs.Trace.span area_probe (fun () ->
+      Area.datapath ?sched_cache ?memo:(Option.map (fun m -> m.area_memo) memo) ctx design)
+
+(* the area at [makespan], the way [Area.total] counts its states *)
+let area_at ctx datapath ~makespan =
+  Area.grand_total (Area.with_controller ctx datapath ~n_states:(max 1 makespan))
+
+(* The datapath is [None] when the makespan bound alone proves the
+   design infeasible. *)
+type area_bound = { ab_value : float; ab_datapath : Area.breakdown option }
+
+(* [area_at] is monotone in [makespan]: the datapath terms are the
+   same, and rounding a larger controller term into the sum cannot
+   give a smaller float *)
+let area_bound ?sched_cache ?memo ctx (cs : Sched.constraints) design =
+  let lb = Sched.makespan_lower_bound ?cache:sched_cache ctx cs design in
+  if lb > cs.Sched.deadline then { ab_value = infinity; ab_datapath = None }
+  else
+    let dp = datapath ?sched_cache ?memo ctx design in
+    { ab_value = area_at ctx dp ~makespan:lb; ab_datapath = Some dp }
+
+let area_bound_value b = b.ab_value
+
+let schedule_stage ?sched_cache ?memo ?bound ctx cs design =
   let sch = Sched.schedule ?cache:sched_cache ctx cs design in
-  let area =
-    Hsyn_obs.Trace.span area_probe (fun () ->
-        Area.grand_total
-          (Area.total ?sched_cache
-             ?memo:(Option.map (fun m -> m.area_memo) memo)
-             ctx design ~n_states:(max 1 sch.Sched.makespan)))
+  let dp =
+    match Option.bind bound (fun b -> b.ab_datapath) with
+    | Some dp -> dp
+    | None -> datapath ?sched_cache ?memo ctx design
   in
+  let area = area_at ctx dp ~makespan:sch.Sched.makespan in
   ( {
       area;
       power = Float.nan;

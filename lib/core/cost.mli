@@ -37,7 +37,8 @@ val evaluate :
 
 type memo
 (** What the candidates of one evaluation context share: the module
-    areas of {!Hsyn_eval.Area.memo}, and the value streams per (graph,
+    areas and the last top-level steering count of
+    {!Hsyn_eval.Area.memo}, and the value streams per (graph,
     bound parts), module-part energies per (module, behavior,
     invocation stream) and module idle terms of
     {!Hsyn_eval.Power.memo}. The evaluation engine creates one per
@@ -48,9 +49,32 @@ type memo
 val memo : Design.ctx -> trace:int array list -> memo
 (** An empty memo for one technology context and one trace. *)
 
+type area_bound
+(** A lower bound on a design's area objective value, and the datapath
+    area it was computed from. *)
+
+val area_bound :
+  ?sched_cache:Sched.Cache.t ->
+  ?memo:memo ->
+  Design.ctx ->
+  Sched.constraints ->
+  Design.t ->
+  area_bound
+(** Bound [objective_value Area (fst (schedule_stage ...))] before
+    scheduling: the schedule-independent datapath area
+    ({!Hsyn_eval.Area.datapath}, through [memo]) plus the controller at
+    [max 1] of {!Sched.makespan_lower_bound} states, or [infinity],
+    with no datapath computed, when that makespan bound exceeds the
+    deadline. The area is monotone in the state count, and rounding
+    keeps it so, which makes the bound exact: never above the value.
+    @raise Invalid_argument as {!Sched.schedule} does. *)
+
+val area_bound_value : area_bound -> float
+
 val schedule_stage :
   ?sched_cache:Sched.Cache.t ->
   ?memo:memo ->
+  ?bound:area_bound ->
   Design.ctx ->
   Sched.constraints ->
   Design.t ->
@@ -60,7 +84,9 @@ val schedule_stage :
     ~with_power:false]. The schedule is returned alongside so that
     {!power_stage} need not compute it again. [?sched_cache] is
     forwarded to {!Sched.schedule} and to the area model, for module
-    profiles. [?memo] supplies the module areas. *)
+    profiles. [?memo] supplies the module areas and the last steering
+    count. [?bound], the design's {!area_bound}, supplies its datapath
+    area, which is then not computed again. *)
 
 val power_stage :
   ?sched_cache:Sched.Cache.t ->

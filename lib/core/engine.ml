@@ -213,69 +213,74 @@ let complete_power t ?sched (e : entry) =
       Atomic.set e.e_state (Session.Full full);
       true
 
-(* -- the one probe-and-fill path --------------------------------------- *)
+(* -- probe, then fill --------------------------------------------------- *)
 
-(* Fingerprint and probe [designs] — (family label, design) pairs —
-   run stage 1 for the misses and insert them, in order. Returns each
-   design's entry and, for a feasible miss when [keep_sched], the
-   stage-1 schedule its power stage can replay; other schedules are
-   dropped at once, since held across a batch they would only survive
-   minor collections. Duplicates are not merged: each is probed before
-   any is inserted, so each misses. Several misses run on the pool and
-   poll hard interruptions; a lone miss runs inline without polling,
-   so a single evaluation never raises [Budget.Interrupted] ([Pass]
-   calls those outside its interruption handler). *)
 let cache_probe = Span.probe Span.Move "probe"
 let batch_probe = Span.probe Span.Move "batch"
 let generate_probe = Span.probe Span.Move "generate"
 
-let fill t ~keep_sched designs =
-  let probed =
-    Span.span cache_probe @@ fun () ->
-    Array.map
-      (fun (fam, design) ->
-        let fp = Design.fingerprint design in
-        let hit =
-          match t.costs with None -> None | Some c -> Session.cost_find c fp design
-        in
-        (fam, design, fp, hit))
-      designs
-  in
-  let fill_one (_, design, _, hit) =
+(* Fingerprint and probe [designs] — (family label, design) pairs —
+   each on its own: duplicates are not merged, so each is probed before
+   any is inserted, and each misses. *)
+let probe t designs =
+  Span.span cache_probe @@ fun () ->
+  Array.map
+    (fun (fam, design) ->
+      let fp = Design.fingerprint design in
+      let hit = match t.costs with None -> None | Some c -> Session.cost_find c fp design in
+      (fam, design, fp, hit))
+    designs
+
+let count_hit t ?fam (e : entry) =
+  bump t ?fam cache_hits 1;
+  if e.e_from_disk then bump t ?fam disk_hits 1
+
+(* The entry of a miss whose stage 1 ran, inserted into the cache. *)
+let insert t ?fam fp design (partial : Cost.eval) =
+  (* infeasible designs never need a simulation — born complete *)
+  let state = if partial.Cost.feasible then Session.Partial partial else Session.Full partial in
+  let e = { e_design = design; e_state = Atomic.make state; e_from_disk = false } in
+  bump t ?fam evaluated 1;
+  (match t.costs with
+  | None -> ()
+  | Some c ->
+      let evicted = Session.cost_insert c fp e in
+      if evicted > 0 then bump t ?fam evictions evicted);
+  e
+
+(* Run stage 1 for every miss of [probed] and insert them, in order.
+   Returns each design's entry and, for a feasible miss when
+   [keep_sched], the stage-1 schedule its power stage can replay; other
+   schedules are dropped at once, since held across a batch they would
+   only survive minor collections. Several misses run on the pool and
+   poll hard interruptions; a lone miss runs inline without polling,
+   so a single evaluation never raises [Budget.Interrupted] ([Pass]
+   calls those outside its interruption handler). *)
+let fill t ~keep_sched probed =
+  let run (_, design, _, hit) =
     match hit with
-    | Some e -> (e, None)
+    | Some e -> Either.Left e
     | None ->
         let partial, sched = stage1 t design in
-        let feasible = partial.Cost.feasible in
-        (* infeasible designs never need a simulation — born complete *)
-        let state = if feasible then Session.Partial partial else Session.Full partial in
-        ( { e_design = design; e_state = Atomic.make state; e_from_disk = false },
-          if keep_sched && feasible then Some sched else None )
+        Either.Right (partial, if keep_sched && partial.Cost.feasible then Some sched else None)
   in
   let misses =
     Array.fold_left (fun n (_, _, _, hit) -> if Option.is_none hit then n + 1 else n) 0 probed
   in
-  let filled = if misses > 1 then on_pool t fill_one probed else Array.map fill_one probed in
-  Array.iter2
-    (fun (fam, _, fp, hit) (e, _) ->
-      match hit with
-      | Some _ ->
-          bump t ?fam cache_hits 1;
-          if e.e_from_disk then bump t ?fam disk_hits 1
-      | None -> (
+  let staged = if misses > 1 then on_pool t run probed else Array.map run probed in
+  Array.map2
+    (fun (fam, design, fp, _) -> function
+      | Either.Left e ->
+          count_hit t ?fam e;
+          (e, None)
+      | Either.Right (partial, sched) ->
           bump t ?fam cache_misses 1;
-          bump t ?fam evaluated 1;
-          match t.costs with
-          | None -> ()
-          | Some c ->
-              let evicted = Session.cost_insert c fp e in
-              if evicted > 0 then bump t ?fam evictions evicted))
-    probed filled;
-  filled
+          (insert t ?fam fp design partial, sched))
+    probed staged
 
 let eval_internal t ~need_power design =
   flushing t @@ fun () ->
-  let e, sched = (fill t ~keep_sched:need_power [| (None, design) |]).(0) in
+  let e, sched = (fill t ~keep_sched:need_power (probe t [| (None, design) |])).(0) in
   if need_power && complete_power t ?sched e then bump t power_sims 1;
   Session.entry_eval e
 
@@ -296,6 +301,117 @@ let take_n n seq =
 
 let better (v1, i1) (v2, i2) = v1 < v2 || (v1 = v2 && i1 < i2)
 
+(* Area selection, bound first. Hits compete at once; every miss gets
+   its {!Cost.area_bound}, and stage 1 runs in (bound, index) order,
+   [jobs] candidates a wave, while the next candidate [can_win]. Since
+   the incumbent only improves, the first that cannot win ends the
+   batch: its bound, and every later one, is above the incumbent's
+   value or equal to it with a later index, so its value is too, and
+   the winner and its eval are those of evaluating every candidate.
+   Only the candidates stage 1 ran on enter the cache. *)
+let select_area t probed ~best ~consider =
+  let can_win (b, i, _) =
+    match !best with None -> b < infinity | Some (bv, bi, _) -> better (b, i) (bv, bi)
+  in
+  let misses = ref [] in
+  Array.iteri
+    (fun i (fam, _, _, hit) ->
+      match hit with
+      | Some e ->
+          count_hit t ?fam e;
+          consider i e
+      | None ->
+          bump t ?fam cache_misses 1;
+          misses := i :: !misses)
+    probed;
+  let bound i =
+    let _, design, _, _ = probed.(i) in
+    let b = Cost.area_bound ~sched_cache:t.sched_cache ~memo:t.memo t.ctx t.cs design in
+    (Cost.area_bound_value b, i, b)
+  in
+  let misses = Array.of_list (List.rev !misses) in
+  let bounds = if Array.length misses > 1 then on_pool t bound misses else Array.map bound misses in
+  Array.sort
+    (fun (b1, i1, _) (b2, i2, _) -> match Float.compare b1 b2 with 0 -> Int.compare i1 i2 | c -> c)
+    bounds;
+  let n = Array.length bounds in
+  let rec waves k =
+    let len = ref 0 in
+    while k + !len < n && !len < t.policy.jobs && can_win bounds.(k + !len) do
+      incr len
+    done;
+    if !len > 0 then begin
+      check_token t;
+      let wave = Array.sub bounds k !len in
+      let staged =
+        on_pool t
+          (fun (_, i, bound) ->
+            let _, design, _, _ = probed.(i) in
+            fst
+              (Cost.schedule_stage ~sched_cache:t.sched_cache ~memo:t.memo ~bound t.ctx t.cs
+                 design))
+          wave
+      in
+      Array.iteri
+        (fun w (_, i, _) ->
+          let fam, design, fp, _ = probed.(i) in
+          consider i (insert t ?fam fp design staged.(w)))
+        wave;
+      waves (k + !len)
+    end
+  in
+  waves 0
+
+(* Power selection: stage 1 for every miss; every candidate whose
+   simulation is done competes now, and the rest are simulated
+   cheapest-bound-first, in waves sized to the pool, skipping every
+   candidate whose lower bound proves it cannot beat the incumbent.
+   Skips never change the winner: objective >= bound > best value. *)
+let select_power t probed ~best ~consider =
+  let filled = fill t ~keep_sched:true probed in
+  let fam i =
+    let f, _, _, _ = probed.(i) in
+    f
+  in
+  let entry i = fst filled.(i) in
+  let pending = ref [] in
+  Array.iteri
+    (fun i (e, _) ->
+      match Atomic.get e.e_state with
+      | Session.Partial _ -> pending := i :: !pending
+      | Session.Full _ -> consider i e)
+    filled;
+  let bound i =
+    let e = entry i in
+    Cost.objective_lower_bound t.obj t.ctx ~sampling_ns:t.sampling_ns ~n_samples:t.n_samples
+      (Session.entry_eval e) e.e_design
+  in
+  let pending = List.rev_map (fun i -> (bound i, i)) !pending |> List.sort compare in
+  let wave_size = max (2 * t.policy.jobs) 8 in
+  let rec waves = function
+    | [] -> ()
+    | pending ->
+        check_token t;
+        let beats_best b = match !best with None -> true | Some (bv, _, _) -> b <= bv in
+        let skipped, rest = List.partition (fun (b, _) -> not (beats_best b)) pending in
+        List.iter (fun (_, i) -> bump t ?fam:(fam i) power_skipped 1) skipped;
+        let wave = take_n wave_size (List.to_seq rest) in
+        let sims =
+          on_pool t
+            (fun (_, i) ->
+              let e, sched = filled.(i) in
+              complete_power t ?sched e)
+            (Array.of_list wave)
+        in
+        List.iteri
+          (fun k (_, i) ->
+            if sims.(k) then bump t ?fam:(fam i) power_sims 1;
+            consider i (entry i))
+          wave;
+        waves (List.filteri (fun k _ -> k >= wave_size) rest)
+  in
+  waves pending
+
 let best_of t ?family ~limit seq =
   Span.span batch_probe @@ fun () ->
   flushing t @@ fun () ->
@@ -312,69 +428,27 @@ let best_of t ?family ~limit seq =
         (fam, design))
       raw
   in
-  let filled = fill t ~keep_sched:(t.obj = Cost.Power) labelled in
-  let fam i = fst labelled.(i) in
-  let entry i = fst filled.(i) in
-  (* Candidates are indices; ties resolve to the earliest generated. *)
+  let probed = probe t labelled in
+  (* Candidates are indices; ties resolve to the earliest generated.
+     The incumbent keeps its entry, read when the batch ends. *)
   let best = ref None in
-  let consider i =
-    let v = Cost.objective_value t.obj (Session.entry_eval (entry i)) in
+  let consider i e =
+    let v = Cost.objective_value t.obj (Session.entry_eval e) in
     if v < infinity then
       match !best with
-      | Some (bv, bi) when not (better (v, i) (bv, bi)) -> ()
-      | _ -> best := Some (v, i)
+      | Some (bv, bi, _) when not (better (v, i) (bv, bi)) -> ()
+      | _ -> best := Some (v, i, e)
   in
-  (* Every candidate whose objective is already known competes now:
-     all of them for area, which stage 1 determines, and for power the
-     entries whose simulation is done. *)
-  let pending = ref [] in
-  Array.iteri
-    (fun i (e, _) ->
-      match Atomic.get e.e_state with
-      | Session.Partial _ when t.obj = Cost.Power -> pending := i :: !pending
-      | _ -> consider i)
-    filled;
-  (* Simulate the rest cheapest-bound-first, in waves sized to the
-     pool, skipping every candidate whose lower bound proves it
-     cannot beat the incumbent. Skips never change the winner:
-     objective >= bound > best value. *)
-  let bound i =
-    let e = entry i in
-    Cost.objective_lower_bound t.obj t.ctx ~sampling_ns:t.sampling_ns ~n_samples:t.n_samples
-      (Session.entry_eval e) e.e_design
-  in
-  let pending = List.rev_map (fun i -> (bound i, i)) !pending |> List.sort compare in
-  let wave_size = max (2 * t.policy.jobs) 8 in
-  let rec waves = function
-    | [] -> ()
-    | pending ->
-        check_token t;
-        let beats_best b = match !best with None -> true | Some (bv, _) -> b <= bv in
-        let skipped, rest = List.partition (fun (b, _) -> not (beats_best b)) pending in
-        List.iter (fun (_, i) -> bump t ?fam:(fam i) power_skipped 1) skipped;
-        let wave = take_n wave_size (List.to_seq rest) in
-        let sims =
-          on_pool t
-            (fun (_, i) ->
-              let e, sched = filled.(i) in
-              complete_power t ?sched e)
-            (Array.of_list wave)
-        in
-        List.iteri
-          (fun k (_, i) ->
-            if sims.(k) then bump t ?fam:(fam i) power_sims 1;
-            consider i)
-          wave;
-        waves (List.filteri (fun k _ -> k >= wave_size) rest)
-  in
-  waves pending;
+  (match t.obj with
+  | Cost.Area -> select_area t probed ~best ~consider
+  | Cost.Power -> select_power t probed ~best ~consider);
   bump t batches 1;
   (* the candidate as generated: on a hit the entry holds an equal
      design another batch or engine made, and handing that copy on
      would make the memos keyed by physical identity depend on which
      copy was cached first *)
   Option.map
-    (fun (v, i) ->
+    (fun (v, i, e) ->
       let tag, design = raw.(i) in
-      (tag, design, Session.entry_eval (entry i), v))
+      (tag, design, Session.entry_eval e, v))
     !best

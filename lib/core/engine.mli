@@ -11,27 +11,33 @@
       candidates re-generated across passes and across the move
       families are never re-scheduled or re-simulated. Hits are
       verified by structural equality, making collisions harmless.
-    - {b staged evaluation} — scheduling feasibility and area are
-      computed first; in power mode the expensive trace simulation
-      runs only for candidates whose trace-independent lower bound
-      ({!Cost.objective_lower_bound}) can still beat the best value
-      seen so far in the batch. Skipping is exact: a skipped candidate
+    - {b staged evaluation} — in area mode a batch bounds each miss
+      before scheduling it ({!Cost.area_bound}) and schedules only
+      the candidates whose bound can still beat the best value seen
+      so far in the batch; otherwise scheduling feasibility and area
+      are computed first, and in power mode the expensive trace
+      simulation runs only for candidates whose trace-independent
+      lower bound ({!Cost.objective_lower_bound}) can still beat the
+      best value seen so far. Skipping is exact: a skipped candidate
       provably cannot win.
     - {b parallel batches} — stage-one and stage-two evaluations of a
       candidate batch run on a fixed {!Hsyn_util.Pool} of domains,
       sized by [HSYN_JOBS] / [--jobs], falling back to plain
       sequential evaluation at [jobs = 1].
 
-    {b One path.} {!evaluate}, {!evaluate_with_power} and {!best_of}
-    share one probe-and-fill routine: it fingerprints and probes a set
-    of designs (one design for a single evaluation, the candidates of
-    a batch otherwise), runs stage one for the misses — on the pool
-    when there are several — and inserts them. Each design is probed
-    on its own, so duplicates within one batch are each a miss. A
-    single evaluation then fills in the power stage when it needs it,
-    replaying the stage-one schedule of a miss; a batch simulates its
-    unfinished power candidates in waves. A single evaluation never
-    polls the budget.
+    {b One probe.} {!evaluate}, {!evaluate_with_power} and {!best_of}
+    share one probe: it fingerprints and looks up a set of designs
+    (one design for a single evaluation, the candidates of a batch
+    otherwise), each on its own, so duplicates within one batch are
+    each a miss. A single evaluation and a power batch then run stage
+    one for every miss — on the pool when there are several — and
+    insert them; a single evaluation fills in the power stage when it
+    needs it, replaying the stage-one schedule of a miss, and a power
+    batch simulates its unfinished candidates in waves. An area batch
+    runs stage one only on the misses its bound leaves a chance to win
+    (see {!best_of}), and inserts only those. The cache holds
+    evaluations, never a bound. A single evaluation never polls the
+    budget.
 
     {b Shared work.} A cost-cache miss still reuses what it shares with
     earlier candidates of the same engine: each engine creates a
@@ -39,8 +45,10 @@
     both stages, and drops it with the engine. It keeps module areas
     per module, value streams per (graph, bound parts) and module-part
     energies per (module, behavior, invocation stream); modules, graphs
-    and parts compare by physical identity. Every table is bounded and
-    safe on the engine's pool (see {!Hsyn_eval.Power.memo} and
+    and parts compare by physical identity. It also keeps the last
+    top-level steering count, which a module-selection candidate
+    shares with its parent. Every table is bounded and safe on the
+    engine's pool (see {!Hsyn_eval.Power.memo} and
     {!Hsyn_eval.Area.memo}). Direct {!Cost.evaluate} calls take no
     memo and stay uncached. Scheduling tables are not the engine's:
     each schedule reads its graph's {!Hsyn_dfg.Dfg.index}, and looks
@@ -59,10 +67,12 @@
     candidate's [family] label ({!Session.family_totals}), under one
     session lock, and with metrics enabled the [engine.<field>] and
     [engine.<field>.<family>] counters. Generated candidates, hits,
-    misses, evictions, simulations and skips of a batch are attributed
-    to the family; batches and the work of single evaluations are not. A
-    batch's time is the [batch] span's ([stage.batch] with metrics
-    enabled). *)
+    misses, evaluations, evictions, simulations and skips of a batch
+    are attributed to the family; batches and the work of single
+    evaluations are not. [evaluated] counts stage-one runs: in an area
+    batch, [cache_misses - evaluated] is the number of misses the
+    area bound dropped. A batch's time is the [batch] span's
+    ([stage.batch] with metrics enabled). *)
 
 module Design = Hsyn_rtl.Design
 module Sched = Hsyn_sched.Sched
@@ -152,15 +162,34 @@ val best_of :
     and return the feasible candidate minimizing the objective, with
     its evaluation and objective value. Ties go to the earliest
     candidate, matching a sequential fold; the result does not depend
-    on [jobs]. The design returned is the candidate as the sequence
-    produced it, never a cache entry's structurally equal copy, so what
-    follows (memos keyed by physical identity included) does not depend
-    on which engine cached the design first. [family] labels candidates
+    on [jobs].
+
+    For the area objective the cache hits compete at once, and every
+    miss is bounded before it is scheduled ({!Cost.area_bound}: its
+    datapath area through the engine's memo, plus the controller at
+    the makespan lower bound; infinite when that bound exceeds the
+    deadline). Stage one then runs in (bound, index) order, reusing
+    the bound's datapath area, one candidate at a time at [jobs = 1]
+    and in waves of [jobs] on the pool otherwise, and stops at the
+    first candidate whose bound is above the incumbent's value, or
+    equal to it with a later index: it, and every candidate after it,
+    cannot win. A skipped candidate never enters the cost cache, so
+    the next batch that generates it bounds it again. The winner and
+    its evaluation are those of evaluating every candidate; only the
+    counts depend on [jobs]. For the power objective every miss runs
+    stage one, and the simulations are staged as above.
+
+    The design returned is the candidate as the sequence produced it,
+    never a cache entry's structurally equal copy, so what follows
+    (memos keyed by physical identity included) does not depend on
+    which engine cached the design first. [family] labels candidates
     for the session's per-family counters.
 
     Spans: [batch] covers the call, [generate] the pulling of the
-    sequence (including nested resynthesis), and [probe] the
-    fingerprinting and cache lookup of each fill. *)
+    sequence (including nested resynthesis), [probe] the
+    fingerprinting and cache lookup, and [bound] (in
+    {!Sched.makespan_lower_bound}) each area candidate's makespan
+    bound. *)
 
 val counters : t -> Session.counters
 (** Snapshot of this engine's totals. *)

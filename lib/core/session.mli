@@ -40,7 +40,11 @@ module Shard_tbl = Hsyn_util.Shard_tbl
 
 type counters = {
   generated : int;  (** candidates pulled from the move generators *)
-  evaluated : int;  (** schedule+area stages actually computed *)
+  evaluated : int;
+      (** stage-one runs (schedule + area): one per miss of a single
+          evaluation or a power batch, and per miss of an area batch
+          whose bound left it a chance to win, so in an area batch
+          [cache_misses - evaluated] is what the area bound dropped *)
   cache_hits : int;
   cache_misses : int;
   evictions : int;  (** cache entries dropped to respect capacity *)

@@ -149,9 +149,56 @@ end
    module, compared physically: two modules may share a name. *)
 module Module_tbl = Hsyn_util.Shard_tbl.Make (Module_key)
 
-type memo = { m_ctx : Design.ctx; areas : float Module_tbl.t }
+(* The last top-level steering count, for the tables it was counted
+   from, compared physically, and the instances' chain flags: all that
+   [steering] reads of one design but the library. *)
+type last_steering = {
+  l_dfg : Dfg.t;
+  l_node_inst : int array;
+  l_value_reg : int array;
+  l_chains : bool array;
+  l_muxes : float;
+  l_wires : float;
+}
 
-let memo ctx = { m_ctx = ctx; areas = Module_tbl.create ~capacity:256 () }
+type memo = {
+  m_ctx : Design.ctx;
+  areas : float Module_tbl.t;
+  last : last_steering option Atomic.t;
+}
+
+let memo ctx = { m_ctx = ctx; areas = Module_tbl.create ~capacity:256 (); last = Atomic.make None }
+
+let is_chain = function Design.Simple fu -> Fu.is_chain fu | Design.Module _ -> false
+
+let same_chains chains (insts : Design.inst_kind array) =
+  Array.length chains = Array.length insts
+  && Array.for_all2 (fun c k -> Bool.equal c (is_chain k)) chains insts
+
+(* A move that only changes unit types (module selection) keeps its
+   parent's graph, bindings and chain flags, and so its steering. *)
+let top_steering memo ctx (d : Design.t) =
+  match memo with
+  | None -> steering ctx [ d ]
+  | Some m -> (
+      match Atomic.get m.last with
+      | Some l
+        when l.l_dfg == d.Design.dfg && l.l_node_inst == d.Design.node_inst
+             && l.l_value_reg == d.Design.value_reg && same_chains l.l_chains d.Design.insts ->
+          (l.l_muxes, l.l_wires)
+      | _ ->
+          let muxes, wires = steering ctx [ d ] in
+          Atomic.set m.last
+            (Some
+               {
+                 l_dfg = d.Design.dfg;
+                 l_node_inst = d.Design.node_inst;
+                 l_value_reg = d.Design.value_reg;
+                 l_chains = Array.map is_chain d.Design.insts;
+                 l_muxes = muxes;
+                 l_wires = wires;
+               });
+          (muxes, wires))
 
 (* The scheduler cache threads through the recursion because module
    areas need module profiles (one controller state per busy cycle),
@@ -166,19 +213,19 @@ let rec inst_area cache memo ctx = function
       | None -> module_area_rec cache memo ctx rm
       | Some m -> Module_tbl.find_or_build m.areas rm (module_area_rec cache memo ctx))
 
-and datapath_of_parts cache memo ctx (designs : Design.t list) =
+(* [(muxes, wires)] is the designs' steering *)
+and datapath_of_parts cache memo ctx (designs : Design.t list) (muxes, wires) =
   let lib = ctx.Design.lib in
   let first = List.hd designs in
   let units =
     Array.fold_left (fun acc k -> acc +. inst_area cache memo ctx k) 0. first.Design.insts
   in
   let registers = Float.of_int (Design.reg_count_used designs) *. lib.Hsyn_modlib.Library.reg_area in
-  let muxes, wires = steering ctx designs in
   { units; registers; muxes; wires; controller = 0. }
 
 and module_area_rec cache memo ctx (rm : Design.rtl_module) =
   let parts = List.map snd rm.Design.parts in
-  let b = datapath_of_parts cache memo ctx parts in
+  let b = datapath_of_parts cache memo ctx parts (steering ctx parts) in
   let states =
     List.fold_left
       (fun acc (behavior, _) ->
@@ -193,11 +240,13 @@ let datapath ?(sched_cache = Hsyn_sched.Sched.Cache.create ()) ?memo ctx d =
   Option.iter
     (fun m -> if not (m.m_ctx == ctx) then invalid_arg "Area: memo of another technology context")
     memo;
-  datapath_of_parts sched_cache memo ctx [ d ]
+  datapath_of_parts sched_cache memo ctx [ d ] (top_steering memo ctx d)
 
 let module_area ?(sched_cache = Hsyn_sched.Sched.Cache.create ()) ctx rm =
   module_area_rec sched_cache None ctx rm
 
-let total ?sched_cache ?memo ctx d ~n_states =
-  let b = datapath ?sched_cache ?memo ctx d in
+let with_controller ctx b ~n_states =
   { b with controller = Float.of_int n_states *. ctx.Design.lib.Hsyn_modlib.Library.ctrl_area_per_state }
+
+let total ?sched_cache ?memo ctx d ~n_states =
+  with_controller ctx (datapath ?sched_cache ?memo ctx d) ~n_states

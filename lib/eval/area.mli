@@ -57,7 +57,14 @@ type memo
     computes it once per module. The key is the module's physical
     identity, not its name: two modules with one name keep separate
     areas. Bounded (256 modules, second-chance eviction) and
-    domain-safe; results are bit-identical with and without it. *)
+    domain-safe; results are bit-identical with and without it.
+
+    It also keeps the last top-level steering count (muxes and wires),
+    keyed by the design's graph, [node_inst] and [value_reg], compared
+    physically, and its instances' chain flags: all that steering
+    reads but the library. A module-selection candidate changes only
+    unit types, so it reuses its parent's count, and so do its
+    siblings. One slot, replaced atomically on a miss. *)
 
 val memo : Design.ctx -> memo
 (** An empty memo for one technology context, compared physically on
@@ -75,6 +82,10 @@ val datapath :
     again.
     @raise Invalid_argument if [memo] was made for another context. *)
 
+val with_controller : Design.ctx -> breakdown -> n_states:int -> breakdown
+(** The breakdown with its controller field set to [n_states] FSM
+    states. *)
+
 val total :
   ?sched_cache:Hsyn_sched.Sched.Cache.t ->
   ?memo:memo ->
@@ -82,8 +93,8 @@ val total :
   Design.t ->
   n_states:int ->
   breakdown
-(** [datapath] plus the top-level controller ([n_states] is the
-    schedule makespan). *)
+(** [with_controller] on [datapath] ([n_states] is the schedule
+    makespan). *)
 
 val module_area : ?sched_cache:Hsyn_sched.Sched.Cache.t -> Design.ctx -> Design.rtl_module -> float
 (** Area of one complex RTL module: shared units and registers,

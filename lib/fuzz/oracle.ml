@@ -148,12 +148,27 @@ let embed_modules ctx (d : Design.t) =
   in
   pairs modules
 
+(* The makespan lower bound the area selection prunes with is at most
+   a kernel's makespan, so a deadline under it schedules infeasible. *)
+let check_bound what ctx deadline lb (kernel, (sch : Sched.schedule)) =
+  if lb > sch.Sched.makespan then
+    fail "%s: vdd=%g deadline=%d: makespan lower bound %d above the %s kernel's makespan %d" what
+      ctx.Design.vdd deadline lb kernel sch.Sched.makespan
+  else if lb > deadline && sch.Sched.feasible then
+    fail "%s: vdd=%g deadline=%d: the %s kernel's schedule is feasible under the bound %d" what
+      ctx.Design.vdd deadline kernel lb
+  else Ok ()
+
 let check_sched_diff rng (prog : Text.program) =
   let at what ctx d deadline =
     let cs = Sched.relaxed ~deadline d.Design.dfg in
     let reference = Sched_ref.schedule ctx cs d in
     let event = Sched.schedule ctx cs d in
-    if same_schedule event reference then Ok reference
+    let lb = Sched.makespan_lower_bound ctx cs d in
+    if same_schedule event reference then
+      let* () = check_bound what ctx deadline lb ("event", event) in
+      let* () = check_bound what ctx deadline lb ("reference", reference) in
+      Ok reference
     else
       fail
         "%s: vdd=%g deadline=%d: kernels disagree (event makespan=%d feasible=%b, reference \
@@ -642,7 +657,11 @@ let check_rewrite rng (prog : Text.program) =
 let all =
   [
     { name = "roundtrip"; doc = "text print/parse round-trip (LF and CRLF)"; check = check_roundtrip };
-    { name = "sched-diff"; doc = "event-driven scheduler ≡ reference kernel"; check = check_sched_diff };
+    {
+      name = "sched-diff";
+      doc = "event-driven scheduler ≡ reference kernel, both at or above the makespan bound";
+      check = check_sched_diff;
+    };
     {
       name = "engine-direct";
       doc = "evaluation engine ≡ direct cost evaluation; best_of ≡ sequential fold";

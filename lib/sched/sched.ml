@@ -623,6 +623,94 @@ let schedule ?(cache = Cache.create ()) ctx (cs : constraints) (d : Design.t) =
   Span.span schedule_probe (fun () -> schedule_event cache ctx cs d)
 
 (* ------------------------------------------------------------------ *)
+(* Makespan lower bound *)
+
+let bound_probe = Span.probe Span.Schedule "bound"
+
+(* ASAP under the data dependences alone, one walk of the graph in
+   topological order: each job starts once its external needs are
+   available, as in the kernel's [compute_est], and register edges and
+   resource conflicts are ignored, except that an instance is busy at
+   least for the occupancies of its jobs in turn. A chain's members are
+   one job: they share a start, raised member by member, so a member
+   read before the last one is placed reads a start no later than the
+   job's. Every term is at most what the kernel's schedule reaches. *)
+let makespan_lower_bound ?(cache = Cache.create ()) ctx (cs : constraints) (d : Design.t) =
+  Span.span bound_probe @@ fun () ->
+  let dfg = d.Design.dfg in
+  let ix = dfg.Dfg.index in
+  let insts = d.Design.insts and node_inst = d.Design.node_inst in
+  let n_insts = Array.length insts in
+  (* each value's ASAP availability: constants and delays at 0 *)
+  let avail = Array.make (Array.length ix.Dfg.value_node) 0 in
+  Array.iteri
+    (fun pos input_id -> avail.(ix.Dfg.value_off.(input_id)) <- cs.input_arrival.(pos))
+    dfg.Dfg.inputs;
+  (* per instance, the cycles its jobs hold it; and a chain's start *)
+  let occupied = Array.make n_insts 0 and chain_start = Array.make n_insts 0 in
+  let lb = ref 0 in
+  (* the latest of the node's input values not produced on [chain] *)
+  let ready id ~chain =
+    let t = ref 0 in
+    for s = ix.Dfg.in_off.(id) to ix.Dfg.in_off.(id + 1) - 1 do
+      let v = ix.Dfg.in_val.(s) in
+      if chain < 0 || node_inst.(ix.Dfg.value_node.(v)) <> chain then t := max !t avail.(v)
+    done;
+    !t
+  in
+  let finish id at =
+    for v = ix.Dfg.value_off.(id) to ix.Dfg.value_off.(id + 1) - 1 do
+      avail.(v) <- at
+    done;
+    lb := max !lb at
+  in
+  Array.iter
+    (fun id ->
+      match dfg.Dfg.nodes.(id).Dfg.kind with
+      | Dfg.Input | Dfg.Output | Dfg.Const _ | Dfg.Delay _ -> ()
+      | Dfg.Op _ | Dfg.Call _ -> (
+          let i = node_inst.(id) in
+          if i < 0 || i >= n_insts then
+            invalid_arg (Printf.sprintf "Sched: node %s is unbound" dfg.Dfg.nodes.(id).Dfg.label);
+          match insts.(i) with
+          | Design.Simple fu ->
+              let latency = Fu.cycles_at fu ctx.Design.vdd ~clk_ns:ctx.Design.clk_ns in
+              let hold = if fu.Fu.pipelined then 1 else latency in
+              if Fu.is_chain fu then begin
+                let start = max chain_start.(i) (ready id ~chain:i) in
+                chain_start.(i) <- start;
+                occupied.(i) <- hold;
+                finish id (start + latency)
+              end
+              else begin
+                occupied.(i) <- occupied.(i) + hold;
+                finish id (ready id ~chain:(-1) + latency)
+              end
+          | Design.Module rm ->
+              let behavior =
+                match dfg.Dfg.nodes.(id).Dfg.kind with
+                | Dfg.Call b -> b
+                | _ -> invalid_arg "Sched: non-call node on module instance"
+              in
+              let prof, _ = module_profile_impl cache ctx rm behavior in
+              let base = ix.Dfg.in_off.(id) in
+              let start = ref 0 in
+              for s = base to ix.Dfg.in_off.(id + 1) - 1 do
+                start := max !start (avail.(ix.Dfg.in_val.(s)) - prof.in_need.(s - base))
+              done;
+              let busy = max 1 prof.busy in
+              occupied.(i) <- occupied.(i) + busy;
+              lb := max !lb (!start + busy);
+              for v = ix.Dfg.value_off.(id) to ix.Dfg.value_off.(id + 1) - 1 do
+                avail.(v) <- !start + prof.out_ready.(v - ix.Dfg.value_off.(id));
+                lb := max !lb avail.(v)
+              done))
+    ix.Dfg.order;
+  Array.iter (fun n -> lb := max !lb n) occupied;
+  Array.iter (fun v -> lb := max !lb avail.(v)) ix.Dfg.sink_values;
+  !lb
+
+(* ------------------------------------------------------------------ *)
 (* ALAP (infinite resources) *)
 
 let alap_start ?(cache = Cache.create ()) ctx ~deadline (d : Design.t) =

@@ -118,6 +118,21 @@ val schedule : ?cache:Cache.t -> Design.ctx -> constraints -> Design.t -> schedu
     @raise Invalid_argument if the binding is structurally unusable
     (e.g. an unbound operation). *)
 
+val makespan_lower_bound : ?cache:Cache.t -> Design.ctx -> constraints -> Design.t -> int
+(** A lower bound on [(schedule ctx cs d).makespan] for every design
+    the kernel schedules without deadlock, from one walk of the graph's
+    {!Dfg.index} in topological order, with no job build, heap or event
+    loop: the largest of each job's ASAP finish over its data needs
+    alone (a chain's members share one start; a call reads its
+    profile's [in_need] and [out_ready], looked up in [cache] as
+    {!schedule} does), each instance's summed occupancy (one cycle per
+    job on a pipelined unit, its latency otherwise) and the ASAP
+    availability of the values outputs and delays read. Register edges
+    are ignored. So a design whose bound exceeds [cs.deadline]
+    schedules infeasible. Runs under its own [bound] span.
+    @raise Invalid_argument on an unbound operation, as {!schedule}
+    does. *)
+
 (** {1 Kernel counters}
 
     The kernel counts in the metrics registry ({!Hsyn_obs.Metrics}),

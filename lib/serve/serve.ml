@@ -360,7 +360,9 @@ let handle_conn (t : t) worker_id ~id ~queue_wait_ms fd =
     with _ -> ()
   in
   let started = Unix.gettimeofday () in
-  let access ~doc ~status ~extra =
+  (* [ran]: the request ran a synthesis, so it has a span tree; only
+     such a request can be a slow one *)
+  let access ~doc ~status ~ran ~extra =
     let run_ms = (Unix.gettimeofday () -. started) *. 1000. in
     let tenant = doc.Wire.tenant in
     let objective = Cost.objective_name doc.Wire.objective in
@@ -379,7 +381,7 @@ let handle_conn (t : t) worker_id ~id ~queue_wait_ms fd =
         @ extra)
       "request";
     (match t.cfg.slow_ms with
-    | Some cap when run_ms > cap ->
+    | Some cap when ran && run_ms > cap ->
         note_slow t { sl_id = id; sl_source = source_name doc.Wire.source; sl_run_ms = run_ms };
         Log.warn
           ~fields:
@@ -417,7 +419,7 @@ let handle_conn (t : t) worker_id ~id ~queue_wait_ms fd =
                  | Error msg ->
                      Atomic.incr t.errors;
                      Metrics.incr t.c_errors;
-                     ignore (access ~doc ~status:"bad_request" ~extra:[] : float);
+                     ignore (access ~doc ~status:"bad_request" ~ran:false ~extra:[] : float);
                      send (error_line Wire.Bad_request msg)
                  | Ok req ->
                      let token = Budget.start doc.Wire.budget in
@@ -438,7 +440,7 @@ let handle_conn (t : t) worker_id ~id ~queue_wait_ms fd =
                          Metrics.incr t.c_completed;
                          let stats = r.Synthesize.stats in
                          ignore
-                           (access ~doc ~status:"ok"
+                           (access ~doc ~status:"ok" ~ran:true
                               ~extra:
                                 [
                                   ("moves_committed", Json.Int (Pass.moves_committed stats));
@@ -450,7 +452,7 @@ let handle_conn (t : t) worker_id ~id ~queue_wait_ms fd =
                      | Error msg ->
                          Atomic.incr t.errors;
                          Metrics.incr t.c_errors;
-                         ignore (access ~doc ~status:"failed" ~extra:[] : float);
+                         ignore (access ~doc ~status:"failed" ~ran:true ~extra:[] : float);
                          send (error_line Wire.Failed msg));
                      Atomic.set t.tokens.(worker_id) None;
                      note_latency t ((Unix.gettimeofday () -. started) *. 1000.)))

@@ -26,8 +26,11 @@
     attributable ({!Hsyn_obs.Trace.scoped_events}). Each request emits
     one [info]-level access-log record (client, source, objective,
     config digest, queue wait, run time, status, and on success
-    moves-committed and cache hit rate); requests slower than
-    [slow_ms] additionally log their own span tree at [warn].
+    moves-committed and cache hit rate); requests that ran a synthesis
+    (status [ok] or [failed]) and took longer than [slow_ms]
+    additionally log their own span tree at [warn]. A document refused
+    before synthesis ([bad_request]) has no span tree, so it is never
+    a slow request.
 
     All requests of a server share one {!Hsyn_core.Session} (and hence
     one memo state and one domain pool per jobs count), so concurrent
@@ -68,8 +71,9 @@ type config = {
           trusts the client's own budget *)
   retry_after_s : float;  (** hint carried by [Overloaded] rejects *)
   slow_ms : float option;
-      (** requests slower than this log their span tree at [warn] and
-          enter the scrape's [serve_recent_slow] ring; setting it also
+      (** requests that ran a synthesis and took longer than this log
+          their span tree at [warn] and enter the scrape's
+          [serve_recent_slow] ring; setting it also
           arms the tracer ({!Hsyn_obs.Trace.set_enabled}) at
           {!create}. [None] (default) disables slow-request capture *)
 }

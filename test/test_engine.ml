@@ -362,9 +362,67 @@ let test_best_of_limit_and_counters () =
   checki "generated" 5 c.Session.generated;
   checki "batches" 1 c.Session.batches;
   (* 5 identical designs, each probed before any is inserted: each
-     candidate is evaluated on its own *)
-  checki "every candidate evaluated" 5 c.Session.evaluated;
+     misses. The first one's area bound is its value, so the bound
+     drops the other four, which cannot beat it on the earliest-index
+     tie rule: one candidate is evaluated, and only it enters the
+     cache *)
+  checki "every candidate misses" 5 c.Session.cache_misses;
+  checki "one candidate evaluated" 1 c.Session.evaluated;
+  checki "only the evaluated one cached" 1 (Engine.cache_size eng);
   checki "no hits" 0 c.Session.cache_hits
+
+(* Area selection bounds every miss before scheduling it, and runs
+   stage 1 only on the candidates that can still win. On a suite
+   behavior's neighbourhood, at the initial design's own makespan (so
+   slower units make candidates infeasible), an engine with a cache
+   evaluates fewer candidates than it misses, inserts exactly the ones
+   it evaluated, and returns the winner and eval of the cacheless
+   engine and of evaluating every candidate directly. *)
+let test_area_bound_prunes () =
+  let b = Suite.dct () in
+  let d = Tu.initial ~registry:b.Suite.registry ctx b.Suite.dfg in
+  let deadline = (Sched.schedule ctx (Sched.relaxed ~deadline:1000 d.Design.dfg) d).Sched.makespan in
+  let tagged = List.mapi (fun i v -> (i, v)) (Tu.neighbourhood Library.default d) in
+  let _, direct = mk_engine ~deadline d in
+  let reference =
+    List.fold_left
+      (fun best (i, v) ->
+        let e = direct v in
+        let value = Cost.objective_value Cost.Area e in
+        if value = infinity then best
+        else
+          match best with
+          | Some (_, _, bv) when bv <= value -> best
+          | _ -> Some (i, e, value))
+      None tagged
+  in
+  let ri, re, rvalue =
+    match reference with Some r -> r | None -> Alcotest.fail "no feasible candidate"
+  in
+  checkb "some candidate is infeasible" true
+    (List.exists (fun (_, v) -> not (direct v).Cost.feasible) tagged);
+  List.iter
+    (fun jobs ->
+      let run cache_capacity =
+        let eng, _ = mk_engine ~policy:{ Engine.jobs; cache_capacity } ~deadline d in
+        match Engine.best_of eng ~limit:max_int (List.to_seq tagged) with
+        | Some (i, _, e, value) -> (eng, i, e, value)
+        | None -> Alcotest.fail "no winner"
+      in
+      let eng, i, e, value = run 4096 in
+      let _, bi, be, bvalue = run 0 in
+      checki "the cacheless engine's winner" bi i;
+      checkb "the cacheless engine's eval" true (same_eval be e);
+      checkb "the cacheless engine's value" true
+        (Int64.bits_of_float bvalue = Int64.bits_of_float value);
+      checki "the exhaustive winner" ri i;
+      checkb "the exhaustive eval" true (same_eval re e);
+      checkb "the exhaustive value" true (Int64.bits_of_float rvalue = Int64.bits_of_float value);
+      let c = Engine.counters eng in
+      checki "every candidate misses" (List.length tagged) c.Session.cache_misses;
+      checkb "fewer evaluated than missed" true (c.Session.evaluated < c.Session.cache_misses);
+      checki "the evaluated ones are cached" c.Session.evaluated (Engine.cache_size eng))
+    [ 1; 4 ]
 
 let test_cache_eviction () =
   let designs = List.init 5 (fun s -> Tu.initial ctx (Tu.random_flat_graph (100 + s) ~n_inputs:2 ~n_ops:6)) in
@@ -690,6 +748,7 @@ let () =
           tc "random graphs, all policies" test_engine_random_graphs;
           tc "best_of matches reference" test_best_of_matches_reference;
           tc "limit and counters" test_best_of_limit_and_counters;
+          tc "area bound prunes" test_area_bound_prunes;
           tc "cache eviction" test_cache_eviction;
           tc "family counters" test_family_counters;
           tc "one entry per design" test_one_entry_per_design;

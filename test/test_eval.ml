@@ -188,6 +188,40 @@ let test_area_memo_keyed_by_module () =
     (Invalid_argument "Area: memo of another technology context") (fun () ->
       ignore (Area.total ~memo (Tu.ctx ~vdd:3.3 ()) d_add ~n_states:4))
 
+(* The memo's last steering count serves a design whose graph,
+   bindings and register map are those it was counted from, compared
+   physically, and whose instances' chain flags are equal: three adds
+   on one chained unit and, with the same tables, on one plain adder
+   steer differently, and so do two register maps. *)
+let test_area_memo_last_steering () =
+  let g = Tu.add_chain_graph () in
+  let d, inst = Design.add_inst (Tu.initial ctx g) (Design.Simple (Library.find_exn lib "chained_add3")) in
+  let chained =
+    Design.compact (Design.with_bindings d (List.map (Tu.node_id g) [ "s1"; "s2"; "s3" ]) inst)
+  in
+  let i = Tu.inst_of chained "s1" in
+  let plain = Design.with_inst chained i (Design.Simple (Library.find_exn lib "add1")) in
+  checkb "one graph, one binding, one register map" true
+    (plain.Design.dfg == chained.Design.dfg
+    && plain.Design.node_inst == chained.Design.node_inst
+    && plain.Design.value_reg == chained.Design.value_reg);
+  let s1 = Design.value_index g { Dfg.node = Tu.node_id g "s1"; out = 0 } in
+  let s2 = Design.value_index g { Dfg.node = Tu.node_id g "s2"; out = 0 } in
+  let moved = Design.with_value_reg chained s1 chained.Design.value_reg.(s2) in
+  let steering d =
+    let b = Area.datapath ctx d in
+    (b.Area.muxes, b.Area.wires)
+  in
+  checkb "chain flags change the steering" true (steering chained <> steering plain);
+  checkb "the register map changes the steering" true (steering chained <> steering moved);
+  let memo = Area.memo ctx in
+  List.iter
+    (fun d ->
+      let a = Area.grand_total (Area.datapath ~memo ctx d) in
+      checkb "memoized datapath equals plain" true
+        (Int64.bits_of_float a = Int64.bits_of_float (Area.grand_total (Area.datapath ctx d))))
+    [ chained; plain; chained; moved; chained; plain; plain ]
+
 let test_area_components () =
   let g = Tu.small_graph () in
   let d = Tu.initial ctx g in
@@ -420,6 +454,7 @@ let () =
           tc "register sharing" test_area_register_sharing;
           tc "module recursion" test_module_area_recursion;
           tc "memo keyed by module identity" test_area_memo_keyed_by_module;
+          tc "memo's last steering count" test_area_memo_last_steering;
         ] );
       ( "power",
         [

@@ -388,6 +388,75 @@ let test_allocation_bound () =
       let cs = Sched.relaxed ~deadline:r.S.deadline_cycles d.Design.dfg in
       check "area-optimized" (words_per_call r.S.ctx cs d) 2_550.
 
+(* The makespan lower bound the area selection prunes with is sound:
+   at most the kernel's makespan, so a deadline under it schedules
+   infeasible. Checked on a design and on its modules' parts, scheduled
+   as their profiles are (all inputs at 0, no deadline to speak of). *)
+let rec check_bound what ctx (cs : Sched.constraints) (d : Design.t) =
+  let lb = Sched.makespan_lower_bound ctx cs d in
+  let makespan = (Sched.schedule ctx cs d).Sched.makespan in
+  if lb > makespan then Alcotest.failf "%s: bound %d above the makespan %d" what lb makespan;
+  if lb > 0 && (Sched.schedule ctx { cs with Sched.deadline = lb - 1 } d).Sched.feasible then
+    Alcotest.failf "%s: feasible at deadline %d, under its bound %d" what (lb - 1) lb;
+  Array.iter
+    (function
+      | Design.Simple _ -> ()
+      | Design.Module rm ->
+          List.iter
+            (fun (behavior, (part : Design.t)) ->
+              check_bound (what ^ "/" ^ behavior) ctx
+                (Sched.relaxed ~deadline:1_000_000 part.Design.dfg)
+                part)
+            rm.Design.parts)
+    d.Design.insts
+
+(* Every suite behavior: its hierarchical and flat initial solutions,
+   and the final designs of a flat area synthesis at L.F. 1.2 and of a
+   hierarchical power synthesis at L.F. 2.2, at a reduced effort. *)
+let test_bound_below_makespan () =
+  let module S = Hsyn_core.Synthesize in
+  let module Suite = Hsyn_benchmarks.Suite in
+  let config =
+    {
+      S.default_config with
+      S.max_moves = 4;
+      max_passes = 1;
+      max_candidates = 16;
+      trace_length = 6;
+      max_clocks = 2;
+      clib_effort =
+        { Hsyn_core.Clib.default_effort with Hsyn_core.Clib.max_moves = 2; max_passes = 1 };
+    }
+  in
+  List.iter
+    (fun (b : Suite.t) ->
+      let registry = b.Suite.registry and dfg = b.Suite.dfg in
+      check_bound (b.Suite.name ^ " initial") ctx (Tu.relaxed_cs dfg) (Tu.initial ~registry ctx dfg);
+      let flat = Hsyn_dfg.Flatten.flatten registry dfg in
+      check_bound (b.Suite.name ^ " flat initial") ctx (Tu.relaxed_cs flat) (Tu.initial ctx flat);
+      let min_ns = S.min_sampling_ns lib registry dfg in
+      List.iter
+        (fun (what, flatten, objective, lf) ->
+          match
+            Result.bind
+              (S.Request.make ~config ~flatten ~lib ~registry ~dfg ~objective
+                 ~sampling_ns:(lf *. min_ns) ())
+              S.synthesize
+          with
+          | Error msg -> Alcotest.failf "%s %s: synthesis failed: %s" b.Suite.name what msg
+          | Ok r ->
+              let d = r.S.design in
+              check_bound
+                (Printf.sprintf "%s %s" b.Suite.name what)
+                r.S.ctx
+                (Sched.relaxed ~deadline:r.S.deadline_cycles d.Design.dfg)
+                d)
+        [
+          ("flat area", true, Hsyn_core.Cost.Area, 1.2);
+          ("hierarchical power", false, Hsyn_core.Cost.Power, 2.2);
+        ])
+    (Suite.all ())
+
 (* The kernel counts in the metrics registry: disarmed, a schedule moves
    no counter; armed, one schedule of a flat design counts one schedule
    and its queue pops, and a snapshot carries the count. *)
@@ -441,6 +510,7 @@ let () =
         ] );
       ( "analysis",
         [
+          tc "bound below makespan" test_bound_below_makespan;
           tc "alap slack" test_alap_slack;
           tc "critical path ns" test_critical_path_ns;
           tc "critical path requires flat" test_critical_path_requires_flat;

@@ -492,6 +492,37 @@ let test_access_log_and_slow_request () =
   checkb "span tree is non-empty" true (String.length tree > 0);
   checkb "span tree is grouped by domain" true (contains tree "domain")
 
+(* A document refused before synthesis, here a program whose two
+   variants of one behavior disagree on its interface, has no span
+   tree: with slow_ms = 0 it gets its bad_request access record, but no
+   slow record and no serve_recent_slow entry *)
+let test_refused_request_not_slow () =
+  let config = { Serve.default_config with Serve.slow_ms = Some 0.0 } in
+  let text =
+    "behavior f variant f1\n  input a\n  input b\n  op s add a b\n  output y s\nend\n\
+     behavior f variant f2\n  input a\n  op s neg a\n  output y s\nend\n\
+     dfg top\n  input x\n  input y\n  call c1 f 1 x y\n  output o c1\nend\n"
+  in
+  let doc =
+    Wire.make_doc ~objective:Cost.Power ~timing:(Wire.Laxity 2.2) ~config:test_config
+      (Wire.Program { text; graph = None })
+  in
+  let recent = ref None in
+  let records =
+    with_log_capture (fun () ->
+        with_server ~config (fun _ addr ->
+            checks "refused" "bad_request" (gets "code" (parse (last (request_lines addr doc))));
+            match Serve.Client.metrics ~timeout_s:10. addr with
+            | Error msg -> Alcotest.failf "metrics failed: %s" msg
+            | Ok line -> recent := Json.member "serve_recent_slow" (parse line)))
+  in
+  let with_msg msg = List.filter (fun j -> Json.member "msg" j = Some (Json.String msg)) records in
+  (match with_msg "request" with
+  | [ access ] -> checks "access status" "bad_request" (gets "status" access)
+  | l -> Alcotest.failf "%d access records, expected 1" (List.length l));
+  checki "no slow record" 0 (List.length (with_msg "slow request"));
+  checkb "no recent slow entry" true (!recent = Some (Json.List []))
+
 let test_tenant_label_on_request_counter () =
   with_server (fun _ addr ->
       let doc =
@@ -606,6 +637,7 @@ let () =
         [
           Alcotest.test_case "request id on every event line" `Quick test_request_id_on_event_lines;
           Alcotest.test_case "access log and slow request" `Quick test_access_log_and_slow_request;
+          Alcotest.test_case "refused request is not slow" `Quick test_refused_request_not_slow;
           Alcotest.test_case "tenant label on request counter" `Quick test_tenant_label_on_request_counter;
           Alcotest.test_case "prometheus endpoint and top frame" `Quick test_prometheus_endpoint_and_top;
         ] );
